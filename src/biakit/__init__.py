@@ -21,7 +21,7 @@ from .errors import (
     DegenerateSchemeError,
     UnverifiableDrawError,
 )
-from .exactrank import fraction_rank, gaussian_rank, integer_rank
+from .exactrank import gaussian_rank, integer_rank
 from .scheme import (
     BeamSet,
     PatternMatrix,
@@ -58,8 +58,8 @@ from .verify import (
     VerificationReport,
     check_counting,
     decompose_receiver,
-    merged_colinearity_error,
     rank_of,
+    receiver_blocks,
     run_verification,
     verify_decodability,
     verify_decodability_exact,

@@ -12,6 +12,7 @@ draws, 1 = noise, 2 = symbols, 3 = exact-mode integer channels.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -141,12 +142,26 @@ def channels_to_json(ch: ChannelSet) -> str:
 
 
 def channels_from_json(text: str) -> ChannelSet:
+    """Load a replay file. It must hold exactly one record for every
+    (rx, tx, mode) in 1..K x 1..K x 1..M, with K and M the largest indices
+    present; otherwise ValueError names the offending 1-indexed record."""
     doc = json.loads(text)
     records = doc["coeffs"]
-    K = max(int(r["rx"]) for r in records)
-    M = max(int(r["mode"]) for r in records)
+    keys = [(int(r["rx"]), int(r["tx"]), int(r["mode"])) for r in records]
+    if not keys:
+        raise ValueError("channel file has no coefficient records")
+    K = max(max(rx, tx) for rx, tx, _ in keys)
+    M = max(mode for _, _, mode in keys)
     coeffs = np.zeros((K, K, M), dtype=complex)
-    for r in records:
-        coeffs[int(r["rx"]) - 1, int(r["tx"]) - 1, int(r["mode"]) - 1] = (
-            float(r["re"]) + 1j * float(r["im"]))
+    seen = set()
+    for key, r in zip(keys, records):
+        if min(key) < 1:
+            raise ValueError("channel record rx=%d tx=%d mode=%d: indices start at 1" % key)
+        if key in seen:
+            raise ValueError("duplicate channel record rx=%d tx=%d mode=%d" % key)
+        seen.add(key)
+        coeffs[key[0] - 1, key[1] - 1, key[2] - 1] = float(r["re"]) + 1j * float(r["im"])
+    for key in itertools.product(range(1, K + 1), range(1, K + 1), range(1, M + 1)):
+        if key not in seen:
+            raise ValueError("missing channel record rx=%d tx=%d mode=%d" % key)
     return ChannelSet(coeffs=coeffs, seed=doc.get("seed"))

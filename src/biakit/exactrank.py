@@ -1,13 +1,15 @@
 """Exact matrix rank over the integers and the Gaussian integers.
 
-Fraction-free (Bareiss) elimination on Python ints: no floating tolerance,
-no external computer-algebra dependency. Inputs are small dense matrices
+One kernel: fraction-free (Bareiss) elimination on Python ints in
+`integer_rank`, with no floating tolerance and no external computer-algebra
+dependency. `gaussian_rank` has no elimination of its own: it realifies a
+matrix B + iC over Z[i] into [[B, -C], [C, B]] over Z, whose rank over Q is
+twice the rank of B + iC over Q(i). Inputs are small dense matrices
 (pattern-matrix products and exact-mode channel matrices), so the cubic
-cost with big-int growth is irrelevant here.
+cost with big-int growth is acceptable here.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 
@@ -16,6 +18,8 @@ def integer_rank(rows: Iterable[Sequence[int]]) -> int:
 
     Bareiss elimination: every intermediate entry stays an exact integer
     (each 2x2 cross-multiplication is divisible by the previous pivot).
+    Below the pivot row every column left of the pivot column is already
+    zero, so each step updates only the columns to its right.
     """
     a = [[int(x) for x in row] for row in rows]
     nr = len(a)
@@ -33,84 +37,25 @@ def integer_rank(rows: Iterable[Sequence[int]]) -> int:
             continue
         a[rank], a[piv] = a[piv], a[rank]
         pv = a[rank][c]
+        right = a[rank][c + 1:]
         for r in range(rank + 1, nr):
-            f = a[r][c]
-            for cc in range(nc):
-                a[r][cc] = (a[r][cc] * pv - f * a[rank][cc]) // prev
+            row = a[r]
+            f = row[c]
+            row[c + 1:] = [(x * pv - f * y) // prev for x, y in zip(row[c + 1:], right)]
         prev = pv
         rank += 1
     return rank
 
 
-def fraction_rank(rows: Iterable[Sequence[Fraction]]) -> int:
-    """Rank over Q of a matrix with Fraction entries.
-
-    Clears denominators row by row (row scaling preserves rank), then
-    defers to integer elimination.
-    """
-    cleared = []
-    for row in rows:
-        fr = [Fraction(x) for x in row]
-        lcm = 1
-        for x in fr:
-            d = x.denominator
-            g = _gcd(lcm, d)
-            lcm = lcm // g * d
-        cleared.append([int(x * lcm) for x in fr])
-    return integer_rank(cleared)
-
-
-def gaussian_rank(rows: Iterable[Sequence[tuple[int, int]]]) -> int:
+def gaussian_rank(rows: Sequence[Sequence[tuple[int, int]]]) -> int:
     """Rank over Q(i) of a matrix whose entries are Gaussian integers.
 
-    Entries are (real, imag) pairs of Python ints. Bareiss works in any
-    integral domain with exact division; Z[i] division here is exact by
-    the same determinant identity as the integer case.
+    Entries are (real, imag) pairs of ints. With B and C the real and
+    imaginary parts, the rank of [[B, -C], [C, B]] over Q is twice the rank
+    of B + iC over Q(i).
     """
-    a = [[(int(re), int(im)) for (re, im) in row] for row in rows]
-    nr = len(a)
-    nc = len(a[0]) if nr else 0
-    rank = 0
-    prev = (1, 0)
-    for c in range(nc):
-        if rank == nr:
-            break
-        piv = next((r for r in range(rank, nr) if a[r][c] != (0, 0)), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        pv = a[rank][c]
-        for r in range(rank + 1, nr):
-            f = a[r][c]
-            for cc in range(nc):
-                num = _gsub(_gmul(a[r][cc], pv), _gmul(f, a[rank][cc]))
-                a[r][cc] = _gdiv(num, prev)
-        prev = pv
-        rank += 1
-    return rank
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _gmul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-
-def _gsub(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-    return (x[0] - y[0], x[1] - y[1])
-
-
-def _gdiv(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-    # x * conj(y) / |y|^2, with both components exactly divisible
-    n = y[0] * y[0] + y[1] * y[1]
-    re = x[0] * y[0] + x[1] * y[1]
-    im = x[1] * y[0] - x[0] * y[1]
-    qr, rr = divmod(re, n)
-    qi, ri = divmod(im, n)
-    if rr or ri:
-        raise ArithmeticError("inexact Gaussian division: not an elimination intermediate")
-    return (qr, qi)
+    re = [[int(x) for x, _ in row] for row in rows]
+    im = [[int(y) for _, y in row] for row in rows]
+    top = [b + [-y for y in c] for b, c in zip(re, im)]
+    bottom = [c + b for b, c in zip(re, im)]
+    return integer_rank(top + bottom) // 2

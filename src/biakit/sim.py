@@ -9,7 +9,7 @@ rate's slope against log2(P) reads directly as sum DoF.
 
 A receiver whose combined matrix is rank deficient cannot zero-force all its
 symbols; such (trial, receiver) pairs contribute zero rate and are counted
-in `excluded`. Fully certified schemes (build_scheme for K = 3..8) never hit
+in `excluded`. Fully certified schemes (build_scheme for K = 3..12) never hit
 this path. The TDMA baseline gives each user a 1/K share of every channel
 use at the same per-symbol power, under the identical channel draws.
 """
@@ -27,9 +27,11 @@ from .scheme import Scheme
 from .verify import ReceiverDecomposition, decompose_receiver
 
 
-def _projected_desired(decomp: ReceiverDecomposition) -> np.ndarray:
+def _null_interference(decomp: ReceiverDecomposition, *blocks: np.ndarray) -> list[np.ndarray]:
+    """Project each block onto the orthogonal complement of the
+    interference basis, from one QR of that basis."""
     q, _ = np.linalg.qr(decomp.interference_basis)
-    return decomp.desired - q @ (q.conj().T @ decomp.desired)
+    return [x - q @ (q.conj().T @ x) for x in blocks]
 
 
 def zf_decode(decomp: ReceiverDecomposition, y: np.ndarray) -> np.ndarray:
@@ -44,9 +46,7 @@ def zf_decode(decomp: ReceiverDecomposition, y: np.ndarray) -> np.ndarray:
         raise UnverifiableDrawError(
             "receiver %d: combined rank %d < %d, cannot null interference"
             % (decomp.rx + 1, decomp.rank_combined, m))
-    g = _projected_desired(decomp)
-    q, _ = np.linalg.qr(decomp.interference_basis)
-    y_clean = y - q @ (q.conj().T @ y)
+    g, y_clean = _null_interference(decomp, decomp.desired, y)
     est, *_ = np.linalg.lstsq(g, y_clean, rcond=None)
     return est
 
@@ -57,7 +57,7 @@ def receiver_rate(decomp: ReceiverDecomposition, power: float) -> float:
     if decomp.rank_combined < m:
         raise UnverifiableDrawError(
             "receiver %d: combined rank %d < %d" % (decomp.rx + 1, decomp.rank_combined, m))
-    g = _projected_desired(decomp)
+    g, = _null_interference(decomp, decomp.desired)
     gram = g.conj().T @ g
     inv_diag = np.real(np.diag(np.linalg.inv(gram)))
     sinr = power / inv_diag
@@ -81,7 +81,6 @@ class SimConfig:
     snr_points_db: tuple[float, ...] = (30.0, 40.0, 50.0)
     trials: int = 500
     seed: int = 0
-    slope_window: int | None = None  # fit over the last w points; None = all
 
     def __post_init__(self):
         pts = tuple(float(x) for x in self.snr_points_db)
@@ -154,10 +153,9 @@ def estimate_dof(scheme: Scheme, cfg: SimConfig, fit_slope: bool = True) -> SimR
         users=K, snr_points_db=cfg.snr_points_db, trials=cfg.trials,
         seed=cfg.seed, rates=rates, tdma_rates=tdma, excluded=excluded)
     if fit_slope:
-        w = len(powers) if cfg.slope_window is None else max(2, cfg.slope_window)
-        x = np.log2(powers)[-w:]
-        result.fitted_slope = float(np.polyfit(x, result.mean_sum_rates[-w:], 1)[0])
-        result.tdma_slope = float(np.polyfit(x, result.mean_tdma_rates[-w:], 1)[0])
+        x = np.log2(powers)
+        result.fitted_slope = float(np.polyfit(x, result.mean_sum_rates, 1)[0])
+        result.tdma_slope = float(np.polyfit(x, result.mean_tdma_rates, 1)[0])
     return result
 
 

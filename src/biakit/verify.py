@@ -1,17 +1,21 @@
 """Per-receiver decodability verification and dimension-counting checks.
 
-At receiver j the desired block stacks the K-1 own-channel columns and the
-interference stacks the (K-1)^2 cross-channel columns. Interference columns
-come in exactly-colinear pairs: both owners of a shared vector reach any
-third receiver through the same binary vector, scaled by their own mode-2
-coefficients. Merging each colinear pair leaves a K(K-1)/2-column basis.
-Decodability of the draw means rank_desired = K-1, rank_interference =
-K(K-1)/2 and rank_combined = m (desired space disjoint from interference).
+At receiver j the desired block stacks the K-1 own-channel columns. The
+(K-1)^2 cross-channel interference columns come in exactly-colinear pairs:
+both owners of a shared vector reach any third receiver through the same
+binary vector, scaled by their own mode-2 coefficients. Merging each
+colinear pair leaves a K(K-1)/2-column basis. Decodability of the draw
+means rank_desired = K-1, rank_interference = K(K-1)/2 and rank_combined =
+m (desired space disjoint from interference).
 
-Two verification modes: floating SVD ranks over Gaussian draws (fast,
-statistical), and exact ranks over Gaussian-integer draws (fraction-free
-elimination, certification-grade). The channel-free certificate that powers
-construction lives in scheme.certify_receivers.
+`receiver_blocks` is the one place that turns a channel draw into these
+columns; float verification, exact verification and the simulator all use
+it. Two verification modes: floating SVD ranks over Gaussian draws (fast,
+statistical), and exact ranks over Gaussian-integer draws (certification-
+grade). Exact ranks come from `exactrank.gaussian_rank`, which realifies
+each Z[i] matrix onto the one fraction-free integer kernel. The
+channel-free certificate that powers construction lives in
+scheme.certify_receivers.
 """
 from __future__ import annotations
 
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import EXACT_STREAM, CHANNEL_STREAM, ChannelSet, draw_channels, effective_channel, stream_seed
+from .channel import EXACT_STREAM, CHANNEL_STREAM, ChannelSet, draw_channels, stream_seed
 from .exactrank import gaussian_rank
 from .formats import render_csv, render_json
 from .scheme import BeamSet, PatternMatrix, Scheme, SchemeConfig
@@ -41,13 +45,34 @@ def rank_of(matrix: np.ndarray, tol: float | None = None) -> int:
     return int(np.count_nonzero(sv > cut))
 
 
+def receiver_blocks(
+    ch: ChannelSet, pattern: PatternMatrix, beams: BeamSet, j: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Receiver j's desired block (m x (K-1)) and merged interference
+    basis (m x K(K-1)/2) for one channel draw.
+
+    Row r of every column carries the coefficient of receiver j's mode at
+    channel use r. Colinear interference pairs are merged structurally
+    from the pair map (alignment is exact by construction, so no numeric
+    colinearity detection is involved): the column of pair {a, b}, in
+    lexicographic pair order, is its shared vector scaled by the link from
+    the lower-numbered owner, or from the other owner when j is in the pair.
+    """
+    K = pattern.users
+    eff = ch.coeffs[j][:, pattern.tilde[:, j]]  # eff[i]: diagonal from transmitter i
+    pairs = list(itertools.combinations(range(K), 2))
+    src = [b if j == a else a for a, b in pairs]
+    shared = np.column_stack([beams.shared_vector(a, b) for a, b in pairs])
+    desired = eff[j][:, None] * np.column_stack(beams.vectors[j])
+    return desired, eff[src].T * shared
+
+
 @dataclass(eq=False)
 class ReceiverDecomposition:
     """Desired and interference column blocks at one receiver, plus ranks."""
 
     rx: int
     desired: np.ndarray            # m x (K-1)
-    interference_raw: np.ndarray   # m x (K-1)^2
     interference_basis: np.ndarray  # m x K(K-1)/2 after merging colinear pairs
     rank_desired: int
     rank_interference: int
@@ -61,37 +86,11 @@ class ReceiverDecomposition:
 def decompose_receiver(
     ch: ChannelSet, pattern: PatternMatrix, beams: BeamSet, j: int
 ) -> ReceiverDecomposition:
-    """Build receiver j's column blocks and their numeric ranks.
-
-    Colinear interference pairs are merged structurally from the pair map
-    (alignment is exact by construction, so no numeric colinearity
-    detection is involved): the merged column for pair {a, b} keeps the
-    lower-numbered owner's scaling.
-    """
-    K = pattern.users
-    desired = np.column_stack(
-        [effective_channel(ch, pattern, j, j) * v for v in beams.vectors[j]])
-    raw_cols = []
-    for i in range(K):
-        if i == j:
-            continue
-        eff = effective_channel(ch, pattern, j, i)
-        for v in beams.vectors[i]:
-            raw_cols.append(eff * v)
-    basis_cols = []
-    for a, b in itertools.combinations(range(K), 2):
-        v = beams.shared_vector(a, b)
-        if j == a or j == b:
-            other = b if j == a else a
-            basis_cols.append(effective_channel(ch, pattern, j, other) * v)
-        else:
-            basis_cols.append(effective_channel(ch, pattern, j, a) * v)
-    raw = np.column_stack(raw_cols)
-    basis = np.column_stack(basis_cols)
+    """Build receiver j's column blocks and their numeric ranks."""
+    desired, basis = receiver_blocks(ch, pattern, beams, j)
     return ReceiverDecomposition(
         rx=j,
         desired=desired,
-        interference_raw=raw,
         interference_basis=basis,
         rank_desired=rank_of(desired),
         rank_interference=rank_of(basis),
@@ -153,32 +152,27 @@ def verify_decodability_exact(
     pattern: PatternMatrix, beams: BeamSet, seed=0, draw: int = 0
 ) -> list[ReceiverCheck]:
     """Same three conditions with exact arithmetic: channels are random
-    Gaussian integers and ranks come from fraction-free elimination over
-    Z[i], so there is no floating tolerance anywhere."""
+    Gaussian integers and ranks come from fraction-free elimination, so
+    there is no floating tolerance anywhere.
+
+    The draw goes through the same column builder as the float path. Its
+    parts are integers of magnitude at most 999 and the beamforming
+    vectors are 0/1, so every column entry is exact in complex floating
+    point and converts back to integers without loss.
+    """
     K = pattern.users
-    m = pattern.block_len
     rng = np.random.default_rng(
         seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed))
     h = _exact_channel_ints(K, rng)
-    config_ranks = (K - 1, K * (K - 1) // 2, m)
-
-    def column(j: int, i: int, v: np.ndarray) -> list[tuple[int, int]]:
-        mode = pattern.tilde[:, j]
-        return [(int(h[j, i, mode[r], 0] * v[r]), int(h[j, i, mode[r], 1] * v[r]))
-                for r in range(m)]
-
+    ch = ChannelSet(coeffs=h[..., 0] + 1j * h[..., 1])
+    config_ranks = (K - 1, K * (K - 1) // 2, pattern.block_len)
     out = []
     for j in range(K):
-        desired = [column(j, j, v) for v in beams.vectors[j]]
-        basis = []
-        for a, b in itertools.combinations(range(K), 2):
-            v = beams.shared_vector(a, b)
-            src = (b if j == a else a) if j in (a, b) else a
-            basis.append(column(j, src, v))
-        rows = lambda cols: [[cols[c][r] for c in range(len(cols))] for r in range(m)]
-        rd = gaussian_rank(rows(desired))
-        ri = gaussian_rank(rows(basis))
-        rc = gaussian_rank(rows(desired + basis))
+        blocks = np.hstack(receiver_blocks(ch, pattern, beams, j))
+        rows = np.stack([blocks.real, blocks.imag], axis=-1).astype(np.int64).tolist()
+        rd = gaussian_rank([row[:K - 1] for row in rows])
+        ri = gaussian_rank([row[K - 1:] for row in rows])
+        rc = gaussian_rank(rows)
         out.append(ReceiverCheck(
             draw=draw, rx=j + 1,
             rank_desired=rd, rank_interference=ri, rank_combined=rc,
@@ -254,7 +248,7 @@ def report_to_csv(report: VerificationReport) -> str:
 
 
 # ---------------------------------------------------------------------------
-# structural counting and colinearity diagnostics
+# structural counting
 
 
 @dataclass(frozen=True)
@@ -286,24 +280,3 @@ def check_counting(config: SchemeConfig, beams: BeamSet) -> CountingReport:
         symbol_identity_ok=symbol_identity,
         per_receiver_dims_ok=per_receiver,
     )
-
-
-def merged_colinearity_error(ch: ChannelSet, pattern: PatternMatrix, beams: BeamSet) -> float:
-    """Numeric cross-check of the structural merge: for every pair and every
-    outside receiver, the two raw interference columns must be exact scalar
-    multiples (ratio of the owners' mode-2 coefficients). Returns the worst
-    relative deviation; anything above machine-epsilon scale means the
-    structural merging assumption was violated."""
-    K = pattern.users
-    worst = 0.0
-    for a, b in itertools.combinations(range(K), 2):
-        v = beams.shared_vector(a, b)
-        for j in range(K):
-            if j in (a, b):
-                continue
-            ca = effective_channel(ch, pattern, j, a) * v
-            cb = effective_channel(ch, pattern, j, b) * v
-            ratio = ch.coeffs[j, a, 1] / ch.coeffs[j, b, 1]
-            dev = np.linalg.norm(ca - ratio * cb) / max(np.linalg.norm(ca), 1e-300)
-            worst = max(worst, float(dev))
-    return worst

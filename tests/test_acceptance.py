@@ -57,10 +57,10 @@ def test_criterion_2_scheme_family_verification():
     assert elapsed < 60.0
     assert not rank_failures, (
         "rank verification failed for %s (K -> (failed checks, receivers)). "
-        "Exhaustive search shows no viable pattern matrix certifies every "
-        "receiver for K >= 5; four certified receivers is the ceiling, so "
-        "receivers 5..K fail at every draw by construction. See README, "
-        "Known limitations." % (rank_failures,))
+        "build_scheme ships fully certified schemes for K = 3..12; a failing "
+        "receiver means a shipped table or its certificate is wrong. Only "
+        "full pair-product vectors stop at four certified receivers for "
+        "K >= 5. See README, Known limitations." % (rank_failures,))
 
 
 def test_criterion_3_product_rank_certification():
@@ -111,10 +111,11 @@ def test_criterion_5_noiseless_decodability():
     assert worst < 1e-9
     assert not undecodable, (
         "zero-forcing was impossible for %d (K, draw, receiver) triples, "
-        "first few %s: at K=5 receiver 5's desired and interference spaces "
-        "share one dimension in every draw (combined rank 13 of 14), so no "
-        "linear decoder can null the interference. No 5-user pattern matrix "
-        "avoids this; see README, Known limitations."
+        "first few %s: the receiver's desired and interference spaces "
+        "share a dimension, so no linear decoder can null the interference. "
+        "build_scheme certifies every receiver for K = 3..12; only the "
+        "pair-product family leaves receiver 5 undecodable at K=5. See "
+        "README, Known limitations."
         % (len(undecodable), undecodable[:3]))
 
 

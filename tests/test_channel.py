@@ -19,7 +19,6 @@ from biakit.channel import (
     transmit,
 )
 from biakit.scheme import PatternMatrix
-from biakit.verify import merged_colinearity_error
 
 from conftest import GOLDEN_MODES_4
 
@@ -152,13 +151,6 @@ def test_shared_support_sees_one_coefficient(K):
             assert np.array_equal(lhs, ch.coeffs[w, i, 1] * v)
 
 
-@pytest.mark.parametrize("K", [3, 4, 5])
-def test_merged_colinearity_error_is_machine_scale(K):
-    scheme = bk.build_scheme(K)
-    ch = draw_channels(K, 2, seed=17)
-    assert merged_colinearity_error(ch, scheme.pattern, scheme.beams) < 1e-12
-
-
 def test_channel_json_roundtrip():
     ch = draw_channels(3, 2, seed=21)
     text = channels_to_json(ch)
@@ -173,3 +165,16 @@ def test_channel_json_records_spawned_seeds():
     ch = draw_channels(3, 2, seed=stream_seed(5, CHANNEL_STREAM, 2))
     doc = json.loads(channels_to_json(ch))
     assert doc["seed"] == {"entropy": 5, "spawn_key": [CHANNEL_STREAM, 2]}
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda coeffs: coeffs.pop(3), "missing channel record rx=1 tx=2 mode=2"),
+    (lambda coeffs: coeffs.append(dict(coeffs[3], re=0.5)),
+     "duplicate channel record rx=1 tx=2 mode=2"),
+    (lambda coeffs: coeffs[0].update(rx=0), "channel record rx=0 tx=1 mode=1"),
+], ids=["missing", "duplicate", "rx-zero"])
+def test_channel_json_rejects_malformed_records(corrupt, message):
+    doc = json.loads(channels_to_json(draw_channels(3, 2, seed=21)))
+    corrupt(doc["coeffs"])
+    with pytest.raises(ValueError, match=message):
+        channels_from_json(json.dumps(doc))

@@ -3,10 +3,12 @@
 Any row with fewer than K-2 ones zeroes every pair product and duplicate
 rows add no rank, so every viable m-row matrix is the (m+2)-row vocabulary
 minus two rows, up to row order. Scanning all omission pairs is therefore
-a complete search. The counts pinned here are the package's central honest
-finding: matrices certifying every receiver exist only for K = 3 and K = 4,
-and four certified receivers is the ceiling from K = 5 on. README's Known
-limitations section spells out the consequences.
+a complete search. The counts pinned here hold for full pair-product
+vectors: such matrices certify every receiver only for K = 3 and K = 4,
+and four certified receivers is their ceiling from K = 5 on. Shared vectors
+on narrower supports lift that ceiling (build_scheme certifies every
+receiver for K = 3..12). README's Known limitations section spells out the
+consequences.
 """
 import itertools
 

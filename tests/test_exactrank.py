@@ -1,11 +1,9 @@
 """Exact rank routines cross-checked against a computer-algebra oracle."""
-from fractions import Fraction
-
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from biakit.exactrank import fraction_rank, gaussian_rank, integer_rank
+from biakit.exactrank import gaussian_rank, integer_rank
 
 
 def test_identity_zero_empty():
@@ -46,16 +44,6 @@ int_matrices = st.integers(1, 5).flatmap(
 @given(int_matrices)
 def test_integer_rank_matches_oracle(rows):
     assert integer_rank(rows) == sympy.Matrix(rows).rank()
-
-
-@settings(max_examples=60, deadline=None)
-@given(int_matrices, st.lists(st.integers(1, 7), min_size=5, max_size=5))
-def test_fraction_rank_matches_oracle(rows, dens):
-    fr = [[Fraction(x, dens[(r + c) % 5]) for c, x in enumerate(row)]
-          for r, row in enumerate(rows)]
-    sm = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
-                       for row in fr])
-    assert fraction_rank(fr) == sm.rank()
 
 
 gauss_matrices = st.integers(1, 4).flatmap(
