@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConstructionFailedError, DegenerateSchemeError
-from .exactrank import integer_rank
+from .exactrank import integer_rank, nonsingular
 from .formats import render_json
 
 
@@ -195,23 +195,32 @@ def certify_receivers(
     supports defaults to the pair products; there v_jo*t_j = w_o (the
     exclude-one product), so G_j spans the same space as [U | w_o, o != j].
     Explicit supports are checked against their pair products first.
+
+    All K matrices go to `exactrank.nonsingular` as one stack, so each flag
+    is a proof either way: G_j is certified when its determinant is
+    nonzero modulo a prime, and refused when it vanishes modulo primes
+    whose product exceeds its Hadamard bound, or, past the prime table,
+    when exact Bareiss elimination finds rank below m.
     """
     if supports is None:
         supports = pair_products(tilde)
     else:
         check_supports(tilde, supports)
     m, K = tilde.shape
-    out = []
+    if m != (K + 2) * (K - 1) // 2:
+        raise ValueError("tilde must have (K+2)(K-1)/2 = %d rows, got %d"
+                         % ((K + 2) * (K - 1) // 2, m))
+    pairs = list(supports)
+    v = np.column_stack([supports[pair] for pair in pairs])
+    g = np.empty((K, m, m), dtype=np.int8)  # 0/1 entries; int8 keeps the stack small
     for j in range(K):
-        t = tilde[:, j]
-        cols = []
-        for (a, b), v in supports.items():
-            if j in (a, b):
-                cols += [v * (1 - t), v * t]
-            else:
-                cols.append(v)
-        out.append(integer_rank(np.column_stack(cols).tolist()) == m)
-    return tuple(out)
+        # pair columns first, own pairs halved to v*(1-t_j); then v*t_j of each own pair
+        own = [c for c, pair in enumerate(pairs) if j in pair]
+        t = tilde[:, j, None]
+        g[j, :, :len(pairs)] = v
+        g[j][:, own] *= 1 - t
+        g[j, :, len(pairs):] = v[:, own] * t
+    return tuple(bool(x) for x in nonsingular(g))
 
 
 def canonical_pattern_matrix(config: SchemeConfig) -> PatternMatrix:
@@ -467,14 +476,22 @@ def scheme_from_json(text: str) -> Scheme:
 
 
 def pair_dims_from_json(text: str) -> dict[tuple[int, int], tuple[int, int]]:
-    """Parse a pair->dimension override: [{"users":[i,j],"dims":[di,dj]}, ...]."""
+    """Parse a pair->dimension override: [{"users":[i,j],"dims":[di,dj]}, ...],
+    bare or under "pairs". Raises ValueError naming the first malformed entry."""
     doc = json.loads(text)
     if isinstance(doc, dict) and "pairs" in doc:
         doc = doc["pairs"]
+    if not isinstance(doc, list):
+        raise ValueError('pair map must be a list of {"users": [i, j], "dims": [di, dj]} '
+                         "entries, got %s" % json.dumps(doc))
     dims = {}
-    for entry in doc:
-        i, j = (int(u) - 1 for u in entry["users"])
-        di, dj = (int(d) - 1 for d in entry["dims"])
+    for n, entry in enumerate(doc, 1):
+        try:
+            i, j = (int(u) - 1 for u in entry["users"])
+            di, dj = (int(d) - 1 for d in entry["dims"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError('pair map entry %d must be {"users": [i, j], "dims": [di, dj]} '
+                             "with integers, got %s" % (n, json.dumps(entry))) from exc
         if i > j:
             (i, j), (di, dj) = (j, i), (dj, di)
         dims[(i, j)] = (di, dj)

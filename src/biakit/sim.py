@@ -51,17 +51,27 @@ def zf_decode(decomp: ReceiverDecomposition, y: np.ndarray) -> np.ndarray:
     return est
 
 
-def receiver_rate(decomp: ReceiverDecomposition, power: float) -> float:
-    """Post-zero-forcing rate of one receiver, bits per channel use."""
+def noise_enhancement(decomp: ReceiverDecomposition) -> np.ndarray:
+    """[(G^H G)^{-1}]_dd for every desired dimension d, with G the desired
+    block projected off the interference basis: SINR_d = P / this."""
     m = decomp.desired.shape[0]
     if decomp.rank_combined < m:
         raise UnverifiableDrawError(
             "receiver %d: combined rank %d < %d" % (decomp.rx + 1, decomp.rank_combined, m))
     g, = _null_interference(decomp, decomp.desired)
     gram = g.conj().T @ g
-    inv_diag = np.real(np.diag(np.linalg.inv(gram)))
+    return np.real(np.diag(np.linalg.inv(gram)))
+
+
+def _rate(inv_diag: np.ndarray, power: float, m: int) -> float:
+    """Bits per channel use over an m-use block at per-symbol power."""
     sinr = power / inv_diag
     return float(np.sum(np.log2(1.0 + sinr)) / m)
+
+
+def receiver_rate(decomp: ReceiverDecomposition, power: float) -> float:
+    """Post-zero-forcing rate of one receiver, bits per channel use."""
+    return _rate(noise_enhancement(decomp), power, decomp.desired.shape[0])
 
 
 def tdma_sum_rate(scheme: Scheme, ch: ChannelSet, power: float) -> float:
@@ -140,14 +150,16 @@ def estimate_dof(scheme: Scheme, cfg: SimConfig, fit_slope: bool = True) -> SimR
     for t in range(cfg.trials):
         ch = draw_channels(K, scheme.config.mode_count,
                            seed=stream_seed(cfg.seed, CHANNEL_STREAM, t))
-        decomps = [decompose_receiver(ch, scheme.pattern, scheme.beams, j)
-                   for j in range(K)]
+        for j in range(K):
+            dec = decompose_receiver(ch, scheme.pattern, scheme.beams, j)
+            try:
+                inv_diag = noise_enhancement(dec)
+            except UnverifiableDrawError:
+                excluded += len(powers)
+                continue
+            for p, power in enumerate(powers):
+                rates[p, t, j] = _rate(inv_diag, power, dec.desired.shape[0])
         for p, power in enumerate(powers):
-            for j, dec in enumerate(decomps):
-                try:
-                    rates[p, t, j] = receiver_rate(dec, power)
-                except UnverifiableDrawError:
-                    excluded += 1
             tdma[p, t] = tdma_sum_rate(scheme, ch, power)
     result = SimResult(
         users=K, snr_points_db=cfg.snr_points_db, trials=cfg.trials,

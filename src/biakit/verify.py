@@ -12,20 +12,25 @@ m (desired space disjoint from interference).
 columns; float verification, exact verification and the simulator all use
 it. Two verification modes: floating SVD ranks over Gaussian draws (fast,
 statistical), and exact ranks over Gaussian-integer draws (certification-
-grade). Exact ranks come from `exactrank.gaussian_rank`, which realifies
-each Z[i] matrix onto the one fraction-free integer kernel. The
-channel-free certificate that powers construction lives in
-scheme.certify_receivers.
+grade). In exact mode every verdict is a proof. A receiver passes when
+its square combined block, mapped by Z[i] -> F_p (i -> a square root of
+-1 mod p), is nonsingular modulo the prime: then its determinant is
+nonzero over Z[i], and all three ranks are full. A receiver that this
+does not prove falls back to exact elimination: `exactrank.gaussian_rank`,
+which realifies each Z[i] matrix onto the fraction-free integer kernel,
+gives its three ranks. The channel-free certificate that powers
+construction lives in scheme.certify_receivers.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .channel import EXACT_STREAM, CHANNEL_STREAM, ChannelSet, draw_channels, stream_seed
-from .exactrank import gaussian_rank
+from .exactrank import gaussian_rank, nonsingular_mod_p
 from .formats import render_csv, render_json
 from .scheme import BeamSet, PatternMatrix, Scheme, SchemeConfig
 
@@ -69,14 +74,25 @@ def receiver_blocks(
 
 @dataclass(eq=False)
 class ReceiverDecomposition:
-    """Desired and interference column blocks at one receiver, plus ranks."""
+    """Desired and interference column blocks at one receiver, plus ranks.
+
+    rank_combined is computed with the blocks, because every caller reads
+    it; the two block ranks only on first use, because the simulator never
+    reads them.
+    """
 
     rx: int
     desired: np.ndarray            # m x (K-1)
     interference_basis: np.ndarray  # m x K(K-1)/2 after merging colinear pairs
-    rank_desired: int
-    rank_interference: int
     rank_combined: int
+
+    @cached_property
+    def rank_desired(self) -> int:
+        return rank_of(self.desired)
+
+    @cached_property
+    def rank_interference(self) -> int:
+        return rank_of(self.interference_basis)
 
     @property
     def ranks(self) -> tuple[int, int, int]:
@@ -86,14 +102,12 @@ class ReceiverDecomposition:
 def decompose_receiver(
     ch: ChannelSet, pattern: PatternMatrix, beams: BeamSet, j: int
 ) -> ReceiverDecomposition:
-    """Build receiver j's column blocks and their numeric ranks."""
+    """Build receiver j's column blocks and the numeric rank of both together."""
     desired, basis = receiver_blocks(ch, pattern, beams, j)
     return ReceiverDecomposition(
         rx=j,
         desired=desired,
         interference_basis=basis,
-        rank_desired=rank_of(desired),
-        rank_interference=rank_of(basis),
         rank_combined=rank_of(np.hstack([desired, basis])),
     )
 
@@ -152,13 +166,18 @@ def verify_decodability_exact(
     pattern: PatternMatrix, beams: BeamSet, seed=0, draw: int = 0
 ) -> list[ReceiverCheck]:
     """Same three conditions with exact arithmetic: channels are random
-    Gaussian integers and ranks come from fraction-free elimination, so
-    there is no floating tolerance anywhere.
+    Gaussian integers and every rank is proven, so there is no floating
+    tolerance anywhere.
 
     The draw goes through the same column builder as the float path. Its
     parts are integers of magnitude at most 999 and the beamforming
     vectors are 0/1, so every column entry is exact in complex floating
-    point and converts back to integers without loss.
+    point and converts back to integers without loss. The K square
+    combined blocks go to `exactrank.nonsingular_mod_p` as one stack. A
+    block nonsingular modulo the prime proves rank_combined = m, and with
+    it full rank of the desired and interference blocks, which are column
+    subsets of it. Every other receiver gets its three ranks from
+    `gaussian_rank`.
     """
     K = pattern.users
     rng = np.random.default_rng(
@@ -166,13 +185,17 @@ def verify_decodability_exact(
     h = _exact_channel_ints(K, rng)
     ch = ChannelSet(coeffs=h[..., 0] + 1j * h[..., 1])
     config_ranks = (K - 1, K * (K - 1) // 2, pattern.block_len)
+    blocks = np.stack([np.hstack(receiver_blocks(ch, pattern, beams, j)) for j in range(K)])
+    proven = nonsingular_mod_p(blocks)
     out = []
     for j in range(K):
-        blocks = np.hstack(receiver_blocks(ch, pattern, beams, j))
-        rows = np.stack([blocks.real, blocks.imag], axis=-1).astype(np.int64).tolist()
-        rd = gaussian_rank([row[:K - 1] for row in rows])
-        ri = gaussian_rank([row[K - 1:] for row in rows])
-        rc = gaussian_rank(rows)
+        if proven[j]:
+            rd, ri, rc = config_ranks
+        else:
+            rows = np.stack([blocks[j].real, blocks[j].imag], axis=-1).astype(np.int64).tolist()
+            rd = gaussian_rank([row[:K - 1] for row in rows])
+            ri = gaussian_rank([row[K - 1:] for row in rows])
+            rc = gaussian_rank(rows)
         out.append(ReceiverCheck(
             draw=draw, rx=j + 1,
             rank_desired=rd, rank_interference=ri, rank_combined=rc,

@@ -59,6 +59,19 @@ def test_generate_pair_map_override(tmp_path):
     assert by_pair[(1, 2)] == (3, 3)
 
 
+@pytest.mark.parametrize("doc", [
+    [{"users": [1, 2]}],
+    {"pairs": 5},
+], ids=["entry-without-dims", "pairs-not-a-list"])
+def test_generate_rejects_malformed_pair_map(tmp_path, doc):
+    override = tmp_path / "map.json"
+    override.write_text(json.dumps(doc))
+    res = run_cli("generate", "--users", "3", "--pair-map", str(override))
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: pair map")
+    assert "Traceback" not in res.stderr
+
+
 def test_generate_rejects_degenerate_users():
     res = run_cli("generate", "--users", "2")
     assert res.returncode == 1

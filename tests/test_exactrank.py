@@ -1,9 +1,20 @@
 """Exact rank routines cross-checked against a computer-algebra oracle."""
+from math import prod
+
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from biakit.exactrank import gaussian_rank, integer_rank
+import biakit.exactrank
+from biakit.exactrank import (
+    PRIMES,
+    SQRT_MINUS_ONE,
+    gaussian_rank,
+    integer_rank,
+    nonsingular,
+    nonsingular_mod_p,
+)
 
 
 def test_identity_zero_empty():
@@ -65,3 +76,110 @@ def test_gaussian_rank_detects_complex_dependence():
     # second column = (1+i) times the first; real projections alone look independent
     rows = [[(1, 0), (1, 1)], [(2, 1), (1, 3)]]
     assert gaussian_rank(rows) == 1
+
+
+@st.composite
+def square_stacks(draw):
+    """Stacks of n x n integer matrices, 0/1 or small signed, about half of
+    them singular by construction: one column an integer combination of
+    the others (for 0/1 matrices a copy of another column, or zero)."""
+    n = draw(st.integers(1, 6))
+    binary = draw(st.booleans())
+    lo, hi = (0, 1) if binary else (-9, 9)
+    mats = []
+    for _ in range(draw(st.integers(1, 4))):
+        a = np.array(draw(st.lists(st.integers(lo, hi), min_size=n * n, max_size=n * n)),
+                     dtype=np.int64).reshape(n, n)
+        if draw(st.booleans()):
+            c = draw(st.integers(0, n - 1))
+            if binary:
+                coef = [0] * (n - 1)
+                if n > 1:
+                    coef[draw(st.integers(0, n - 2))] = draw(st.integers(0, 1))
+            else:
+                coef = draw(st.lists(st.integers(-2, 2), min_size=n - 1, max_size=n - 1))
+            a[:, c] = np.delete(a, c, axis=1) @ np.array(coef, dtype=np.int64)
+        mats.append(a)
+    return np.stack(mats)
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_stacks())
+def test_nonsingular_matches_oracle(stack):
+    assert list(nonsingular(stack)) == [sympy.Matrix(a.tolist()).det() != 0 for a in stack]
+
+
+@st.composite
+def gaussian_square_stacks(draw):
+    """Stacks of n x n Gaussian-integer matrices, about half of them
+    singular by construction: one column a Gaussian multiple of another."""
+    n = draw(st.integers(1, 4))
+    parts = st.lists(st.integers(-5, 5), min_size=n * n, max_size=n * n)
+    mats = []
+    for _ in range(draw(st.integers(1, 3))):
+        a = (np.array(draw(parts)) + 1j * np.array(draw(parts))).reshape(n, n)
+        if n > 1 and draw(st.booleans()):
+            c, d = draw(st.permutations(range(n)))[:2]
+            a[:, c] = a[:, d] * complex(draw(st.integers(-1, 1)), draw(st.integers(-1, 1)))
+        mats.append(a)
+    return np.stack(mats)
+
+
+@settings(max_examples=150, deadline=None)
+@given(gaussian_square_stacks())
+def test_gaussian_image_matches_gaussian_rank(stack):
+    # |det|^2 is at most the product of squared column norms, here at most
+    # (4 * 50)^4 < PRIMES[0]. A nonzero det whose image vanished would have
+    # a norm divisible by that prime, so the image decides exactly.
+    n = stack.shape[1]
+    expect = [gaussian_rank([[(int(z.real), int(z.imag)) for z in row] for row in a]) == n
+              for a in stack]
+    assert list(nonsingular_mod_p(stack)) == expect
+
+
+def test_prime_table():
+    assert len(PRIMES) == len(SQRT_MINUS_ONE) == len(set(PRIMES))
+    for p, s in zip(PRIMES, SQRT_MINUS_ONE):
+        assert sympy.isprime(p) and p < 2 ** 31 and p % 4 == 1
+        assert s * s % p == p - 1
+
+
+def _counting_integer_rank(monkeypatch):
+    calls = []
+
+    def counted(rows):
+        calls.append(rows)
+        return integer_rank(rows)
+    monkeypatch.setattr(biakit.exactrank, "integer_rank", counted)
+    return calls
+
+
+def test_singular_binary_matrices_are_proven_without_elimination_over_q(monkeypatch):
+    calls = _counting_integer_rank(monkeypatch)
+    a = np.triu(np.ones((30, 30), dtype=np.int64))
+    singular = a.copy()
+    singular[:, 7] = singular[:, 3]
+    assert list(nonsingular(np.stack([a, singular, np.zeros_like(a)]))) == [True, False, False]
+    assert calls == []
+
+
+def test_past_the_prime_table_falls_back_to_integer_rank(monkeypatch):
+    calls = _counting_integer_rank(monkeypatch)
+    rng = np.random.default_rng(0)
+    stack = rng.integers(-2 ** 58, 2 ** 58, size=(3, 8, 8))
+    stack[1][:, 0] = stack[1][:, 1] - stack[1][:, 2]
+    stack[2][:, 5] = 3 * stack[2][:, 4]
+    # every Hadamard bound exceeds the product of the whole table
+    for a in stack:
+        assert prod(sum(x * x for x in col) for col in a.T.tolist()) > prod(PRIMES) ** 2
+    assert list(nonsingular(stack)) == [integer_rank(a.tolist()) == 8 for a in stack]
+    assert list(nonsingular(stack)) == [True, False, False]
+    # only the singular matrices reach exact elimination, once per call
+    assert len(calls) == 4
+
+
+def test_nonsingular_rejects_bad_stacks():
+    with pytest.raises(ValueError):
+        nonsingular(np.zeros((2, 3, 4), dtype=np.int64))
+    with pytest.raises(TypeError):
+        nonsingular(np.zeros((1, 2, 2)))

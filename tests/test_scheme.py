@@ -281,6 +281,12 @@ def test_golden_instance_certificate():
     assert certify_receivers(golden_tilde()) == (False, True, False, True)
 
 
+def test_certificate_rejects_a_block_of_the_wrong_length():
+    # G_j is square only for m = (K+2)(K-1)/2 rows
+    with pytest.raises(ValueError, match="must have"):
+        certify_receivers(np.ones((6, 3), dtype=np.int64))
+
+
 @pytest.mark.parametrize("K", range(3, 13))
 def test_build_scheme_certifies_every_receiver(K):
     scheme = bk.build_scheme(K)
@@ -304,6 +310,33 @@ def _pair_product_certificate(tilde):
     return tuple(
         integer_rank(np.column_stack(u + [w[o] for o in range(K) if o != j]).tolist()) == m
         for j in range(K))
+
+
+def _integer_rank_certificate(tilde, supports):
+    """certify_receivers by exact Bareiss elimination of every G_j."""
+    m, K = tilde.shape
+    out = []
+    for j in range(K):
+        t = tilde[:, j]
+        cols = []
+        for (a, b), v in supports.items():
+            cols += [v * (1 - t), v * t] if j in (a, b) else [v]
+        out.append(integer_rank(np.column_stack(cols).tolist()) == m)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("K", range(3, 15))
+def test_certificate_matches_integer_rank_on_built_schemes(K):
+    pattern = bk.build_scheme(K).pattern
+    assert pattern.certified_receivers == _integer_rank_certificate(pattern.tilde, pattern.supports)
+
+
+@pytest.mark.parametrize("K", range(3, 6))
+def test_certificate_matches_integer_rank_on_every_scan_candidate(K):
+    vocab = row_vocabulary(K)
+    for omit in itertools.combinations(range(len(vocab)), 2):
+        tilde = np.array([row for r, row in enumerate(vocab) if r not in omit], dtype=np.int64)
+        assert certify_receivers(tilde) == _integer_rank_certificate(tilde, pair_products(tilde))
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import biakit as bk
+import biakit.sim
+import biakit.verify
 from biakit.channel import (
     CHANNEL_STREAM,
     NOISE_STREAM,
@@ -89,6 +91,30 @@ def test_receiver_rate_grows_with_power(scheme4):
     dec = decompose_receiver(ch, scheme4.pattern, scheme4.beams, 1)
     rates = [receiver_rate(dec, power=10.0 ** (db / 10)) for db in (0, 20, 40)]
     assert 0 < rates[0] < rates[1] < rates[2]
+
+
+def test_estimate_dof_ranks_and_inverts_once_per_receiver(scheme4, monkeypatch):
+    counts = {}
+
+    def count(module, name):
+        inner = getattr(module, name)
+
+        def counted(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return inner(*args)
+        monkeypatch.setattr(module, name, counted)
+    count(biakit.sim, "noise_enhancement")
+    count(biakit.verify, "rank_of")
+    cfg = SimConfig(users=4, trials=3, seed=2)
+    result = estimate_dof(scheme4, cfg)
+    # one Gram inverse and one (combined) rank per (trial, receiver), not per SNR point
+    assert counts == {"noise_enhancement": 3 * 4, "rank_of": 3 * 4}
+    for t in range(cfg.trials):
+        ch = draw_channels(4, 2, seed=stream_seed(cfg.seed, CHANNEL_STREAM, t))
+        for j in range(4):
+            dec = decompose_receiver(ch, scheme4.pattern, scheme4.beams, j)
+            for p, db in enumerate(cfg.snr_points_db):
+                assert result.rates[p, t, j] == receiver_rate(dec, 10.0 ** (db / 10.0))
 
 
 def test_tdma_matches_direct_computation(scheme3):

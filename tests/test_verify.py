@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import biakit as bk
+import biakit.verify
 from biakit.channel import draw_channels, effective_channel, stream_seed
 from biakit.verify import (
     check_counting,
@@ -175,6 +176,24 @@ def test_exact_mode_agrees_with_float_mode_on_failures(fallback_scheme5):
     for c in exact.checks:
         if not c.passed:
             assert (c.rank_desired, c.rank_interference, c.rank_combined) == (4, 10, 13)
+
+
+def test_exact_mode_eliminates_only_unproven_receivers(fallback_scheme5, monkeypatch):
+    pattern, beams = fallback_scheme5.pattern, fallback_scheme5.beams
+    ranked = []
+
+    def counted(rows):
+        ranked.append(rows)
+        return biakit.exactrank.gaussian_rank(rows)
+    monkeypatch.setattr(biakit.verify, "gaussian_rank", counted)
+    fast = [verify_decodability_exact(pattern, beams, seed=s, draw=s) for s in range(3)]
+    # receiver 5 is singular, so it alone takes its three exact ranks per draw
+    assert len(ranked) == 3 * 3
+    # with nothing proven mod p every receiver is ranked exactly: same checks
+    monkeypatch.setattr(biakit.verify, "nonsingular_mod_p",
+                        lambda stack: np.zeros(len(stack), dtype=bool))
+    assert [verify_decodability_exact(pattern, beams, seed=s, draw=s) for s in range(3)] == fast
+    assert len(ranked) == 3 * 3 + 3 * 3 * 5
 
 
 def test_exact_mode_is_seed_stable(scheme3):
