@@ -7,7 +7,8 @@ the full pair product, and reports for each K how many candidates certify
 every receiver and the best receiver count any candidate reaches. Within
 this pair-product subspace full per-receiver decodability exists only for
 K = 3 and K = 4, and from K = 5 on the ceiling is four certified
-receivers. Narrower supports lift it (scripts/search_schemes.py).
+receivers. Narrower supports lift it: the closed-form star family of
+biakit.scheme.star_pattern_matrix certifies every receiver for every K.
 
 Usage:
     python scripts/certify_design_space.py --max-users 6

@@ -41,6 +41,7 @@ from .scheme import (
     row_vocabulary,
     scheme_from_json,
     scheme_to_json,
+    star_pattern_matrix,
 )
 from .sim import (
     SimConfig,

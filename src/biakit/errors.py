@@ -10,10 +10,9 @@ class DegenerateSchemeError(BiaError):
 
 
 class ConstructionFailedError(BiaError):
-    """Raised when a scheme fails its exact certificate during construction:
-    no pair-product candidate passes for K <= 4, the fallback family loses
-    its product rank, or a tabled K = 5..12 scheme fails re-certification
-    on load."""
+    """Raised when the pair-product reference family (make_pattern_matrix)
+    fails its exact certificate: no candidate certifies every receiver for
+    K <= 4, or the K >= 5 family loses its product rank."""
 
 
 class UnverifiableDrawError(BiaError):

@@ -15,11 +15,10 @@ binary m x m generator matrix G_j is nonsingular over the rationals (see
 certify_receivers), an exact channel-free condition this module certifies
 during construction. When every shared vector is the full pair product,
 fully certified matrices exist only for K = 3 and K = 4 and four certified
-receivers is the ceiling beyond (make_pattern_matrix; README "Known
-limitations"). Narrower supports lift that ceiling: build_scheme ships
-searched, fully certified schemes for K = 5..12 (scheme_tables, imported
-on demand and re-certified on load). For K >= 13 it still returns the
-pair-product family, which certifies four receivers only.
+receivers is the ceiling beyond (make_pattern_matrix, kept as the
+reference family; README "Known limitations"). Narrower supports lift
+that ceiling: build_scheme returns the closed-form star family
+(star_pattern_matrix), whose every G_j has determinant +-1 for every K.
 """
 from __future__ import annotations
 
@@ -259,7 +258,7 @@ def make_pattern_matrix(config: SchemeConfig) -> PatternMatrix:
     all vocabulary rows except the weight-(K-2) rows with zeros at {0,1}
     and {2,3}, which certifies receivers 0..3 and still carries the full
     product rank certificate. Narrower supports certify every receiver for
-    K = 5..12; build_scheme uses those (tabled_pattern_matrix).
+    every K; build_scheme uses those (star_pattern_matrix).
     """
     K = config.users
     vocab = row_vocabulary(K)
@@ -316,25 +315,41 @@ def pattern_from_rows(config: SchemeConfig, tilde, rows_by_pair: dict) -> Patter
     return PatternMatrix(tilde, certify_receivers(tilde, supports), supports)
 
 
-def tabled_pattern_matrix(config: SchemeConfig, entry: dict) -> PatternMatrix:
-    """A searched scheme table entry (see scheme_tables), re-certified.
+def star_pattern_matrix(config: SchemeConfig) -> PatternMatrix:
+    """The closed-form family that certifies every receiver for every K.
 
-    entry holds the pattern rows as bit strings and each pair's 0-indexed
-    support rows. Anything short of a valid scheme that certifies every
-    receiver raises ConstructionFailedError.
+    User 0 is the hub. Write r_u for the row that is 0 only at user u and
+    z_ab for the row that is 0 exactly at users a and b. The m rows are,
+    in order: K-1 copies r_0^(o) of r_0 (o = 1..K-1), then r_o for
+    o = 1..K-1, then z_ab for 1 <= a < b <= K-1 in lexicographic order.
+    The hub pairs share v_0o = {r_0^(o), r_o}, the rim pairs share
+    v_ab = {z_ab, r_a, r_b}; each lies inside its pair product, so
+    alignment holds.
+
+    Why every G_j (see certify_receivers) has determinant +-1: every
+    pattern column has exactly K-1 zeros. A support of a pair without j
+    lies inside its pair product, so only where t_j = 1; the rows with
+    t_j = 0 therefore meet only the mode-1 halves of j's K-1 own pairs,
+    and G_j splits into two square diagonal blocks. In each block every
+    column is either a unit vector or the only column to touch some row
+    (r_0^(o) for v_0o, z_ab for v_ab). Ordering those private rows and
+    their columns first makes the block lower block-triangular with
+    permutation blocks on the diagonal, so both blocks, and G_j, have
+    determinant +-1. The certificate holds for every K, and the modular
+    proof of it needs one prime.
     """
     K = config.users
-    try:
-        tilde = [[int(c) for c in row] for row in entry["tilde"]]
-        pattern = pattern_from_rows(config, tilde, entry["supports"])
-    except ValueError as exc:
-        raise ConstructionFailedError(
-            "construction-failed: tabled scheme for K=%d: %s" % (K, exc)) from exc
-    if not all(pattern.certified_receivers):
-        raise ConstructionFailedError(
-            "construction-failed: tabled scheme for K=%d leaves receivers %s uncertified"
-            % (K, [j + 1 for j, ok in enumerate(pattern.certified_receivers) if not ok]))
-    return pattern
+
+    def zero_at(*users):
+        return [0 if c in users else 1 for c in range(K)]
+
+    rim = list(itertools.combinations(range(1, K), 2))
+    tilde = ([zero_at(0)] * (K - 1) + [zero_at(o) for o in range(1, K)]
+             + [zero_at(a, b) for a, b in rim])
+    r = {o: K - 2 + o for o in range(1, K)}  # row index of r_o
+    rows = {(0, o): (o - 1, r[o]) for o in range(1, K)}
+    rows.update({(a, b): (2 * K - 2 + n, r[a], r[b]) for n, (a, b) in enumerate(rim)})
+    return pattern_from_rows(config, tilde, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -418,21 +433,10 @@ def build_scheme(
     users: int,
     pair_dims: dict[tuple[int, int], tuple[int, int]] | None = None,
 ) -> Scheme:
-    """The K-user scheme: fully certified for K = 3..12.
-
-    K = 3, 4 take the first fully certified pair-product family, K = 5..12
-    the searched scheme from scheme_tables, and K >= 13 the pair-product
-    family of make_pattern_matrix, which certifies four receivers only.
-    """
+    """The K-user scheme of star_pattern_matrix, which certifies every
+    receiver for every K >= 3."""
     config = make_config(users)
-    pattern = None
-    if users >= 5:
-        # imported on demand: K = 3, 4 need no table
-        from .scheme_tables import SCHEME_TABLES
-        if users in SCHEME_TABLES:
-            pattern = tabled_pattern_matrix(config, SCHEME_TABLES[users])
-    if pattern is None:
-        pattern = make_pattern_matrix(config)
+    pattern = star_pattern_matrix(config)
     beams = assign_beamformers(pattern, pair_dims)
     return Scheme(config=config, pattern=pattern, beams=beams)
 
@@ -456,18 +460,18 @@ def scheme_to_json(scheme: Scheme) -> str:
 def scheme_from_json(text: str) -> Scheme:
     """Rebuild a scheme from its JSON document, revalidating structure.
 
-    A pair without "rows" shares its full pair product. Given rows must be
-    nonempty and inside the pair product; the certificate is recomputed.
+    "pairs" is read as a pair map (pair_dims_from_json), so a malformed
+    entry raises ValueError naming it. A pair without "rows" shares its
+    full pair product. Given rows must be nonempty and inside the pair
+    product; the certificate is recomputed.
     """
     doc = json.loads(text)
     config = make_config(int(doc["K"]))
     dims, rows_by_pair = {}, {}
-    for entry in doc["pairs"]:
-        i, j = (int(u) - 1 for u in entry["users"])
-        di, dj = (int(d) - 1 for d in entry["dims"])
+    for (i, j), pair_dims, entry in _pair_entries(doc["pairs"]):
         if not 0 <= i < j < config.users:
             raise ValueError("bad pair %r" % (entry["users"],))
-        dims[(i, j)] = (di, dj)
+        dims[(i, j)] = pair_dims
         if "rows" in entry:
             rows_by_pair[(i, j)] = [int(r) - 1 for r in entry["rows"]]
     pattern = pattern_from_rows(config, doc["tilde"], rows_by_pair)
@@ -475,16 +479,14 @@ def scheme_from_json(text: str) -> Scheme:
     return Scheme(config=config, pattern=pattern, beams=beams)
 
 
-def pair_dims_from_json(text: str) -> dict[tuple[int, int], tuple[int, int]]:
-    """Parse a pair->dimension override: [{"users":[i,j],"dims":[di,dj]}, ...],
-    bare or under "pairs". Raises ValueError naming the first malformed entry."""
-    doc = json.loads(text)
-    if isinstance(doc, dict) and "pairs" in doc:
-        doc = doc["pairs"]
+def _pair_entries(doc) -> list[tuple[tuple[int, int], tuple[int, int], dict]]:
+    """((i, j), (di, dj), entry) per {"users": [i, j], "dims": [di, dj]}
+    entry, 0-indexed with i <= j. Raises ValueError naming the first
+    malformed entry."""
     if not isinstance(doc, list):
         raise ValueError('pair map must be a list of {"users": [i, j], "dims": [di, dj]} '
                          "entries, got %s" % json.dumps(doc))
-    dims = {}
+    out = []
     for n, entry in enumerate(doc, 1):
         try:
             i, j = (int(u) - 1 for u in entry["users"])
@@ -494,5 +496,14 @@ def pair_dims_from_json(text: str) -> dict[tuple[int, int], tuple[int, int]]:
                              "with integers, got %s" % (n, json.dumps(entry))) from exc
         if i > j:
             (i, j), (di, dj) = (j, i), (dj, di)
-        dims[(i, j)] = (di, dj)
-    return dims
+        out.append(((i, j), (di, dj), entry))
+    return out
+
+
+def pair_dims_from_json(text: str) -> dict[tuple[int, int], tuple[int, int]]:
+    """Parse a pair->dimension override: [{"users":[i,j],"dims":[di,dj]}, ...],
+    bare or under "pairs". Raises ValueError naming the first malformed entry."""
+    doc = json.loads(text)
+    if isinstance(doc, dict) and "pairs" in doc:
+        doc = doc["pairs"]
+    return {pair: dims for pair, dims, _ in _pair_entries(doc)}

@@ -9,7 +9,7 @@ rate's slope against log2(P) reads directly as sum DoF.
 
 A receiver whose combined matrix is rank deficient cannot zero-force all its
 symbols; such (trial, receiver) pairs contribute zero rate and are counted
-in `excluded`. Fully certified schemes (build_scheme for K = 3..12) never hit
+in `excluded`. Fully certified schemes (build_scheme, for every K) never hit
 this path. The TDMA baseline gives each user a 1/K share of every channel
 use at the same per-symbol power, under the identical channel draws.
 """

@@ -16,7 +16,9 @@ grade). In exact mode every verdict is a proof. A receiver passes when
 its square combined block, mapped by Z[i] -> F_p (i -> a square root of
 -1 mod p), is nonsingular modulo the prime: then its determinant is
 nonzero over Z[i], and all three ranks are full. A receiver that this
-does not prove falls back to exact elimination: `exactrank.gaussian_rank`,
+does not prove (in practice one the scheme leaves uncertified, as the
+pair-product reference family does for K >= 5; build_scheme leaves none)
+falls back to exact elimination: `exactrank.gaussian_rank`,
 which realifies each Z[i] matrix onto the fraction-free integer kernel,
 gives its three ranks. The channel-free certificate that powers
 construction lives in scheme.certify_receivers.

@@ -3,11 +3,12 @@
 Criterion 1 fails in this release, and is expected to: the golden 4-user
 instance is itself rank deficient at receivers 1 and 3 for every channel
 draw, and its fixed data is kept as specified. Criteria 2 and 5 pass
-because build_scheme ships fully certified schemes for K = 3..8; with
-full pair-product vectors four certified receivers would be the ceiling
-from K = 5 on (test_construction_space.py). The assertions below state the
-criteria faithfully; weakening them would hide a real property of the
-design space. README's Known limitations section carries the analysis.
+because build_scheme's closed-form star family certifies every receiver
+for every K; with full pair-product vectors four certified receivers
+would be the ceiling from K = 5 on (test_construction_space.py). The
+assertions below state the criteria faithfully; weakening them would hide
+a real property of the design space. README's Known limitations section
+carries the analysis.
 """
 import time
 from fractions import Fraction
@@ -57,8 +58,8 @@ def test_criterion_2_scheme_family_verification():
     assert elapsed < 60.0
     assert not rank_failures, (
         "rank verification failed for %s (K -> (failed checks, receivers)). "
-        "build_scheme ships fully certified schemes for K = 3..12; a failing "
-        "receiver means a shipped table or its certificate is wrong. Only "
+        "build_scheme's star family certifies every receiver for every K; a "
+        "failing receiver means the family or its certificate is wrong. Only "
         "full pair-product vectors stop at four certified receivers for "
         "K >= 5. See README, Known limitations." % (rank_failures,))
 
@@ -113,7 +114,7 @@ def test_criterion_5_noiseless_decodability():
         "zero-forcing was impossible for %d (K, draw, receiver) triples, "
         "first few %s: the receiver's desired and interference spaces "
         "share a dimension, so no linear decoder can null the interference. "
-        "build_scheme certifies every receiver for K = 3..12; only the "
+        "build_scheme certifies every receiver for every K; only the "
         "pair-product family leaves receiver 5 undecodable at K=5. See "
         "README, Known limitations."
         % (len(undecodable), undecodable[:3]))

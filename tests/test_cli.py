@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import biakit
+import biakit.cli
 
 CMD = [sys.executable, "-m", "biakit"]
 
@@ -88,14 +89,13 @@ def test_verify_clean_scheme_exits_zero(tmp_path):
     assert len(doc["checks"]) == 200
 
 
-def test_verify_uncertified_scheme_exits_two():
-    # K = 13 is the smallest K whose constructed scheme leaves receivers uncertified
-    uncertified = {j + 1 for j, ok in enumerate(biakit.build_scheme(13).certified_receivers)
-                   if not ok}
+def test_verify_uncertified_scheme_exits_two(monkeypatch, capsys, fallback_scheme5):
+    # build_scheme certifies every receiver, so verify the pair-product family
+    uncertified = {j + 1 for j, ok in enumerate(fallback_scheme5.certified_receivers) if not ok}
     assert uncertified
-    res = run_cli("verify", "--users", "13", "--trials", "3")
-    assert res.returncode == 2
-    doc = json.loads(res.stdout)
+    monkeypatch.setattr(biakit.cli, "build_scheme", lambda users, pair_dims=None: fallback_scheme5)
+    assert biakit.cli.main(["verify", "--users", "5", "--trials", "3"]) == 2
+    doc = json.loads(capsys.readouterr().out)
     assert doc["failures"] == 3 * len(uncertified)
     failing = {c["rx"] for c in doc["checks"] if not c["pass"]}
     assert failing == uncertified
@@ -106,6 +106,12 @@ def test_verify_exact_mode():
     assert res.returncode == 0
     doc = json.loads(res.stdout)
     assert doc["exact"] is True and doc["failures"] == 0
+
+
+def test_verify_exact_mode_at_13_users():
+    res = run_cli("verify", "--users", "13", "--trials", "1", "--exact")
+    assert res.returncode == 0
+    assert json.loads(res.stdout)["failures"] == 0
 
 
 def test_verify_csv_format():

@@ -6,9 +6,9 @@ minus two rows, up to row order. Scanning all omission pairs is therefore
 a complete search. The counts pinned here hold for full pair-product
 vectors: such matrices certify every receiver only for K = 3 and K = 4,
 and four certified receivers is their ceiling from K = 5 on. Shared vectors
-on narrower supports lift that ceiling (build_scheme certifies every
-receiver for K = 3..12). README's Known limitations section spells out the
-consequences.
+on narrower supports lift that ceiling (build_scheme's star family
+certifies every receiver for every K). README's Known limitations section
+spells out the consequences.
 """
 import itertools
 
@@ -38,13 +38,13 @@ def scan_omissions(K):
     return vocab, results
 
 
-def test_3user_space_has_exactly_three_full_families(scheme3):
+def test_3user_space_has_exactly_three_full_families():
     vocab, results = scan_omissions(3)
     full = [omit for omit, cert in results if all(cert)]
     assert len(full) == 3
-    # the constructor returns the lexicographically first of them
+    # the pair-product constructor returns the lexicographically first of them
     first_rows = [vocab[r] for r in range(len(vocab)) if r not in full[0]]
-    assert np.array_equal(scheme3.pattern.tilde, np.array(first_rows))
+    assert np.array_equal(make_pattern_matrix(make_config(3)).tilde, np.array(first_rows))
 
 
 def test_4user_space_has_exactly_three_full_families():

@@ -4,11 +4,11 @@ import json
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 import biakit as bk
-import biakit.scheme_tables
-from biakit.errors import ConstructionFailedError, DegenerateSchemeError
+from biakit.errors import DegenerateSchemeError
 from biakit.exactrank import integer_rank
 from biakit.scheme import (
     PatternMatrix,
@@ -28,6 +28,7 @@ from biakit.scheme import (
     row_vocabulary,
     scheme_from_json,
     scheme_to_json,
+    star_pattern_matrix,
 )
 
 from conftest import GOLDEN_PAIR_DIMS, GOLDEN_VECTORS, golden_tilde
@@ -101,7 +102,16 @@ def test_constructed_3user_matrix(scheme3):
         [0, 0, 1],
         [0, 1, 0],
     ])
-    assert np.array_equal(scheme3.pattern.tilde, expect)
+    assert np.array_equal(make_pattern_matrix(make_config(3)).tilde, expect)
+    # the star family: hub rows r_0 twice, then r_1, r_2, then z_12
+    star = np.array([
+        [0, 1, 1],
+        [0, 1, 1],
+        [1, 0, 1],
+        [1, 1, 0],
+        [1, 0, 0],
+    ])
+    assert np.array_equal(scheme3.pattern.tilde, star)
 
 
 @pytest.mark.parametrize("K", range(3, 9))
@@ -151,13 +161,8 @@ def test_vector_sharing_bijection(K):
     for v, users in owners.items():
         assert len(users) == 2
         i, j = sorted(users)
-        product = pair_product(scheme.pattern.tilde, i, j)
-        if K <= 4:
-            # the two owners are exactly the pair excluded from the product
-            assert np.array_equal(np.array(v), product)
-        else:
-            # widened schemes share a subset of the owners' pair product
-            assert np.all(np.array(v) <= product)
+        # the owners share a subset of their pair product
+        assert np.all(np.array(v) <= pair_product(scheme.pattern.tilde, i, j))
         assert np.array_equal(scheme.beams.shared_vector(i, j), np.array(v))
         assert np.array_equal(scheme.beams.shared_vector(j, i), np.array(v))
 
@@ -255,6 +260,16 @@ def test_scheme_from_json_validates(scheme3):
         scheme_from_json(json.dumps(bad_pair))
 
 
+@pytest.mark.parametrize("pairs,message", [
+    ([{"users": [1, 2]}], "pair map entry 1 must be"),
+    (5, "pair map must be a list"),
+], ids=["entry-without-dims", "pairs-not-a-list"])
+def test_scheme_from_json_rejects_malformed_pairs(scheme3, pairs, message):
+    doc = dict(json.loads(scheme_to_json(scheme3)), pairs=pairs)
+    with pytest.raises(ValueError, match=message):
+        scheme_from_json(json.dumps(doc))
+
+
 def test_pair_dims_from_json_normalizes():
     text = json.dumps([
         {"users": [4, 2], "dims": [2, 1]},
@@ -287,19 +302,16 @@ def test_certificate_rejects_a_block_of_the_wrong_length():
         certify_receivers(np.ones((6, 3), dtype=np.int64))
 
 
-@pytest.mark.parametrize("K", range(3, 13))
+@pytest.mark.parametrize("K", range(3, 21))
 def test_build_scheme_certifies_every_receiver(K):
     scheme = bk.build_scheme(K)
     assert scheme.certified_receivers == (True,) * K
     # every shared vector stays inside its pair product (alignment holds)
     check_supports(scheme.pattern.tilde, scheme.pattern.supports)
-    assert certify_product_rank(scheme.pattern.tilde)
-
-
-def test_build_scheme_beyond_the_tables_keeps_the_pair_product_family():
-    scheme = bk.build_scheme(13)
-    assert scheme.certified_receivers == (True,) * 4 + (False,) * 9
-    assert np.array_equal(scheme.pattern.tilde, make_pattern_matrix(make_config(13)).tilde)
+    # every receiver spends K-1 channel uses in mode 1 (the proof's square blocks)
+    assert (scheme.pattern.tilde == 0).sum(axis=0).tolist() == [K - 1] * K
+    if K <= 14:
+        assert certify_product_rank(scheme.pattern.tilde)
 
 
 def _pair_product_certificate(tilde):
@@ -312,17 +324,30 @@ def _pair_product_certificate(tilde):
         for j in range(K))
 
 
-def _integer_rank_certificate(tilde, supports):
-    """certify_receivers by exact Bareiss elimination of every G_j."""
-    m, K = tilde.shape
+def _generator_matrices(tilde, supports):
+    """Every receiver's G_j (see certify_receivers), built column by column."""
     out = []
-    for j in range(K):
+    for j in range(tilde.shape[1]):
         t = tilde[:, j]
         cols = []
         for (a, b), v in supports.items():
             cols += [v * (1 - t), v * t] if j in (a, b) else [v]
-        out.append(integer_rank(np.column_stack(cols).tolist()) == m)
-    return tuple(out)
+        out.append(np.column_stack(cols))
+    return out
+
+
+def _integer_rank_certificate(tilde, supports):
+    """certify_receivers by exact Bareiss elimination of every G_j."""
+    m = tilde.shape[0]
+    return tuple(integer_rank(g.tolist()) == m for g in _generator_matrices(tilde, supports))
+
+
+@pytest.mark.parametrize("K", range(3, 8))
+def test_star_generator_matrices_are_unimodular(K):
+    # the docstring's proof: every G_j of the star family has determinant +-1
+    pattern = star_pattern_matrix(make_config(K))
+    for g in _generator_matrices(pattern.tilde, pattern.supports):
+        assert abs(sympy.Matrix(g.tolist()).det()) == 1
 
 
 @pytest.mark.parametrize("K", range(3, 15))
@@ -356,26 +381,6 @@ def test_generalised_certificate_matches_on_built_families(K):
     assert certify_receivers(tilde) == _pair_product_certificate(tilde)
 
 
-def test_tabled_scheme_is_recertified_on_load(monkeypatch):
-    entry = biakit.scheme_tables.SCHEME_TABLES[5]
-    fallback = make_pattern_matrix(make_config(5)).tilde
-    # valid supports (the pair products) that certify only four receivers
-    weak = {"tilde": ["".join(map(str, row)) for row in fallback],
-            "supports": {pair: tuple(np.flatnonzero(v))
-                         for pair, v in pair_products(fallback).items()}}
-    monkeypatch.setitem(biakit.scheme_tables.SCHEME_TABLES, 5, weak)
-    with pytest.raises(ConstructionFailedError, match=r"receivers \[5\] uncertified"):
-        bk.build_scheme(5)
-    # a support row outside the pair product breaks alignment
-    tilde = np.array([[int(c) for c in row] for row in entry["tilde"]])
-    outside = int(np.flatnonzero(pair_product(tilde, 0, 1) == 0)[0])
-    broken = {"tilde": entry["tilde"],
-              "supports": {**entry["supports"], (0, 1): (outside,)}}
-    monkeypatch.setitem(biakit.scheme_tables.SCHEME_TABLES, 5, broken)
-    with pytest.raises(ConstructionFailedError, match="leaves the pair product"):
-        bk.build_scheme(5)
-
-
 @pytest.mark.parametrize("K", range(5, 9))
 def test_widened_scheme_json_roundtrip(K):
     scheme = bk.build_scheme(K)
@@ -390,7 +395,7 @@ def test_widened_scheme_json_roundtrip(K):
         assert np.array_equal(back.beams.shared_vector(*pair), v)
 
 
-def test_scheme_from_json_validates_rows(scheme4, scheme5):
+def test_scheme_from_json_validates_rows(scheme5):
     doc = json.loads(scheme_to_json(scheme5))
     tilde = np.array(doc["tilde"])
     outside = int(np.flatnonzero(pair_product(tilde, 0, 1) == 0)[0])
@@ -404,13 +409,16 @@ def test_scheme_from_json_validates_rows(scheme4, scheme5):
     with pytest.raises(ValueError, match="within 1..14"):
         scheme_from_json(json.dumps(doc))
     # without rows every pair shares its full pair product
-    plain = json.loads(scheme_to_json(scheme4))
+    pattern4 = make_pattern_matrix(make_config(4))
+    family4 = bk.Scheme(config=make_config(4), pattern=pattern4,
+                        beams=assign_beamformers(pattern4))
+    plain = json.loads(scheme_to_json(family4))
     for entry in plain["pairs"]:
         del entry["rows"]
     back = scheme_from_json(json.dumps(plain))
     for (i, j), v in back.pattern.supports.items():
-        assert np.array_equal(v, pair_product(scheme4.pattern.tilde, i, j))
-    assert back.certified_receivers == scheme4.certified_receivers
+        assert np.array_equal(v, pair_product(pattern4.tilde, i, j))
+    assert back.certified_receivers == pattern4.certified_receivers
 
 
 def test_pair_map_relabels_widened_vectors_without_changing_supports(scheme6):

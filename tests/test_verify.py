@@ -106,6 +106,12 @@ def test_5user_fallback_fails_only_at_receiver5(fallback_scheme5):
             assert (c.rank_desired, c.rank_interference, c.rank_combined) == (4, 10, 13)
 
 
+@pytest.mark.parametrize("K", [13, 16])
+def test_large_schemes_verify_without_failures(K):
+    report = run_verification(bk.build_scheme(K), draws=2, seed=3)
+    assert report.failures == 0
+
+
 def test_combined_matrix_conditioning(scheme4):
     """Sanity band fixed offline: the smallest combined singular value stays
     above 1e-6 of the largest in at least 99% of draws (observed: all)."""
