@@ -48,7 +48,6 @@ from .sim import (
     SimResult,
     estimate_dof,
     receiver_rate,
-    sum_rate_point,
     tdma_sum_rate,
     zf_decode,
 )

@@ -460,20 +460,33 @@ def scheme_to_json(scheme: Scheme) -> str:
 def scheme_from_json(text: str) -> Scheme:
     """Rebuild a scheme from its JSON document, revalidating structure.
 
-    "pairs" is read as a pair map (pair_dims_from_json), so a malformed
-    entry raises ValueError naming it. A pair without "rows" shares its
-    full pair product. Given rows must be nonempty and inside the pair
-    product; the certificate is recomputed.
+    The document must be an object with an integer "K", "pairs" and
+    "tilde"; otherwise ValueError names the key. "pairs" is read as a pair
+    map (pair_dims_from_json), so a malformed entry raises ValueError
+    naming it. A pair without "rows" shares its full pair product. Given
+    rows must be a list of integers, nonempty and inside the pair product;
+    the certificate is recomputed.
     """
     doc = json.loads(text)
-    config = make_config(int(doc["K"]))
+    if not isinstance(doc, dict):
+        raise ValueError("scheme document must be a JSON object, got %s" % json.dumps(doc))
+    for key in ("K", "pairs", "tilde"):
+        if key not in doc:
+            raise ValueError("scheme document has no %r key" % key)
+    if not isinstance(doc["K"], int):
+        raise ValueError('"K" must be an integer, got %s' % json.dumps(doc["K"]))
+    config = make_config(doc["K"])
     dims, rows_by_pair = {}, {}
     for (i, j), pair_dims, entry in _pair_entries(doc["pairs"]):
         if not 0 <= i < j < config.users:
             raise ValueError("bad pair %r" % (entry["users"],))
         dims[(i, j)] = pair_dims
         if "rows" in entry:
-            rows_by_pair[(i, j)] = [int(r) - 1 for r in entry["rows"]]
+            rows = entry["rows"]
+            if not isinstance(rows, list) or not all(isinstance(r, int) for r in rows):
+                raise ValueError('"rows" of pair {%d,%d} must be a list of integers, got %s'
+                                 % (i + 1, j + 1, json.dumps(rows)))
+            rows_by_pair[(i, j)] = [r - 1 for r in rows]
     pattern = pattern_from_rows(config, doc["tilde"], rows_by_pair)
     beams = assign_beamformers(pattern, dims)
     return Scheme(config=config, pattern=pattern, beams=beams)

@@ -1,17 +1,22 @@
 """Monte Carlo estimation of achieved sum rate and its high-SNR slope.
 
-Decoding is interference-nulling zero-forcing: project the received block
-onto the orthogonal complement of the interference basis, then least-squares
-the desired columns. With per-symbol power P and unit noise, the post-
-projection SINR of dimension d is P / [(G^H G)^{-1}]_dd with G the projected
-desired block, so per-user rate is (1/m) sum_d log2(1 + SINR_d) and the sum
-rate's slope against log2(P) reads directly as sum DoF.
+Decoding is zero-forcing on receiver j's square combined block
+A_j = [desired | interference basis] (see verify). When A_j is
+nonsingular, the zero-forcing filter W_j is the first K-1 rows of A_j^{-1}:
+W_j A_j = [I | 0], so W_j y returns the desired symbols plus filtered noise
+and nulls every interference column. With per-symbol power P and unit
+noise, the SINR of dimension d is P / ||row d of W_j||^2. That squared row
+norm equals [(G^H G)^{-1}]_dd with G the desired block projected off the
+interference basis, the usual projection form of the same filter. Per-user
+rate is (1/m) sum_d log2(1 + SINR_d), so the sum rate's slope against
+log2(P) reads directly as sum DoF.
 
-A receiver whose combined matrix is rank deficient cannot zero-force all its
-symbols; such (trial, receiver) pairs contribute zero rate and are counted
-in `excluded`. Fully certified schemes (build_scheme, for every K) never hit
-this path. The TDMA baseline gives each user a 1/K share of every channel
-use at the same per-symbol power, under the identical channel draws.
+A receiver whose combined block is rank deficient (numeric rank of A_j
+below m) cannot zero-force all its symbols; such (trial, receiver) pairs
+contribute zero rate and are counted in `excluded`. Fully certified
+schemes (build_scheme, for every K) never hit this path. The TDMA baseline
+gives each user a 1/K share of every channel use at the same per-symbol
+power, under the identical channel draws.
 """
 from __future__ import annotations
 
@@ -27,40 +32,30 @@ from .scheme import Scheme
 from .verify import ReceiverDecomposition, decompose_receiver
 
 
-def _null_interference(decomp: ReceiverDecomposition, *blocks: np.ndarray) -> list[np.ndarray]:
-    """Project each block onto the orthogonal complement of the
-    interference basis, from one QR of that basis."""
-    q, _ = np.linalg.qr(decomp.interference_basis)
-    return [x - q @ (q.conj().T @ x) for x in blocks]
+def _zf_filter(decomp: ReceiverDecomposition) -> np.ndarray:
+    """W_j, the first K-1 rows of A_j^{-1}.
 
-
-def zf_decode(decomp: ReceiverDecomposition, y: np.ndarray) -> np.ndarray:
-    """Recover the receiver's desired symbols from one received block.
-
-    Raises the unverifiable-draw error when the combined matrix is rank
-    deficient (desired and interference spaces overlap, so some desired
-    dimension is unrecoverable by any linear nulling).
+    Raises the unverifiable-draw error when A_j is rank deficient (desired
+    and interference spaces overlap, so some desired dimension is
+    unrecoverable by any linear nulling).
     """
     m = decomp.desired.shape[0]
     if decomp.rank_combined < m:
         raise UnverifiableDrawError(
             "receiver %d: combined rank %d < %d, cannot null interference"
             % (decomp.rx + 1, decomp.rank_combined, m))
-    g, y_clean = _null_interference(decomp, decomp.desired, y)
-    est, *_ = np.linalg.lstsq(g, y_clean, rcond=None)
-    return est
+    return np.linalg.inv(decomp.combined)[:decomp.desired.shape[1]]
+
+
+def zf_decode(decomp: ReceiverDecomposition, y: np.ndarray) -> np.ndarray:
+    """Recover the receiver's desired symbols from one received block: W_j y."""
+    return _zf_filter(decomp) @ y
 
 
 def noise_enhancement(decomp: ReceiverDecomposition) -> np.ndarray:
-    """[(G^H G)^{-1}]_dd for every desired dimension d, with G the desired
-    block projected off the interference basis: SINR_d = P / this."""
-    m = decomp.desired.shape[0]
-    if decomp.rank_combined < m:
-        raise UnverifiableDrawError(
-            "receiver %d: combined rank %d < %d" % (decomp.rx + 1, decomp.rank_combined, m))
-    g, = _null_interference(decomp, decomp.desired)
-    gram = g.conj().T @ g
-    return np.real(np.diag(np.linalg.inv(gram)))
+    """||row d of W_j||^2 for every desired dimension d: SINR_d = P / this."""
+    w = _zf_filter(decomp)
+    return np.sum(w.real ** 2 + w.imag ** 2, axis=1)
 
 
 def _rate(inv_diag: np.ndarray, power: float, m: int) -> float:
@@ -130,17 +125,10 @@ class SimResult:
         return abs(self.fitted_slope - self.target_dof) / self.target_dof
 
 
-def sum_rate_point(scheme: Scheme, snr_db: float, trials: int, seed: int) -> float:
-    """Mean sum rate at one SNR point (trial t uses channel stream (0, t))."""
-    cfg = SimConfig(users=scheme.config.users, snr_points_db=(float(snr_db),),
-                    trials=trials, seed=seed)
-    return float(estimate_dof(scheme, cfg, fit_slope=False).mean_sum_rates[0])
-
-
-def estimate_dof(scheme: Scheme, cfg: SimConfig, fit_slope: bool = True) -> SimResult:
+def estimate_dof(scheme: Scheme, cfg: SimConfig) -> SimResult:
     """Sweep SNR points over shared per-trial channel draws and fit the
     sum-rate slope against log2(linear SNR)."""
-    if fit_slope and len(cfg.snr_points_db) < 2:
+    if len(cfg.snr_points_db) < 2:
         raise ValueError("need at least 2 SNR points to fit a slope")
     K = scheme.config.users
     powers = [10.0 ** (db / 10.0) for db in cfg.snr_points_db]
@@ -164,10 +152,9 @@ def estimate_dof(scheme: Scheme, cfg: SimConfig, fit_slope: bool = True) -> SimR
     result = SimResult(
         users=K, snr_points_db=cfg.snr_points_db, trials=cfg.trials,
         seed=cfg.seed, rates=rates, tdma_rates=tdma, excluded=excluded)
-    if fit_slope:
-        x = np.log2(powers)
-        result.fitted_slope = float(np.polyfit(x, result.mean_sum_rates, 1)[0])
-        result.tdma_slope = float(np.polyfit(x, result.mean_tdma_rates, 1)[0])
+    x = np.log2(powers)
+    result.fitted_slope = float(np.polyfit(x, result.mean_sum_rates, 1)[0])
+    result.tdma_slope = float(np.polyfit(x, result.mean_tdma_rates, 1)[0])
     return result
 
 

@@ -4,42 +4,51 @@ At receiver j the desired block stacks the K-1 own-channel columns. The
 (K-1)^2 cross-channel interference columns come in exactly-colinear pairs:
 both owners of a shared vector reach any third receiver through the same
 binary vector, scaled by their own mode-2 coefficients. Merging each
-colinear pair leaves a K(K-1)/2-column basis. Decodability of the draw
-means rank_desired = K-1, rank_interference = K(K-1)/2 and rank_combined =
-m (desired space disjoint from interference).
+colinear pair leaves a K(K-1)/2-column basis. Together the two blocks form
+the square m x m combined block A_j = [desired | interference basis],
+m = (K-1) + K(K-1)/2. Decodability of the draw means rank_desired = K-1,
+rank_interference = K(K-1)/2 and rank_combined = m (desired space disjoint
+from interference).
 
 `receiver_blocks` is the one place that turns a channel draw into these
 columns; float verification, exact verification and the simulator all use
-it. Two verification modes: floating SVD ranks over Gaussian draws (fast,
-statistical), and exact ranks over Gaussian-integer draws (certification-
-grade). In exact mode every verdict is a proof. A receiver passes when
-its square combined block, mapped by Z[i] -> F_p (i -> a square root of
--1 mod p), is nonsingular modulo the prime: then its determinant is
-nonzero over Z[i], and all three ranks are full. A receiver that this
-does not prove (in practice one the scheme leaves uncertified, as the
-pair-product reference family does for K >= 5; build_scheme leaves none)
-falls back to exact elimination: `exactrank.gaussian_rank`,
-which realifies each Z[i] matrix onto the fraction-free integer kernel,
-gives its three ranks. The channel-free certificate that powers
-construction lives in scheme.certify_receivers.
+it. Every verdict is read off A_j by one rule: a receiver whose A_j has
+rank m reports the expected ranks without further work, and only the
+others are ranked block by block. Full rank of A_j gives full column rank
+to the desired and interference blocks, which are column subsets of it.
+The two modes differ only in how ranks are taken:
+
+- float: `rank_of` (SVD) over Gaussian draws, fast and statistical. The
+  rule agrees with ranking every block: a column subset D of A has
+  sigma_min(D) >= sigma_min(A) and sigma_max(D) <= sigma_max(A), so
+  whenever the cut max(shape) * eps * sigma_max lies below sigma_min(A)
+  it lies below sigma_min(D) too.
+- exact: certification grade, over Gaussian-integer draws. A_j has rank m
+  when it is nonsingular modulo a prime under Z[i] -> F_p (i -> a square
+  root of -1 mod p), since then its determinant is nonzero over Z[i].
+  A block this does not prove (in practice one the scheme leaves
+  uncertified, as the pair-product reference family does for K >= 5;
+  build_scheme leaves none) is ranked by `exactrank.gaussian_rank`,
+  which realifies each Z[i] matrix onto the fraction-free integer kernel.
+
+The channel-free certificate that powers construction lives in
+scheme.certify_receivers.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .channel import EXACT_STREAM, CHANNEL_STREAM, ChannelSet, draw_channels, stream_seed
 from .exactrank import gaussian_rank, nonsingular_mod_p
 from .formats import render_csv, render_json
-from .scheme import BeamSet, PatternMatrix, Scheme, SchemeConfig
+from .scheme import BeamSet, PatternMatrix, Scheme, SchemeConfig, make_config
 
 
-def rank_of(matrix: np.ndarray, tol: float | None = None) -> int:
-    """Numeric rank: singular values above max(rows, cols) * eps * largest,
-    or above an explicit tolerance."""
+def rank_of(matrix: np.ndarray) -> int:
+    """Numeric rank: singular values above max(rows, cols) * eps * largest."""
     a = np.asarray(matrix)
     if not np.isfinite(a).all():
         raise ValueError("non-finite entries")
@@ -48,7 +57,7 @@ def rank_of(matrix: np.ndarray, tol: float | None = None) -> int:
     sv = np.linalg.svd(a, compute_uv=False)
     if sv[0] == 0.0:
         return 0
-    cut = max(a.shape) * np.finfo(float).eps * sv[0] if tol is None else tol
+    cut = max(a.shape) * np.finfo(float).eps * sv[0]
     return int(np.count_nonzero(sv > cut))
 
 
@@ -76,29 +85,18 @@ def receiver_blocks(
 
 @dataclass(eq=False)
 class ReceiverDecomposition:
-    """Desired and interference column blocks at one receiver, plus ranks.
-
-    rank_combined is computed with the blocks, because every caller reads
-    it; the two block ranks only on first use, because the simulator never
-    reads them.
-    """
+    """Desired and interference column blocks at one receiver, and the
+    numeric rank of the combined block A_j they form."""
 
     rx: int
     desired: np.ndarray            # m x (K-1)
     interference_basis: np.ndarray  # m x K(K-1)/2 after merging colinear pairs
     rank_combined: int
 
-    @cached_property
-    def rank_desired(self) -> int:
-        return rank_of(self.desired)
-
-    @cached_property
-    def rank_interference(self) -> int:
-        return rank_of(self.interference_basis)
-
     @property
-    def ranks(self) -> tuple[int, int, int]:
-        return (self.rank_desired, self.rank_interference, self.rank_combined)
+    def combined(self) -> np.ndarray:
+        """A_j = [desired | interference_basis], m x m."""
+        return np.hstack([self.desired, self.interference_basis])
 
 
 def decompose_receiver(
@@ -130,27 +128,32 @@ class ReceiverCheck:
     passed: bool
 
 
+def _receiver_checks(blocks, rank_combined, rank, draw: int) -> list[ReceiverCheck]:
+    """The one rank rule, over every receiver's square combined block.
+
+    rank_combined[j] is the rank of blocks[j]. A full one proves the
+    expected ranks; otherwise `rank` ranks the desired and interference
+    column blocks.
+    """
+    K = len(blocks)
+    full = expected_ranks(make_config(K))
+    out = []
+    for j, (a, rc) in enumerate(zip(blocks, rank_combined)):
+        ranks = full if rc == full[2] else (rank(a[:, :K - 1]), rank(a[:, K - 1:]), rc)
+        out.append(ReceiverCheck(draw, j + 1, *ranks, passed=ranks == full))
+    return out
+
+
 def verify_decodability(
     ch: ChannelSet, pattern: PatternMatrix, beams: BeamSet, draw: int = 0
 ) -> list[ReceiverCheck]:
-    """Check the three rank conditions at every receiver for one draw.
+    """Check the three rank conditions at every receiver for one draw, with
+    one SVD per receiver whose combined block has full numeric rank.
 
     Failures are reported, never raised; callers decide severity.
     """
-    K = pattern.users
-    config_ranks = (K - 1, K * (K - 1) // 2, pattern.block_len)
-    out = []
-    for j in range(K):
-        dec = decompose_receiver(ch, pattern, beams, j)
-        out.append(ReceiverCheck(
-            draw=draw,
-            rx=j + 1,
-            rank_desired=dec.rank_desired,
-            rank_interference=dec.rank_interference,
-            rank_combined=dec.rank_combined,
-            passed=dec.ranks == config_ranks,
-        ))
-    return out
+    blocks = [np.hstack(receiver_blocks(ch, pattern, beams, j)) for j in range(pattern.users)]
+    return _receiver_checks(blocks, [rank_of(a) for a in blocks], rank_of, draw)
 
 
 def _exact_channel_ints(K: int, rng: np.random.Generator) -> np.ndarray:
@@ -164,6 +167,11 @@ def _exact_channel_ints(K: int, rng: np.random.Generator) -> np.ndarray:
         coeffs[dead] = rng.integers(-999, 1000, size=(int(dead.sum()), 2))
 
 
+def _exact_rank(block: np.ndarray) -> int:
+    """gaussian_rank of a complex block with exact Gaussian-integer entries."""
+    return gaussian_rank(np.stack([block.real, block.imag], axis=-1).astype(np.int64).tolist())
+
+
 def verify_decodability_exact(
     pattern: PatternMatrix, beams: BeamSet, seed=0, draw: int = 0
 ) -> list[ReceiverCheck]:
@@ -175,35 +183,20 @@ def verify_decodability_exact(
     parts are integers of magnitude at most 999 and the beamforming
     vectors are 0/1, so every column entry is exact in complex floating
     point and converts back to integers without loss. The K square
-    combined blocks go to `exactrank.nonsingular_mod_p` as one stack. A
-    block nonsingular modulo the prime proves rank_combined = m, and with
-    it full rank of the desired and interference blocks, which are column
-    subsets of it. Every other receiver gets its three ranks from
-    `gaussian_rank`.
+    combined blocks go to `exactrank.nonsingular_mod_p` as one stack; a
+    block nonsingular modulo the prime has rank m. Every other block is
+    ranked by `gaussian_rank`, and so are its desired and interference
+    blocks when that rank is short.
     """
     K = pattern.users
     rng = np.random.default_rng(
         seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed))
     h = _exact_channel_ints(K, rng)
     ch = ChannelSet(coeffs=h[..., 0] + 1j * h[..., 1])
-    config_ranks = (K - 1, K * (K - 1) // 2, pattern.block_len)
     blocks = np.stack([np.hstack(receiver_blocks(ch, pattern, beams, j)) for j in range(K)])
-    proven = nonsingular_mod_p(blocks)
-    out = []
-    for j in range(K):
-        if proven[j]:
-            rd, ri, rc = config_ranks
-        else:
-            rows = np.stack([blocks[j].real, blocks[j].imag], axis=-1).astype(np.int64).tolist()
-            rd = gaussian_rank([row[:K - 1] for row in rows])
-            ri = gaussian_rank([row[K - 1:] for row in rows])
-            rc = gaussian_rank(rows)
-        out.append(ReceiverCheck(
-            draw=draw, rx=j + 1,
-            rank_desired=rd, rank_interference=ri, rank_combined=rc,
-            passed=(rd, ri, rc) == config_ranks,
-        ))
-    return out
+    rank_combined = [pattern.block_len if proven else _exact_rank(a)
+                     for a, proven in zip(blocks, nonsingular_mod_p(blocks))]
+    return _receiver_checks(blocks, rank_combined, _exact_rank, draw)
 
 
 @dataclass(eq=False)

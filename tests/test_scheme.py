@@ -270,6 +270,43 @@ def test_scheme_from_json_rejects_malformed_pairs(scheme3, pairs, message):
         scheme_from_json(json.dumps(doc))
 
 
+def _without(key):
+    def edit(doc):
+        del doc[key]
+        return doc
+    return edit
+
+
+def _with(key, value):
+    def edit(doc):
+        doc[key] = value
+        return doc
+    return edit
+
+
+def _with_rows(rows):
+    def edit(doc):
+        doc["pairs"][0]["rows"] = rows
+        return doc
+    return edit
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_without("K"), "no 'K' key"),
+    (_without("pairs"), "no 'pairs' key"),
+    (_without("tilde"), "no 'tilde' key"),
+    (_with("K", [3]), '"K" must be an integer'),
+    (_with_rows(5), r'"rows" of pair \{1,2\} must be a list of integers'),
+    (_with_rows([[1]]), r'"rows" of pair \{1,2\} must be a list of integers'),
+    (lambda doc: [doc], "must be a JSON object"),
+], ids=["missing-K", "missing-pairs", "missing-tilde", "K-not-an-integer", "rows-not-a-list",
+        "rows-not-integers", "not-an-object"])
+def test_scheme_from_json_names_malformed_documents(scheme3, edit, message):
+    doc = edit(json.loads(scheme_to_json(scheme3)))
+    with pytest.raises(ValueError, match=message):
+        scheme_from_json(json.dumps(doc))
+
+
 def test_pair_dims_from_json_normalizes():
     text = json.dumps([
         {"users": [4, 2], "dims": [2, 1]},

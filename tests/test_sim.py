@@ -20,12 +20,12 @@ from biakit.errors import UnverifiableDrawError
 from biakit.sim import (
     SimConfig,
     estimate_dof,
+    noise_enhancement,
     plot_script,
     receiver_rate,
     result_to_json,
     result_to_long_csv,
     result_to_summary_csv,
-    sum_rate_point,
     tdma_sum_rate,
     zf_decode,
 )
@@ -107,7 +107,7 @@ def test_estimate_dof_ranks_and_inverts_once_per_receiver(scheme4, monkeypatch):
     count(biakit.verify, "rank_of")
     cfg = SimConfig(users=4, trials=3, seed=2)
     result = estimate_dof(scheme4, cfg)
-    # one Gram inverse and one (combined) rank per (trial, receiver), not per SNR point
+    # one inverse and one (combined) rank per (trial, receiver), not per SNR point
     assert counts == {"noise_enhancement": 3 * 4, "rank_of": 3 * 4}
     for t in range(cfg.trials):
         ch = draw_channels(4, 2, seed=stream_seed(cfg.seed, CHANNEL_STREAM, t))
@@ -115,6 +115,35 @@ def test_estimate_dof_ranks_and_inverts_once_per_receiver(scheme4, monkeypatch):
             dec = decompose_receiver(ch, scheme4.pattern, scheme4.beams, j)
             for p, db in enumerate(cfg.snr_points_db):
                 assert result.rates[p, t, j] == receiver_rate(dec, 10.0 ** (db / 10.0))
+
+
+def projected_noise_enhancement(decomp):
+    """The projection form of zero-forcing: [(G^H G)^{-1}]_dd with G the
+    desired block projected off the interference basis by one QR."""
+    q, _ = np.linalg.qr(decomp.interference_basis)
+    g = decomp.desired - q @ (q.conj().T @ decomp.desired)
+    return np.real(np.diag(np.linalg.inv(g.conj().T @ g)))
+
+
+def assert_noise_enhancement_matches_projection(scheme, receivers, draws=5):
+    K = scheme.config.users
+    for t in range(draws):
+        ch = draw_channels(K, 2, seed=stream_seed(3, CHANNEL_STREAM, t))
+        for j in receivers:
+            dec = decompose_receiver(ch, scheme.pattern, scheme.beams, j)
+            np.testing.assert_allclose(noise_enhancement(dec), projected_noise_enhancement(dec),
+                                       rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("K", [3, 4, 8])
+def test_noise_enhancement_matches_projection_oracle(K):
+    assert_noise_enhancement_matches_projection(bk.build_scheme(K), range(K))
+
+
+def test_noise_enhancement_matches_projection_oracle_at_certified_receivers(fallback_scheme5):
+    certified = [j for j, ok in enumerate(fallback_scheme5.certified_receivers) if ok]
+    assert certified == [0, 1, 2, 3]
+    assert_noise_enhancement_matches_projection(fallback_scheme5, certified)
 
 
 def test_tdma_matches_direct_computation(scheme3):
@@ -144,15 +173,15 @@ def test_alignment_beats_tdma_at_high_snr(scheme4):
 @pytest.mark.parametrize("K,per_decade", [(3, 1.2), (4, 4.0 / 3.0)])
 def test_rate_gain_per_decade(K, per_decade):
     scheme = bk.build_scheme(K)
-    r40 = sum_rate_point(scheme, 40.0, trials=100, seed=4)
-    r50 = sum_rate_point(scheme, 50.0, trials=100, seed=4)
+    cfg = SimConfig(users=K, snr_points_db=(40.0, 50.0), trials=100, seed=4)
+    r40, r50 = estimate_dof(scheme, cfg).mean_sum_rates
     expect = per_decade * np.log2(10.0)
     assert abs((r50 - r40) - expect) / expect < 0.1
 
 
 def test_low_power_rate_vanishes(scheme3):
-    low = sum_rate_point(scheme3, -40.0, trials=20, seed=6)
-    mid = sum_rate_point(scheme3, 0.0, trials=20, seed=6)
+    cfg = SimConfig(users=3, snr_points_db=(-40.0, 0.0), trials=20, seed=6)
+    low, mid = estimate_dof(scheme3, cfg).mean_sum_rates
     assert 0 <= low < 0.05
     assert low < mid
 

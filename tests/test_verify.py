@@ -13,6 +13,7 @@ from biakit.verify import (
     decompose_receiver,
     expected_ranks,
     rank_of,
+    receiver_blocks,
     report_to_csv,
     report_to_json,
     run_verification,
@@ -28,12 +29,7 @@ def test_rank_of_basics():
     assert rank_of(np.zeros((9, 1))) == 0
     assert rank_of(np.zeros((5, 0))) == 0
     assert rank_of(np.array([[1.0, 2.0], [2.0, 4.0]])) == 1
-
-
-def test_rank_of_tolerance_override():
-    a = np.diag([1.0, 1e-20])
-    assert rank_of(a) == 1
-    assert rank_of(a, tol=1e-30) == 2
+    assert rank_of(np.diag([1.0, 1e-20])) == 1
 
 
 def test_rank_of_rejects_non_finite():
@@ -144,12 +140,22 @@ def test_counting_detects_broken_pair_map(scheme4):
     assert not report.all_passed
 
 
+def copied_beams(scheme):
+    """User 2 transmits on user 1's vectors: desired and interference overlap."""
+    vecs = scheme.beams.vectors
+    return bk.BeamSet(vectors=[vecs[0], list(vecs[0])] + list(vecs[2:]),
+                      pair_dims=scheme.beams.pair_dims)
+
+
+def duplicated_beams(scheme):
+    """User 1 sends its first vector twice."""
+    vecs = scheme.beams.vectors
+    return bk.BeamSet(vectors=[[vecs[0][0], vecs[0][0], vecs[0][2]]] + list(vecs[1:]),
+                      pair_dims=scheme.beams.pair_dims)
+
+
 def test_adversarial_copied_beamformers_detected(scheme4):
-    # user 2 transmits on user 1's vectors: desired and interference overlap
-    bad = bk.BeamSet(
-        vectors=[scheme4.beams.vectors[0], list(scheme4.beams.vectors[0]),
-                 scheme4.beams.vectors[2], scheme4.beams.vectors[3]],
-        pair_dims=scheme4.beams.pair_dims)
+    bad = copied_beams(scheme4)
     ch = draw_channels(4, 2, seed=3)
     checks = verify_decodability(ch, scheme4.pattern, bad)
     assert not checks[0].passed
@@ -157,14 +163,56 @@ def test_adversarial_copied_beamformers_detected(scheme4):
 
 
 def test_adversarial_duplicated_dimension_detected(scheme4):
-    vecs = scheme4.beams.vectors
-    bad = bk.BeamSet(
-        vectors=[[vecs[0][0], vecs[0][0], vecs[0][2]]] + list(vecs[1:]),
-        pair_dims=scheme4.beams.pair_dims)
+    bad = duplicated_beams(scheme4)
     ch = draw_channels(4, 2, seed=5)
     checks = verify_decodability(ch, scheme4.pattern, bad)
     assert not checks[0].passed
     assert checks[0].rank_desired == 2
+
+
+def assert_rank_rule(scheme, beams, draws=4):
+    """Every verify_decodability check equals the ranks of the desired,
+    interference and combined blocks, each taken by its own SVD."""
+    K = scheme.config.users
+    out = []
+    for t in range(draws):
+        ch = draw_channels(K, 2, seed=stream_seed(4, 0, t))
+        checks = verify_decodability(ch, scheme.pattern, beams, draw=t)
+        for j, check in enumerate(checks):
+            desired, basis = receiver_blocks(ch, scheme.pattern, beams, j)
+            ranks = (rank_of(desired), rank_of(basis), rank_of(np.hstack([desired, basis])))
+            assert (check.rank_desired, check.rank_interference, check.rank_combined) == ranks
+            assert check.passed == (ranks == expected_ranks(scheme.config))
+        out.extend(checks)
+    return out
+
+
+@pytest.mark.parametrize("K", range(3, 9))
+def test_rank_rule_matches_three_svd_oracle(K):
+    scheme = bk.build_scheme(K)
+    assert all(check.passed for check in assert_rank_rule(scheme, scheme.beams))
+
+
+def test_rank_rule_matches_three_svd_oracle_on_failing_receivers(fallback_scheme5, scheme4):
+    for scheme, beams in [(fallback_scheme5, fallback_scheme5.beams),
+                          (scheme4, copied_beams(scheme4)),
+                          (scheme4, duplicated_beams(scheme4))]:
+        assert not all(check.passed for check in assert_rank_rule(scheme, beams))
+
+
+@pytest.mark.parametrize("K", [4, 8])
+def test_float_verify_ranks_each_certified_receiver_once(K, monkeypatch):
+    shapes = []
+
+    def counted(matrix):
+        shapes.append(matrix.shape)
+        return rank_of(matrix)
+    monkeypatch.setattr(biakit.verify, "rank_of", counted)
+    scheme = bk.build_scheme(K)
+    report = run_verification(scheme, draws=3, seed=1)
+    assert report.all_passed
+    m = scheme.config.block_len
+    assert shapes == [(m, m)] * (3 * K)
 
 
 @pytest.mark.parametrize("K", [3, 4])
@@ -195,11 +243,12 @@ def test_exact_mode_eliminates_only_unproven_receivers(fallback_scheme5, monkeyp
     fast = [verify_decodability_exact(pattern, beams, seed=s, draw=s) for s in range(3)]
     # receiver 5 is singular, so it alone takes its three exact ranks per draw
     assert len(ranked) == 3 * 3
-    # with nothing proven mod p every receiver is ranked exactly: same checks
+    # with nothing proven mod p every combined block is ranked exactly, and
+    # only receiver 5's short rank ranks its two blocks: same checks
     monkeypatch.setattr(biakit.verify, "nonsingular_mod_p",
                         lambda stack: np.zeros(len(stack), dtype=bool))
     assert [verify_decodability_exact(pattern, beams, seed=s, draw=s) for s in range(3)] == fast
-    assert len(ranked) == 3 * 3 + 3 * 3 * 5
+    assert len(ranked) == 3 * 3 + 3 * (5 + 2)
 
 
 def test_exact_mode_is_seed_stable(scheme3):
