@@ -62,6 +62,11 @@ def draw_channels(K: int, M: int = 2, seed=0) -> ChannelSet:
     return ChannelSet(coeffs=coeffs, seed=seed)
 
 
+def draw_channel_stack(K: int, M: int, seeds) -> np.ndarray:
+    """Coefficients of one draw_channels draw per seed, stacked (T, K, K, M)."""
+    return np.stack([draw_channels(K, M, seed=s).coeffs for s in seeds])
+
+
 def effective_channel(ch: ChannelSet, pattern: PatternMatrix, k: int, i: int) -> np.ndarray:
     """Diagonal of the link matrix from transmitter i to receiver k.
 

@@ -80,6 +80,8 @@ def _load_pair_dims(path: Path | None):
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError("seed must be >= 0")
         if args.command == "generate":
             scheme = build_scheme(args.users, _load_pair_dims(args.pair_map))
             _emit(scheme_to_json(scheme), args.out)

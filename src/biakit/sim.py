@@ -17,19 +17,42 @@ contribute zero rate and are counted in `excluded`. Fully certified
 schemes (build_scheme, for every K) never hit this path. The TDMA baseline
 gives each user a 1/K share of every channel use at the same per-symbol
 power, under the identical channel draws.
+
+`estimate_dof` builds the scheme's receiver layout once (verify) and takes
+its trials in the same chunks as verification, at most
+`exactrank.BATCH_ELEMENTS` block entries each. Per chunk, one gather gives
+every combined block, one batched SVD the exclusion rule, one batched
+inverse of the full-rank blocks the noise enhancements (squared norms of
+the first K-1 rows), and the own-link gains (T, K, m) the TDMA rate of
+every power. Each row is reduced alone, in the order the one-receiver
+functions use, so rates are bit-identical to them: `noise_enhancement`,
+`receiver_rate` and `tdma_sum_rate` are one-draw views of these kernels.
+SNR points must be finite and give a finite, positive power 10^(dB/10).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import CHANNEL_STREAM, ChannelSet, draw_channels, effective_channel, stream_seed
+from .channel import CHANNEL_STREAM, ChannelSet, draw_channel_stack, stream_seed
 from .dof import achieved
 from .errors import UnverifiableDrawError
 from .formats import render_csv, render_json
 from .scheme import Scheme
-from .verify import ReceiverDecomposition, decompose_receiver
+from .verify import ReceiverDecomposition, draw_chunks, receiver_layout, stack_ranks
+
+
+def _zf_filters(blocks: np.ndarray, symbols: int) -> np.ndarray:
+    """W for a stack of nonsingular combined blocks (N, m, m): the first
+    `symbols` rows of each inverse, by one batched inverse."""
+    return np.linalg.inv(blocks)[:, :symbols]
+
+
+def _row_power(w: np.ndarray) -> np.ndarray:
+    """Squared norm of every row of a stack of filters (..., d, m)."""
+    return np.sum(w.real ** 2 + w.imag ** 2, axis=-1)
 
 
 def _zf_filter(decomp: ReceiverDecomposition) -> np.ndarray:
@@ -44,7 +67,7 @@ def _zf_filter(decomp: ReceiverDecomposition) -> np.ndarray:
         raise UnverifiableDrawError(
             "receiver %d: combined rank %d < %d, cannot null interference"
             % (decomp.rx + 1, decomp.rank_combined, m))
-    return np.linalg.inv(decomp.combined)[:decomp.desired.shape[1]]
+    return _zf_filters(decomp.combined[None], decomp.desired.shape[1])[0]
 
 
 def zf_decode(decomp: ReceiverDecomposition, y: np.ndarray) -> np.ndarray:
@@ -54,30 +77,43 @@ def zf_decode(decomp: ReceiverDecomposition, y: np.ndarray) -> np.ndarray:
 
 def noise_enhancement(decomp: ReceiverDecomposition) -> np.ndarray:
     """||row d of W_j||^2 for every desired dimension d: SINR_d = P / this."""
-    w = _zf_filter(decomp)
-    return np.sum(w.real ** 2 + w.imag ** 2, axis=1)
+    return _row_power(_zf_filter(decomp))
 
 
-def _rate(inv_diag: np.ndarray, power: float, m: int) -> float:
-    """Bits per channel use over an m-use block at per-symbol power."""
-    sinr = power / inv_diag
-    return float(np.sum(np.log2(1.0 + sinr)) / m)
+def _rates(noise: np.ndarray, power: float, m: int) -> np.ndarray:
+    """Bits per channel use over an m-use block at per-symbol power, one
+    rate per row of noise enhancements (..., K-1)."""
+    return np.sum(np.log2(1.0 + power / noise), axis=-1) / m
 
 
 def receiver_rate(decomp: ReceiverDecomposition, power: float) -> float:
     """Post-zero-forcing rate of one receiver, bits per channel use."""
-    return _rate(noise_enhancement(decomp), power, decomp.desired.shape[0])
+    return float(_rates(noise_enhancement(decomp), power, decomp.desired.shape[0]))
+
+
+def _tdma_rates(coeffs: np.ndarray, tilde: np.ndarray, powers) -> np.ndarray:
+    """TDMA sum rate (P, T) for every power and every draw of a stack
+    coeffs (T, K, K, M): the mean of user k's log2(1 + P |h_kk|^2) over the
+    m uses of its own pattern, summed over users in order, over K. Each
+    mean reduces one row of a contiguous (T*K, m) array of own-link gains,
+    so it adds in the same order as a one-user mean."""
+    T, K, _, _ = coeffs.shape
+    own = np.arange(K)[:, None]
+    gains = np.ascontiguousarray(np.abs(coeffs[:, own, own, tilde.T]) ** 2).reshape(T * K, -1)
+    out = np.empty((len(powers), T))
+    for p, power in enumerate(powers):
+        per_user = np.log2(1.0 + power * gains).mean(axis=1).reshape(T, K)
+        total = np.zeros(T)
+        for k in range(K):
+            total += per_user[:, k]
+        out[p] = total / K
+    return out
 
 
 def tdma_sum_rate(scheme: Scheme, ch: ChannelSet, power: float) -> float:
     """Orthogonal-access baseline on the same draw: each user k transmits
     alone in a 1/K share of the block through its own switching pattern."""
-    K = scheme.config.users
-    total = 0.0
-    for k in range(K):
-        gains = np.abs(effective_channel(ch, scheme.pattern, k, k)) ** 2
-        total += float(np.mean(np.log2(1.0 + power * gains)))
-    return total / K
+    return float(_tdma_rates(ch.coeffs[None], scheme.pattern.tilde, [power])[0, 0])
 
 
 @dataclass(frozen=True)
@@ -89,6 +125,14 @@ class SimConfig:
 
     def __post_init__(self):
         pts = tuple(float(x) for x in self.snr_points_db)
+        for x in pts:
+            try:
+                ok = math.isfinite(x) and 0.0 < 10.0 ** (x / 10.0) < math.inf
+            except OverflowError:
+                ok = False
+            if not ok:
+                raise ValueError("SNR point %r dB must be finite and give a finite, "
+                                 "positive power 10^(dB/10)" % x)
         if any(b <= a for a, b in zip(pts, pts[1:])):
             raise ValueError("snr_points_db must be strictly increasing")
         if self.trials < 1:
@@ -127,28 +171,31 @@ class SimResult:
 
 def estimate_dof(scheme: Scheme, cfg: SimConfig) -> SimResult:
     """Sweep SNR points over shared per-trial channel draws and fit the
-    sum-rate slope against log2(linear SNR)."""
+    sum-rate slope against log2(linear SNR).
+
+    One layout serves the run; each chunk of trials takes one batched SVD
+    (the exclusion rule), one batched inverse of the full-rank blocks and
+    the TDMA baseline of every power at once.
+    """
     if len(cfg.snr_points_db) < 2:
         raise ValueError("need at least 2 SNR points to fit a slope")
-    K = scheme.config.users
+    K, m = scheme.config.users, scheme.config.block_len
+    layout = receiver_layout(scheme.pattern, scheme.beams)
     powers = [10.0 ** (db / 10.0) for db in cfg.snr_points_db]
     rates = np.zeros((len(powers), cfg.trials, K))
     tdma = np.zeros((len(powers), cfg.trials))
     excluded = 0
-    for t in range(cfg.trials):
-        ch = draw_channels(K, scheme.config.mode_count,
-                           seed=stream_seed(cfg.seed, CHANNEL_STREAM, t))
-        for j in range(K):
-            dec = decompose_receiver(ch, scheme.pattern, scheme.beams, j)
-            try:
-                inv_diag = noise_enhancement(dec)
-            except UnverifiableDrawError:
-                excluded += len(powers)
-                continue
-            for p, power in enumerate(powers):
-                rates[p, t, j] = _rate(inv_diag, power, dec.desired.shape[0])
+    for chunk in draw_chunks(cfg.trials, K * m * m):
+        seeds = [stream_seed(cfg.seed, CHANNEL_STREAM, t) for t in chunk]
+        coeffs = draw_channel_stack(K, scheme.config.mode_count, seeds)
+        blocks = layout.blocks(coeffs)
+        ok = stack_ranks(blocks) == m
+        excluded += len(powers) * int(np.count_nonzero(~ok))
+        noise = _row_power(_zf_filters(blocks[ok], K - 1))
+        span = slice(chunk.start, chunk.stop)
         for p, power in enumerate(powers):
-            tdma[p, t] = tdma_sum_rate(scheme, ch, power)
+            rates[p, span][ok] = _rates(noise, power, m)
+        tdma[:, span] = _tdma_rates(coeffs, scheme.pattern.tilde, powers)
     result = SimResult(
         users=K, snr_points_db=cfg.snr_points_db, trials=cfg.trials,
         seed=cfg.seed, rates=rates, tdma_rates=tdma, excluded=excluded)

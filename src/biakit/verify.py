@@ -10,22 +10,38 @@ m = (K-1) + K(K-1)/2. Decodability of the draw means rank_desired = K-1,
 rank_interference = K(K-1)/2 and rank_combined = m (desired space disjoint
 from interference).
 
-`receiver_blocks` is the one place that turns a channel draw into these
-columns; float verification, exact verification and the simulator all use
-it. Every verdict is read off A_j by one rule: a receiver whose A_j has
+`receiver_layout` is the one place that turns a scheme into these columns;
+float verification, exact verification and the simulator all use it. It
+is built once per run (never in build_scheme) and records, for every
+receiver j and column c of A_j, the transmitter src[j, c] and the 0/1 beam
+vec[j, :, c]. Row r of A_j is read in receiver j's mode at channel use r,
+so for a stack of draws coeffs (T, K, K, M) one gather
+coeffs[:, j, src[j, c], tilde[r, j]] * vec[j, r, c] yields every combined
+block (T, K, m, m). Runs take their draws in chunks of at most
+`exactrank.BATCH_ELEMENTS` block entries (at least one draw a chunk), the
+same sizing rule as the modular kernel, so memory stays flat in the draw
+count; chunking changes no output. `receiver_blocks`, `decompose_receiver`,
+`verify_decodability` and `verify_decodability_exact` are one-draw views
+of the same kernels.
+
+Every verdict is read off A_j by one rule: a receiver whose A_j has
 rank m reports the expected ranks without further work, and only the
 others are ranked block by block. Full rank of A_j gives full column rank
 to the desired and interference blocks, which are column subsets of it.
 The two modes differ only in how ranks are taken:
 
-- float: `rank_of` (SVD) over Gaussian draws, fast and statistical. The
-  rule agrees with ranking every block: a column subset D of A has
-  sigma_min(D) >= sigma_min(A) and sigma_max(D) <= sigma_max(A), so
-  whenever the cut max(shape) * eps * sigma_max lies below sigma_min(A)
-  it lies below sigma_min(D) too.
-- exact: certification grade, over Gaussian-integer draws. A_j has rank m
-  when it is nonsingular modulo a prime under Z[i] -> F_p (i -> a square
-  root of -1 mod p), since then its determinant is nonzero over Z[i].
+- float: `stack_ranks`, one batched SVD per chunk over Gaussian draws,
+  fast and statistical (`rank_of` is its one-matrix view, used for the
+  blocks of a short A_j). The rule agrees with ranking every block: a
+  column subset D of A has sigma_min(D) >= sigma_min(A) and
+  sigma_max(D) <= sigma_max(A), so whenever the cut
+  max(shape) * eps * sigma_max lies below sigma_min(A) it lies below
+  sigma_min(D) too.
+- exact: certification grade, over Gaussian-integer draws (one seeded
+  stream per draw). A_j has rank m when it is nonsingular
+  modulo a prime under Z[i] -> F_p (i -> a square root of -1 mod p),
+  since then its determinant is nonzero over Z[i]; one
+  `nonsingular_mod_p` call takes every block of a chunk.
   A block this does not prove (in practice one the scheme leaves
   uncertified, as the pair-product reference family does for K >= 5;
   build_scheme leaves none) is ranked by `exactrank.gaussian_rank`,
@@ -41,46 +57,97 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import EXACT_STREAM, CHANNEL_STREAM, ChannelSet, draw_channels, stream_seed
-from .exactrank import gaussian_rank, nonsingular_mod_p
+from .channel import EXACT_STREAM, CHANNEL_STREAM, ChannelSet, draw_channel_stack, stream_seed
+from .exactrank import BATCH_ELEMENTS, gaussian_rank, nonsingular_mod_p
 from .formats import render_csv, render_json
 from .scheme import BeamSet, PatternMatrix, Scheme, SchemeConfig, make_config
 
 
-def rank_of(matrix: np.ndarray) -> int:
-    """Numeric rank: singular values above max(rows, cols) * eps * largest."""
-    a = np.asarray(matrix)
+def stack_ranks(stack: np.ndarray) -> np.ndarray:
+    """Numeric rank of every matrix of a (..., rows, cols) stack, by one
+    batched SVD: the singular values above max(rows, cols) * eps * largest.
+    An all-zero matrix has rank 0."""
+    a = np.asarray(stack)
     if not np.isfinite(a).all():
         raise ValueError("non-finite entries")
     if a.size == 0:
-        return 0
+        return np.zeros(a.shape[:-2], dtype=np.int64)
     sv = np.linalg.svd(a, compute_uv=False)
-    if sv[0] == 0.0:
-        return 0
-    cut = max(a.shape) * np.finfo(float).eps * sv[0]
-    return int(np.count_nonzero(sv > cut))
+    cut = max(a.shape[-2:]) * np.finfo(float).eps * sv[..., :1]
+    return np.count_nonzero(sv > cut, axis=-1)
+
+
+def rank_of(matrix: np.ndarray) -> int:
+    """Numeric rank of one matrix: `stack_ranks` of a one-matrix stack."""
+    return int(stack_ranks(np.asarray(matrix)[None])[0])
+
+
+def draw_chunks(draws: int, per_draw: int) -> list[range]:
+    """Consecutive ranges of draws, each holding at most BATCH_ELEMENTS
+    entries at per_draw entries a draw, and at least one draw."""
+    step = max(1, BATCH_ELEMENTS // per_draw)
+    return [range(lo, min(lo + step, draws)) for lo in range(0, draws, step)]
+
+
+@dataclass(frozen=True, eq=False)
+class ReceiverLayout:
+    """Where every entry of every receiver's combined block comes from.
+
+    Entry (r, c) of A_j is vec[j, r, c] times the coefficient of the link
+    from transmitter src[j, c] to receiver j, in receiver j's mode
+    mode[j, r] at channel use r. Columns 0..K-2 are j's own beams (src = j);
+    the rest are the pairs in lexicographic order, each from the
+    lower-numbered owner, or from the other owner when j is in the pair.
+    """
+
+    mode: np.ndarray  # (K, m) 0-indexed mode of receiver j at use r: tilde.T
+    src: np.ndarray   # (K, m) transmitter of column c of A_j
+    vec: np.ndarray   # (K, m, m) 0/1 beam of column c of A_j
+
+    @property
+    def users(self) -> int:
+        return int(self.src.shape[0])
+
+    @property
+    def block_len(self) -> int:
+        return int(self.src.shape[1])
+
+    def blocks(self, coeffs: np.ndarray) -> np.ndarray:
+        """Every combined block of a stack of draws, by one gather:
+        coeffs (T, K, K, M) [draw, rx, tx, mode] -> A (T, K, m, m)."""
+        rx = np.arange(self.users)[:, None, None]
+        return coeffs[:, rx, self.src[:, None, :], self.mode[:, :, None]] * self.vec
+
+
+def receiver_layout(pattern: PatternMatrix, beams: BeamSet) -> ReceiverLayout:
+    """The layout of a scheme's K combined blocks (see ReceiverLayout).
+
+    Colinear interference pairs are merged structurally from the pair map
+    (alignment is exact by construction, so no numeric colinearity
+    detection is involved): both owners of a shared vector reach a third
+    receiver through the same vector, so one column per pair spans both.
+    """
+    K, m = pattern.users, pattern.block_len
+    pairs = list(itertools.combinations(range(K), 2))
+    shared = np.column_stack([beams.shared_vector(a, b) for a, b in pairs])
+    src = np.empty((K, m), dtype=np.intp)
+    vec = np.empty((K, m, m), dtype=shared.dtype)
+    for j in range(K):
+        src[j, :K - 1] = j
+        src[j, K - 1:] = [b if j == a else a for a, b in pairs]
+        vec[j, :, :K - 1] = np.column_stack(beams.vectors[j])
+        vec[j, :, K - 1:] = shared
+    return ReceiverLayout(mode=pattern.tilde.T.copy(), src=src, vec=vec)
 
 
 def receiver_blocks(
     ch: ChannelSet, pattern: PatternMatrix, beams: BeamSet, j: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Receiver j's desired block (m x (K-1)) and merged interference
-    basis (m x K(K-1)/2) for one channel draw.
-
-    Row r of every column carries the coefficient of receiver j's mode at
-    channel use r. Colinear interference pairs are merged structurally
-    from the pair map (alignment is exact by construction, so no numeric
-    colinearity detection is involved): the column of pair {a, b}, in
-    lexicographic pair order, is its shared vector scaled by the link from
-    the lower-numbered owner, or from the other owner when j is in the pair.
-    """
-    K = pattern.users
-    eff = ch.coeffs[j][:, pattern.tilde[:, j]]  # eff[i]: diagonal from transmitter i
-    pairs = list(itertools.combinations(range(K), 2))
-    src = [b if j == a else a for a, b in pairs]
-    shared = np.column_stack([beams.shared_vector(a, b) for a, b in pairs])
-    desired = eff[j][:, None] * np.column_stack(beams.vectors[j])
-    return desired, eff[src].T * shared
+    basis (m x K(K-1)/2) for one channel draw: the two column blocks of
+    A_j from the scheme's layout."""
+    a = receiver_layout(pattern, beams).blocks(ch.coeffs[None])[0, j]
+    return a[:, :pattern.users - 1], a[:, pattern.users - 1:]
 
 
 @dataclass(eq=False)
@@ -128,20 +195,31 @@ class ReceiverCheck:
     passed: bool
 
 
-def _receiver_checks(blocks, rank_combined, rank, draw: int) -> list[ReceiverCheck]:
-    """The one rank rule, over every receiver's square combined block.
+def _receiver_checks(blocks, rank_combined, rank, first_draw: int) -> list[ReceiverCheck]:
+    """The one rank rule, over the square combined blocks of a chunk of draws.
 
-    rank_combined[j] is the rank of blocks[j]. A full one proves the
-    expected ranks; otherwise `rank` ranks the desired and interference
-    column blocks.
+    blocks is (T, K, m, m) and rank_combined[t][j] the rank of blocks[t, j].
+    A full one proves the expected ranks; otherwise `rank` ranks the
+    desired and interference column blocks. Draw t is numbered first_draw + t.
     """
-    K = len(blocks)
+    _, K, m, _ = blocks.shape
     full = expected_ranks(make_config(K))
     out = []
-    for j, (a, rc) in enumerate(zip(blocks, rank_combined)):
-        ranks = full if rc == full[2] else (rank(a[:, :K - 1]), rank(a[:, K - 1:]), rc)
-        out.append(ReceiverCheck(draw, j + 1, *ranks, passed=ranks == full))
+    for t, row in enumerate(np.asarray(rank_combined).tolist()):
+        for j, rc in enumerate(row):
+            if rc == m:
+                ranks = full
+            else:
+                a = blocks[t, j]
+                ranks = (rank(a[:, :K - 1]), rank(a[:, K - 1:]), rc)
+            out.append(ReceiverCheck(first_draw + t, j + 1, *ranks, passed=ranks == full))
     return out
+
+
+def _float_checks(layout: ReceiverLayout, coeffs: np.ndarray, first_draw: int) -> list[ReceiverCheck]:
+    """Float checks of a chunk of draws: one batched SVD of every combined block."""
+    blocks = layout.blocks(coeffs)
+    return _receiver_checks(blocks, stack_ranks(blocks), rank_of, first_draw)
 
 
 def verify_decodability(
@@ -152,8 +230,7 @@ def verify_decodability(
 
     Failures are reported, never raised; callers decide severity.
     """
-    blocks = [np.hstack(receiver_blocks(ch, pattern, beams, j)) for j in range(pattern.users)]
-    return _receiver_checks(blocks, [rank_of(a) for a in blocks], rank_of, draw)
+    return _float_checks(receiver_layout(pattern, beams), ch.coeffs[None], draw)
 
 
 def _exact_channel_ints(K: int, rng: np.random.Generator) -> np.ndarray:
@@ -172,6 +249,19 @@ def _exact_rank(block: np.ndarray) -> int:
     return gaussian_rank(np.stack([block.real, block.imag], axis=-1).astype(np.int64).tolist())
 
 
+def _exact_checks(layout: ReceiverLayout, seeds, first_draw: int) -> list[ReceiverCheck]:
+    """Exact checks of a chunk of draws, one Gaussian-integer draw per seed
+    (an int or a SeedSequence): one `nonsingular_mod_p` call over every
+    combined block."""
+    h = np.stack([_exact_channel_ints(layout.users, np.random.default_rng(s)) for s in seeds])
+    blocks = layout.blocks(h[..., 0] + 1j * h[..., 1])
+    m = layout.block_len
+    proven = nonsingular_mod_p(blocks.reshape(-1, m, m)).reshape(blocks.shape[:2])
+    rank_combined = [[m if ok else _exact_rank(a) for a, ok in zip(row, flags)]
+                     for row, flags in zip(blocks, proven)]
+    return _receiver_checks(blocks, rank_combined, _exact_rank, first_draw)
+
+
 def verify_decodability_exact(
     pattern: PatternMatrix, beams: BeamSet, seed=0, draw: int = 0
 ) -> list[ReceiverCheck]:
@@ -179,24 +269,14 @@ def verify_decodability_exact(
     Gaussian integers and every rank is proven, so there is no floating
     tolerance anywhere.
 
-    The draw goes through the same column builder as the float path. Its
-    parts are integers of magnitude at most 999 and the beamforming
-    vectors are 0/1, so every column entry is exact in complex floating
-    point and converts back to integers without loss. The K square
-    combined blocks go to `exactrank.nonsingular_mod_p` as one stack; a
-    block nonsingular modulo the prime has rank m. Every other block is
-    ranked by `gaussian_rank`, and so are its desired and interference
-    blocks when that rank is short.
+    The draw goes through the same layout as the float path. Its parts are
+    integers of magnitude at most 999 and the beamforming vectors are 0/1,
+    so every block entry is exact in complex floating point and converts
+    back to integers without loss. A combined block nonsingular modulo the
+    prime has rank m. Every other block is ranked by `gaussian_rank`, and
+    so are its desired and interference blocks when that rank is short.
     """
-    K = pattern.users
-    rng = np.random.default_rng(
-        seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed))
-    h = _exact_channel_ints(K, rng)
-    ch = ChannelSet(coeffs=h[..., 0] + 1j * h[..., 1])
-    blocks = np.stack([np.hstack(receiver_blocks(ch, pattern, beams, j)) for j in range(K)])
-    rank_combined = [pattern.block_len if proven else _exact_rank(a)
-                     for a, proven in zip(blocks, nonsingular_mod_p(blocks))]
-    return _receiver_checks(blocks, rank_combined, _exact_rank, draw)
+    return _exact_checks(receiver_layout(pattern, beams), [seed], draw)
 
 
 @dataclass(eq=False)
@@ -222,17 +302,19 @@ class VerificationReport:
 
 
 def run_verification(scheme: Scheme, draws: int, seed: int, exact: bool = False) -> VerificationReport:
-    """Verify a scheme over independent channel draws (floating or exact)."""
+    """Verify a scheme over independent channel draws (floating or exact),
+    on one layout and in chunks of draws (see the module docstring)."""
+    layout = receiver_layout(scheme.pattern, scheme.beams)
+    K, m = layout.users, layout.block_len
     checks: list[ReceiverCheck] = []
-    for t in range(draws):
+    for chunk in draw_chunks(draws, K * m * m):
         if exact:
-            checks.extend(verify_decodability_exact(
-                scheme.pattern, scheme.beams,
-                seed=stream_seed(seed, EXACT_STREAM, t), draw=t))
+            seeds = [stream_seed(seed, EXACT_STREAM, t) for t in chunk]
+            checks.extend(_exact_checks(layout, seeds, chunk.start))
         else:
-            ch = draw_channels(scheme.config.users, scheme.config.mode_count,
-                               seed=stream_seed(seed, CHANNEL_STREAM, t))
-            checks.extend(verify_decodability(ch, scheme.pattern, scheme.beams, draw=t))
+            seeds = [stream_seed(seed, CHANNEL_STREAM, t) for t in chunk]
+            coeffs = draw_channel_stack(K, scheme.config.mode_count, seeds)
+            checks.extend(_float_checks(layout, coeffs, chunk.start))
     return VerificationReport(
         users=scheme.config.users, draws=draws, seed=seed, exact=exact, checks=checks)
 

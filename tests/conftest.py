@@ -1,5 +1,6 @@
 """Shared fixtures: constructed schemes, the pair-product 5-user family and
-the golden 4-user instance.
+the golden 4-user instance, and a recorder of the matrix stacks that reach
+numpy's SVD and inverse.
 
 The golden instance is a fixed, externally specified switching assignment
 and pair labeling used as a reproduction target by the acceptance gate.
@@ -7,6 +8,8 @@ Its combined receive matrix turns out to be rank deficient at receivers
 1 and 3 (see README, Known limitations), which the golden acceptance test
 records honestly rather than papering over.
 """
+import math
+
 import numpy as np
 import pytest
 
@@ -88,3 +91,21 @@ def fallback_scheme5() -> bk.Scheme:
     pattern = make_pattern_matrix(make_config(5))
     return bk.Scheme(config=make_config(5), pattern=pattern,
                      beams=assign_beamformers(pattern))
+
+
+@pytest.fixture
+def linalg_stacks(monkeypatch) -> dict[str, list[tuple[int, ...]]]:
+    """The shape of every array passed to np.linalg.svd and np.linalg.inv
+    while the test runs, in call order, under "svd" and "inv"."""
+    seen: dict[str, list[tuple[int, ...]]] = {"svd": [], "inv": []}
+    for name, shapes in seen.items():
+        def recorded(a, *args, _inner=getattr(np.linalg, name), _shapes=shapes, **kwargs):
+            _shapes.append(np.shape(a))
+            return _inner(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return seen
+
+
+def matrix_count(shapes, rows: int, cols: int) -> int:
+    """How many rows x cols matrices a list of stack shapes holds."""
+    return sum(math.prod(shape[:-2]) for shape in shapes if shape[-2:] == (rows, cols))

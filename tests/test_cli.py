@@ -173,3 +173,22 @@ def test_reruns_are_byte_identical(tmp_path):
         assert res.returncode == 0
     for name in ("sim_rates.csv", "sim_summary.csv", "sim_plot.py"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("snr", ["nan", "inf", "1e308"])
+def test_simulate_rejects_snr_without_a_finite_power(tmp_path, snr):
+    res = run_cli("simulate", "--users", "3", "--trials", "2", "--snr", "30", "--snr", snr,
+                  "--out", "run", cwd=tmp_path)
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert len(res.stderr.splitlines()) == 1
+    assert res.stderr.startswith("error: SNR point %r dB" % float(snr))
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_negative_seed_is_named(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    assert biakit.cli.main([command, "--users", "3", "--trials", "2", "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0\n"
+    assert list(tmp_path.iterdir()) == []

@@ -1,12 +1,11 @@
 """Zero-forcing decode, rates, TDMA baseline, slope estimation, emitters."""
 import json
+import re
 
 import numpy as np
 import pytest
 
 import biakit as bk
-import biakit.sim
-import biakit.verify
 from biakit.channel import (
     CHANNEL_STREAM,
     NOISE_STREAM,
@@ -30,6 +29,8 @@ from biakit.sim import (
     zf_decode,
 )
 from biakit.verify import decompose_receiver
+
+from conftest import matrix_count
 
 
 @pytest.mark.parametrize("K", [3, 4])
@@ -93,22 +94,13 @@ def test_receiver_rate_grows_with_power(scheme4):
     assert 0 < rates[0] < rates[1] < rates[2]
 
 
-def test_estimate_dof_ranks_and_inverts_once_per_receiver(scheme4, monkeypatch):
-    counts = {}
-
-    def count(module, name):
-        inner = getattr(module, name)
-
-        def counted(*args):
-            counts[name] = counts.get(name, 0) + 1
-            return inner(*args)
-        monkeypatch.setattr(module, name, counted)
-    count(biakit.sim, "noise_enhancement")
-    count(biakit.verify, "rank_of")
+def test_estimate_dof_ranks_and_inverts_once_per_receiver(scheme4, linalg_stacks):
     cfg = SimConfig(users=4, trials=3, seed=2)
     result = estimate_dof(scheme4, cfg)
     # one inverse and one (combined) rank per (trial, receiver), not per SNR point
-    assert counts == {"noise_enhancement": 3 * 4, "rank_of": 3 * 4}
+    for name in ("svd", "inv"):
+        assert all(shape[-2:] == (9, 9) for shape in linalg_stacks[name])
+        assert matrix_count(linalg_stacks[name], 9, 9) == 3 * 4
     for t in range(cfg.trials):
         ch = draw_channels(4, 2, seed=stream_seed(cfg.seed, CHANNEL_STREAM, t))
         for j in range(4):
@@ -214,6 +206,12 @@ def test_excluded_draws_are_counted_not_raised(fallback_scheme5):
     assert result.excluded == 4
     assert np.all(result.rates[:, :, 4] == 0)
     assert np.all(result.rates[:, :, :4] > 0)
+
+
+@pytest.mark.parametrize("db", [float("nan"), float("inf"), float("-inf"), 1e308, -1e308])
+def test_config_rejects_snr_points_without_a_finite_power(db):
+    with pytest.raises(ValueError, match=re.escape("SNR point %r dB" % db)):
+        SimConfig(users=3, snr_points_db=(30.0, db) if db > 30 else (db, 30.0))
 
 
 def test_config_validation():

@@ -21,7 +21,7 @@ from biakit.verify import (
     verify_decodability_exact,
 )
 
-from conftest import GOLDEN_VECTORS
+from conftest import GOLDEN_VECTORS, matrix_count
 
 
 def test_rank_of_basics():
@@ -201,18 +201,25 @@ def test_rank_rule_matches_three_svd_oracle_on_failing_receivers(fallback_scheme
 
 
 @pytest.mark.parametrize("K", [4, 8])
-def test_float_verify_ranks_each_certified_receiver_once(K, monkeypatch):
-    shapes = []
-
-    def counted(matrix):
-        shapes.append(matrix.shape)
-        return rank_of(matrix)
-    monkeypatch.setattr(biakit.verify, "rank_of", counted)
+def test_float_verify_ranks_each_certified_receiver_once(K, linalg_stacks):
     scheme = bk.build_scheme(K)
     report = run_verification(scheme, draws=3, seed=1)
     assert report.all_passed
     m = scheme.config.block_len
-    assert shapes == [(m, m)] * (3 * K)
+    # only combined blocks reach the SVD, one per (draw, receiver); no sub-block
+    assert all(shape[-2:] == (m, m) for shape in linalg_stacks["svd"])
+    assert matrix_count(linalg_stacks["svd"], m, m) == 3 * K
+    assert linalg_stacks["inv"] == []
+
+
+def test_float_verify_ranks_sub_blocks_only_at_short_receivers(fallback_scheme5, linalg_stacks):
+    report = run_verification(fallback_scheme5, draws=3, seed=1)
+    assert report.failing_receivers() == (5,)
+    shapes = linalg_stacks["svd"]
+    assert matrix_count(shapes, 14, 14) == 3 * 5
+    # receiver 5's desired and interference blocks, once per draw
+    assert matrix_count(shapes, 14, 4) == matrix_count(shapes, 14, 10) == 3
+    assert all(shape[-2:] in {(14, 14), (14, 4), (14, 10)} for shape in shapes)
 
 
 @pytest.mark.parametrize("K", [3, 4])
