@@ -59,7 +59,6 @@ from .verify import (
     check_counting,
     decompose_receiver,
     rank_of,
-    receiver_blocks,
     run_verification,
     verify_decodability,
     verify_decodability_exact,

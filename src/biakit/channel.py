@@ -45,14 +45,6 @@ class ChannelSet:
     coeffs: np.ndarray  # complex, shape (K, K, M); [rx, tx, mode-1]
     seed: object = None
 
-    @property
-    def users(self) -> int:
-        return int(self.coeffs.shape[0])
-
-    @property
-    def mode_count(self) -> int:
-        return int(self.coeffs.shape[2])
-
 
 def draw_channels(K: int, M: int = 2, seed=0) -> ChannelSet:
     """One i.i.d. CN(0,1) coefficient per (receiver, transmitter, mode)."""
@@ -62,9 +54,10 @@ def draw_channels(K: int, M: int = 2, seed=0) -> ChannelSet:
     return ChannelSet(coeffs=coeffs, seed=seed)
 
 
-def draw_channel_stack(K: int, M: int, seeds) -> np.ndarray:
-    """Coefficients of one draw_channels draw per seed, stacked (T, K, K, M)."""
-    return np.stack([draw_channels(K, M, seed=s).coeffs for s in seeds])
+def draw_channel_stack(K: int, seeds) -> np.ndarray:
+    """Coefficients of one two-mode draw_channels draw per seed, stacked
+    (T, K, K, 2)."""
+    return np.stack([draw_channels(K, seed=s).coeffs for s in seeds])
 
 
 def effective_channel(ch: ChannelSet, pattern: PatternMatrix, k: int, i: int) -> np.ndarray:

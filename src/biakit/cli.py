@@ -35,7 +35,6 @@ def _build_parser() -> _Parser:
     gen.add_argument("--users", type=int, required=True)
     gen.add_argument("--pair-map", type=Path, default=None,
                      help="JSON file overriding the pair->dimension labeling")
-    gen.add_argument("--format", choices=["json"], default="json")
     gen.add_argument("--out", type=Path, default=None)
 
     ver = sub.add_parser("verify", help="rank-verify a generated scheme over channel draws")
@@ -77,8 +76,20 @@ def _load_pair_dims(path: Path | None):
     return pair_dims_from_json(path.read_text())
 
 
+def _bind_snr_values(argv: list[str]) -> list[str]:
+    """Rewrite each `--snr VALUE` as `--snr=VALUE`, so that argparse takes
+    any VALUE, -1e1 or -inf too, as the value rather than as an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--snr":
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_bind_snr_values(sys.argv[1:] if argv is None else argv))
     try:
         if getattr(args, "seed", 0) < 0:
             raise ValueError("seed must be >= 0")
@@ -88,8 +99,6 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "verify":
-            if args.trials < 1:
-                raise ValueError("trials must be >= 1")
             scheme = build_scheme(args.users, _load_pair_dims(args.pair_map))
             report = run_verification(scheme, draws=args.trials, seed=args.seed,
                                       exact=args.exact)
@@ -106,8 +115,7 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             snr = tuple(args.snr) if args.snr else (30.0, 40.0, 50.0)
             scheme = build_scheme(args.users)
-            cfg = SimConfig(users=args.users, snr_points_db=snr,
-                            trials=args.trials, seed=args.seed)
+            cfg = SimConfig(snr_points_db=snr, trials=args.trials, seed=args.seed)
             result = estimate_dof(scheme, cfg)
             prefix = args.out
             summary_name = prefix.name + "_summary.csv"

@@ -35,13 +35,23 @@ from .formats import render_json
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Integer skeleton of a scheme."""
+    """Integer skeleton of a scheme: every size follows from K = users."""
 
     users: int
-    mode_count: int = 2
-    block_len: int = 0        # m: channel uses per block
-    symbols_per_user: int = 0  # d: transmit dimensions per user
-    pair_count: int = 0
+
+    @property
+    def block_len(self) -> int:
+        """m: channel uses per block."""
+        return (self.users + 2) * (self.users - 1) // 2
+
+    @property
+    def symbols_per_user(self) -> int:
+        """d: transmit dimensions per user."""
+        return self.users - 1
+
+    @property
+    def pair_count(self) -> int:
+        return self.users * (self.users - 1) // 2
 
     @property
     def total_symbols(self) -> int:
@@ -57,14 +67,7 @@ def make_config(users: int) -> SchemeConfig:
         # and there is no third receiver to align at
         raise DegenerateSchemeError(
             "degenerate-scheme: need at least 3 users, got %d" % users)
-    K = users
-    return SchemeConfig(
-        users=K,
-        mode_count=2,
-        block_len=(K + 2) * (K - 1) // 2,
-        symbols_per_user=K - 1,
-        pair_count=K * (K - 1) // 2,
-    )
+    return SchemeConfig(users)
 
 
 # ---------------------------------------------------------------------------
@@ -79,15 +82,17 @@ class PatternMatrix:
     tilde holds {0,1}; modes = tilde + 1 holds {1,2}. supports[(a, b)],
     a < b, is the binary vector users a and b share; it must lie inside
     their pair product and defaults to the pair product itself.
-    certified_receivers[j] records the exact decodability certificate for
-    receiver j (computed once at construction, channel-free).
+    certified_receivers[j] is the exact decodability certificate of
+    receiver j (certify_receivers), computed at construction and never
+    taken from the caller.
     """
 
     tilde: np.ndarray
-    certified_receivers: tuple[bool, ...] = field(default=())
     supports: dict[tuple[int, int], np.ndarray] | None = None  # None: pair products
+    certified_receivers: tuple[bool, ...] = field(init=False)
 
     def __post_init__(self):
+        self.certified_receivers = certify_receivers(self.tilde, self.supports)
         if self.supports is None:
             self.supports = pair_products(self.tilde)
 
@@ -104,6 +109,11 @@ class PatternMatrix:
         return int(self.tilde.shape[1])
 
 
+def zero_at(K: int, *users: int) -> tuple[int, ...]:
+    """The length-K binary row that is 0 exactly at the given users."""
+    return tuple(0 if c in users else 1 for c in range(K))
+
+
 def row_vocabulary(K: int) -> list[tuple[int, ...]]:
     """All binary rows that can carry signal, heaviest first.
 
@@ -111,35 +121,27 @@ def row_vocabulary(K: int) -> list[tuple[int, ...]]:
     pattern matrix draws its m rows from these m + 2: the all-ones row,
     the K weight-(K-1) rows, and the C(K,2) weight-(K-2) rows.
     """
-    rows = [tuple([1] * K)]
-    for k in range(K):
-        r = [1] * K
-        r[k] = 0
-        rows.append(tuple(r))
-    for a, b in itertools.combinations(range(K), 2):
-        r = [1] * K
-        r[a] = 0
-        r[b] = 0
-        rows.append(tuple(r))
-    return rows
+    return ([zero_at(K)] + [zero_at(K, k) for k in range(K)]
+            + [zero_at(K, a, b) for a, b in itertools.combinations(range(K), 2)])
+
+
+def _product_except(tilde: np.ndarray, *users: int) -> np.ndarray:
+    """Element-wise product of all pattern columns except the given users."""
+    v = np.ones(tilde.shape[0], dtype=np.int64)
+    for c in range(tilde.shape[1]):
+        if c not in users:
+            v = v * tilde[:, c]
+    return v
 
 
 def pair_product(tilde: np.ndarray, i: int, j: int) -> np.ndarray:
     """Element-wise product of all pattern columns except i and j."""
-    v = np.ones(tilde.shape[0], dtype=np.int64)
-    for c in range(tilde.shape[1]):
-        if c != i and c != j:
-            v = v * tilde[:, c]
-    return v
+    return _product_except(tilde, i, j)
 
 
 def exclude_one_product(tilde: np.ndarray, i: int) -> np.ndarray:
     """Element-wise product of all pattern columns except i."""
-    v = np.ones(tilde.shape[0], dtype=np.int64)
-    for c in range(tilde.shape[1]):
-        if c != i:
-            v = v * tilde[:, c]
-    return v
+    return _product_except(tilde, i)
 
 
 def pair_products(tilde: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
@@ -224,21 +226,14 @@ def certify_receivers(
 
 def canonical_pattern_matrix(config: SchemeConfig) -> PatternMatrix:
     """The textbook family: ones-minus-identity on top, then the first
-    C(K,2)-1 weight-(K-2) rows in lexicographic zero-pair order.
+    C(K,2)-1 weight-(K-2) rows in lexicographic zero-pair order, i.e. the
+    row vocabulary without its first and last rows.
 
     Satisfies the product rank certificate for every K, but certifies only
     the two receivers of the zero-pair missing from the bottom block; kept
     for reference and for the characterization tests.
     """
-    K = config.users
-    top = [tuple(0 if c == k else 1 for c in range(K)) for k in range(K)]
-    bottom = []
-    for a, b in itertools.combinations(range(K), 2):
-        if len(bottom) == config.block_len - K:
-            break
-        bottom.append(tuple(0 if c in (a, b) else 1 for c in range(K)))
-    tilde = np.array(top + bottom, dtype=np.int64)
-    return PatternMatrix(tilde, certify_receivers(tilde))
+    return PatternMatrix(np.array(row_vocabulary(config.users)[1:-1], dtype=np.int64))
 
 
 # first two disjoint weight-(K-2) rows; dropping them certifies 4 receivers,
@@ -265,20 +260,17 @@ def make_pattern_matrix(config: SchemeConfig) -> PatternMatrix:
     if K <= 4:
         for omit in itertools.combinations(range(len(vocab)), 2):
             rows = [vocab[r] for r in range(len(vocab)) if r not in omit]
-            tilde = np.array(rows, dtype=np.int64)
-            cert = certify_receivers(tilde)
-            if all(cert):
-                return PatternMatrix(tilde, cert)
+            pattern = PatternMatrix(np.array(rows, dtype=np.int64))
+            if all(pattern.certified_receivers):
+                return pattern
         raise ConstructionFailedError(
             "construction-failed: no fully certified pattern matrix for K=%d" % K)
-    omitted = {tuple(0 if c in pair else 1 for c in range(K))
-               for pair in _FALLBACK_OMIT_PAIRS}
-    rows = [r for r in vocab if r not in omitted]
-    tilde = np.array(rows, dtype=np.int64)
+    omitted = {zero_at(K, *pair) for pair in _FALLBACK_OMIT_PAIRS}
+    tilde = np.array([r for r in vocab if r not in omitted], dtype=np.int64)
     if not certify_product_rank(tilde):
         raise ConstructionFailedError(
             "construction-failed: product rank certificate failed for K=%d" % K)
-    return PatternMatrix(tilde, certify_receivers(tilde))
+    return PatternMatrix(tilde)
 
 
 def rows_to_support(m: int, rows) -> np.ndarray:
@@ -312,7 +304,7 @@ def pattern_from_rows(config: SchemeConfig, tilde, rows_by_pair: dict) -> Patter
             raise ValueError("rows of pair {%d,%d} must be nonempty and within 1..%d"
                              % (a + 1, b + 1, m))
         supports[(a, b)] = rows_to_support(m, rows)
-    return PatternMatrix(tilde, certify_receivers(tilde, supports), supports)
+    return PatternMatrix(tilde, supports)
 
 
 def star_pattern_matrix(config: SchemeConfig) -> PatternMatrix:
@@ -339,13 +331,9 @@ def star_pattern_matrix(config: SchemeConfig) -> PatternMatrix:
     proof of it needs one prime.
     """
     K = config.users
-
-    def zero_at(*users):
-        return [0 if c in users else 1 for c in range(K)]
-
     rim = list(itertools.combinations(range(1, K), 2))
-    tilde = ([zero_at(0)] * (K - 1) + [zero_at(o) for o in range(1, K)]
-             + [zero_at(a, b) for a, b in rim])
+    tilde = ([zero_at(K, 0)] * (K - 1) + [zero_at(K, o) for o in range(1, K)]
+             + [zero_at(K, a, b) for a, b in rim])
     r = {o: K - 2 + o for o in range(1, K)}  # row index of r_o
     rows = {(0, o): (o - 1, r[o]) for o in range(1, K)}
     rows.update({(a, b): (2 * K - 2 + n, r[a], r[b]) for n, (a, b) in enumerate(rim)})
@@ -420,9 +408,12 @@ def assign_beamformers(
 
 @dataclass(eq=False)
 class Scheme:
-    config: SchemeConfig
     pattern: PatternMatrix
     beams: BeamSet
+
+    @property
+    def config(self) -> SchemeConfig:
+        return make_config(self.pattern.users)
 
     @property
     def certified_receivers(self) -> tuple[bool, ...]:
@@ -435,10 +426,8 @@ def build_scheme(
 ) -> Scheme:
     """The K-user scheme of star_pattern_matrix, which certifies every
     receiver for every K >= 3."""
-    config = make_config(users)
-    pattern = star_pattern_matrix(config)
-    beams = assign_beamformers(pattern, pair_dims)
-    return Scheme(config=config, pattern=pattern, beams=beams)
+    pattern = star_pattern_matrix(make_config(users))
+    return Scheme(pattern=pattern, beams=assign_beamformers(pattern, pair_dims))
 
 
 def scheme_to_json(scheme: Scheme) -> str:
@@ -488,8 +477,7 @@ def scheme_from_json(text: str) -> Scheme:
                                  % (i + 1, j + 1, json.dumps(rows)))
             rows_by_pair[(i, j)] = [r - 1 for r in rows]
     pattern = pattern_from_rows(config, doc["tilde"], rows_by_pair)
-    beams = assign_beamformers(pattern, dims)
-    return Scheme(config=config, pattern=pattern, beams=beams)
+    return Scheme(pattern=pattern, beams=assign_beamformers(pattern, dims))
 
 
 def _pair_entries(doc) -> list[tuple[tuple[int, int], tuple[int, int], dict]]:

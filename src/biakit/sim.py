@@ -118,7 +118,6 @@ def tdma_sum_rate(scheme: Scheme, ch: ChannelSet, power: float) -> float:
 
 @dataclass(frozen=True)
 class SimConfig:
-    users: int
     snr_points_db: tuple[float, ...] = (30.0, 40.0, 50.0)
     trials: int = 500
     seed: int = 0
@@ -187,7 +186,7 @@ def estimate_dof(scheme: Scheme, cfg: SimConfig) -> SimResult:
     excluded = 0
     for chunk in draw_chunks(cfg.trials, K * m * m):
         seeds = [stream_seed(cfg.seed, CHANNEL_STREAM, t) for t in chunk]
-        coeffs = draw_channel_stack(K, scheme.config.mode_count, seeds)
+        coeffs = draw_channel_stack(K, seeds)
         blocks = layout.blocks(coeffs)
         ok = stack_ranks(blocks) == m
         excluded += len(powers) * int(np.count_nonzero(~ok))

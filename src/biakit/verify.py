@@ -20,7 +20,7 @@ coeffs[:, j, src[j, c], tilde[r, j]] * vec[j, r, c] yields every combined
 block (T, K, m, m). Runs take their draws in chunks of at most
 `exactrank.BATCH_ELEMENTS` block entries (at least one draw a chunk), the
 same sizing rule as the modular kernel, so memory stays flat in the draw
-count; chunking changes no output. `receiver_blocks`, `decompose_receiver`,
+count; chunking changes no output. `decompose_receiver`,
 `verify_decodability` and `verify_decodability_exact` are one-draw views
 of the same kernels.
 
@@ -140,16 +140,6 @@ def receiver_layout(pattern: PatternMatrix, beams: BeamSet) -> ReceiverLayout:
     return ReceiverLayout(mode=pattern.tilde.T.copy(), src=src, vec=vec)
 
 
-def receiver_blocks(
-    ch: ChannelSet, pattern: PatternMatrix, beams: BeamSet, j: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Receiver j's desired block (m x (K-1)) and merged interference
-    basis (m x K(K-1)/2) for one channel draw: the two column blocks of
-    A_j from the scheme's layout."""
-    a = receiver_layout(pattern, beams).blocks(ch.coeffs[None])[0, j]
-    return a[:, :pattern.users - 1], a[:, pattern.users - 1:]
-
-
 @dataclass(eq=False)
 class ReceiverDecomposition:
     """Desired and interference column blocks at one receiver, and the
@@ -169,14 +159,13 @@ class ReceiverDecomposition:
 def decompose_receiver(
     ch: ChannelSet, pattern: PatternMatrix, beams: BeamSet, j: int
 ) -> ReceiverDecomposition:
-    """Build receiver j's column blocks and the numeric rank of both together."""
-    desired, basis = receiver_blocks(ch, pattern, beams, j)
+    """Receiver j's desired block (m x (K-1)) and merged interference basis
+    (m x K(K-1)/2) for one channel draw, the two column blocks of A_j from
+    the scheme's layout, and the numeric rank of A_j."""
+    a = receiver_layout(pattern, beams).blocks(ch.coeffs[None])[0, j]
+    d = pattern.users - 1
     return ReceiverDecomposition(
-        rx=j,
-        desired=desired,
-        interference_basis=basis,
-        rank_combined=rank_of(np.hstack([desired, basis])),
-    )
+        rx=j, desired=a[:, :d], interference_basis=a[:, d:], rank_combined=rank_of(a))
 
 
 def expected_ranks(config: SchemeConfig) -> tuple[int, int, int]:
@@ -303,7 +292,10 @@ class VerificationReport:
 
 def run_verification(scheme: Scheme, draws: int, seed: int, exact: bool = False) -> VerificationReport:
     """Verify a scheme over independent channel draws (floating or exact),
-    on one layout and in chunks of draws (see the module docstring)."""
+    on one layout and in chunks of draws (see the module docstring).
+    Raises ValueError unless draws >= 1."""
+    if draws < 1:
+        raise ValueError("draws (trials) must be >= 1, got %d" % draws)
     layout = receiver_layout(scheme.pattern, scheme.beams)
     K, m = layout.users, layout.block_len
     checks: list[ReceiverCheck] = []
@@ -313,10 +305,10 @@ def run_verification(scheme: Scheme, draws: int, seed: int, exact: bool = False)
             checks.extend(_exact_checks(layout, seeds, chunk.start))
         else:
             seeds = [stream_seed(seed, CHANNEL_STREAM, t) for t in chunk]
-            coeffs = draw_channel_stack(K, scheme.config.mode_count, seeds)
+            coeffs = draw_channel_stack(K, seeds)
             checks.extend(_float_checks(layout, coeffs, chunk.start))
     return VerificationReport(
-        users=scheme.config.users, draws=draws, seed=seed, exact=exact, checks=checks)
+        users=K, draws=draws, seed=seed, exact=exact, checks=checks)
 
 
 def report_to_json(report: VerificationReport) -> str:

@@ -17,7 +17,6 @@ import biakit as bk
 from biakit.scheme import (
     PatternMatrix,
     assign_beamformers,
-    certify_receivers,
     make_config,
     make_pattern_matrix,
 )
@@ -58,9 +57,9 @@ def golden_tilde() -> np.ndarray:
 @pytest.fixture(scope="session")
 def golden_scheme4() -> bk.Scheme:
     tilde = golden_tilde()
-    pattern = PatternMatrix(tilde, certify_receivers(tilde))
+    pattern = PatternMatrix(tilde)
     beams = assign_beamformers(pattern, GOLDEN_PAIR_DIMS)
-    return bk.Scheme(config=bk.make_config(4), pattern=pattern, beams=beams)
+    return bk.Scheme(pattern=pattern, beams=beams)
 
 
 @pytest.fixture(scope="session")
@@ -89,8 +88,7 @@ def fallback_scheme5() -> bk.Scheme:
     product, which certifies receivers 1..4 and leaves receiver 5 with a
     one-dimensional overlap in every draw."""
     pattern = make_pattern_matrix(make_config(5))
-    return bk.Scheme(config=make_config(5), pattern=pattern,
-                     beams=assign_beamformers(pattern))
+    return bk.Scheme(pattern=pattern, beams=assign_beamformers(pattern))
 
 
 @pytest.fixture

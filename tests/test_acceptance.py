@@ -126,8 +126,7 @@ def test_criterion_6_monte_carlo_dof_slope():
     channel draws. Under 5 minutes."""
     start = time.perf_counter()
     for K in (3, 4):
-        cfg = SimConfig(users=K, snr_points_db=(30.0, 40.0, 50.0),
-                        trials=500, seed=2026)
+        cfg = SimConfig(snr_points_db=(30.0, 40.0, 50.0), trials=500, seed=2026)
         result = estimate_dof(bk.build_scheme(K), cfg)
         assert result.excluded == 0
         assert result.slope_deviation <= 0.05, (
@@ -147,7 +146,7 @@ def test_criterion_7_deterministic_outputs(tmp_path, golden_scheme4):
         report = run_verification(golden_scheme4, draws=50, seed=7)
         (d / "report.json").write_text(report_to_json(report))
         (d / "bounds.csv").write_text(sweep_to_csv(bk.sweep(6)))
-        cfg = SimConfig(users=3, snr_points_db=(30.0, 40.0), trials=20, seed=5)
+        cfg = SimConfig(snr_points_db=(30.0, 40.0), trials=20, seed=5)
         result = estimate_dof(bk.build_scheme(3), cfg)
         (d / "rates.csv").write_text(result_to_long_csv(result))
         (d / "summary.csv").write_text(result_to_summary_csv(result))

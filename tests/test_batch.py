@@ -166,9 +166,9 @@ def test_layout_blocks_match_column_stack_blocks(fallback_scheme5):
                 for j in range(K):
                     desired, basis = oracle_receiver_blocks(ch, scheme.pattern, scheme.beams, j)
                     assert_bits(blocks[t, j], np.hstack([desired, basis]))
-                    got = bk.receiver_blocks(ch, scheme.pattern, scheme.beams, j)
-                    assert_bits(got[0], desired)
-                    assert_bits(got[1], basis)
+                    got = bk.decompose_receiver(ch, scheme.pattern, scheme.beams, j)
+                    assert_bits(got.desired, desired)
+                    assert_bits(got.interference_basis, basis)
 
 
 def test_float_reports_match_per_draw_loop(fallback_scheme5):
@@ -188,7 +188,7 @@ def test_exact_reports_match_per_draw_loop(fallback_scheme5):
 
 def test_simulation_matches_per_trial_loop(fallback_scheme5):
     for name, scheme in schemes(fallback_scheme5):
-        cfg = SimConfig(users=scheme.config.users, trials=12, seed=4)
+        cfg = SimConfig(trials=12, seed=4)
         result = estimate_dof(scheme, cfg)
         assert result_bytes(result) == result_bytes(oracle_estimate_dof(scheme, cfg)), name
     assert result.excluded == 3 * 12  # receiver 5 of the fallback family
@@ -198,7 +198,7 @@ def test_simulation_matches_per_trial_loop_past_eight_users():
     # K - 1 >= 8 rates per receiver and m >= 44 uses per TDMA mean: numpy's
     # pairwise summation differs from a plain loop at these lengths
     scheme = bk.build_scheme(9)
-    cfg = SimConfig(users=9, trials=3, seed=6)
+    cfg = SimConfig(trials=3, seed=6)
     assert result_bytes(estimate_dof(scheme, cfg)) == result_bytes(oracle_estimate_dof(scheme, cfg))
 
 
@@ -216,7 +216,7 @@ def test_chunking_changes_no_output(draws_per_chunk, fallback_scheme5, monkeypat
     partial), give the same bytes as the default single chunk."""
     for scheme in (bk.build_scheme(4), fallback_scheme5):
         K, m = scheme.config.users, scheme.config.block_len
-        cfg = SimConfig(users=K, trials=7, seed=8)
+        cfg = SimConfig(trials=7, seed=8)
         default = (report_bytes(run_verification(scheme, 7, 8)),
                    report_bytes(run_verification(scheme, 7, 8, exact=True)),
                    result_bytes(estimate_dof(scheme, cfg)))
@@ -234,7 +234,7 @@ def test_no_stack_outgrows_the_chunk_budget(K, draws, linalg_stacks):
     scheme = bk.build_scheme(K)
     m = scheme.config.block_len
     run_verification(scheme, draws, 1)
-    estimate_dof(scheme, SimConfig(users=K, trials=draws, seed=1))
+    estimate_dof(scheme, SimConfig(trials=draws, seed=1))
     shapes = linalg_stacks["svd"] + linalg_stacks["inv"]
     assert max(np.prod(shape) for shape in shapes) <= max(BATCH_ELEMENTS, K * m * m)
     # one SVD per chunk in each run, one inverse per chunk in the simulation

@@ -175,6 +175,14 @@ def test_reruns_are_byte_identical(tmp_path):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 
+def test_simulate_takes_exponent_notation_snr_values(tmp_path):
+    # argparse alone reads "-1e1" as an option, not as the value of --snr
+    res = run_cli("simulate", "--users", "3", "--trials", "2", "--snr", "-1e1", "--snr", "1e1",
+                  "--out", "run", cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["snr_points_db"] == [-10, 10]
+
+
 @pytest.mark.parametrize("snr", ["nan", "inf", "1e308"])
 def test_simulate_rejects_snr_without_a_finite_power(tmp_path, snr):
     res = run_cli("simulate", "--users", "3", "--trials", "2", "--snr", "30", "--snr", snr,

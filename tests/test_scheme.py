@@ -48,6 +48,16 @@ def test_config_sizes(K, m, d, pairs):
     assert d + pairs == m
 
 
+def test_config_and_scheme_sizes_follow_from_the_user_count():
+    # no size is stored beside K, so no config or scheme can disagree with it
+    cfg = bk.SchemeConfig(users=5)
+    assert (cfg.block_len, cfg.symbols_per_user, cfg.pair_count) == (14, 4, 10)
+    scheme = bk.build_scheme(6)
+    assert scheme.config == make_config(6)
+    with pytest.raises(TypeError):
+        bk.Scheme(config=make_config(4), pattern=scheme.pattern, beams=scheme.beams)
+
+
 @pytest.mark.parametrize("K", [2, 1, 0, -3])
 def test_config_rejects_small_user_counts(K):
     with pytest.raises(DegenerateSchemeError, match="degenerate-scheme"):
@@ -333,6 +343,12 @@ def test_golden_instance_certificate():
     assert certify_receivers(golden_tilde()) == (False, True, False, True)
 
 
+def test_pattern_matrix_computes_its_own_certificate():
+    assert PatternMatrix(golden_tilde()).certified_receivers == (False, True, False, True)
+    with pytest.raises(TypeError):
+        PatternMatrix(golden_tilde(), certified_receivers=(True,) * 4)
+
+
 def test_certificate_rejects_a_block_of_the_wrong_length():
     # G_j is square only for m = (K+2)(K-1)/2 rows
     with pytest.raises(ValueError, match="must have"):
@@ -447,8 +463,7 @@ def test_scheme_from_json_validates_rows(scheme5):
         scheme_from_json(json.dumps(doc))
     # without rows every pair shares its full pair product
     pattern4 = make_pattern_matrix(make_config(4))
-    family4 = bk.Scheme(config=make_config(4), pattern=pattern4,
-                        beams=assign_beamformers(pattern4))
+    family4 = bk.Scheme(pattern=pattern4, beams=assign_beamformers(pattern4))
     plain = json.loads(scheme_to_json(family4))
     for entry in plain["pairs"]:
         del entry["rows"]

@@ -95,7 +95,7 @@ def test_receiver_rate_grows_with_power(scheme4):
 
 
 def test_estimate_dof_ranks_and_inverts_once_per_receiver(scheme4, linalg_stacks):
-    cfg = SimConfig(users=4, trials=3, seed=2)
+    cfg = SimConfig(trials=3, seed=2)
     result = estimate_dof(scheme4, cfg)
     # one inverse and one (combined) rank per (trial, receiver), not per SNR point
     for name in ("svd", "inv"):
@@ -165,21 +165,21 @@ def test_alignment_beats_tdma_at_high_snr(scheme4):
 @pytest.mark.parametrize("K,per_decade", [(3, 1.2), (4, 4.0 / 3.0)])
 def test_rate_gain_per_decade(K, per_decade):
     scheme = bk.build_scheme(K)
-    cfg = SimConfig(users=K, snr_points_db=(40.0, 50.0), trials=100, seed=4)
+    cfg = SimConfig(snr_points_db=(40.0, 50.0), trials=100, seed=4)
     r40, r50 = estimate_dof(scheme, cfg).mean_sum_rates
     expect = per_decade * np.log2(10.0)
     assert abs((r50 - r40) - expect) / expect < 0.1
 
 
 def test_low_power_rate_vanishes(scheme3):
-    cfg = SimConfig(users=3, snr_points_db=(-40.0, 0.0), trials=20, seed=6)
+    cfg = SimConfig(snr_points_db=(-40.0, 0.0), trials=20, seed=6)
     low, mid = estimate_dof(scheme3, cfg).mean_sum_rates
     assert 0 <= low < 0.05
     assert low < mid
 
 
 def test_estimate_dof_smoke(scheme3):
-    cfg = SimConfig(users=3, trials=100, seed=12)
+    cfg = SimConfig(trials=100, seed=12)
     result = estimate_dof(scheme3, cfg)
     assert result.excluded == 0
     assert result.rates.shape == (3, 100, 3)
@@ -191,7 +191,7 @@ def test_estimate_dof_smoke(scheme3):
 
 
 def test_trial_reordering_leaves_aggregates_unchanged(scheme3):
-    cfg = SimConfig(users=3, trials=16, seed=13)
+    cfg = SimConfig(trials=16, seed=13)
     result = estimate_dof(scheme3, cfg)
     perm = np.random.default_rng(0).permutation(16)
     shuffled = result.rates[:, perm, :]
@@ -200,7 +200,7 @@ def test_trial_reordering_leaves_aggregates_unchanged(scheme3):
 
 
 def test_excluded_draws_are_counted_not_raised(fallback_scheme5):
-    cfg = SimConfig(users=5, snr_points_db=(30.0, 40.0), trials=2, seed=14)
+    cfg = SimConfig(snr_points_db=(30.0, 40.0), trials=2, seed=14)
     result = estimate_dof(fallback_scheme5, cfg)
     # receiver 5 is excluded at every (snr, trial) and contributes zero rate
     assert result.excluded == 4
@@ -211,20 +211,20 @@ def test_excluded_draws_are_counted_not_raised(fallback_scheme5):
 @pytest.mark.parametrize("db", [float("nan"), float("inf"), float("-inf"), 1e308, -1e308])
 def test_config_rejects_snr_points_without_a_finite_power(db):
     with pytest.raises(ValueError, match=re.escape("SNR point %r dB" % db)):
-        SimConfig(users=3, snr_points_db=(30.0, db) if db > 30 else (db, 30.0))
+        SimConfig(snr_points_db=(30.0, db) if db > 30 else (db, 30.0))
 
 
 def test_config_validation():
     with pytest.raises(ValueError, match="strictly increasing"):
-        SimConfig(users=3, snr_points_db=(30.0, 30.0))
+        SimConfig(snr_points_db=(30.0, 30.0))
     with pytest.raises(ValueError, match="trials"):
-        SimConfig(users=3, trials=0)
+        SimConfig(trials=0)
     with pytest.raises(ValueError, match="2 SNR points"):
-        estimate_dof(bk.build_scheme(3), SimConfig(users=3, snr_points_db=(30.0,), trials=2))
+        estimate_dof(bk.build_scheme(3), SimConfig(snr_points_db=(30.0,), trials=2))
 
 
 def test_result_emitters(scheme3):
-    cfg = SimConfig(users=3, snr_points_db=(30.0, 40.0), trials=4, seed=15)
+    cfg = SimConfig(snr_points_db=(30.0, 40.0), trials=4, seed=15)
     result = estimate_dof(scheme3, cfg)
     long_lines = result_to_long_csv(result).strip().split("\n")
     assert long_lines[0] == "K,snr_db,trial,rx,rate"

@@ -13,7 +13,6 @@ from biakit.verify import (
     decompose_receiver,
     expected_ranks,
     rank_of,
-    receiver_blocks,
     report_to_csv,
     report_to_json,
     run_verification,
@@ -30,6 +29,14 @@ def test_rank_of_basics():
     assert rank_of(np.zeros((5, 0))) == 0
     assert rank_of(np.array([[1.0, 2.0], [2.0, 4.0]])) == 1
     assert rank_of(np.diag([1.0, 1e-20])) == 1
+
+
+@pytest.mark.parametrize("draws", [0, -3])
+def test_run_verification_rejects_fewer_than_one_draw(scheme3, draws):
+    with pytest.raises(ValueError, match="trials"):
+        run_verification(scheme3, draws, seed=1)
+    with pytest.raises(ValueError, match="trials"):
+        run_verification(scheme3, draws, seed=1, exact=True)
 
 
 def test_rank_of_rejects_non_finite():
@@ -179,7 +186,8 @@ def assert_rank_rule(scheme, beams, draws=4):
         ch = draw_channels(K, 2, seed=stream_seed(4, 0, t))
         checks = verify_decodability(ch, scheme.pattern, beams, draw=t)
         for j, check in enumerate(checks):
-            desired, basis = receiver_blocks(ch, scheme.pattern, beams, j)
+            dec = decompose_receiver(ch, scheme.pattern, beams, j)
+            desired, basis = dec.desired, dec.interference_basis
             ranks = (rank_of(desired), rank_of(basis), rank_of(np.hstack([desired, basis])))
             assert (check.rank_desired, check.rank_interference, check.rank_combined) == ranks
             assert check.passed == (ranks == expected_ranks(scheme.config))
