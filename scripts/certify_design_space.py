@@ -18,22 +18,16 @@ import itertools
 
 import numpy as np
 
-from biakit.scheme import certify_receivers, make_config, row_vocabulary
+from biakit.scheme import certify_patterns, make_config, row_vocabulary
 
 
 def scan(K: int):
     vocab = row_vocabulary(K)
-    full = []
-    best = 0
-    candidates = 0
-    for omit in itertools.combinations(range(len(vocab)), 2):
-        rows = [vocab[r] for r in range(len(vocab)) if r not in omit]
-        cert = certify_receivers(np.array(rows, dtype=np.int64))
-        candidates += 1
-        best = max(best, sum(cert))
-        if all(cert):
-            full.append(rows)
-    return candidates, full, best
+    keep = [[r for r in range(len(vocab)) if r not in omit]
+            for omit in itertools.combinations(range(len(vocab)), 2)]
+    cert = certify_patterns(np.array(vocab, dtype=np.int8)[keep])
+    full = [[vocab[r] for r in rows] for rows, ok in zip(keep, cert) if ok.all()]
+    return len(keep), full, int(cert.sum(axis=1).max())
 
 
 def main(argv=None) -> int:

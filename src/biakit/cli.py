@@ -76,12 +76,17 @@ def _load_pair_dims(path: Path | None):
     return pair_dims_from_json(path.read_text())
 
 
+# every abbreviation argparse takes for --snr; "--s" is ambiguous with --seed
+_SNR_FLAGS = ("--sn", "--snr")
+
+
 def _bind_snr_values(argv: list[str]) -> list[str]:
-    """Rewrite each `--snr VALUE` as `--snr=VALUE`, so that argparse takes
-    any VALUE, -1e1 or -inf too, as the value rather than as an option."""
+    """Rewrite each `--snr VALUE` as `--snr=VALUE`, and `--sn VALUE` as
+    `--sn=VALUE`, so that argparse takes any VALUE, -1e1 or -inf too, as
+    the value rather than as an option."""
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] == "--snr":
+        if out and out[-1] in _SNR_FLAGS:
             out[-1] += "=" + arg
         else:
             out.append(arg)

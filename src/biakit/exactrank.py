@@ -4,15 +4,22 @@ integers.
 Two kernels, both exact:
 
 - `nonsingular` decides, for a stack of square integer matrices, which
-  are nonsingular over Q. It runs batched elimination in numpy modulo the
-  primes of `PRIMES`, each below 2^31, so every cross-product of residues
-  stays below 2^62 in int64 and no modular inverse is needed. A matrix
-  whose determinant is nonzero modulo any one prime is nonsingular. A
-  matrix whose determinant vanishes modulo primes whose product exceeds
-  its Hadamard bound prod_c ||col_c|| (compared exactly, as squares of
-  Python ints) is singular, since a nonzero determinant is at most that
-  bound in magnitude. A matrix whose bound outruns the whole table goes
-  to `integer_rank`. So both verdicts are proofs.
+  are nonsingular over Q. It first peels singletons, batched over the
+  stack: a row with exactly one nonzero a_rc is removed with its column
+  (Laplace expansion, det = +-a_rc * det(minor)), then the same for
+  columns, until nothing is left to remove. A zero row or column, or two
+  singleton rows (columns) in one column (row), proves the matrix
+  singular; a matrix peeled to nothing is nonsingular. The cores left
+  over, each padded with an identity block into one stack, go to batched
+  elimination in numpy modulo the primes of `PRIMES`, each below 2^31, so
+  every cross-product of residues stays below 2^62 in int64 and no
+  modular inverse is needed. A core whose determinant is nonzero modulo
+  any one prime is nonsingular. A core whose determinant vanishes modulo
+  primes whose product exceeds its Hadamard bound prod_c ||col_c||
+  (compared exactly, as squares of Python ints) is singular, since a
+  nonzero determinant is at most that bound in magnitude. A core whose
+  bound outruns the whole table goes to `integer_rank`. So both verdicts
+  are proofs.
 - `integer_rank` is fraction-free (Bareiss) elimination on Python ints,
   with no floating tolerance and no external computer-algebra dependency.
   `gaussian_rank` has no elimination of its own: it realifies a matrix
@@ -43,8 +50,8 @@ SQRT_MINUS_ONE = (
     26476420, 207203101, 784599383, 355769937, 981212212, 465200137,
 )
 
-# Matrices are eliminated in batches of at most this many int64 entries (at
-# least one matrix per batch), which bounds the temporaries of every step.
+# Matrices are peeled and eliminated in batches of at most this many entries
+# (at least one matrix per batch), which bounds the temporaries of every step.
 BATCH_ELEMENTS = 1 << 14
 
 
@@ -104,6 +111,46 @@ def nonsingular_mod_p(stack, k: int = 0) -> np.ndarray:
     return out
 
 
+def _peel(nz: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Singleton peel of a stack of nonzero patterns, (N, n, n) booleans.
+
+    Removes every live row with exactly one live nonzero, together with
+    that nonzero's column, then does the same for columns, and repeats
+    until nothing is removed. Each removal is a Laplace expansion,
+    det = +-a_rc * det(minor) with a_rc != 0, so it keeps the determinant
+    zero or nonzero. Returns (singular, rows, cols). singular[i] proves
+    matrix i singular: a live row or column of it had no live nonzero, or
+    two singleton rows (columns) met in one column (row), which leaves a
+    zero line once the first is expanded. Otherwise rows[i] and cols[i]
+    mark the same number of rows and columns: the square core whose
+    determinant is zero iff the matrix's is (empty: nonsingular).
+    """
+    count, n, _ = nz.shape
+    rows = np.ones((count, n), dtype=bool)
+    cols = np.ones((count, n), dtype=bool)
+    singular = np.zeros(count, dtype=bool)
+    removed = True
+    while removed:
+        removed = False
+        for a, lines, across in ((nz, rows, cols), (nz.transpose(0, 2, 1), cols, rows)):
+            hits = a & across[:, None, :]
+            degree = hits.sum(axis=2)
+            singular |= (lines & (degree == 0)).any(axis=1)
+            b, r = np.nonzero(lines & (degree == 1))
+            if b.size:
+                c = hits[b, r].argmax(axis=1)
+                # fewer distinct columns than singleton rows: two met in one
+                met = np.zeros((count, n), dtype=bool)
+                met[b, c] = True
+                singular |= np.bincount(b, minlength=count) > met.sum(axis=1)
+                lines[b, r] = False
+                across[b, c] = False
+                removed = True
+            lines[singular] = False
+            across[singular] = False
+    return singular, rows, cols
+
+
 def nonsingular(stack) -> np.ndarray:
     """Whether each square integer matrix of an (N, n, n) stack is
     nonsingular over Q, exactly (see the module docstring for the rule).
@@ -113,6 +160,34 @@ def nonsingular(stack) -> np.ndarray:
     stack = np.asarray(stack)
     if not np.issubdtype(stack.dtype, np.integer):
         raise TypeError("expected an integer stack")
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise ValueError("expected a stack of square matrices")
+    count, n, _ = stack.shape
+    if not count:
+        return np.zeros(0, dtype=bool)
+    step = max(1, BATCH_ELEMENTS // max(1, n * n))
+    peeled = [_peel(stack[lo:lo + step] != 0) for lo in range(0, count, step)]
+    singular, rows, cols = (np.concatenate(x) for x in zip(*peeled))
+    size = rows.sum(axis=1)
+    out = ~singular & (size == 0)
+    open_ = np.flatnonzero(~singular & (size > 0))
+    if open_.size:
+        # move every core's rows and columns to the front, in order, and pad
+        # it to the largest core with an identity block, which keeps its
+        # determinant and its Hadamard bound
+        s = size.max()
+        r = np.argsort(~rows[open_], axis=1, kind="stable")[:, :s, None]
+        c = np.argsort(~cols[open_], axis=1, kind="stable")[:, None, :s]
+        inside = np.arange(s) < size[open_, None]
+        cores = np.where(inside[:, :, None] & inside[:, None, :],
+                         stack[open_[:, None, None], r, c], np.eye(s, dtype=stack.dtype))
+        out[open_] = _nonsingular_by_primes(cores)
+    return out
+
+
+def _nonsingular_by_primes(stack: np.ndarray) -> np.ndarray:
+    """`nonsingular` without the peel: one prime, then more primes up to
+    the Hadamard bound, then `integer_rank`."""
     out = nonsingular_mod_p(stack)
     open_ = np.flatnonzero(~out)
     # squared Hadamard bound of every matrix left open, exactly

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConstructionFailedError, DegenerateSchemeError
-from .exactrank import integer_rank, nonsingular
+from .exactrank import BATCH_ELEMENTS, integer_rank, nonsingular
 from .formats import render_json
 
 
@@ -146,13 +146,29 @@ def exclude_one_product(tilde: np.ndarray, i: int) -> np.ndarray:
 
 def pair_products(tilde: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
     """Every pair's product vector, keyed by (a, b), a < b, in lexicographic order."""
-    K = tilde.shape[1]
-    return {(a, b): pair_product(tilde, a, b) for a, b in itertools.combinations(range(K), 2)}
+    pairs = itertools.combinations(range(tilde.shape[1]), 2)
+    return dict(zip(pairs, np.ascontiguousarray(product_matrix(tilde).T)))
 
 
 def product_matrix(tilde: np.ndarray) -> np.ndarray:
-    """U: one column per user pair (lexicographic), stacked pair products."""
-    return np.column_stack(list(pair_products(tilde).values()))
+    """U: one column per user pair (lexicographic), stacked pair products.
+
+    tilde may carry leading axes, (..., m, K) -> (..., m, C(K,2)). The
+    product for (a, b) is that of the columns before a, between a and b,
+    and after b: a prefix and a suffix cumulative product give the first
+    and the last, one cumulative product per a the middle. Equal to
+    pair_product, since int64 multiplication is commutative and
+    associative even when it wraps.
+    """
+    t = np.asarray(tilde, dtype=np.int64)
+    one = np.ones(t.shape[:-1] + (1,), dtype=np.int64)
+    before = np.cumprod(np.concatenate([one, t[..., :-1]], axis=-1), axis=-1)
+    after = np.cumprod(np.concatenate([one, t[..., :0:-1]], axis=-1), axis=-1)[..., ::-1]
+    blocks = []
+    for a in range(t.shape[-1] - 1):
+        between = np.cumprod(np.concatenate([one, t[..., a + 1:-1]], axis=-1), axis=-1)
+        blocks.append(before[..., a, None] * between * after[..., a + 1:])
+    return np.concatenate(blocks, axis=-1)
 
 
 def certify_product_rank(tilde: np.ndarray) -> bool:
@@ -165,17 +181,27 @@ def check_supports(tilde: np.ndarray, supports: dict[tuple[int, int], np.ndarray
     """Raise ValueError unless every pair has one 0/1 support inside its pair
     product: the condition that puts every third receiver in mode 2 on it."""
     m, K = tilde.shape
-    if sorted(supports) != list(itertools.combinations(range(K), 2)):
+    lexicographic = list(itertools.combinations(range(K), 2))
+    if sorted(supports) != lexicographic:
         raise ValueError("supports must cover every unordered pair exactly once")
-    for (a, b), v in supports.items():
-        v = np.asarray(v)
-        if v.shape != (m,) or not np.isin(v, (0, 1)).all():
+    pairs = list(supports)
+    vs = [np.asarray(supports[pair]) for pair in pairs]
+    shaped = np.array([v.shape == (m,) for v in vs])
+    # one (m, P) matrix in the supports' order; a misshapen vector is checked
+    # as zeros, which pass, and fails on its shape alone
+    v = np.column_stack([x if ok else np.zeros(m) for x, ok in zip(vs, shaped)])
+    u = product_matrix(tilde)[:, [lexicographic.index(pair) for pair in pairs]]
+    malformed = ~shaped | ~((v == 0) | (v == 1)).all(axis=0)
+    outside = v > u
+    bad = np.flatnonzero(malformed | outside.any(axis=0))
+    if bad.size:
+        n = bad[0]
+        a, b = pairs[n]
+        if malformed[n]:
             raise ValueError("support of pair {%d,%d} must be a 0/1 vector of length %d"
                              % (a + 1, b + 1, m))
-        outside = np.flatnonzero(v > pair_product(tilde, a, b))
-        if outside.size:
-            raise ValueError("support of pair {%d,%d} leaves the pair product at row %d"
-                             % (a + 1, b + 1, outside[0] + 1))
+        raise ValueError("support of pair {%d,%d} leaves the pair product at row %d"
+                         % (a + 1, b + 1, np.flatnonzero(outside[:, n])[0] + 1))
 
 
 def certify_receivers(
@@ -197,31 +223,54 @@ def certify_receivers(
     exclude-one product), so G_j spans the same space as [U | w_o, o != j].
     Explicit supports are checked against their pair products first.
 
-    All K matrices go to `exactrank.nonsingular` as one stack, so each flag
-    is a proof either way: G_j is certified when its determinant is
-    nonzero modulo a prime, and refused when it vanishes modulo primes
-    whose product exceeds its Hadamard bound, or, past the prime table,
-    when exact Bareiss elimination finds rank below m.
+    The K matrices are built and decided by certify_patterns, so each flag
+    is a proof either way (see `exactrank.nonsingular`): the singleton peel
+    expands G_j exactly, and whatever core is left is certified when its
+    determinant is nonzero modulo a prime, and refused when it vanishes
+    modulo primes whose product exceeds its Hadamard bound, or, past the
+    prime table, when exact Bareiss elimination finds rank below m.
     """
-    if supports is None:
-        supports = pair_products(tilde)
-    else:
+    if supports is not None:
         check_supports(tilde, supports)
-    m, K = tilde.shape
+        pairs = itertools.combinations(range(tilde.shape[1]), 2)
+        supports = np.column_stack([supports[pair] for pair in pairs])[None]
+    return tuple(bool(x) for x in certify_patterns(tilde[None], supports)[0])
+
+
+def certify_patterns(tilde: np.ndarray, supports: np.ndarray | None = None) -> np.ndarray:
+    """certify_receivers for a stack of P patterns: (P, K) flags.
+
+    tilde is (P, m, K); supports is (P, m, C(K,2)), every pair's shared
+    vector in lexicographic pair order, or None for the pair products. The
+    supports are not checked here. Patterns go in chunks of at most
+    `exactrank.BATCH_ELEMENTS` generator entries (at least one pattern),
+    one `nonsingular` call per chunk.
+    """
+    count, m, K = tilde.shape
     if m != (K + 2) * (K - 1) // 2:
         raise ValueError("tilde must have (K+2)(K-1)/2 = %d rows, got %d"
                          % ((K + 2) * (K - 1) // 2, m))
-    pairs = list(supports)
-    v = np.column_stack([supports[pair] for pair in pairs])
-    g = np.empty((K, m, m), dtype=np.int8)  # 0/1 entries; int8 keeps the stack small
-    for j in range(K):
-        # pair columns first, own pairs halved to v*(1-t_j); then v*t_j of each own pair
-        own = [c for c, pair in enumerate(pairs) if j in pair]
-        t = tilde[:, j, None]
-        g[j, :, :len(pairs)] = v
-        g[j][:, own] *= 1 - t
-        g[j, :, len(pairs):] = v[:, own] * t
-    return tuple(bool(x) for x in nonsingular(g))
+    out = np.empty((count, K), dtype=bool)
+    step = max(1, BATCH_ELEMENTS // (K * m * m))
+    for lo in range(0, count, step):
+        t = tilde[lo:lo + step]
+        v = product_matrix(t) if supports is None else supports[lo:lo + step]
+        out[lo:lo + step] = nonsingular(_generator_stack(t, v).reshape(-1, m, m)).reshape(-1, K)
+    return out
+
+
+def _generator_stack(tilde: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """G_j of every receiver j of every pattern, (P, K, m, m) in int8 (0/1
+    entries; int8 keeps the stack small). Pair columns come first, own pairs
+    halved to v*(1-t_j); then v*t_j of each own pair."""
+    K = tilde.shape[2]
+    pairs = list(itertools.combinations(range(K), 2))
+    own = np.array([[j in pair for pair in pairs] for j in range(K)], dtype=np.int8)
+    mine = np.array([[c for c, pair in enumerate(pairs) if j in pair] for j in range(K)])
+    t = tilde.transpose(0, 2, 1)[..., None].astype(np.int8)  # (P, K, m, 1)
+    v = v.astype(np.int8)
+    return np.concatenate([v[:, None] * (1 - own[:, None, :] * t),
+                           v[:, :, mine].transpose(0, 2, 1, 3) * t], axis=-1)
 
 
 def canonical_pattern_matrix(config: SchemeConfig) -> PatternMatrix:

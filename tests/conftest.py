@@ -1,6 +1,6 @@
 """Shared fixtures: constructed schemes, the pair-product 5-user family and
-the golden 4-user instance, and a recorder of the matrix stacks that reach
-numpy's SVD and inverse.
+the golden 4-user instance, a recorder of the matrix stacks that reach
+numpy's SVD and inverse, and a loader for the checkout's scripts.
 
 The golden instance is a fixed, externally specified switching assignment
 and pair labeling used as a reproduction target by the acceptance gate.
@@ -8,7 +8,10 @@ Its combined receive matrix turns out to be rank deficient at receivers
 1 and 3 (see README, Known limitations), which the golden acceptance test
 records honestly rather than papering over.
 """
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +23,26 @@ from biakit.scheme import (
     make_config,
     make_pattern_matrix,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load(relative: str, name: str):
+    """Import a file of the checkout by path, without writing bytecode."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / relative)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses resolve annotations through it
+    write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = write_bytecode
+    return module
+
+
+def scan_module():
+    return load("scripts/certify_design_space.py", "certify_design_space")
+
 
 # one row per user, entries are antenna mode numbers over the 9 channel uses
 GOLDEN_MODES_4 = (

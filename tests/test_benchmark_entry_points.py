@@ -5,30 +5,10 @@ API from its construct check, so renaming or removing any of them breaks
 `perfbench/run.py` without failing any other test. These tests only load
 the harness's modules by path; they write nothing under perfbench/.
 """
-import importlib.util
-import sys
-from pathlib import Path
-
 import biakit.cli
 import biakit.scheme
 
-ROOT = Path(__file__).resolve().parents[1]
-
-
-def load(relative: str, name: str):
-    spec = importlib.util.spec_from_file_location(name, ROOT / relative)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module  # dataclasses resolve annotations through it
-    write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = write_bytecode
-    return module
-
-
-def scan_module():
-    return load("scripts/certify_design_space.py", "certify_design_space")
+from conftest import load, scan_module
 
 
 def test_tracer_resolves_every_target():

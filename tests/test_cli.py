@@ -183,6 +183,18 @@ def test_simulate_takes_exponent_notation_snr_values(tmp_path):
     assert json.loads(res.stdout)["snr_points_db"] == [-10, 10]
 
 
+def test_simulate_binds_values_of_the_abbreviated_snr_flag(tmp_path, monkeypatch, capsys):
+    # argparse takes --sn for --snr; --s stays ambiguous with --seed
+    monkeypatch.chdir(tmp_path)
+    argv = ["simulate", "--users", "3", "--trials", "2", "--out", "run"]
+    assert biakit.cli.main(argv + ["--sn", "-1e1", "--sn", "1e1"]) == 0
+    assert json.loads(capsys.readouterr().out)["snr_points_db"] == [-10, 10]
+    with pytest.raises(SystemExit) as exc:
+        biakit.cli.main(argv + ["--s", "10"])
+    assert exc.value.code == 1
+    assert "ambiguous option: --s" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("snr", ["nan", "inf", "1e308"])
 def test_simulate_rejects_snr_without_a_finite_power(tmp_path, snr):
     res = run_cli("simulate", "--users", "3", "--trials", "2", "--snr", "30", "--snr", snr,

@@ -11,10 +11,13 @@ certifies every receiver for every K). README's Known limitations section
 spells out the consequences.
 """
 import itertools
+import math
 
 import numpy as np
 import pytest
 
+import biakit.scheme
+from biakit.exactrank import BATCH_ELEMENTS, nonsingular
 from biakit.scheme import (
     canonical_pattern_matrix,
     certify_product_rank,
@@ -26,6 +29,8 @@ from biakit.scheme import (
     row_vocabulary,
 )
 
+from conftest import scan_module
+
 
 def scan_omissions(K):
     """Certificates for every vocabulary-minus-two-rows candidate."""
@@ -36,6 +41,31 @@ def scan_omissions(K):
         cert = certify_receivers(np.array(rows, dtype=np.int64))
         results.append((omit, cert))
     return vocab, results
+
+
+@pytest.mark.parametrize("K", range(3, 7))
+def test_stacked_scan_matches_per_candidate_certificates(K):
+    vocab, results = scan_omissions(K)
+    full = [[vocab[r] for r in range(len(vocab)) if r not in omit]
+            for omit, cert in results if all(cert)]
+    best = max(sum(cert) for _, cert in results)
+    assert scan_module().scan(K) == (len(results), full, best)
+
+
+@pytest.mark.parametrize("K", range(3, 7))
+def test_scan_certifies_a_chunk_of_candidates_per_call(monkeypatch, K):
+    shapes = []
+
+    def counted(stack):
+        shapes.append(stack.shape)
+        return nonsingular(stack)
+    monkeypatch.setattr(biakit.scheme, "nonsingular", counted)
+    candidates = scan_module().scan(K)[0]
+    m = make_config(K).block_len
+    per_chunk = BATCH_ELEMENTS // (K * m * m)
+    assert len(shapes) == math.ceil(candidates / per_chunk)
+    assert sum(shape[0] for shape in shapes) == candidates * K
+    assert max(math.prod(shape) for shape in shapes) <= BATCH_ELEMENTS
 
 
 def test_3user_space_has_exactly_three_full_families():

@@ -110,6 +110,72 @@ def test_nonsingular_matches_oracle(stack):
 
 
 @st.composite
+def peelable_stacks(draw):
+    """Stacks of sparse, signed n x n matrices that the singleton peel acts
+    on: a lower-triangular block over a dense core of random size,
+    [[T, 0], [X, core]], with rows and columns permuted. Some get a zero
+    row or column, or two singleton rows (columns) in one column (row).
+    Core sizes differ across the stack, so the cores are padded."""
+    n = draw(st.integers(1, 7))
+    entries = st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3]), min_size=n * n, max_size=n * n)
+    mats = []
+    for _ in range(draw(st.integers(1, 5))):
+        a = np.array(draw(entries), dtype=np.int64).reshape(n, n)
+        t = n - draw(st.integers(0, n))  # T is t x t
+        a[:t, t:] = 0
+        a[:t, :t] = np.tril(a[:t, :t])
+        edit = draw(st.sampled_from(["none", "zero row", "zero column", "rows", "columns"]))
+        i, j, c = (draw(st.integers(0, n - 1)) for _ in range(3))
+        if edit == "zero row":
+            a[i] = 0
+        elif edit == "zero column":
+            a[:, i] = 0
+        elif edit in ("rows", "columns") and i != j:
+            b = a if edit == "rows" else a.T  # a view: edits land in a
+            b[[i, j]] = 0
+            b[i, c], b[j, c] = draw(st.sampled_from([1, -2])), draw(st.sampled_from([-1, 3]))
+        a = a[draw(st.permutations(range(n)))][:, draw(st.permutations(range(n)))]
+        mats.append(a)
+    return np.stack(mats)
+
+
+@settings(max_examples=300, deadline=None)
+@given(peelable_stacks())
+def test_peeled_nonsingular_matches_oracle(stack):
+    assert list(nonsingular(stack)) == [sympy.Matrix(a.tolist()).det() != 0 for a in stack]
+
+
+def test_peel_decides_without_elimination_and_pads_the_cores(monkeypatch):
+    eliminated = []
+    eliminate = biakit.exactrank._eliminate_mod
+
+    def counted(a, p):
+        eliminated.append(a.copy())
+        return eliminate(a, p)
+    monkeypatch.setattr(biakit.exactrank, "_eliminate_mod", counted)
+    rng = np.random.default_rng(1)
+    perm = rng.permutation(6)
+    triangular = np.tril(rng.integers(1, 4, size=(6, 6)))[perm][:, perm[::-1]]
+    rows = np.eye(6, dtype=np.int64)
+    rows[4] = 2 * rows[3]          # two singleton rows in column 3
+    columns = rows.T.copy()         # two singleton columns in row 3
+    zero_row = np.ones((6, 6), dtype=np.int64)
+    zero_row[2] = 0
+    assert list(nonsingular(np.stack([triangular, rows, columns, zero_row, zero_row.T]))) \
+        == [True, False, False, False, False]
+    assert eliminated == []
+    # a 2 x 2 and a 3 x 3 core behind unit rows go to one padded elimination
+    core2 = np.eye(6, dtype=np.int64)[[0, 1, 3, 2, 5, 4]]
+    core2[:2, :2] = [[1, 2], [3, 4]]
+    core3 = np.eye(6, dtype=np.int64)
+    core3[:3, :3] = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
+    core3[5, 0] = 1                # row 5 is no singleton, but column 5 is
+    assert list(nonsingular(np.stack([core2, core3]))) == [True, False]
+    assert [a.shape for a in eliminated] == [(2, 3, 3)]
+    assert eliminated[0][0].tolist() == [[1, 2, 0], [3, 4, 0], [0, 0, 1]]
+
+
+@st.composite
 def gaussian_square_stacks(draw):
     """Stacks of n x n Gaussian-integer matrices, about half of them
     singular by construction: one column a Gaussian multiple of another."""

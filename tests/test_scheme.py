@@ -8,6 +8,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 import biakit as bk
+import biakit.exactrank
 from biakit.errors import DegenerateSchemeError
 from biakit.exactrank import integer_rank
 from biakit.scheme import (
@@ -21,6 +22,7 @@ from biakit.scheme import (
     exclude_one_product,
     make_config,
     make_pattern_matrix,
+    pattern_from_rows,
     pair_dims_from_json,
     pair_product,
     pair_products,
@@ -102,6 +104,16 @@ def test_product_matrix_columns(scheme5):
     assert u.shape == (14, 10)
     for c, (i, j) in enumerate(itertools.combinations(range(5), 2)):
         assert np.array_equal(u[:, c], pair_product(tilde, i, j))
+
+
+def test_product_matrix_of_a_stack_is_the_pair_products():
+    # signed entries too: the cumulative products equal the per-pair product
+    tilde = np.random.default_rng(0).integers(-3, 4, size=(4, 9, 6))
+    u = product_matrix(tilde)
+    assert u.shape == (4, 9, 15)
+    for p, t in enumerate(tilde):
+        for c, (i, j) in enumerate(itertools.combinations(range(6), 2)):
+            assert np.array_equal(u[p, :, c], pair_product(t, i, j))
 
 
 def test_constructed_3user_matrix(scheme3):
@@ -356,9 +368,14 @@ def test_certificate_rejects_a_block_of_the_wrong_length():
 
 
 @pytest.mark.parametrize("K", range(3, 21))
-def test_build_scheme_certifies_every_receiver(K):
+def test_build_scheme_certifies_every_receiver(monkeypatch, K):
+    eliminations = []
+    monkeypatch.setattr(biakit.exactrank, "_eliminate_mod",
+                        lambda *args: eliminations.append(args))
     scheme = bk.build_scheme(K)
     assert scheme.certified_receivers == (True,) * K
+    # the singleton peel expands every G_j to nothing: no elimination mod p
+    assert eliminations == []
     # every shared vector stays inside its pair product (alignment holds)
     check_supports(scheme.pattern.tilde, scheme.pattern.supports)
     # every receiver spends K-1 channel uses in mode 1 (the proof's square blocks)
@@ -446,6 +463,95 @@ def test_widened_scheme_json_roundtrip(K):
     for pair, v in scheme.pattern.supports.items():
         assert np.array_equal(back.pattern.supports[pair], v)
         assert np.array_equal(back.beams.shared_vector(*pair), v)
+
+
+@st.composite
+def widened_schemes(draw):
+    """Schemes on a vocabulary-minus-two pattern, rows shuffled, whose every
+    pair shares a random nonempty subset of its pair product (never empty
+    there: of the all-ones row, r_a, r_b and z_ab at most two are omitted),
+    under a random pair map."""
+    K = draw(st.integers(3, 7))
+    config = make_config(K)
+    vocab = row_vocabulary(K)
+    omit = draw(st.sets(st.integers(0, len(vocab) - 1), min_size=2, max_size=2))
+    rows = draw(st.permutations([row for r, row in enumerate(vocab) if r not in omit]))
+    tilde = np.array(rows, dtype=np.int64)
+    rows_by_pair = {}
+    for (a, b), v in pair_products(tilde).items():
+        inside = np.flatnonzero(v).tolist()
+        rows_by_pair[(a, b)] = draw(st.sets(st.sampled_from(inside), min_size=1))
+    pattern = pattern_from_rows(config, tilde, rows_by_pair)
+    dims_of = [draw(st.permutations(range(K - 1))) for _ in range(K)]
+    partners = [[o for o in range(K) if o != u] for u in range(K)]
+    dims = {(i, j): (dims_of[i][partners[i].index(j)], dims_of[j][partners[j].index(i)])
+            for i, j in itertools.combinations(range(K), 2)}
+    return bk.Scheme(pattern=pattern, beams=assign_beamformers(pattern, dims))
+
+
+@settings(max_examples=40, deadline=None)
+@given(widened_schemes())
+def test_widened_scheme_json_roundtrip_property(scheme):
+    pattern = scheme.pattern
+    back = scheme_from_json(scheme_to_json(scheme))
+    assert np.array_equal(back.pattern.tilde, pattern.tilde)
+    assert back.pattern.supports.keys() == pattern.supports.keys()
+    for pair, v in pattern.supports.items():
+        assert np.array_equal(back.pattern.supports[pair], v)
+    assert back.beams.pair_dims == scheme.beams.pair_dims
+    assert back.certified_receivers == pattern.certified_receivers
+    assert pattern.certified_receivers == _integer_rank_certificate(pattern.tilde, pattern.supports)
+
+
+def _check_supports_per_pair(tilde, supports):
+    """check_supports as a loop over the pairs: the message oracle."""
+    m, K = tilde.shape
+    if sorted(supports) != list(itertools.combinations(range(K), 2)):
+        raise ValueError("supports must cover every unordered pair exactly once")
+    for (a, b), v in supports.items():
+        v = np.asarray(v)
+        if v.shape != (m,) or not np.isin(v, (0, 1)).all():
+            raise ValueError("support of pair {%d,%d} must be a 0/1 vector of length %d"
+                             % (a + 1, b + 1, m))
+        outside = np.flatnonzero(v > pair_product(tilde, a, b))
+        if outside.size:
+            raise ValueError("support of pair {%d,%d} leaves the pair product at row %d"
+                             % (a + 1, b + 1, outside[0] + 1))
+
+
+def _raised(check, *args):
+    try:
+        check(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(3, 5).flatmap(lambda K: st.tuples(
+    st.permutations(list(itertools.combinations(range(K), 2))),
+    st.lists(st.tuples(st.sampled_from(["short", "two", "row"]),
+                       st.integers(0, 20), st.integers(0, 50)), max_size=3),
+    st.booleans())))
+def test_check_supports_names_the_same_pair_and_row_as_a_per_pair_loop(case):
+    """Supports in any key order, with wrong lengths, non-binary entries,
+    rows outside the pair product or a pair missing, raise the per-pair
+    loop's message."""
+    order, edits, drop = case
+    K = max(b for _, b in order) + 1
+    pattern = bk.build_scheme(K).pattern
+    supports = {pair: pattern.supports[pair].copy() for pair in order}
+    for kind, n, row in edits:
+        pair = order[n % len(order)]
+        v = supports[pair]
+        if kind == "short":
+            supports[pair] = v[:-1]
+        else:
+            v[row % len(v)] = 2 if kind == "two" else 1  # 1: outside unless already inside
+    if drop:
+        del supports[order[0]]
+    expect = _raised(_check_supports_per_pair, pattern.tilde, supports)
+    assert _raised(check_supports, pattern.tilde, supports) == expect
 
 
 def test_scheme_from_json_validates_rows(scheme5):
