@@ -12,25 +12,20 @@ draws, 1 = noise, 2 = symbols, 3 = exact-mode integer channels.
 """
 from __future__ import annotations
 
+import cmath
 import itertools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .formats import render_json
+from .formats import is_int, render_json
 from .scheme import BeamSet, PatternMatrix
 
 CHANNEL_STREAM = 0
 NOISE_STREAM = 1
 SYMBOL_STREAM = 2
 EXACT_STREAM = 3
-
-
-def _rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.default_rng(seed)
-    return np.random.default_rng(np.random.SeedSequence(seed))
 
 
 def stream_seed(master: int, stream: int, trial: int) -> np.random.SeedSequence:
@@ -48,7 +43,7 @@ class ChannelSet:
 
 def draw_channels(K: int, M: int = 2, seed=0) -> ChannelSet:
     """One i.i.d. CN(0,1) coefficient per (receiver, transmitter, mode)."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     coeffs = (rng.standard_normal((K, K, M)) + 1j * rng.standard_normal((K, K, M)))
     coeffs /= np.sqrt(2.0)
     return ChannelSet(coeffs=coeffs, seed=seed)
@@ -79,7 +74,7 @@ class SymbolBlock:
 
 def draw_symbols(K: int, power: float = 1.0, seed=0) -> SymbolBlock:
     """Random CN(0, power) symbols for all users and dimensions."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     s = rng.standard_normal((K, K - 1)) + 1j * rng.standard_normal((K, K - 1))
     s *= np.sqrt(power / 2.0)
     return SymbolBlock(values=s, power=float(power))
@@ -110,7 +105,7 @@ def receive(
     for i in range(pattern.users):
         y += effective_channel(ch, pattern, k, i) * transmit(beams, sym, i)
     if noise_on:
-        rng = _rng(seed)
+        rng = np.random.default_rng(seed)
         y += (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / np.sqrt(2.0)
     return y
 
@@ -140,26 +135,45 @@ def channels_to_json(ch: ChannelSet) -> str:
 
 
 def channels_from_json(text: str) -> ChannelSet:
-    """Load a replay file. It must hold exactly one record for every
-    (rx, tx, mode) in 1..K x 1..K x 1..M, with K and M the largest indices
-    present; otherwise ValueError names the offending 1-indexed record."""
+    """Load a replay file: a JSON object whose "coeffs" list holds exactly
+    one record for every (rx, tx, mode) in 1..K x 1..K x 1..M, with K and M
+    the largest indices present. rx, tx and mode must be integers and re
+    and im finite numbers. Otherwise ValueError names the offending record,
+    by its 1-indexed position or by its indices."""
     doc = json.loads(text)
+    if not isinstance(doc, dict) or not isinstance(doc.get("coeffs"), list):
+        raise ValueError('channel file must be a JSON object with a "coeffs" list')
     records = doc["coeffs"]
-    keys = [(int(r["rx"]), int(r["tx"]), int(r["mode"])) for r in records]
-    if not keys:
+    if not records:
         raise ValueError("channel file has no coefficient records")
+    keys, values = zip(*(_record(n, r) for n, r in enumerate(records, 1)))
     K = max(max(rx, tx) for rx, tx, _ in keys)
     M = max(mode for _, _, mode in keys)
     coeffs = np.zeros((K, K, M), dtype=complex)
     seen = set()
-    for key, r in zip(keys, records):
+    for key, value in zip(keys, values):
         if min(key) < 1:
             raise ValueError("channel record rx=%d tx=%d mode=%d: indices start at 1" % key)
         if key in seen:
             raise ValueError("duplicate channel record rx=%d tx=%d mode=%d" % key)
         seen.add(key)
-        coeffs[key[0] - 1, key[1] - 1, key[2] - 1] = float(r["re"]) + 1j * float(r["im"])
+        coeffs[key[0] - 1, key[1] - 1, key[2] - 1] = value
     for key in itertools.product(range(1, K + 1), range(1, K + 1), range(1, M + 1)):
         if key not in seen:
             raise ValueError("missing channel record rx=%d tx=%d mode=%d" % key)
     return ChannelSet(coeffs=coeffs, seed=doc.get("seed"))
+
+
+def _record(n: int, r) -> tuple[tuple[int, int, int], complex]:
+    """(rx, tx, mode) and coefficient of the n-th (1-indexed) channel record."""
+    try:
+        key = (r["rx"], r["tx"], r["mode"])
+        parts = (r["re"], r["im"])
+        if all(map(is_int, key)) and all(is_int(x) or isinstance(x, float) for x in parts):
+            value = complex(*parts)
+            if cmath.isfinite(value):
+                return key, value
+    except (KeyError, TypeError, OverflowError):
+        pass
+    raise ValueError("channel record %d must have integer rx, tx, mode and finite numbers "
+                     "re, im, got %s" % (n, json.dumps(r)))

@@ -4,22 +4,18 @@ integers.
 Two kernels, both exact:
 
 - `nonsingular` decides, for a stack of square integer matrices, which
-  are nonsingular over Q. It first peels singletons, batched over the
-  stack: a row with exactly one nonzero a_rc is removed with its column
-  (Laplace expansion, det = +-a_rc * det(minor)), then the same for
-  columns, until nothing is left to remove. A zero row or column, or two
-  singleton rows (columns) in one column (row), proves the matrix
-  singular; a matrix peeled to nothing is nonsingular. The cores left
-  over, each padded with an identity block into one stack, go to batched
-  elimination in numpy modulo the primes of `PRIMES`, each below 2^31, so
-  every cross-product of residues stays below 2^62 in int64 and no
-  modular inverse is needed. A core whose determinant is nonzero modulo
-  any one prime is nonsingular. A core whose determinant vanishes modulo
-  primes whose product exceeds its Hadamard bound prod_c ||col_c||
-  (compared exactly, as squares of Python ints) is singular, since a
-  nonzero determinant is at most that bound in magnitude. A core whose
-  bound outruns the whole table goes to `integer_rank`. So both verdicts
-  are proofs.
+  are nonsingular over Q, by one rule in three steps. First it peels
+  singletons, batched over the stack: a row with exactly one nonzero a_rc
+  is removed with its column (Laplace expansion, det = +-a_rc *
+  det(minor)), then the same for columns, until nothing is left to
+  remove. A zero row or column, or two singleton rows (columns) in one
+  column (row), proves the matrix singular; a matrix peeled to nothing is
+  nonsingular. Second, the cores left over, each padded with an identity
+  block into one stack, go to one batched elimination in numpy modulo
+  `PRIME`; a core whose determinant is nonzero modulo PRIME is
+  nonsingular. Third, `integer_rank` decides every core that PRIME does
+  not prove. So both verdicts are proofs. `verify --exact` follows the
+  same rule for its Gaussian-integer blocks, with no peel.
 - `integer_rank` is fraction-free (Bareiss) elimination on Python ints,
   with no floating tolerance and no external computer-algebra dependency.
   `gaussian_rank` has no elimination of its own: it realifies a matrix
@@ -27,28 +23,23 @@ Two kernels, both exact:
   twice the rank of B + iC over Q(i). These serve tall and wide matrices,
   the exact fallback, and ranks below full.
 
-`nonsingular_mod_p` is the one-sided test both build on. Gaussian-integer
-matrices go through the ring map Z[i] -> F_p, i -> s with s^2 = -1 mod p
-(every table prime is 1 mod 4). The map is a ring homomorphism, so a
-nonzero image determinant proves the Gaussian determinant nonzero.
+`nonsingular_mod_p` is the one-sided test both build on. PRIME is below
+2^31, so every cross-product of residues stays below 2^62 in int64 and no
+modular inverse is needed. Gaussian-integer matrices go through the ring
+map Z[i] -> F_p, i -> s with s^2 = -1 mod p (PRIME is 1 mod 4). The map
+is a ring homomorphism, so a nonzero image determinant proves the
+Gaussian determinant nonzero.
 """
 from __future__ import annotations
 
-from math import prod
 from typing import Iterable, Sequence
 
 import numpy as np
 
-# The twelve largest primes below 2^31 that are 1 mod 4, with their product
-# above 2^371, and for each a square root of -1 modulo it.
-PRIMES = (
-    2147483629, 2147483549, 2147483497, 2147483489, 2147483477, 2147483353,
-    2147483269, 2147483249, 2147483237, 2147483137, 2147483077, 2147483069,
-)
-SQRT_MINUS_ONE = (
-    629208553, 895500278, 415680079, 625866212, 833330490, 520788222,
-    26476420, 207203101, 784599383, 355769937, 981212212, 465200137,
-)
+# The largest prime below 2^31 that is 1 mod 4, and a square root of -1
+# modulo it.
+PRIME = 2147483629
+SQRT_MINUS_ONE = 629208553
 
 # Matrices are peeled and eliminated in batches of at most this many entries
 # (at least one matrix per batch), which bounds the temporaries of every step.
@@ -85,25 +76,25 @@ def _eliminate_mod(a: np.ndarray, p: int) -> np.ndarray:
     return ok
 
 
-def nonsingular_mod_p(stack, k: int = 0) -> np.ndarray:
-    """Whether each square matrix of a stack is nonsingular modulo PRIMES[k].
+def nonsingular_mod_p(stack) -> np.ndarray:
+    """Whether each square matrix of a stack is nonsingular modulo PRIME.
 
     stack is an (N, n, n) array of integers, or of complex numbers with
-    integer parts, read as Gaussian integers and mapped by i -> SQRT_MINUS_ONE[k].
+    integer parts, read as Gaussian integers and mapped by i -> SQRT_MINUS_ONE.
     True proves the matrix nonsingular over Q (over Q(i) for a Gaussian
     matrix); False proves nothing on its own.
     """
     stack = np.asarray(stack)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise ValueError("expected a stack of square matrices")
-    p = PRIMES[k]
+    p = PRIME
     out = np.ones(stack.shape[0], dtype=bool)
     step = max(1, BATCH_ELEMENTS // max(1, stack.shape[1] ** 2))
     for lo in range(0, stack.shape[0], step):
         part = stack[lo:lo + step]
         if np.iscomplexobj(part):
             a = part.real.astype(np.int64) % p
-            a += SQRT_MINUS_ONE[k] * (part.imag.astype(np.int64) % p)
+            a += SQRT_MINUS_ONE * (part.imag.astype(np.int64) % p)
             a %= p
         else:
             a = np.asarray(part, dtype=np.int64) % p
@@ -174,34 +165,18 @@ def nonsingular(stack) -> np.ndarray:
     if open_.size:
         # move every core's rows and columns to the front, in order, and pad
         # it to the largest core with an identity block, which keeps its
-        # determinant and its Hadamard bound
+        # determinant. As in verify --exact, a core nonsingular mod PRIME is
+        # nonsingular, and Bareiss elimination (integer_rank) decides the rest
         s = size.max()
         r = np.argsort(~rows[open_], axis=1, kind="stable")[:, :s, None]
         c = np.argsort(~cols[open_], axis=1, kind="stable")[:, None, :s]
         inside = np.arange(s) < size[open_, None]
         cores = np.where(inside[:, :, None] & inside[:, None, :],
                          stack[open_[:, None, None], r, c], np.eye(s, dtype=stack.dtype))
-        out[open_] = _nonsingular_by_primes(cores)
-    return out
-
-
-def _nonsingular_by_primes(stack: np.ndarray) -> np.ndarray:
-    """`nonsingular` without the peel: one prime, then more primes up to
-    the Hadamard bound, then `integer_rank`."""
-    out = nonsingular_mod_p(stack)
-    open_ = np.flatnonzero(~out)
-    # squared Hadamard bound of every matrix left open, exactly
-    bound2 = {i: prod(sum(x * x for x in col) for col in stack[i].T.tolist()) for i in open_}
-    modulus = 1
-    for k, p in enumerate(PRIMES):
-        modulus *= p
-        open_ = open_[[modulus * modulus <= bound2[i] for i in open_]]
-        if not open_.size or k + 1 == len(PRIMES):
-            break
-        out[open_] = nonsingular_mod_p(stack[open_], k + 1)
-        open_ = open_[~out[open_]]
-    for i in open_:
-        out[i] = integer_rank(stack[i].tolist()) == stack.shape[1]
+        proven = nonsingular_mod_p(cores)
+        for i in np.flatnonzero(~proven):
+            proven[i] = integer_rank(cores[i].tolist()) == s
+        out[open_] = proven
     return out
 
 

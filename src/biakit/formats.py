@@ -14,6 +14,11 @@ import math
 from fractions import Fraction
 
 
+def is_int(x) -> bool:
+    """Whether x is an int and not a bool (JSON true and false load as bools)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def format_float(x: float) -> str:
     if not math.isfinite(x):
         raise ValueError("non-finite value in output: %r" % x)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConstructionFailedError, DegenerateSchemeError
 from .exactrank import BATCH_ELEMENTS, integer_rank, nonsingular
-from .formats import render_json
+from .formats import is_int, render_json
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ class SchemeConfig:
 
 def make_config(users: int) -> SchemeConfig:
     """Closed-form sizes for a K-user scheme; rejects degenerate K < 3."""
-    if not isinstance(users, int) or isinstance(users, bool):
+    if not is_int(users):
         raise TypeError("users must be an int")
     if users < 3:
         # K=2 collapses: the shared vector is an empty product (all ones)
@@ -226,9 +226,8 @@ def certify_receivers(
     The K matrices are built and decided by certify_patterns, so each flag
     is a proof either way (see `exactrank.nonsingular`): the singleton peel
     expands G_j exactly, and whatever core is left is certified when its
-    determinant is nonzero modulo a prime, and refused when it vanishes
-    modulo primes whose product exceeds its Hadamard bound, or, past the
-    prime table, when exact Bareiss elimination finds rank below m.
+    determinant is nonzero modulo one prime, and otherwise decided by exact
+    Bareiss elimination.
     """
     if supports is not None:
         check_supports(tilde, supports)
@@ -503,7 +502,8 @@ def scheme_from_json(text: str) -> Scheme:
     map (pair_dims_from_json), so a malformed entry raises ValueError
     naming it. A pair without "rows" shares its full pair product. Given
     rows must be a list of integers, nonempty and inside the pair product;
-    the certificate is recomputed.
+    the certificate is recomputed. K, users, dims and rows must be JSON
+    integers: a float or a boolean raises ValueError too.
     """
     doc = json.loads(text)
     if not isinstance(doc, dict):
@@ -511,7 +511,7 @@ def scheme_from_json(text: str) -> Scheme:
     for key in ("K", "pairs", "tilde"):
         if key not in doc:
             raise ValueError("scheme document has no %r key" % key)
-    if not isinstance(doc["K"], int):
+    if not is_int(doc["K"]):
         raise ValueError('"K" must be an integer, got %s' % json.dumps(doc["K"]))
     config = make_config(doc["K"])
     dims, rows_by_pair = {}, {}
@@ -521,7 +521,7 @@ def scheme_from_json(text: str) -> Scheme:
         dims[(i, j)] = pair_dims
         if "rows" in entry:
             rows = entry["rows"]
-            if not isinstance(rows, list) or not all(isinstance(r, int) for r in rows):
+            if not isinstance(rows, list) or not all(map(is_int, rows)):
                 raise ValueError('"rows" of pair {%d,%d} must be a list of integers, got %s'
                                  % (i + 1, j + 1, json.dumps(rows)))
             rows_by_pair[(i, j)] = [r - 1 for r in rows]
@@ -539,11 +539,14 @@ def _pair_entries(doc) -> list[tuple[tuple[int, int], tuple[int, int], dict]]:
     out = []
     for n, entry in enumerate(doc, 1):
         try:
-            i, j = (int(u) - 1 for u in entry["users"])
-            di, dj = (int(d) - 1 for d in entry["dims"])
-        except (KeyError, TypeError, ValueError) as exc:
+            (i, j), (di, dj) = entry["users"], entry["dims"]
+            ok = all(map(is_int, (i, j, di, dj)))
+        except (KeyError, TypeError, ValueError):
+            ok = False
+        if not ok:
             raise ValueError('pair map entry %d must be {"users": [i, j], "dims": [di, dj]} '
-                             "with integers, got %s" % (n, json.dumps(entry))) from exc
+                             "with integers, got %s" % (n, json.dumps(entry)))
+        i, j, di, dj = i - 1, j - 1, di - 1, dj - 1
         if i > j:
             (i, j), (di, dj) = (j, i), (dj, di)
         out.append(((i, j), (di, dj), entry))

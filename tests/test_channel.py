@@ -4,10 +4,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import biakit as bk
 from biakit.channel import (
     CHANNEL_STREAM,
+    EXACT_STREAM,
     NOISE_STREAM,
     channels_from_json,
     channels_to_json,
@@ -178,3 +180,53 @@ def test_channel_json_rejects_malformed_records(corrupt, message):
     corrupt(doc["coeffs"])
     with pytest.raises(ValueError, match=message):
         channels_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("corrupt, n", [
+    (lambda coeffs: coeffs[3].pop("re"), 4),
+    (lambda coeffs: coeffs[0].pop("mode"), 1),
+    (lambda coeffs: coeffs[1].update(rx=1.5), 2),
+    (lambda coeffs: coeffs[2].update(tx=True), 3),
+    (lambda coeffs: coeffs[4].update(re="nan"), 5),
+    (lambda coeffs: coeffs[5].update(im=float("nan")), 6),
+    (lambda coeffs: coeffs[6].update(re=float("inf")), 7),
+    (lambda coeffs: coeffs[7].update(im=None), 8),
+    (lambda coeffs: coeffs.__setitem__(8, [1, 1, 1]), 9),
+], ids=["no-re", "no-mode", "rx-float", "tx-bool", "re-string", "im-nan", "re-inf", "im-null",
+        "record-not-an-object"])
+def test_channel_json_names_malformed_records_by_position(corrupt, n):
+    doc = json.loads(channels_to_json(draw_channels(3, 2, seed=21)))
+    corrupt(doc["coeffs"])
+    with pytest.raises(ValueError, match="channel record %d must have" % n):
+        channels_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("doc", [{"seed": 21}, [], {"coeffs": {}}],
+                         ids=["no-coeffs", "not-an-object", "coeffs-not-a-list"])
+def test_channel_json_needs_a_coeffs_list(doc):
+    with pytest.raises(ValueError, match='must be a JSON object with a "coeffs" list'):
+        channels_from_json(json.dumps(doc))
+
+
+def test_channel_json_takes_integral_parts():
+    doc = json.loads(channels_to_json(draw_channels(3, 2, seed=21)))
+    doc["coeffs"][0].update(re=2, im=-1)
+    assert channels_from_json(json.dumps(doc)).coeffs[0, 0, 0] == 2 - 1j
+
+
+seeds = st.one_of(
+    st.integers(0, 2 ** 64),
+    st.builds(stream_seed, st.integers(0, 2 ** 32),
+              st.sampled_from([CHANNEL_STREAM, NOISE_STREAM, EXACT_STREAM]),
+              st.integers(0, 10 ** 6)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 7), seeds)
+def test_channel_json_roundtrip_is_exact(K, seed):
+    ch = draw_channels(K, seed=seed)
+    text = channels_to_json(ch)
+    back = channels_from_json(text)
+    assert back.coeffs.shape == ch.coeffs.shape
+    assert back.coeffs.tobytes() == ch.coeffs.tobytes()
+    assert channels_to_json(back) == text

@@ -73,6 +73,19 @@ def test_generate_rejects_malformed_pair_map(tmp_path, doc):
     assert "Traceback" not in res.stderr
 
 
+def test_generate_rejects_a_pair_map_with_a_fractional_user(tmp_path):
+    override = tmp_path / "map.json"
+    override.write_text(json.dumps([
+        {"users": [1.7, 2], "dims": [1, 1]},
+        {"users": [1, 3], "dims": [2, 1]},
+        {"users": [2, 3], "dims": [2, 2]},
+    ]))
+    res = run_cli("generate", "--users", "3", "--pair-map", str(override))
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: pair map entry 1 must be")
+    assert res.stdout == ""
+
+
 def test_generate_rejects_degenerate_users():
     res = run_cli("generate", "--users", "2")
     assert res.returncode == 1

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import biakit.exactrank
 from biakit.exactrank import (
-    PRIMES,
+    PRIME,
     SQRT_MINUS_ONE,
     gaussian_rank,
     integer_rank,
@@ -195,7 +195,7 @@ def gaussian_square_stacks(draw):
 @given(gaussian_square_stacks())
 def test_gaussian_image_matches_gaussian_rank(stack):
     # |det|^2 is at most the product of squared column norms, here at most
-    # (4 * 50)^4 < PRIMES[0]. A nonzero det whose image vanished would have
+    # (4 * 50)^4 < PRIME. A nonzero det whose image vanished would have
     # a norm divisible by that prime, so the image decides exactly.
     n = stack.shape[1]
     expect = [gaussian_rank([[(int(z.real), int(z.imag)) for z in row] for row in a]) == n
@@ -204,10 +204,9 @@ def test_gaussian_image_matches_gaussian_rank(stack):
 
 
 def test_prime_table():
-    assert len(PRIMES) == len(SQRT_MINUS_ONE) == len(set(PRIMES))
-    for p, s in zip(PRIMES, SQRT_MINUS_ONE):
-        assert sympy.isprime(p) and p < 2 ** 31 and p % 4 == 1
-        assert s * s % p == p - 1
+    assert not any(sympy.isprime(q) for q in range(PRIME + 4, 2 ** 31, 4))
+    assert sympy.isprime(PRIME) and PRIME < 2 ** 31 and PRIME % 4 == 1
+    assert SQRT_MINUS_ONE * SQRT_MINUS_ONE % PRIME == PRIME - 1
 
 
 def _counting_integer_rank(monkeypatch):
@@ -235,13 +234,33 @@ def test_past_the_prime_table_falls_back_to_integer_rank(monkeypatch):
     stack = rng.integers(-2 ** 58, 2 ** 58, size=(3, 8, 8))
     stack[1][:, 0] = stack[1][:, 1] - stack[1][:, 2]
     stack[2][:, 5] = 3 * stack[2][:, 4]
-    # every Hadamard bound exceeds the product of the whole table
+    # every Hadamard bound exceeds the prime, so it alone bounds no determinant
     for a in stack:
-        assert prod(sum(x * x for x in col) for col in a.T.tolist()) > prod(PRIMES) ** 2
+        assert prod(sum(x * x for x in col) for col in a.T.tolist()) > PRIME ** 2
     assert list(nonsingular(stack)) == [integer_rank(a.tolist()) == 8 for a in stack]
     assert list(nonsingular(stack)) == [True, False, False]
     # only the singular matrices reach exact elimination, once per call
     assert len(calls) == 4
+
+
+@pytest.mark.parametrize("core, expect", [
+    ([[PRIME + 1, 1], [1, 1]], True),  # det = PRIME, which vanishes mod PRIME
+    ([[2, 4], [1, 2]], False),
+], ids=["det-is-the-prime", "singular"])
+def test_cores_the_prime_does_not_prove_go_to_integer_rank(monkeypatch, core, expect):
+    calls = _counting_integer_rank(monkeypatch)
+    eliminations = []
+    mod_p = biakit.exactrank.nonsingular_mod_p
+
+    def counted(stack):
+        eliminations.append(stack.copy())
+        return mod_p(stack)
+    monkeypatch.setattr(biakit.exactrank, "nonsingular_mod_p", counted)
+    assert (sympy.Matrix(core).det() != 0) == expect
+    assert list(nonsingular(np.array([core], dtype=np.int64))) == [expect]
+    # the peel leaves the dense core whole: one elimination, then Bareiss
+    assert [a.tolist() for a in eliminations] == [[core]]
+    assert calls == [core]
 
 
 def test_nonsingular_rejects_bad_stacks():

@@ -321,12 +321,33 @@ def _with_rows(rows):
     (_with_rows(5), r'"rows" of pair \{1,2\} must be a list of integers'),
     (_with_rows([[1]]), r'"rows" of pair \{1,2\} must be a list of integers'),
     (lambda doc: [doc], "must be a JSON object"),
+    (_with("K", True), '"K" must be an integer'),
+    (_with("K", 3.0), '"K" must be an integer'),
+    (_with_rows([True]), r'"rows" of pair \{1,2\} must be a list of integers'),
+    (_with_rows([1.0]), r'"rows" of pair \{1,2\} must be a list of integers'),
 ], ids=["missing-K", "missing-pairs", "missing-tilde", "K-not-an-integer", "rows-not-a-list",
-        "rows-not-integers", "not-an-object"])
+        "rows-not-integers", "not-an-object", "K-bool", "K-float", "rows-bool", "rows-float"])
 def test_scheme_from_json_names_malformed_documents(scheme3, edit, message):
     doc = edit(json.loads(scheme_to_json(scheme3)))
     with pytest.raises(ValueError, match=message):
         scheme_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("users", [1.7, 2]),
+    ("users", [True, 2]),
+    ("dims", [1.9, 1]),
+    ("dims", [1, False]),
+    ("users", "12"),
+    ("dims", [1, 1, 1]),
+], ids=["users-float", "users-bool", "dims-float", "dims-bool", "users-string", "dims-three"])
+def test_pair_map_entries_must_be_json_integers(scheme3, field, value):
+    doc = json.loads(scheme_to_json(scheme3))
+    doc["pairs"][1][field] = value
+    with pytest.raises(ValueError, match="pair map entry 2 must be"):
+        scheme_from_json(json.dumps(doc))
+    with pytest.raises(ValueError, match="pair map entry 2 must be"):
+        pair_dims_from_json(json.dumps(doc["pairs"]))
 
 
 def test_pair_dims_from_json_normalizes():
