@@ -2,32 +2,22 @@
 
 Rows with fewer than K-2 ones zero every pair product and duplicates add
 nothing, so every viable m-row matrix is the (m+2)-row vocabulary minus two
-rows. This script scans all omission pairs per K, with every shared vector
-the full pair product, and reports for each K how many candidates certify
-every receiver and the best receiver count any candidate reaches. Within
-this pair-product subspace full per-receiver decodability exists only for
+rows. For each K this prints how many such candidates there are, with
+every shared vector the full pair product, how many certify every
+receiver and the best receiver count any candidate reaches. Within this
+pair-product subspace full per-receiver decodability exists only for
 K = 3 and K = 4, and from K = 5 on the ceiling is four certified
 receivers. Narrower supports lift it: the closed-form star family of
 biakit.scheme.star_pattern_matrix certifies every receiver for every K.
+The scan itself is biakit.designspace.scan, exported here as `scan`.
 
 Usage:
     python scripts/certify_design_space.py --max-users 6
 """
 import argparse
-import itertools
 
-import numpy as np
-
-from biakit.scheme import certify_patterns, make_config, row_vocabulary
-
-
-def scan(K: int):
-    vocab = row_vocabulary(K)
-    keep = [[r for r in range(len(vocab)) if r not in omit]
-            for omit in itertools.combinations(range(len(vocab)), 2)]
-    cert = certify_patterns(np.array(vocab, dtype=np.int8)[keep])
-    full = [[vocab[r] for r in rows] for rows, ok in zip(keep, cert) if ok.all()]
-    return len(keep), full, int(cert.sum(axis=1).max())
+from biakit.designspace import scan
+from biakit.scheme import make_config
 
 
 def main(argv=None) -> int:

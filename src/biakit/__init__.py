@@ -14,6 +14,7 @@ from .channel import (
     stream_seed,
     transmit,
 )
+from .designspace import make_pattern_matrix, row_vocabulary
 from .dof import DofReport, achieved, bound, sweep
 from .errors import (
     BiaError,
@@ -29,16 +30,11 @@ from .scheme import (
     SchemeConfig,
     assign_beamformers,
     build_scheme,
-    canonical_pattern_matrix,
     certify_product_rank,
     certify_receivers,
     default_pair_dims,
-    exclude_one_product,
     make_config,
-    make_pattern_matrix,
-    pair_product,
     product_matrix,
-    row_vocabulary,
     scheme_from_json,
     scheme_to_json,
     star_pattern_matrix,

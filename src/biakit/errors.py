@@ -10,9 +10,10 @@ class DegenerateSchemeError(BiaError):
 
 
 class ConstructionFailedError(BiaError):
-    """Raised when the pair-product reference family (make_pattern_matrix)
-    fails its exact certificate: no candidate certifies every receiver for
-    K <= 4, or the K >= 5 family loses its product rank."""
+    """Raised when the pair-product reference family
+    (designspace.make_pattern_matrix) fails its exact certificate: no
+    candidate certifies every receiver for K <= 4, or the K >= 5 family
+    loses its product rank."""
 
 
 class UnverifiableDrawError(BiaError):

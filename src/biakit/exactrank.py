@@ -41,9 +41,17 @@ import numpy as np
 PRIME = 2147483629
 SQRT_MINUS_ONE = 629208553
 
-# Matrices are peeled and eliminated in batches of at most this many entries
-# (at least one matrix per batch), which bounds the temporaries of every step.
+# Every batched loop (peel, elimination, certificate, verification and
+# simulation) takes its items in chunks of at most this many entries (at
+# least one item per chunk), which bounds the temporaries of every step.
 BATCH_ELEMENTS = 1 << 14
+
+
+def chunks(count: int, per_item: int) -> list[range]:
+    """Consecutive ranges of count items, each holding at most BATCH_ELEMENTS
+    entries at per_item entries an item, and at least one item."""
+    step = max(1, BATCH_ELEMENTS // max(1, per_item))
+    return [range(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
 def _eliminate_mod(a: np.ndarray, p: int) -> np.ndarray:
@@ -89,16 +97,15 @@ def nonsingular_mod_p(stack) -> np.ndarray:
         raise ValueError("expected a stack of square matrices")
     p = PRIME
     out = np.ones(stack.shape[0], dtype=bool)
-    step = max(1, BATCH_ELEMENTS // max(1, stack.shape[1] ** 2))
-    for lo in range(0, stack.shape[0], step):
-        part = stack[lo:lo + step]
+    for chunk in chunks(stack.shape[0], stack.shape[1] ** 2):
+        part = stack[chunk.start:chunk.stop]
         if np.iscomplexobj(part):
             a = part.real.astype(np.int64) % p
             a += SQRT_MINUS_ONE * (part.imag.astype(np.int64) % p)
             a %= p
         else:
             a = np.asarray(part, dtype=np.int64) % p
-        out[lo:lo + step] = _eliminate_mod(a, p)
+        out[chunk.start:chunk.stop] = _eliminate_mod(a, p)
     return out
 
 
@@ -156,8 +163,7 @@ def nonsingular(stack) -> np.ndarray:
     count, n, _ = stack.shape
     if not count:
         return np.zeros(0, dtype=bool)
-    step = max(1, BATCH_ELEMENTS // max(1, n * n))
-    peeled = [_peel(stack[lo:lo + step] != 0) for lo in range(0, count, step)]
+    peeled = [_peel(stack[chunk.start:chunk.stop] != 0) for chunk in chunks(count, n * n)]
     singular, rows, cols = (np.concatenate(x) for x in zip(*peeled))
     size = rows.sum(axis=1)
     out = ~singular & (size == 0)

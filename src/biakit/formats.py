@@ -1,7 +1,8 @@
 """Serialization helpers shared by the JSON/CSV emitters.
 
 Every float is rendered with 17 significant digits (round-trip exact for
-IEEE doubles) and every rational as a "num/den" string, so emitted files
+IEEE doubles) and every rational in JSON as a "num/den" string (CSV
+carries numerators and denominators as integer columns), so emitted files
 are byte-stable across runs and platforms. The JSON renderer is local and
 tiny rather than a json.JSONEncoder subclass because the stdlib encoder
 hard-wires float.__repr__ and cannot be forced onto a fixed format.
@@ -88,7 +89,8 @@ def _scalar(obj) -> str:
 
 
 def render_csv(header: list[str], rows: list[list]) -> str:
-    """Deterministic CSV text; floats go through the fixed renderer."""
+    """Deterministic CSV text; floats go through the fixed renderer, every
+    other cell through str."""
     buf = io.StringIO()
     buf.write(",".join(header) + "\n")
     for row in rows:
@@ -96,8 +98,6 @@ def render_csv(header: list[str], rows: list[list]) -> str:
         for cell in row:
             if isinstance(cell, float):
                 cells.append(format_float(cell))
-            elif isinstance(cell, Fraction):
-                cells.append(format_rational(cell))
             else:
                 cells.append(str(cell))
         buf.write(",".join(cells) + "\n")

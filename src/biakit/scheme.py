@@ -15,10 +15,11 @@ binary m x m generator matrix G_j is nonsingular over the rationals (see
 certify_receivers), an exact channel-free condition this module certifies
 during construction. When every shared vector is the full pair product,
 fully certified matrices exist only for K = 3 and K = 4 and four certified
-receivers is the ceiling beyond (make_pattern_matrix, kept as the
-reference family; README "Known limitations"). Narrower supports lift
-that ceiling: build_scheme returns the closed-form star family
-(star_pattern_matrix), whose every G_j has determinant +-1 for every K.
+receivers is the ceiling beyond (README "Known limitations"; that
+reference family and its exhaustive scan live in biakit.designspace).
+Narrower supports lift that ceiling: build_scheme returns the closed-form
+star family (star_pattern_matrix), whose every G_j has determinant +-1
+for every K.
 """
 from __future__ import annotations
 
@@ -28,8 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConstructionFailedError, DegenerateSchemeError
-from .exactrank import BATCH_ELEMENTS, integer_rank, nonsingular
+from .errors import DegenerateSchemeError
+from .exactrank import chunks, integer_rank, nonsingular
 from .formats import is_int, render_json
 
 
@@ -52,10 +53,6 @@ class SchemeConfig:
     @property
     def pair_count(self) -> int:
         return self.users * (self.users - 1) // 2
-
-    @property
-    def total_symbols(self) -> int:
-        return self.users * self.symbols_per_user
 
 
 def make_config(users: int) -> SchemeConfig:
@@ -114,36 +111,6 @@ def zero_at(K: int, *users: int) -> tuple[int, ...]:
     return tuple(0 if c in users else 1 for c in range(K))
 
 
-def row_vocabulary(K: int) -> list[tuple[int, ...]]:
-    """All binary rows that can carry signal, heaviest first.
-
-    Rows of weight < K-2 zero every beamformer product, so any useful
-    pattern matrix draws its m rows from these m + 2: the all-ones row,
-    the K weight-(K-1) rows, and the C(K,2) weight-(K-2) rows.
-    """
-    return ([zero_at(K)] + [zero_at(K, k) for k in range(K)]
-            + [zero_at(K, a, b) for a, b in itertools.combinations(range(K), 2)])
-
-
-def _product_except(tilde: np.ndarray, *users: int) -> np.ndarray:
-    """Element-wise product of all pattern columns except the given users."""
-    v = np.ones(tilde.shape[0], dtype=np.int64)
-    for c in range(tilde.shape[1]):
-        if c not in users:
-            v = v * tilde[:, c]
-    return v
-
-
-def pair_product(tilde: np.ndarray, i: int, j: int) -> np.ndarray:
-    """Element-wise product of all pattern columns except i and j."""
-    return _product_except(tilde, i, j)
-
-
-def exclude_one_product(tilde: np.ndarray, i: int) -> np.ndarray:
-    """Element-wise product of all pattern columns except i."""
-    return _product_except(tilde, i)
-
-
 def pair_products(tilde: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
     """Every pair's product vector, keyed by (a, b), a < b, in lexicographic order."""
     pairs = itertools.combinations(range(tilde.shape[1]), 2)
@@ -156,9 +123,9 @@ def product_matrix(tilde: np.ndarray) -> np.ndarray:
     tilde may carry leading axes, (..., m, K) -> (..., m, C(K,2)). The
     product for (a, b) is that of the columns before a, between a and b,
     and after b: a prefix and a suffix cumulative product give the first
-    and the last, one cumulative product per a the middle. Equal to
-    pair_product, since int64 multiplication is commutative and
-    associative even when it wraps.
+    and the last, one cumulative product per a the middle. int64
+    multiplication is commutative and associative even when it wraps, so
+    this equals the column-by-column product.
     """
     t = np.asarray(tilde, dtype=np.int64)
     one = np.ones(t.shape[:-1] + (1,), dtype=np.int64)
@@ -241,20 +208,19 @@ def certify_patterns(tilde: np.ndarray, supports: np.ndarray | None = None) -> n
 
     tilde is (P, m, K); supports is (P, m, C(K,2)), every pair's shared
     vector in lexicographic pair order, or None for the pair products. The
-    supports are not checked here. Patterns go in chunks of at most
-    `exactrank.BATCH_ELEMENTS` generator entries (at least one pattern),
-    one `nonsingular` call per chunk.
+    supports are not checked here. Patterns go in `exactrank.chunks` of at
+    most `exactrank.BATCH_ELEMENTS` generator entries (at least one
+    pattern), one `nonsingular` call per chunk.
     """
     count, m, K = tilde.shape
     if m != (K + 2) * (K - 1) // 2:
         raise ValueError("tilde must have (K+2)(K-1)/2 = %d rows, got %d"
                          % ((K + 2) * (K - 1) // 2, m))
     out = np.empty((count, K), dtype=bool)
-    step = max(1, BATCH_ELEMENTS // (K * m * m))
-    for lo in range(0, count, step):
-        t = tilde[lo:lo + step]
-        v = product_matrix(t) if supports is None else supports[lo:lo + step]
-        out[lo:lo + step] = nonsingular(_generator_stack(t, v).reshape(-1, m, m)).reshape(-1, K)
+    for chunk in chunks(count, K * m * m):
+        part = slice(chunk.start, chunk.stop)
+        v = product_matrix(tilde[part]) if supports is None else supports[part]
+        out[part] = nonsingular(_generator_stack(tilde[part], v).reshape(-1, m, m)).reshape(-1, K)
     return out
 
 
@@ -270,55 +236,6 @@ def _generator_stack(tilde: np.ndarray, v: np.ndarray) -> np.ndarray:
     v = v.astype(np.int8)
     return np.concatenate([v[:, None] * (1 - own[:, None, :] * t),
                            v[:, :, mine].transpose(0, 2, 1, 3) * t], axis=-1)
-
-
-def canonical_pattern_matrix(config: SchemeConfig) -> PatternMatrix:
-    """The textbook family: ones-minus-identity on top, then the first
-    C(K,2)-1 weight-(K-2) rows in lexicographic zero-pair order, i.e. the
-    row vocabulary without its first and last rows.
-
-    Satisfies the product rank certificate for every K, but certifies only
-    the two receivers of the zero-pair missing from the bottom block; kept
-    for reference and for the characterization tests.
-    """
-    return PatternMatrix(np.array(row_vocabulary(config.users)[1:-1], dtype=np.int64))
-
-
-# first two disjoint weight-(K-2) rows; dropping them certifies 4 receivers,
-# the maximum any pair-product family reaches for K >= 5
-_FALLBACK_OMIT_PAIRS = ((0, 1), (2, 3))
-
-
-def make_pattern_matrix(config: SchemeConfig) -> PatternMatrix:
-    """Deterministic construction of the best pair-product pattern matrix.
-
-    Every shared vector here is the full pair product. Searches the viable
-    row families (vocabulary minus two rows, in lexicographic omission
-    order) for one whose every receiver passes the exact decodability
-    certificate. Within the pair-product subspace such matrices exist only
-    for K <= 4; beyond that the search provably returns nothing (see
-    README), so the constructor returns the known maximal family directly:
-    all vocabulary rows except the weight-(K-2) rows with zeros at {0,1}
-    and {2,3}, which certifies receivers 0..3 and still carries the full
-    product rank certificate. Narrower supports certify every receiver for
-    every K; build_scheme uses those (star_pattern_matrix).
-    """
-    K = config.users
-    vocab = row_vocabulary(K)
-    if K <= 4:
-        for omit in itertools.combinations(range(len(vocab)), 2):
-            rows = [vocab[r] for r in range(len(vocab)) if r not in omit]
-            pattern = PatternMatrix(np.array(rows, dtype=np.int64))
-            if all(pattern.certified_receivers):
-                return pattern
-        raise ConstructionFailedError(
-            "construction-failed: no fully certified pattern matrix for K=%d" % K)
-    omitted = {zero_at(K, *pair) for pair in _FALLBACK_OMIT_PAIRS}
-    tilde = np.array([r for r in vocab if r not in omitted], dtype=np.int64)
-    if not certify_product_rank(tilde):
-        raise ConstructionFailedError(
-            "construction-failed: product rank certificate failed for K=%d" % K)
-    return PatternMatrix(tilde)
 
 
 def rows_to_support(m: int, rows) -> np.ndarray:
@@ -502,8 +419,9 @@ def scheme_from_json(text: str) -> Scheme:
     map (pair_dims_from_json), so a malformed entry raises ValueError
     naming it. A pair without "rows" shares its full pair product. Given
     rows must be a list of integers, nonempty and inside the pair product;
-    the certificate is recomputed. K, users, dims and rows must be JSON
-    integers: a float or a boolean raises ValueError too.
+    the certificate is recomputed. K, users, dims, rows and every "tilde"
+    entry must be JSON integers: a float, a string or a boolean raises
+    ValueError too, naming the pair or the 1-indexed row and column.
     """
     doc = json.loads(text)
     if not isinstance(doc, dict):
@@ -525,7 +443,13 @@ def scheme_from_json(text: str) -> Scheme:
                 raise ValueError('"rows" of pair {%d,%d} must be a list of integers, got %s'
                                  % (i + 1, j + 1, json.dumps(rows)))
             rows_by_pair[(i, j)] = [r - 1 for r in rows]
-    pattern = pattern_from_rows(config, doc["tilde"], rows_by_pair)
+    tilde = doc["tilde"]
+    for r, row in enumerate(tilde if isinstance(tilde, list) else [], 1):
+        for c, x in enumerate(row if isinstance(row, list) else [], 1):
+            if not is_int(x):
+                raise ValueError('"tilde" entry at row %d, column %d must be an integer, got %s'
+                                 % (r, c, json.dumps(x)))
+    pattern = pattern_from_rows(config, tilde, rows_by_pair)
     return Scheme(pattern=pattern, beams=assign_beamformers(pattern, dims))
 
 

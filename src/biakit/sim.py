@@ -19,7 +19,7 @@ gives each user a 1/K share of every channel use at the same per-symbol
 power, under the identical channel draws.
 
 `estimate_dof` builds the scheme's receiver layout once (verify) and takes
-its trials in the same chunks as verification, at most
+its trials in the same `exactrank.chunks` as verification, at most
 `exactrank.BATCH_ELEMENTS` block entries each. Per chunk, one gather gives
 every combined block, one batched SVD the exclusion rule, one batched
 inverse of the full-rank blocks the noise enhancements (squared norms of
@@ -39,9 +39,10 @@ import numpy as np
 from .channel import CHANNEL_STREAM, ChannelSet, draw_channel_stack, stream_seed
 from .dof import achieved
 from .errors import UnverifiableDrawError
+from .exactrank import chunks
 from .formats import render_csv, render_json
 from .scheme import Scheme
-from .verify import ReceiverDecomposition, draw_chunks, receiver_layout, stack_ranks
+from .verify import ReceiverDecomposition, receiver_layout, stack_ranks
 
 
 def _zf_filters(blocks: np.ndarray, symbols: int) -> np.ndarray:
@@ -184,7 +185,7 @@ def estimate_dof(scheme: Scheme, cfg: SimConfig) -> SimResult:
     rates = np.zeros((len(powers), cfg.trials, K))
     tdma = np.zeros((len(powers), cfg.trials))
     excluded = 0
-    for chunk in draw_chunks(cfg.trials, K * m * m):
+    for chunk in chunks(cfg.trials, K * m * m):
         seeds = [stream_seed(cfg.seed, CHANNEL_STREAM, t) for t in chunk]
         coeffs = draw_channel_stack(K, seeds)
         blocks = layout.blocks(coeffs)

@@ -17,10 +17,10 @@ receiver j and column c of A_j, the transmitter src[j, c] and the 0/1 beam
 vec[j, :, c]. Row r of A_j is read in receiver j's mode at channel use r,
 so for a stack of draws coeffs (T, K, K, M) one gather
 coeffs[:, j, src[j, c], tilde[r, j]] * vec[j, r, c] yields every combined
-block (T, K, m, m). Runs take their draws in chunks of at most
-`exactrank.BATCH_ELEMENTS` block entries (at least one draw a chunk), the
-same sizing rule as the modular kernel, so memory stays flat in the draw
-count; chunking changes no output. `decompose_receiver`,
+block (T, K, m, m). Runs take their draws in `exactrank.chunks` of at
+most `exactrank.BATCH_ELEMENTS` block entries (at least one draw a chunk),
+the one sizing rule of every batched kernel, so memory stays flat in the
+draw count; chunking changes no output. `decompose_receiver`,
 `verify_decodability` and `verify_decodability_exact` are one-draw views
 of the same kernels.
 
@@ -58,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import EXACT_STREAM, CHANNEL_STREAM, ChannelSet, draw_channel_stack, stream_seed
-from .exactrank import BATCH_ELEMENTS, gaussian_rank, nonsingular_mod_p
+from .exactrank import chunks, gaussian_rank, nonsingular_mod_p
 from .formats import render_csv, render_json
 from .scheme import BeamSet, PatternMatrix, Scheme, SchemeConfig, make_config
 
@@ -80,13 +80,6 @@ def stack_ranks(stack: np.ndarray) -> np.ndarray:
 def rank_of(matrix: np.ndarray) -> int:
     """Numeric rank of one matrix: `stack_ranks` of a one-matrix stack."""
     return int(stack_ranks(np.asarray(matrix)[None])[0])
-
-
-def draw_chunks(draws: int, per_draw: int) -> list[range]:
-    """Consecutive ranges of draws, each holding at most BATCH_ELEMENTS
-    entries at per_draw entries a draw, and at least one draw."""
-    step = max(1, BATCH_ELEMENTS // per_draw)
-    return [range(lo, min(lo + step, draws)) for lo in range(0, draws, step)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,7 +292,7 @@ def run_verification(scheme: Scheme, draws: int, seed: int, exact: bool = False)
     layout = receiver_layout(scheme.pattern, scheme.beams)
     K, m = layout.users, layout.block_len
     checks: list[ReceiverCheck] = []
-    for chunk in draw_chunks(draws, K * m * m):
+    for chunk in chunks(draws, K * m * m):
         if exact:
             seeds = [stream_seed(seed, EXACT_STREAM, t) for t in chunk]
             checks.extend(_exact_checks(layout, seeds, chunk.start))

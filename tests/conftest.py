@@ -1,6 +1,7 @@
 """Shared fixtures: constructed schemes, the pair-product 5-user family and
 the golden 4-user instance, a recorder of the matrix stacks that reach
-numpy's SVD and inverse, and a loader for the checkout's scripts.
+numpy's SVD and inverse, a loader for the checkout's scripts, and the
+column-by-column loop oracle of the pair products (scheme.product_matrix).
 
 The golden instance is a fixed, externally specified switching assignment
 and pair labeling used as a reproduction target by the acceptance gate.
@@ -17,12 +18,8 @@ import numpy as np
 import pytest
 
 import biakit as bk
-from biakit.scheme import (
-    PatternMatrix,
-    assign_beamformers,
-    make_config,
-    make_pattern_matrix,
-)
+from biakit.designspace import make_pattern_matrix
+from biakit.scheme import PatternMatrix, assign_beamformers, make_config
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -42,6 +39,25 @@ def load(relative: str, name: str):
 
 def scan_module():
     return load("scripts/certify_design_space.py", "certify_design_space")
+
+
+def _product_except(tilde: np.ndarray, *users: int) -> np.ndarray:
+    """Element-wise product of all pattern columns except the given users."""
+    v = np.ones(tilde.shape[0], dtype=np.int64)
+    for c in range(tilde.shape[1]):
+        if c not in users:
+            v = v * tilde[:, c]
+    return v
+
+
+def pair_product(tilde: np.ndarray, i: int, j: int) -> np.ndarray:
+    """Element-wise product of all pattern columns except i and j."""
+    return _product_except(tilde, i, j)
+
+
+def exclude_one_product(tilde: np.ndarray, i: int) -> np.ndarray:
+    """Element-wise product of all pattern columns except i."""
+    return _product_except(tilde, i)
 
 
 # one row per user, entries are antenna mode numbers over the 9 channel uses

@@ -19,7 +19,8 @@ import biakit as bk
 from biakit.channel import CHANNEL_STREAM, SYMBOL_STREAM, stream_seed
 from biakit.dof import sweep_to_csv
 from biakit.errors import UnverifiableDrawError
-from biakit.scheme import certify_product_rank, make_config, make_pattern_matrix
+from biakit.designspace import make_pattern_matrix
+from biakit.scheme import certify_product_rank, make_config
 from biakit.sim import SimConfig, estimate_dof, result_to_long_csv, result_to_summary_csv
 from biakit.verify import check_counting, decompose_receiver, report_to_json, run_verification
 

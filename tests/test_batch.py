@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 import biakit as bk
-import biakit.verify
+import biakit.exactrank
 from biakit.channel import CHANNEL_STREAM, EXACT_STREAM, ChannelSet, draw_channels, stream_seed
-from biakit.exactrank import BATCH_ELEMENTS, gaussian_rank, nonsingular_mod_p
+from biakit.exactrank import BATCH_ELEMENTS, chunks, gaussian_rank, nonsingular_mod_p
 from biakit.scheme import default_pair_dims
 from biakit.sim import (
     SimConfig,
@@ -28,7 +28,6 @@ from biakit.verify import (
     ReceiverCheck,
     VerificationReport,
     _exact_channel_ints,
-    draw_chunks,
     expected_ranks,
     receiver_layout,
     report_to_csv,
@@ -203,11 +202,11 @@ def test_simulation_matches_per_trial_loop_past_eight_users():
 
 
 def test_draw_chunks_respect_the_budget(monkeypatch):
-    assert draw_chunks(120, 324) == [range(0, 50), range(50, 100), range(100, 120)]
-    assert draw_chunks(3, 71148) == [range(0, 1), range(1, 2), range(2, 3)]
-    assert draw_chunks(0, 9) == []
-    monkeypatch.setattr(biakit.verify, "BATCH_ELEMENTS", 7)
-    assert draw_chunks(5, 3) == [range(0, 2), range(2, 4), range(4, 5)]
+    assert chunks(120, 324) == [range(0, 50), range(50, 100), range(100, 120)]
+    assert chunks(3, 71148) == [range(0, 1), range(1, 2), range(2, 3)]
+    assert chunks(0, 9) == []
+    monkeypatch.setattr(biakit.exactrank, "BATCH_ELEMENTS", 7)
+    assert chunks(5, 3) == [range(0, 2), range(2, 4), range(4, 5)]
 
 
 @pytest.mark.parametrize("draws_per_chunk", [1, 3])
@@ -221,8 +220,8 @@ def test_chunking_changes_no_output(draws_per_chunk, fallback_scheme5, monkeypat
                    report_bytes(run_verification(scheme, 7, 8, exact=True)),
                    result_bytes(estimate_dof(scheme, cfg)))
         with monkeypatch.context() as patch:
-            patch.setattr(biakit.verify, "BATCH_ELEMENTS", draws_per_chunk * K * m * m)
-            assert len(draw_chunks(7, K * m * m)) == -(-7 // draws_per_chunk)
+            patch.setattr(biakit.exactrank, "BATCH_ELEMENTS", draws_per_chunk * K * m * m)
+            assert len(chunks(7, K * m * m)) == -(-7 // draws_per_chunk)
             chunked = (report_bytes(run_verification(scheme, 7, 8)),
                        report_bytes(run_verification(scheme, 7, 8, exact=True)),
                        result_bytes(estimate_dof(scheme, cfg)))
@@ -238,5 +237,5 @@ def test_no_stack_outgrows_the_chunk_budget(K, draws, linalg_stacks):
     shapes = linalg_stacks["svd"] + linalg_stacks["inv"]
     assert max(np.prod(shape) for shape in shapes) <= max(BATCH_ELEMENTS, K * m * m)
     # one SVD per chunk in each run, one inverse per chunk in the simulation
-    chunks = len(draw_chunks(draws, K * m * m))
-    assert (len(linalg_stacks["svd"]), len(linalg_stacks["inv"])) == (2 * chunks, chunks)
+    count = len(chunks(draws, K * m * m))
+    assert (len(linalg_stacks["svd"]), len(linalg_stacks["inv"])) == (2 * count, count)

@@ -16,20 +16,13 @@ import math
 import numpy as np
 import pytest
 
+import biakit.designspace
 import biakit.scheme
-from biakit.exactrank import BATCH_ELEMENTS, nonsingular
-from biakit.scheme import (
-    canonical_pattern_matrix,
-    certify_product_rank,
-    certify_receivers,
-    exclude_one_product,
-    make_config,
-    make_pattern_matrix,
-    pair_product,
-    row_vocabulary,
-)
+from biakit.designspace import make_pattern_matrix, row_vocabulary
+from biakit.exactrank import BATCH_ELEMENTS, chunks, nonsingular
+from biakit.scheme import PatternMatrix, certify_product_rank, certify_receivers, make_config
 
-from conftest import scan_module
+from conftest import ROOT, exclude_one_product, pair_product, scan_module
 
 
 def scan_omissions(K):
@@ -66,6 +59,40 @@ def test_scan_certifies_a_chunk_of_candidates_per_call(monkeypatch, K):
     assert len(shapes) == math.ceil(candidates / per_chunk)
     assert sum(shape[0] for shape in shapes) == candidates * K
     assert max(math.prod(shape) for shape in shapes) <= BATCH_ELEMENTS
+
+
+@pytest.mark.parametrize("K", [3, 4])
+def test_pair_product_search_is_the_stacked_scan(monkeypatch, K):
+    """make_pattern_matrix certifies every candidate in the scan's stacked
+    calls (one chunk at K = 3, two at K = 4), then the returned pattern
+    certifies itself once."""
+    shapes = []
+
+    def counted(stack):
+        shapes.append(stack.shape)
+        return nonsingular(stack)
+    monkeypatch.setattr(biakit.scheme, "nonsingular", counted)
+    make_pattern_matrix(make_config(K))
+    m = make_config(K).block_len
+    candidates = math.comb(len(row_vocabulary(K)), 2)
+    expect = [len(chunk) * K for chunk in chunks(candidates, K * m * m)] + [K]
+    assert [shape[0] for shape in shapes] == expect
+
+
+def test_script_exports_the_designspace_scan():
+    # the benchmark loads the script by path and traces its `scan`
+    assert scan_module().scan is biakit.designspace.scan
+
+
+def test_script_prints_the_readme_table(capsys):
+    """The script's CLI prints README's design-space rows, plus m."""
+    readme = [line.replace("|", " ").split() for line in (ROOT / "README.md").read_text().splitlines()
+              if line.startswith(("| 3 ", "| 4 "))]
+    assert scan_module().main(["--max-users", "4"]) == 0
+    header, *rows = (line.split() for line in capsys.readouterr().out.splitlines())
+    assert header == ["K", "m", "candidates", "fully_certified", "best_receivers"]
+    assert [row[1] for row in rows] == ["5", "9"]
+    assert [row[:1] + row[2:] for row in rows] == readme
 
 
 def test_3user_space_has_exactly_three_full_families():
@@ -116,7 +143,7 @@ def test_canonical_family_dependence_mechanism(K):
     the two exclude-one products, an exact rational dependence among the
     combined generators of every receiver outside {a, b}.
     """
-    pattern = canonical_pattern_matrix(make_config(K))
+    pattern = PatternMatrix(np.array(row_vocabulary(K)[1:-1]))
     a, b = K - 2, K - 1
     v = pair_product(pattern.tilde, a, b)
     w_a = exclude_one_product(pattern.tilde, a)

@@ -1,6 +1,7 @@
 """Scheme construction: sizes, pattern matrices, beamformer assignment, JSON."""
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -10,30 +11,32 @@ from hypothesis import given, settings, strategies as st
 import biakit as bk
 import biakit.exactrank
 from biakit.errors import DegenerateSchemeError
+from biakit.designspace import make_pattern_matrix, row_vocabulary
 from biakit.exactrank import integer_rank
 from biakit.scheme import (
     PatternMatrix,
     assign_beamformers,
-    canonical_pattern_matrix,
     certify_product_rank,
     certify_receivers,
     check_supports,
     default_pair_dims,
-    exclude_one_product,
     make_config,
-    make_pattern_matrix,
     pattern_from_rows,
     pair_dims_from_json,
-    pair_product,
     pair_products,
     product_matrix,
-    row_vocabulary,
     scheme_from_json,
     scheme_to_json,
     star_pattern_matrix,
 )
 
-from conftest import GOLDEN_PAIR_DIMS, GOLDEN_VECTORS, golden_tilde
+from conftest import (
+    GOLDEN_PAIR_DIMS,
+    GOLDEN_VECTORS,
+    exclude_one_product,
+    golden_tilde,
+    pair_product,
+)
 
 
 @pytest.mark.parametrize("K,m,d,pairs", [
@@ -45,7 +48,8 @@ from conftest import GOLDEN_PAIR_DIMS, GOLDEN_VECTORS, golden_tilde
 def test_config_sizes(K, m, d, pairs):
     cfg = make_config(K)
     assert (cfg.block_len, cfg.symbols_per_user, cfg.pair_count) == (m, d, pairs)
-    assert cfg.total_symbols == K * d
+    # every symbol rides one pair's shared vector, two symbols per pair
+    assert 2 * cfg.pair_count == K * d
     # per receiver: d desired dimensions + one per pair fill the block exactly
     assert d + pairs == m
 
@@ -333,6 +337,21 @@ def test_scheme_from_json_names_malformed_documents(scheme3, edit, message):
         scheme_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("row, col, value", [
+    (1, 1, 0.9),
+    (2, 2, "1"),
+    (3, 3, True),
+], ids=["float", "string", "bool"])
+def test_scheme_from_json_rejects_non_integer_tilde_entries(scheme3, row, col, value):
+    # each value would truncate to the entry it replaces (0, 1, 1)
+    doc = json.loads(scheme_to_json(scheme3))
+    assert int(value) == doc["tilde"][row - 1][col - 1]
+    doc["tilde"][row - 1][col - 1] = value
+    with pytest.raises(ValueError, match=r'"tilde" entry at row %d, column %d must be an '
+                       r'integer, got %s' % (row, col, re.escape(json.dumps(value)))):
+        scheme_from_json(json.dumps(doc))
+
+
 @pytest.mark.parametrize("field, value", [
     ("users", [1.7, 2]),
     ("users", [True, 2]),
@@ -364,7 +383,7 @@ def test_pair_dims_from_json_normalizes():
 
 @pytest.mark.parametrize("K", range(3, 9))
 def test_canonical_family_certifies_only_missing_pair(K):
-    pattern = canonical_pattern_matrix(make_config(K))
+    pattern = PatternMatrix(np.array(row_vocabulary(K)[1:-1]))
     # bottom block holds every zero pair except the lexicographically last
     expect = tuple(j in (K - 2, K - 1) for j in range(K))
     assert pattern.certified_receivers == expect
