@@ -14,8 +14,7 @@ Two kernels, both exact:
   block into one stack, go to one batched elimination in numpy modulo
   `PRIME`; a core whose determinant is nonzero modulo PRIME is
   nonsingular. Third, `integer_rank` decides every core that PRIME does
-  not prove. So both verdicts are proofs. `verify --exact` follows the
-  same rule for its Gaussian-integer blocks, with no peel.
+  not prove. So both verdicts are proofs.
 - `integer_rank` is fraction-free (Bareiss) elimination on Python ints,
   with no floating tolerance and no external computer-algebra dependency.
   `gaussian_rank` has no elimination of its own: it realifies a matrix
@@ -23,12 +22,12 @@ Two kernels, both exact:
   twice the rank of B + iC over Q(i). These serve tall and wide matrices,
   the exact fallback, and ranks below full.
 
-`nonsingular_mod_p` is the one-sided test both build on. PRIME is below
-2^31, so every cross-product of residues stays below 2^62 in int64 and no
-modular inverse is needed. Gaussian-integer matrices go through the ring
-map Z[i] -> F_p, i -> s with s^2 = -1 mod p (PRIME is 1 mod 4). The map
-is a ring homomorphism, so a nonzero image determinant proves the
-Gaussian determinant nonzero.
+`nonsingular_mod_p` is the one-sided test under `nonsingular`, for
+integer stacks only. PRIME is below 2^31, so every cross-product of
+residues stays below 2^62 in int64 and no modular inverse is needed.
+`verify --exact` takes no prime: it reads each Gaussian-integer block's
+nonsingularity off its factorisation A_j = G_j D_j (see biakit.verify)
+and ranks every other block with `gaussian_rank`.
 """
 from __future__ import annotations
 
@@ -36,10 +35,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# The largest prime below 2^31 that is 1 mod 4, and a square root of -1
-# modulo it.
+# A prime below 2^31, so the product of two residues stays below 2^62,
+# inside int64. Only `nonsingular` uses it: `verify --exact` proves its
+# blocks by certificate times D_j and ranks the rest by Bareiss, no prime.
 PRIME = 2147483629
-SQRT_MINUS_ONE = 629208553
 
 # Every batched loop (peel, elimination, certificate, verification and
 # simulation) takes its items in chunks of at most this many entries (at
@@ -85,27 +84,19 @@ def _eliminate_mod(a: np.ndarray, p: int) -> np.ndarray:
 
 
 def nonsingular_mod_p(stack) -> np.ndarray:
-    """Whether each square matrix of a stack is nonsingular modulo PRIME.
-
-    stack is an (N, n, n) array of integers, or of complex numbers with
-    integer parts, read as Gaussian integers and mapped by i -> SQRT_MINUS_ONE.
-    True proves the matrix nonsingular over Q (over Q(i) for a Gaussian
-    matrix); False proves nothing on its own.
+    """Whether each square integer matrix of an (N, n, n) stack is
+    nonsingular modulo PRIME. True proves the matrix nonsingular over Q;
+    False proves nothing on its own.
     """
     stack = np.asarray(stack)
+    if not np.issubdtype(stack.dtype, np.integer):
+        raise TypeError("expected an integer stack")
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise ValueError("expected a stack of square matrices")
-    p = PRIME
     out = np.ones(stack.shape[0], dtype=bool)
     for chunk in chunks(stack.shape[0], stack.shape[1] ** 2):
-        part = stack[chunk.start:chunk.stop]
-        if np.iscomplexobj(part):
-            a = part.real.astype(np.int64) % p
-            a += SQRT_MINUS_ONE * (part.imag.astype(np.int64) % p)
-            a %= p
-        else:
-            a = np.asarray(part, dtype=np.int64) % p
-        out[chunk.start:chunk.stop] = _eliminate_mod(a, p)
+        a = np.asarray(stack[chunk.start:chunk.stop], dtype=np.int64) % PRIME
+        out[chunk.start:chunk.stop] = _eliminate_mod(a, PRIME)
     return out
 
 
@@ -171,8 +162,8 @@ def nonsingular(stack) -> np.ndarray:
     if open_.size:
         # move every core's rows and columns to the front, in order, and pad
         # it to the largest core with an identity block, which keeps its
-        # determinant. As in verify --exact, a core nonsingular mod PRIME is
-        # nonsingular, and Bareiss elimination (integer_rank) decides the rest
+        # determinant. A core nonsingular mod PRIME is nonsingular, and
+        # Bareiss elimination (integer_rank) decides the rest
         s = size.max()
         r = np.argsort(~rows[open_], axis=1, kind="stable")[:, :s, None]
         c = np.argsort(~cols[open_], axis=1, kind="stable")[:, None, :s]

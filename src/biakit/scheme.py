@@ -419,9 +419,11 @@ def scheme_from_json(text: str) -> Scheme:
     map (pair_dims_from_json), so a malformed entry raises ValueError
     naming it. A pair without "rows" shares its full pair product. Given
     rows must be a list of integers, nonempty and inside the pair product;
-    the certificate is recomputed. K, users, dims, rows and every "tilde"
-    entry must be JSON integers: a float, a string or a boolean raises
-    ValueError too, naming the pair or the 1-indexed row and column.
+    the certificate is recomputed. "tilde" must be a list of rows, each a
+    list of K entries, or ValueError names the 1-indexed row. K, users,
+    dims, rows and every "tilde" entry must be JSON integers: a float, a
+    string or a boolean raises ValueError too, naming the pair or the
+    1-indexed row and column.
     """
     doc = json.loads(text)
     if not isinstance(doc, dict):
@@ -444,8 +446,13 @@ def scheme_from_json(text: str) -> Scheme:
                                  % (i + 1, j + 1, json.dumps(rows)))
             rows_by_pair[(i, j)] = [r - 1 for r in rows]
     tilde = doc["tilde"]
-    for r, row in enumerate(tilde if isinstance(tilde, list) else [], 1):
-        for c, x in enumerate(row if isinstance(row, list) else [], 1):
+    if not isinstance(tilde, list):
+        raise ValueError('"tilde" must be a list of rows, got %s' % json.dumps(tilde))
+    for r, row in enumerate(tilde, 1):
+        if not isinstance(row, list) or len(row) != config.users:
+            raise ValueError('"tilde" row %d must be a list of %d integers, got %s'
+                             % (r, config.users, json.dumps(row)))
+        for c, x in enumerate(row, 1):
             if not is_int(x):
                 raise ValueError('"tilde" entry at row %d, column %d must be an integer, got %s'
                                  % (r, c, json.dumps(x)))

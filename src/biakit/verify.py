@@ -38,13 +38,17 @@ The two modes differ only in how ranks are taken:
   max(shape) * eps * sigma_max lies below sigma_min(A) it lies below
   sigma_min(D) too.
 - exact: certification grade, over Gaussian-integer draws (one seeded
-  stream per draw). A_j has rank m when it is nonsingular
-  modulo a prime under Z[i] -> F_p (i -> a square root of -1 mod p),
-  since then its determinant is nonzero over Z[i]; one
-  `nonsingular_mod_p` call takes every block of a chunk.
-  A block this does not prove (in practice one the scheme leaves
-  uncertified, as the pair-product reference family does for K >= 5;
-  build_scheme leaves none) is ranked by `exactrank.gaussian_rank`,
+  stream per draw), with one exact rule and no prime. Up to column order
+  A_j = G_j D_j (scheme.certify_receivers): G_j is receiver j's 0/1
+  generator matrix and D_j is block diagonal, one aligned mode-2
+  coefficient per pair without j and the 2x2 block [[h_jj(1), h_jo(1)],
+  [h_jj(2), h_jo(2)]] per own pair {j, o}. So det A_j = +-det G_j times
+  the product of those coefficients and of the own-pair determinants
+  h_jj(1)h_jo(2) - h_jo(1)h_jj(2). When the beams are the pattern's, the
+  pattern's certificate (det G_j != 0) and nonzero D_j factors prove A_j
+  nonsingular; every factor is a product of integers of magnitude at most
+  999, exact in complex float64. Every other block (an uncertified G_j, a
+  zero factor, hand-built beams) is ranked by `exactrank.gaussian_rank`,
   which realifies each Z[i] matrix onto the fraction-free integer kernel.
 
 The channel-free certificate that powers construction lives in
@@ -58,9 +62,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import EXACT_STREAM, CHANNEL_STREAM, ChannelSet, draw_channel_stack, stream_seed
-from .exactrank import chunks, gaussian_rank, nonsingular_mod_p
+from .exactrank import chunks, gaussian_rank
 from .formats import render_csv, render_json
-from .scheme import BeamSet, PatternMatrix, Scheme, SchemeConfig, make_config
+from .scheme import BeamSet, PatternMatrix, Scheme, SchemeConfig, assign_beamformers, make_config
 
 
 def stack_ranks(stack: np.ndarray) -> np.ndarray:
@@ -231,14 +235,33 @@ def _exact_rank(block: np.ndarray) -> int:
     return gaussian_rank(np.stack([block.real, block.imag], axis=-1).astype(np.int64).tolist())
 
 
-def _exact_checks(layout: ReceiverLayout, seeds, first_draw: int) -> list[ReceiverCheck]:
+def _certified(pattern: PatternMatrix, beams: BeamSet) -> np.ndarray:
+    """pattern.certified_receivers, (K,), when the beams are the pattern's
+    (assign_beamformers under beams.pair_dims gives the same vectors); no
+    receiver otherwise, an invalid pair map included."""
+    try:
+        own = assign_beamformers(pattern, beams.pair_dims).vectors
+        same = np.array_equal(np.array(own), np.array(beams.vectors))
+    except ValueError:
+        same = False
+    return np.array(pattern.certified_receivers) & same
+
+
+def _exact_checks(layout: ReceiverLayout, certified: np.ndarray, seeds,
+                  first_draw: int) -> list[ReceiverCheck]:
     """Exact checks of a chunk of draws, one Gaussian-integer draw per seed
-    (an int or a SeedSequence): one `nonsingular_mod_p` call over every
-    combined block."""
+    (an int or a SeedSequence). A certified receiver (see _certified) is
+    proven nonsingular when every factor of its D_j is nonzero."""
     h = np.stack([_exact_channel_ints(layout.users, np.random.default_rng(s)) for s in seeds])
-    blocks = layout.blocks(h[..., 0] + 1j * h[..., 1])
-    m = layout.block_len
-    proven = nonsingular_mod_p(blocks.reshape(-1, m, m)).reshape(blocks.shape[:2])
+    coeffs = h[..., 0] + 1j * h[..., 1]  # (T, K, K, 2) [draw, rx, tx, mode]
+    blocks = layout.blocks(coeffs)
+    K, m = layout.users, layout.block_len
+    hjj = coeffs[:, np.arange(K), np.arange(K), None]  # (T, K, 1, 2)
+    det = hjj[..., 0] * coeffs[..., 1] - coeffs[..., 0] * hjj[..., 1]  # own pair {j, o}: [t, j, o]
+    # D_j's factors are these determinants and the aligned mode-2
+    # coefficients, covered by asking every h_ji(2), i != j, to be nonzero
+    nonzero = ((det != 0) & (coeffs[..., 1] != 0)) | np.eye(K, dtype=bool)
+    proven = certified & nonzero.all(axis=2)
     rank_combined = [[m if ok else _exact_rank(a) for a, ok in zip(row, flags)]
                      for row, flags in zip(blocks, proven)]
     return _receiver_checks(blocks, rank_combined, _exact_rank, first_draw)
@@ -254,11 +277,14 @@ def verify_decodability_exact(
     The draw goes through the same layout as the float path. Its parts are
     integers of magnitude at most 999 and the beamforming vectors are 0/1,
     so every block entry is exact in complex floating point and converts
-    back to integers without loss. A combined block nonsingular modulo the
-    prime has rank m. Every other block is ranked by `gaussian_rank`, and
-    so are its desired and interference blocks when that rank is short.
+    back to integers without loss. One rule, with no prime: when the beams
+    are the pattern's, a certified receiver whose D_j factors (aligned
+    mode-2 coefficients, own-pair determinants) are all nonzero has rank m,
+    since det A_j = +-det G_j times their product. Every other block is
+    ranked by `gaussian_rank`, and so are its desired and interference
+    blocks when that rank is short.
     """
-    return _exact_checks(receiver_layout(pattern, beams), [seed], draw)
+    return _exact_checks(receiver_layout(pattern, beams), _certified(pattern, beams), [seed], draw)
 
 
 @dataclass(eq=False)
@@ -292,10 +318,11 @@ def run_verification(scheme: Scheme, draws: int, seed: int, exact: bool = False)
     layout = receiver_layout(scheme.pattern, scheme.beams)
     K, m = layout.users, layout.block_len
     checks: list[ReceiverCheck] = []
+    certified = _certified(scheme.pattern, scheme.beams) if exact else None
     for chunk in chunks(draws, K * m * m):
         if exact:
             seeds = [stream_seed(seed, EXACT_STREAM, t) for t in chunk]
-            checks.extend(_exact_checks(layout, seeds, chunk.start))
+            checks.extend(_exact_checks(layout, certified, seeds, chunk.start))
         else:
             seeds = [stream_seed(seed, CHANNEL_STREAM, t) for t in chunk]
             coeffs = draw_channel_stack(K, seeds)

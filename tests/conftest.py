@@ -1,7 +1,8 @@
 """Shared fixtures: constructed schemes, the pair-product 5-user family and
 the golden 4-user instance, a recorder of the matrix stacks that reach
-numpy's SVD and inverse, a loader for the checkout's scripts, and the
-column-by-column loop oracle of the pair products (scheme.product_matrix).
+numpy's SVD and inverse, a loader for the checkout's scripts, the
+column-by-column loop oracle of the pair products (scheme.product_matrix),
+and two hand-built beam sets that break a scheme's receivers.
 
 The golden instance is a fixed, externally specified switching assignment
 and pair labeling used as a reproduction target by the acceptance gate.
@@ -87,6 +88,20 @@ GOLDEN_VECTORS = {
     (0, 2): (1, 0, 0, 1, 1, 0, 0, 0, 0),
     (0, 1): (1, 1, 1, 0, 0, 0, 0, 0, 0),
 }
+
+
+def copied_beams(scheme: bk.Scheme) -> bk.BeamSet:
+    """User 2 transmits on user 1's vectors: desired and interference overlap."""
+    vecs = scheme.beams.vectors
+    return bk.BeamSet(vectors=[vecs[0], list(vecs[0])] + list(vecs[2:]),
+                      pair_dims=scheme.beams.pair_dims)
+
+
+def duplicated_beams(scheme: bk.Scheme) -> bk.BeamSet:
+    """User 1 sends its first vector twice (a K = 4 scheme)."""
+    vecs = scheme.beams.vectors
+    return bk.BeamSet(vectors=[[vecs[0][0], vecs[0][0], vecs[0][2]]] + list(vecs[1:]),
+                      pair_dims=scheme.beams.pair_dims)
 
 
 def golden_tilde() -> np.ndarray:

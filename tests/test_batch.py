@@ -13,8 +13,9 @@ import pytest
 
 import biakit as bk
 import biakit.exactrank
+import biakit.verify
 from biakit.channel import CHANNEL_STREAM, EXACT_STREAM, ChannelSet, draw_channels, stream_seed
-from biakit.exactrank import BATCH_ELEMENTS, chunks, gaussian_rank, nonsingular_mod_p
+from biakit.exactrank import BATCH_ELEMENTS, chunks, gaussian_rank
 from biakit.scheme import default_pair_dims
 from biakit.sim import (
     SimConfig,
@@ -35,7 +36,7 @@ from biakit.verify import (
     run_verification,
 )
 
-from conftest import GOLDEN_PAIR_DIMS
+from conftest import GOLDEN_PAIR_DIMS, copied_beams, duplicated_beams
 
 def oracle_receiver_blocks(ch, pattern, beams, j):
     """Receiver j's desired and interference blocks, one column_stack each."""
@@ -69,17 +70,16 @@ def oracle_draw(scheme, seed, t, exact):
 
 
 def oracle_report(scheme, draws, seed, exact=False):
-    """The per-draw, per-receiver verification loop."""
+    """The per-draw, per-receiver verification loop. In exact mode every
+    block is ranked by Bareiss elimination (gaussian_rank) alone."""
     K, full = scheme.config.users, expected_ranks(scheme.config)
     rank = oracle_exact_rank if exact else oracle_rank
     checks = []
     for t in range(draws):
         ch = oracle_draw(scheme, seed, t, exact)
-        blocks = [np.hstack(oracle_receiver_blocks(ch, scheme.pattern, scheme.beams, j))
-                  for j in range(K)]
-        proven = nonsingular_mod_p(np.stack(blocks)) if exact else [False] * K
-        for j, (a, ok) in enumerate(zip(blocks, proven)):
-            rc = full[2] if ok else rank(a)
+        for j in range(K):
+            a = np.hstack(oracle_receiver_blocks(ch, scheme.pattern, scheme.beams, j))
+            rc = rank(a)
             ranks = full if rc == full[2] else (rank(a[:, :K - 1]), rank(a[:, K - 1:]), rc)
             checks.append(ReceiverCheck(t, j + 1, *ranks, passed=ranks == full))
     return VerificationReport(users=K, draws=draws, seed=seed, exact=exact, checks=checks)
@@ -183,6 +183,63 @@ def test_exact_reports_match_per_draw_loop(fallback_scheme5):
         got = run_verification(scheme, 3, 3, exact=True)
         assert report_bytes(got) == report_bytes(expect), name
     assert expect.failing_receivers() == (5,)
+
+
+@pytest.mark.parametrize("K", range(3, 11))
+def test_exact_mode_runs_no_elimination_on_built_schemes(K, monkeypatch):
+    """Every built receiver is certified, so the factorisation proves every
+    combined block: no elimination modulo a prime and no Bareiss rank."""
+    scheme = bk.build_scheme(K)
+    calls = []
+    for module, name in [(biakit.exactrank, "_eliminate_mod"), (biakit.verify, "gaussian_rank")]:
+        def counted(*args, _inner=getattr(module, name), _name=name):
+            calls.append(_name)
+            return _inner(*args)
+        monkeypatch.setattr(module, name, counted)
+    assert run_verification(scheme, 2, 0, exact=True).all_passed
+    assert calls == []
+
+
+def edited_draws(edit):
+    """_exact_channel_ints with edit(h) applied to every draw."""
+    def draw(K, rng, _inner=_exact_channel_ints):
+        h = _inner(K, rng)
+        edit(h)
+        return h
+    return draw
+
+
+def tie_own_pair(h):
+    h[1, 2] = h[1, 1]  # own pair {1, 2} of receiver 1 (0-indexed): determinant zero
+
+
+def zero_aligned(h):
+    h[1, 0, 1] = 0  # receiver 1 takes pairs {0, 2} and {0, 3} from user 0 in mode 2
+
+
+@pytest.mark.parametrize("edit", [tie_own_pair, zero_aligned],
+                         ids=["own-pair-determinant", "aligned-coefficient"])
+def test_exact_mode_sends_zero_factors_to_bareiss(edit, monkeypatch):
+    """A zero factor of D_j at a certified receiver makes A_j singular; the
+    report matches the all-Bareiss oracle and fails at that receiver alone."""
+    scheme = bk.build_scheme(4)
+    assert all(scheme.certified_receivers)
+    draw = edited_draws(edit)
+    monkeypatch.setattr(biakit.verify, "_exact_channel_ints", draw)
+    monkeypatch.setitem(globals(), "_exact_channel_ints", draw)
+    expect = oracle_report(scheme, 3, 3, exact=True)
+    assert report_bytes(run_verification(scheme, 3, 3, exact=True)) == report_bytes(expect)
+    assert expect.failing_receivers() == (2,)
+
+
+@pytest.mark.parametrize("beams", [copied_beams, duplicated_beams], ids=["copied", "duplicated"])
+def test_exact_reports_match_per_draw_loop_on_hand_built_beams(beams, scheme4):
+    """Beams that are not the pattern's prove nothing by factorisation;
+    every block goes to Bareiss, as in the oracle."""
+    scheme = bk.Scheme(pattern=scheme4.pattern, beams=beams(scheme4))
+    expect = oracle_report(scheme, 3, 3, exact=True)
+    assert report_bytes(run_verification(scheme, 3, 3, exact=True)) == report_bytes(expect)
+    assert not expect.all_passed
 
 
 def test_simulation_matches_per_trial_loop(fallback_scheme5):

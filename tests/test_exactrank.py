@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 import biakit.exactrank
 from biakit.exactrank import (
     PRIME,
-    SQRT_MINUS_ONE,
     gaussian_rank,
     integer_rank,
     nonsingular,
@@ -175,38 +174,9 @@ def test_peel_decides_without_elimination_and_pads_the_cores(monkeypatch):
     assert eliminated[0][0].tolist() == [[1, 2, 0], [3, 4, 0], [0, 0, 1]]
 
 
-@st.composite
-def gaussian_square_stacks(draw):
-    """Stacks of n x n Gaussian-integer matrices, about half of them
-    singular by construction: one column a Gaussian multiple of another."""
-    n = draw(st.integers(1, 4))
-    parts = st.lists(st.integers(-5, 5), min_size=n * n, max_size=n * n)
-    mats = []
-    for _ in range(draw(st.integers(1, 3))):
-        a = (np.array(draw(parts)) + 1j * np.array(draw(parts))).reshape(n, n)
-        if n > 1 and draw(st.booleans()):
-            c, d = draw(st.permutations(range(n)))[:2]
-            a[:, c] = a[:, d] * complex(draw(st.integers(-1, 1)), draw(st.integers(-1, 1)))
-        mats.append(a)
-    return np.stack(mats)
-
-
-@settings(max_examples=150, deadline=None)
-@given(gaussian_square_stacks())
-def test_gaussian_image_matches_gaussian_rank(stack):
-    # |det|^2 is at most the product of squared column norms, here at most
-    # (4 * 50)^4 < PRIME. A nonzero det whose image vanished would have
-    # a norm divisible by that prime, so the image decides exactly.
-    n = stack.shape[1]
-    expect = [gaussian_rank([[(int(z.real), int(z.imag)) for z in row] for row in a]) == n
-              for a in stack]
-    assert list(nonsingular_mod_p(stack)) == expect
-
-
 def test_prime_table():
     assert not any(sympy.isprime(q) for q in range(PRIME + 4, 2 ** 31, 4))
     assert sympy.isprime(PRIME) and PRIME < 2 ** 31 and PRIME % 4 == 1
-    assert SQRT_MINUS_ONE * SQRT_MINUS_ONE % PRIME == PRIME - 1
 
 
 def _counting_integer_rank(monkeypatch):
@@ -268,3 +238,6 @@ def test_nonsingular_rejects_bad_stacks():
         nonsingular(np.zeros((2, 3, 4), dtype=np.int64))
     with pytest.raises(TypeError):
         nonsingular(np.zeros((1, 2, 2)))
+    # nonsingular, but cast to integers its real part is not
+    with pytest.raises(TypeError, match="integer stack"):
+        nonsingular_mod_p(np.array([[[1 + 1j, 0], [0, 1j]]]))

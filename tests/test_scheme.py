@@ -317,6 +317,13 @@ def _with_rows(rows):
     return edit
 
 
+def _with_tilde_row(r, row):
+    def edit(doc):
+        doc["tilde"][r] = row
+        return doc
+    return edit
+
+
 @pytest.mark.parametrize("edit,message", [
     (_without("K"), "no 'K' key"),
     (_without("pairs"), "no 'pairs' key"),
@@ -329,8 +336,12 @@ def _with_rows(rows):
     (_with("K", 3.0), '"K" must be an integer'),
     (_with_rows([True]), r'"rows" of pair \{1,2\} must be a list of integers'),
     (_with_rows([1.0]), r'"rows" of pair \{1,2\} must be a list of integers'),
+    (_with_tilde_row(1, [0, 1]), r'"tilde" row 2 must be a list of 3 integers, got \[0, 1\]'),
+    (_with_tilde_row(1, 5), '"tilde" row 2 must be a list of 3 integers, got 5'),
+    (_with("tilde", "abc"), '"tilde" must be a list of rows, got "abc"'),
 ], ids=["missing-K", "missing-pairs", "missing-tilde", "K-not-an-integer", "rows-not-a-list",
-        "rows-not-integers", "not-an-object", "K-bool", "K-float", "rows-bool", "rows-float"])
+        "rows-not-integers", "not-an-object", "K-bool", "K-float", "rows-bool", "rows-float",
+        "tilde-ragged-row", "tilde-row-not-a-list", "tilde-not-a-list"])
 def test_scheme_from_json_names_malformed_documents(scheme3, edit, message):
     doc = edit(json.loads(scheme_to_json(scheme3)))
     with pytest.raises(ValueError, match=message):

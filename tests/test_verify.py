@@ -20,7 +20,7 @@ from biakit.verify import (
     verify_decodability_exact,
 )
 
-from conftest import GOLDEN_VECTORS, matrix_count
+from conftest import GOLDEN_VECTORS, copied_beams, duplicated_beams, matrix_count
 
 
 def test_rank_of_basics():
@@ -147,20 +147,6 @@ def test_counting_detects_broken_pair_map(scheme4):
     assert not report.all_passed
 
 
-def copied_beams(scheme):
-    """User 2 transmits on user 1's vectors: desired and interference overlap."""
-    vecs = scheme.beams.vectors
-    return bk.BeamSet(vectors=[vecs[0], list(vecs[0])] + list(vecs[2:]),
-                      pair_dims=scheme.beams.pair_dims)
-
-
-def duplicated_beams(scheme):
-    """User 1 sends its first vector twice."""
-    vecs = scheme.beams.vectors
-    return bk.BeamSet(vectors=[[vecs[0][0], vecs[0][0], vecs[0][2]]] + list(vecs[1:]),
-                      pair_dims=scheme.beams.pair_dims)
-
-
 def test_adversarial_copied_beamformers_detected(scheme4):
     bad = copied_beams(scheme4)
     ch = draw_channels(4, 2, seed=3)
@@ -258,10 +244,10 @@ def test_exact_mode_eliminates_only_unproven_receivers(fallback_scheme5, monkeyp
     fast = [verify_decodability_exact(pattern, beams, seed=s, draw=s) for s in range(3)]
     # receiver 5 is singular, so it alone takes its three exact ranks per draw
     assert len(ranked) == 3 * 3
-    # with nothing proven mod p every combined block is ranked exactly, and
+    # with no receiver certified every combined block is ranked exactly, and
     # only receiver 5's short rank ranks its two blocks: same checks
-    monkeypatch.setattr(biakit.verify, "nonsingular_mod_p",
-                        lambda stack: np.zeros(len(stack), dtype=bool))
+    monkeypatch.setattr(biakit.verify, "_certified",
+                        lambda pattern, beams: np.zeros(pattern.users, dtype=bool))
     assert [verify_decodability_exact(pattern, beams, seed=s, draw=s) for s in range(3)] == fast
     assert len(ranked) == 3 * 3 + 3 * (5 + 2)
 
