@@ -147,20 +147,23 @@ def channels_from_json(text: str) -> ChannelSet:
     if not records:
         raise ValueError("channel file has no coefficient records")
     keys, values = zip(*(_record(n, r) for n, r in enumerate(records, 1)))
-    K = max(max(rx, tx) for rx, tx, _ in keys)
-    M = max(mode for _, _, mode in keys)
-    coeffs = np.zeros((K, K, M), dtype=complex)
     seen = set()
-    for key, value in zip(keys, values):
+    for key in keys:
         if min(key) < 1:
             raise ValueError("channel record rx=%d tx=%d mode=%d: indices start at 1" % key)
         if key in seen:
             raise ValueError("duplicate channel record rx=%d tx=%d mode=%d" % key)
         seen.add(key)
-        coeffs[key[0] - 1, key[1] - 1, key[2] - 1] = value
+    K = max(max(rx, tx) for rx, tx, _ in keys)
+    M = max(mode for _, _, mode in keys)
+    # the distinct keys number len(records), so one of the first
+    # len(records) + 1 keys in order is missing unless all K*K*M are there
     for key in itertools.product(range(1, K + 1), range(1, K + 1), range(1, M + 1)):
         if key not in seen:
             raise ValueError("missing channel record rx=%d tx=%d mode=%d" % key)
+    coeffs = np.zeros((K, K, M), dtype=complex)
+    for (rx, tx, mode), value in zip(keys, values):
+        coeffs[rx - 1, tx - 1, mode - 1] = value
     return ChannelSet(coeffs=coeffs, seed=doc.get("seed"))
 
 

@@ -22,12 +22,12 @@ Two kernels, both exact:
   twice the rank of B + iC over Q(i). These serve tall and wide matrices,
   the exact fallback, and ranks below full.
 
-`nonsingular_mod_p` is the one-sided test under `nonsingular`, for
-integer stacks only. PRIME is below 2^31, so every cross-product of
-residues stays below 2^62 in int64 and no modular inverse is needed.
-`verify --exact` takes no prime: it reads each Gaussian-integer block's
-nonsingularity off its factorisation A_j = G_j D_j (see biakit.verify)
-and ranks every other block with `gaussian_rank`.
+`nonsingular` takes its stack in `chunks`, each through all three steps
+in turn. PRIME is below 2^31, so every cross-product of residues stays
+below 2^62 in int64 and no modular inverse is needed. `verify --exact`
+takes no prime: it reads each Gaussian-integer block's nonsingularity
+off its factorisation A_j = G_j D_j (see biakit.verify) and ranks every
+other block with `gaussian_rank`.
 """
 from __future__ import annotations
 
@@ -83,23 +83,6 @@ def _eliminate_mod(a: np.ndarray, p: int) -> np.ndarray:
     return ok
 
 
-def nonsingular_mod_p(stack) -> np.ndarray:
-    """Whether each square integer matrix of an (N, n, n) stack is
-    nonsingular modulo PRIME. True proves the matrix nonsingular over Q;
-    False proves nothing on its own.
-    """
-    stack = np.asarray(stack)
-    if not np.issubdtype(stack.dtype, np.integer):
-        raise TypeError("expected an integer stack")
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-        raise ValueError("expected a stack of square matrices")
-    out = np.ones(stack.shape[0], dtype=bool)
-    for chunk in chunks(stack.shape[0], stack.shape[1] ** 2):
-        a = np.asarray(stack[chunk.start:chunk.stop], dtype=np.int64) % PRIME
-        out[chunk.start:chunk.stop] = _eliminate_mod(a, PRIME)
-    return out
-
-
 def _peel(nz: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Singleton peel of a stack of nonzero patterns, (N, n, n) booleans.
 
@@ -152,28 +135,30 @@ def nonsingular(stack) -> np.ndarray:
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise ValueError("expected a stack of square matrices")
     count, n, _ = stack.shape
-    if not count:
-        return np.zeros(0, dtype=bool)
-    peeled = [_peel(stack[chunk.start:chunk.stop] != 0) for chunk in chunks(count, n * n)]
-    singular, rows, cols = (np.concatenate(x) for x in zip(*peeled))
-    size = rows.sum(axis=1)
-    out = ~singular & (size == 0)
-    open_ = np.flatnonzero(~singular & (size > 0))
-    if open_.size:
+    out = np.zeros(count, dtype=bool)
+    for chunk in chunks(count, n * n):
+        part = stack[chunk.start:chunk.stop]
+        singular, rows, cols = _peel(part != 0)
+        size = rows.sum(axis=1)
+        out[chunk.start:chunk.stop] = ~singular & (size == 0)
+        open_ = np.flatnonzero(~singular & (size > 0))
+        if not open_.size:
+            continue
         # move every core's rows and columns to the front, in order, and pad
         # it to the largest core with an identity block, which keeps its
-        # determinant. A core nonsingular mod PRIME is nonsingular, and
-        # Bareiss elimination (integer_rank) decides the rest
+        # determinant. The padded cores hold no more entries than the
+        # chunk, so they need no chunking of their own. A core nonsingular
+        # mod PRIME is nonsingular, and Bareiss (integer_rank) decides the rest
         s = size.max()
         r = np.argsort(~rows[open_], axis=1, kind="stable")[:, :s, None]
         c = np.argsort(~cols[open_], axis=1, kind="stable")[:, None, :s]
         inside = np.arange(s) < size[open_, None]
         cores = np.where(inside[:, :, None] & inside[:, None, :],
-                         stack[open_[:, None, None], r, c], np.eye(s, dtype=stack.dtype))
-        proven = nonsingular_mod_p(cores)
+                         part[open_[:, None, None], r, c], np.eye(s, dtype=stack.dtype))
+        proven = _eliminate_mod(cores.astype(np.int64) % PRIME, PRIME)
         for i in np.flatnonzero(~proven):
             proven[i] = integer_rank(cores[i].tolist()) == s
-        out[open_] = proven
+        out[chunk.start + open_] = proven
     return out
 
 

@@ -463,11 +463,11 @@ def scheme_from_json(text: str) -> Scheme:
 def _pair_entries(doc) -> list[tuple[tuple[int, int], tuple[int, int], dict]]:
     """((i, j), (di, dj), entry) per {"users": [i, j], "dims": [di, dj]}
     entry, 0-indexed with i <= j. Raises ValueError naming the first
-    malformed entry."""
+    malformed entry, or the first that repeats a pair (in either order)."""
     if not isinstance(doc, list):
         raise ValueError('pair map must be a list of {"users": [i, j], "dims": [di, dj]} '
                          "entries, got %s" % json.dumps(doc))
-    out = []
+    out, seen = [], set()
     for n, entry in enumerate(doc, 1):
         try:
             (i, j), (di, dj) = entry["users"], entry["dims"]
@@ -480,6 +480,9 @@ def _pair_entries(doc) -> list[tuple[tuple[int, int], tuple[int, int], dict]]:
         i, j, di, dj = i - 1, j - 1, di - 1, dj - 1
         if i > j:
             (i, j), (di, dj) = (j, i), (dj, di)
+        if (i, j) in seen:
+            raise ValueError("pair map entry %d repeats pair {%d,%d}" % (n, i + 1, j + 1))
+        seen.add((i, j))
         out.append(((i, j), (di, dj), entry))
     return out
 

@@ -11,22 +11,31 @@ interference basis, the usual projection form of the same filter. Per-user
 rate is (1/m) sum_d log2(1 + SINR_d), so the sum rate's slope against
 log2(P) reads directly as sum DoF.
 
-A receiver whose combined block is rank deficient (numeric rank of A_j
-below m) cannot zero-force all its symbols; such (trial, receiver) pairs
-contribute zero rate and are counted in `excluded`. Fully certified
-schemes (build_scheme, for every K) never hit this path. The TDMA baseline
+Exclusion is decided by proof, never by a numeric rank. Up to column
+order A_j = G_j D_j, so det A_j = +-det G_j times D_j's factors (see
+verify). A (trial, receiver) pair is excluded, contributing zero rate and
+counted in `excluded`, when the receiver is uncertified, when the
+scheme's beams are not its pattern's, or when a factor of that draw is
+exactly 0: an own-pair determinant det_o = h_jj(1)h_jo(2) - h_jo(1)h_jj(2)
+or a mode-2 coefficient h_ji(2), i != j (the aligned coefficients are
+among these). Every other A_j is proven nonsingular. Fully certified
+schemes (build_scheme, for every K) are excluded only on an exactly zero
+factor, which Gaussian draws give with probability 0. The TDMA baseline
 gives each user a 1/K share of every channel use at the same per-symbol
 power, under the identical channel draws.
 
-`estimate_dof` builds the scheme's receiver layout once (verify) and takes
-its trials in the same `exactrank.chunks` as verification, at most
-`exactrank.BATCH_ELEMENTS` block entries each. Per chunk, one gather gives
-every combined block, one batched SVD the exclusion rule, one batched
-inverse of the full-rank blocks the noise enhancements (squared norms of
-the first K-1 rows), and the own-link gains (T, K, m) the TDMA rate of
-every power. Each row is reduced alone, in the order the one-receiver
-functions use, so rates are bit-identical to them: `noise_enhancement`,
-`receiver_rate` and `tdma_sum_rate` are one-draw views of these kernels.
+`estimate_dof` builds the scheme's receiver layout and its certificate
+once (verify) and takes its trials in the same `exactrank.chunks` as
+verification, at most `exactrank.BATCH_ELEMENTS` block entries each. Per
+chunk, one gather gives every combined block, `verify._proven` the
+exclusion rule, one batched inverse of the proven blocks the noise
+enhancements (squared norms of the first K-1 rows), and the own-link
+gains (T, K, m) the TDMA rate of every power. Each row is reduced alone,
+in the order the one-receiver functions use, so rates are bit-identical
+to them: `noise_enhancement`, `receiver_rate` and `tdma_sum_rate` are
+one-draw views of these kernels, and `zf_decode`, `noise_enhancement`
+and `receiver_rate` raise on an excluded receiver
+(`ReceiverDecomposition.proven` is False).
 SNR points must be finite and give a finite, positive power 10^(dB/10).
 """
 from __future__ import annotations
@@ -42,7 +51,7 @@ from .errors import UnverifiableDrawError
 from .exactrank import chunks
 from .formats import render_csv, render_json
 from .scheme import Scheme
-from .verify import ReceiverDecomposition, receiver_layout, stack_ranks
+from .verify import ReceiverDecomposition, _certified, _proven, receiver_layout
 
 
 def _zf_filters(blocks: np.ndarray, symbols: int) -> np.ndarray:
@@ -59,15 +68,13 @@ def _row_power(w: np.ndarray) -> np.ndarray:
 def _zf_filter(decomp: ReceiverDecomposition) -> np.ndarray:
     """W_j, the first K-1 rows of A_j^{-1}.
 
-    Raises the unverifiable-draw error when A_j is rank deficient (desired
-    and interference spaces overlap, so some desired dimension is
-    unrecoverable by any linear nulling).
+    Raises the unverifiable-draw error unless the certificate proves A_j
+    nonsingular for this draw (the exclusion rule of the module docstring).
     """
-    m = decomp.desired.shape[0]
-    if decomp.rank_combined < m:
+    if not decomp.proven:
         raise UnverifiableDrawError(
-            "receiver %d: combined rank %d < %d, cannot null interference"
-            % (decomp.rx + 1, decomp.rank_combined, m))
+            "receiver %d: combined block not proven nonsingular, cannot null interference"
+            % (decomp.rx + 1))
     return _zf_filters(decomp.combined[None], decomp.desired.shape[1])[0]
 
 
@@ -173,14 +180,15 @@ def estimate_dof(scheme: Scheme, cfg: SimConfig) -> SimResult:
     """Sweep SNR points over shared per-trial channel draws and fit the
     sum-rate slope against log2(linear SNR).
 
-    One layout serves the run; each chunk of trials takes one batched SVD
-    (the exclusion rule), one batched inverse of the full-rank blocks and
-    the TDMA baseline of every power at once.
+    One layout and one certificate serve the run; each chunk of trials
+    takes the exclusion rule (`verify._proven`), one batched inverse of
+    the proven blocks and the TDMA baseline of every power at once.
     """
     if len(cfg.snr_points_db) < 2:
         raise ValueError("need at least 2 SNR points to fit a slope")
     K, m = scheme.config.users, scheme.config.block_len
     layout = receiver_layout(scheme.pattern, scheme.beams)
+    certified = _certified(scheme.pattern, scheme.beams)
     powers = [10.0 ** (db / 10.0) for db in cfg.snr_points_db]
     rates = np.zeros((len(powers), cfg.trials, K))
     tdma = np.zeros((len(powers), cfg.trials))
@@ -188,10 +196,9 @@ def estimate_dof(scheme: Scheme, cfg: SimConfig) -> SimResult:
     for chunk in chunks(cfg.trials, K * m * m):
         seeds = [stream_seed(cfg.seed, CHANNEL_STREAM, t) for t in chunk]
         coeffs = draw_channel_stack(K, seeds)
-        blocks = layout.blocks(coeffs)
-        ok = stack_ranks(blocks) == m
+        ok = _proven(certified, coeffs)
         excluded += len(powers) * int(np.count_nonzero(~ok))
-        noise = _row_power(_zf_filters(blocks[ok], K - 1))
+        noise = _row_power(_zf_filters(layout.blocks(coeffs)[ok], K - 1))
         span = slice(chunk.start, chunk.stop)
         for p, power in enumerate(powers):
             rates[p, span][ok] = _rates(noise, power, m)

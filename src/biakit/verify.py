@@ -28,28 +28,34 @@ Every verdict is read off A_j by one rule: a receiver whose A_j has
 rank m reports the expected ranks without further work, and only the
 others are ranked block by block. Full rank of A_j gives full column rank
 to the desired and interference blocks, which are column subsets of it.
-The two modes differ only in how ranks are taken:
+
+Up to column order A_j = G_j D_j (scheme.certify_receivers): G_j is
+receiver j's 0/1 generator matrix and D_j is block diagonal, one aligned
+mode-2 coefficient per pair without j and the 2x2 block [[h_jj(1),
+h_jo(1)], [h_jj(2), h_jo(2)]] per own pair {j, o}. So det A_j = +-det G_j
+times the product of those coefficients and of the own-pair determinants
+det_o = h_jj(1)h_jo(2) - h_jo(1)h_jj(2). `_proven` reads this proof off a
+stack of draws: when the beams are the pattern's (`_certified`), a
+certified receiver whose D_j factors are all nonzero has a nonsingular
+A_j. The consumers that decide read the proof: exact verification, the
+simulator's exclusion rule and its one-draw decoder (`decompose_receiver`'s
+`proven`). Float verification measures instead. The two modes:
 
 - float: `stack_ranks`, one batched SVD per chunk over Gaussian draws,
-  fast and statistical (`rank_of` is its one-matrix view, used for the
+  fast and statistical, the package's numerical check of the certificate,
+  which reads no proof (`rank_of` is its one-matrix view, used for the
   blocks of a short A_j). The rule agrees with ranking every block: a
   column subset D of A has sigma_min(D) >= sigma_min(A) and
   sigma_max(D) <= sigma_max(A), so whenever the cut
   max(shape) * eps * sigma_max lies below sigma_min(A) it lies below
   sigma_min(D) too.
 - exact: certification grade, over Gaussian-integer draws (one seeded
-  stream per draw), with one exact rule and no prime. Up to column order
-  A_j = G_j D_j (scheme.certify_receivers): G_j is receiver j's 0/1
-  generator matrix and D_j is block diagonal, one aligned mode-2
-  coefficient per pair without j and the 2x2 block [[h_jj(1), h_jo(1)],
-  [h_jj(2), h_jo(2)]] per own pair {j, o}. So det A_j = +-det G_j times
-  the product of those coefficients and of the own-pair determinants
-  h_jj(1)h_jo(2) - h_jo(1)h_jj(2). When the beams are the pattern's, the
-  pattern's certificate (det G_j != 0) and nonzero D_j factors prove A_j
-  nonsingular; every factor is a product of integers of magnitude at most
-  999, exact in complex float64. Every other block (an uncertified G_j, a
-  zero factor, hand-built beams) is ranked by `exactrank.gaussian_rank`,
-  which realifies each Z[i] matrix onto the fraction-free integer kernel.
+  stream per draw), with one exact rule and no prime. `_proven` decides
+  every certified receiver; every factor is a product of integers of
+  magnitude at most 999, exact in complex float64. Every other block (an
+  uncertified G_j, a zero factor, hand-built beams) is ranked by
+  `exactrank.gaussian_rank`, which realifies each Z[i] matrix onto the
+  fraction-free integer kernel.
 
 The channel-free certificate that powers construction lives in
 scheme.certify_receivers.
@@ -139,13 +145,13 @@ def receiver_layout(pattern: PatternMatrix, beams: BeamSet) -> ReceiverLayout:
 
 @dataclass(eq=False)
 class ReceiverDecomposition:
-    """Desired and interference column blocks at one receiver, and the
-    numeric rank of the combined block A_j they form."""
+    """Desired and interference column blocks at one receiver, and whether
+    the combined block A_j they form is proven nonsingular (`_proven`)."""
 
     rx: int
     desired: np.ndarray            # m x (K-1)
     interference_basis: np.ndarray  # m x K(K-1)/2 after merging colinear pairs
-    rank_combined: int
+    proven: bool
 
     @property
     def combined(self) -> np.ndarray:
@@ -158,11 +164,13 @@ def decompose_receiver(
 ) -> ReceiverDecomposition:
     """Receiver j's desired block (m x (K-1)) and merged interference basis
     (m x K(K-1)/2) for one channel draw, the two column blocks of A_j from
-    the scheme's layout, and the numeric rank of A_j."""
+    the scheme's layout, and whether the certificate times D_j proves A_j
+    nonsingular for this draw (no numeric rank is taken)."""
     a = receiver_layout(pattern, beams).blocks(ch.coeffs[None])[0, j]
     d = pattern.users - 1
+    proven = bool(_proven(_certified(pattern, beams), ch.coeffs[None])[0, j])
     return ReceiverDecomposition(
-        rx=j, desired=a[:, :d], interference_basis=a[:, d:], rank_combined=rank_of(a))
+        rx=j, desired=a[:, :d], interference_basis=a[:, d:], proven=proven)
 
 
 def expected_ranks(config: SchemeConfig) -> tuple[int, int, int]:
@@ -247,23 +255,31 @@ def _certified(pattern: PatternMatrix, beams: BeamSet) -> np.ndarray:
     return np.array(pattern.certified_receivers) & same
 
 
-def _exact_checks(layout: ReceiverLayout, certified: np.ndarray, seeds,
-                  first_draw: int) -> list[ReceiverCheck]:
-    """Exact checks of a chunk of draws, one Gaussian-integer draw per seed
-    (an int or a SeedSequence). A certified receiver (see _certified) is
-    proven nonsingular when every factor of its D_j is nonzero."""
-    h = np.stack([_exact_channel_ints(layout.users, np.random.default_rng(s)) for s in seeds])
-    coeffs = h[..., 0] + 1j * h[..., 1]  # (T, K, K, 2) [draw, rx, tx, mode]
-    blocks = layout.blocks(coeffs)
-    K, m = layout.users, layout.block_len
+def _proven(certified: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Which combined blocks of a stack of draws coeffs (T, K, K, 2) the
+    certificate proves nonsingular, (T, K): receiver j is proven in draw t
+    when certified[j] holds (see _certified) and every factor of its D_j
+    is nonzero, since det A_j = +-det G_j times their product."""
+    K = coeffs.shape[1]
     hjj = coeffs[:, np.arange(K), np.arange(K), None]  # (T, K, 1, 2)
     det = hjj[..., 0] * coeffs[..., 1] - coeffs[..., 0] * hjj[..., 1]  # own pair {j, o}: [t, j, o]
     # D_j's factors are these determinants and the aligned mode-2
     # coefficients, covered by asking every h_ji(2), i != j, to be nonzero
     nonzero = ((det != 0) & (coeffs[..., 1] != 0)) | np.eye(K, dtype=bool)
-    proven = certified & nonzero.all(axis=2)
+    return certified & nonzero.all(axis=2)
+
+
+def _exact_checks(layout: ReceiverLayout, certified: np.ndarray, seeds,
+                  first_draw: int) -> list[ReceiverCheck]:
+    """Exact checks of a chunk of draws, one Gaussian-integer draw per seed
+    (an int or a SeedSequence). A receiver `_proven` proves has rank m;
+    Bareiss ranks the rest."""
+    h = np.stack([_exact_channel_ints(layout.users, np.random.default_rng(s)) for s in seeds])
+    coeffs = h[..., 0] + 1j * h[..., 1]  # (T, K, K, 2) [draw, rx, tx, mode]
+    blocks = layout.blocks(coeffs)
+    m = layout.block_len
     rank_combined = [[m if ok else _exact_rank(a) for a, ok in zip(row, flags)]
-                     for row, flags in zip(blocks, proven)]
+                     for row, flags in zip(blocks, _proven(certified, coeffs))]
     return _receiver_checks(blocks, rank_combined, _exact_rank, first_draw)
 
 

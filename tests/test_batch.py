@@ -13,8 +13,10 @@ import pytest
 
 import biakit as bk
 import biakit.exactrank
+import biakit.sim
 import biakit.verify
 from biakit.channel import CHANNEL_STREAM, EXACT_STREAM, ChannelSet, draw_channels, stream_seed
+from biakit.errors import UnverifiableDrawError
 from biakit.exactrank import BATCH_ELEMENTS, chunks, gaussian_rank
 from biakit.scheme import default_pair_dims
 from biakit.sim import (
@@ -250,6 +252,50 @@ def test_simulation_matches_per_trial_loop(fallback_scheme5):
     assert result.excluded == 3 * 12  # receiver 5 of the fallback family
 
 
+@pytest.mark.parametrize("edit", [tie_own_pair, zero_aligned],
+                         ids=["own-pair-determinant", "aligned-coefficient"])
+def test_simulation_excludes_zero_factors(edit, monkeypatch):
+    """A zero factor of D_j at a certified receiver excludes that receiver
+    in every trial, and only it; the SVD oracle agrees byte for byte."""
+    scheme = bk.build_scheme(4)
+    inner = biakit.sim.draw_channel_stack
+
+    def draw_stack(K, seeds):
+        coeffs = inner(K, seeds)
+        for h in coeffs:
+            edit(h)
+        return coeffs
+
+    def draw(K, M=2, seed=0, _inner=draw_channels):
+        ch = _inner(K, M, seed=seed)
+        edit(ch.coeffs)
+        return ch
+    monkeypatch.setattr(biakit.sim, "draw_channel_stack", draw_stack)
+    monkeypatch.setitem(globals(), "draw_channels", draw)
+    cfg = SimConfig(trials=5, seed=4)
+    result = estimate_dof(scheme, cfg)
+    assert result_bytes(result) == result_bytes(oracle_estimate_dof(scheme, cfg))
+    assert result.excluded == 3 * 5
+    assert np.all(result.rates[:, :, 1] == 0)
+    assert np.all(np.delete(result.rates, 1, axis=2) > 0)
+
+
+@pytest.mark.parametrize("beams", [copied_beams, duplicated_beams], ids=["copied", "duplicated"])
+def test_simulation_excludes_every_slot_on_hand_built_beams(beams, scheme4):
+    """Beams that are not the pattern's prove nothing: every (snr, trial,
+    receiver) slot is excluded, as by the SVD oracle, and zf_decode raises."""
+    scheme = bk.Scheme(pattern=scheme4.pattern, beams=beams(scheme4))
+    cfg = SimConfig(trials=5, seed=3)
+    result = estimate_dof(scheme, cfg)
+    assert result_bytes(result) == result_bytes(oracle_estimate_dof(scheme, cfg))
+    assert result.excluded == 3 * 5 * 4
+    ch = draw_channels(4, 2, seed=3)
+    for j in range(4):
+        dec = bk.decompose_receiver(ch, scheme.pattern, scheme.beams, j)
+        with pytest.raises(UnverifiableDrawError, match="receiver %d" % (j + 1)):
+            bk.zf_decode(dec, np.ones(scheme.config.block_len, dtype=complex))
+
+
 def test_simulation_matches_per_trial_loop_past_eight_users():
     # K - 1 >= 8 rates per receiver and m >= 44 uses per TDMA mean: numpy's
     # pairwise summation differs from a plain loop at these lengths
@@ -293,6 +339,6 @@ def test_no_stack_outgrows_the_chunk_budget(K, draws, linalg_stacks):
     estimate_dof(scheme, SimConfig(trials=draws, seed=1))
     shapes = linalg_stacks["svd"] + linalg_stacks["inv"]
     assert max(np.prod(shape) for shape in shapes) <= max(BATCH_ELEMENTS, K * m * m)
-    # one SVD per chunk in each run, one inverse per chunk in the simulation
+    # one SVD per chunk in verification, one inverse per chunk in the simulation
     count = len(chunks(draws, K * m * m))
-    assert (len(linalg_stacks["svd"]), len(linalg_stacks["inv"])) == (2 * count, count)
+    assert (len(linalg_stacks["svd"]), len(linalg_stacks["inv"])) == (count, count)

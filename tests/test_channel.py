@@ -174,7 +174,10 @@ def test_channel_json_records_spawned_seeds():
     (lambda coeffs: coeffs.append(dict(coeffs[3], re=0.5)),
      "duplicate channel record rx=1 tx=2 mode=2"),
     (lambda coeffs: coeffs[0].update(rx=0), "channel record rx=0 tx=1 mode=1"),
-], ids=["missing", "duplicate", "rx-zero"])
+    # one record naming receiver 10^7: no (10^7, 10^7, 2) array can be allocated
+    (lambda coeffs: coeffs.__setitem__(slice(None), [dict(coeffs[0], rx=10 ** 7)]),
+     "missing channel record rx=1 tx=1 mode=1"),
+], ids=["missing", "duplicate", "rx-zero", "huge-rx"])
 def test_channel_json_rejects_malformed_records(corrupt, message):
     doc = json.loads(channels_to_json(draw_channels(3, 2, seed=21)))
     corrupt(doc["coeffs"])

@@ -63,7 +63,9 @@ def test_generate_pair_map_override(tmp_path):
 @pytest.mark.parametrize("doc", [
     [{"users": [1, 2]}],
     {"pairs": 5},
-], ids=["entry-without-dims", "pairs-not-a-list"])
+    [{"users": [1, 2], "dims": [1, 1]}, {"users": [1, 3], "dims": [2, 1]},
+     {"users": [2, 3], "dims": [2, 2]}, {"users": [2, 1], "dims": [1, 1]}],
+], ids=["entry-without-dims", "pairs-not-a-list", "pair-repeated"])
 def test_generate_rejects_malformed_pair_map(tmp_path, doc):
     override = tmp_path / "map.json"
     override.write_text(json.dumps(doc))

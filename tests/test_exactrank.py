@@ -12,7 +12,6 @@ from biakit.exactrank import (
     gaussian_rank,
     integer_rank,
     nonsingular,
-    nonsingular_mod_p,
 )
 
 
@@ -175,8 +174,8 @@ def test_peel_decides_without_elimination_and_pads_the_cores(monkeypatch):
 
 
 def test_prime_table():
-    assert not any(sympy.isprime(q) for q in range(PRIME + 4, 2 ** 31, 4))
-    assert sympy.isprime(PRIME) and PRIME < 2 ** 31 and PRIME % 4 == 1
+    # _eliminate_mod multiplies two residues in int64
+    assert sympy.isprime(PRIME) and (PRIME - 1) ** 2 < 2 ** 62
 
 
 def _counting_integer_rank(monkeypatch):
@@ -220,16 +219,16 @@ def test_past_the_prime_table_falls_back_to_integer_rank(monkeypatch):
 def test_cores_the_prime_does_not_prove_go_to_integer_rank(monkeypatch, core, expect):
     calls = _counting_integer_rank(monkeypatch)
     eliminations = []
-    mod_p = biakit.exactrank.nonsingular_mod_p
+    eliminate = biakit.exactrank._eliminate_mod
 
-    def counted(stack):
-        eliminations.append(stack.copy())
-        return mod_p(stack)
-    monkeypatch.setattr(biakit.exactrank, "nonsingular_mod_p", counted)
+    def counted(a, p):
+        eliminations.append(a.copy())
+        return eliminate(a, p)
+    monkeypatch.setattr(biakit.exactrank, "_eliminate_mod", counted)
     assert (sympy.Matrix(core).det() != 0) == expect
     assert list(nonsingular(np.array([core], dtype=np.int64))) == [expect]
     # the peel leaves the dense core whole: one elimination, then Bareiss
-    assert [a.tolist() for a in eliminations] == [[core]]
+    assert [a.tolist() for a in eliminations] == [(np.array([core]) % PRIME).tolist()]
     assert calls == [core]
 
 
@@ -240,4 +239,4 @@ def test_nonsingular_rejects_bad_stacks():
         nonsingular(np.zeros((1, 2, 2)))
     # nonsingular, but cast to integers its real part is not
     with pytest.raises(TypeError, match="integer stack"):
-        nonsingular_mod_p(np.array([[[1 + 1j, 0], [0, 1j]]]))
+        nonsingular(np.array([[[1 + 1j, 0], [0, 1j]]]))

@@ -289,7 +289,10 @@ def test_scheme_from_json_validates(scheme3):
 @pytest.mark.parametrize("pairs,message", [
     ([{"users": [1, 2]}], "pair map entry 1 must be"),
     (5, "pair map must be a list"),
-], ids=["entry-without-dims", "pairs-not-a-list"])
+    ([{"users": [1, 2], "dims": [1, 1], "rows": [1, 3]}, {"users": [1, 3], "dims": [2, 1]},
+      {"users": [2, 3], "dims": [2, 2]}, {"users": [2, 1], "dims": [1, 1], "rows": [1]}],
+     r"pair map entry 4 repeats pair \{1,2\}"),
+], ids=["entry-without-dims", "pairs-not-a-list", "pair-repeated"])
 def test_scheme_from_json_rejects_malformed_pairs(scheme3, pairs, message):
     doc = dict(json.loads(scheme_to_json(scheme3)), pairs=pairs)
     with pytest.raises(ValueError, match=message):

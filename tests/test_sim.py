@@ -97,16 +97,31 @@ def test_receiver_rate_grows_with_power(scheme4):
 def test_estimate_dof_ranks_and_inverts_once_per_receiver(scheme4, linalg_stacks):
     cfg = SimConfig(trials=3, seed=2)
     result = estimate_dof(scheme4, cfg)
-    # one inverse and one (combined) rank per (trial, receiver), not per SNR point
-    for name in ("svd", "inv"):
-        assert all(shape[-2:] == (9, 9) for shape in linalg_stacks[name])
-        assert matrix_count(linalg_stacks[name], 9, 9) == 3 * 4
+    # one inverse per (trial, receiver), not per SNR point; the certificate
+    # decides exclusion, so no SVD ranks anything
+    assert linalg_stacks["svd"] == []
+    assert all(shape[-2:] == (9, 9) for shape in linalg_stacks["inv"])
+    assert matrix_count(linalg_stacks["inv"], 9, 9) == 3 * 4
     for t in range(cfg.trials):
         ch = draw_channels(4, 2, seed=stream_seed(cfg.seed, CHANNEL_STREAM, t))
         for j in range(4):
             dec = decompose_receiver(ch, scheme4.pattern, scheme4.beams, j)
             for p, db in enumerate(cfg.snr_points_db):
                 assert result.rates[p, t, j] == receiver_rate(dec, 10.0 ** (db / 10.0))
+
+
+@pytest.mark.parametrize("name", [*map(str, range(3, 11)), "fallback5"])
+def test_zero_forcing_takes_no_svd(name, fallback_scheme5, linalg_stacks):
+    """The certificate decides every exclusion: no SVD in the simulation or
+    in the one-draw decomposition, certified or not."""
+    scheme = fallback_scheme5 if name == "fallback5" else bk.build_scheme(int(name))
+    K = scheme.config.users
+    result = estimate_dof(scheme, SimConfig(trials=2, seed=1))
+    ch = draw_channels(K, 2, seed=3)
+    decomps = [decompose_receiver(ch, scheme.pattern, scheme.beams, j) for j in range(K)]
+    assert linalg_stacks["svd"] == []
+    assert [d.proven for d in decomps] == list(scheme.certified_receivers)
+    assert result.excluded == 3 * 2 * scheme.certified_receivers.count(False)
 
 
 def projected_noise_enhancement(decomp):
