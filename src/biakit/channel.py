@@ -13,7 +13,6 @@ draws, 1 = noise, 2 = symbols, 3 = exact-mode integer channels.
 from __future__ import annotations
 
 import cmath
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -157,8 +156,11 @@ def channels_from_json(text: str) -> ChannelSet:
     K = max(max(rx, tx) for rx, tx, _ in keys)
     M = max(mode for _, _, mode in keys)
     # the distinct keys number len(records), so one of the first
-    # len(records) + 1 keys in order is missing unless all K*K*M are there
-    for key in itertools.product(range(1, K + 1), range(1, K + 1), range(1, M + 1)):
+    # len(records) + 1 keys in order is missing unless all K*K*M are there.
+    # The ranges stay lazy: one record can name an index of 10^12
+    every = ((rx, tx, mode) for rx in range(1, K + 1) for tx in range(1, K + 1)
+             for mode in range(1, M + 1))
+    for key in every:
         if key not in seen:
             raise ValueError("missing channel record rx=%d tx=%d mode=%d" % key)
     coeffs = np.zeros((K, K, M), dtype=complex)

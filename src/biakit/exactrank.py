@@ -4,30 +4,26 @@ integers.
 Two kernels, both exact:
 
 - `nonsingular` decides, for a stack of square integer matrices, which
-  are nonsingular over Q, by one rule in three steps. First it peels
+  are nonsingular over Q, by one rule in two steps. First it peels
   singletons, batched over the stack: a row with exactly one nonzero a_rc
   is removed with its column (Laplace expansion, det = +-a_rc *
   det(minor)), then the same for columns, until nothing is left to
   remove. A zero row or column, or two singleton rows (columns) in one
   column (row), proves the matrix singular; a matrix peeled to nothing is
-  nonsingular. Second, the cores left over, each padded with an identity
-  block into one stack, go to one batched elimination in numpy modulo
-  `PRIME`; a core whose determinant is nonzero modulo PRIME is
-  nonsingular. Third, `integer_rank` decides every core that PRIME does
-  not prove. So both verdicts are proofs.
+  nonsingular. Second, `integer_rank` decides each distinct core the peel
+  leaves, once per call: equal cores share one verdict. So both verdicts
+  are proofs.
 - `integer_rank` is fraction-free (Bareiss) elimination on Python ints,
   with no floating tolerance and no external computer-algebra dependency.
   `gaussian_rank` has no elimination of its own: it realifies a matrix
   B + iC over Z[i] into [[B, -C], [C, B]] over Z, whose rank over Q is
   twice the rank of B + iC over Q(i). These serve tall and wide matrices,
-  the exact fallback, and ranks below full.
+  the cores of `nonsingular`, and ranks below full.
 
-`nonsingular` takes its stack in `chunks`, each through all three steps
-in turn. PRIME is below 2^31, so every cross-product of residues stays
-below 2^62 in int64 and no modular inverse is needed. `verify --exact`
-takes no prime: it reads each Gaussian-integer block's nonsingularity
-off its factorisation A_j = G_j D_j (see biakit.verify) and ranks every
-other block with `gaussian_rank`.
+`nonsingular` takes its stack in `chunks`, each through the peel in turn.
+`verify --exact` reads each Gaussian-integer block's nonsingularity off its
+factorisation A_j = G_j D_j (see biakit.verify) and ranks every other
+block with `gaussian_rank`.
 """
 from __future__ import annotations
 
@@ -35,14 +31,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# A prime below 2^31, so the product of two residues stays below 2^62,
-# inside int64. Only `nonsingular` uses it: `verify --exact` proves its
-# blocks by certificate times D_j and ranks the rest by Bareiss, no prime.
-PRIME = 2147483629
-
-# Every batched loop (peel, elimination, certificate, verification and
-# simulation) takes its items in chunks of at most this many entries (at
-# least one item per chunk), which bounds the temporaries of every step.
+# Every batched loop (peel, certificate, verification and simulation)
+# takes its items in chunks of at most this many entries (at least one
+# item per chunk), which bounds the temporaries of every step.
 BATCH_ELEMENTS = 1 << 14
 
 
@@ -51,36 +42,6 @@ def chunks(count: int, per_item: int) -> list[range]:
     entries at per_item entries an item, and at least one item."""
     step = max(1, BATCH_ELEMENTS // max(1, per_item))
     return [range(lo, min(lo + step, count)) for lo in range(0, count, step)]
-
-
-def _eliminate_mod(a: np.ndarray, p: int) -> np.ndarray:
-    """Whether each matrix of a stack of residues mod p is nonsingular mod p.
-
-    Eliminates in place without division: each step scales the rows below
-    the pivot by the pivot and subtracts multiples of the pivot row, which
-    keeps a nonsingular matrix nonsingular. Only the columns right of the
-    pivot are updated; the ones left of it are never read again.
-    """
-    count, n, _ = a.shape
-    ok = np.ones(count, dtype=bool)
-    idx = np.arange(count)
-    for c in range(n):
-        nonzero = a[:, c:, c] != 0
-        ok &= nonzero.any(axis=1)
-        if not ok.any():
-            break
-        piv = nonzero.argmax(axis=1)
-        top = a[:, c, c:]
-        if piv.any():
-            piv += c
-            top = a[idx, piv, c:]  # a copy: the pivot rows
-            a[idx, piv, c:] = a[:, c, c:]
-            a[:, c, c:] = top
-        rest = a[:, c + 1:, c + 1:]
-        rest *= top[:, 0, None, None]
-        rest -= a[:, c + 1:, c, None] * top[:, None, 1:]
-        rest %= p
-    return ok
 
 
 def _peel(nz: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -125,10 +86,7 @@ def _peel(nz: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def nonsingular(stack) -> np.ndarray:
     """Whether each square integer matrix of an (N, n, n) stack is
-    nonsingular over Q, exactly (see the module docstring for the rule).
-
-    Entries must fit in int64.
-    """
+    nonsingular over Q, exactly (see the module docstring for the rule)."""
     stack = np.asarray(stack)
     if not np.issubdtype(stack.dtype, np.integer):
         raise TypeError("expected an integer stack")
@@ -136,29 +94,20 @@ def nonsingular(stack) -> np.ndarray:
         raise ValueError("expected a stack of square matrices")
     count, n, _ = stack.shape
     out = np.zeros(count, dtype=bool)
+    # one verdict per distinct core: the stack has one dtype, so a core's
+    # bytes fix its size as well as its entries
+    verdicts: dict[bytes, bool] = {}
     for chunk in chunks(count, n * n):
         part = stack[chunk.start:chunk.stop]
         singular, rows, cols = _peel(part != 0)
         size = rows.sum(axis=1)
         out[chunk.start:chunk.stop] = ~singular & (size == 0)
-        open_ = np.flatnonzero(~singular & (size > 0))
-        if not open_.size:
-            continue
-        # move every core's rows and columns to the front, in order, and pad
-        # it to the largest core with an identity block, which keeps its
-        # determinant. The padded cores hold no more entries than the
-        # chunk, so they need no chunking of their own. A core nonsingular
-        # mod PRIME is nonsingular, and Bareiss (integer_rank) decides the rest
-        s = size.max()
-        r = np.argsort(~rows[open_], axis=1, kind="stable")[:, :s, None]
-        c = np.argsort(~cols[open_], axis=1, kind="stable")[:, None, :s]
-        inside = np.arange(s) < size[open_, None]
-        cores = np.where(inside[:, :, None] & inside[:, None, :],
-                         part[open_[:, None, None], r, c], np.eye(s, dtype=stack.dtype))
-        proven = _eliminate_mod(cores.astype(np.int64) % PRIME, PRIME)
-        for i in np.flatnonzero(~proven):
-            proven[i] = integer_rank(cores[i].tolist()) == s
-        out[chunk.start + open_] = proven
+        for i in np.flatnonzero(~singular & (size > 0)):
+            core = part[i][rows[i]][:, cols[i]]
+            key = core.tobytes()
+            if key not in verdicts:
+                verdicts[key] = integer_rank(core.tolist()) == size[i]
+            out[chunk.start + i] = verdicts[key]
     return out
 
 

@@ -192,9 +192,8 @@ def certify_receivers(
 
     The K matrices are built and decided by certify_patterns, so each flag
     is a proof either way (see `exactrank.nonsingular`): the singleton peel
-    expands G_j exactly, and whatever core is left is certified when its
-    determinant is nonzero modulo one prime, and otherwise decided by exact
-    Bareiss elimination.
+    expands G_j exactly, and exact Bareiss elimination decides whatever
+    core is left.
     """
     if supports is not None:
         check_supports(tilde, supports)
@@ -292,8 +291,8 @@ def star_pattern_matrix(config: SchemeConfig) -> PatternMatrix:
     (r_0^(o) for v_0o, z_ab for v_ab). Ordering those private rows and
     their columns first makes the block lower block-triangular with
     permutation blocks on the diagonal, so both blocks, and G_j, have
-    determinant +-1. The certificate holds for every K, and the modular
-    proof of it needs one prime.
+    determinant +-1. The certificate holds for every K, and the singleton
+    peel proves it with no elimination.
     """
     K = config.users
     rim = list(itertools.combinations(range(1, K), 2))
@@ -382,7 +381,15 @@ class Scheme:
 
     @property
     def certified_receivers(self) -> tuple[bool, ...]:
-        return self.pattern.certified_receivers
+        """The pattern's certificate when the beams are the pattern's
+        (assign_beamformers under beams.pair_dims gives the same vectors);
+        no receiver otherwise, an invalid pair map included."""
+        try:
+            own = assign_beamformers(self.pattern, self.beams.pair_dims).vectors
+            same = np.array_equal(np.array(own), np.array(self.beams.vectors))
+        except ValueError:
+            same = False
+        return self.pattern.certified_receivers if same else (False,) * self.pattern.users
 
 
 def build_scheme(

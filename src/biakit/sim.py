@@ -51,7 +51,7 @@ from .errors import UnverifiableDrawError
 from .exactrank import chunks
 from .formats import render_csv, render_json
 from .scheme import Scheme
-from .verify import ReceiverDecomposition, _certified, _proven, receiver_layout
+from .verify import ReceiverDecomposition, _proven, receiver_layout
 
 
 def _zf_filters(blocks: np.ndarray, symbols: int) -> np.ndarray:
@@ -188,7 +188,7 @@ def estimate_dof(scheme: Scheme, cfg: SimConfig) -> SimResult:
         raise ValueError("need at least 2 SNR points to fit a slope")
     K, m = scheme.config.users, scheme.config.block_len
     layout = receiver_layout(scheme.pattern, scheme.beams)
-    certified = _certified(scheme.pattern, scheme.beams)
+    certified = scheme.certified_receivers
     powers = [10.0 ** (db / 10.0) for db in cfg.snr_points_db]
     rates = np.zeros((len(powers), cfg.trials, K))
     tdma = np.zeros((len(powers), cfg.trials))

@@ -35,11 +35,12 @@ mode-2 coefficient per pair without j and the 2x2 block [[h_jj(1),
 h_jo(1)], [h_jj(2), h_jo(2)]] per own pair {j, o}. So det A_j = +-det G_j
 times the product of those coefficients and of the own-pair determinants
 det_o = h_jj(1)h_jo(2) - h_jo(1)h_jj(2). `_proven` reads this proof off a
-stack of draws: when the beams are the pattern's (`_certified`), a
-certified receiver whose D_j factors are all nonzero has a nonsingular
-A_j. The consumers that decide read the proof: exact verification, the
-simulator's exclusion rule and its one-draw decoder (`decompose_receiver`'s
-`proven`). Float verification measures instead. The two modes:
+stack of draws: a receiver in `Scheme.certified_receivers` (certified,
+and the beams are the pattern's) whose D_j factors are all nonzero has a
+nonsingular A_j. The consumers that decide read the proof: exact
+verification, the simulator's exclusion rule and its one-draw decoder
+(`decompose_receiver`'s `proven`). Float verification measures instead.
+The two modes:
 
 - float: `stack_ranks`, one batched SVD per chunk over Gaussian draws,
   fast and statistical, the package's numerical check of the certificate,
@@ -70,7 +71,7 @@ import numpy as np
 from .channel import EXACT_STREAM, CHANNEL_STREAM, ChannelSet, draw_channel_stack, stream_seed
 from .exactrank import chunks, gaussian_rank
 from .formats import render_csv, render_json
-from .scheme import BeamSet, PatternMatrix, Scheme, SchemeConfig, assign_beamformers, make_config
+from .scheme import BeamSet, PatternMatrix, Scheme, SchemeConfig, make_config
 
 
 def stack_ranks(stack: np.ndarray) -> np.ndarray:
@@ -168,7 +169,7 @@ def decompose_receiver(
     nonsingular for this draw (no numeric rank is taken)."""
     a = receiver_layout(pattern, beams).blocks(ch.coeffs[None])[0, j]
     d = pattern.users - 1
-    proven = bool(_proven(_certified(pattern, beams), ch.coeffs[None])[0, j])
+    proven = bool(_proven(Scheme(pattern, beams).certified_receivers, ch.coeffs[None])[0, j])
     return ReceiverDecomposition(
         rx=j, desired=a[:, :d], interference_basis=a[:, d:], proven=proven)
 
@@ -243,33 +244,21 @@ def _exact_rank(block: np.ndarray) -> int:
     return gaussian_rank(np.stack([block.real, block.imag], axis=-1).astype(np.int64).tolist())
 
 
-def _certified(pattern: PatternMatrix, beams: BeamSet) -> np.ndarray:
-    """pattern.certified_receivers, (K,), when the beams are the pattern's
-    (assign_beamformers under beams.pair_dims gives the same vectors); no
-    receiver otherwise, an invalid pair map included."""
-    try:
-        own = assign_beamformers(pattern, beams.pair_dims).vectors
-        same = np.array_equal(np.array(own), np.array(beams.vectors))
-    except ValueError:
-        same = False
-    return np.array(pattern.certified_receivers) & same
-
-
-def _proven(certified: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+def _proven(certified: tuple[bool, ...], coeffs: np.ndarray) -> np.ndarray:
     """Which combined blocks of a stack of draws coeffs (T, K, K, 2) the
     certificate proves nonsingular, (T, K): receiver j is proven in draw t
-    when certified[j] holds (see _certified) and every factor of its D_j
-    is nonzero, since det A_j = +-det G_j times their product."""
+    when certified[j] holds (Scheme.certified_receivers) and every factor
+    of its D_j is nonzero, since det A_j = +-det G_j times their product."""
     K = coeffs.shape[1]
     hjj = coeffs[:, np.arange(K), np.arange(K), None]  # (T, K, 1, 2)
     det = hjj[..., 0] * coeffs[..., 1] - coeffs[..., 0] * hjj[..., 1]  # own pair {j, o}: [t, j, o]
     # D_j's factors are these determinants and the aligned mode-2
     # coefficients, covered by asking every h_ji(2), i != j, to be nonzero
     nonzero = ((det != 0) & (coeffs[..., 1] != 0)) | np.eye(K, dtype=bool)
-    return certified & nonzero.all(axis=2)
+    return np.array(certified, dtype=bool) & nonzero.all(axis=2)
 
 
-def _exact_checks(layout: ReceiverLayout, certified: np.ndarray, seeds,
+def _exact_checks(layout: ReceiverLayout, certified: tuple[bool, ...], seeds,
                   first_draw: int) -> list[ReceiverCheck]:
     """Exact checks of a chunk of draws, one Gaussian-integer draw per seed
     (an int or a SeedSequence). A receiver `_proven` proves has rank m;
@@ -300,7 +289,8 @@ def verify_decodability_exact(
     ranked by `gaussian_rank`, and so are its desired and interference
     blocks when that rank is short.
     """
-    return _exact_checks(receiver_layout(pattern, beams), _certified(pattern, beams), [seed], draw)
+    certified = Scheme(pattern, beams).certified_receivers
+    return _exact_checks(receiver_layout(pattern, beams), certified, [seed], draw)
 
 
 @dataclass(eq=False)
@@ -334,7 +324,7 @@ def run_verification(scheme: Scheme, draws: int, seed: int, exact: bool = False)
     layout = receiver_layout(scheme.pattern, scheme.beams)
     K, m = layout.users, layout.block_len
     checks: list[ReceiverCheck] = []
-    certified = _certified(scheme.pattern, scheme.beams) if exact else None
+    certified = scheme.certified_receivers if exact else None
     for chunk in chunks(draws, K * m * m):
         if exact:
             seeds = [stream_seed(seed, EXACT_STREAM, t) for t in chunk]

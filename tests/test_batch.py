@@ -190,14 +190,14 @@ def test_exact_reports_match_per_draw_loop(fallback_scheme5):
 @pytest.mark.parametrize("K", range(3, 11))
 def test_exact_mode_runs_no_elimination_on_built_schemes(K, monkeypatch):
     """Every built receiver is certified, so the factorisation proves every
-    combined block: no elimination modulo a prime and no Bareiss rank."""
-    scheme = bk.build_scheme(K)
+    combined block: no Bareiss elimination, of a certificate or a rank."""
     calls = []
-    for module, name in [(biakit.exactrank, "_eliminate_mod"), (biakit.verify, "gaussian_rank")]:
+    for module, name in [(biakit.exactrank, "integer_rank"), (biakit.verify, "gaussian_rank")]:
         def counted(*args, _inner=getattr(module, name), _name=name):
             calls.append(_name)
             return _inner(*args)
         monkeypatch.setattr(module, name, counted)
+    scheme = bk.build_scheme(K)
     assert run_verification(scheme, 2, 0, exact=True).all_passed
     assert calls == []
 

@@ -177,7 +177,12 @@ def test_channel_json_records_spawned_seeds():
     # one record naming receiver 10^7: no (10^7, 10^7, 2) array can be allocated
     (lambda coeffs: coeffs.__setitem__(slice(None), [dict(coeffs[0], rx=10 ** 7)]),
      "missing channel record rx=1 tx=1 mode=1"),
-], ids=["missing", "duplicate", "rx-zero", "huge-rx"])
+    # the search for a missing record allocates nothing in K or M
+    (lambda coeffs: coeffs.__setitem__(slice(None), [dict(coeffs[0], rx=10 ** 12)]),
+     "missing channel record rx=1 tx=1 mode=1"),
+    (lambda coeffs: coeffs.__setitem__(slice(None), [dict(coeffs[0], mode=10 ** 12)]),
+     "missing channel record rx=1 tx=1 mode=1"),
+], ids=["missing", "duplicate", "rx-zero", "huge-rx", "rx-10^12", "mode-10^12"])
 def test_channel_json_rejects_malformed_records(corrupt, message):
     doc = json.loads(channels_to_json(draw_channels(3, 2, seed=21)))
     corrupt(doc["coeffs"])

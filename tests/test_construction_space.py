@@ -17,9 +17,10 @@ import numpy as np
 import pytest
 
 import biakit.designspace
+import biakit.exactrank
 import biakit.scheme
 from biakit.designspace import make_pattern_matrix, row_vocabulary
-from biakit.exactrank import BATCH_ELEMENTS, chunks, nonsingular
+from biakit.exactrank import BATCH_ELEMENTS, chunks, integer_rank, nonsingular
 from biakit.scheme import PatternMatrix, certify_product_rank, certify_receivers, make_config
 
 from conftest import ROOT, exclude_one_product, pair_product, scan_module
@@ -59,6 +60,28 @@ def test_scan_certifies_a_chunk_of_candidates_per_call(monkeypatch, K):
     assert len(shapes) == math.ceil(candidates / per_chunk)
     assert sum(shape[0] for shape in shapes) == candidates * K
     assert max(math.prod(shape) for shape in shapes) <= BATCH_ELEMENTS
+
+
+@pytest.mark.parametrize("K", range(3, 7))
+def test_scan_runs_bareiss_at_most_once_per_certificate_call(monkeypatch, K):
+    """The peel decides every G_j of every candidate, or leaves one 3 x 3
+    core (det -1); equal cores share one verdict within a call."""
+    per_call, ranked = [], []
+
+    def counted(stack):
+        before = len(ranked)
+        out = nonsingular(stack)
+        per_call.append(len(ranked) - before)
+        return out
+
+    def counted_rank(rows):
+        ranked.append(rows)
+        return integer_rank(rows)
+    monkeypatch.setattr(biakit.scheme, "nonsingular", counted)
+    monkeypatch.setattr(biakit.exactrank, "integer_rank", counted_rank)
+    scan_module().scan(K)
+    assert per_call and max(per_call) <= 1
+    assert all(rows == [[1, 1, 1], [1, 1, 0], [1, 0, 1]] for rows in ranked)
 
 
 @pytest.mark.parametrize("K", [3, 4])

@@ -1,18 +1,11 @@
 """Exact rank routines cross-checked against a computer-algebra oracle."""
-from math import prod
-
 import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
 import biakit.exactrank
-from biakit.exactrank import (
-    PRIME,
-    gaussian_rank,
-    integer_rank,
-    nonsingular,
-)
+from biakit.exactrank import gaussian_rank, integer_rank, nonsingular
 
 
 def test_identity_zero_empty():
@@ -113,11 +106,16 @@ def peelable_stacks(draw):
     on: a lower-triangular block over a dense core of random size,
     [[T, 0], [X, core]], with rows and columns permuted. Some get a zero
     row or column, or two singleton rows (columns) in one column (row).
-    Core sizes differ across the stack, so the cores are padded."""
+    Core sizes differ across the stack. Some matrices are permuted copies
+    of earlier ones, so equal cores repeat within one call."""
     n = draw(st.integers(1, 7))
     entries = st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3]), min_size=n * n, max_size=n * n)
     mats = []
     for _ in range(draw(st.integers(1, 5))):
+        if mats and draw(st.booleans()):
+            a = draw(st.sampled_from(mats))
+            mats.append(a[draw(st.permutations(range(n)))][:, draw(st.permutations(range(n)))])
+            continue
         a = np.array(draw(entries), dtype=np.int64).reshape(n, n)
         t = n - draw(st.integers(0, n))  # T is t x t
         a[:t, t:] = 0
@@ -143,14 +141,18 @@ def test_peeled_nonsingular_matches_oracle(stack):
     assert list(nonsingular(stack)) == [sympy.Matrix(a.tolist()).det() != 0 for a in stack]
 
 
-def test_peel_decides_without_elimination_and_pads_the_cores(monkeypatch):
-    eliminated = []
-    eliminate = biakit.exactrank._eliminate_mod
+def _counting_integer_rank(monkeypatch):
+    calls = []
 
-    def counted(a, p):
-        eliminated.append(a.copy())
-        return eliminate(a, p)
-    monkeypatch.setattr(biakit.exactrank, "_eliminate_mod", counted)
+    def counted(rows):
+        calls.append(rows)
+        return integer_rank(rows)
+    monkeypatch.setattr(biakit.exactrank, "integer_rank", counted)
+    return calls
+
+
+def test_peel_decides_without_elimination_and_pads_the_cores(monkeypatch):
+    calls = _counting_integer_rank(monkeypatch)
     rng = np.random.default_rng(1)
     perm = rng.permutation(6)
     triangular = np.tril(rng.integers(1, 4, size=(6, 6)))[perm][:, perm[::-1]]
@@ -161,31 +163,16 @@ def test_peel_decides_without_elimination_and_pads_the_cores(monkeypatch):
     zero_row[2] = 0
     assert list(nonsingular(np.stack([triangular, rows, columns, zero_row, zero_row.T]))) \
         == [True, False, False, False, False]
-    assert eliminated == []
-    # a 2 x 2 and a 3 x 3 core behind unit rows go to one padded elimination
+    assert calls == []
+    # a 2 x 2 and a 3 x 3 core behind unit rows each go to Bareiss once,
+    # unpadded
     core2 = np.eye(6, dtype=np.int64)[[0, 1, 3, 2, 5, 4]]
     core2[:2, :2] = [[1, 2], [3, 4]]
     core3 = np.eye(6, dtype=np.int64)
     core3[:3, :3] = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
     core3[5, 0] = 1                # row 5 is no singleton, but column 5 is
     assert list(nonsingular(np.stack([core2, core3]))) == [True, False]
-    assert [a.shape for a in eliminated] == [(2, 3, 3)]
-    assert eliminated[0][0].tolist() == [[1, 2, 0], [3, 4, 0], [0, 0, 1]]
-
-
-def test_prime_table():
-    # _eliminate_mod multiplies two residues in int64
-    assert sympy.isprime(PRIME) and (PRIME - 1) ** 2 < 2 ** 62
-
-
-def _counting_integer_rank(monkeypatch):
-    calls = []
-
-    def counted(rows):
-        calls.append(rows)
-        return integer_rank(rows)
-    monkeypatch.setattr(biakit.exactrank, "integer_rank", counted)
-    return calls
+    assert calls == [[[1, 2], [3, 4]], [[1, 2, 3], [4, 5, 6], [7, 8, 9]]]
 
 
 def test_singular_binary_matrices_are_proven_without_elimination_over_q(monkeypatch):
@@ -203,32 +190,22 @@ def test_past_the_prime_table_falls_back_to_integer_rank(monkeypatch):
     stack = rng.integers(-2 ** 58, 2 ** 58, size=(3, 8, 8))
     stack[1][:, 0] = stack[1][:, 1] - stack[1][:, 2]
     stack[2][:, 5] = 3 * stack[2][:, 4]
-    # every Hadamard bound exceeds the prime, so it alone bounds no determinant
-    for a in stack:
-        assert prod(sum(x * x for x in col) for col in a.T.tolist()) > PRIME ** 2
     assert list(nonsingular(stack)) == [integer_rank(a.tolist()) == 8 for a in stack]
     assert list(nonsingular(stack)) == [True, False, False]
-    # only the singular matrices reach exact elimination, once per call
-    assert len(calls) == 4
+    # the peel leaves three distinct dense cores, exact at any entry size:
+    # one Bareiss call each, in each of the two calls
+    assert len(calls) == 6
 
 
 @pytest.mark.parametrize("core, expect", [
-    ([[PRIME + 1, 1], [1, 1]], True),  # det = PRIME, which vanishes mod PRIME
+    ([[2147483630, 1], [1, 1]], True),  # det = 2147483629, a prime
     ([[2, 4], [1, 2]], False),
 ], ids=["det-is-the-prime", "singular"])
 def test_cores_the_prime_does_not_prove_go_to_integer_rank(monkeypatch, core, expect):
     calls = _counting_integer_rank(monkeypatch)
-    eliminations = []
-    eliminate = biakit.exactrank._eliminate_mod
-
-    def counted(a, p):
-        eliminations.append(a.copy())
-        return eliminate(a, p)
-    monkeypatch.setattr(biakit.exactrank, "_eliminate_mod", counted)
     assert (sympy.Matrix(core).det() != 0) == expect
     assert list(nonsingular(np.array([core], dtype=np.int64))) == [expect]
-    # the peel leaves the dense core whole: one elimination, then Bareiss
-    assert [a.tolist() for a in eliminations] == [(np.array([core]) % PRIME).tolist()]
+    # the peel leaves the dense core whole: one Bareiss call decides it
     assert calls == [core]
 
 

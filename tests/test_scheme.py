@@ -424,11 +424,12 @@ def test_certificate_rejects_a_block_of_the_wrong_length():
 @pytest.mark.parametrize("K", range(3, 21))
 def test_build_scheme_certifies_every_receiver(monkeypatch, K):
     eliminations = []
-    monkeypatch.setattr(biakit.exactrank, "_eliminate_mod",
-                        lambda *args: eliminations.append(args))
-    scheme = bk.build_scheme(K)
+    with monkeypatch.context() as patch:
+        patch.setattr(biakit.exactrank, "integer_rank",
+                      lambda *args: eliminations.append(args))
+        scheme = bk.build_scheme(K)
     assert scheme.certified_receivers == (True,) * K
-    # the singleton peel expands every G_j to nothing: no elimination mod p
+    # the singleton peel expands every G_j to nothing: no Bareiss elimination
     assert eliminations == []
     # every shared vector stays inside its pair product (alignment holds)
     check_supports(scheme.pattern.tilde, scheme.pattern.supports)

@@ -20,7 +20,7 @@ from biakit.verify import (
     verify_decodability_exact,
 )
 
-from conftest import GOLDEN_VECTORS, copied_beams, duplicated_beams, matrix_count
+from conftest import GOLDEN_PAIR_DIMS, GOLDEN_VECTORS, copied_beams, duplicated_beams, matrix_count
 
 
 def test_rank_of_basics():
@@ -246,10 +246,20 @@ def test_exact_mode_eliminates_only_unproven_receivers(fallback_scheme5, monkeyp
     assert len(ranked) == 3 * 3
     # with no receiver certified every combined block is ranked exactly, and
     # only receiver 5's short rank ranks its two blocks: same checks
-    monkeypatch.setattr(biakit.verify, "_certified",
-                        lambda pattern, beams: np.zeros(pattern.users, dtype=bool))
+    monkeypatch.setattr(bk.Scheme, "certified_receivers",
+                        property(lambda scheme: (False,) * scheme.pattern.users))
     assert [verify_decodability_exact(pattern, beams, seed=s, draw=s) for s in range(3)] == fast
     assert len(ranked) == 3 * 3 + 3 * (5 + 2)
+
+
+@pytest.mark.parametrize("beams", [copied_beams, duplicated_beams], ids=["copied", "duplicated"])
+def test_scheme_certifies_no_receiver_on_beams_that_are_not_its_patterns(beams, scheme4):
+    """The certificate covers only the beams the pattern assigns (under
+    any pair map); exact verification fails every receiver of these."""
+    assert bk.build_scheme(4, GOLDEN_PAIR_DIMS).certified_receivers == (True,) * 4
+    scheme = bk.Scheme(scheme4.pattern, beams(scheme4))
+    assert scheme.certified_receivers == (False,) * 4
+    assert run_verification(scheme, 2, 0, exact=True).failing_receivers() == (1, 2, 3, 4)
 
 
 def test_exact_mode_is_seed_stable(scheme3):
