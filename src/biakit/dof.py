@@ -8,6 +8,8 @@ maximizer of the bound for every K >= 3.
 """
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -42,7 +44,18 @@ class DofReport:
 
 
 def sweep(K: int) -> DofReport:
-    """Evaluate the bound for l = 2..K; ties break toward smaller l."""
+    """Evaluate the bound for l = 2..K; ties break toward smaller l.
+
+    The largest integer of the sweep is the numerator K! of the bound at
+    l = K-1. A K whose K! has more decimal digits than Python converts to
+    text (sys.get_int_max_str_digits(); 0 means no limit) raises
+    ValueError before any bound is computed, so no emitter fails late.
+    """
+    limit = sys.get_int_max_str_digits()
+    # K! has floor(log10 K!) + 1 digits, more than limit iff log10 K! >= limit
+    if K >= 3 and limit and math.lgamma(K + 1) / math.log(10) >= limit:
+        raise ValueError("users K=%d: the bound's numerator K! has more than %d digits, "
+                         "the limit of integer string conversion" % (K, limit))
     values = tuple((l, bound(K, l)) for l in range(2, K + 1))
     best = max(v for _, v in values)
     l_star = next(l for l, v in values if v == best)

@@ -10,6 +10,13 @@ so the pair's symbols occupy a single shared direction at every third
 receiver, which sits in mode 2 over the whole support (Gou-Wang-Jafar
 alignment needs only a constant mode there).
 
+Each shared vector is stored once, as a column of one (m, C(K,2)) 0/1
+support matrix in lexicographic pair order, the order of product_matrix
+and of the certificate: PatternMatrix.supports (checked by
+check_supports), which BeamSet.shared is for the pattern's own beams. A
+BeamSet adds only the pair map; each user's per-dimension vectors are
+views of those columns, so both owners of a pair always send one vector.
+
 Receiver j can separate its K-1 desired dimensions from interference iff a
 binary m x m generator matrix G_j is nonsingular over the rationals (see
 certify_receivers), an exact channel-free condition this module certifies
@@ -25,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,22 +84,23 @@ class PatternMatrix:
     """Binary switching patterns (one column per receiver) and the support
     of every pair's shared vector.
 
-    tilde holds {0,1}; modes = tilde + 1 holds {1,2}. supports[(a, b)],
-    a < b, is the binary vector users a and b share; it must lie inside
-    their pair product and defaults to the pair product itself.
+    tilde holds {0,1}; modes = tilde + 1 holds {1,2}. supports is the
+    (m, C(K,2)) 0/1 matrix whose column c is the vector the c-th pair
+    (lexicographic, as in product_matrix) shares; each column must lie
+    inside its pair product, and the default is product_matrix(tilde).
     certified_receivers[j] is the exact decodability certificate of
     receiver j (certify_receivers), computed at construction and never
     taken from the caller.
     """
 
     tilde: np.ndarray
-    supports: dict[tuple[int, int], np.ndarray] | None = None  # None: pair products
+    supports: np.ndarray | None = None  # None: product_matrix(tilde)
     certified_receivers: tuple[bool, ...] = field(init=False)
 
     def __post_init__(self):
         self.certified_receivers = certify_receivers(self.tilde, self.supports)
         if self.supports is None:
-            self.supports = pair_products(self.tilde)
+            self.supports = product_matrix(self.tilde)
 
     @property
     def modes(self) -> np.ndarray:
@@ -109,12 +118,6 @@ class PatternMatrix:
 def zero_at(K: int, *users: int) -> tuple[int, ...]:
     """The length-K binary row that is 0 exactly at the given users."""
     return tuple(0 if c in users else 1 for c in range(K))
-
-
-def pair_products(tilde: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
-    """Every pair's product vector, keyed by (a, b), a < b, in lexicographic order."""
-    pairs = itertools.combinations(range(tilde.shape[1]), 2)
-    return dict(zip(pairs, np.ascontiguousarray(product_matrix(tilde).T)))
 
 
 def product_matrix(tilde: np.ndarray) -> np.ndarray:
@@ -144,37 +147,29 @@ def certify_product_rank(tilde: np.ndarray) -> bool:
     return integer_rank(u.tolist()) == u.shape[1]
 
 
-def check_supports(tilde: np.ndarray, supports: dict[tuple[int, int], np.ndarray]) -> None:
-    """Raise ValueError unless every pair has one 0/1 support inside its pair
-    product: the condition that puts every third receiver in mode 2 on it."""
+def check_supports(tilde: np.ndarray, supports: np.ndarray) -> None:
+    """Raise ValueError unless supports is an (m, C(K,2)) 0/1 matrix whose
+    every column lies inside its pair product: the condition that puts
+    every third receiver in mode 2 on the pair's shared vector. The first
+    bad entry, pair by pair, is named by its pair and row."""
     m, K = tilde.shape
-    lexicographic = list(itertools.combinations(range(K), 2))
-    if sorted(supports) != lexicographic:
-        raise ValueError("supports must cover every unordered pair exactly once")
-    pairs = list(supports)
-    vs = [np.asarray(supports[pair]) for pair in pairs]
-    shaped = np.array([v.shape == (m,) for v in vs])
-    # one (m, P) matrix in the supports' order; a misshapen vector is checked
-    # as zeros, which pass, and fails on its shape alone
-    v = np.column_stack([x if ok else np.zeros(m) for x, ok in zip(vs, shaped)])
-    u = product_matrix(tilde)[:, [lexicographic.index(pair) for pair in pairs]]
-    malformed = ~shaped | ~((v == 0) | (v == 1)).all(axis=0)
-    outside = v > u
-    bad = np.flatnonzero(malformed | outside.any(axis=0))
+    v = np.asarray(supports)
+    if v.shape != (m, K * (K - 1) // 2):
+        raise ValueError("supports must be a %d x %d matrix, one column per pair, got shape %s"
+                         % (m, K * (K - 1) // 2, v.shape))
+    malformed = (v != 0) & (v != 1)
+    bad = np.flatnonzero((malformed | (v > product_matrix(tilde))).T)
     if bad.size:
-        n = bad[0]
-        a, b = pairs[n]
-        if malformed[n]:
-            raise ValueError("support of pair {%d,%d} must be a 0/1 vector of length %d"
-                             % (a + 1, b + 1, m))
+        c, r = divmod(int(bad[0]), m)
+        a, b = next(itertools.islice(itertools.combinations(range(K), 2), c, None))
+        if malformed[r, c]:
+            raise ValueError("support of pair {%d,%d} must be 0/1, got %s at row %d"
+                             % (a + 1, b + 1, v[r, c], r + 1))
         raise ValueError("support of pair {%d,%d} leaves the pair product at row %d"
-                         % (a + 1, b + 1, np.flatnonzero(outside[:, n])[0] + 1))
+                         % (a + 1, b + 1, r + 1))
 
 
-def certify_receivers(
-    tilde: np.ndarray,
-    supports: dict[tuple[int, int], np.ndarray] | None = None,
-) -> tuple[bool, ...]:
+def certify_receivers(tilde: np.ndarray, supports: np.ndarray | None = None) -> tuple[bool, ...]:
     """Channel-free decodability certificate, one flag per receiver.
 
     Receiver j separates desired from interference for almost every channel
@@ -197,8 +192,7 @@ def certify_receivers(
     """
     if supports is not None:
         check_supports(tilde, supports)
-        pairs = itertools.combinations(range(tilde.shape[1]), 2)
-        supports = np.column_stack([supports[pair] for pair in pairs])[None]
+        supports = np.asarray(supports)[None]
     return tuple(bool(x) for x in certify_patterns(tilde[None], supports)[0])
 
 
@@ -237,13 +231,6 @@ def _generator_stack(tilde: np.ndarray, v: np.ndarray) -> np.ndarray:
                            v[:, :, mine].transpose(0, 2, 1, 3) * t], axis=-1)
 
 
-def rows_to_support(m: int, rows) -> np.ndarray:
-    """0/1 vector of length m with ones at the given 0-indexed rows."""
-    v = np.zeros(m, dtype=np.int64)
-    v[list(rows)] = 1
-    return v
-
-
 def pattern_from_rows(config: SchemeConfig, tilde, rows_by_pair: dict) -> PatternMatrix:
     """Validated, certified PatternMatrix from a pattern and support rows.
 
@@ -259,15 +246,17 @@ def pattern_from_rows(config: SchemeConfig, tilde, rows_by_pair: dict) -> Patter
         raise ValueError("tilde must be %d x %d" % (m, K))
     if not np.isin(tilde, (0, 1)).all():
         raise ValueError("tilde entries must be 0 or 1")
-    supports = pair_products(tilde)
+    column = {pair: c for c, pair in enumerate(itertools.combinations(range(K), 2))}
+    supports = product_matrix(tilde)
     for (a, b), rows in rows_by_pair.items():
-        if (a, b) not in supports:
+        if (a, b) not in column:
             raise ValueError("bad pair {%d,%d}" % (a + 1, b + 1))
         rows = list(rows)
         if not rows or not all(0 <= r < m for r in rows):
             raise ValueError("rows of pair {%d,%d} must be nonempty and within 1..%d"
                              % (a + 1, b + 1, m))
-        supports[(a, b)] = rows_to_support(m, rows)
+        supports[:, column[(a, b)]] = 0
+        supports[rows, column[(a, b)]] = 1
     return PatternMatrix(tilde, supports)
 
 
@@ -310,15 +299,31 @@ def star_pattern_matrix(config: SchemeConfig) -> PatternMatrix:
 
 @dataclass(eq=False)
 class BeamSet:
-    """Per-user beamforming vectors plus the pair-sharing map.
+    """Every pair's shared vector, stored once, and the pair-sharing map.
 
-    vectors[i][d] is the binary length-m vector of user i's dimension d
-    (0-indexed). pair_dims maps each unordered pair (i, j), i < j, to the
-    dimension indices (d_i, d_j) under which the shared vector is filed.
+    shared is an (m, C(K,2)) 0/1 matrix laid out as PatternMatrix.supports.
+    pair_dims maps each pair (i, j), i < j, to the dimensions (d_i, d_j)
+    under which both owners send its one column.
     """
 
-    vectors: list[list[np.ndarray]]
+    shared: np.ndarray
     pair_dims: dict[tuple[int, int], tuple[int, int]]
+
+    def dimension_columns(self) -> np.ndarray:
+        """(K, K-1): the column of shared that user i sends as dimension d.
+        Raises ValueError unless pair_dims is a valid map (check_pair_dims)."""
+        K = (math.isqrt(8 * self.shared.shape[1] + 1) + 1) // 2  # C(K,2) columns
+        check_pair_dims(K, self.pair_dims)
+        pairs = list(itertools.combinations(range(K), 2))
+        dims = [self.pair_dims[pair] for pair in pairs]
+        cols = np.empty((K, K - 1), dtype=np.intp)
+        cols[np.array(pairs), np.array(dims)] = np.arange(len(pairs))[:, None]
+        return cols
+
+    @property
+    def vectors(self) -> list[list[np.ndarray]]:
+        """vectors[i][d]: user i's dimension-d vector, its pair's column of shared."""
+        return [[self.shared[:, c] for c in row] for row in self.dimension_columns()]
 
     def shared_vector(self, i: int, j: int) -> np.ndarray:
         a, b = (i, j) if i < j else (j, i)
@@ -336,20 +341,10 @@ def default_pair_dims(K: int) -> dict[tuple[int, int], tuple[int, int]]:
     return dims
 
 
-def assign_beamformers(
-    pattern: PatternMatrix,
-    pair_dims: dict[tuple[int, int], tuple[int, int]] | None = None,
-) -> BeamSet:
-    """Attach each pair's shared vector to both owners' dimension slots.
-
-    pair_dims overrides the default labeling (it must cover every pair
-    exactly once and give each user each dimension index exactly once);
-    relabeling never changes spans, only which symbol rides which vector.
-    """
-    K = pattern.users
-    dims = default_pair_dims(K) if pair_dims is None else dict(pair_dims)
-    pairs = list(itertools.combinations(range(K), 2))
-    if sorted(dims) != pairs:
+def check_pair_dims(K: int, dims: dict[tuple[int, int], tuple[int, int]]) -> None:
+    """Raise ValueError unless dims covers every unordered pair exactly once
+    and gives each user each dimension index 0..K-2 exactly once."""
+    if sorted(dims) != list(itertools.combinations(range(K), 2)):
         raise ValueError("pair map must cover every unordered pair exactly once")
     seen = [set() for _ in range(K)]
     for (i, j), (di, dj) in dims.items():
@@ -358,16 +353,27 @@ def assign_beamformers(
                 raise ValueError(
                     "pair map must give user %d each dimension exactly once" % (user + 1))
             seen[user].add(d)
-    vectors: list[list[np.ndarray]] = [[None] * (K - 1) for _ in range(K)]  # type: ignore
-    for (i, j), (di, dj) in dims.items():
-        v = pattern.supports[(i, j)]
-        vectors[i][di] = v
-        vectors[j][dj] = v
-    return BeamSet(vectors=vectors, pair_dims=dims)
+
+
+def assign_beamformers(
+    pattern: PatternMatrix,
+    pair_dims: dict[tuple[int, int], tuple[int, int]] | None = None,
+) -> BeamSet:
+    """The pattern's beams: its supports under a validated pair map.
+
+    pair_dims overrides the default labeling (check_pair_dims); relabeling
+    never changes spans, only which symbol rides which vector.
+    """
+    dims = default_pair_dims(pattern.users) if pair_dims is None else dict(pair_dims)
+    check_pair_dims(pattern.users, dims)
+    return BeamSet(pattern.supports, dims)
 
 
 # ---------------------------------------------------------------------------
 # whole schemes
+
+# largest one-pattern generator stack (K m^2 entries, K = 48) build_scheme takes
+MAX_GENERATOR_ENTRIES = 1 << 26
 
 
 @dataclass(eq=False)
@@ -381,12 +387,12 @@ class Scheme:
 
     @property
     def certified_receivers(self) -> tuple[bool, ...]:
-        """The pattern's certificate when the beams are the pattern's
-        (assign_beamformers under beams.pair_dims gives the same vectors);
-        no receiver otherwise, an invalid pair map included."""
+        """The pattern's certificate when the beams are the pattern's (a
+        valid pair map, and beams.shared equals pattern.supports); no
+        receiver otherwise."""
         try:
-            own = assign_beamformers(self.pattern, self.beams.pair_dims).vectors
-            same = np.array_equal(np.array(own), np.array(self.beams.vectors))
+            check_pair_dims(self.pattern.users, self.beams.pair_dims)
+            same = np.array_equal(self.beams.shared, self.pattern.supports)
         except ValueError:
             same = False
         return self.pattern.certified_receivers if same else (False,) * self.pattern.users
@@ -397,22 +403,29 @@ def build_scheme(
     pair_dims: dict[tuple[int, int], tuple[int, int]] | None = None,
 ) -> Scheme:
     """The K-user scheme of star_pattern_matrix, which certifies every
-    receiver for every K >= 3."""
-    pattern = star_pattern_matrix(make_config(users))
+    receiver for every K >= 3 whose one-pattern generator stack, K m^2
+    entries, fits MAX_GENERATOR_ENTRIES (K <= 48); a larger K raises
+    ValueError before anything is built."""
+    config = make_config(users)
+    entries = users * config.block_len ** 2
+    if entries > MAX_GENERATOR_ENTRIES:
+        raise ValueError("users K=%d is too large: its generator stack needs K*m^2 = %d "
+                         "entries, more than 2^26 (K <= 48)" % (users, entries))
+    pattern = star_pattern_matrix(config)
     return Scheme(pattern=pattern, beams=assign_beamformers(pattern, pair_dims))
 
 
 def scheme_to_json(scheme: Scheme) -> str:
     """External scheme document: 1-indexed users, dimensions and support rows."""
-    supports = scheme.pattern.supports
+    pairs = itertools.combinations(range(scheme.config.users), 2)
     doc = {
         "K": scheme.config.users,
         "m": scheme.config.block_len,
         "tilde": [[int(x) for x in row] for row in scheme.pattern.tilde],
         "pairs": [
-            {"users": [i + 1, j + 1], "dims": [di + 1, dj + 1],
-             "rows": [int(r) + 1 for r in np.flatnonzero(supports[(i, j)])]}
-            for (i, j), (di, dj) in sorted(scheme.beams.pair_dims.items())
+            {"users": [i + 1, j + 1], "dims": [d + 1 for d in scheme.beams.pair_dims[(i, j)]],
+             "rows": (np.flatnonzero(v) + 1).tolist()}
+            for (i, j), v in zip(pairs, scheme.pattern.supports.T)
         ],
     }
     return render_json(doc)

@@ -15,14 +15,15 @@ Exclusion is decided by proof, never by a numeric rank. Up to column
 order A_j = G_j D_j, so det A_j = +-det G_j times D_j's factors (see
 verify). A (trial, receiver) pair is excluded, contributing zero rate and
 counted in `excluded`, when the receiver is uncertified, when the
-scheme's beams are not its pattern's, or when a factor of that draw is
-exactly 0: an own-pair determinant det_o = h_jj(1)h_jo(2) - h_jo(1)h_jj(2)
-or a mode-2 coefficient h_ji(2), i != j (the aligned coefficients are
-among these). Every other A_j is proven nonsingular. Fully certified
-schemes (build_scheme, for every K) are excluded only on an exactly zero
-factor, which Gaussian draws give with probability 0. The TDMA baseline
-gives each user a 1/K share of every channel use at the same per-symbol
-power, under the identical channel draws.
+scheme's beams are aligned but not its pattern's, or when a factor of
+that draw is exactly 0: an own-pair determinant
+det_o = h_jj(1)h_jo(2) - h_jo(1)h_jj(2) or a mode-2 coefficient h_ji(2),
+i != j (the aligned coefficients are among these). Every other A_j is
+proven nonsingular. Fully certified schemes (build_scheme, for every K)
+are excluded only on an exactly zero factor, which Gaussian draws give
+with probability 0. The TDMA baseline gives each user a 1/K share of
+every channel use at the same per-symbol power, under the identical
+channel draws.
 
 `estimate_dof` builds the scheme's receiver layout and its certificate
 once (verify) and takes its trials in the same `exactrank.chunks` as
@@ -36,12 +37,16 @@ to them: `noise_enhancement`, `receiver_rate` and `tdma_sum_rate` are
 one-draw views of these kernels, and `zf_decode`, `noise_enhancement`
 and `receiver_rate` raise on an excluded receiver
 (`ReceiverDecomposition.proven` is False).
+Beams whose shared vector leaves its pair product are not aligned, and
+`estimate_dof` raises ValueError naming the pair and the row (from
+`verify.receiver_layout`) before any trial. `SimResult` stores the rates;
+its means and both fitted slopes are derived from them.
 SNR points must be finite and give a finite, positive power 10^(dB/10).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -156,8 +161,6 @@ class SimResult:
     rates: np.ndarray          # (snr, trial, rx) per-user bits/use; 0 if excluded
     tdma_rates: np.ndarray     # (snr, trial) baseline sum rate
     excluded: int              # count of (snr, trial, rx) zero-forcing failures
-    fitted_slope: float = field(default=0.0)
-    tdma_slope: float = field(default=0.0)
 
     @property
     def mean_sum_rates(self) -> np.ndarray:
@@ -166,6 +169,19 @@ class SimResult:
     @property
     def mean_tdma_rates(self) -> np.ndarray:
         return self.tdma_rates.mean(axis=1)
+
+    def _slope(self, mean_rates: np.ndarray) -> float:
+        """Least-squares slope of mean rates against log2 of the linear SNR."""
+        x = np.log2([10.0 ** (db / 10.0) for db in self.snr_points_db])
+        return float(np.polyfit(x, mean_rates, 1)[0])
+
+    @property
+    def fitted_slope(self) -> float:
+        return self._slope(self.mean_sum_rates)
+
+    @property
+    def tdma_slope(self) -> float:
+        return self._slope(self.mean_tdma_rates)
 
     @property
     def target_dof(self) -> float:
@@ -203,13 +219,9 @@ def estimate_dof(scheme: Scheme, cfg: SimConfig) -> SimResult:
         for p, power in enumerate(powers):
             rates[p, span][ok] = _rates(noise, power, m)
         tdma[:, span] = _tdma_rates(coeffs, scheme.pattern.tilde, powers)
-    result = SimResult(
+    return SimResult(
         users=K, snr_points_db=cfg.snr_points_db, trials=cfg.trials,
         seed=cfg.seed, rates=rates, tdma_rates=tdma, excluded=excluded)
-    x = np.log2(powers)
-    result.fitted_slope = float(np.polyfit(x, result.mean_sum_rates, 1)[0])
-    result.tdma_slope = float(np.polyfit(x, result.mean_tdma_rates, 1)[0])
-    return result
 
 
 # ---------------------------------------------------------------------------

@@ -2,16 +2,21 @@
 
 At receiver j the desired block stacks the K-1 own-channel columns. The
 (K-1)^2 cross-channel interference columns come in exactly-colinear pairs:
-both owners of a shared vector reach any third receiver through the same
-binary vector, scaled by their own mode-2 coefficients. Merging each
-colinear pair leaves a K(K-1)/2-column basis. Together the two blocks form
-the square m x m combined block A_j = [desired | interference basis],
-m = (K-1) + K(K-1)/2. Decodability of the draw means rank_desired = K-1,
-rank_interference = K(K-1)/2 and rank_combined = m (desired space disjoint
-from interference).
+both owners of a pair send its one column of BeamSet.shared, and a third
+receiver keeps mode 2 over it because it lies inside the pair product, so
+the two reach that receiver along one direction, scaled by their own
+mode-2 coefficients. Merging each colinear pair leaves a K(K-1)/2-column
+basis. Together the two blocks form the square m x m combined block
+A_j = [desired | interference basis], m = (K-1) + K(K-1)/2. Decodability
+of the draw means rank_desired = K-1, rank_interference = K(K-1)/2 and
+rank_combined = m (desired space disjoint from interference).
 
 `receiver_layout` is the one place that turns a scheme into these columns;
 float verification, exact verification and the simulator all use it. It
+checks the alignment it merges on (scheme.check_supports), so beams
+whose shared vector leaves its pair product raise ValueError, naming the
+pair and the row, instead of being ranked as if aligned: the block it
+builds is always the span of the signal `channel.receive` forms. It
 is built once per run (never in build_scheme) and records, for every
 receiver j and column c of A_j, the transmitter src[j, c] and the 0/1 beam
 vec[j, :, c]. Row r of A_j is read in receiver j's mode at channel use r,
@@ -54,9 +59,9 @@ The two modes:
   stream per draw), with one exact rule and no prime. `_proven` decides
   every certified receiver; every factor is a product of integers of
   magnitude at most 999, exact in complex float64. Every other block (an
-  uncertified G_j, a zero factor, hand-built beams) is ranked by
-  `exactrank.gaussian_rank`, which realifies each Z[i] matrix onto the
-  fraction-free integer kernel.
+  uncertified G_j, a zero factor, aligned beams that are not the
+  pattern's) is ranked by `exactrank.gaussian_rank`, which realifies each
+  Z[i] matrix onto the fraction-free integer kernel.
 
 The channel-free certificate that powers construction lives in
 scheme.certify_receivers.
@@ -71,7 +76,7 @@ import numpy as np
 from .channel import EXACT_STREAM, CHANNEL_STREAM, ChannelSet, draw_channel_stack, stream_seed
 from .exactrank import chunks, gaussian_rank
 from .formats import render_csv, render_json
-from .scheme import BeamSet, PatternMatrix, Scheme, SchemeConfig, make_config
+from .scheme import BeamSet, PatternMatrix, Scheme, SchemeConfig, check_supports, make_config
 
 
 def stack_ranks(stack: np.ndarray) -> np.ndarray:
@@ -124,23 +129,23 @@ class ReceiverLayout:
 
 
 def receiver_layout(pattern: PatternMatrix, beams: BeamSet) -> ReceiverLayout:
-    """The layout of a scheme's K combined blocks (see ReceiverLayout).
-
-    Colinear interference pairs are merged structurally from the pair map
-    (alignment is exact by construction, so no numeric colinearity
-    detection is involved): both owners of a shared vector reach a third
-    receiver through the same vector, so one column per pair spans both.
-    """
+    """The layout of a scheme's K combined blocks (see ReceiverLayout), the
+    one place that merges a pair's two interference columns into one. The
+    alignment that merge needs is checked: ValueError names the pair and row
+    of a shared vector outside its pair product (check_supports), or the
+    fault of the pair map (check_pair_dims)."""
     K, m = pattern.users, pattern.block_len
-    pairs = list(itertools.combinations(range(K), 2))
-    shared = np.column_stack([beams.shared_vector(a, b) for a, b in pairs])
-    src = np.empty((K, m), dtype=np.intp)
-    vec = np.empty((K, m, m), dtype=shared.dtype)
+    check_supports(pattern.tilde, beams.shared)
+    a, b = np.array(list(itertools.combinations(range(K), 2))).T
+    rx = np.arange(K)[:, None]
+    src = np.hstack([np.repeat(rx, K - 1, axis=1), np.where(a == rx, b, a)])
+    # A_j's column c is shared's column cols[j, c]: j's own dimensions, then every pair
+    cols = np.hstack([beams.dimension_columns(), np.broadcast_to(np.arange(a.size), (K, a.size))])
+    # the verify-float benchmark read up to 9% slower when src and vec were built
+    # otherwise, with the same arithmetic (cause not found); this form measured at parity
+    vec = np.empty((K, m, m), dtype=beams.shared.dtype)
     for j in range(K):
-        src[j, :K - 1] = j
-        src[j, K - 1:] = [b if j == a else a for a, b in pairs]
-        vec[j, :, :K - 1] = np.column_stack(beams.vectors[j])
-        vec[j, :, K - 1:] = shared
+        vec[j] = beams.shared[:, cols[j]]
     return ReceiverLayout(mode=pattern.tilde.T.copy(), src=src, vec=vec)
 
 

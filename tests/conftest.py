@@ -2,7 +2,9 @@
 the golden 4-user instance, a recorder of the matrix stacks that reach
 numpy's SVD and inverse, a loader for the checkout's scripts, the
 column-by-column loop oracle of the pair products (scheme.product_matrix),
-and two hand-built beam sets that break a scheme's receivers.
+two hand-built beam sets that are not a scheme's own (one aligned, one
+not), and a strategy for schemes on random sub-supports of the pair
+products.
 
 The golden instance is a fixed, externally specified switching assignment
 and pair labeling used as a reproduction target by the acceptance gate.
@@ -11,16 +13,24 @@ Its combined receive matrix turns out to be rank deficient at receivers
 records honestly rather than papering over.
 """
 import importlib.util
+import itertools
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import biakit as bk
-from biakit.designspace import make_pattern_matrix
-from biakit.scheme import PatternMatrix, assign_beamformers, make_config
+from biakit.designspace import make_pattern_matrix, row_vocabulary
+from biakit.scheme import (
+    PatternMatrix,
+    assign_beamformers,
+    make_config,
+    pattern_from_rows,
+    product_matrix,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -90,18 +100,44 @@ GOLDEN_VECTORS = {
 }
 
 
+def product_beams(scheme: bk.Scheme) -> bk.BeamSet:
+    """Every pair sends its full pair product: aligned, so the layout holds,
+    but not the star family's narrower supports, so nothing is certified."""
+    return bk.BeamSet(product_matrix(scheme.pattern.tilde), scheme.beams.pair_dims)
+
+
 def copied_beams(scheme: bk.Scheme) -> bk.BeamSet:
-    """User 2 transmits on user 1's vectors: desired and interference overlap."""
-    vecs = scheme.beams.vectors
-    return bk.BeamSet(vectors=[vecs[0], list(vecs[0])] + list(vecs[2:]),
-                      pair_dims=scheme.beams.pair_dims)
+    """Pair {1,2} sends pair {1,3}'s vector. On the star family that vector
+    leaves {1,2}'s pair product at row K+1 (r_3, where user 3 is in mode
+    1), so receiver 3 does not see the pair aligned."""
+    shared = scheme.beams.shared.copy()
+    shared[:, 0] = shared[:, 1]
+    return bk.BeamSet(shared, scheme.beams.pair_dims)
 
 
-def duplicated_beams(scheme: bk.Scheme) -> bk.BeamSet:
-    """User 1 sends its first vector twice (a K = 4 scheme)."""
-    vecs = scheme.beams.vectors
-    return bk.BeamSet(vectors=[[vecs[0][0], vecs[0][0], vecs[0][2]]] + list(vecs[1:]),
-                      pair_dims=scheme.beams.pair_dims)
+@st.composite
+def widened_schemes(draw):
+    """Schemes on a vocabulary-minus-two pattern, rows shuffled, whose every
+    pair shares a random nonempty subset of its pair product (never empty
+    there: of the all-ones row, r_a, r_b and z_ab at most two are omitted),
+    built by pattern_from_rows, under a random pair map."""
+    K = draw(st.integers(3, 7))
+    config = make_config(K)
+    vocab = row_vocabulary(K)
+    omit = draw(st.sets(st.integers(0, len(vocab) - 1), min_size=2, max_size=2))
+    rows = draw(st.permutations([row for r, row in enumerate(vocab) if r not in omit]))
+    tilde = np.array(rows, dtype=np.int64)
+    pairs = list(itertools.combinations(range(K), 2))
+    rows_by_pair = {}
+    for pair, v in zip(pairs, product_matrix(tilde).T):
+        inside = np.flatnonzero(v).tolist()
+        rows_by_pair[pair] = draw(st.sets(st.sampled_from(inside), min_size=1))
+    pattern = pattern_from_rows(config, tilde, rows_by_pair)
+    dims_of = [draw(st.permutations(range(K - 1))) for _ in range(K)]
+    partners = [[o for o in range(K) if o != u] for u in range(K)]
+    dims = {(i, j): (dims_of[i][partners[i].index(j)], dims_of[j][partners[j].index(i)])
+            for i, j in pairs}
+    return bk.Scheme(pattern=pattern, beams=assign_beamformers(pattern, dims))
 
 
 def golden_tilde() -> np.ndarray:

@@ -38,7 +38,7 @@ from biakit.verify import (
     run_verification,
 )
 
-from conftest import GOLDEN_PAIR_DIMS, copied_beams, duplicated_beams
+from conftest import GOLDEN_PAIR_DIMS, copied_beams, product_beams
 
 def oracle_receiver_blocks(ch, pattern, beams, j):
     """Receiver j's desired and interference blocks, one column_stack each."""
@@ -112,12 +112,8 @@ def oracle_estimate_dof(scheme, cfg):
                 gains = np.abs(ch.coeffs[k, k, scheme.pattern.tilde[:, k]]) ** 2
                 total += float(np.mean(np.log2(1.0 + power * gains)))
             tdma[p, t] = total / K
-    result = SimResult(users=K, snr_points_db=cfg.snr_points_db, trials=cfg.trials,
-                       seed=cfg.seed, rates=rates, tdma_rates=tdma, excluded=excluded)
-    x = np.log2(powers)
-    result.fitted_slope = float(np.polyfit(x, result.mean_sum_rates, 1)[0])
-    result.tdma_slope = float(np.polyfit(x, result.mean_tdma_rates, 1)[0])
-    return result
+    return SimResult(users=K, snr_points_db=cfg.snr_points_db, trials=cfg.trials,
+                     seed=cfg.seed, rates=rates, tdma_rates=tdma, excluded=excluded)
 
 
 def assert_bits(a, b):
@@ -234,14 +230,16 @@ def test_exact_mode_sends_zero_factors_to_bareiss(edit, monkeypatch):
     assert expect.failing_receivers() == (2,)
 
 
-@pytest.mark.parametrize("beams", [copied_beams, duplicated_beams], ids=["copied", "duplicated"])
-def test_exact_reports_match_per_draw_loop_on_hand_built_beams(beams, scheme4):
-    """Beams that are not the pattern's prove nothing by factorisation;
-    every block goes to Bareiss, as in the oracle."""
-    scheme = bk.Scheme(pattern=scheme4.pattern, beams=beams(scheme4))
+@pytest.mark.parametrize("K", [4, 5, 6])
+def test_exact_reports_match_per_draw_loop_on_hand_built_beams(K):
+    """Beams that are not the pattern's (full pair products on the star
+    pattern) prove nothing by factorisation; every block goes to Bareiss,
+    as in the oracle, and every receiver fails."""
+    built = bk.build_scheme(K)
+    scheme = bk.Scheme(pattern=built.pattern, beams=product_beams(built))
     expect = oracle_report(scheme, 3, 3, exact=True)
     assert report_bytes(run_verification(scheme, 3, 3, exact=True)) == report_bytes(expect)
-    assert not expect.all_passed
+    assert expect.failing_receivers() == tuple(range(1, K + 1))
 
 
 def test_simulation_matches_per_trial_loop(fallback_scheme5):
@@ -280,20 +278,34 @@ def test_simulation_excludes_zero_factors(edit, monkeypatch):
     assert np.all(np.delete(result.rates, 1, axis=2) > 0)
 
 
-@pytest.mark.parametrize("beams", [copied_beams, duplicated_beams], ids=["copied", "duplicated"])
-def test_simulation_excludes_every_slot_on_hand_built_beams(beams, scheme4):
+@pytest.mark.parametrize("K", [4, 5, 6])
+def test_simulation_excludes_every_slot_on_hand_built_beams(K):
     """Beams that are not the pattern's prove nothing: every (snr, trial,
     receiver) slot is excluded, as by the SVD oracle, and zf_decode raises."""
-    scheme = bk.Scheme(pattern=scheme4.pattern, beams=beams(scheme4))
+    built = bk.build_scheme(K)
+    scheme = bk.Scheme(pattern=built.pattern, beams=product_beams(built))
     cfg = SimConfig(trials=5, seed=3)
     result = estimate_dof(scheme, cfg)
     assert result_bytes(result) == result_bytes(oracle_estimate_dof(scheme, cfg))
-    assert result.excluded == 3 * 5 * 4
-    ch = draw_channels(4, 2, seed=3)
-    for j in range(4):
+    assert result.excluded == 3 * 5 * K
+    ch = draw_channels(K, 2, seed=3)
+    for j in range(K):
         dec = bk.decompose_receiver(ch, scheme.pattern, scheme.beams, j)
         with pytest.raises(UnverifiableDrawError, match="receiver %d" % (j + 1)):
             bk.zf_decode(dec, np.ones(scheme.config.block_len, dtype=complex))
+
+
+def test_misaligned_beams_are_rejected_by_every_run(scheme4):
+    """A shared vector outside its pair product is refused before any draw:
+    float and exact verification and the simulation raise, naming the pair
+    and the row, instead of ranking a block the signal never forms."""
+    scheme = bk.Scheme(pattern=scheme4.pattern, beams=copied_beams(scheme4))
+    message = r"support of pair \{1,2\} leaves the pair product at row 5"
+    for run in (lambda: run_verification(scheme, 3, 3),
+                lambda: run_verification(scheme, 3, 3, exact=True),
+                lambda: estimate_dof(scheme, SimConfig(trials=5, seed=3))):
+        with pytest.raises(ValueError, match=message):
+            run()
 
 
 def test_simulation_matches_per_trial_loop_past_eight_users():

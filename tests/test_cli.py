@@ -9,6 +9,8 @@ import pytest
 
 import biakit
 import biakit.cli
+import biakit.dof
+import biakit.scheme
 
 CMD = [sys.executable, "-m", "biakit"]
 
@@ -227,3 +229,39 @@ def test_negative_seed_is_named(tmp_path, monkeypatch, capsys, command):
     assert biakit.cli.main([command, "--users", "3", "--trials", "2", "--seed", "-1"]) == 1
     assert capsys.readouterr().err == "error: seed must be >= 0\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["generate", "verify", "simulate"])
+def test_extreme_users_fail_fast(tmp_path, monkeypatch, capsys, command):
+    """The size check comes before construction: with star_pattern_matrix
+    raising, a missing check fails this test instead of allocating."""
+    def unreached(config):
+        raise AssertionError("star_pattern_matrix built K=%d" % config.users)
+    monkeypatch.setattr(biakit.scheme, "star_pattern_matrix", unreached)
+    monkeypatch.chdir(tmp_path)
+    assert biakit.cli.main([command, "--users", "100000"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: users K=100000 is too large") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture
+def default_digit_limit():
+    """Python's default limit of integer string conversion, 4300 digits."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+def test_bound_fails_fast_past_the_digit_limit(monkeypatch, capsys, default_digit_limit):
+    def unreached(K, l):
+        raise AssertionError("bound computed for K=%d" % K)
+    with monkeypatch.context() as patch:
+        patch.setattr(biakit.dof, "bound", unreached)
+        assert biakit.cli.main(["bound", "--users", "1559"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: users K=1559:") and "more than 4300 digits" in err
+    # 1558! has 4300 digits, so K = 1558 still prints every bound
+    assert biakit.cli.main(["bound", "--users", "1558"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 1557

@@ -1,5 +1,7 @@
 """Exact rational DoF bound, sweep, and serialization."""
 import json
+import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -75,3 +77,24 @@ def test_sweep_json_uses_rational_strings():
     assert doc["achieved"] == "4/3"
     assert doc["baseline_tdma"] == "1/1"
     assert doc["l_sweep"][0] == {"l": 2, "bound": "4/3"}
+
+
+@pytest.mark.parametrize("limit", [640, 1000])
+def test_sweep_refuses_exactly_the_k_whose_bounds_do_not_print(limit):
+    """Under a digit limit of integer string conversion, sweep refuses the
+    first K whose largest numerator, K! at l = K-1, does not print, and
+    the K before it still emits both formats."""
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        last = max(K for K in range(3, 500) if len(str(math.factorial(K))) <= limit)
+        sys.set_int_max_str_digits(limit)
+        report = sweep(last)
+        sweep_to_csv(report)
+        sweep_to_json(report)
+        with pytest.raises(ValueError, match="Exceeds the limit"):
+            str(bound(last + 1, last).numerator)
+        with pytest.raises(ValueError, match="K=%d: .* more than %d digits" % (last + 1, limit)):
+            sweep(last + 1)
+    finally:
+        sys.set_int_max_str_digits(old)

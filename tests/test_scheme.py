@@ -10,20 +10,20 @@ from hypothesis import given, settings, strategies as st
 
 import biakit as bk
 import biakit.exactrank
+import biakit.scheme
 from biakit.errors import DegenerateSchemeError
 from biakit.designspace import make_pattern_matrix, row_vocabulary
 from biakit.exactrank import integer_rank
 from biakit.scheme import (
     PatternMatrix,
     assign_beamformers,
+    MAX_GENERATOR_ENTRIES,
     certify_product_rank,
     certify_receivers,
     check_supports,
     default_pair_dims,
     make_config,
-    pattern_from_rows,
     pair_dims_from_json,
-    pair_products,
     product_matrix,
     scheme_from_json,
     scheme_to_json,
@@ -36,6 +36,7 @@ from conftest import (
     exclude_one_product,
     golden_tilde,
     pair_product,
+    widened_schemes,
 )
 
 
@@ -439,6 +440,18 @@ def test_build_scheme_certifies_every_receiver(monkeypatch, K):
         assert certify_product_rank(scheme.pattern.tilde)
 
 
+def test_build_scheme_refuses_oversized_generator_stacks(monkeypatch):
+    def unreached(config):
+        raise AssertionError("star_pattern_matrix built K=%d" % config.users)
+    monkeypatch.setattr(biakit.scheme, "star_pattern_matrix", unreached)
+    for K in (49, 100000):
+        with pytest.raises(ValueError, match="users K=%d is too large" % K):
+            bk.build_scheme(K)
+    # K = 48 is the largest K whose one-pattern stack fits
+    size = [K * make_config(K).block_len ** 2 for K in (48, 49)]
+    assert size[0] <= MAX_GENERATOR_ENTRIES < size[1]
+
+
 def _pair_product_certificate(tilde):
     """The pair-product certificate as first stated: [U | w_o, o != j]."""
     m, K = tilde.shape
@@ -455,7 +468,7 @@ def _generator_matrices(tilde, supports):
     for j in range(tilde.shape[1]):
         t = tilde[:, j]
         cols = []
-        for (a, b), v in supports.items():
+        for (a, b), v in zip(itertools.combinations(range(tilde.shape[1]), 2), supports.T):
             cols += [v * (1 - t), v * t] if j in (a, b) else [v]
         out.append(np.column_stack(cols))
     return out
@@ -486,7 +499,7 @@ def test_certificate_matches_integer_rank_on_every_scan_candidate(K):
     vocab = row_vocabulary(K)
     for omit in itertools.combinations(range(len(vocab)), 2):
         tilde = np.array([row for r, row in enumerate(vocab) if r not in omit], dtype=np.int64)
-        assert certify_receivers(tilde) == _integer_rank_certificate(tilde, pair_products(tilde))
+        assert certify_receivers(tilde) == _integer_rank_certificate(tilde, product_matrix(tilde))
 
 
 @settings(max_examples=40, deadline=None)
@@ -497,7 +510,7 @@ def test_generalised_certificate_matches_pair_product_form(rows):
     tilde = np.array(rows, dtype=np.int64)
     expect = _pair_product_certificate(tilde)
     assert certify_receivers(tilde) == expect
-    assert certify_receivers(tilde, pair_products(tilde)) == expect
+    assert certify_receivers(tilde, product_matrix(tilde)) == expect
 
 
 @pytest.mark.parametrize("K", range(3, 9))
@@ -510,38 +523,15 @@ def test_generalised_certificate_matches_on_built_families(K):
 def test_widened_scheme_json_roundtrip(K):
     scheme = bk.build_scheme(K)
     doc = json.loads(scheme_to_json(scheme))
-    for entry in doc["pairs"]:
-        i, j = (u - 1 for u in entry["users"])
-        assert entry["rows"] == [r + 1 for r in np.flatnonzero(scheme.pattern.supports[(i, j)])]
+    pairs = itertools.combinations(range(K), 2)
+    for entry, pair, v in zip(doc["pairs"], pairs, scheme.pattern.supports.T, strict=True):
+        assert tuple(u - 1 for u in entry["users"]) == pair
+        assert entry["rows"] == [r + 1 for r in np.flatnonzero(v)]
     back = scheme_from_json(scheme_to_json(scheme))
     assert back.certified_receivers == (True,) * K
-    for pair, v in scheme.pattern.supports.items():
-        assert np.array_equal(back.pattern.supports[pair], v)
-        assert np.array_equal(back.beams.shared_vector(*pair), v)
-
-
-@st.composite
-def widened_schemes(draw):
-    """Schemes on a vocabulary-minus-two pattern, rows shuffled, whose every
-    pair shares a random nonempty subset of its pair product (never empty
-    there: of the all-ones row, r_a, r_b and z_ab at most two are omitted),
-    under a random pair map."""
-    K = draw(st.integers(3, 7))
-    config = make_config(K)
-    vocab = row_vocabulary(K)
-    omit = draw(st.sets(st.integers(0, len(vocab) - 1), min_size=2, max_size=2))
-    rows = draw(st.permutations([row for r, row in enumerate(vocab) if r not in omit]))
-    tilde = np.array(rows, dtype=np.int64)
-    rows_by_pair = {}
-    for (a, b), v in pair_products(tilde).items():
-        inside = np.flatnonzero(v).tolist()
-        rows_by_pair[(a, b)] = draw(st.sets(st.sampled_from(inside), min_size=1))
-    pattern = pattern_from_rows(config, tilde, rows_by_pair)
-    dims_of = [draw(st.permutations(range(K - 1))) for _ in range(K)]
-    partners = [[o for o in range(K) if o != u] for u in range(K)]
-    dims = {(i, j): (dims_of[i][partners[i].index(j)], dims_of[j][partners[j].index(i)])
-            for i, j in itertools.combinations(range(K), 2)}
-    return bk.Scheme(pattern=pattern, beams=assign_beamformers(pattern, dims))
+    assert np.array_equal(back.pattern.supports, scheme.pattern.supports)
+    for c, pair in enumerate(itertools.combinations(range(K), 2)):
+        assert np.array_equal(back.beams.shared_vector(*pair), scheme.pattern.supports[:, c])
 
 
 @settings(max_examples=40, deadline=None)
@@ -550,28 +540,29 @@ def test_widened_scheme_json_roundtrip_property(scheme):
     pattern = scheme.pattern
     back = scheme_from_json(scheme_to_json(scheme))
     assert np.array_equal(back.pattern.tilde, pattern.tilde)
-    assert back.pattern.supports.keys() == pattern.supports.keys()
-    for pair, v in pattern.supports.items():
-        assert np.array_equal(back.pattern.supports[pair], v)
+    assert np.array_equal(back.pattern.supports, pattern.supports)
     assert back.beams.pair_dims == scheme.beams.pair_dims
     assert back.certified_receivers == pattern.certified_receivers
     assert pattern.certified_receivers == _integer_rank_certificate(pattern.tilde, pattern.supports)
 
 
 def _check_supports_per_pair(tilde, supports):
-    """check_supports as a loop over the pairs: the message oracle."""
+    """check_supports as a loop over the pairs and their rows: the message
+    oracle."""
     m, K = tilde.shape
-    if sorted(supports) != list(itertools.combinations(range(K), 2)):
-        raise ValueError("supports must cover every unordered pair exactly once")
-    for (a, b), v in supports.items():
-        v = np.asarray(v)
-        if v.shape != (m,) or not np.isin(v, (0, 1)).all():
-            raise ValueError("support of pair {%d,%d} must be a 0/1 vector of length %d"
-                             % (a + 1, b + 1, m))
-        outside = np.flatnonzero(v > pair_product(tilde, a, b))
-        if outside.size:
-            raise ValueError("support of pair {%d,%d} leaves the pair product at row %d"
-                             % (a + 1, b + 1, outside[0] + 1))
+    pairs = list(itertools.combinations(range(K), 2))
+    if supports.shape != (m, len(pairs)):
+        raise ValueError("supports must be a %d x %d matrix, one column per pair, got shape %s"
+                         % (m, len(pairs), supports.shape))
+    for (a, b), v in zip(pairs, supports.T):
+        product = pair_product(tilde, a, b)
+        for r in range(m):
+            if v[r] not in (0, 1):
+                raise ValueError("support of pair {%d,%d} must be 0/1, got %s at row %d"
+                                 % (a + 1, b + 1, v[r], r + 1))
+            if v[r] > product[r]:
+                raise ValueError("support of pair {%d,%d} leaves the pair product at row %d"
+                                 % (a + 1, b + 1, r + 1))
 
 
 def _raised(check, *args):
@@ -584,29 +575,45 @@ def _raised(check, *args):
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(3, 5).flatmap(lambda K: st.tuples(
-    st.permutations(list(itertools.combinations(range(K), 2))),
+    st.just(K),
     st.lists(st.tuples(st.sampled_from(["short", "two", "row"]),
                        st.integers(0, 20), st.integers(0, 50)), max_size=3),
     st.booleans())))
 def test_check_supports_names_the_same_pair_and_row_as_a_per_pair_loop(case):
-    """Supports in any key order, with wrong lengths, non-binary entries,
-    rows outside the pair product or a pair missing, raise the per-pair
-    loop's message."""
-    order, edits, drop = case
-    K = max(b for _, b in order) + 1
+    """Support matrices with a row or a column missing, non-binary entries
+    or rows outside the pair product raise the per-pair loop's message."""
+    K, edits, drop = case
     pattern = bk.build_scheme(K).pattern
-    supports = {pair: pattern.supports[pair].copy() for pair in order}
+    supports = pattern.supports.copy()
     for kind, n, row in edits:
-        pair = order[n % len(order)]
-        v = supports[pair]
         if kind == "short":
-            supports[pair] = v[:-1]
+            supports = supports[:-1]
         else:
-            v[row % len(v)] = 2 if kind == "two" else 1  # 1: outside unless already inside
+            c = n % supports.shape[1]
+            # 1 leaves the pair product unless the row is inside it
+            supports[row % len(supports), c] = 2 if kind == "two" else 1
     if drop:
-        del supports[order[0]]
+        supports = supports[:, 1:]
     expect = _raised(_check_supports_per_pair, pattern.tilde, supports)
     assert _raised(check_supports, pattern.tilde, supports) == expect
+
+
+@pytest.mark.parametrize("row,col,value,message", [
+    (2, 1, 2, r"pair \{1,3\} must be 0/1, got 2 at row 3"),
+    (4, 0, 1, r"pair \{1,2\} leaves the pair product at row 5"),
+    (7, 5, -1, r"pair \{3,4\} must be 0/1, got -1 at row 8"),
+], ids=["two", "outside", "negative"])
+def test_support_matrices_name_the_pair_and_row(scheme4, row, col, value, message):
+    """A support matrix that is not 0/1 or leaves a pair product is refused
+    wherever one is taken: check_supports, the certificate and PatternMatrix."""
+    supports = scheme4.pattern.supports.copy()
+    supports[row, col] = value
+    tilde = scheme4.pattern.tilde
+    for build in (check_supports, certify_receivers, PatternMatrix):
+        with pytest.raises(ValueError, match=message):
+            build(tilde, supports)
+    with pytest.raises(ValueError, match=r"9 x 6 matrix, one column per pair, got shape \(9, 5\)"):
+        PatternMatrix(tilde, supports[:, :5])
 
 
 def test_scheme_from_json_validates_rows(scheme5):
@@ -629,7 +636,7 @@ def test_scheme_from_json_validates_rows(scheme5):
     for entry in plain["pairs"]:
         del entry["rows"]
     back = scheme_from_json(json.dumps(plain))
-    for (i, j), v in back.pattern.supports.items():
+    for (i, j), v in zip(itertools.combinations(range(4), 2), back.pattern.supports.T):
         assert np.array_equal(v, pair_product(pattern4.tilde, i, j))
     assert back.certified_receivers == pattern4.certified_receivers
 
@@ -640,6 +647,6 @@ def test_pair_map_relabels_widened_vectors_without_changing_supports(scheme6):
                for pair, (di, dj) in default_pair_dims(K).items()}
     relabeled = bk.build_scheme(K, flipped)
     assert relabeled.beams.pair_dims == flipped
-    for pair, v in scheme6.pattern.supports.items():
-        assert np.array_equal(relabeled.pattern.supports[pair], v)
+    assert np.array_equal(relabeled.pattern.supports, scheme6.pattern.supports)
+    for pair, v in zip(itertools.combinations(range(K), 2), scheme6.pattern.supports.T):
         assert np.array_equal(relabeled.beams.shared_vector(*pair), v)

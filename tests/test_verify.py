@@ -4,10 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import biakit as bk
 import biakit.verify
-from biakit.channel import draw_channels, effective_channel, stream_seed
+from biakit.channel import draw_channels, draw_symbols, effective_channel, receive, stream_seed
 from biakit.verify import (
     check_counting,
     decompose_receiver,
@@ -20,7 +21,14 @@ from biakit.verify import (
     verify_decodability_exact,
 )
 
-from conftest import GOLDEN_PAIR_DIMS, GOLDEN_VECTORS, copied_beams, duplicated_beams, matrix_count
+from conftest import (
+    GOLDEN_PAIR_DIMS,
+    GOLDEN_VECTORS,
+    copied_beams,
+    matrix_count,
+    product_beams,
+    widened_schemes,
+)
 
 
 def test_rank_of_basics():
@@ -139,7 +147,7 @@ def test_counting_identities(K):
 
 
 def test_counting_detects_broken_pair_map(scheme4):
-    beams = bk.BeamSet(vectors=scheme4.beams.vectors,
+    beams = bk.BeamSet(scheme4.beams.shared,
                        pair_dims={(0, 1): (0, 0), (0, 2): (1, 1), (0, 3): (2, 2),
                                   (1, 2): (1, 1), (1, 3): (2, 2), (2, 1): (0, 0)})
     report = check_counting(scheme4.config, beams)
@@ -148,19 +156,26 @@ def test_counting_detects_broken_pair_map(scheme4):
 
 
 def test_adversarial_copied_beamformers_detected(scheme4):
+    """Pair {1,2} sends pair {1,3}'s vector, which leaves its pair product:
+    the layout refuses to merge the pair's columns, naming pair and row."""
     bad = copied_beams(scheme4)
     ch = draw_channels(4, 2, seed=3)
-    checks = verify_decodability(ch, scheme4.pattern, bad)
-    assert not checks[0].passed
-    assert checks[0].rank_combined < 9
+    with pytest.raises(ValueError, match=r"pair \{1,2\} leaves the pair product at row 5"):
+        verify_decodability(ch, scheme4.pattern, bad)
+    with pytest.raises(ValueError, match=r"pair \{1,2\} leaves the pair product at row 5"):
+        decompose_receiver(ch, scheme4.pattern, bad, 0)
 
 
 def test_adversarial_duplicated_dimension_detected(scheme4):
-    bad = duplicated_beams(scheme4)
+    """A pair map that files two of user 1's pairs under one dimension has
+    no signal model; verification refuses it, naming the user."""
+    dims = dict(scheme4.beams.pair_dims)
+    dims[(0, 2)] = (dims[(0, 1)][0], dims[(0, 2)][1])
+    bad = bk.BeamSet(scheme4.beams.shared, dims)
+    assert bk.Scheme(scheme4.pattern, bad).certified_receivers == (False,) * 4
     ch = draw_channels(4, 2, seed=5)
-    checks = verify_decodability(ch, scheme4.pattern, bad)
-    assert not checks[0].passed
-    assert checks[0].rank_desired == 2
+    with pytest.raises(ValueError, match="give user 1 each dimension exactly once"):
+        verify_decodability(ch, scheme4.pattern, bad)
 
 
 def assert_rank_rule(scheme, beams, draws=4):
@@ -187,10 +202,11 @@ def test_rank_rule_matches_three_svd_oracle(K):
     assert all(check.passed for check in assert_rank_rule(scheme, scheme.beams))
 
 
-def test_rank_rule_matches_three_svd_oracle_on_failing_receivers(fallback_scheme5, scheme4):
+def test_rank_rule_matches_three_svd_oracle_on_failing_receivers(fallback_scheme5, scheme4,
+                                                                  scheme5):
     for scheme, beams in [(fallback_scheme5, fallback_scheme5.beams),
-                          (scheme4, copied_beams(scheme4)),
-                          (scheme4, duplicated_beams(scheme4))]:
+                          (scheme4, product_beams(scheme4)),
+                          (scheme5, product_beams(scheme5))]:
         assert not all(check.passed for check in assert_rank_rule(scheme, beams))
 
 
@@ -252,14 +268,75 @@ def test_exact_mode_eliminates_only_unproven_receivers(fallback_scheme5, monkeyp
     assert len(ranked) == 3 * 3 + 3 * (5 + 2)
 
 
-@pytest.mark.parametrize("beams", [copied_beams, duplicated_beams], ids=["copied", "duplicated"])
-def test_scheme_certifies_no_receiver_on_beams_that_are_not_its_patterns(beams, scheme4):
+@pytest.mark.parametrize("K", [4, 5, 6])
+def test_scheme_certifies_no_receiver_on_beams_that_are_not_its_patterns(K):
     """The certificate covers only the beams the pattern assigns (under
-    any pair map); exact verification fails every receiver of these."""
+    any pair map); float and exact verification fail every receiver of
+    the pair-product beams."""
     assert bk.build_scheme(4, GOLDEN_PAIR_DIMS).certified_receivers == (True,) * 4
-    scheme = bk.Scheme(scheme4.pattern, beams(scheme4))
-    assert scheme.certified_receivers == (False,) * 4
-    assert run_verification(scheme, 2, 0, exact=True).failing_receivers() == (1, 2, 3, 4)
+    built = bk.build_scheme(K)
+    scheme = bk.Scheme(built.pattern, product_beams(built))
+    assert scheme.certified_receivers == (False,) * K
+    every = tuple(range(1, K + 1))
+    assert run_verification(scheme, 2, 0, exact=True).failing_receivers() == every
+    assert run_verification(scheme, 2, 0).failing_receivers() == every
+    assert bk.Scheme(built.pattern, copied_beams(built)).certified_receivers == (False,) * K
+
+
+def signal_residual(ch, pattern, beams, j):
+    """Relative distance of the block receive() gives receiver j from the
+    column span of the layout's combined block A_j."""
+    K = pattern.users
+    y = receive(ch, pattern, beams, draw_symbols(K, seed=ch.seed), j)
+    a = decompose_receiver(ch, pattern, beams, j).combined
+    x = np.linalg.lstsq(a, y, rcond=None)[0]
+    return np.linalg.norm(a @ x - y) / np.linalg.norm(y)
+
+
+def assert_layout_matches_signal_model(scheme, beams, draws=3):
+    K = scheme.config.users
+    for t in range(draws):
+        ch = draw_channels(K, 2, seed=t)
+        for j in range(K):
+            assert signal_residual(ch, scheme.pattern, beams, j) < 1e-12, (t, j)
+
+
+@pytest.mark.parametrize("name", ["3", "4", "5", "6", "golden-map-4", "fallback5",
+                                  "pair-products-4", "pair-products-5", "pair-products-6"])
+def test_layout_matches_the_signal_model(name, fallback_scheme5):
+    """What every transmitter sends, through the channel, lies in the span
+    of the layout's A_j at every receiver: the merged interference columns
+    are the signal, not a guess about it."""
+    if name == "fallback5":
+        scheme, beams = fallback_scheme5, fallback_scheme5.beams
+    elif name == "golden-map-4":
+        scheme = bk.build_scheme(4, GOLDEN_PAIR_DIMS)
+        beams = scheme.beams
+    elif name.startswith("pair-products"):
+        scheme = bk.build_scheme(int(name[-1]))
+        beams = product_beams(scheme)
+    else:
+        scheme = bk.build_scheme(int(name))
+        beams = scheme.beams
+    assert_layout_matches_signal_model(scheme, beams)
+
+
+@settings(max_examples=25, deadline=None)
+@given(widened_schemes())
+def test_layout_matches_the_signal_model_on_random_sub_supports(scheme):
+    assert_layout_matches_signal_model(scheme, scheme.beams, draws=1)
+
+
+def test_copied_vector_is_not_aligned_at_a_third_receiver(scheme4):
+    """Why copied beams are refused: receiver 3 is in mode 1 on part of the
+    copied vector, so the two owners of pair {1,2} reach it along two
+    directions, which one merged column cannot span."""
+    pattern, ch = scheme4.pattern, draw_channels(4, 2, seed=1)
+
+    def owner_columns(v):
+        return np.column_stack([effective_channel(ch, pattern, 2, i) * v for i in (0, 1)])
+    assert rank_of(owner_columns(copied_beams(scheme4).shared_vector(0, 1))) == 2
+    assert rank_of(owner_columns(scheme4.beams.shared_vector(0, 1))) == 1
 
 
 def test_exact_mode_is_seed_stable(scheme3):
