@@ -50,8 +50,17 @@ def draw_channels(K: int, M: int = 2, seed=0) -> ChannelSet:
 
 def draw_channel_stack(K: int, seeds) -> np.ndarray:
     """Coefficients of one two-mode draw_channels draw per seed, stacked
-    (T, K, K, 2)."""
-    return np.stack([draw_channels(K, seed=s).coeffs for s in seeds])
+    (T, K, K, 2): one normal draw of both parts per seed, into one array.
+    A draw of shape (2, K, K, 2) takes the real parts, then the imaginary
+    parts, from the stream exactly as draw_channels' two draws do, and the
+    arithmetic is the same, so the stack is byte-identical to theirs."""
+    seeds = list(seeds)
+    z = np.empty((len(seeds), 2, K, K, 2))
+    for n, s in enumerate(seeds):
+        np.random.default_rng(s).standard_normal(out=z[n])
+    coeffs = z[:, 0] + 1j * z[:, 1]
+    coeffs /= np.sqrt(2.0)
+    return coeffs
 
 
 def effective_channel(ch: ChannelSet, pattern: PatternMatrix, k: int, i: int) -> np.ndarray:
@@ -81,10 +90,14 @@ def draw_symbols(K: int, power: float = 1.0, seed=0) -> SymbolBlock:
 
 def transmit(beams: BeamSet, sym: SymbolBlock, i: int) -> np.ndarray:
     """User i's block signal: symbols riding their binary beamforming vectors."""
-    vecs = beams.vectors[i]
-    x = np.zeros(vecs[0].shape[0], dtype=complex)
-    for d, v in enumerate(vecs):
-        x += sym.values[i, d] * v
+    return _signal(beams.shared, beams.dimension_columns()[i], sym.values[i])
+
+
+def _signal(shared: np.ndarray, columns: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """sum_d values[d] * shared[:, columns[d]], added in dimension order."""
+    x = np.zeros(shared.shape[0], dtype=complex)
+    for value, c in zip(values, columns):
+        x += value * shared[:, c]
     return x
 
 
@@ -98,11 +111,13 @@ def receive(
     seed=0,
 ) -> np.ndarray:
     """Received block at receiver k: all users' signals through their
-    effective diagonals, plus optional unit-variance complex noise."""
+    effective diagonals, plus optional unit-variance complex noise. The
+    pair map is read once for all K transmitters."""
     m = pattern.block_len
+    columns = beams.dimension_columns()
     y = np.zeros(m, dtype=complex)
     for i in range(pattern.users):
-        y += effective_channel(ch, pattern, k, i) * transmit(beams, sym, i)
+        y += effective_channel(ch, pattern, k, i) * _signal(beams.shared, columns[i], sym.values[i])
     if noise_on:
         rng = np.random.default_rng(seed)
         y += (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / np.sqrt(2.0)

@@ -63,8 +63,8 @@ def sweep(K: int) -> DofReport:
 
 
 def sweep_to_csv(report: DofReport) -> str:
-    rows = [[report.users, l, v.numerator, v.denominator] for l, v in report.l_sweep]
-    return render_csv(["K", "l", "bound_numerator", "bound_denominator"], rows)
+    rows = [(report.users, l, v.numerator, v.denominator) for l, v in report.l_sweep]
+    return render_csv(["K", "l", "bound_numerator", "bound_denominator"], list(zip(*rows)))
 
 
 def sweep_to_json(report: DofReport) -> str:

@@ -14,6 +14,8 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
+
 
 def is_int(x) -> bool:
     """Whether x is an int and not a bool (JSON true and false load as bools)."""
@@ -88,17 +90,17 @@ def _scalar(obj) -> str:
     raise TypeError("unsupported JSON value: %r" % (obj,))
 
 
-def render_csv(header: list[str], rows: list[list]) -> str:
-    """Deterministic CSV text; floats go through the fixed renderer, every
-    other cell through str."""
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, float):
-                cells.append(format_float(cell))
-            else:
-                cells.append(str(cell))
-        buf.write(",".join(cells) + "\n")
-    return buf.getvalue()
+def render_csv(header: list[str], columns: list) -> str:
+    """Deterministic CSV text from equal-length columns (lists or numpy
+    arrays), one per header name, each rendered once: a column of floats
+    through the fixed float renderer, any other column through str."""
+    cells = [_column_cells(column) for column in columns]
+    lines = [",".join(header)] + [",".join(row) for row in zip(*cells, strict=True)]
+    return "\n".join(lines) + "\n"
+
+
+def _column_cells(column) -> list[str]:
+    """One homogeneous column as text; its first value decides the kind."""
+    values = column.tolist() if isinstance(column, np.ndarray) else list(column)
+    render = format_float if values and isinstance(values[0], float) else str
+    return list(map(render, values))

@@ -5,11 +5,10 @@ A_j = [desired | interference basis] (see verify). When A_j is
 nonsingular, the zero-forcing filter W_j is the first K-1 rows of A_j^{-1}:
 W_j A_j = [I | 0], so W_j y returns the desired symbols plus filtered noise
 and nulls every interference column. With per-symbol power P and unit
-noise, the SINR of dimension d is P / ||row d of W_j||^2. That squared row
-norm equals [(G^H G)^{-1}]_dd with G the desired block projected off the
-interference basis, the usual projection form of the same filter. Per-user
-rate is (1/m) sum_d log2(1 + SINR_d), so the sum rate's slope against
-log2(P) reads directly as sum DoF.
+noise, the SINR of dimension d is P / ||row d of W_j||^2, the noise
+enhancement [(H^H H)^{-1}]_dd of the projection form of the same filter.
+Per-user rate is (1/m) sum_d log2(1 + SINR_d), so the sum rate's slope
+against log2(P) reads directly as sum DoF.
 
 Exclusion is decided by proof, never by a numeric rank. Up to column
 order A_j = G_j D_j, so det A_j = +-det G_j times D_j's factors (see
@@ -25,26 +24,34 @@ with probability 0. The TDMA baseline gives each user a 1/K share of
 every channel use at the same per-symbol power, under the identical
 channel draws.
 
-`estimate_dof` builds the scheme's receiver layout and its certificate
-once (verify) and takes its trials in the same `exactrank.chunks` as
-verification, at most `exactrank.BATCH_ELEMENTS` block entries each. Per
-chunk, one gather gives every combined block, `verify._proven` the
-exclusion rule, one batched inverse of the proven blocks the noise
-enhancements (squared norms of the first K-1 rows), and the own-link
-gains (T, K, m) the TDMA rate of every power. Each row is reduced alone,
-in the order the one-receiver functions use, so rates are bit-identical
-to them: `noise_enhancement`, `receiver_rate` and `tdma_sum_rate` are
-one-draw views of these kernels, and `zf_decode`, `noise_enhancement`
-and `receiver_rate` raise on an excluded receiver
+The same factorisation puts the noise enhancement in closed form, so
+`estimate_dof` builds no block and takes no inverse per trial.
+A_j^{-1} = P D_j^{-1} G_j^{-1}, and the desired rows touch only the own
+2x2 blocks of D_j, so the row of the dimension of own pair {j, o} is
+(h_jo(2) l_o - h_jo(1) u_o) / det_o, with l_o and u_o the rows of
+G_j^{-1} of the pair's mode-1 and mode-2 halves. Its squared norm is
+N = (a |h_jo(2)|^2 + b |h_jo(1)|^2) / |det_o|^2 with the channel-free
+weights a = ||l_o||^2 and b = ||u_o||^2 (`zf_weights`, once per run, one
+batched solve per chunk of receivers); the cross term <l_o, u_o> is 0
+for every aligned scheme. Per chunk of trials (`exactrank.chunks`, at
+most `exactrank.BATCH_ELEMENTS` channel coefficients) the run takes one
+seeded draw per trial, `verify._proven`, the K(K-1) own-pair
+determinants, one weighted sum and the TDMA rate of every power. Rates
+agree with the one-draw views `noise_enhancement` and `receiver_rate`,
+which keep A_j^{-1}, within 1e-10 relative: the two are different float
+evaluations of one quantity. `zf_decode`, `noise_enhancement` and
+`receiver_rate` raise on an excluded receiver
 (`ReceiverDecomposition.proven` is False).
 Beams whose shared vector leaves its pair product are not aligned, and
-`estimate_dof` raises ValueError naming the pair and the row (from
-`verify.receiver_layout`) before any trial. `SimResult` stores the rates;
-its means and both fitted slopes are derived from them.
+`estimate_dof` raises ValueError naming the pair and the row
+(`scheme.check_supports`) before any trial. `SimResult` stores the rates;
+its means and both fitted slopes are derived from them, and its CSV
+emitters render each column once.
 SNR points must be finite and give a finite, positive power 10^(dB/10).
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -55,19 +62,13 @@ from .dof import achieved
 from .errors import UnverifiableDrawError
 from .exactrank import chunks
 from .formats import render_csv, render_json
-from .scheme import Scheme
-from .verify import ReceiverDecomposition, _proven, receiver_layout
+from .scheme import BeamSet, Scheme, _generator_stack, check_supports
+from .verify import ReceiverDecomposition, _proven, own_pair_dets
 
 
-def _zf_filters(blocks: np.ndarray, symbols: int) -> np.ndarray:
-    """W for a stack of nonsingular combined blocks (N, m, m): the first
-    `symbols` rows of each inverse, by one batched inverse."""
-    return np.linalg.inv(blocks)[:, :symbols]
-
-
-def _row_power(w: np.ndarray) -> np.ndarray:
-    """Squared norm of every row of a stack of filters (..., d, m)."""
-    return np.sum(w.real ** 2 + w.imag ** 2, axis=-1)
+def _abs2(z: np.ndarray) -> np.ndarray:
+    """|z|^2 of every entry."""
+    return z.real ** 2 + z.imag ** 2
 
 
 def _zf_filter(decomp: ReceiverDecomposition) -> np.ndarray:
@@ -80,7 +81,7 @@ def _zf_filter(decomp: ReceiverDecomposition) -> np.ndarray:
         raise UnverifiableDrawError(
             "receiver %d: combined block not proven nonsingular, cannot null interference"
             % (decomp.rx + 1))
-    return _zf_filters(decomp.combined[None], decomp.desired.shape[1])[0]
+    return np.linalg.inv(decomp.combined)[:decomp.desired.shape[1]]
 
 
 def zf_decode(decomp: ReceiverDecomposition, y: np.ndarray) -> np.ndarray:
@@ -90,7 +91,7 @@ def zf_decode(decomp: ReceiverDecomposition, y: np.ndarray) -> np.ndarray:
 
 def noise_enhancement(decomp: ReceiverDecomposition) -> np.ndarray:
     """||row d of W_j||^2 for every desired dimension d: SINR_d = P / this."""
-    return _row_power(_zf_filter(decomp))
+    return np.sum(_abs2(_zf_filter(decomp)), axis=-1)
 
 
 def _rates(noise: np.ndarray, power: float, m: int) -> np.ndarray:
@@ -102,6 +103,55 @@ def _rates(noise: np.ndarray, power: float, m: int) -> np.ndarray:
 def receiver_rate(decomp: ReceiverDecomposition, power: float) -> float:
     """Post-zero-forcing rate of one receiver, bits per channel use."""
     return float(_rates(noise_enhancement(decomp), power, decomp.desired.shape[0]))
+
+
+def zf_weights(scheme: Scheme) -> np.ndarray:
+    """(a, b, c) = (||l||^2, ||u||^2, <l, u>) of every certified receiver j
+    and own pair {j, o}, (K, K, 3) indexed [j, o], from the rows l and u of
+    G_j^{-1} that belong to the pair's mode-1 and mode-2 halves; zero at
+    o = j and for an uncertified receiver, whose G_j has no inverse.
+
+    c is 0 for every aligned scheme: a pair without j shares a vector
+    inside its pair product, where t_j = 1, so the uses where j is in mode
+    1 meet only the mode-1 halves of j's own pairs and G_j is block
+    diagonal over the two modes (as in star_pattern_matrix). l and u are
+    then rows of different blocks, with disjoint supports.
+
+    G_j is the generator matrix the certificate decides, built from the
+    beams actually sent (scheme._generator_stack). The 2(K-1) rows come
+    from one batched float solve of G_j^T per `exactrank.chunks` chunk of
+    receivers, at most `exactrank.BATCH_ELEMENTS` generator entries each.
+    """
+    K, m = scheme.config.users, scheme.config.block_len
+    pairs = list(itertools.combinations(range(K), 2))
+    others = np.array([[o for o in range(K) if o != j] for j in range(K)])
+    mine = np.array([[c for c, pair in enumerate(pairs) if j in pair] for j in range(K)])
+    rx = np.flatnonzero(scheme.certified_receivers)
+    gen = _generator_stack(scheme.pattern.tilde[None], scheme.beams.shared[None])[0]
+    # G_j's columns: every pair (own pairs halved to their mode-1 part), then
+    # the mode-2 halves of j's own pairs in partner order
+    halves = np.arange(K - 1)
+    weights = np.zeros((K, K, 3))
+    for chunk in chunks(rx.size, m * m):
+        j = rx[chunk.start:chunk.stop]
+        picks = np.zeros((j.size, m, 2 * (K - 1)))
+        picks[np.arange(j.size)[:, None], mine[j], halves] = 1.0
+        picks[:, len(pairs) + halves, K - 1 + halves] = 1.0
+        rows = np.linalg.solve(gen[j].transpose(0, 2, 1).astype(float), picks)
+        low, up = rows[..., :K - 1], rows[..., K - 1:]
+        weights[j[:, None], others[j]] = np.stack(
+            [np.sum(low * low, axis=1), np.sum(up * up, axis=1), np.sum(low * up, axis=1)],
+            axis=-1)
+    return weights
+
+
+def _partners(beams: BeamSet) -> np.ndarray:
+    """(K, K-1): the partner o of receiver j's dimension d, whose pair
+    {j, o} sends it. Raises ValueError unless the pair map is valid."""
+    columns = beams.dimension_columns()
+    K = columns.shape[0]
+    pairs = np.array(list(itertools.combinations(range(K), 2)))[columns]  # (K, K-1, 2)
+    return np.where(pairs[..., 0] == np.arange(K)[:, None], pairs[..., 1], pairs[..., 0])
 
 
 def _tdma_rates(coeffs: np.ndarray, tilde: np.ndarray, powers) -> np.ndarray:
@@ -196,25 +246,34 @@ def estimate_dof(scheme: Scheme, cfg: SimConfig) -> SimResult:
     """Sweep SNR points over shared per-trial channel draws and fit the
     sum-rate slope against log2(linear SNR).
 
-    One layout and one certificate serve the run; each chunk of trials
-    takes the exclusion rule (`verify._proven`), one batched inverse of
-    the proven blocks and the TDMA baseline of every power at once.
+    The weights of every own pair (`zf_weights`) serve the run; each chunk
+    of trials takes the exclusion rule (`verify._proven`), the own-pair
+    determinants and one weighted sum for the noise enhancements, and the
+    TDMA baseline of every power at once. No combined block is built.
     """
     if len(cfg.snr_points_db) < 2:
         raise ValueError("need at least 2 SNR points to fit a slope")
     K, m = scheme.config.users, scheme.config.block_len
-    layout = receiver_layout(scheme.pattern, scheme.beams)
+    check_supports(scheme.pattern.tilde, scheme.beams.shared)
+    partner = _partners(scheme.beams)
+    rx = np.arange(K)[:, None]
+    # (K, K-1) each, in dimension order; c = 0 (see zf_weights), so no cross term
+    a, b, _ = np.moveaxis(zf_weights(scheme)[rx, partner], -1, 0)
     certified = scheme.certified_receivers
     powers = [10.0 ** (db / 10.0) for db in cfg.snr_points_db]
     rates = np.zeros((len(powers), cfg.trials, K))
     tdma = np.zeros((len(powers), cfg.trials))
     excluded = 0
-    for chunk in chunks(cfg.trials, K * m * m):
+    for chunk in chunks(cfg.trials, K * K * 2):
         seeds = [stream_seed(cfg.seed, CHANNEL_STREAM, t) for t in chunk]
         coeffs = draw_channel_stack(K, seeds)
         ok = _proven(certified, coeffs)
         excluded += len(powers) * int(np.count_nonzero(~ok))
-        noise = _row_power(_zf_filters(layout.blocks(coeffs)[ok], K - 1))
+        # h_jo and det_o of every proven receiver's dimensions, (N, K-1, 2) and (N, K-1)
+        h = coeffs[:, rx, partner][ok]
+        det = own_pair_dets(coeffs)[:, rx, partner][ok]
+        j = np.nonzero(ok)[1]
+        noise = (a[j] * _abs2(h[..., 1]) + b[j] * _abs2(h[..., 0])) / _abs2(det)
         span = slice(chunk.start, chunk.stop)
         for p, power in enumerate(powers):
             rates[p, span][ok] = _rates(noise, power, m)
@@ -229,18 +288,19 @@ def estimate_dof(scheme: Scheme, cfg: SimConfig) -> SimResult:
 
 
 def result_to_long_csv(result: SimResult) -> str:
-    rows = []
-    for p, db in enumerate(result.snr_points_db):
-        for t in range(result.trials):
-            for j in range(result.users):
-                rows.append([result.users, db, t, j + 1, float(result.rates[p, t, j])])
-    return render_csv(["K", "snr_db", "trial", "rx", "rate"], rows)
+    P, T, K = result.rates.shape
+    return render_csv(["K", "snr_db", "trial", "rx", "rate"], [
+        np.full(P * T * K, K),
+        np.repeat(np.array(result.snr_points_db), T * K),
+        np.tile(np.repeat(np.arange(T), K), P),
+        np.tile(np.arange(1, K + 1), P * T),
+        result.rates.reshape(-1)])
 
 
 def result_to_summary_csv(result: SimResult) -> str:
-    rows = [[result.users, db, float(result.mean_sum_rates[p])]
-            for p, db in enumerate(result.snr_points_db)]
-    return render_csv(["K", "snr_db", "mean_sum_rate"], rows)
+    P = len(result.snr_points_db)
+    return render_csv(["K", "snr_db", "mean_sum_rate"], [
+        np.full(P, result.users), np.array(result.snr_points_db), result.mean_sum_rates])
 
 
 def result_to_json(result: SimResult) -> str:

@@ -12,12 +12,12 @@ of the draw means rank_desired = K-1, rank_interference = K(K-1)/2 and
 rank_combined = m (desired space disjoint from interference).
 
 `receiver_layout` is the one place that turns a scheme into these columns;
-float verification, exact verification and the simulator all use it. It
-checks the alignment it merges on (scheme.check_supports), so beams
-whose shared vector leaves its pair product raise ValueError, naming the
-pair and the row, instead of being ranked as if aligned: the block it
-builds is always the span of the signal `channel.receive` forms. It
-is built once per run (never in build_scheme) and records, for every
+float and exact verification use it (the simulator needs no block, see
+biakit.sim). It checks the alignment it merges on (scheme.check_supports),
+so beams whose shared vector leaves its pair product raise ValueError,
+naming the pair and the row, instead of being ranked as if aligned: the
+block it builds is always the span of the signal `channel.receive` forms.
+It is built once per run (never in build_scheme) and records, for every
 receiver j and column c of A_j, the transmitter src[j, c] and the 0/1 beam
 vec[j, :, c]. Row r of A_j is read in receiver j's mode at channel use r,
 so for a stack of draws coeffs (T, K, K, M) one gather
@@ -249,17 +249,24 @@ def _exact_rank(block: np.ndarray) -> int:
     return gaussian_rank(np.stack([block.real, block.imag], axis=-1).astype(np.int64).tolist())
 
 
+def own_pair_dets(coeffs: np.ndarray) -> np.ndarray:
+    """det_o = h_jj(1)h_jo(2) - h_jo(1)h_jj(2) of every own pair {j, o} of
+    a stack of draws coeffs (T, K, K, 2), (T, K, K) indexed [t, j, o] (0 at
+    o = j): the determinant of D_j's 2x2 block of that pair."""
+    K = coeffs.shape[1]
+    hjj = coeffs[:, np.arange(K), np.arange(K), None]  # (T, K, 1, 2)
+    return hjj[..., 0] * coeffs[..., 1] - coeffs[..., 0] * hjj[..., 1]
+
+
 def _proven(certified: tuple[bool, ...], coeffs: np.ndarray) -> np.ndarray:
     """Which combined blocks of a stack of draws coeffs (T, K, K, 2) the
     certificate proves nonsingular, (T, K): receiver j is proven in draw t
     when certified[j] holds (Scheme.certified_receivers) and every factor
     of its D_j is nonzero, since det A_j = +-det G_j times their product."""
     K = coeffs.shape[1]
-    hjj = coeffs[:, np.arange(K), np.arange(K), None]  # (T, K, 1, 2)
-    det = hjj[..., 0] * coeffs[..., 1] - coeffs[..., 0] * hjj[..., 1]  # own pair {j, o}: [t, j, o]
-    # D_j's factors are these determinants and the aligned mode-2
+    # D_j's factors are the own-pair determinants and the aligned mode-2
     # coefficients, covered by asking every h_ji(2), i != j, to be nonzero
-    nonzero = ((det != 0) & (coeffs[..., 1] != 0)) | np.eye(K, dtype=bool)
+    nonzero = ((own_pair_dets(coeffs) != 0) & (coeffs[..., 1] != 0)) | np.eye(K, dtype=bool)
     return np.array(certified, dtype=bool) & nonzero.all(axis=2)
 
 
@@ -364,10 +371,11 @@ def report_to_json(report: VerificationReport) -> str:
 
 
 def report_to_csv(report: VerificationReport) -> str:
-    rows = [[c.draw, c.rx, c.rank_desired, c.rank_interference, c.rank_combined,
-             int(c.passed)] for c in report.checks]
+    rows = [(c.draw, c.rx, c.rank_desired, c.rank_interference, c.rank_combined, int(c.passed))
+            for c in report.checks]
     return render_csv(
-        ["draw", "rx", "rank_desired", "rank_interference", "rank_combined", "pass"], rows)
+        ["draw", "rx", "rank_desired", "rank_interference", "rank_combined", "pass"],
+        list(zip(*rows)))
 
 
 # ---------------------------------------------------------------------------

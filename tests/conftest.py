@@ -1,6 +1,6 @@
 """Shared fixtures: constructed schemes, the pair-product 5-user family and
 the golden 4-user instance, a recorder of the matrix stacks that reach
-numpy's SVD and inverse, a loader for the checkout's scripts, the
+numpy's SVD, inverse and solve, a loader for the checkout's scripts, the
 column-by-column loop oracle of the pair products (scheme.product_matrix),
 two hand-built beam sets that are not a scheme's own (one aligned, one
 not), and a strategy for schemes on random sub-supports of the pair
@@ -183,9 +183,10 @@ def fallback_scheme5() -> bk.Scheme:
 
 @pytest.fixture
 def linalg_stacks(monkeypatch) -> dict[str, list[tuple[int, ...]]]:
-    """The shape of every array passed to np.linalg.svd and np.linalg.inv
-    while the test runs, in call order, under "svd" and "inv"."""
-    seen: dict[str, list[tuple[int, ...]]] = {"svd": [], "inv": []}
+    """The shape of every matrix stack passed to np.linalg.svd,
+    np.linalg.inv and np.linalg.solve while the test runs, in call order,
+    under "svd", "inv" and "solve"."""
+    seen: dict[str, list[tuple[int, ...]]] = {"svd": [], "inv": [], "solve": []}
     for name, shapes in seen.items():
         def recorded(a, *args, _inner=getattr(np.linalg, name), _shapes=shapes, **kwargs):
             _shapes.append(np.shape(a))

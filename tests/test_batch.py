@@ -3,22 +3,29 @@ loops they replaced, and the chunking of draws.
 
 The oracles below are the one-matrix-at-a-time code: one column_stack per
 block, one SVD and one inverse per (draw, receiver) and a 1-D mean per
-user for TDMA. The arithmetic of every entry is unchanged by batching, so
-blocks, ranks, rates and emitted bytes must be bit-identical.
+user for TDMA, and the batched inverse of every proven combined block
+that the closed-form simulation replaced. The arithmetic of every block,
+rank and TDMA rate is unchanged by batching, so those and the emitted
+verification bytes must be bit-identical. The simulation's zero-forcing
+rates are a different float evaluation of the same quantity (the closed
+form of biakit.sim), so they agree within RATE_RTOL; every other output
+byte of a simulation, the exclusions included, is identical.
 """
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 import biakit as bk
 import biakit.exactrank
 import biakit.sim
 import biakit.verify
 from biakit.channel import CHANNEL_STREAM, EXACT_STREAM, ChannelSet, draw_channels, stream_seed
+from biakit.designspace import scan
 from biakit.errors import UnverifiableDrawError
 from biakit.exactrank import BATCH_ELEMENTS, chunks, gaussian_rank
-from biakit.scheme import default_pair_dims
+from biakit.scheme import PatternMatrix, assign_beamformers, default_pair_dims
 from biakit.sim import (
     SimConfig,
     SimResult,
@@ -31,6 +38,7 @@ from biakit.verify import (
     ReceiverCheck,
     VerificationReport,
     _exact_channel_ints,
+    _proven,
     expected_ranks,
     receiver_layout,
     report_to_csv,
@@ -38,7 +46,11 @@ from biakit.verify import (
     run_verification,
 )
 
-from conftest import GOLDEN_PAIR_DIMS, copied_beams, product_beams
+from conftest import GOLDEN_PAIR_DIMS, copied_beams, product_beams, widened_schemes
+
+# closed-form zero-forcing rates against A_j^{-1}: measured within 6.4e-16
+# relative at K = 3..20
+RATE_RTOL = 1e-10
 
 def oracle_receiver_blocks(ch, pattern, beams, j):
     """Receiver j's desired and interference blocks, one column_stack each."""
@@ -116,6 +128,30 @@ def oracle_estimate_dof(scheme, cfg):
                      seed=cfg.seed, rates=rates, tdma_rates=tdma, excluded=excluded)
 
 
+def inv_estimate_dof(scheme, cfg):
+    """The batched simulation the closed form replaced: per chunk of trials,
+    every combined block by one layout gather, the exclusion rule and one
+    batched inverse of the proven blocks."""
+    K, m = scheme.config.users, scheme.config.block_len
+    layout = receiver_layout(scheme.pattern, scheme.beams)
+    powers = [10.0 ** (db / 10.0) for db in cfg.snr_points_db]
+    rates = np.zeros((len(powers), cfg.trials, K))
+    tdma = np.zeros((len(powers), cfg.trials))
+    excluded = 0
+    for chunk in chunks(cfg.trials, K * m * m):
+        coeffs = np.stack([oracle_draw(scheme, cfg.seed, t, exact=False).coeffs for t in chunk])
+        ok = _proven(scheme.certified_receivers, coeffs)
+        excluded += len(powers) * int(np.count_nonzero(~ok))
+        w = np.linalg.inv(layout.blocks(coeffs)[ok])[:, :K - 1]
+        noise = np.sum(w.real ** 2 + w.imag ** 2, axis=-1)
+        span = slice(chunk.start, chunk.stop)
+        for p, power in enumerate(powers):
+            rates[p, span][ok] = np.sum(np.log2(1.0 + power / noise), axis=-1) / m
+        tdma[:, span] = biakit.sim._tdma_rates(coeffs, scheme.pattern.tilde, powers)
+    return SimResult(users=K, snr_points_db=cfg.snr_points_db, trials=cfg.trials,
+                     seed=cfg.seed, rates=rates, tdma_rates=tdma, excluded=excluded)
+
+
 def assert_bits(a, b):
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
     assert a.dtype == b.dtype and a.shape == b.shape
@@ -129,6 +165,30 @@ def report_bytes(report):
 def result_bytes(result):
     return (result.rates.tobytes(), result.tdma_rates.tobytes(), result.excluded,
             result_to_json(result), result_to_long_csv(result), result_to_summary_csv(result))
+
+
+# result_to_json lines that carry a zero-forcing rate or a value derived from one
+RATE_KEYS = ('"mean_sum_rate":', '"fitted_slope":', '"slope_deviation":')
+
+
+def rate_free_bytes(result):
+    """Every output of a simulation except its zero-forcing rates: the TDMA
+    rates, the exclusion count, the JSON without the rate lines, and both
+    CSVs without their rate column."""
+    def cut(text):
+        return [line.rsplit(",", 1)[0] for line in text.splitlines()]
+    json_lines = [line for line in result_to_json(result).splitlines()
+                  if not line.strip().startswith(RATE_KEYS)]
+    return (result.tdma_rates.tobytes(), result.excluded, json_lines,
+            cut(result_to_long_csv(result)), cut(result_to_summary_csv(result)))
+
+
+def assert_simulation_matches(result, expect, name=""):
+    """Rates within RATE_RTOL (an excluded slot's 0 exactly), every other
+    output byte identical."""
+    assert result.rates.shape == expect.rates.shape, name
+    np.testing.assert_allclose(result.rates, expect.rates, rtol=RATE_RTOL, atol=0, err_msg=name)
+    assert rate_free_bytes(result) == rate_free_bytes(expect), name
 
 
 def relabelled_scheme(K):
@@ -246,7 +306,7 @@ def test_simulation_matches_per_trial_loop(fallback_scheme5):
     for name, scheme in schemes(fallback_scheme5):
         cfg = SimConfig(trials=12, seed=4)
         result = estimate_dof(scheme, cfg)
-        assert result_bytes(result) == result_bytes(oracle_estimate_dof(scheme, cfg)), name
+        assert_simulation_matches(result, oracle_estimate_dof(scheme, cfg), name)
     assert result.excluded == 3 * 12  # receiver 5 of the fallback family
 
 
@@ -272,7 +332,7 @@ def test_simulation_excludes_zero_factors(edit, monkeypatch):
     monkeypatch.setitem(globals(), "draw_channels", draw)
     cfg = SimConfig(trials=5, seed=4)
     result = estimate_dof(scheme, cfg)
-    assert result_bytes(result) == result_bytes(oracle_estimate_dof(scheme, cfg))
+    assert_simulation_matches(result, oracle_estimate_dof(scheme, cfg))
     assert result.excluded == 3 * 5
     assert np.all(result.rates[:, :, 1] == 0)
     assert np.all(np.delete(result.rates, 1, axis=2) > 0)
@@ -286,7 +346,7 @@ def test_simulation_excludes_every_slot_on_hand_built_beams(K):
     scheme = bk.Scheme(pattern=built.pattern, beams=product_beams(built))
     cfg = SimConfig(trials=5, seed=3)
     result = estimate_dof(scheme, cfg)
-    assert result_bytes(result) == result_bytes(oracle_estimate_dof(scheme, cfg))
+    assert_simulation_matches(result, oracle_estimate_dof(scheme, cfg))
     assert result.excluded == 3 * 5 * K
     ch = draw_channels(K, 2, seed=3)
     for j in range(K):
@@ -313,7 +373,7 @@ def test_simulation_matches_per_trial_loop_past_eight_users():
     # pairwise summation differs from a plain loop at these lengths
     scheme = bk.build_scheme(9)
     cfg = SimConfig(trials=3, seed=6)
-    assert result_bytes(estimate_dof(scheme, cfg)) == result_bytes(oracle_estimate_dof(scheme, cfg))
+    assert_simulation_matches(estimate_dof(scheme, cfg), oracle_estimate_dof(scheme, cfg))
 
 
 def test_draw_chunks_respect_the_budget(monkeypatch):
@@ -327,7 +387,10 @@ def test_draw_chunks_respect_the_budget(monkeypatch):
 @pytest.mark.parametrize("draws_per_chunk", [1, 3])
 def test_chunking_changes_no_output(draws_per_chunk, fallback_scheme5, monkeypatch):
     """One draw per chunk, and three per chunk over 7 draws (the last one
-    partial), give the same bytes as the default single chunk."""
+    partial), give the same bytes as the default single chunk. Verification
+    chunks hold combined blocks (K m^2 entries a draw), the simulation's
+    hold channel coefficients (2 K^2 a trial); at either budget the
+    simulation's weights take one receiver per chunk."""
     for scheme in (bk.build_scheme(4), fallback_scheme5):
         K, m = scheme.config.users, scheme.config.block_len
         cfg = SimConfig(trials=7, seed=8)
@@ -338,19 +401,65 @@ def test_chunking_changes_no_output(draws_per_chunk, fallback_scheme5, monkeypat
             patch.setattr(biakit.exactrank, "BATCH_ELEMENTS", draws_per_chunk * K * m * m)
             assert len(chunks(7, K * m * m)) == -(-7 // draws_per_chunk)
             chunked = (report_bytes(run_verification(scheme, 7, 8)),
-                       report_bytes(run_verification(scheme, 7, 8, exact=True)),
-                       result_bytes(estimate_dof(scheme, cfg)))
+                       report_bytes(run_verification(scheme, 7, 8, exact=True)))
+            patch.setattr(biakit.exactrank, "BATCH_ELEMENTS", draws_per_chunk * 2 * K * K)
+            assert len(chunks(7, 2 * K * K)) == -(-7 // draws_per_chunk)
+            assert len(chunks(K, m * m)) == K
+            chunked += (result_bytes(estimate_dof(scheme, cfg)),)
         assert chunked == default
 
 
-@pytest.mark.parametrize("K,draws", [(4, 120), (8, 3), (12, 2)])
+@pytest.mark.parametrize("K,draws", [(4, 120), (8, 3), (12, 2), (20, 2)])
 def test_no_stack_outgrows_the_chunk_budget(K, draws, linalg_stacks):
     scheme = bk.build_scheme(K)
     m = scheme.config.block_len
     run_verification(scheme, draws, 1)
     estimate_dof(scheme, SimConfig(trials=draws, seed=1))
-    shapes = linalg_stacks["svd"] + linalg_stacks["inv"]
+    shapes = linalg_stacks["svd"] + linalg_stacks["solve"]
     assert max(np.prod(shape) for shape in shapes) <= max(BATCH_ELEMENTS, K * m * m)
-    # one SVD per chunk in verification, one inverse per chunk in the simulation
-    count = len(chunks(draws, K * m * m))
-    assert (len(linalg_stacks["svd"]), len(linalg_stacks["inv"])) == (count, count)
+    # one SVD per chunk of draws in verification; the simulation inverts
+    # nothing and solves once per chunk of receivers, whatever the trials
+    assert len(linalg_stacks["svd"]) == len(chunks(draws, K * m * m))
+    assert linalg_stacks["inv"] == []
+    assert len(linalg_stacks["solve"]) == len(chunks(K, m * m))
+    assert all(shape[-2:] == (m, m) for shape in linalg_stacks["solve"])
+
+
+def certified_pair_product_schemes():
+    """Every fully certified pair-product scheme at K = 3 and 4 (scan)."""
+    cases = []
+    for K in (3, 4):
+        for n, rows in enumerate(scan(K)[1]):
+            pattern = PatternMatrix(np.array(rows, dtype=np.int64))
+            cases.append(("pair-product-%d-%d" % (K, n), bk.Scheme(pattern, assign_beamformers(pattern))))
+    return cases
+
+
+def test_closed_form_matches_the_batched_inverse(fallback_scheme5):
+    """The closed-form noise enhancement against A_j^{-1} of every proven
+    block: the star family K = 3..12, every fully certified pair-product
+    scheme, the fallback family and relabelled pair maps."""
+    cases = [(str(K), bk.build_scheme(K)) for K in range(3, 13)]
+    cases += certified_pair_product_schemes()
+    cases += [("fallback5", fallback_scheme5)]
+    cases += [("pair-map-%d" % K, relabelled_scheme(K)) for K in (4, 5, 6)]
+    for name, scheme in cases:
+        cfg = SimConfig(trials=4 if scheme.config.users > 8 else 12, seed=5)
+        assert_simulation_matches(estimate_dof(scheme, cfg), inv_estimate_dof(scheme, cfg), name)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(widened_schemes())
+def test_closed_form_matches_the_batched_inverse_on_widened_supports(scheme):
+    cfg = SimConfig(trials=3, seed=2)
+    assert_simulation_matches(estimate_dof(scheme, cfg), inv_estimate_dof(scheme, cfg))
+
+
+def test_simulation_builds_no_block(scheme4, fallback_scheme5, monkeypatch):
+    """estimate_dof reads no receiver layout and gathers no combined block."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("estimate_dof built a combined block")
+    monkeypatch.setattr(biakit.verify, "receiver_layout", refuse)
+    monkeypatch.setattr(biakit.verify.ReceiverLayout, "blocks", refuse)
+    for scheme in (scheme4, fallback_scheme5):
+        estimate_dof(scheme, SimConfig(trials=3, seed=1))

@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 import biakit as bk
 from biakit.channel import (
@@ -15,7 +16,9 @@ from biakit.channel import (
     receive,
     stream_seed,
 )
+from biakit.designspace import scan
 from biakit.errors import UnverifiableDrawError
+from biakit.scheme import PatternMatrix, assign_beamformers
 from biakit.sim import (
     SimConfig,
     estimate_dof,
@@ -27,10 +30,11 @@ from biakit.sim import (
     result_to_summary_csv,
     tdma_sum_rate,
     zf_decode,
+    zf_weights,
 )
 from biakit.verify import decompose_receiver
 
-from conftest import matrix_count
+from conftest import matrix_count, widened_schemes
 
 
 @pytest.mark.parametrize("K", [3, 4])
@@ -97,17 +101,86 @@ def test_receiver_rate_grows_with_power(scheme4):
 def test_estimate_dof_ranks_and_inverts_once_per_receiver(scheme4, linalg_stacks):
     cfg = SimConfig(trials=3, seed=2)
     result = estimate_dof(scheme4, cfg)
-    # one inverse per (trial, receiver), not per SNR point; the certificate
-    # decides exclusion, so no SVD ranks anything
-    assert linalg_stacks["svd"] == []
-    assert all(shape[-2:] == (9, 9) for shape in linalg_stacks["inv"])
-    assert matrix_count(linalg_stacks["inv"], 9, 9) == 3 * 4
+    # one solve of G_j per receiver for the whole run, not per trial or SNR
+    # point; no combined block is inverted, and the certificate decides
+    # exclusion, so no SVD ranks anything
+    assert linalg_stacks["svd"] == [] and linalg_stacks["inv"] == []
+    assert matrix_count(linalg_stacks["solve"], 9, 9) == 4
     for t in range(cfg.trials):
         ch = draw_channels(4, 2, seed=stream_seed(cfg.seed, CHANNEL_STREAM, t))
         for j in range(4):
             dec = decompose_receiver(ch, scheme4.pattern, scheme4.beams, j)
             for p, db in enumerate(cfg.snr_points_db):
-                assert result.rates[p, t, j] == receiver_rate(dec, 10.0 ** (db / 10.0))
+                # closed form against A_j^{-1}: two float evaluations of one rate
+                assert result.rates[p, t, j] == pytest.approx(
+                    receiver_rate(dec, 10.0 ** (db / 10.0)), rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("K", [4, 8, 12, 20])
+def test_estimate_dof_linear_algebra_does_not_grow_with_trials(K, linalg_stacks):
+    """No SVD and no inverse at any trial count; the solves of the weights
+    are the same for one trial as for five."""
+    scheme = bk.build_scheme(K)
+    calls = []
+    for trials in (1, 5):
+        estimate_dof(scheme, SimConfig(trials=trials, seed=1))
+        calls.append({name: list(shapes) for name, shapes in linalg_stacks.items()})
+        for shapes in linalg_stacks.values():
+            shapes.clear()
+    assert calls[0] == calls[1]
+    assert calls[0]["svd"] == [] and calls[0]["inv"] == []
+    m = scheme.config.block_len
+    assert matrix_count(calls[0]["solve"], m, m) == K
+
+
+@pytest.mark.parametrize("K", range(3, 13))
+def test_star_family_weights(K):
+    """(a, b, c) = (K-1, 1, 0) when o is the hub (user 1) and j is not, and
+    (1, K-1, 0) for every other own pair."""
+    w = zf_weights(bk.build_scheme(K))
+    for j in range(K):
+        for o in range(K):
+            expect = (0, 0, 0) if o == j else (K - 1, 1, 0) if o == 0 else (1, K - 1, 0)
+            np.testing.assert_allclose(w[j, o], expect, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("K,pairs,partner_weights", [
+    (3, 1, ((1, 2, 0), (2, 2, 0))),
+    (4, 2, ((1, 4, 0), (3, 3, 0))),
+])
+def test_pair_product_family_weights(K, pairs, partner_weights):
+    """On every fully certified pair-product scheme the weights are
+    symmetric in j and o and take two values: the second on `pairs`
+    disjoint pairs (one at K = 3, a perfect matching at K = 4), the first
+    on every other pair."""
+    schemes = scan(K)[1]
+    assert len(schemes) == 3
+    for rows in schemes:
+        pattern = PatternMatrix(np.array(rows, dtype=np.int64))
+        w = zf_weights(bk.Scheme(pattern, assign_beamformers(pattern)))
+        np.testing.assert_allclose(w, w.transpose(1, 0, 2), rtol=0, atol=1e-12)
+        special = set()
+        for j in range(K):
+            for o in range(j + 1, K):
+                match = [np.allclose(w[j, o], v, rtol=0, atol=1e-12) for v in partner_weights]
+                assert any(match), (j, o, w[j, o])
+                if match[1]:
+                    special.add((j, o))
+        assert len(special) == pairs
+        assert len({u for pair in special for u in pair}) == 2 * pairs
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(widened_schemes())
+def test_weights_have_no_cross_term(scheme):
+    """c = <l, u> is 0 at every certified receiver of an aligned scheme: G_j
+    is block diagonal over j's two modes, so l and u never overlap. The
+    other weights are positive exactly at the certified receivers."""
+    w = zf_weights(scheme)
+    np.testing.assert_allclose(w[..., 2], 0, rtol=0, atol=1e-12)
+    off = ~np.eye(scheme.config.users, dtype=bool)
+    certified = np.array(scheme.certified_receivers)
+    assert np.all((w[..., :2] > 0)[off] == np.repeat(certified, scheme.config.users - 1)[:, None])
 
 
 @pytest.mark.parametrize("name", [*map(str, range(3, 11)), "fallback5"])
