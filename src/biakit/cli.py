@@ -6,6 +6,7 @@ and reported failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -27,7 +28,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of the process: parse_args keeps no state between
+    calls (each returns a fresh namespace), so building it once serves
+    every call of main."""
     p = _Parser(prog="biakit", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -88,19 +88,22 @@ class PatternMatrix:
     (m, C(K,2)) 0/1 matrix whose column c is the vector the c-th pair
     (lexicographic, as in product_matrix) shares; each column must lie
     inside its pair product, and the default is product_matrix(tilde).
-    certified_receivers[j] is the exact decodability certificate of
-    receiver j (certify_receivers), computed at construction and never
-    taken from the caller.
+    products is product_matrix(tilde), derived once here for every later
+    alignment check. certified_receivers[j] is the exact decodability
+    certificate of receiver j (certify_receivers). Both are computed at
+    construction and never taken from the caller.
     """
 
     tilde: np.ndarray
     supports: np.ndarray | None = None  # None: product_matrix(tilde)
+    products: np.ndarray = field(init=False, repr=False)
     certified_receivers: tuple[bool, ...] = field(init=False)
 
     def __post_init__(self):
-        self.certified_receivers = certify_receivers(self.tilde, self.supports)
+        self.products = product_matrix(self.tilde)
+        self.certified_receivers = certify_receivers(self.tilde, self.supports, self.products)
         if self.supports is None:
-            self.supports = product_matrix(self.tilde)
+            self.supports = self.products.copy()
 
     @property
     def modes(self) -> np.ndarray:
@@ -147,18 +150,22 @@ def certify_product_rank(tilde: np.ndarray) -> bool:
     return integer_rank(u.tolist()) == u.shape[1]
 
 
-def check_supports(tilde: np.ndarray, supports: np.ndarray) -> None:
+def check_supports(tilde: np.ndarray, supports: np.ndarray,
+                   products: np.ndarray | None = None) -> None:
     """Raise ValueError unless supports is an (m, C(K,2)) 0/1 matrix whose
     every column lies inside its pair product: the condition that puts
     every third receiver in mode 2 on the pair's shared vector. The first
-    bad entry, pair by pair, is named by its pair and row."""
+    bad entry, pair by pair, is named by its pair and row. products is
+    product_matrix(tilde) (PatternMatrix.products), computed when not given."""
     m, K = tilde.shape
     v = np.asarray(supports)
     if v.shape != (m, K * (K - 1) // 2):
         raise ValueError("supports must be a %d x %d matrix, one column per pair, got shape %s"
                          % (m, K * (K - 1) // 2, v.shape))
     malformed = (v != 0) & (v != 1)
-    bad = np.flatnonzero((malformed | (v > product_matrix(tilde))).T)
+    if products is None:
+        products = product_matrix(tilde)
+    bad = np.flatnonzero((malformed | (v > products)).T)
     if bad.size:
         c, r = divmod(int(bad[0]), m)
         a, b = next(itertools.islice(itertools.combinations(range(K), 2), c, None))
@@ -169,7 +176,8 @@ def check_supports(tilde: np.ndarray, supports: np.ndarray) -> None:
                          % (a + 1, b + 1, r + 1))
 
 
-def certify_receivers(tilde: np.ndarray, supports: np.ndarray | None = None) -> tuple[bool, ...]:
+def certify_receivers(tilde: np.ndarray, supports: np.ndarray | None = None,
+                      products: np.ndarray | None = None) -> tuple[bool, ...]:
     """Channel-free decodability certificate, one flag per receiver.
 
     Receiver j separates desired from interference for almost every channel
@@ -184,16 +192,20 @@ def certify_receivers(tilde: np.ndarray, supports: np.ndarray | None = None) -> 
     supports defaults to the pair products; there v_jo*t_j = w_o (the
     exclude-one product), so G_j spans the same space as [U | w_o, o != j].
     Explicit supports are checked against their pair products first.
+    products is product_matrix(tilde), computed when not given.
 
     The K matrices are built and decided by certify_patterns, so each flag
     is a proof either way (see `exactrank.nonsingular`): the singleton peel
     expands G_j exactly, and exact Bareiss elimination decides whatever
     core is left.
     """
-    if supports is not None:
-        check_supports(tilde, supports)
-        supports = np.asarray(supports)[None]
-    return tuple(bool(x) for x in certify_patterns(tilde[None], supports)[0])
+    if products is None:
+        products = product_matrix(tilde)
+    if supports is None:
+        supports = products
+    else:
+        check_supports(tilde, supports, products)
+    return tuple(bool(x) for x in certify_patterns(tilde[None], np.asarray(supports)[None])[0])
 
 
 def certify_patterns(tilde: np.ndarray, supports: np.ndarray | None = None) -> np.ndarray:
@@ -247,7 +259,7 @@ def pattern_from_rows(config: SchemeConfig, tilde, rows_by_pair: dict) -> Patter
     if not np.isin(tilde, (0, 1)).all():
         raise ValueError("tilde entries must be 0 or 1")
     column = {pair: c for c, pair in enumerate(itertools.combinations(range(K), 2))}
-    supports = product_matrix(tilde)
+    supports = np.zeros((m, len(column)), dtype=np.int64)
     for (a, b), rows in rows_by_pair.items():
         if (a, b) not in column:
             raise ValueError("bad pair {%d,%d}" % (a + 1, b + 1))
@@ -255,8 +267,10 @@ def pattern_from_rows(config: SchemeConfig, tilde, rows_by_pair: dict) -> Patter
         if not rows or not all(0 <= r < m for r in rows):
             raise ValueError("rows of pair {%d,%d} must be nonempty and within 1..%d"
                              % (a + 1, b + 1, m))
-        supports[:, column[(a, b)]] = 0
         supports[rows, column[(a, b)]] = 1
+    left = [c for pair, c in column.items() if pair not in rows_by_pair]
+    if left:  # the star family gives every pair's rows and needs no product here
+        supports[:, left] = product_matrix(tilde)[:, left]
     return PatternMatrix(tilde, supports)
 
 

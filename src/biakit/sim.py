@@ -254,7 +254,7 @@ def estimate_dof(scheme: Scheme, cfg: SimConfig) -> SimResult:
     if len(cfg.snr_points_db) < 2:
         raise ValueError("need at least 2 SNR points to fit a slope")
     K, m = scheme.config.users, scheme.config.block_len
-    check_supports(scheme.pattern.tilde, scheme.beams.shared)
+    check_supports(scheme.pattern.tilde, scheme.beams.shared, scheme.pattern.products)
     partner = _partners(scheme.beams)
     rx = np.arange(K)[:, None]
     # (K, K-1) each, in dimension order; c = 0 (see zf_weights), so no cross term

@@ -17,12 +17,13 @@ biakit.sim). It checks the alignment it merges on (scheme.check_supports),
 so beams whose shared vector leaves its pair product raise ValueError,
 naming the pair and the row, instead of being ranked as if aligned: the
 block it builds is always the span of the signal `channel.receive` forms.
-It is built once per run (never in build_scheme) and records, for every
-receiver j and column c of A_j, the transmitter src[j, c] and the 0/1 beam
-vec[j, :, c]. Row r of A_j is read in receiver j's mode at channel use r,
-so for a stack of draws coeffs (T, K, K, M) one gather
+It is built at most once per run (never in build_scheme) and records,
+for every receiver j and column c of A_j, the transmitter src[j, c] and
+the 0/1 beam vec[j, :, c]. Row r of A_j is read in receiver j's mode at
+channel use r, so for a stack of draws coeffs (T, K, K, M) one gather
 coeffs[:, j, src[j, c], tilde[r, j]] * vec[j, r, c] yields every combined
-block (T, K, m, m). Runs take their draws in `exactrank.chunks` of at
+block (T, K, m, m), or only the blocks of chosen (draw, receiver) pairs
+(`ReceiverLayout.blocks`). Runs take their draws in `exactrank.chunks` of at
 most `exactrank.BATCH_ELEMENTS` block entries (at least one draw a chunk),
 the one sizing rule of every batched kernel, so memory stays flat in the
 draw count; chunking changes no output. `decompose_receiver`,
@@ -56,18 +57,25 @@ The two modes:
   max(shape) * eps * sigma_max lies below sigma_min(A) it lies below
   sigma_min(D) too.
 - exact: certification grade, over Gaussian-integer draws (one seeded
-  stream per draw), with one exact rule and no prime. `_proven` decides
-  every certified receiver; every factor is a product of integers of
-  magnitude at most 999, exact in complex float64. Every other block (an
+  stream per draw), with one exact rule and no prime. It decides, then
+  gathers: each chunk draws its coefficients and `_proven` decides every
+  certified receiver from them alone (every factor is a product of
+  integers of magnitude at most 999, exact in complex float64), with no
+  layout and no block. Only the other (draw, receiver) pairs (an
   uncertified G_j, a zero factor, aligned beams that are not the
-  pattern's) is ranked by `exactrank.gaussian_rank`, which realifies each
-  Z[i] matrix onto the fraction-free integer kernel.
+  pattern's) take a block, `ReceiverLayout.blocks` of just those pairs on
+  a layout built at most once per run, and `exactrank.gaussian_rank`
+  ranks it, realifying each Z[i] matrix onto the fraction-free integer
+  kernel. A scheme whose every receiver is certified is verified with no
+  layout at all; beams that are not the pattern's certify nothing, so
+  their run builds the layout and its alignment check.
 
 The channel-free certificate that powers construction lives in
 scheme.certify_receivers.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -121,11 +129,17 @@ class ReceiverLayout:
     def block_len(self) -> int:
         return int(self.src.shape[1])
 
-    def blocks(self, coeffs: np.ndarray) -> np.ndarray:
+    def blocks(self, coeffs: np.ndarray, pairs: np.ndarray | None = None) -> np.ndarray:
         """Every combined block of a stack of draws, by one gather:
-        coeffs (T, K, K, M) [draw, rx, tx, mode] -> A (T, K, m, m)."""
-        rx = np.arange(self.users)[:, None, None]
-        return coeffs[:, rx, self.src[:, None, :], self.mode[:, :, None]] * self.vec
+        coeffs (T, K, K, M) [draw, rx, tx, mode] -> A (T, K, m, m). Given
+        pairs, an (n, 2) array of (draw, rx) indices, only those blocks:
+        (n, m, m), each bit-identical to its entry of the full stack."""
+        if pairs is None:
+            rx = np.arange(self.users)[:, None, None]
+            return coeffs[:, rx, self.src[:, None, :], self.mode[:, :, None]] * self.vec
+        t, j = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
+        return (coeffs[t[:, None, None], j[:, None, None], self.src[j][:, None, :],
+                       self.mode[j][:, :, None]] * self.vec[j])
 
 
 def receiver_layout(pattern: PatternMatrix, beams: BeamSet) -> ReceiverLayout:
@@ -135,7 +149,7 @@ def receiver_layout(pattern: PatternMatrix, beams: BeamSet) -> ReceiverLayout:
     of a shared vector outside its pair product (check_supports), or the
     fault of the pair map (check_pair_dims)."""
     K, m = pattern.users, pattern.block_len
-    check_supports(pattern.tilde, beams.shared)
+    check_supports(pattern.tilde, beams.shared, pattern.products)
     a, b = np.array(list(itertools.combinations(range(K), 2))).T
     rx = np.arange(K)[:, None]
     src = np.hstack([np.repeat(rx, K - 1, axis=1), np.where(a == rx, b, a)])
@@ -198,14 +212,18 @@ class ReceiverCheck:
 def _receiver_checks(blocks, rank_combined, rank, first_draw: int) -> list[ReceiverCheck]:
     """The one rank rule, over the square combined blocks of a chunk of draws.
 
-    blocks is (T, K, m, m) and rank_combined[t][j] the rank of blocks[t, j].
-    A full one proves the expected ranks; otherwise `rank` ranks the
-    desired and interference column blocks. Draw t is numbered first_draw + t.
+    rank_combined (T, K) holds the rank of every combined block; blocks[t, j]
+    is A_j of draw t (a (T, K, m, m) stack, or a dict keyed by (t, j)), read
+    only where that rank is short. A full one proves the expected ranks;
+    otherwise `rank` ranks the desired and interference column blocks. Draw
+    t is numbered first_draw + t.
     """
-    _, K, m, _ = blocks.shape
+    rows = np.asarray(rank_combined).tolist()
+    K = len(rows[0])
     full = expected_ranks(make_config(K))
+    m = full[2]
     out = []
-    for t, row in enumerate(np.asarray(rank_combined).tolist()):
+    for t, row in enumerate(rows):
         for j, rc in enumerate(row):
             if rc == m:
                 ranks = full
@@ -270,17 +288,28 @@ def _proven(certified: tuple[bool, ...], coeffs: np.ndarray) -> np.ndarray:
     return np.array(certified, dtype=bool) & nonzero.all(axis=2)
 
 
-def _exact_checks(layout: ReceiverLayout, certified: tuple[bool, ...], seeds,
-                  first_draw: int) -> list[ReceiverCheck]:
+def _lazy_layout(pattern: PatternMatrix, beams: BeamSet):
+    """receiver_layout(pattern, beams) as a callable that builds it on its
+    first call only."""
+    return functools.cache(lambda: receiver_layout(pattern, beams))
+
+
+def _exact_checks(certified: tuple[bool, ...], layout, seeds, first_draw: int) -> list[ReceiverCheck]:
     """Exact checks of a chunk of draws, one Gaussian-integer draw per seed
-    (an int or a SeedSequence). A receiver `_proven` proves has rank m;
-    Bareiss ranks the rest."""
-    h = np.stack([_exact_channel_ints(layout.users, np.random.default_rng(s)) for s in seeds])
+    (an int or a SeedSequence): decide, then gather. A receiver `_proven`
+    proves has rank m and needs no block; only the other (draw, rx) pairs
+    take one, from layout() (`_lazy_layout`), and Bareiss ranks them."""
+    K = len(certified)
+    h = np.stack([_exact_channel_ints(K, np.random.default_rng(s)) for s in seeds])
     coeffs = h[..., 0] + 1j * h[..., 1]  # (T, K, K, 2) [draw, rx, tx, mode]
-    blocks = layout.blocks(coeffs)
-    m = layout.block_len
-    rank_combined = [[m if ok else _exact_rank(a) for a, ok in zip(row, flags)]
-                     for row, flags in zip(blocks, _proven(certified, coeffs))]
+    proven = _proven(certified, coeffs)
+    rank_combined = np.full(proven.shape, make_config(K).block_len)
+    blocks = {}
+    todo = np.argwhere(~proven)
+    if todo.size:
+        for (t, j), a in zip(todo.tolist(), layout().blocks(coeffs, todo)):
+            blocks[t, j] = a
+            rank_combined[t, j] = _exact_rank(a)
     return _receiver_checks(blocks, rank_combined, _exact_rank, first_draw)
 
 
@@ -291,18 +320,18 @@ def verify_decodability_exact(
     Gaussian integers and every rank is proven, so there is no floating
     tolerance anywhere.
 
-    The draw goes through the same layout as the float path. Its parts are
-    integers of magnitude at most 999 and the beamforming vectors are 0/1,
-    so every block entry is exact in complex floating point and converts
-    back to integers without loss. One rule, with no prime: when the beams
-    are the pattern's, a certified receiver whose D_j factors (aligned
-    mode-2 coefficients, own-pair determinants) are all nonzero has rank m,
-    since det A_j = +-det G_j times their product. Every other block is
-    ranked by `gaussian_rank`, and so are its desired and interference
-    blocks when that rank is short.
+    One rule, with no prime: when the beams are the pattern's, a certified
+    receiver whose D_j factors (aligned mode-2 coefficients, own-pair
+    determinants) are all nonzero has rank m, since det A_j = +-det G_j
+    times their product; it takes no block. Every other block comes from
+    the same layout as the float path. The draw's parts are integers of
+    magnitude at most 999 and the beamforming vectors are 0/1, so every
+    block entry is exact in complex floating point and converts back to
+    integers without loss. Such a block is ranked by `gaussian_rank`, and
+    so are its desired and interference blocks when that rank is short.
     """
     certified = Scheme(pattern, beams).certified_receivers
-    return _exact_checks(receiver_layout(pattern, beams), certified, [seed], draw)
+    return _exact_checks(certified, _lazy_layout(pattern, beams), [seed], draw)
 
 
 @dataclass(eq=False)
@@ -329,18 +358,22 @@ class VerificationReport:
 
 def run_verification(scheme: Scheme, draws: int, seed: int, exact: bool = False) -> VerificationReport:
     """Verify a scheme over independent channel draws (floating or exact),
-    on one layout and in chunks of draws (see the module docstring).
-    Raises ValueError unless draws >= 1."""
+    in chunks of draws, on at most one layout (see the module docstring:
+    exact runs build it only for a receiver the certificate leaves
+    unproven). Raises ValueError unless draws >= 1."""
     if draws < 1:
         raise ValueError("draws (trials) must be >= 1, got %d" % draws)
-    layout = receiver_layout(scheme.pattern, scheme.beams)
-    K, m = layout.users, layout.block_len
+    K, m = scheme.config.users, scheme.config.block_len
     checks: list[ReceiverCheck] = []
-    certified = scheme.certified_receivers if exact else None
+    if exact:
+        certified = scheme.certified_receivers
+        layout = _lazy_layout(scheme.pattern, scheme.beams)
+    else:
+        layout = receiver_layout(scheme.pattern, scheme.beams)
     for chunk in chunks(draws, K * m * m):
         if exact:
             seeds = [stream_seed(seed, EXACT_STREAM, t) for t in chunk]
-            checks.extend(_exact_checks(layout, certified, seeds, chunk.start))
+            checks.extend(_exact_checks(certified, layout, seeds, chunk.start))
         else:
             seeds = [stream_seed(seed, CHANNEL_STREAM, t) for t in chunk]
             coeffs = draw_channel_stack(K, seeds)

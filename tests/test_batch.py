@@ -258,11 +258,15 @@ def test_exact_mode_runs_no_elimination_on_built_schemes(K, monkeypatch):
     assert calls == []
 
 
-def edited_draws(edit):
-    """_exact_channel_ints with edit(h) applied to every draw."""
+def edited_draws(edit, at=None):
+    """_exact_channel_ints with edit(h) applied to every draw, or only to
+    the draws whose 0-indexed call numbers are in at."""
+    calls = itertools.count()
+
     def draw(K, rng, _inner=_exact_channel_ints):
         h = _inner(K, rng)
-        edit(h)
+        if at is None or next(calls) in at:
+            edit(h)
         return h
     return draw
 
@@ -288,6 +292,112 @@ def test_exact_mode_sends_zero_factors_to_bareiss(edit, monkeypatch):
     expect = oracle_report(scheme, 3, 3, exact=True)
     assert report_bytes(run_verification(scheme, 3, 3, exact=True)) == report_bytes(expect)
     assert expect.failing_receivers() == (2,)
+
+
+def refuse_blocks(monkeypatch):
+    """Make receiver_layout and ReceiverLayout.blocks raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a combined block was built")
+    monkeypatch.setattr(biakit.verify, "receiver_layout", refuse)
+    monkeypatch.setattr(biakit.verify.ReceiverLayout, "blocks", refuse)
+
+
+def record_gathers(monkeypatch):
+    """Count receiver_layout calls and record the (draw, rx) pairs of every
+    ReceiverLayout.blocks call while the test runs."""
+    seen = {"layouts": 0, "pairs": []}
+    layout, blocks = biakit.verify.receiver_layout, biakit.verify.ReceiverLayout.blocks
+
+    def counted(*args):
+        seen["layouts"] += 1
+        return layout(*args)
+
+    def recorded(self, coeffs, pairs=None):
+        seen["pairs"].append(None if pairs is None else np.asarray(pairs).tolist())
+        return blocks(self, coeffs, pairs)
+    monkeypatch.setattr(biakit.verify, "receiver_layout", counted)
+    monkeypatch.setattr(biakit.verify.ReceiverLayout, "blocks", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("K", range(3, 13))
+def test_exact_mode_builds_no_block_on_built_schemes(K, monkeypatch):
+    """Decide, then gather: `_proven` decides every built receiver in every
+    draw, so exact verification builds no layout and gathers no block."""
+    refuse_blocks(monkeypatch)
+    scheme = bk.build_scheme(K)
+    for seed in (0, 5):
+        report = run_verification(scheme, 3, seed, exact=True)
+        assert report.all_passed and len(report.checks) == 3 * K
+
+
+def test_selected_blocks_match_the_full_stack(fallback_scheme5):
+    for _, scheme in schemes(fallback_scheme5):
+        layout = receiver_layout(scheme.pattern, scheme.beams)
+        coeffs = np.stack([oracle_draw(scheme, 3, t, True).coeffs for t in range(3)])
+        full = layout.blocks(coeffs)
+        pairs = np.array([(2, 0), (0, scheme.config.users - 1), (1, 1), (2, 0)])
+        picked = layout.blocks(coeffs, pairs)
+        assert picked.shape == (4,) + full.shape[2:]
+        for (t, j), a in zip(pairs, picked):
+            assert_bits(a, full[t, j])
+        assert layout.blocks(coeffs, np.empty((0, 2), dtype=int)).shape == (0,) + full.shape[2:]
+
+
+def test_exact_reports_gather_only_unproven_blocks(golden_scheme4, fallback_scheme5, monkeypatch):
+    """The golden instance, the pair-product families, certified and not,
+    and hand-built beams match the all-Bareiss oracle byte for byte. A run
+    builds its layout once if some receiver is unproven, else never, and
+    gathers exactly the unproven (draw, rx) blocks."""
+    built = bk.build_scheme(5)
+    cases = [("golden", golden_scheme4), ("fallback5", fallback_scheme5),
+             ("hand-built5", bk.Scheme(pattern=built.pattern, beams=product_beams(built)))]
+    cases += certified_pair_product_schemes()
+    for name, scheme in cases:
+        expect = oracle_report(scheme, 3, 6, exact=True)
+        with monkeypatch.context() as patch:
+            seen = record_gathers(patch)
+            got = run_verification(scheme, 3, 6, exact=True)
+        assert report_bytes(got) == report_bytes(expect), name
+        unproven = [[t, j] for t in range(3) for j, ok in enumerate(scheme.certified_receivers)
+                    if not ok]
+        assert seen == ({"layouts": 1, "pairs": [unproven]} if unproven
+                        else {"layouts": 0, "pairs": []}), name
+    assert golden_scheme4.certified_receivers == (False, True, False, True)
+
+
+@pytest.mark.parametrize("edit", [tie_own_pair, zero_aligned],
+                         ids=["own-pair-determinant", "aligned-coefficient"])
+def test_exact_runs_over_chunks_build_one_layout(edit, monkeypatch):
+    """One draw per chunk, zero factors in draws 2 and 4 of 6 only: the one
+    layout is built in the chunk of draw 2 and reused for draw 4, each chunk
+    gathers its own unproven block, and the report matches the oracle."""
+    scheme = bk.build_scheme(4)
+    K, m = scheme.config.users, scheme.config.block_len
+    monkeypatch.setattr(biakit.exactrank, "BATCH_ELEMENTS", K * m * m)
+    monkeypatch.setitem(globals(), "_exact_channel_ints", edited_draws(edit, at={2, 4}))
+    expect = oracle_report(scheme, 6, 3, exact=True)
+    monkeypatch.setattr(biakit.verify, "_exact_channel_ints", edited_draws(edit, at={2, 4}))
+    seen = record_gathers(monkeypatch)
+    got = run_verification(scheme, 6, 3, exact=True)
+    assert report_bytes(got) == report_bytes(expect)
+    assert seen == {"layouts": 1, "pairs": [[[0, 1]], [[0, 1]]]}
+    assert [(c.draw, c.rx) for c in got.checks if not c.passed] == [(2, 2), (4, 2)]
+
+
+def test_exact_mode_rejects_misaligned_beams_in_every_view(scheme4, monkeypatch):
+    """Misaligned beams certify nothing, so exact verification builds the
+    layout, and its alignment check raises, whatever the chunking."""
+    scheme = bk.Scheme(pattern=scheme4.pattern, beams=copied_beams(scheme4))
+    assert scheme.certified_receivers == (False,) * 4
+    message = r"support of pair \{1,2\} leaves the pair product at row 5"
+    m = scheme.config.block_len
+    for budget in (biakit.exactrank.BATCH_ELEMENTS, 4 * m * m):
+        monkeypatch.setattr(biakit.exactrank, "BATCH_ELEMENTS", budget)
+        with pytest.raises(ValueError, match=message):
+            run_verification(scheme, 3, 3, exact=True)
+    with pytest.raises(ValueError, match=message):
+        bk.verify_decodability_exact(scheme.pattern, scheme.beams)
 
 
 @pytest.mark.parametrize("K", [4, 5, 6])

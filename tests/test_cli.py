@@ -11,6 +11,7 @@ import biakit
 import biakit.cli
 import biakit.dof
 import biakit.scheme
+from biakit.verify import report_to_json, run_verification
 
 CMD = [sys.executable, "-m", "biakit"]
 
@@ -265,3 +266,60 @@ def test_bound_fails_fast_past_the_digit_limit(monkeypatch, capsys, default_digi
     # 1558! has 4300 digits, so K = 1558 still prints every bound
     assert biakit.cli.main(["bound", "--users", "1558"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + 1557
+
+
+def cli_call(capsys, *argv):
+    """(exit code, stdout, stderr) of one in-process main call; a usage
+    error's SystemExit gives its code."""
+    try:
+        rc = biakit.cli.main(list(argv))
+    except SystemExit as exc:
+        rc = exc.code
+    out = capsys.readouterr()
+    return rc, out.out, out.err
+
+
+def test_parser_is_built_once_per_process():
+    assert biakit.cli._build_parser() is biakit.cli._build_parser()
+
+
+def test_repeated_simulate_calls_take_their_own_snr_lists(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ("simulate", "--users", "3", "--trials", "2", "--out", "run")
+    for snr, expect in [(("--snr", "10", "--snr", "20", "--snr", "35"), [10, 20, 35]),
+                        (("--snr", "-5", "--snr", "5"), [-5, 5]),
+                        ((), [30, 40, 50])]:
+        rc, out, _ = cli_call(capsys, *argv, *snr)
+        assert rc == 0 and json.loads(out)["snr_points_db"] == expect
+
+
+def test_usage_error_leaves_no_state_behind(capsys):
+    good = ("verify", "--users", "3", "--trials", "2", "--seed", "4")
+    expect = report_to_json(run_verification(biakit.scheme.build_scheme(3), 2, 4))
+    for bad in [("verify", "--users", "3", "--bogus"), ("verify", "--trials", "2"),
+                ("verify", "--users", "3", "--format", "xml"), ("nonsense",)]:
+        rc, out, err = cli_call(capsys, *bad)
+        assert rc == 1 and out == "" and "error:" in err
+        assert cli_call(capsys, *good) == (0, expect, "")
+
+
+def test_format_and_exact_flags_do_not_leak_into_the_next_call(capsys):
+    csv = cli_call(capsys, "verify", "--users", "4", "--trials", "2", "--format", "csv", "--exact")
+    assert csv[0] == 0 and csv[1].startswith("draw,rx,")
+    rc, out, _ = cli_call(capsys, "verify", "--users", "4", "--trials", "2")
+    doc = json.loads(out)
+    assert rc == 0 and doc["exact"] is False and len(doc["checks"]) == 8
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"], ["simulate", "--help"]])
+def test_help_is_unchanged_by_the_cached_parser(argv, monkeypatch, capsys):
+    """Help from the process's parser, asked twice, equals help from a
+    freshly built one."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        biakit.cli._build_parser.__wrapped__().parse_args(argv)
+    assert exc.value.code == 0
+    fresh = capsys.readouterr().out
+    assert "usage: biakit" in fresh
+    for _ in range(2):
+        assert cli_call(capsys, *argv) == (0, fresh, "")

@@ -9,18 +9,28 @@ one replaced, through the command line:
 - simulate_3_trials4_seed15_{rates,summary}.csv:
   simulate --users 3 --trials 4 --seed 15 --snr 30 --snr 40
 
+The JSON files were written by the StringIO renderer that the list-based
+`render_json` replaced (kept below as `oracle_render_json`):
+
+- verify_exact_7_trials2_seed5.json: verify --users 7 --exact --trials 2 --seed 5
+- generate_5.json: generate --users 5
+
 Simulation rates are a float computation that may move in its last digits
 (biakit.sim), so the simulation CSVs are re-rendered from the rates the
 golden long CSV holds: 17 significant digits round-trip every double.
 """
+import io
+import json
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import biakit as bk
 import biakit.cli
-from biakit.formats import render_csv
+from biakit.formats import format_float, format_rational, render_csv, render_json
 from biakit.sim import SimConfig, SimResult, estimate_dof, result_to_long_csv, result_to_summary_csv
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -40,6 +50,15 @@ def cli_stdout(capsys, *argv) -> str:
     ("bound_25.csv", ["bound", "--users", "25"]),
 ])
 def test_cli_csv_matches_golden(name, argv, capsys):
+    assert cli_stdout(capsys, *argv) == (GOLDEN / name).read_text()
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("verify_exact_7_trials2_seed5.json",
+     ["verify", "--users", "7", "--exact", "--trials", "2", "--seed", "5"]),
+    ("generate_5.json", ["generate", "--users", "5"]),
+])
+def test_cli_json_matches_golden(name, argv, capsys):
     assert cli_stdout(capsys, *argv) == (GOLDEN / name).read_text()
 
 
@@ -86,3 +105,92 @@ def test_columns_render_by_kind():
     assert render_csv(["a"], [[]]) == "a\n"
     with pytest.raises(ValueError):
         render_csv(["a", "b"], [[1, 2], [3]])
+
+
+def test_float_columns_format_each_distinct_value_by_its_bits():
+    text = render_csv(["x"], [np.array([0.0, -0.0, 0.1, 0.0, 0.1, -0.0])])
+    assert text == "x\n0\n-0\n0.10000000000000001\n0\n0.10000000000000001\n-0\n"
+    # the first non-finite value of the column is the one named
+    with pytest.raises(ValueError, match=r"non-finite value in output: inf$"):
+        render_csv(["x"], [[1.0, 2.0, float("inf"), float("nan")]])
+
+
+def oracle_render_json(obj) -> str:
+    """The StringIO renderer render_json replaced, one isinstance chain and
+    one json.dumps per key."""
+    def scalar(obj):
+        if isinstance(obj, bool):
+            return "true" if obj else "false"
+        if obj is None:
+            return "null"
+        if isinstance(obj, Fraction):
+            return json.dumps(format_rational(obj))
+        if isinstance(obj, float):
+            return format_float(obj)
+        if isinstance(obj, int):
+            return str(obj)
+        if isinstance(obj, str):
+            return json.dumps(obj)
+        raise TypeError("unsupported JSON value: %r" % (obj,))
+
+    def emit(obj, out, depth):
+        pad, inner = "  " * depth, "  " * (depth + 1)
+        if isinstance(obj, dict):
+            if not obj:
+                out.write("{}")
+                return
+            out.write("{\n")
+            for n, (k, v) in enumerate(obj.items()):
+                if not isinstance(k, str):
+                    raise TypeError("non-string JSON key: %r" % (k,))
+                out.write(inner + json.dumps(k) + ": ")
+                emit(v, out, depth + 1)
+                out.write(",\n" if n < len(obj) - 1 else "\n")
+            out.write(pad + "}")
+        elif isinstance(obj, (list, tuple)):
+            seq = list(obj)
+            if not seq:
+                out.write("[]")
+                return
+            if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in seq):
+                out.write("[" + ", ".join(scalar(v) for v in seq) + "]")
+                return
+            out.write("[\n")
+            for n, v in enumerate(seq):
+                out.write(inner)
+                emit(v, out, depth + 1)
+                out.write(",\n" if n < len(seq) - 1 else "\n")
+            out.write(pad + "]")
+        else:
+            out.write(scalar(obj))
+
+    out = io.StringIO()
+    emit(obj, out, 0)
+    out.write("\n")
+    return out.getvalue()
+
+
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False, allow_infinity=False),
+    st.text(), st.fractions(), st.floats(allow_nan=False, allow_infinity=False).map(np.float64))
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.tuples(inner, inner),
+                            st.dictionaries(st.text(max_size=5), inner, max_size=4)),
+    max_leaves=20)
+
+
+@given(json_values)
+def test_render_json_matches_the_stringio_renderer(obj):
+    assert render_json(obj) == oracle_render_json(obj)
+
+
+@pytest.mark.parametrize("bad,error", [
+    ({"a": [1, {2: 3}]}, r"non-string JSON key: 2"),
+    ({"a": np.int64(3)}, r"unsupported JSON value: np.int64\(3\)"),
+    ([1, {"x": float("nan")}], r"non-finite value in output: nan"),
+])
+def test_render_json_refuses_what_the_stringio_renderer_refused(bad, error):
+    for render in (render_json, oracle_render_json):
+        with pytest.raises((TypeError, ValueError), match=error):
+            render(bad)

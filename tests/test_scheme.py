@@ -11,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 import biakit as bk
 import biakit.exactrank
 import biakit.scheme
+from biakit.sim import SimConfig, estimate_dof
+from biakit.verify import run_verification
 from biakit.errors import DegenerateSchemeError
 from biakit.designspace import make_pattern_matrix, row_vocabulary
 from biakit.exactrank import integer_rank
@@ -36,6 +38,7 @@ from conftest import (
     exclude_one_product,
     golden_tilde,
     pair_product,
+    product_beams,
     widened_schemes,
 )
 
@@ -650,3 +653,28 @@ def test_pair_map_relabels_widened_vectors_without_changing_supports(scheme6):
     assert np.array_equal(relabeled.pattern.supports, scheme6.pattern.supports)
     for pair, v in zip(itertools.combinations(range(K), 2), scheme6.pattern.supports.T):
         assert np.array_equal(relabeled.beams.shared_vector(*pair), v)
+
+
+def test_pair_products_are_computed_once_per_pattern(monkeypatch):
+    """PatternMatrix derives product_matrix once; its certificate and every
+    later alignment check (the receiver layout, the simulation) reuse it.
+    The star family gives every pair's rows, so pattern_from_rows needs none;
+    a document that leaves a pair's rows out takes one more."""
+    calls = []
+
+    def counted(tilde, _inner=product_matrix):
+        calls.append(tilde.shape)
+        return _inner(tilde)
+    monkeypatch.setattr(biakit.scheme, "product_matrix", counted)
+    scheme = bk.build_scheme(6)
+    assert calls == [(20, 6)]
+    assert np.array_equal(scheme.pattern.products, product_matrix(scheme.pattern.tilde))
+    calls.clear()
+    run_verification(scheme, 2, 0)
+    run_verification(bk.Scheme(scheme.pattern, product_beams(scheme)), 2, 0, exact=True)
+    estimate_dof(scheme, SimConfig(trials=2, seed=0))
+    assert calls == []
+    doc = json.loads(scheme_to_json(scheme))
+    del doc["pairs"][0]["rows"]
+    scheme_from_json(json.dumps(doc))
+    assert calls == [(20, 6), (20, 6)]
