@@ -24,11 +24,9 @@ from .errors import (
 )
 from .exactrank import gaussian_rank, integer_rank
 from .scheme import (
-    BeamSet,
     PatternMatrix,
     Scheme,
     SchemeConfig,
-    assign_beamformers,
     build_scheme,
     certify_product_rank,
     certify_receivers,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .formats import is_int, render_json
-from .scheme import BeamSet, PatternMatrix
+from .scheme import PatternMatrix, Scheme
 
 CHANNEL_STREAM = 0
 NOISE_STREAM = 1
@@ -88,23 +88,22 @@ def draw_symbols(K: int, power: float = 1.0, seed=0) -> SymbolBlock:
     return SymbolBlock(values=s, power=float(power))
 
 
-def transmit(beams: BeamSet, sym: SymbolBlock, i: int) -> np.ndarray:
+def transmit(scheme: Scheme, sym: SymbolBlock, i: int) -> np.ndarray:
     """User i's block signal: symbols riding their binary beamforming vectors."""
-    return _signal(beams.shared, beams.dimension_columns()[i], sym.values[i])
+    return _signal(scheme.pattern.supports, scheme.dimension_columns()[i], sym.values[i])
 
 
-def _signal(shared: np.ndarray, columns: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """sum_d values[d] * shared[:, columns[d]], added in dimension order."""
-    x = np.zeros(shared.shape[0], dtype=complex)
+def _signal(supports: np.ndarray, columns: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """sum_d values[d] * supports[:, columns[d]], added in dimension order."""
+    x = np.zeros(supports.shape[0], dtype=complex)
     for value, c in zip(values, columns):
-        x += value * shared[:, c]
+        x += value * supports[:, c]
     return x
 
 
 def receive(
     ch: ChannelSet,
-    pattern: PatternMatrix,
-    beams: BeamSet,
+    scheme: Scheme,
     sym: SymbolBlock,
     k: int,
     noise_on: bool = False,
@@ -113,11 +112,12 @@ def receive(
     """Received block at receiver k: all users' signals through their
     effective diagonals, plus optional unit-variance complex noise. The
     pair map is read once for all K transmitters."""
+    pattern = scheme.pattern
     m = pattern.block_len
-    columns = beams.dimension_columns()
+    columns = scheme.dimension_columns()
     y = np.zeros(m, dtype=complex)
     for i in range(pattern.users):
-        y += effective_channel(ch, pattern, k, i) * _signal(beams.shared, columns[i], sym.values[i])
+        y += effective_channel(ch, pattern, k, i) * _signal(pattern.supports, columns[i], sym.values[i])
     if noise_on:
         rng = np.random.default_rng(seed)
         y += (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / np.sqrt(2.0)

@@ -19,6 +19,5 @@ class ConstructionFailedError(BiaError):
 class UnverifiableDrawError(BiaError):
     """Raised by the zero-forcing decoder when the certificate does not prove
     the receiver's combined block A_j nonsingular for this draw (an
-    uncertified receiver, beams that are not the pattern's, or a zero
-    factor of D_j), so it does not separate the desired symbols from
-    interference."""
+    uncertified receiver or a zero factor of D_j), so it does not separate
+    the desired symbols from interference."""

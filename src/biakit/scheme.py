@@ -12,10 +12,11 @@ alignment needs only a constant mode there).
 
 Each shared vector is stored once, as a column of one (m, C(K,2)) 0/1
 support matrix in lexicographic pair order, the order of product_matrix
-and of the certificate: PatternMatrix.supports (checked by
-check_supports), which BeamSet.shared is for the pattern's own beams. A
-BeamSet adds only the pair map; each user's per-dimension vectors are
-views of those columns, so both owners of a pair always send one vector.
+and of the certificate: PatternMatrix.supports, checked where it enters
+(check_supports, through certify_receivers). A Scheme is a pattern plus
+its pair map, which says under which dimension each owner sends its
+pair's column; both owners of a pair therefore always send one vector,
+and the pattern's certificate is the scheme's.
 
 Receiver j can separate its K-1 desired dimensions from interference iff a
 binary m x m generator matrix G_j is nonsingular over the rationals (see
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,22 +88,19 @@ class PatternMatrix:
     (m, C(K,2)) 0/1 matrix whose column c is the vector the c-th pair
     (lexicographic, as in product_matrix) shares; each column must lie
     inside its pair product, and the default is product_matrix(tilde).
-    products is product_matrix(tilde), derived once here for every later
-    alignment check. certified_receivers[j] is the exact decodability
-    certificate of receiver j (certify_receivers). Both are computed at
+    certified_receivers[j] is the exact decodability certificate of
+    receiver j (certify_receivers, which checks the supports), computed at
     construction and never taken from the caller.
     """
 
     tilde: np.ndarray
     supports: np.ndarray | None = None  # None: product_matrix(tilde)
-    products: np.ndarray = field(init=False, repr=False)
     certified_receivers: tuple[bool, ...] = field(init=False)
 
     def __post_init__(self):
-        self.products = product_matrix(self.tilde)
-        self.certified_receivers = certify_receivers(self.tilde, self.supports, self.products)
         if self.supports is None:
-            self.supports = self.products.copy()
+            self.supports = product_matrix(self.tilde)
+        self.certified_receivers = certify_receivers(self.tilde, self.supports)
 
     @property
     def modes(self) -> np.ndarray:
@@ -150,22 +147,18 @@ def certify_product_rank(tilde: np.ndarray) -> bool:
     return integer_rank(u.tolist()) == u.shape[1]
 
 
-def check_supports(tilde: np.ndarray, supports: np.ndarray,
-                   products: np.ndarray | None = None) -> None:
+def check_supports(tilde: np.ndarray, supports: np.ndarray) -> None:
     """Raise ValueError unless supports is an (m, C(K,2)) 0/1 matrix whose
     every column lies inside its pair product: the condition that puts
     every third receiver in mode 2 on the pair's shared vector. The first
-    bad entry, pair by pair, is named by its pair and row. products is
-    product_matrix(tilde) (PatternMatrix.products), computed when not given."""
+    bad entry, pair by pair, is named by its pair and row."""
     m, K = tilde.shape
     v = np.asarray(supports)
     if v.shape != (m, K * (K - 1) // 2):
         raise ValueError("supports must be a %d x %d matrix, one column per pair, got shape %s"
                          % (m, K * (K - 1) // 2, v.shape))
     malformed = (v != 0) & (v != 1)
-    if products is None:
-        products = product_matrix(tilde)
-    bad = np.flatnonzero((malformed | (v > products)).T)
+    bad = np.flatnonzero((malformed | (v > product_matrix(tilde))).T)
     if bad.size:
         c, r = divmod(int(bad[0]), m)
         a, b = next(itertools.islice(itertools.combinations(range(K), 2), c, None))
@@ -176,8 +169,7 @@ def check_supports(tilde: np.ndarray, supports: np.ndarray,
                          % (a + 1, b + 1, r + 1))
 
 
-def certify_receivers(tilde: np.ndarray, supports: np.ndarray | None = None,
-                      products: np.ndarray | None = None) -> tuple[bool, ...]:
+def certify_receivers(tilde: np.ndarray, supports: np.ndarray | None = None) -> tuple[bool, ...]:
     """Channel-free decodability certificate, one flag per receiver.
 
     Receiver j separates desired from interference for almost every channel
@@ -191,21 +183,18 @@ def certify_receivers(tilde: np.ndarray, supports: np.ndarray | None = None,
 
     supports defaults to the pair products; there v_jo*t_j = w_o (the
     exclude-one product), so G_j spans the same space as [U | w_o, o != j].
-    Explicit supports are checked against their pair products first.
-    products is product_matrix(tilde), computed when not given.
+    Explicit supports are checked against their pair products first
+    (check_supports): the one alignment check, where supports enter.
 
     The K matrices are built and decided by certify_patterns, so each flag
     is a proof either way (see `exactrank.nonsingular`): the singleton peel
     expands G_j exactly, and exact Bareiss elimination decides whatever
     core is left.
     """
-    if products is None:
-        products = product_matrix(tilde)
-    if supports is None:
-        supports = products
-    else:
-        check_supports(tilde, supports, products)
-    return tuple(bool(x) for x in certify_patterns(tilde[None], np.asarray(supports)[None])[0])
+    if supports is not None:
+        check_supports(tilde, supports)
+        supports = np.asarray(supports)[None]
+    return tuple(bool(x) for x in certify_patterns(tilde[None], supports)[0])
 
 
 def certify_patterns(tilde: np.ndarray, supports: np.ndarray | None = None) -> np.ndarray:
@@ -225,22 +214,33 @@ def certify_patterns(tilde: np.ndarray, supports: np.ndarray | None = None) -> n
     for chunk in chunks(count, K * m * m):
         part = slice(chunk.start, chunk.stop)
         v = product_matrix(tilde[part]) if supports is None else supports[part]
-        out[part] = nonsingular(_generator_stack(tilde[part], v).reshape(-1, m, m)).reshape(-1, K)
+        out[part] = nonsingular(generator_stack(tilde[part], v).reshape(-1, m, m)).reshape(-1, K)
     return out
 
 
-def _generator_stack(tilde: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """G_j of every receiver j of every pattern, (P, K, m, m) in int8 (0/1
-    entries; int8 keeps the stack small). Pair columns come first, own pairs
-    halved to v*(1-t_j); then v*t_j of each own pair."""
-    K = tilde.shape[2]
+def own_pair_columns(K: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where receiver j's own pairs sit among the columns of G_j: (low,
+    high), (K, K-1) each, the column of the mode-1 half and of the mode-2
+    half of j's pair with each partner o != j, partners in increasing
+    order. G_j holds every pair's column first, lexicographically, own
+    pairs halved to v*(1-t_j) in place; then v*t_j of each own pair."""
     pairs = list(itertools.combinations(range(K), 2))
-    own = np.array([[j in pair for pair in pairs] for j in range(K)], dtype=np.int8)
-    mine = np.array([[c for c, pair in enumerate(pairs) if j in pair] for j in range(K)])
+    low = np.array([[c for c, pair in enumerate(pairs) if j in pair] for j in range(K)])
+    high = np.broadcast_to(len(pairs) + np.arange(K - 1), (K, K - 1))
+    return low, high
+
+
+def generator_stack(tilde: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """G_j of every receiver j of every pattern, (P, K, m, m) in int8 (0/1
+    entries; int8 keeps the stack small), columns as own_pair_columns."""
+    K = tilde.shape[2]
+    low, _ = own_pair_columns(K)
+    own = np.zeros((K, v.shape[-1]), dtype=np.int8)
+    own[np.arange(K)[:, None], low] = 1
     t = tilde.transpose(0, 2, 1)[..., None].astype(np.int8)  # (P, K, m, 1)
     v = v.astype(np.int8)
     return np.concatenate([v[:, None] * (1 - own[:, None, :] * t),
-                           v[:, :, mine].transpose(0, 2, 1, 3) * t], axis=-1)
+                           v[:, :, low].transpose(0, 2, 1, 3) * t], axis=-1)
 
 
 def pattern_from_rows(config: SchemeConfig, tilde, rows_by_pair: dict) -> PatternMatrix:
@@ -308,40 +308,7 @@ def star_pattern_matrix(config: SchemeConfig) -> PatternMatrix:
 
 
 # ---------------------------------------------------------------------------
-# beamformer assignment
-
-
-@dataclass(eq=False)
-class BeamSet:
-    """Every pair's shared vector, stored once, and the pair-sharing map.
-
-    shared is an (m, C(K,2)) 0/1 matrix laid out as PatternMatrix.supports.
-    pair_dims maps each pair (i, j), i < j, to the dimensions (d_i, d_j)
-    under which both owners send its one column.
-    """
-
-    shared: np.ndarray
-    pair_dims: dict[tuple[int, int], tuple[int, int]]
-
-    def dimension_columns(self) -> np.ndarray:
-        """(K, K-1): the column of shared that user i sends as dimension d.
-        Raises ValueError unless pair_dims is a valid map (check_pair_dims)."""
-        K = (math.isqrt(8 * self.shared.shape[1] + 1) + 1) // 2  # C(K,2) columns
-        check_pair_dims(K, self.pair_dims)
-        pairs = list(itertools.combinations(range(K), 2))
-        dims = [self.pair_dims[pair] for pair in pairs]
-        cols = np.empty((K, K - 1), dtype=np.intp)
-        cols[np.array(pairs), np.array(dims)] = np.arange(len(pairs))[:, None]
-        return cols
-
-    @property
-    def vectors(self) -> list[list[np.ndarray]]:
-        """vectors[i][d]: user i's dimension-d vector, its pair's column of shared."""
-        return [[self.shared[:, c] for c in row] for row in self.dimension_columns()]
-
-    def shared_vector(self, i: int, j: int) -> np.ndarray:
-        a, b = (i, j) if i < j else (j, i)
-        return self.vectors[a][self.pair_dims[(a, b)][0]]
+# pair maps
 
 
 def default_pair_dims(K: int) -> dict[tuple[int, int], tuple[int, int]]:
@@ -369,20 +336,6 @@ def check_pair_dims(K: int, dims: dict[tuple[int, int], tuple[int, int]]) -> Non
             seen[user].add(d)
 
 
-def assign_beamformers(
-    pattern: PatternMatrix,
-    pair_dims: dict[tuple[int, int], tuple[int, int]] | None = None,
-) -> BeamSet:
-    """The pattern's beams: its supports under a validated pair map.
-
-    pair_dims overrides the default labeling (check_pair_dims); relabeling
-    never changes spans, only which symbol rides which vector.
-    """
-    dims = default_pair_dims(pattern.users) if pair_dims is None else dict(pair_dims)
-    check_pair_dims(pattern.users, dims)
-    return BeamSet(pattern.supports, dims)
-
-
 # ---------------------------------------------------------------------------
 # whole schemes
 
@@ -392,8 +345,19 @@ MAX_GENERATOR_ENTRIES = 1 << 26
 
 @dataclass(eq=False)
 class Scheme:
+    """A pattern and its pair map: pair_dims maps each pair (i, j), i < j,
+    to the dimensions (d_i, d_j) under which both owners send the pair's
+    one column of pattern.supports. The map defaults to default_pair_dims
+    and is checked once, here (check_pair_dims); relabeling never changes
+    spans, only which symbol rides which vector."""
+
     pattern: PatternMatrix
-    beams: BeamSet
+    pair_dims: dict[tuple[int, int], tuple[int, int]] | None = None
+
+    def __post_init__(self):
+        K = self.pattern.users
+        self.pair_dims = default_pair_dims(K) if self.pair_dims is None else dict(self.pair_dims)
+        check_pair_dims(K, self.pair_dims)
 
     @property
     def config(self) -> SchemeConfig:
@@ -401,15 +365,29 @@ class Scheme:
 
     @property
     def certified_receivers(self) -> tuple[bool, ...]:
-        """The pattern's certificate when the beams are the pattern's (a
-        valid pair map, and beams.shared equals pattern.supports); no
-        receiver otherwise."""
-        try:
-            check_pair_dims(self.pattern.users, self.beams.pair_dims)
-            same = np.array_equal(self.beams.shared, self.pattern.supports)
-        except ValueError:
-            same = False
-        return self.pattern.certified_receivers if same else (False,) * self.pattern.users
+        return self.pattern.certified_receivers
+
+    def dimension_columns(self) -> np.ndarray:
+        """(K, K-1): the column of pattern.supports that user i sends as
+        dimension d."""
+        K = self.pattern.users
+        pairs = list(itertools.combinations(range(K), 2))
+        dims = [self.pair_dims[pair] for pair in pairs]
+        cols = np.empty((K, K - 1), dtype=np.intp)
+        cols[np.array(pairs), np.array(dims)] = np.arange(len(pairs))[:, None]
+        return cols
+
+
+def _sized_config(users: int) -> SchemeConfig:
+    """make_config(users), refused with ValueError when its one-pattern
+    generator stack, K m^2 entries, exceeds MAX_GENERATOR_ENTRIES (K >= 49):
+    checked before anything is built."""
+    config = make_config(users)
+    entries = users * config.block_len ** 2
+    if entries > MAX_GENERATOR_ENTRIES:
+        raise ValueError("users K=%d is too large: its generator stack needs K*m^2 = %d "
+                         "entries, more than 2^26 (K <= 48)" % (users, entries))
+    return config
 
 
 def build_scheme(
@@ -420,13 +398,7 @@ def build_scheme(
     receiver for every K >= 3 whose one-pattern generator stack, K m^2
     entries, fits MAX_GENERATOR_ENTRIES (K <= 48); a larger K raises
     ValueError before anything is built."""
-    config = make_config(users)
-    entries = users * config.block_len ** 2
-    if entries > MAX_GENERATOR_ENTRIES:
-        raise ValueError("users K=%d is too large: its generator stack needs K*m^2 = %d "
-                         "entries, more than 2^26 (K <= 48)" % (users, entries))
-    pattern = star_pattern_matrix(config)
-    return Scheme(pattern=pattern, beams=assign_beamformers(pattern, pair_dims))
+    return Scheme(star_pattern_matrix(_sized_config(users)), pair_dims)
 
 
 def scheme_to_json(scheme: Scheme) -> str:
@@ -437,7 +409,7 @@ def scheme_to_json(scheme: Scheme) -> str:
         "m": scheme.config.block_len,
         "tilde": [[int(x) for x in row] for row in scheme.pattern.tilde],
         "pairs": [
-            {"users": [i + 1, j + 1], "dims": [d + 1 for d in scheme.beams.pair_dims[(i, j)]],
+            {"users": [i + 1, j + 1], "dims": [d + 1 for d in scheme.pair_dims[(i, j)]],
              "rows": (np.flatnonzero(v) + 1).tolist()}
             for (i, j), v in zip(pairs, scheme.pattern.supports.T)
         ],
@@ -457,7 +429,8 @@ def scheme_from_json(text: str) -> Scheme:
     list of K entries, or ValueError names the 1-indexed row. K, users,
     dims, rows and every "tilde" entry must be JSON integers: a float, a
     string or a boolean raises ValueError too, naming the pair or the
-    1-indexed row and column.
+    1-indexed row and column. A K whose generator stack build_scheme would
+    refuse is refused here too, before anything is built.
     """
     doc = json.loads(text)
     if not isinstance(doc, dict):
@@ -467,7 +440,7 @@ def scheme_from_json(text: str) -> Scheme:
             raise ValueError("scheme document has no %r key" % key)
     if not is_int(doc["K"]):
         raise ValueError('"K" must be an integer, got %s' % json.dumps(doc["K"]))
-    config = make_config(doc["K"])
+    config = _sized_config(doc["K"])
     dims, rows_by_pair = {}, {}
     for (i, j), pair_dims, entry in _pair_entries(doc["pairs"]):
         if not 0 <= i < j < config.users:
@@ -490,8 +463,7 @@ def scheme_from_json(text: str) -> Scheme:
             if not is_int(x):
                 raise ValueError('"tilde" entry at row %d, column %d must be an integer, got %s'
                                  % (r, c, json.dumps(x)))
-    pattern = pattern_from_rows(config, tilde, rows_by_pair)
-    return Scheme(pattern=pattern, beams=assign_beamformers(pattern, dims))
+    return Scheme(pattern_from_rows(config, tilde, rows_by_pair), dims)
 
 
 def _pair_entries(doc) -> list[tuple[tuple[int, int], tuple[int, int], dict]]:

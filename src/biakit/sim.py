@@ -13,9 +13,8 @@ against log2(P) reads directly as sum DoF.
 Exclusion is decided by proof, never by a numeric rank. Up to column
 order A_j = G_j D_j, so det A_j = +-det G_j times D_j's factors (see
 verify). A (trial, receiver) pair is excluded, contributing zero rate and
-counted in `excluded`, when the receiver is uncertified, when the
-scheme's beams are aligned but not its pattern's, or when a factor of
-that draw is exactly 0: an own-pair determinant
+counted in `excluded`, when the receiver is uncertified or when a factor
+of that draw is exactly 0: an own-pair determinant
 det_o = h_jj(1)h_jo(2) - h_jo(1)h_jj(2) or a mode-2 coefficient h_ji(2),
 i != j (the aligned coefficients are among these). Every other A_j is
 proven nonsingular. Fully certified schemes (build_scheme, for every K)
@@ -41,10 +40,7 @@ agree with the one-draw views `noise_enhancement` and `receiver_rate`,
 which keep A_j^{-1}, within 1e-10 relative: the two are different float
 evaluations of one quantity. `zf_decode`, `noise_enhancement` and
 `receiver_rate` raise on an excluded receiver
-(`ReceiverDecomposition.proven` is False).
-Beams whose shared vector leaves its pair product are not aligned, and
-`estimate_dof` raises ValueError naming the pair and the row
-(`scheme.check_supports`) before any trial. `SimResult` stores the rates;
+(`ReceiverDecomposition.proven` is False). `SimResult` stores the rates;
 its means and both fitted slopes are derived from them, and its CSV
 emitters render each column once.
 SNR points must be finite and give a finite, positive power 10^(dB/10).
@@ -62,7 +58,7 @@ from .dof import achieved
 from .errors import UnverifiableDrawError
 from .exactrank import chunks
 from .formats import render_csv, render_json
-from .scheme import BeamSet, Scheme, _generator_stack, check_supports
+from .scheme import Scheme, generator_stack, own_pair_columns
 from .verify import ReceiverDecomposition, _proven, own_pair_dets
 
 
@@ -117,38 +113,38 @@ def zf_weights(scheme: Scheme) -> np.ndarray:
     diagonal over the two modes (as in star_pattern_matrix). l and u are
     then rows of different blocks, with disjoint supports.
 
-    G_j is the generator matrix the certificate decides, built from the
-    beams actually sent (scheme._generator_stack). The 2(K-1) rows come
-    from one batched float solve of G_j^T per `exactrank.chunks` chunk of
-    receivers, at most `exactrank.BATCH_ELEMENTS` generator entries each.
+    G_j is the generator matrix the certificate decides
+    (scheme.generator_stack), its own-pair columns located by
+    scheme.own_pair_columns. The 2(K-1) rows come from one batched float
+    solve of G_j^T per `exactrank.chunks` chunk of receivers, at most
+    `exactrank.BATCH_ELEMENTS` generator entries each.
     """
     K, m = scheme.config.users, scheme.config.block_len
-    pairs = list(itertools.combinations(range(K), 2))
-    others = np.array([[o for o in range(K) if o != j] for j in range(K)])
-    mine = np.array([[c for c, pair in enumerate(pairs) if j in pair] for j in range(K)])
+    low, high = own_pair_columns(K)
     rx = np.flatnonzero(scheme.certified_receivers)
-    gen = _generator_stack(scheme.pattern.tilde[None], scheme.beams.shared[None])[0]
-    # G_j's columns: every pair (own pairs halved to their mode-1 part), then
-    # the mode-2 halves of j's own pairs in partner order
+    gen = generator_stack(scheme.pattern.tilde[None], scheme.pattern.supports[None])[0]
     halves = np.arange(K - 1)
-    weights = np.zeros((K, K, 3))
+    weights = np.zeros((K, K - 1, 3))  # [j, n]: j's pair with its n-th partner
     for chunk in chunks(rx.size, m * m):
         j = rx[chunk.start:chunk.stop]
+        n = np.arange(j.size)[:, None]
         picks = np.zeros((j.size, m, 2 * (K - 1)))
-        picks[np.arange(j.size)[:, None], mine[j], halves] = 1.0
-        picks[:, len(pairs) + halves, K - 1 + halves] = 1.0
+        picks[n, low[j], halves] = 1.0
+        picks[n, high[j], K - 1 + halves] = 1.0
         rows = np.linalg.solve(gen[j].transpose(0, 2, 1).astype(float), picks)
-        low, up = rows[..., :K - 1], rows[..., K - 1:]
-        weights[j[:, None], others[j]] = np.stack(
-            [np.sum(low * low, axis=1), np.sum(up * up, axis=1), np.sum(low * up, axis=1)],
+        lo, up = rows[..., :K - 1], rows[..., K - 1:]
+        weights[j] = np.stack(
+            [np.sum(lo * lo, axis=1), np.sum(up * up, axis=1), np.sum(lo * up, axis=1)],
             axis=-1)
-    return weights
+    out = np.zeros((K, K, 3))
+    out[~np.eye(K, dtype=bool)] = weights.reshape(-1, 3)  # partners o != j, increasing
+    return out
 
 
-def _partners(beams: BeamSet) -> np.ndarray:
+def _partners(scheme: Scheme) -> np.ndarray:
     """(K, K-1): the partner o of receiver j's dimension d, whose pair
-    {j, o} sends it. Raises ValueError unless the pair map is valid."""
-    columns = beams.dimension_columns()
+    {j, o} sends it."""
+    columns = scheme.dimension_columns()
     K = columns.shape[0]
     pairs = np.array(list(itertools.combinations(range(K), 2)))[columns]  # (K, K-1, 2)
     return np.where(pairs[..., 0] == np.arange(K)[:, None], pairs[..., 1], pairs[..., 0])
@@ -254,8 +250,7 @@ def estimate_dof(scheme: Scheme, cfg: SimConfig) -> SimResult:
     if len(cfg.snr_points_db) < 2:
         raise ValueError("need at least 2 SNR points to fit a slope")
     K, m = scheme.config.users, scheme.config.block_len
-    check_supports(scheme.pattern.tilde, scheme.beams.shared, scheme.pattern.products)
-    partner = _partners(scheme.beams)
+    partner = _partners(scheme)
     rx = np.arange(K)[:, None]
     # (K, K-1) each, in dimension order; c = 0 (see zf_weights), so no cross term
     a, b, _ = np.moveaxis(zf_weights(scheme)[rx, partner], -1, 0)

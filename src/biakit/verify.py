@@ -2,23 +2,22 @@
 
 At receiver j the desired block stacks the K-1 own-channel columns. The
 (K-1)^2 cross-channel interference columns come in exactly-colinear pairs:
-both owners of a pair send its one column of BeamSet.shared, and a third
-receiver keeps mode 2 over it because it lies inside the pair product, so
-the two reach that receiver along one direction, scaled by their own
-mode-2 coefficients. Merging each colinear pair leaves a K(K-1)/2-column
-basis. Together the two blocks form the square m x m combined block
+both owners of a pair send its one column of PatternMatrix.supports, and a
+third receiver keeps mode 2 over it because it lies inside the pair
+product (checked when the pattern is built), so the two reach that
+receiver along one direction, scaled by their own mode-2 coefficients.
+Merging each colinear pair leaves a K(K-1)/2-column basis. Together the
+two blocks form the square m x m combined block
 A_j = [desired | interference basis], m = (K-1) + K(K-1)/2. Decodability
 of the draw means rank_desired = K-1, rank_interference = K(K-1)/2 and
 rank_combined = m (desired space disjoint from interference).
 
 `receiver_layout` is the one place that turns a scheme into these columns;
 float and exact verification use it (the simulator needs no block, see
-biakit.sim). It checks the alignment it merges on (scheme.check_supports),
-so beams whose shared vector leaves its pair product raise ValueError,
-naming the pair and the row, instead of being ranked as if aligned: the
-block it builds is always the span of the signal `channel.receive` forms.
-It is built at most once per run (never in build_scheme) and records,
-for every receiver j and column c of A_j, the transmitter src[j, c] and
+biakit.sim). Every scheme's supports are aligned, so the block it builds
+is always the span of the signal `channel.receive` forms. It is built at
+most once per run (never in build_scheme) and records, for every
+receiver j and column c of A_j, the transmitter src[j, c] and
 the 0/1 beam vec[j, :, c]. Row r of A_j is read in receiver j's mode at
 channel use r, so for a stack of draws coeffs (T, K, K, M) one gather
 coeffs[:, j, src[j, c], tilde[r, j]] * vec[j, r, c] yields every combined
@@ -41,8 +40,8 @@ mode-2 coefficient per pair without j and the 2x2 block [[h_jj(1),
 h_jo(1)], [h_jj(2), h_jo(2)]] per own pair {j, o}. So det A_j = +-det G_j
 times the product of those coefficients and of the own-pair determinants
 det_o = h_jj(1)h_jo(2) - h_jo(1)h_jj(2). `_proven` reads this proof off a
-stack of draws: a receiver in `Scheme.certified_receivers` (certified,
-and the beams are the pattern's) whose D_j factors are all nonzero has a
+stack of draws: a receiver in `Scheme.certified_receivers` (the
+pattern's certificate) whose D_j factors are all nonzero has a
 nonsingular A_j. The consumers that decide read the proof: exact
 verification, the simulator's exclusion rule and its one-draw decoder
 (`decompose_receiver`'s `proven`). Float verification measures instead.
@@ -62,13 +61,11 @@ The two modes:
   certified receiver from them alone (every factor is a product of
   integers of magnitude at most 999, exact in complex float64), with no
   layout and no block. Only the other (draw, receiver) pairs (an
-  uncertified G_j, a zero factor, aligned beams that are not the
-  pattern's) take a block, `ReceiverLayout.blocks` of just those pairs on
-  a layout built at most once per run, and `exactrank.gaussian_rank`
-  ranks it, realifying each Z[i] matrix onto the fraction-free integer
-  kernel. A scheme whose every receiver is certified is verified with no
-  layout at all; beams that are not the pattern's certify nothing, so
-  their run builds the layout and its alignment check.
+  uncertified G_j or a zero factor) take a block, `ReceiverLayout.blocks`
+  of just those pairs on a layout built at most once per run, and
+  `exactrank.gaussian_rank` ranks it, realifying each Z[i] matrix onto
+  the fraction-free integer kernel. A scheme whose every receiver is
+  certified is verified with no layout at all.
 
 The channel-free certificate that powers construction lives in
 scheme.certify_receivers.
@@ -84,7 +81,7 @@ import numpy as np
 from .channel import EXACT_STREAM, CHANNEL_STREAM, ChannelSet, draw_channel_stack, stream_seed
 from .exactrank import chunks, gaussian_rank
 from .formats import render_csv, render_json
-from .scheme import BeamSet, PatternMatrix, Scheme, SchemeConfig, check_supports, make_config
+from .scheme import Scheme, SchemeConfig, make_config
 
 
 def stack_ranks(stack: np.ndarray) -> np.ndarray:
@@ -142,24 +139,21 @@ class ReceiverLayout:
                        self.mode[j][:, :, None]] * self.vec[j])
 
 
-def receiver_layout(pattern: PatternMatrix, beams: BeamSet) -> ReceiverLayout:
+def receiver_layout(scheme: Scheme) -> ReceiverLayout:
     """The layout of a scheme's K combined blocks (see ReceiverLayout), the
-    one place that merges a pair's two interference columns into one. The
-    alignment that merge needs is checked: ValueError names the pair and row
-    of a shared vector outside its pair product (check_supports), or the
-    fault of the pair map (check_pair_dims)."""
+    one place that merges a pair's two interference columns into one."""
+    pattern = scheme.pattern
     K, m = pattern.users, pattern.block_len
-    check_supports(pattern.tilde, beams.shared, pattern.products)
     a, b = np.array(list(itertools.combinations(range(K), 2))).T
     rx = np.arange(K)[:, None]
     src = np.hstack([np.repeat(rx, K - 1, axis=1), np.where(a == rx, b, a)])
-    # A_j's column c is shared's column cols[j, c]: j's own dimensions, then every pair
-    cols = np.hstack([beams.dimension_columns(), np.broadcast_to(np.arange(a.size), (K, a.size))])
+    # A_j's column c is supports' column cols[j, c]: j's own dimensions, then every pair
+    cols = np.hstack([scheme.dimension_columns(), np.broadcast_to(np.arange(a.size), (K, a.size))])
     # the verify-float benchmark read up to 9% slower when src and vec were built
     # otherwise, with the same arithmetic (cause not found); this form measured at parity
-    vec = np.empty((K, m, m), dtype=beams.shared.dtype)
+    vec = np.empty((K, m, m), dtype=pattern.supports.dtype)
     for j in range(K):
-        vec[j] = beams.shared[:, cols[j]]
+        vec[j] = pattern.supports[:, cols[j]]
     return ReceiverLayout(mode=pattern.tilde.T.copy(), src=src, vec=vec)
 
 
@@ -179,16 +173,14 @@ class ReceiverDecomposition:
         return np.hstack([self.desired, self.interference_basis])
 
 
-def decompose_receiver(
-    ch: ChannelSet, pattern: PatternMatrix, beams: BeamSet, j: int
-) -> ReceiverDecomposition:
+def decompose_receiver(ch: ChannelSet, scheme: Scheme, j: int) -> ReceiverDecomposition:
     """Receiver j's desired block (m x (K-1)) and merged interference basis
     (m x K(K-1)/2) for one channel draw, the two column blocks of A_j from
     the scheme's layout, and whether the certificate times D_j proves A_j
     nonsingular for this draw (no numeric rank is taken)."""
-    a = receiver_layout(pattern, beams).blocks(ch.coeffs[None])[0, j]
-    d = pattern.users - 1
-    proven = bool(_proven(Scheme(pattern, beams).certified_receivers, ch.coeffs[None])[0, j])
+    a = receiver_layout(scheme).blocks(ch.coeffs[None])[0, j]
+    d = scheme.pattern.users - 1
+    proven = bool(_proven(scheme.certified_receivers, ch.coeffs[None])[0, j])
     return ReceiverDecomposition(
         rx=j, desired=a[:, :d], interference_basis=a[:, d:], proven=proven)
 
@@ -240,15 +232,13 @@ def _float_checks(layout: ReceiverLayout, coeffs: np.ndarray, first_draw: int) -
     return _receiver_checks(blocks, stack_ranks(blocks), rank_of, first_draw)
 
 
-def verify_decodability(
-    ch: ChannelSet, pattern: PatternMatrix, beams: BeamSet, draw: int = 0
-) -> list[ReceiverCheck]:
+def verify_decodability(ch: ChannelSet, scheme: Scheme, draw: int = 0) -> list[ReceiverCheck]:
     """Check the three rank conditions at every receiver for one draw, with
     one SVD per receiver whose combined block has full numeric rank.
 
     Failures are reported, never raised; callers decide severity.
     """
-    return _float_checks(receiver_layout(pattern, beams), ch.coeffs[None], draw)
+    return _float_checks(receiver_layout(scheme), ch.coeffs[None], draw)
 
 
 def _exact_channel_ints(K: int, rng: np.random.Generator) -> np.ndarray:
@@ -288,10 +278,10 @@ def _proven(certified: tuple[bool, ...], coeffs: np.ndarray) -> np.ndarray:
     return np.array(certified, dtype=bool) & nonzero.all(axis=2)
 
 
-def _lazy_layout(pattern: PatternMatrix, beams: BeamSet):
-    """receiver_layout(pattern, beams) as a callable that builds it on its
-    first call only."""
-    return functools.cache(lambda: receiver_layout(pattern, beams))
+def _lazy_layout(scheme: Scheme):
+    """receiver_layout(scheme) as a callable that builds it on its first
+    call only."""
+    return functools.cache(lambda: receiver_layout(scheme))
 
 
 def _exact_checks(certified: tuple[bool, ...], layout, seeds, first_draw: int) -> list[ReceiverCheck]:
@@ -313,25 +303,21 @@ def _exact_checks(certified: tuple[bool, ...], layout, seeds, first_draw: int) -
     return _receiver_checks(blocks, rank_combined, _exact_rank, first_draw)
 
 
-def verify_decodability_exact(
-    pattern: PatternMatrix, beams: BeamSet, seed=0, draw: int = 0
-) -> list[ReceiverCheck]:
+def verify_decodability_exact(scheme: Scheme, seed=0, draw: int = 0) -> list[ReceiverCheck]:
     """Same three conditions with exact arithmetic: channels are random
     Gaussian integers and every rank is proven, so there is no floating
     tolerance anywhere.
 
-    One rule, with no prime: when the beams are the pattern's, a certified
-    receiver whose D_j factors (aligned mode-2 coefficients, own-pair
-    determinants) are all nonzero has rank m, since det A_j = +-det G_j
-    times their product; it takes no block. Every other block comes from
-    the same layout as the float path. The draw's parts are integers of
-    magnitude at most 999 and the beamforming vectors are 0/1, so every
-    block entry is exact in complex floating point and converts back to
-    integers without loss. Such a block is ranked by `gaussian_rank`, and
+    One rule, with no prime: a certified receiver whose D_j factors
+    (aligned mode-2 coefficients, own-pair determinants) are all nonzero
+    has rank m, since det A_j = +-det G_j times their product; it takes no
+    block. Every other block comes from the same layout as the float path.
+    The draw's parts are integers of magnitude at most 999 and the
+    beamforming vectors are 0/1, so every block entry is exact in complex
+    floating point and converts back to integers without loss. Such a block is ranked by `gaussian_rank`, and
     so are its desired and interference blocks when that rank is short.
     """
-    certified = Scheme(pattern, beams).certified_receivers
-    return _exact_checks(certified, _lazy_layout(pattern, beams), [seed], draw)
+    return _exact_checks(scheme.certified_receivers, _lazy_layout(scheme), [seed], draw)
 
 
 @dataclass(eq=False)
@@ -367,9 +353,9 @@ def run_verification(scheme: Scheme, draws: int, seed: int, exact: bool = False)
     checks: list[ReceiverCheck] = []
     if exact:
         certified = scheme.certified_receivers
-        layout = _lazy_layout(scheme.pattern, scheme.beams)
+        layout = _lazy_layout(scheme)
     else:
-        layout = receiver_layout(scheme.pattern, scheme.beams)
+        layout = receiver_layout(scheme)
     for chunk in chunks(draws, K * m * m):
         if exact:
             seeds = [stream_seed(seed, EXACT_STREAM, t) for t in chunk]
@@ -427,12 +413,14 @@ class CountingReport:
         return self.per_user_pairs_ok and self.symbol_identity_ok and self.per_receiver_dims_ok
 
 
-def check_counting(config: SchemeConfig, beams: BeamSet) -> CountingReport:
-    """Exact integer identities tying symbol counts to channel uses."""
+def check_counting(config: SchemeConfig,
+                   pair_dims: dict[tuple[int, int], tuple[int, int]]) -> CountingReport:
+    """Exact integer identities tying symbol counts to channel uses;
+    pair_dims is a pair map, {(i, j): (d_i, d_j)}."""
     K = config.users
     m = config.block_len
     membership = [0] * K
-    for (i, j) in beams.pair_dims:
+    for (i, j) in pair_dims:
         membership[i] += 1
         membership[j] += 1
     per_user = all(c == config.symbols_per_user for c in membership)

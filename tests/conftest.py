@@ -2,9 +2,9 @@
 the golden 4-user instance, a recorder of the matrix stacks that reach
 numpy's SVD, inverse and solve, a loader for the checkout's scripts, the
 column-by-column loop oracle of the pair products (scheme.product_matrix),
-two hand-built beam sets that are not a scheme's own (one aligned, one
-not), and a strategy for schemes on random sub-supports of the pair
-products.
+each user's beamforming vectors read off the pair map, the pair products
+on a built scheme's pattern as a scheme of their own, and a strategy for
+schemes on random sub-supports of the pair products.
 
 The golden instance is a fixed, externally specified switching assignment
 and pair labeling used as a reproduction target by the acceptance gate.
@@ -26,7 +26,6 @@ import biakit as bk
 from biakit.designspace import make_pattern_matrix, row_vocabulary
 from biakit.scheme import (
     PatternMatrix,
-    assign_beamformers,
     make_config,
     pattern_from_rows,
     product_matrix,
@@ -100,19 +99,22 @@ GOLDEN_VECTORS = {
 }
 
 
-def product_beams(scheme: bk.Scheme) -> bk.BeamSet:
-    """Every pair sends its full pair product: aligned, so the layout holds,
-    but not the star family's narrower supports, so nothing is certified."""
-    return bk.BeamSet(product_matrix(scheme.pattern.tilde), scheme.beams.pair_dims)
+def user_vectors(scheme: bk.Scheme, i: int) -> list[np.ndarray]:
+    """User i's K-1 beamforming vectors in dimension order, read off the
+    pair map: pair {i, o} sends its column of pattern.supports as user i's
+    dimension pair_dims[pair][position of i in the pair]."""
+    vectors = {}
+    for c, pair in enumerate(itertools.combinations(range(scheme.pattern.users), 2)):
+        if i in pair:
+            vectors[scheme.pair_dims[pair][pair.index(i)]] = scheme.pattern.supports[:, c]
+    return [vectors[d] for d in range(scheme.pattern.users - 1)]
 
 
-def copied_beams(scheme: bk.Scheme) -> bk.BeamSet:
-    """Pair {1,2} sends pair {1,3}'s vector. On the star family that vector
-    leaves {1,2}'s pair product at row K+1 (r_3, where user 3 is in mode
-    1), so receiver 3 does not see the pair aligned."""
-    shared = scheme.beams.shared.copy()
-    shared[:, 0] = shared[:, 1]
-    return bk.BeamSet(shared, scheme.beams.pair_dims)
+def product_scheme(scheme: bk.Scheme) -> bk.Scheme:
+    """The scheme's switching rows and pair map, with every pair sending its
+    full pair product: aligned, but not the star family's narrower
+    supports; on the star rows its certificate holds at no receiver."""
+    return bk.Scheme(PatternMatrix(scheme.pattern.tilde), scheme.pair_dims)
 
 
 @st.composite
@@ -137,7 +139,7 @@ def widened_schemes(draw):
     partners = [[o for o in range(K) if o != u] for u in range(K)]
     dims = {(i, j): (dims_of[i][partners[i].index(j)], dims_of[j][partners[j].index(i)])
             for i, j in pairs}
-    return bk.Scheme(pattern=pattern, beams=assign_beamformers(pattern, dims))
+    return bk.Scheme(pattern, dims)
 
 
 def golden_tilde() -> np.ndarray:
@@ -146,10 +148,7 @@ def golden_tilde() -> np.ndarray:
 
 @pytest.fixture(scope="session")
 def golden_scheme4() -> bk.Scheme:
-    tilde = golden_tilde()
-    pattern = PatternMatrix(tilde)
-    beams = assign_beamformers(pattern, GOLDEN_PAIR_DIMS)
-    return bk.Scheme(pattern=pattern, beams=beams)
+    return bk.Scheme(PatternMatrix(golden_tilde()), GOLDEN_PAIR_DIMS)
 
 
 @pytest.fixture(scope="session")
@@ -177,8 +176,7 @@ def fallback_scheme5() -> bk.Scheme:
     """The 5-user pair-product family: every shared vector is the full pair
     product, which certifies receivers 1..4 and leaves receiver 5 with a
     one-dimensional overlap in every draw."""
-    pattern = make_pattern_matrix(make_config(5))
-    return bk.Scheme(pattern=pattern, beams=assign_beamformers(pattern))
+    return bk.Scheme(make_pattern_matrix(make_config(5)))
 
 
 @pytest.fixture

@@ -50,7 +50,7 @@ def test_criterion_2_scheme_family_verification():
     rank_failures = {}
     for K in range(3, 9):
         scheme = bk.build_scheme(K)
-        counting = check_counting(scheme.config, scheme.beams)
+        counting = check_counting(scheme.config, scheme.pair_dims)
         assert counting.all_passed, "counting identities broken at K=%d" % K
         report = run_verification(scheme, draws=200, seed=11)
         if not report.all_passed:
@@ -100,8 +100,8 @@ def test_criterion_5_noiseless_decodability():
             ch = bk.draw_channels(K, 2, seed=stream_seed(0, CHANNEL_STREAM, t))
             sym = bk.draw_symbols(K, power=1.0, seed=stream_seed(0, SYMBOL_STREAM, t))
             for j in range(K):
-                y = bk.receive(ch, scheme.pattern, scheme.beams, sym, j)
-                dec = decompose_receiver(ch, scheme.pattern, scheme.beams, j)
+                y = bk.receive(ch, scheme, sym, j)
+                dec = decompose_receiver(ch, scheme, j)
                 try:
                     est = bk.zf_decode(dec, y)
                 except UnverifiableDrawError:

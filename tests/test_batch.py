@@ -25,7 +25,7 @@ from biakit.channel import CHANNEL_STREAM, EXACT_STREAM, ChannelSet, draw_channe
 from biakit.designspace import scan
 from biakit.errors import UnverifiableDrawError
 from biakit.exactrank import BATCH_ELEMENTS, chunks, gaussian_rank
-from biakit.scheme import PatternMatrix, assign_beamformers, default_pair_dims
+from biakit.scheme import PatternMatrix, default_pair_dims
 from biakit.sim import (
     SimConfig,
     SimResult,
@@ -46,21 +46,21 @@ from biakit.verify import (
     run_verification,
 )
 
-from conftest import GOLDEN_PAIR_DIMS, copied_beams, product_beams, widened_schemes
+from conftest import GOLDEN_PAIR_DIMS, product_scheme, user_vectors, widened_schemes
 
 # closed-form zero-forcing rates against A_j^{-1}: measured within 6.4e-16
 # relative at K = 3..20
 RATE_RTOL = 1e-10
 
-def oracle_receiver_blocks(ch, pattern, beams, j):
+def oracle_receiver_blocks(ch, scheme, j):
     """Receiver j's desired and interference blocks, one column_stack each."""
+    pattern = scheme.pattern
     K = pattern.users
     eff = ch.coeffs[j][:, pattern.tilde[:, j]]  # eff[i]: diagonal from transmitter i
     pairs = list(itertools.combinations(range(K), 2))
     src = [b if j == a else a for a, b in pairs]
-    shared = np.column_stack([beams.shared_vector(a, b) for a, b in pairs])
-    desired = eff[j][:, None] * np.column_stack(beams.vectors[j])
-    return desired, eff[src].T * shared
+    desired = eff[j][:, None] * np.column_stack(user_vectors(scheme, j))
+    return desired, eff[src].T * pattern.supports
 
 
 def oracle_rank(a):
@@ -92,7 +92,7 @@ def oracle_report(scheme, draws, seed, exact=False):
     for t in range(draws):
         ch = oracle_draw(scheme, seed, t, exact)
         for j in range(K):
-            a = np.hstack(oracle_receiver_blocks(ch, scheme.pattern, scheme.beams, j))
+            a = np.hstack(oracle_receiver_blocks(ch, scheme, j))
             rc = rank(a)
             ranks = full if rc == full[2] else (rank(a[:, :K - 1]), rank(a[:, K - 1:]), rc)
             checks.append(ReceiverCheck(t, j + 1, *ranks, passed=ranks == full))
@@ -109,7 +109,7 @@ def oracle_estimate_dof(scheme, cfg):
     for t in range(cfg.trials):
         ch = oracle_draw(scheme, cfg.seed, t, exact=False)
         for j in range(K):
-            a = np.hstack(oracle_receiver_blocks(ch, scheme.pattern, scheme.beams, j))
+            a = np.hstack(oracle_receiver_blocks(ch, scheme, j))
             m = a.shape[0]
             if oracle_rank(a) < m:
                 excluded += len(powers)
@@ -133,7 +133,7 @@ def inv_estimate_dof(scheme, cfg):
     every combined block by one layout gather, the exclusion rule and one
     batched inverse of the proven blocks."""
     K, m = scheme.config.users, scheme.config.block_len
-    layout = receiver_layout(scheme.pattern, scheme.beams)
+    layout = receiver_layout(scheme)
     powers = [10.0 ** (db / 10.0) for db in cfg.snr_points_db]
     rates = np.zeros((len(powers), cfg.trials, K))
     tdma = np.zeros((len(powers), cfg.trials))
@@ -207,23 +207,23 @@ def schemes(fallback_scheme5):
 
 def test_relabelled_maps_move_columns():
     for K in (4, 5):
-        a = receiver_layout(relabelled_scheme(K).pattern, relabelled_scheme(K).beams)
-        b = receiver_layout(bk.build_scheme(K).pattern, bk.build_scheme(K).beams)
+        a = receiver_layout(relabelled_scheme(K))
+        b = receiver_layout(bk.build_scheme(K))
         assert not np.array_equal(a.vec, b.vec)
 
 
 def test_layout_blocks_match_column_stack_blocks(fallback_scheme5):
     for _, scheme in schemes(fallback_scheme5):
         K = scheme.config.users
-        layout = receiver_layout(scheme.pattern, scheme.beams)
+        layout = receiver_layout(scheme)
         for exact in (False, True):
             draws = [oracle_draw(scheme, 3, t, exact) for t in range(3)]
             blocks = layout.blocks(np.stack([ch.coeffs for ch in draws]))
             for t, ch in enumerate(draws):
                 for j in range(K):
-                    desired, basis = oracle_receiver_blocks(ch, scheme.pattern, scheme.beams, j)
+                    desired, basis = oracle_receiver_blocks(ch, scheme, j)
                     assert_bits(blocks[t, j], np.hstack([desired, basis]))
-                    got = bk.decompose_receiver(ch, scheme.pattern, scheme.beams, j)
+                    got = bk.decompose_receiver(ch, scheme, j)
                     assert_bits(got.desired, desired)
                     assert_bits(got.interference_basis, basis)
 
@@ -333,7 +333,7 @@ def test_exact_mode_builds_no_block_on_built_schemes(K, monkeypatch):
 
 def test_selected_blocks_match_the_full_stack(fallback_scheme5):
     for _, scheme in schemes(fallback_scheme5):
-        layout = receiver_layout(scheme.pattern, scheme.beams)
+        layout = receiver_layout(scheme)
         coeffs = np.stack([oracle_draw(scheme, 3, t, True).coeffs for t in range(3)])
         full = layout.blocks(coeffs)
         pairs = np.array([(2, 0), (0, scheme.config.users - 1), (1, 1), (2, 0)])
@@ -346,12 +346,13 @@ def test_selected_blocks_match_the_full_stack(fallback_scheme5):
 
 def test_exact_reports_gather_only_unproven_blocks(golden_scheme4, fallback_scheme5, monkeypatch):
     """The golden instance, the pair-product families, certified and not,
-    and hand-built beams match the all-Bareiss oracle byte for byte. A run
+    and the pair products on the star pattern match the all-Bareiss oracle
+    byte for byte. A run
     builds its layout once if some receiver is unproven, else never, and
     gathers exactly the unproven (draw, rx) blocks."""
     built = bk.build_scheme(5)
     cases = [("golden", golden_scheme4), ("fallback5", fallback_scheme5),
-             ("hand-built5", bk.Scheme(pattern=built.pattern, beams=product_beams(built)))]
+             ("hand-built5", product_scheme(built))]
     cases += certified_pair_product_schemes()
     for name, scheme in cases:
         expect = oracle_report(scheme, 3, 6, exact=True)
@@ -385,28 +386,12 @@ def test_exact_runs_over_chunks_build_one_layout(edit, monkeypatch):
     assert [(c.draw, c.rx) for c in got.checks if not c.passed] == [(2, 2), (4, 2)]
 
 
-def test_exact_mode_rejects_misaligned_beams_in_every_view(scheme4, monkeypatch):
-    """Misaligned beams certify nothing, so exact verification builds the
-    layout, and its alignment check raises, whatever the chunking."""
-    scheme = bk.Scheme(pattern=scheme4.pattern, beams=copied_beams(scheme4))
-    assert scheme.certified_receivers == (False,) * 4
-    message = r"support of pair \{1,2\} leaves the pair product at row 5"
-    m = scheme.config.block_len
-    for budget in (biakit.exactrank.BATCH_ELEMENTS, 4 * m * m):
-        monkeypatch.setattr(biakit.exactrank, "BATCH_ELEMENTS", budget)
-        with pytest.raises(ValueError, match=message):
-            run_verification(scheme, 3, 3, exact=True)
-    with pytest.raises(ValueError, match=message):
-        bk.verify_decodability_exact(scheme.pattern, scheme.beams)
-
-
 @pytest.mark.parametrize("K", [4, 5, 6])
 def test_exact_reports_match_per_draw_loop_on_hand_built_beams(K):
-    """Beams that are not the pattern's (full pair products on the star
-    pattern) prove nothing by factorisation; every block goes to Bareiss,
-    as in the oracle, and every receiver fails."""
-    built = bk.build_scheme(K)
-    scheme = bk.Scheme(pattern=built.pattern, beams=product_beams(built))
+    """Hand-built beams, the full pair products on the star pattern, prove
+    nothing by factorisation; every block goes to Bareiss, as in the
+    oracle, and every receiver fails."""
+    scheme = product_scheme(bk.build_scheme(K))
     expect = oracle_report(scheme, 3, 3, exact=True)
     assert report_bytes(run_verification(scheme, 3, 3, exact=True)) == report_bytes(expect)
     assert expect.failing_receivers() == tuple(range(1, K + 1))
@@ -450,32 +435,19 @@ def test_simulation_excludes_zero_factors(edit, monkeypatch):
 
 @pytest.mark.parametrize("K", [4, 5, 6])
 def test_simulation_excludes_every_slot_on_hand_built_beams(K):
-    """Beams that are not the pattern's prove nothing: every (snr, trial,
-    receiver) slot is excluded, as by the SVD oracle, and zf_decode raises."""
-    built = bk.build_scheme(K)
-    scheme = bk.Scheme(pattern=built.pattern, beams=product_beams(built))
+    """Hand-built beams, the full pair products on the star pattern, prove
+    nothing: every (snr, trial, receiver) slot is excluded, as by the SVD
+    oracle, and zf_decode raises."""
+    scheme = product_scheme(bk.build_scheme(K))
     cfg = SimConfig(trials=5, seed=3)
     result = estimate_dof(scheme, cfg)
     assert_simulation_matches(result, oracle_estimate_dof(scheme, cfg))
     assert result.excluded == 3 * 5 * K
     ch = draw_channels(K, 2, seed=3)
     for j in range(K):
-        dec = bk.decompose_receiver(ch, scheme.pattern, scheme.beams, j)
+        dec = bk.decompose_receiver(ch, scheme, j)
         with pytest.raises(UnverifiableDrawError, match="receiver %d" % (j + 1)):
             bk.zf_decode(dec, np.ones(scheme.config.block_len, dtype=complex))
-
-
-def test_misaligned_beams_are_rejected_by_every_run(scheme4):
-    """A shared vector outside its pair product is refused before any draw:
-    float and exact verification and the simulation raise, naming the pair
-    and the row, instead of ranking a block the signal never forms."""
-    scheme = bk.Scheme(pattern=scheme4.pattern, beams=copied_beams(scheme4))
-    message = r"support of pair \{1,2\} leaves the pair product at row 5"
-    for run in (lambda: run_verification(scheme, 3, 3),
-                lambda: run_verification(scheme, 3, 3, exact=True),
-                lambda: estimate_dof(scheme, SimConfig(trials=5, seed=3))):
-        with pytest.raises(ValueError, match=message):
-            run()
 
 
 def test_simulation_matches_per_trial_loop_past_eight_users():
@@ -541,7 +513,7 @@ def certified_pair_product_schemes():
     for K in (3, 4):
         for n, rows in enumerate(scan(K)[1]):
             pattern = PatternMatrix(np.array(rows, dtype=np.int64))
-            cases.append(("pair-product-%d-%d" % (K, n), bk.Scheme(pattern, assign_beamformers(pattern))))
+            cases.append(("pair-product-%d-%d" % (K, n), bk.Scheme(pattern)))
     return cases
 
 

@@ -22,7 +22,7 @@ from biakit.channel import (
 )
 from biakit.scheme import PatternMatrix
 
-from conftest import GOLDEN_MODES_4
+from conftest import GOLDEN_MODES_4, user_vectors
 
 
 def test_draws_deterministic_and_seed_sensitive():
@@ -91,18 +91,18 @@ def test_constant_column_uses_single_mode():
 
 
 def test_transmit_basis_and_linearity(scheme4):
-    beams = scheme4.beams
     zeros = bk.SymbolBlock(values=np.zeros((4, 3), dtype=complex))
-    assert np.array_equal(transmit(beams, zeros, 2), np.zeros(9))
+    assert np.array_equal(transmit(scheme4, zeros, 2), np.zeros(9))
     one_hot = bk.SymbolBlock(values=np.zeros((4, 3), dtype=complex))
     one_hot.values[1, 2] = 1.0
-    assert np.array_equal(transmit(beams, one_hot, 1), beams.vectors[1][2].astype(complex))
+    assert np.array_equal(transmit(scheme4, one_hot, 1),
+                          user_vectors(scheme4, 1)[2].astype(complex))
     s1 = draw_symbols(4, power=1.0, seed=5)
     s2 = draw_symbols(4, power=1.0, seed=6)
     both = bk.SymbolBlock(values=s1.values + s2.values)
     for i in range(4):
-        lhs = transmit(beams, both, i)
-        rhs = transmit(beams, s1, i) + transmit(beams, s2, i)
+        lhs = transmit(scheme4, both, i)
+        rhs = transmit(scheme4, s1, i) + transmit(scheme4, s2, i)
         assert np.allclose(lhs, rhs, rtol=1e-12, atol=0)
 
 
@@ -112,9 +112,8 @@ def test_receive_superposition(scheme4):
     s2 = draw_symbols(4, power=2.0, seed=6)
     both = bk.SymbolBlock(values=s1.values + s2.values)
     for k in range(4):
-        lhs = receive(ch, scheme4.pattern, scheme4.beams, both, k)
-        rhs = (receive(ch, scheme4.pattern, scheme4.beams, s1, k)
-               + receive(ch, scheme4.pattern, scheme4.beams, s2, k))
+        lhs = receive(ch, scheme4, both, k)
+        rhs = receive(ch, scheme4, s1, k) + receive(ch, scheme4, s2, k)
         assert np.linalg.norm(lhs - rhs) < 1e-12 * np.linalg.norm(lhs)
 
 
@@ -122,18 +121,18 @@ def test_receive_single_symbol(scheme3):
     sym = bk.SymbolBlock(values=np.zeros((3, 2), dtype=complex))
     sym.values[2, 1] = 1.0
     ch = draw_channels(3, 2, seed=8)
-    y = receive(ch, scheme3.pattern, scheme3.beams, sym, 0)
-    expect = effective_channel(ch, scheme3.pattern, 0, 2) * scheme3.beams.vectors[2][1]
+    y = receive(ch, scheme3, sym, 0)
+    expect = effective_channel(ch, scheme3.pattern, 0, 2) * user_vectors(scheme3, 2)[1]
     assert np.array_equal(y, expect)
 
 
 def test_noise_reproducible_and_nonzero(scheme3):
     ch = draw_channels(3, 2, seed=2)
     sym = draw_symbols(3, power=1.0, seed=4)
-    clean = receive(ch, scheme3.pattern, scheme3.beams, sym, 1)
-    n1 = receive(ch, scheme3.pattern, scheme3.beams, sym, 1, noise_on=True, seed=7)
-    n2 = receive(ch, scheme3.pattern, scheme3.beams, sym, 1, noise_on=True, seed=7)
-    n3 = receive(ch, scheme3.pattern, scheme3.beams, sym, 1, noise_on=True, seed=8)
+    clean = receive(ch, scheme3, sym, 1)
+    n1 = receive(ch, scheme3, sym, 1, noise_on=True, seed=7)
+    n2 = receive(ch, scheme3, sym, 1, noise_on=True, seed=7)
+    n3 = receive(ch, scheme3, sym, 1, noise_on=True, seed=8)
     assert np.array_equal(n1, n2)
     assert not np.array_equal(n1, clean)
     assert not np.array_equal(n1, n3)
@@ -143,8 +142,7 @@ def test_noise_reproducible_and_nonzero(scheme3):
 def test_shared_support_sees_one_coefficient(K):
     scheme = bk.build_scheme(K)
     ch = draw_channels(K, 2, seed=13)
-    for i, j in itertools.combinations(range(K), 2):
-        v = scheme.beams.shared_vector(i, j)
+    for (i, j), v in zip(itertools.combinations(range(K), 2), scheme.pattern.supports.T):
         for w in range(K):
             if w in (i, j):
                 continue

@@ -18,13 +18,14 @@ from biakit.designspace import make_pattern_matrix, row_vocabulary
 from biakit.exactrank import integer_rank
 from biakit.scheme import (
     PatternMatrix,
-    assign_beamformers,
     MAX_GENERATOR_ENTRIES,
     certify_product_rank,
     certify_receivers,
     check_supports,
     default_pair_dims,
+    generator_stack,
     make_config,
+    own_pair_columns,
     pair_dims_from_json,
     product_matrix,
     scheme_from_json,
@@ -38,7 +39,8 @@ from conftest import (
     exclude_one_product,
     golden_tilde,
     pair_product,
-    product_beams,
+    product_scheme,
+    user_vectors,
     widened_schemes,
 )
 
@@ -65,7 +67,7 @@ def test_config_and_scheme_sizes_follow_from_the_user_count():
     scheme = bk.build_scheme(6)
     assert scheme.config == make_config(6)
     with pytest.raises(TypeError):
-        bk.Scheme(config=make_config(4), pattern=scheme.pattern, beams=scheme.beams)
+        bk.Scheme(config=make_config(4), pattern=scheme.pattern, pair_dims=scheme.pair_dims)
 
 
 @pytest.mark.parametrize("K", [2, 1, 0, -3])
@@ -172,9 +174,9 @@ def test_product_rank_certificate(K):
 
 @pytest.mark.parametrize("K", range(3, 7))
 def test_user_vector_stacks_full_rank(K):
-    beams = bk.build_scheme(K).beams
+    scheme = bk.build_scheme(K)
     for i in range(K):
-        stack = [tuple(int(x) for x in v) for v in beams.vectors[i]]
+        stack = [tuple(int(x) for x in v) for v in user_vectors(scheme, i)]
         assert len(set(stack)) == K - 1
         assert integer_rank([[row[c] for c in range(K - 1)]
                              for row in zip(*stack)]) == K - 1
@@ -183,9 +185,10 @@ def test_user_vector_stacks_full_rank(K):
 @pytest.mark.parametrize("K", range(3, 7))
 def test_vector_sharing_bijection(K):
     scheme = bk.build_scheme(K)
+    column = {pair: c for c, pair in enumerate(itertools.combinations(range(K), 2))}
     owners = {}
     for i in range(K):
-        for v in scheme.beams.vectors[i]:
+        for v in user_vectors(scheme, i):
             owners.setdefault(tuple(int(x) for x in v), []).append(i)
     assert len(owners) == scheme.config.pair_count
     for v, users in owners.items():
@@ -193,16 +196,14 @@ def test_vector_sharing_bijection(K):
         i, j = sorted(users)
         # the owners share a subset of their pair product
         assert np.all(np.array(v) <= pair_product(scheme.pattern.tilde, i, j))
-        assert np.array_equal(scheme.beams.shared_vector(i, j), np.array(v))
-        assert np.array_equal(scheme.beams.shared_vector(j, i), np.array(v))
+        assert np.array_equal(scheme.pattern.supports[:, column[(i, j)]], np.array(v))
 
 
 @pytest.mark.parametrize("K", range(3, 7))
 def test_support_mode_coupling(K):
     scheme = bk.build_scheme(K)
     tilde = scheme.pattern.tilde
-    for i, j in itertools.combinations(range(K), 2):
-        v = scheme.beams.shared_vector(i, j)
+    for (i, j), v in zip(itertools.combinations(range(K), 2), scheme.pattern.supports.T):
         support = v == 1
         for w in range(K):
             if w in (i, j):
@@ -243,23 +244,22 @@ def test_assign_rejects_bad_maps(scheme4):
     missing = dict(good)
     del missing[(0, 1)]
     with pytest.raises(ValueError, match="every unordered pair"):
-        assign_beamformers(pattern, missing)
+        bk.Scheme(pattern, missing)
     repeated = dict(good)
     repeated[(0, 1)] = (good[(0, 2)][0], repeated[(0, 1)][1])
     with pytest.raises(ValueError, match="dimension exactly once"):
-        assign_beamformers(pattern, repeated)
+        bk.Scheme(pattern, repeated)
     out_of_range = dict(good)
     out_of_range[(0, 1)] = (3, 0)
     with pytest.raises(ValueError):
-        assign_beamformers(pattern, out_of_range)
+        bk.Scheme(pattern, out_of_range)
 
 
 def test_custom_pair_map_relabels_without_changing_spans(scheme4):
-    relabeled = assign_beamformers(scheme4.pattern, GOLDEN_PAIR_DIMS)
-    default = scheme4.beams
+    relabeled = bk.Scheme(scheme4.pattern, GOLDEN_PAIR_DIMS)
     for i in range(4):
-        got = {tuple(int(x) for x in v) for v in relabeled.vectors[i]}
-        want = {tuple(int(x) for x in v) for v in default.vectors[i]}
+        got = {tuple(int(x) for x in v) for v in user_vectors(relabeled, i)}
+        want = {tuple(int(x) for x in v) for v in user_vectors(scheme4, i)}
         assert got == want
 
 
@@ -272,7 +272,7 @@ def test_scheme_json_roundtrip(K):
     assert doc["K"] == K and doc["m"] == scheme.config.block_len
     back = scheme_from_json(text)
     assert np.array_equal(back.pattern.tilde, scheme.pattern.tilde)
-    assert back.beams.pair_dims == scheme.beams.pair_dims
+    assert back.pair_dims == scheme.pair_dims
     assert back.certified_receivers == scheme.certified_receivers
 
 
@@ -455,6 +455,15 @@ def test_build_scheme_refuses_oversized_generator_stacks(monkeypatch):
     assert size[0] <= MAX_GENERATOR_ENTRIES < size[1]
 
 
+def test_scheme_from_json_refuses_oversized_generator_stacks(monkeypatch):
+    """A document's K meets build_scheme's bound before anything is built."""
+    def unreached(*args):
+        raise AssertionError("a pattern was built")
+    monkeypatch.setattr(biakit.scheme, "pattern_from_rows", unreached)
+    with pytest.raises(ValueError, match="users K=49 is too large"):
+        scheme_from_json(json.dumps({"K": 49, "pairs": [], "tilde": []}))
+
+
 def _pair_product_certificate(tilde):
     """The pair-product certificate as first stated: [U | w_o, o != j]."""
     m, K = tilde.shape
@@ -481,6 +490,26 @@ def _integer_rank_certificate(tilde, supports):
     """certify_receivers by exact Bareiss elimination of every G_j."""
     m = tilde.shape[0]
     return tuple(integer_rank(g.tolist()) == m for g in _generator_matrices(tilde, supports))
+
+
+@pytest.mark.parametrize("K", [3, 4, 6])
+def test_own_pair_columns_locate_the_halves_of_every_generator_matrix(K):
+    """G_j holds pair c's vector at column c, except that column low[j, n]
+    holds the mode-1 half of j's pair with its n-th partner and column
+    high[j, n] the mode-2 half."""
+    pattern = bk.build_scheme(K).pattern
+    low, high = own_pair_columns(K)
+    gen = generator_stack(pattern.tilde[None], pattern.supports[None])[0]
+    pairs = list(itertools.combinations(range(K), 2))
+    for j in range(K):
+        t = pattern.tilde[:, j]
+        for n, o in enumerate(o for o in range(K) if o != j):
+            v = pattern.supports[:, pairs.index(tuple(sorted((j, o))))]
+            assert np.array_equal(gen[j][:, low[j, n]], v * (1 - t))
+            assert np.array_equal(gen[j][:, high[j, n]], v * t)
+        for c, pair in enumerate(pairs):
+            if j not in pair:
+                assert np.array_equal(gen[j][:, c], pattern.supports[:, c])
 
 
 @pytest.mark.parametrize("K", range(3, 8))
@@ -534,7 +563,8 @@ def test_widened_scheme_json_roundtrip(K):
     assert back.certified_receivers == (True,) * K
     assert np.array_equal(back.pattern.supports, scheme.pattern.supports)
     for c, pair in enumerate(itertools.combinations(range(K), 2)):
-        assert np.array_equal(back.beams.shared_vector(*pair), scheme.pattern.supports[:, c])
+        for i, d in zip(pair, back.pair_dims[pair]):
+            assert np.array_equal(user_vectors(back, i)[d], scheme.pattern.supports[:, c])
 
 
 @settings(max_examples=40, deadline=None)
@@ -544,7 +574,7 @@ def test_widened_scheme_json_roundtrip_property(scheme):
     back = scheme_from_json(scheme_to_json(scheme))
     assert np.array_equal(back.pattern.tilde, pattern.tilde)
     assert np.array_equal(back.pattern.supports, pattern.supports)
-    assert back.beams.pair_dims == scheme.beams.pair_dims
+    assert back.pair_dims == scheme.pair_dims
     assert back.certified_receivers == pattern.certified_receivers
     assert pattern.certified_receivers == _integer_rank_certificate(pattern.tilde, pattern.supports)
 
@@ -634,7 +664,7 @@ def test_scheme_from_json_validates_rows(scheme5):
         scheme_from_json(json.dumps(doc))
     # without rows every pair shares its full pair product
     pattern4 = make_pattern_matrix(make_config(4))
-    family4 = bk.Scheme(pattern=pattern4, beams=assign_beamformers(pattern4))
+    family4 = bk.Scheme(pattern4)
     plain = json.loads(scheme_to_json(family4))
     for entry in plain["pairs"]:
         del entry["rows"]
@@ -649,17 +679,19 @@ def test_pair_map_relabels_widened_vectors_without_changing_supports(scheme6):
     flipped = {pair: (K - 2 - di, K - 2 - dj)
                for pair, (di, dj) in default_pair_dims(K).items()}
     relabeled = bk.build_scheme(K, flipped)
-    assert relabeled.beams.pair_dims == flipped
+    assert relabeled.pair_dims == flipped
     assert np.array_equal(relabeled.pattern.supports, scheme6.pattern.supports)
     for pair, v in zip(itertools.combinations(range(K), 2), scheme6.pattern.supports.T):
-        assert np.array_equal(relabeled.beams.shared_vector(*pair), v)
+        for i, d in zip(pair, flipped[pair]):
+            assert np.array_equal(user_vectors(relabeled, i)[d], v)
 
 
 def test_pair_products_are_computed_once_per_pattern(monkeypatch):
-    """PatternMatrix derives product_matrix once; its certificate and every
-    later alignment check (the receiver layout, the simulation) reuse it.
-    The star family gives every pair's rows, so pattern_from_rows needs none;
-    a document that leaves a pair's rows out takes one more."""
+    """A pattern's supports are checked against product_matrix once, where
+    they enter (PatternMatrix -> certify_receivers -> check_supports); no
+    run checks them again. The star family gives every pair's rows, so
+    pattern_from_rows needs none; a document that leaves a pair's rows out
+    takes one more."""
     calls = []
 
     def counted(tilde, _inner=product_matrix):
@@ -668,10 +700,10 @@ def test_pair_products_are_computed_once_per_pattern(monkeypatch):
     monkeypatch.setattr(biakit.scheme, "product_matrix", counted)
     scheme = bk.build_scheme(6)
     assert calls == [(20, 6)]
-    assert np.array_equal(scheme.pattern.products, product_matrix(scheme.pattern.tilde))
+    products = product_scheme(scheme)
     calls.clear()
     run_verification(scheme, 2, 0)
-    run_verification(bk.Scheme(scheme.pattern, product_beams(scheme)), 2, 0, exact=True)
+    run_verification(products, 2, 0, exact=True)
     estimate_dof(scheme, SimConfig(trials=2, seed=0))
     assert calls == []
     doc = json.loads(scheme_to_json(scheme))

@@ -18,7 +18,7 @@ from biakit.channel import (
 )
 from biakit.designspace import scan
 from biakit.errors import UnverifiableDrawError
-from biakit.scheme import PatternMatrix, assign_beamformers
+from biakit.scheme import PatternMatrix
 from biakit.sim import (
     SimConfig,
     estimate_dof,
@@ -44,8 +44,8 @@ def test_noiseless_roundtrip(K):
         ch = draw_channels(K, 2, seed=stream_seed(0, CHANNEL_STREAM, t))
         sym = draw_symbols(K, power=1.0, seed=stream_seed(0, SYMBOL_STREAM, t))
         for j in range(K):
-            y = receive(ch, scheme.pattern, scheme.beams, sym, j)
-            dec = decompose_receiver(ch, scheme.pattern, scheme.beams, j)
+            y = receive(ch, scheme, sym, j)
+            dec = decompose_receiver(ch, scheme, j)
             est = zf_decode(dec, y)
             err = np.linalg.norm(est - sym.values[j]) / np.linalg.norm(sym.values[j])
             assert err < 1e-9
@@ -54,16 +54,16 @@ def test_noiseless_roundtrip(K):
 def test_zero_symbols_decode_to_zero(scheme3):
     ch = draw_channels(3, 2, seed=1)
     sym = bk.SymbolBlock(values=np.zeros((3, 2), dtype=complex))
-    dec = decompose_receiver(ch, scheme3.pattern, scheme3.beams, 0)
-    y = receive(ch, scheme3.pattern, scheme3.beams, sym, 0)
+    dec = decompose_receiver(ch, scheme3, 0)
+    y = receive(ch, scheme3, sym, 0)
     assert np.allclose(zf_decode(dec, y), 0, atol=1e-12)
 
 
 def test_uncertified_receiver_raises(fallback_scheme5):
     ch = draw_channels(5, 2, seed=2)
     sym = draw_symbols(5, power=1.0, seed=3)
-    dec = decompose_receiver(ch, fallback_scheme5.pattern, fallback_scheme5.beams, 4)
-    y = receive(ch, fallback_scheme5.pattern, fallback_scheme5.beams, sym, 4)
+    dec = decompose_receiver(ch, fallback_scheme5, 4)
+    y = receive(ch, fallback_scheme5, sym, 4)
     with pytest.raises(UnverifiableDrawError, match="receiver 5"):
         zf_decode(dec, y)
     with pytest.raises(UnverifiableDrawError, match="receiver 5"):
@@ -81,9 +81,9 @@ def test_normalized_error_halves_when_power_doubles(scheme4):
             ch = draw_channels(4, 2, seed=stream_seed(5, CHANNEL_STREAM, t))
             sym = draw_symbols(4, power=p0 * factor, seed=stream_seed(5, SYMBOL_STREAM, t))
             j = t % 4
-            y = receive(ch, scheme4.pattern, scheme4.beams, sym, j,
+            y = receive(ch, scheme4, sym, j,
                         noise_on=True, seed=stream_seed(5, NOISE_STREAM, t))
-            dec = decompose_receiver(ch, scheme4.pattern, scheme4.beams, j)
+            dec = decompose_receiver(ch, scheme4, j)
             est = zf_decode(dec, y)
             errs.append(np.mean(np.abs(est - sym.values[j]) ** 2) / (p0 * factor))
         med[factor] = float(np.median(errs))
@@ -93,7 +93,7 @@ def test_normalized_error_halves_when_power_doubles(scheme4):
 
 def test_receiver_rate_grows_with_power(scheme4):
     ch = draw_channels(4, 2, seed=7)
-    dec = decompose_receiver(ch, scheme4.pattern, scheme4.beams, 1)
+    dec = decompose_receiver(ch, scheme4, 1)
     rates = [receiver_rate(dec, power=10.0 ** (db / 10)) for db in (0, 20, 40)]
     assert 0 < rates[0] < rates[1] < rates[2]
 
@@ -109,7 +109,7 @@ def test_estimate_dof_ranks_and_inverts_once_per_receiver(scheme4, linalg_stacks
     for t in range(cfg.trials):
         ch = draw_channels(4, 2, seed=stream_seed(cfg.seed, CHANNEL_STREAM, t))
         for j in range(4):
-            dec = decompose_receiver(ch, scheme4.pattern, scheme4.beams, j)
+            dec = decompose_receiver(ch, scheme4, j)
             for p, db in enumerate(cfg.snr_points_db):
                 # closed form against A_j^{-1}: two float evaluations of one rate
                 assert result.rates[p, t, j] == pytest.approx(
@@ -157,7 +157,7 @@ def test_pair_product_family_weights(K, pairs, partner_weights):
     assert len(schemes) == 3
     for rows in schemes:
         pattern = PatternMatrix(np.array(rows, dtype=np.int64))
-        w = zf_weights(bk.Scheme(pattern, assign_beamformers(pattern)))
+        w = zf_weights(bk.Scheme(pattern))
         np.testing.assert_allclose(w, w.transpose(1, 0, 2), rtol=0, atol=1e-12)
         special = set()
         for j in range(K):
@@ -191,7 +191,7 @@ def test_zero_forcing_takes_no_svd(name, fallback_scheme5, linalg_stacks):
     K = scheme.config.users
     result = estimate_dof(scheme, SimConfig(trials=2, seed=1))
     ch = draw_channels(K, 2, seed=3)
-    decomps = [decompose_receiver(ch, scheme.pattern, scheme.beams, j) for j in range(K)]
+    decomps = [decompose_receiver(ch, scheme, j) for j in range(K)]
     assert linalg_stacks["svd"] == []
     assert [d.proven for d in decomps] == list(scheme.certified_receivers)
     assert result.excluded == 3 * 2 * scheme.certified_receivers.count(False)
@@ -210,7 +210,7 @@ def assert_noise_enhancement_matches_projection(scheme, receivers, draws=5):
     for t in range(draws):
         ch = draw_channels(K, 2, seed=stream_seed(3, CHANNEL_STREAM, t))
         for j in receivers:
-            dec = decompose_receiver(ch, scheme.pattern, scheme.beams, j)
+            dec = decompose_receiver(ch, scheme, j)
             np.testing.assert_allclose(noise_enhancement(dec), projected_noise_enhancement(dec),
                                        rtol=1e-10, atol=0)
 
@@ -243,9 +243,7 @@ def test_alignment_beats_tdma_at_high_snr(scheme4):
     trials = 50
     for t in range(trials):
         ch = draw_channels(4, 2, seed=stream_seed(8, CHANNEL_STREAM, t))
-        bia += sum(receiver_rate(decompose_receiver(ch, scheme4.pattern,
-                                                    scheme4.beams, j), power)
-                   for j in range(4))
+        bia += sum(receiver_rate(decompose_receiver(ch, scheme4, j), power) for j in range(4))
         tdma += tdma_sum_rate(scheme4, ch, power)
     assert bia / trials > tdma / trials
 

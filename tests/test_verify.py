@@ -24,9 +24,9 @@ from biakit.verify import (
 from conftest import (
     GOLDEN_PAIR_DIMS,
     GOLDEN_VECTORS,
-    copied_beams,
     matrix_count,
-    product_beams,
+    product_scheme,
+    user_vectors,
     widened_schemes,
 )
 
@@ -60,7 +60,7 @@ def test_decomposition_shapes(K):
     ch = draw_channels(K, 2, seed=1)
     m, pairs = scheme.config.block_len, scheme.config.pair_count
     for j in range(K):
-        dec = decompose_receiver(ch, scheme.pattern, scheme.beams, j)
+        dec = decompose_receiver(ch, scheme, j)
         assert dec.desired.shape == (m, K - 1)
         assert dec.interference_basis.shape == (m, pairs)
     assert expected_ranks(scheme.config) == (K - 1, pairs, m)
@@ -68,10 +68,10 @@ def test_decomposition_shapes(K):
 
 def test_basis_columns_are_scaled_raw_columns(scheme4):
     ch = draw_channels(4, 2, seed=2)
-    dec = decompose_receiver(ch, scheme4.pattern, scheme4.beams, 0)
+    dec = decompose_receiver(ch, scheme4, 0)
     interference_raw = np.column_stack([
         effective_channel(ch, scheme4.pattern, 0, i) * v
-        for i in range(1, 4) for v in scheme4.beams.vectors[i]])
+        for i in range(1, 4) for v in user_vectors(scheme4, i)])
     for c in range(dec.interference_basis.shape[1]):
         col = dec.interference_basis[:, c]
         ratios = []
@@ -88,7 +88,7 @@ def test_golden_receiver1_alignment_directions(golden_scheme4):
     """At receiver 1 the three fully merged interference directions are the
     shared vectors of the pairs not containing user 1."""
     ch = draw_channels(4, 2, seed=6)
-    dec = decompose_receiver(ch, golden_scheme4.pattern, golden_scheme4.beams, 0)
+    dec = decompose_receiver(ch, golden_scheme4, 0)
     for c, (a, b) in enumerate(itertools.combinations(range(4), 2)):
         if 0 in (a, b):
             continue
@@ -102,7 +102,7 @@ def test_verified_ranks(K, ranks):
     scheme = bk.build_scheme(K)
     for t in range(30):
         ch = draw_channels(K, 2, seed=stream_seed(0, 0, t))
-        for c in verify_decodability(ch, scheme.pattern, scheme.beams, draw=t):
+        for c in verify_decodability(ch, scheme, draw=t):
             assert c.passed
             assert (c.rank_desired, c.rank_interference, c.rank_combined) == ranks
 
@@ -131,7 +131,7 @@ def test_combined_matrix_conditioning(scheme4):
     for t in range(draws):
         ch = draw_channels(4, 2, seed=stream_seed(1, 0, t))
         for j in range(4):
-            dec = decompose_receiver(ch, scheme4.pattern, scheme4.beams, j)
+            dec = decompose_receiver(ch, scheme4, j)
             sv = np.linalg.svd(np.hstack([dec.desired, dec.interference_basis]),
                                compute_uv=False)
             ok += sv[-1] / sv[0] > 1e-6
@@ -141,53 +141,38 @@ def test_combined_matrix_conditioning(scheme4):
 @pytest.mark.parametrize("K", range(3, 11))
 def test_counting_identities(K):
     scheme = bk.build_scheme(K)
-    report = check_counting(scheme.config, scheme.beams)
+    report = check_counting(scheme.config, scheme.pair_dims)
     assert report.all_passed
     assert K * (K - 1) - (K - 1) * (K - 2) // 2 == scheme.config.block_len
 
 
 def test_counting_detects_broken_pair_map(scheme4):
-    beams = bk.BeamSet(scheme4.beams.shared,
-                       pair_dims={(0, 1): (0, 0), (0, 2): (1, 1), (0, 3): (2, 2),
-                                  (1, 2): (1, 1), (1, 3): (2, 2), (2, 1): (0, 0)})
-    report = check_counting(scheme4.config, beams)
+    pair_dims = {(0, 1): (0, 0), (0, 2): (1, 1), (0, 3): (2, 2),
+                 (1, 2): (1, 1), (1, 3): (2, 2), (2, 1): (0, 0)}
+    report = check_counting(scheme4.config, pair_dims)
     assert not report.per_user_pairs_ok
     assert not report.all_passed
 
 
-def test_adversarial_copied_beamformers_detected(scheme4):
-    """Pair {1,2} sends pair {1,3}'s vector, which leaves its pair product:
-    the layout refuses to merge the pair's columns, naming pair and row."""
-    bad = copied_beams(scheme4)
-    ch = draw_channels(4, 2, seed=3)
-    with pytest.raises(ValueError, match=r"pair \{1,2\} leaves the pair product at row 5"):
-        verify_decodability(ch, scheme4.pattern, bad)
-    with pytest.raises(ValueError, match=r"pair \{1,2\} leaves the pair product at row 5"):
-        decompose_receiver(ch, scheme4.pattern, bad, 0)
-
-
 def test_adversarial_duplicated_dimension_detected(scheme4):
     """A pair map that files two of user 1's pairs under one dimension has
-    no signal model; verification refuses it, naming the user."""
-    dims = dict(scheme4.beams.pair_dims)
+    no signal model; no scheme takes it, and the error names the user."""
+    dims = dict(scheme4.pair_dims)
     dims[(0, 2)] = (dims[(0, 1)][0], dims[(0, 2)][1])
-    bad = bk.BeamSet(scheme4.beams.shared, dims)
-    assert bk.Scheme(scheme4.pattern, bad).certified_receivers == (False,) * 4
-    ch = draw_channels(4, 2, seed=5)
     with pytest.raises(ValueError, match="give user 1 each dimension exactly once"):
-        verify_decodability(ch, scheme4.pattern, bad)
+        bk.Scheme(scheme4.pattern, dims)
 
 
-def assert_rank_rule(scheme, beams, draws=4):
+def assert_rank_rule(scheme, draws=4):
     """Every verify_decodability check equals the ranks of the desired,
     interference and combined blocks, each taken by its own SVD."""
     K = scheme.config.users
     out = []
     for t in range(draws):
         ch = draw_channels(K, 2, seed=stream_seed(4, 0, t))
-        checks = verify_decodability(ch, scheme.pattern, beams, draw=t)
+        checks = verify_decodability(ch, scheme, draw=t)
         for j, check in enumerate(checks):
-            dec = decompose_receiver(ch, scheme.pattern, beams, j)
+            dec = decompose_receiver(ch, scheme, j)
             desired, basis = dec.desired, dec.interference_basis
             ranks = (rank_of(desired), rank_of(basis), rank_of(np.hstack([desired, basis])))
             assert (check.rank_desired, check.rank_interference, check.rank_combined) == ranks
@@ -199,15 +184,13 @@ def assert_rank_rule(scheme, beams, draws=4):
 @pytest.mark.parametrize("K", range(3, 9))
 def test_rank_rule_matches_three_svd_oracle(K):
     scheme = bk.build_scheme(K)
-    assert all(check.passed for check in assert_rank_rule(scheme, scheme.beams))
+    assert all(check.passed for check in assert_rank_rule(scheme))
 
 
 def test_rank_rule_matches_three_svd_oracle_on_failing_receivers(fallback_scheme5, scheme4,
                                                                   scheme5):
-    for scheme, beams in [(fallback_scheme5, fallback_scheme5.beams),
-                          (scheme4, product_beams(scheme4)),
-                          (scheme5, product_beams(scheme5))]:
-        assert not all(check.passed for check in assert_rank_rule(scheme, beams))
+    for scheme in (fallback_scheme5, product_scheme(scheme4), product_scheme(scheme5)):
+        assert not all(check.passed for check in assert_rank_rule(scheme))
 
 
 @pytest.mark.parametrize("K", [4, 8])
@@ -250,55 +233,53 @@ def test_exact_mode_agrees_with_float_mode_on_failures(fallback_scheme5):
 
 
 def test_exact_mode_eliminates_only_unproven_receivers(fallback_scheme5, monkeypatch):
-    pattern, beams = fallback_scheme5.pattern, fallback_scheme5.beams
     ranked = []
 
     def counted(rows):
         ranked.append(rows)
         return biakit.exactrank.gaussian_rank(rows)
     monkeypatch.setattr(biakit.verify, "gaussian_rank", counted)
-    fast = [verify_decodability_exact(pattern, beams, seed=s, draw=s) for s in range(3)]
+    fast = [verify_decodability_exact(fallback_scheme5, seed=s, draw=s) for s in range(3)]
     # receiver 5 is singular, so it alone takes its three exact ranks per draw
     assert len(ranked) == 3 * 3
     # with no receiver certified every combined block is ranked exactly, and
     # only receiver 5's short rank ranks its two blocks: same checks
     monkeypatch.setattr(bk.Scheme, "certified_receivers",
                         property(lambda scheme: (False,) * scheme.pattern.users))
-    assert [verify_decodability_exact(pattern, beams, seed=s, draw=s) for s in range(3)] == fast
+    assert [verify_decodability_exact(fallback_scheme5, seed=s, draw=s)
+            for s in range(3)] == fast
     assert len(ranked) == 3 * 3 + 3 * (5 + 2)
 
 
 @pytest.mark.parametrize("K", [4, 5, 6])
 def test_scheme_certifies_no_receiver_on_beams_that_are_not_its_patterns(K):
-    """The certificate covers only the beams the pattern assigns (under
-    any pair map); float and exact verification fail every receiver of
-    the pair-product beams."""
+    """The certificate covers the star pattern's own supports (under any
+    pair map), not other beams on its switching rows: with the full pair
+    products there, float and exact verification fail every receiver."""
     assert bk.build_scheme(4, GOLDEN_PAIR_DIMS).certified_receivers == (True,) * 4
-    built = bk.build_scheme(K)
-    scheme = bk.Scheme(built.pattern, product_beams(built))
+    scheme = product_scheme(bk.build_scheme(K))
     assert scheme.certified_receivers == (False,) * K
     every = tuple(range(1, K + 1))
     assert run_verification(scheme, 2, 0, exact=True).failing_receivers() == every
     assert run_verification(scheme, 2, 0).failing_receivers() == every
-    assert bk.Scheme(built.pattern, copied_beams(built)).certified_receivers == (False,) * K
 
 
-def signal_residual(ch, pattern, beams, j):
+def signal_residual(ch, scheme, j):
     """Relative distance of the block receive() gives receiver j from the
     column span of the layout's combined block A_j."""
-    K = pattern.users
-    y = receive(ch, pattern, beams, draw_symbols(K, seed=ch.seed), j)
-    a = decompose_receiver(ch, pattern, beams, j).combined
+    K = scheme.pattern.users
+    y = receive(ch, scheme, draw_symbols(K, seed=ch.seed), j)
+    a = decompose_receiver(ch, scheme, j).combined
     x = np.linalg.lstsq(a, y, rcond=None)[0]
     return np.linalg.norm(a @ x - y) / np.linalg.norm(y)
 
 
-def assert_layout_matches_signal_model(scheme, beams, draws=3):
+def assert_layout_matches_signal_model(scheme, draws=3):
     K = scheme.config.users
     for t in range(draws):
         ch = draw_channels(K, 2, seed=t)
         for j in range(K):
-            assert signal_residual(ch, scheme.pattern, beams, j) < 1e-12, (t, j)
+            assert signal_residual(ch, scheme, j) < 1e-12, (t, j)
 
 
 @pytest.mark.parametrize("name", ["3", "4", "5", "6", "golden-map-4", "fallback5",
@@ -308,40 +289,38 @@ def test_layout_matches_the_signal_model(name, fallback_scheme5):
     of the layout's A_j at every receiver: the merged interference columns
     are the signal, not a guess about it."""
     if name == "fallback5":
-        scheme, beams = fallback_scheme5, fallback_scheme5.beams
+        scheme = fallback_scheme5
     elif name == "golden-map-4":
         scheme = bk.build_scheme(4, GOLDEN_PAIR_DIMS)
-        beams = scheme.beams
     elif name.startswith("pair-products"):
-        scheme = bk.build_scheme(int(name[-1]))
-        beams = product_beams(scheme)
+        scheme = product_scheme(bk.build_scheme(int(name[-1])))
     else:
         scheme = bk.build_scheme(int(name))
-        beams = scheme.beams
-    assert_layout_matches_signal_model(scheme, beams)
+    assert_layout_matches_signal_model(scheme)
 
 
 @settings(max_examples=25, deadline=None)
 @given(widened_schemes())
 def test_layout_matches_the_signal_model_on_random_sub_supports(scheme):
-    assert_layout_matches_signal_model(scheme, scheme.beams, draws=1)
+    assert_layout_matches_signal_model(scheme, draws=1)
 
 
 def test_copied_vector_is_not_aligned_at_a_third_receiver(scheme4):
-    """Why copied beams are refused: receiver 3 is in mode 1 on part of the
-    copied vector, so the two owners of pair {1,2} reach it along two
-    directions, which one merged column cannot span."""
+    """Why supports outside the pair product are refused: if pair {1,2}
+    sent pair {1,3}'s vector, receiver 3 would be in mode 1 on part of it,
+    so the two owners would reach it along two directions, which one merged
+    column cannot span."""
     pattern, ch = scheme4.pattern, draw_channels(4, 2, seed=1)
 
     def owner_columns(v):
         return np.column_stack([effective_channel(ch, pattern, 2, i) * v for i in (0, 1)])
-    assert rank_of(owner_columns(copied_beams(scheme4).shared_vector(0, 1))) == 2
-    assert rank_of(owner_columns(scheme4.beams.shared_vector(0, 1))) == 1
+    assert rank_of(owner_columns(pattern.supports[:, 1])) == 2
+    assert rank_of(owner_columns(pattern.supports[:, 0])) == 1
 
 
 def test_exact_mode_is_seed_stable(scheme3):
-    a = verify_decodability_exact(scheme3.pattern, scheme3.beams, seed=11)
-    b = verify_decodability_exact(scheme3.pattern, scheme3.beams, seed=11)
+    a = verify_decodability_exact(scheme3, seed=11)
+    b = verify_decodability_exact(scheme3, seed=11)
     assert a == b
 
 
