@@ -47,7 +47,8 @@ def _build_parser() -> _Parser:
     ver.add_argument("--trials", type=int, default=100)
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--exact", action="store_true",
-                     help="integer channels + fraction-free elimination (no float tolerance)")
+                     help="Gaussian-integer channels, no float tolerance: a certified receiver "
+                          "is proven from A_j = G_j D_j; Bareiss ranks only the unproven blocks")
     ver.add_argument("--pair-map", type=Path, default=None)
     ver.add_argument("--format", choices=["json", "csv"], default="json")
     ver.add_argument("--out", type=Path, default=None)

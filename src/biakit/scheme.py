@@ -13,10 +13,11 @@ alignment needs only a constant mode there).
 Each shared vector is stored once, as a column of one (m, C(K,2)) 0/1
 support matrix in lexicographic pair order, the order of product_matrix
 and of the certificate: PatternMatrix.supports, checked where it enters
-(check_supports, through certify_receivers). A Scheme is a pattern plus
-its pair map, which says under which dimension each owner sends its
-pair's column; both owners of a pair therefore always send one vector,
-and the pattern's certificate is the scheme's.
+(check_supports, through certify_receivers; the default pair products
+need no check). A Scheme is a pattern plus its pair map, which says under
+which dimension each owner sends its pair's column; both owners of a pair
+therefore always send one vector, and the pattern's certificate is the
+scheme's.
 
 Receiver j can separate its K-1 desired dimensions from interference iff a
 binary m x m generator matrix G_j is nonsingular over the rationals (see
@@ -84,13 +85,14 @@ class PatternMatrix:
     """Binary switching patterns (one column per receiver) and the support
     of every pair's shared vector.
 
-    tilde holds {0,1}; modes = tilde + 1 holds {1,2}. supports is the
+    tilde holds {0,1} (any other entry raises ValueError naming its row
+    and column); modes = tilde + 1 holds {1,2}. supports is the
     (m, C(K,2)) 0/1 matrix whose column c is the vector the c-th pair
     (lexicographic, as in product_matrix) shares; each column must lie
     inside its pair product, and the default is product_matrix(tilde).
     certified_receivers[j] is the exact decodability certificate of
-    receiver j (certify_receivers, which checks the supports), computed at
-    construction and never taken from the caller.
+    receiver j (certify_receivers, which checks explicit supports),
+    computed at construction and never taken from the caller.
     """
 
     tilde: np.ndarray
@@ -98,9 +100,17 @@ class PatternMatrix:
     certified_receivers: tuple[bool, ...] = field(init=False)
 
     def __post_init__(self):
-        if self.supports is None:
+        bad = np.argwhere((self.tilde != 0) & (self.tilde != 1))
+        if bad.size:
+            r, c = bad[0]
+            raise ValueError("tilde entries must be 0 or 1, got %s at row %d, column %d"
+                             % (self.tilde[r, c], r + 1, c + 1))
+        if self.supports is None:  # the pair products themselves: nothing to check
             self.supports = product_matrix(self.tilde)
-        self.certified_receivers = certify_receivers(self.tilde, self.supports)
+            self.certified_receivers = tuple(
+                bool(x) for x in certify_patterns(self.tilde[None], self.supports[None])[0])
+        else:
+            self.certified_receivers = certify_receivers(self.tilde, self.supports)
 
     @property
     def modes(self) -> np.ndarray:
@@ -248,16 +258,14 @@ def pattern_from_rows(config: SchemeConfig, tilde, rows_by_pair: dict) -> Patter
 
     rows_by_pair maps (a, b), a < b, to the 0-indexed rows of the pair's
     shared vector; a pair left out shares its full pair product. Raises
-    ValueError unless tilde is a 0/1 m x K matrix and every row list is
-    nonempty, within the block and inside its pair product. The
-    certificate is recomputed, never trusted.
+    ValueError unless tilde is an m x K matrix, 0/1 (PatternMatrix), and
+    every row list is nonempty, within the block and inside its pair
+    product. The certificate is recomputed, never trusted.
     """
     K, m = config.users, config.block_len
     tilde = np.array(tilde, dtype=np.int64)
     if tilde.shape != (m, K):
         raise ValueError("tilde must be %d x %d" % (m, K))
-    if not np.isin(tilde, (0, 1)).all():
-        raise ValueError("tilde entries must be 0 or 1")
     column = {pair: c for c, pair in enumerate(itertools.combinations(range(K), 2))}
     supports = np.zeros((m, len(column)), dtype=np.int64)
     for (a, b), rows in rows_by_pair.items():

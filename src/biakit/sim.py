@@ -57,7 +57,7 @@ from .channel import CHANNEL_STREAM, ChannelSet, draw_channel_stack, stream_seed
 from .dof import achieved
 from .errors import UnverifiableDrawError
 from .exactrank import chunks
-from .formats import render_csv, render_json
+from .formats import is_int, render_csv, render_json
 from .scheme import Scheme, generator_stack, own_pair_columns
 from .verify import ReceiverDecomposition, _proven, own_pair_dets
 
@@ -193,8 +193,10 @@ class SimConfig:
                                  "positive power 10^(dB/10)" % x)
         if any(b <= a for a, b in zip(pts, pts[1:])):
             raise ValueError("snr_points_db must be strictly increasing")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if not is_int(self.trials) or self.trials < 1:
+            raise ValueError("trials must be an integer >= 1, got %r" % (self.trials,))
+        if not is_int(self.seed) or self.seed < 0:
+            raise ValueError("seed must be an integer >= 0, got %r" % (self.seed,))
         object.__setattr__(self, "snr_points_db", pts)
 
 

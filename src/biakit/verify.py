@@ -15,14 +15,15 @@ rank_combined = m (desired space disjoint from interference).
 `receiver_layout` is the one place that turns a scheme into these columns;
 float and exact verification use it (the simulator needs no block, see
 biakit.sim). Every scheme's supports are aligned, so the block it builds
-is always the span of the signal `channel.receive` forms. It is built at
-most once per run (never in build_scheme) and records, for every
-receiver j and column c of A_j, the transmitter src[j, c] and
-the 0/1 beam vec[j, :, c]. Row r of A_j is read in receiver j's mode at
-channel use r, so for a stack of draws coeffs (T, K, K, M) one gather
-coeffs[:, j, src[j, c], tilde[r, j]] * vec[j, r, c] yields every combined
-block (T, K, m, m), or only the blocks of chosen (draw, receiver) pairs
-(`ReceiverLayout.blocks`). Runs take their draws in `exactrank.chunks` of at
+is always the span of the signal `channel.receive` forms. It is never
+built in build_scheme, costs O(K m) and records, for every receiver j and
+column c of A_j, the transmitter src[j, c] and the pair col[j, c] whose
+shared vector fills it, beside one (C(K,2), m) copy of the shared vectors.
+Row r of A_j is read in receiver j's mode at channel use r, so for a stack
+of draws coeffs (T, K, K, M) one gather
+coeffs[:, j, src[j, c], tilde[r, j]] * vectors[col[j, c], r] yields the
+combined blocks of any receivers j in every draw (`ReceiverLayout.blocks`).
+Runs take their draws in `exactrank.chunks` of at
 most `exactrank.BATCH_ELEMENTS` block entries (at least one draw a chunk),
 the one sizing rule of every batched kernel, so memory stays flat in the
 draw count; chunking changes no output. `decompose_receiver`,
@@ -61,18 +62,17 @@ The two modes:
   certified receiver from them alone (every factor is a product of
   integers of magnitude at most 999, exact in complex float64), with no
   layout and no block. Only the other (draw, receiver) pairs (an
-  uncertified G_j or a zero factor) take a block, `ReceiverLayout.blocks`
-  of just those pairs on a layout built at most once per run, and
-  `exactrank.gaussian_rank` ranks it, realifying each Z[i] matrix onto
-  the fraction-free integer kernel. A scheme whose every receiver is
-  certified is verified with no layout at all.
+  uncertified G_j or a zero factor) take a block, gathered a draw at a
+  time by `ReceiverLayout.blocks` on a layout built only in a chunk that
+  holds such a pair, and `exactrank.gaussian_rank` ranks it, realifying
+  each Z[i] matrix onto the fraction-free integer kernel. A scheme whose
+  every receiver is certified is verified with no layout at all.
 
 The channel-free certificate that powers construction lives in
 scheme.certify_receivers.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -80,7 +80,7 @@ import numpy as np
 
 from .channel import EXACT_STREAM, CHANNEL_STREAM, ChannelSet, draw_channel_stack, stream_seed
 from .exactrank import chunks, gaussian_rank
-from .formats import render_csv, render_json
+from .formats import is_int, render_csv, render_json
 from .scheme import Scheme, SchemeConfig, make_config
 
 
@@ -107,54 +107,42 @@ def rank_of(matrix: np.ndarray) -> int:
 class ReceiverLayout:
     """Where every entry of every receiver's combined block comes from.
 
-    Entry (r, c) of A_j is vec[j, r, c] times the coefficient of the link
-    from transmitter src[j, c] to receiver j, in receiver j's mode
-    mode[j, r] at channel use r. Columns 0..K-2 are j's own beams (src = j);
-    the rest are the pairs in lexicographic order, each from the
-    lower-numbered owner, or from the other owner when j is in the pair.
+    Entry (r, c) of A_j is vectors[col[j, c], r], the shared vector of pair
+    col[j, c] at channel use r, times the coefficient of the link from
+    transmitter src[j, c] to receiver j, in receiver j's mode mode[j, r] at
+    use r. Columns 0..K-2 are j's own beams (src = j); the rest are the
+    pairs in lexicographic order, each from the lower-numbered owner, or
+    from the other owner when j is in the pair.
     """
 
-    mode: np.ndarray  # (K, m) 0-indexed mode of receiver j at use r: tilde.T
-    src: np.ndarray   # (K, m) transmitter of column c of A_j
-    vec: np.ndarray   # (K, m, m) 0/1 beam of column c of A_j
+    mode: np.ndarray     # (K, m) 0-indexed mode of receiver j at use r: tilde.T
+    src: np.ndarray      # (K, m) transmitter of column c of A_j
+    col: np.ndarray      # (K, m) pair whose shared vector fills column c of A_j
+    vectors: np.ndarray  # (C(K,2), m) 0/1 shared vector of every pair: supports.T
 
-    @property
-    def users(self) -> int:
-        return int(self.src.shape[0])
-
-    @property
-    def block_len(self) -> int:
-        return int(self.src.shape[1])
-
-    def blocks(self, coeffs: np.ndarray, pairs: np.ndarray | None = None) -> np.ndarray:
-        """Every combined block of a stack of draws, by one gather:
-        coeffs (T, K, K, M) [draw, rx, tx, mode] -> A (T, K, m, m). Given
-        pairs, an (n, 2) array of (draw, rx) indices, only those blocks:
-        (n, m, m), each bit-identical to its entry of the full stack."""
-        if pairs is None:
-            rx = np.arange(self.users)[:, None, None]
-            return coeffs[:, rx, self.src[:, None, :], self.mode[:, :, None]] * self.vec
-        t, j = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
-        return (coeffs[t[:, None, None], j[:, None, None], self.src[j][:, None, :],
-                       self.mode[j][:, :, None]] * self.vec[j])
+    def blocks(self, coeffs: np.ndarray, rx) -> np.ndarray:
+        """The combined blocks of receivers rx in every draw of a stack
+        coeffs (T, K, K, M) [draw, rx, tx, mode], by one gather: rx is any
+        numpy index over receivers (an int, a list, a slice) and the result
+        is (T,) + rx.shape + (m, m)."""
+        K, m = self.src.shape
+        j = np.arange(K)[rx, None, None]
+        r, c = np.ogrid[:m, :m]
+        return coeffs[:, j, self.src[j, c], self.mode[j, r]] * self.vectors[self.col[j, c], r]
 
 
 def receiver_layout(scheme: Scheme) -> ReceiverLayout:
     """The layout of a scheme's K combined blocks (see ReceiverLayout), the
     one place that merges a pair's two interference columns into one."""
     pattern = scheme.pattern
-    K, m = pattern.users, pattern.block_len
+    K = pattern.users
     a, b = np.array(list(itertools.combinations(range(K), 2))).T
     rx = np.arange(K)[:, None]
     src = np.hstack([np.repeat(rx, K - 1, axis=1), np.where(a == rx, b, a)])
-    # A_j's column c is supports' column cols[j, c]: j's own dimensions, then every pair
-    cols = np.hstack([scheme.dimension_columns(), np.broadcast_to(np.arange(a.size), (K, a.size))])
-    # the verify-float benchmark read up to 9% slower when src and vec were built
-    # otherwise, with the same arithmetic (cause not found); this form measured at parity
-    vec = np.empty((K, m, m), dtype=pattern.supports.dtype)
-    for j in range(K):
-        vec[j] = pattern.supports[:, cols[j]]
-    return ReceiverLayout(mode=pattern.tilde.T.copy(), src=src, vec=vec)
+    # j's own dimensions, then every pair
+    col = np.hstack([scheme.dimension_columns(), np.broadcast_to(np.arange(a.size), (K, a.size))])
+    return ReceiverLayout(mode=pattern.tilde.T.copy(), src=src, col=col,
+                          vectors=np.ascontiguousarray(pattern.supports.T))
 
 
 @dataclass(eq=False)
@@ -178,7 +166,7 @@ def decompose_receiver(ch: ChannelSet, scheme: Scheme, j: int) -> ReceiverDecomp
     (m x K(K-1)/2) for one channel draw, the two column blocks of A_j from
     the scheme's layout, and whether the certificate times D_j proves A_j
     nonsingular for this draw (no numeric rank is taken)."""
-    a = receiver_layout(scheme).blocks(ch.coeffs[None])[0, j]
+    a = receiver_layout(scheme).blocks(ch.coeffs[None], j)[0]
     d = scheme.pattern.users - 1
     proven = bool(_proven(scheme.certified_receivers, ch.coeffs[None])[0, j])
     return ReceiverDecomposition(
@@ -228,7 +216,7 @@ def _receiver_checks(blocks, rank_combined, rank, first_draw: int) -> list[Recei
 
 def _float_checks(layout: ReceiverLayout, coeffs: np.ndarray, first_draw: int) -> list[ReceiverCheck]:
     """Float checks of a chunk of draws: one batched SVD of every combined block."""
-    blocks = layout.blocks(coeffs)
+    blocks = layout.blocks(coeffs, slice(None))
     return _receiver_checks(blocks, stack_ranks(blocks), rank_of, first_draw)
 
 
@@ -278,26 +266,22 @@ def _proven(certified: tuple[bool, ...], coeffs: np.ndarray) -> np.ndarray:
     return np.array(certified, dtype=bool) & nonzero.all(axis=2)
 
 
-def _lazy_layout(scheme: Scheme):
-    """receiver_layout(scheme) as a callable that builds it on its first
-    call only."""
-    return functools.cache(lambda: receiver_layout(scheme))
-
-
-def _exact_checks(certified: tuple[bool, ...], layout, seeds, first_draw: int) -> list[ReceiverCheck]:
+def _exact_checks(scheme: Scheme, seeds, first_draw: int) -> list[ReceiverCheck]:
     """Exact checks of a chunk of draws, one Gaussian-integer draw per seed
     (an int or a SeedSequence): decide, then gather. A receiver `_proven`
     proves has rank m and needs no block; only the other (draw, rx) pairs
-    take one, from layout() (`_lazy_layout`), and Bareiss ranks them."""
-    K = len(certified)
+    take one, gathered a draw at a time on a layout built only when such a
+    pair exists, and Bareiss ranks them."""
+    K = scheme.config.users
     h = np.stack([_exact_channel_ints(K, np.random.default_rng(s)) for s in seeds])
     coeffs = h[..., 0] + 1j * h[..., 1]  # (T, K, K, 2) [draw, rx, tx, mode]
-    proven = _proven(certified, coeffs)
-    rank_combined = np.full(proven.shape, make_config(K).block_len)
+    proven = _proven(scheme.certified_receivers, coeffs)
+    rank_combined = np.full(proven.shape, scheme.config.block_len)
     blocks = {}
-    todo = np.argwhere(~proven)
-    if todo.size:
-        for (t, j), a in zip(todo.tolist(), layout().blocks(coeffs, todo)):
+    todo = [(t, np.flatnonzero(~row).tolist()) for t, row in enumerate(proven) if not row.all()]
+    layout = receiver_layout(scheme) if todo else None
+    for t, rx in todo:
+        for j, a in zip(rx, layout.blocks(coeffs[t, None], rx)[0]):
             blocks[t, j] = a
             rank_combined[t, j] = _exact_rank(a)
     return _receiver_checks(blocks, rank_combined, _exact_rank, first_draw)
@@ -317,7 +301,7 @@ def verify_decodability_exact(scheme: Scheme, seed=0, draw: int = 0) -> list[Rec
     floating point and converts back to integers without loss. Such a block is ranked by `gaussian_rank`, and
     so are its desired and interference blocks when that rank is short.
     """
-    return _exact_checks(scheme.certified_receivers, _lazy_layout(scheme), [seed], draw)
+    return _exact_checks(scheme, [seed], draw)
 
 
 @dataclass(eq=False)
@@ -344,22 +328,21 @@ class VerificationReport:
 
 def run_verification(scheme: Scheme, draws: int, seed: int, exact: bool = False) -> VerificationReport:
     """Verify a scheme over independent channel draws (floating or exact),
-    in chunks of draws, on at most one layout (see the module docstring:
-    exact runs build it only for a receiver the certificate leaves
-    unproven). Raises ValueError unless draws >= 1."""
-    if draws < 1:
-        raise ValueError("draws (trials) must be >= 1, got %d" % draws)
+    in chunks of draws (see the module docstring: float runs build one
+    layout, exact runs one per chunk that holds a receiver the certificate
+    leaves unproven). Raises ValueError unless draws is an integer >= 1
+    and seed an integer >= 0."""
+    if not is_int(draws) or draws < 1:
+        raise ValueError("draws (trials) must be an integer >= 1, got %r" % (draws,))
+    if not is_int(seed) or seed < 0:
+        raise ValueError("seed must be an integer >= 0, got %r" % (seed,))
     K, m = scheme.config.users, scheme.config.block_len
     checks: list[ReceiverCheck] = []
-    if exact:
-        certified = scheme.certified_receivers
-        layout = _lazy_layout(scheme)
-    else:
-        layout = receiver_layout(scheme)
+    layout = None if exact else receiver_layout(scheme)
     for chunk in chunks(draws, K * m * m):
         if exact:
             seeds = [stream_seed(seed, EXACT_STREAM, t) for t in chunk]
-            checks.extend(_exact_checks(certified, layout, seeds, chunk.start))
+            checks.extend(_exact_checks(scheme, seeds, chunk.start))
         else:
             seeds = [stream_seed(seed, CHANNEL_STREAM, t) for t in chunk]
             coeffs = draw_channel_stack(K, seeds)

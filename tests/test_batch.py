@@ -142,7 +142,7 @@ def inv_estimate_dof(scheme, cfg):
         coeffs = np.stack([oracle_draw(scheme, cfg.seed, t, exact=False).coeffs for t in chunk])
         ok = _proven(scheme.certified_receivers, coeffs)
         excluded += len(powers) * int(np.count_nonzero(~ok))
-        w = np.linalg.inv(layout.blocks(coeffs)[ok])[:, :K - 1]
+        w = np.linalg.inv(layout.blocks(coeffs, slice(None))[ok])[:, :K - 1]
         noise = np.sum(w.real ** 2 + w.imag ** 2, axis=-1)
         span = slice(chunk.start, chunk.stop)
         for p, power in enumerate(powers):
@@ -209,7 +209,7 @@ def test_relabelled_maps_move_columns():
     for K in (4, 5):
         a = receiver_layout(relabelled_scheme(K))
         b = receiver_layout(bk.build_scheme(K))
-        assert not np.array_equal(a.vec, b.vec)
+        assert not np.array_equal(a.col, b.col)
 
 
 def test_layout_blocks_match_column_stack_blocks(fallback_scheme5):
@@ -218,7 +218,7 @@ def test_layout_blocks_match_column_stack_blocks(fallback_scheme5):
         layout = receiver_layout(scheme)
         for exact in (False, True):
             draws = [oracle_draw(scheme, 3, t, exact) for t in range(3)]
-            blocks = layout.blocks(np.stack([ch.coeffs for ch in draws]))
+            blocks = layout.blocks(np.stack([ch.coeffs for ch in draws]), slice(None))
             for t, ch in enumerate(draws):
                 for j in range(K):
                     desired, basis = oracle_receiver_blocks(ch, scheme, j)
@@ -303,21 +303,31 @@ def refuse_blocks(monkeypatch):
 
 
 def record_gathers(monkeypatch):
-    """Count receiver_layout calls and record the (draw, rx) pairs of every
-    ReceiverLayout.blocks call while the test runs."""
-    seen = {"layouts": 0, "pairs": []}
+    """Count receiver_layout calls and record the draws and the receivers
+    of every ReceiverLayout.blocks call while the test runs."""
+    seen = {"layouts": 0, "gathers": []}
     layout, blocks = biakit.verify.receiver_layout, biakit.verify.ReceiverLayout.blocks
 
     def counted(*args):
         seen["layouts"] += 1
         return layout(*args)
 
-    def recorded(self, coeffs, pairs=None):
-        seen["pairs"].append(None if pairs is None else np.asarray(pairs).tolist())
-        return blocks(self, coeffs, pairs)
+    def recorded(self, coeffs, rx):
+        seen["gathers"].append((coeffs.copy(), np.arange(len(self.src))[rx].reshape(-1).tolist()))
+        return blocks(self, coeffs, rx)
     monkeypatch.setattr(biakit.verify, "receiver_layout", counted)
     monkeypatch.setattr(biakit.verify.ReceiverLayout, "blocks", recorded)
     return seen
+
+
+def gathered_pairs(seen, draws):
+    """The (draw, rx) pairs of every recorded gather, one list per call,
+    each draw numbered by its place among draws (coefficient stacks)."""
+    out = []
+    for coeffs, rx in seen["gathers"]:
+        ts = [next(t for t, d in enumerate(draws) if np.array_equal(h, d)) for h in coeffs]
+        out.append([[t, j] for t in ts for j in rx])
+    return out
 
 
 @pytest.mark.parametrize("K", range(3, 13))
@@ -333,56 +343,61 @@ def test_exact_mode_builds_no_block_on_built_schemes(K, monkeypatch):
 
 def test_selected_blocks_match_the_full_stack(fallback_scheme5):
     for _, scheme in schemes(fallback_scheme5):
+        K = scheme.config.users
         layout = receiver_layout(scheme)
         coeffs = np.stack([oracle_draw(scheme, 3, t, True).coeffs for t in range(3)])
-        full = layout.blocks(coeffs)
-        pairs = np.array([(2, 0), (0, scheme.config.users - 1), (1, 1), (2, 0)])
-        picked = layout.blocks(coeffs, pairs)
-        assert picked.shape == (4,) + full.shape[2:]
-        for (t, j), a in zip(pairs, picked):
-            assert_bits(a, full[t, j])
-        assert layout.blocks(coeffs, np.empty((0, 2), dtype=int)).shape == (0,) + full.shape[2:]
+        full = layout.blocks(coeffs, slice(None))
+        assert full.shape == (3, K) + full.shape[2:]
+        assert_bits(layout.blocks(coeffs, K - 1), full[:, K - 1])
+        rx = [2, 0, K - 1, 2]
+        assert_bits(layout.blocks(coeffs, rx), full[:, rx])
+        assert_bits(layout.blocks(coeffs, slice(1, None, 2)), full[:, 1::2])
+        assert layout.blocks(coeffs, []).shape == (3, 0) + full.shape[2:]
 
 
 def test_exact_reports_gather_only_unproven_blocks(golden_scheme4, fallback_scheme5, monkeypatch):
     """The golden instance, the pair-product families, certified and not,
     and the pair products on the star pattern match the all-Bareiss oracle
-    byte for byte. A run
-    builds its layout once if some receiver is unproven, else never, and
-    gathers exactly the unproven (draw, rx) blocks."""
+    byte for byte. A run builds its layout once (one chunk) if some
+    receiver is unproven, else never, and gathers exactly the unproven
+    (draw, rx) blocks, a draw at a time."""
     built = bk.build_scheme(5)
     cases = [("golden", golden_scheme4), ("fallback5", fallback_scheme5),
              ("hand-built5", product_scheme(built))]
     cases += certified_pair_product_schemes()
     for name, scheme in cases:
         expect = oracle_report(scheme, 3, 6, exact=True)
+        draws = [oracle_draw(scheme, 6, t, True).coeffs for t in range(3)]
         with monkeypatch.context() as patch:
             seen = record_gathers(patch)
             got = run_verification(scheme, 3, 6, exact=True)
         assert report_bytes(got) == report_bytes(expect), name
-        unproven = [[t, j] for t in range(3) for j, ok in enumerate(scheme.certified_receivers)
-                    if not ok]
-        assert seen == ({"layouts": 1, "pairs": [unproven]} if unproven
-                        else {"layouts": 0, "pairs": []}), name
+        unproven = [[[t, j] for j, ok in enumerate(scheme.certified_receivers) if not ok]
+                    for t in range(3)]
+        assert seen["layouts"] == (1 if unproven[0] else 0), name
+        assert gathered_pairs(seen, draws) == (unproven if unproven[0] else []), name
     assert golden_scheme4.certified_receivers == (False, True, False, True)
 
 
 @pytest.mark.parametrize("edit", [tie_own_pair, zero_aligned],
                          ids=["own-pair-determinant", "aligned-coefficient"])
 def test_exact_runs_over_chunks_build_one_layout(edit, monkeypatch):
-    """One draw per chunk, zero factors in draws 2 and 4 of 6 only: the one
-    layout is built in the chunk of draw 2 and reused for draw 4, each chunk
-    gathers its own unproven block, and the report matches the oracle."""
+    """One draw per chunk, zero factors in draws 2 and 4 of 6 only: a
+    layout is built in the chunks of draws 2 and 4 alone, each gathers its
+    own unproven block, and the report matches the oracle."""
     scheme = bk.build_scheme(4)
     K, m = scheme.config.users, scheme.config.block_len
     monkeypatch.setattr(biakit.exactrank, "BATCH_ELEMENTS", K * m * m)
     monkeypatch.setitem(globals(), "_exact_channel_ints", edited_draws(edit, at={2, 4}))
     expect = oracle_report(scheme, 6, 3, exact=True)
+    monkeypatch.setitem(globals(), "_exact_channel_ints", edited_draws(edit, at={2, 4}))
+    draws = [oracle_draw(scheme, 3, t, True).coeffs for t in range(6)]
     monkeypatch.setattr(biakit.verify, "_exact_channel_ints", edited_draws(edit, at={2, 4}))
     seen = record_gathers(monkeypatch)
     got = run_verification(scheme, 6, 3, exact=True)
     assert report_bytes(got) == report_bytes(expect)
-    assert seen == {"layouts": 1, "pairs": [[[0, 1]], [[0, 1]]]}
+    assert seen["layouts"] == 2
+    assert gathered_pairs(seen, draws) == [[[2, 1]], [[4, 1]]]
     assert [(c.draw, c.rx) for c in got.checks if not c.passed] == [(2, 2), (4, 2)]
 
 

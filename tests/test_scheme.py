@@ -649,6 +649,19 @@ def test_support_matrices_name_the_pair_and_row(scheme4, row, col, value, messag
         PatternMatrix(tilde, supports[:, :5])
 
 
+@pytest.mark.parametrize("value", [-1, 5])
+def test_pattern_entries_must_be_binary(scheme4, value):
+    """A pattern entry outside {0, 1} is refused where the pattern is
+    built, with or without supports, naming its row and column: no mode 0
+    or mode -1 reaches a certificate or a run."""
+    tilde = scheme4.pattern.tilde.copy()
+    tilde[2] = [value, 0, 0, 0]
+    message = "tilde entries must be 0 or 1, got %d at row 3, column 1" % value
+    for supports in (None, scheme4.pattern.supports):
+        with pytest.raises(ValueError, match=message):
+            PatternMatrix(tilde, supports)
+
+
 def test_scheme_from_json_validates_rows(scheme5):
     doc = json.loads(scheme_to_json(scheme5))
     tilde = np.array(doc["tilde"])
@@ -691,7 +704,8 @@ def test_pair_products_are_computed_once_per_pattern(monkeypatch):
     they enter (PatternMatrix -> certify_receivers -> check_supports); no
     run checks them again. The star family gives every pair's rows, so
     pattern_from_rows needs none; a document that leaves a pair's rows out
-    takes one more."""
+    takes one more. Default supports are the pair products themselves,
+    computed once and not checked."""
     calls = []
 
     def counted(tilde, _inner=product_matrix):
@@ -710,3 +724,6 @@ def test_pair_products_are_computed_once_per_pattern(monkeypatch):
     del doc["pairs"][0]["rows"]
     scheme_from_json(json.dumps(doc))
     assert calls == [(20, 6), (20, 6)]
+    calls.clear()
+    PatternMatrix(scheme.pattern.tilde)
+    assert calls == [(20, 6)]

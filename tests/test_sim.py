@@ -309,6 +309,17 @@ def test_config_validation():
         estimate_dof(bk.build_scheme(3), SimConfig(snr_points_db=(30.0,), trials=2))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("trials", True), ("trials", 2.5), ("trials", "3"),
+    ("seed", True), ("seed", 1.5), ("seed", "3"), ("seed", -1),
+])
+def test_config_rejects_trials_and_seeds_that_are_not_integers_in_range(field, value):
+    bound = ">= 1" if field == "trials" else ">= 0"
+    with pytest.raises(ValueError, match=re.escape("%s must be an integer %s, got %r"
+                                                   % (field, bound, value))):
+        SimConfig(**{field: value})
+
+
 def test_result_emitters(scheme3):
     cfg = SimConfig(snr_points_db=(30.0, 40.0), trials=4, seed=15)
     result = estimate_dof(scheme3, cfg)

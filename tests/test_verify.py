@@ -1,6 +1,7 @@
 """Rank verification, counting identities, exact mode, report formats."""
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -39,12 +40,19 @@ def test_rank_of_basics():
     assert rank_of(np.diag([1.0, 1e-20])) == 1
 
 
-@pytest.mark.parametrize("draws", [0, -3])
+@pytest.mark.parametrize("draws", [0, -3, True, 2.0, "3"])
 def test_run_verification_rejects_fewer_than_one_draw(scheme3, draws):
     with pytest.raises(ValueError, match="trials"):
         run_verification(scheme3, draws, seed=1)
     with pytest.raises(ValueError, match="trials"):
         run_verification(scheme3, draws, seed=1, exact=True)
+
+
+@pytest.mark.parametrize("seed", [True, 1.5, "3", -1])
+def test_run_verification_rejects_seeds_that_are_not_natural_numbers(scheme3, seed):
+    for exact in (False, True):
+        with pytest.raises(ValueError, match=re.escape("seed must be an integer >= 0, got %r" % (seed,))):
+            run_verification(scheme3, 2, seed, exact=exact)
 
 
 def test_rank_of_rejects_non_finite():
