@@ -25,8 +25,11 @@ coeffs[:, j, src[j, c], tilde[r, j]] * vectors[col[j, c], r] yields the
 combined blocks of any receivers j in every draw (`ReceiverLayout.blocks`).
 Runs take their draws in `exactrank.chunks` of at
 most `exactrank.BATCH_ELEMENTS` block entries (at least one draw a chunk),
-the one sizing rule of every batched kernel, so memory stays flat in the
-draw count; chunking changes no output. `decompose_receiver`,
+the one sizing rule of every batched kernel, and float runs gather each
+chunk of draws a chunk of receivers at a time by the same rule, so every
+gathered, Gram, factor or SVD stack holds at most BATCH_ELEMENTS entries
+or one block, and memory stays flat in the draw count and in K; chunking
+changes no output. `decompose_receiver`,
 `verify_decodability` and `verify_decodability_exact` are one-draw views
 of the same kernels.
 
@@ -48,14 +51,34 @@ verification, the simulator's exclusion rule and its one-draw decoder
 (`decompose_receiver`'s `proven`). Float verification measures instead.
 The two modes:
 
-- float: `stack_ranks`, one batched SVD per chunk over Gaussian draws,
-  fast and statistical, the package's numerical check of the certificate,
-  which reads no proof (`rank_of` is its one-matrix view, used for the
-  blocks of a short A_j). The rule agrees with ranking every block: a
-  column subset D of A has sigma_min(D) >= sigma_min(A) and
-  sigma_max(D) <= sigma_max(A), so whenever the cut
-  max(shape) * eps * sigma_max lies below sigma_min(A) it lies below
-  sigma_min(D) too.
+- float: `square_ranks` over Gaussian draws, fast and statistical, the
+  package's numerical check of the certificate, which reads no proof. Its
+  ranks are those of `stack_ranks`, one batched SVD cut at
+  max(shape) * eps * sigma_max (`rank_of` is its one-matrix view, used
+  for the blocks of a short A_j), but a stack whose every A has full rank
+  by the margin below takes no SVD. The rule agrees with ranking every
+  block: a column subset D of A has sigma_min(D) >= sigma_min(A) and
+  sigma_max(D) <= sigma_max(A), so whenever the cut lies below
+  sigma_min(A) it lies below sigma_min(D) too, and an A_j the margin
+  proves is one the cut clears.
+
+  The margin (Rump, "Verification of positive definiteness", BIT 2006).
+  Let F = ||A||_F of an m x m block and u = 2^-53. Form G = fl(A^H A),
+  subtract MARGIN * F^2 (MARGIN = tau^2 = 2^-30, F^2 the trace of G) from
+  its diagonal and factor the result by Cholesky. If the factor exists,
+  A^H A minus tau^2 F^2 I differs from R^H R, a positive semidefinite
+  matrix, by the rounding of the Gram, the shift and the factorisation
+  (Higham, Accuracy and Stability of Numerical Algorithms, 10.1:
+  |dH| <= gamma_(m+1) |R^H||R|, and ||R||_F^2 is about F^2), at most about
+  4(m+2) u F^2 in the 2-norm, which is under 1e-3 tau^2 F^2 for m <= 2095
+  (build_scheme stops at m = 1175). So sigma_min(A) > (1 - 1e-3) tau F
+  >= 3e-5 sigma_max(A). LAPACK's singular values are off by a few m u
+  sigma_max at most, so the cut m * eps * sigma_max (about 2.6e-13
+  sigma_max at m = 1175) cannot reach sigma_min: the SVD would find rank
+  m, and the report is `expected_ranks` with no SVD. A stack whose
+  factorisation fails, or whose F^2 is not finite or not well clear of
+  underflow, goes to `stack_ranks` whole. A draw with a non-finite
+  coefficient raises ValueError before anything is gathered.
 - exact: certification grade, over Gaussian-integer draws (one seeded
   stream per draw), with one exact rule and no prime. It decides, then
   gathers: each chunk draws its coefficients and `_proven` decides every
@@ -101,6 +124,30 @@ def stack_ranks(stack: np.ndarray) -> np.ndarray:
 def rank_of(matrix: np.ndarray) -> int:
     """Numeric rank of one matrix: `stack_ranks` of a one-matrix stack."""
     return int(stack_ranks(np.asarray(matrix)[None])[0])
+
+
+# tau^2 of the full-rank margin (module docstring), a fixed constant
+MARGIN = 2.0 ** -30
+# below this ||A||_F^2 the Gram's underflow could eat the margin
+_TINY = 2.0 ** -900
+
+
+def square_ranks(stack: np.ndarray) -> np.ndarray:
+    """`stack_ranks` of a (..., m, m) stack, with no SVD when the Cholesky
+    margin (module docstring) proves every matrix A of it nonsingular: the
+    factor of A^H A less MARGIN * ||A||_F^2 on its diagonal exists."""
+    with np.errstate(over="ignore", invalid="ignore"):  # huge entries: fall back
+        g = np.matmul(stack.conj().swapaxes(-1, -2), stack)
+        f2 = np.trace(g, axis1=-2, axis2=-1).real
+    if np.all((f2 > _TINY) & (f2 < np.inf)):
+        d = np.arange(g.shape[-1])
+        g[..., d, d] -= MARGIN * f2[..., None]
+        try:
+            np.linalg.cholesky(g)
+            return np.full(stack.shape[:-2], stack.shape[-1])
+        except np.linalg.LinAlgError:
+            pass
+    return stack_ranks(stack)
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,11 +239,10 @@ class ReceiverCheck:
 def _receiver_checks(blocks, rank_combined, rank, first_draw: int) -> list[ReceiverCheck]:
     """The one rank rule, over the square combined blocks of a chunk of draws.
 
-    rank_combined (T, K) holds the rank of every combined block; blocks[t, j]
-    is A_j of draw t (a (T, K, m, m) stack, or a dict keyed by (t, j)), read
-    only where that rank is short. A full one proves the expected ranks;
-    otherwise `rank` ranks the desired and interference column blocks. Draw
-    t is numbered first_draw + t.
+    rank_combined (T, K) holds the rank of every combined block; blocks, a
+    dict keyed by (t, j), holds A_j of draw t where that rank is short. A
+    full one proves the expected ranks; otherwise `rank` ranks the desired
+    and interference column blocks. Draw t is numbered first_draw + t.
     """
     rows = np.asarray(rank_combined).tolist()
     K = len(rows[0])
@@ -215,14 +261,28 @@ def _receiver_checks(blocks, rank_combined, rank, first_draw: int) -> list[Recei
 
 
 def _float_checks(layout: ReceiverLayout, coeffs: np.ndarray, first_draw: int) -> list[ReceiverCheck]:
-    """Float checks of a chunk of draws: one batched SVD of every combined block."""
-    blocks = layout.blocks(coeffs, slice(None))
-    return _receiver_checks(blocks, stack_ranks(blocks), rank_of, first_draw)
+    """Float checks of a chunk of draws, gathered a chunk of receivers at a
+    time (`exactrank.chunks`): `square_ranks` of every stack of combined
+    blocks, keeping only the short blocks for their sub-block ranks."""
+    if not np.isfinite(coeffs).all():
+        raise ValueError("non-finite entries")
+    T = len(coeffs)
+    K, m = layout.src.shape
+    rank_combined = np.full((T, K), m)
+    blocks = {}
+    for rx in chunks(K, T * m * m):
+        a = layout.blocks(coeffs, slice(rx.start, rx.stop))
+        ranks = square_ranks(a)
+        rank_combined[:, rx.start:rx.stop] = ranks
+        for t, i in np.argwhere(ranks < m).tolist():
+            blocks[t, rx.start + i] = a[t, i]
+    return _receiver_checks(blocks, rank_combined, rank_of, first_draw)
 
 
 def verify_decodability(ch: ChannelSet, scheme: Scheme, draw: int = 0) -> list[ReceiverCheck]:
-    """Check the three rank conditions at every receiver for one draw, with
-    one SVD per receiver whose combined block has full numeric rank.
+    """Check the three rank conditions at every receiver for one draw: the
+    combined blocks take no SVD when the Cholesky margin proves them all,
+    else one SVD each, and only a short one has its two blocks ranked.
 
     Failures are reported, never raised; callers decide severity.
     """

@@ -1,6 +1,6 @@
 """Shared fixtures: constructed schemes, the pair-product 5-user family and
 the golden 4-user instance, a recorder of the matrix stacks that reach
-numpy's SVD, inverse and solve, a loader for the checkout's scripts, the
+numpy's SVD, Cholesky, inverse and solve, a loader for the checkout's scripts, the
 column-by-column loop oracle of the pair products (scheme.product_matrix),
 each user's beamforming vectors read off the pair map, the pair products
 on a built scheme's pattern as a scheme of their own, and a strategy for
@@ -182,9 +182,9 @@ def fallback_scheme5() -> bk.Scheme:
 @pytest.fixture
 def linalg_stacks(monkeypatch) -> dict[str, list[tuple[int, ...]]]:
     """The shape of every matrix stack passed to np.linalg.svd,
-    np.linalg.inv and np.linalg.solve while the test runs, in call order,
-    under "svd", "inv" and "solve"."""
-    seen: dict[str, list[tuple[int, ...]]] = {"svd": [], "inv": [], "solve": []}
+    np.linalg.cholesky, np.linalg.inv and np.linalg.solve while the test
+    runs, in call order, under "svd", "cholesky", "inv" and "solve"."""
+    seen: dict[str, list[tuple[int, ...]]] = {"svd": [], "cholesky": [], "inv": [], "solve": []}
     for name, shapes in seen.items():
         def recorded(a, *args, _inner=getattr(np.linalg, name), _shapes=shapes, **kwargs):
             _shapes.append(np.shape(a))

@@ -5,8 +5,9 @@ The oracles below are the one-matrix-at-a-time code: one column_stack per
 block, one SVD and one inverse per (draw, receiver) and a 1-D mean per
 user for TDMA, and the batched inverse of every proven combined block
 that the closed-form simulation replaced. The arithmetic of every block,
-rank and TDMA rate is unchanged by batching, so those and the emitted
-verification bytes must be bit-identical. The simulation's zero-forcing
+rank and TDMA rate is unchanged by batching, and a block the Cholesky
+margin proves full is one the oracle's SVD calls full, so those and the
+emitted verification bytes must be bit-identical. The simulation's zero-forcing
 rates are a different float evaluation of the same quantity (the closed
 form of biakit.sim), so they agree within RATE_RTOL; every other output
 byte of a simulation, the exclusions included, is identical.
@@ -46,7 +47,7 @@ from biakit.verify import (
     run_verification,
 )
 
-from conftest import GOLDEN_PAIR_DIMS, product_scheme, user_vectors, widened_schemes
+from conftest import GOLDEN_PAIR_DIMS, matrix_count, product_scheme, user_vectors, widened_schemes
 
 # closed-form zero-forcing rates against A_j^{-1}: measured within 6.4e-16
 # relative at K = 3..20
@@ -228,11 +229,22 @@ def test_layout_blocks_match_column_stack_blocks(fallback_scheme5):
                     assert_bits(got.interference_basis, basis)
 
 
-def test_float_reports_match_per_draw_loop(fallback_scheme5):
-    for name, scheme in schemes(fallback_scheme5):
-        expect = oracle_report(scheme, 20, 3)
-        assert report_bytes(run_verification(scheme, 20, 3)) == report_bytes(expect), name
-    assert not expect.all_passed  # the fallback family's receiver 5 fails
+def test_float_reports_match_per_draw_loop(fallback_scheme5, golden_scheme4):
+    cases = schemes(fallback_scheme5) + [("golden4", golden_scheme4)]
+    cases += [(str(K), bk.build_scheme(K)) for K in range(9, 13)]
+    for name, scheme in cases:
+        draws = 20 if scheme.config.users <= 8 else 3
+        expect = oracle_report(scheme, draws, 3)
+        assert report_bytes(run_verification(scheme, draws, 3)) == report_bytes(expect), name
+        # the fallback family's receiver 5 fails, and the golden instance's 1 and 3
+        assert expect.failing_receivers() == {"fallback5": (5,), "golden4": (1, 3)}.get(name, ())
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(widened_schemes())
+def test_float_reports_match_per_draw_loop_on_widened_supports(scheme):
+    expect = oracle_report(scheme, 3, 5)
+    assert report_bytes(run_verification(scheme, 3, 5)) == report_bytes(expect)
 
 
 def test_exact_reports_match_per_draw_loop(fallback_scheme5):
@@ -506,17 +518,44 @@ def test_chunking_changes_no_output(draws_per_chunk, fallback_scheme5, monkeypat
         assert chunked == default
 
 
+def test_receiver_chunks_change_no_float_output(fallback_scheme5, golden_scheme4, monkeypatch,
+                                                linalg_stacks):
+    """Float verification one block a stack, and two, gives the bytes of the
+    default chunks: each short receiver's stack falls back to the SVD alone
+    while the margin proves the others."""
+    for scheme in (bk.build_scheme(4), fallback_scheme5, golden_scheme4):
+        m = scheme.config.block_len
+        default = report_bytes(run_verification(scheme, 5, 2))
+        for blocks_per_chunk in (1, 2):
+            with monkeypatch.context() as patch:
+                patch.setattr(biakit.exactrank, "BATCH_ELEMENTS", blocks_per_chunk * m * m)
+                assert report_bytes(run_verification(scheme, 5, 2)) == default
+    # fallback5 one block a stack: every block reaches the margin once, and
+    # only receiver 5's, one a draw, go on to the SVD
+    for shapes in linalg_stacks.values():
+        shapes.clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(biakit.exactrank, "BATCH_ELEMENTS", 14 * 14)
+        run_verification(fallback_scheme5, 5, 2)
+    assert linalg_stacks["cholesky"] == [(1, 1, 14, 14)] * 25
+    assert matrix_count(linalg_stacks["svd"], 14, 14) == 5
+
+
 @pytest.mark.parametrize("K,draws", [(4, 120), (8, 3), (12, 2), (20, 2)])
 def test_no_stack_outgrows_the_chunk_budget(K, draws, linalg_stacks):
     scheme = bk.build_scheme(K)
     m = scheme.config.block_len
     run_verification(scheme, draws, 1)
     estimate_dof(scheme, SimConfig(trials=draws, seed=1))
-    shapes = linalg_stacks["svd"] + linalg_stacks["solve"]
-    assert max(np.prod(shape) for shape in shapes) <= max(BATCH_ELEMENTS, K * m * m)
-    # one SVD per chunk of draws in verification; the simulation inverts
-    # nothing and solves once per chunk of receivers, whatever the trials
-    assert len(linalg_stacks["svd"]) == len(chunks(draws, K * m * m))
+    shapes = linalg_stacks["svd"] + linalg_stacks["solve"] + linalg_stacks["cholesky"]
+    assert max(np.prod(shape) for shape in shapes) <= max(BATCH_ELEMENTS, m * m)
+    # verification takes one Cholesky per chunk of receivers of every chunk
+    # of draws, and no SVD, since the margin proves every built block; the
+    # simulation inverts nothing and solves once per chunk of receivers,
+    # whatever the trials
+    per_draw_chunk = [len(chunks(K, len(c) * m * m)) for c in chunks(draws, K * m * m)]
+    assert len(linalg_stacks["cholesky"]) == sum(per_draw_chunk)
+    assert linalg_stacks["svd"] == []
     assert linalg_stacks["inv"] == []
     assert len(linalg_stacks["solve"]) == len(chunks(K, m * m))
     assert all(shape[-2:] == (m, m) for shape in linalg_stacks["solve"])

@@ -6,10 +6,18 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import biakit as bk
 import biakit.verify
-from biakit.channel import draw_channels, draw_symbols, effective_channel, receive, stream_seed
+from biakit.channel import (
+    ChannelSet,
+    draw_channels,
+    draw_symbols,
+    effective_channel,
+    receive,
+    stream_seed,
+)
 from biakit.verify import (
     check_counting,
     decompose_receiver,
@@ -18,6 +26,8 @@ from biakit.verify import (
     report_to_csv,
     report_to_json,
     run_verification,
+    square_ranks,
+    stack_ranks,
     verify_decodability,
     verify_decodability_exact,
 )
@@ -207,10 +217,88 @@ def test_float_verify_ranks_each_certified_receiver_once(K, linalg_stacks):
     report = run_verification(scheme, draws=3, seed=1)
     assert report.all_passed
     m = scheme.config.block_len
-    # only combined blocks reach the SVD, one per (draw, receiver); no sub-block
-    assert all(shape[-2:] == (m, m) for shape in linalg_stacks["svd"])
-    assert matrix_count(linalg_stacks["svd"], m, m) == 3 * K
+    # every combined block reaches the Cholesky margin once, (draw, receiver)
+    # by (draw, receiver); the margin proves them all, so none reaches the SVD
+    assert all(shape[-2:] == (m, m) for shape in linalg_stacks["cholesky"])
+    assert matrix_count(linalg_stacks["cholesky"], m, m) == 3 * K
+    assert linalg_stacks["svd"] == []
     assert linalg_stacks["inv"] == []
+
+
+def planted(rng, m, ratio, scale=1.0):
+    """A complex m x m matrix with singular values scale * (1, ..., 1,
+    ratio) under random unitary factors."""
+    def unitary():
+        return np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))[0]
+    sv = np.ones(m)
+    sv[-1] = ratio
+    return scale * (unitary() * sv) @ unitary().conj().T
+
+
+RATIOS = (1e-2, 1e-5, 1e-9, 1e-13, 1e-17)
+
+
+@pytest.mark.parametrize("m", [9, 35])
+@pytest.mark.parametrize("ratio", RATIOS)
+def test_square_ranks_equal_the_svd_ranks_at_planted_margins(m, ratio, linalg_stacks):
+    """The Cholesky margin proves a block only well clear of the SVD cut:
+    at 1e-2 it proves and no SVD runs; at 1e-5, 1e-9 and 1e-13 the SVD
+    calls the block full but the margin refuses it; at 1e-17 both find it
+    short. Every rank equals stack_ranks'."""
+    stack = np.stack([planted(np.random.default_rng(s), m, ratio) for s in range(4)])
+    ranks = square_ranks(stack)
+    assert (linalg_stacks["svd"] == []) == (ratio == 1e-2)
+    assert len(linalg_stacks["cholesky"]) == 1
+    svd = stack_ranks(stack)
+    assert ranks.tolist() == svd.tolist()
+    assert (svd == m).all() == (ratio > 1e-17)
+
+
+def test_square_ranks_on_zero_columns_blocks_and_mixed_stacks(linalg_stacks):
+    rng = np.random.default_rng(3)
+    m = 12
+    good = [planted(rng, m, 0.5) for _ in range(3)]
+    zero_column = good[0].copy()
+    zero_column[:, 4] = 0
+    cases = {
+        "zero column": [zero_column],
+        "all-zero block": [np.zeros((m, m), dtype=complex)],
+        "mixed": [good[0], good[1], planted(rng, m, 1e-13), good[2]],
+        "mixed, one short": [good[0], zero_column, good[1]],
+    }
+    assert square_ranks(np.stack(good)).tolist() == [m] * 3
+    assert linalg_stacks["svd"] == []
+    for name, blocks in cases.items():
+        stack = np.stack(blocks)
+        ranks = square_ranks(stack).tolist()
+        # the margin refuses the whole stack, which takes one SVD
+        assert linalg_stacks["svd"] == [stack.shape], name
+        assert ranks == stack_ranks(stack).tolist(), name
+        linalg_stacks["svd"].clear()
+    assert square_ranks(np.stack(cases["mixed, one short"])).tolist() == [m, m - 1, m]
+    assert square_ranks(np.stack(cases["all-zero block"])).tolist() == [0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10), st.lists(st.floats(-18, 0), min_size=1, max_size=4),
+       st.sampled_from([1e-200, 1e-150, 1e-80, 1.0, 1e80, 1e150, 1e200]),
+       st.integers(0, 2 ** 32 - 1))
+def test_square_ranks_equal_the_svd_ranks(m, log_ratios, scale, seed):
+    """Random planted margins at any scale, overflow and underflow of the
+    Gram included: the margin never calls full a block the SVD calls short."""
+    rng = np.random.default_rng(seed)
+    stack = np.stack([planted(rng, m, 10.0 ** r, scale) for r in log_ratios])
+    assert square_ranks(stack).tolist() == stack_ranks(stack).tolist()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
+def test_float_verify_refuses_non_finite_channels_before_factorising(bad, scheme4,
+                                                                     linalg_stacks):
+    coeffs = draw_channels(4, 2, seed=1).coeffs.copy()
+    coeffs[2, 1, 0] = bad
+    with pytest.raises(ValueError, match="non-finite entries"):
+        verify_decodability(ChannelSet(coeffs=coeffs), scheme4)
+    assert linalg_stacks["cholesky"] == linalg_stacks["svd"] == []
 
 
 def test_float_verify_ranks_sub_blocks_only_at_short_receivers(fallback_scheme5, linalg_stacks):
