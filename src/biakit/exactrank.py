@@ -1,7 +1,7 @@
 """Exact matrix rank and nonsingularity over the integers and the Gaussian
 integers.
 
-Two kernels, both exact:
+Three kernels, all exact:
 
 - `nonsingular` decides, for a stack of square integer matrices, which
   are nonsingular over Q, by one rule in two steps. First it peels
@@ -19,6 +19,11 @@ Two kernels, both exact:
   B + iC over Z[i] into [[B, -C], [C, B]] over Z, whose rank over Q is
   twice the rank of B + iC over Q(i). These serve tall and wide matrices,
   the cores of `nonsingular`, and ranks below full.
+- `peel_inverses` inverts, exactly and sparsely, a stack of 0/1 matrices
+  that the same peel empties: the peel's order makes each unit lower
+  triangular, so substitution along it gives an integer inverse, which
+  `is_inverse` proves by the exact product G X = I. Float verification
+  reads its bound on sigma_min off these inverses (biakit.verify).
 
 `nonsingular` takes its stack in `chunks`, each through the peel in turn.
 `verify --exact` reads each Gaussian-integer block's nonsingularity off its
@@ -109,6 +114,127 @@ def nonsingular(stack) -> np.ndarray:
                 verdicts[key] = integer_rank(core.tolist()) == size[i]
             out[chunk.start + i] = verdicts[key]
     return out
+
+
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, at): the concatenated index ranges starts[k] .. starts[k] +
+    lens[k] - 1, each index with the k it came from."""
+    owner = np.repeat(np.arange(lens.size), lens)
+    return owner, np.arange(owner.size) - np.repeat(np.cumsum(lens) - lens - starts, lens)
+
+
+def _summed(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero sums of values over equal keys, by increasing key."""
+    order = np.argsort(keys, kind="stable")
+    keys, values = keys[order], values[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    if not starts.size:
+        return keys, values
+    sums = np.add.reduceat(values, starts)
+    nonzero = sums != 0
+    return keys[starts][nonzero], sums[nonzero]
+
+
+def peel_inverses(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact inverses of a stack of n x n 0/1 matrices G, matrix i given by
+    its nonzeros (rows[i], cols[i]), (N, nnz) each, sorted by row.
+
+    The singleton peel of `nonsingular`, run on the nonzeros alone, keeping
+    its pivots: each pass removes every live row with one live nonzero,
+    then every live column with one (of two singletons meeting in one line
+    only the first). Rows in the order the row passes removed them, then
+    the column passes' rows in reverse, and the pivots' columns in the same
+    order, make G unit lower triangular: a row removed by a row pass meets
+    no column still live then but its pivot's, and a column removed by a
+    column pass no row still live then but its pivot's. So substitution,
+    one pass at a time, gives X = G^-1 in integers: for the pivot (r, c) of
+    row r, X[c] = e_r minus the rows X[c'] of the other nonzeros (r, c') of
+    that row, all of them earlier. X stays sparse: each pass gathers the
+    entries of those rows and sums them by position.
+
+    Returns (index, values, ok): X's nonzero entries as flat indices into
+    (N, n, n) and their int64 values, and ok (N,). X is proven by the exact
+    product G X = I (`is_inverse`), not by the peel. ok[i] is False, and
+    matrix i's entries are meaningless, where the peel leaves a core or a
+    zero line, or an entry outgrows `is_inverse`'s bound.
+    """
+    count, _ = rows.shape
+    size = count * n
+    base = (np.arange(count) * n)[:, None]
+    gr, gc = (rows + base).ravel(), (cols + base).ravel()
+    live_r = np.ones(size, dtype=bool)
+    live_c = np.ones(size, dtype=bool)
+    passes = []  # (row pass?, pivot rows, pivot columns)
+    removed = True
+    while removed:
+        removed = False
+        for by_row, lines, across, a, b in ((True, live_r, live_c, gr, gc),
+                                            (False, live_c, live_r, gc, gr)):
+            live = live_r[gr] & live_c[gc]
+            single = live & (np.bincount(a[live], minlength=size)[a] == 1)
+            # first singleton of each crossing line; a second one is left a zero line
+            hit, first = np.unique(b[single], return_index=True)
+            line = a[single][first]
+            if line.size:
+                lines[line] = False
+                across[hit] = False
+                passes.append((by_row, line, hit) if by_row else (by_row, hit, line))
+                removed = True
+    emptied = ~live_r.reshape(count, n).any(axis=1)
+    order = [p for p in passes if p[0]] + [p for p in reversed(passes) if not p[0]]
+    row_ptr = np.concatenate([[0], np.cumsum(np.bincount(gr, minlength=size))])
+    # X row by row (global column of G): where its entries start, how many
+    x_start = np.zeros(size, dtype=np.int64)
+    x_len = np.zeros(size, dtype=np.int64)
+    x_row, x_col, x_val = (np.zeros(0, dtype=np.int64) for _ in range(3))
+    for _, r, c in order:
+        keep = emptied[r // n]
+        r, c = r[keep], c[keep]
+        owner, at = _ranges(row_ptr[r], row_ptr[r + 1] - row_ptr[r])
+        other = gc[at] != c[owner]
+        src, owner = gc[at[other]], owner[other]
+        k, e = _ranges(x_start[src], x_len[src])
+        keys, vals = _summed(np.concatenate([np.arange(r.size) * n + r % n, owner[k] * n + x_col[e]]),
+                             np.concatenate([np.ones(r.size, dtype=np.int64), -x_val[e]]))
+        pivot = keys // n
+        x_start[c] = x_row.size + np.searchsorted(pivot, np.arange(r.size))
+        x_len[c] = np.bincount(pivot, minlength=r.size)
+        x_row = np.concatenate([x_row, c[pivot]])
+        x_col = np.concatenate([x_col, keys % n])
+        x_val = np.concatenate([x_val, vals])
+    index = x_row * n + x_col
+    ok = emptied & is_inverse(n, rows, cols, index, x_val)
+    return index, x_val, ok
+
+
+def is_inverse(n: int, rows: np.ndarray, cols: np.ndarray, index: np.ndarray,
+               values: np.ndarray) -> np.ndarray:
+    """Whether G X = I exactly, for a stack of N n x n 0/1 matrices G given
+    by their nonzeros (rows, cols), (N, nnz) each, and integer matrices X
+    given by the flat indices of their nonzero entries into (N, n, n), no
+    index twice, and the entries' values. A matrix with an entry beyond
+    2^26 / n in magnitude is refused unchecked: below that bound every sum
+    of the product stays under 2^26 in magnitude and the sum of squares of
+    X's entries under 2^52, so int64, and float64, hold them exactly."""
+    count = rows.shape[0]
+    big = np.zeros(count, dtype=bool)
+    big[index[np.abs(values) > (1 << 26) // n] // (n * n)] = True
+    # X row by row: rows of big matrices hold nothing, so no sum can wrap
+    row = index // n
+    small = ~big[row // n]
+    order = np.argsort(row[small], kind="stable")
+    row, col, val = row[small][order], (index % n)[small][order], values[small][order]
+    ptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=count * n))])
+    base = (np.arange(count) * n)[:, None]
+    gr, gc = (rows + base).ravel(), (cols + base).ravel()
+    k, e = _ranges(ptr[gc], ptr[gc + 1] - ptr[gc])
+    keys, sums = _summed(gr[k] * n + col[e], val[e])
+    # the product's entries: exactly 1 at every diagonal position, nothing else
+    diagonal = (keys % n == (keys // n) % n) & (sums == 1)
+    item = keys // (n * n)
+    wrong = np.zeros(count, dtype=bool)
+    wrong[item[~diagonal]] = True
+    return ~big & ~wrong & (np.bincount(item[diagonal], minlength=count) == n)
 
 
 def integer_rank(rows: Iterable[Sequence[int]]) -> int:

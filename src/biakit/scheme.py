@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateSchemeError
-from .exactrank import chunks, integer_rank, nonsingular
+from .exactrank import chunks, integer_rank, nonsingular, peel_inverses
 from .formats import is_int, render_json
 
 
@@ -253,6 +253,33 @@ def generator_stack(tilde: np.ndarray, v: np.ndarray) -> np.ndarray:
                            v[:, :, low].transpose(0, 2, 1, 3) * t], axis=-1)
 
 
+def generator_nonzeros(pattern: PatternMatrix, rx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols), (len(rx), nnz) each, sorted by row: the nonzeros of G_j
+    of every receiver j of rx, columns as generator_stack's, read off
+    pattern.supports with no dense stack. Every G_j holds each support
+    entry once (an own pair's in its mode-1 or its mode-2 half), so all
+    have nnz = the support's nonzero count."""
+    K = pattern.users
+    low, high = own_pair_columns(K)
+    half = np.full((K, low.shape[0] * (K - 1) // 2), -1)  # [j, pair]: j's mode-2 column
+    half[np.arange(K)[:, None], low] = high
+    r, p = np.nonzero(pattern.supports)
+    j = np.asarray(rx)[:, None]
+    mode2 = (half[j, p] >= 0) & (pattern.tilde[r, j] == 1)
+    return np.broadcast_to(r, mode2.shape), np.where(mode2, half[j, p], p)
+
+
+def generator_inverses(pattern: PatternMatrix, rx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(index, values, ok): the exact inverse of G_j of every receiver j of
+    rx, its nonzero entries as flat indices into (len(rx), m, m) and their
+    int64 values, proven wherever ok (`exactrank.peel_inverses`: singleton
+    peel order, substitution, then the exact product G_j X = I as the
+    proof). ok is False for a G_j the peel does not empty: a singular one,
+    or a certified one that leaves a core."""
+    rows, cols = generator_nonzeros(pattern, rx)
+    return peel_inverses(pattern.block_len, rows, cols)
+
+
 def pattern_from_rows(config: SchemeConfig, tilde, rows_by_pair: dict) -> PatternMatrix:
     """Validated, certified PatternMatrix from a pattern and support rows.
 
@@ -303,7 +330,9 @@ def star_pattern_matrix(config: SchemeConfig) -> PatternMatrix:
     their columns first makes the block lower block-triangular with
     permutation blocks on the diagonal, so both blocks, and G_j, have
     determinant +-1. The certificate holds for every K, and the singleton
-    peel proves it with no elimination.
+    peel proves it with no elimination. Its order also inverts every G_j
+    exactly (generator_inverses): G_j^-1 has entries +-1, as many as G_j
+    has ones (checked for K = 3..20).
     """
     K = config.users
     rim = list(itertools.combinations(range(1, K), 2))

@@ -59,12 +59,7 @@ from .errors import UnverifiableDrawError
 from .exactrank import chunks
 from .formats import is_int, render_csv, render_json
 from .scheme import Scheme, generator_stack, own_pair_columns
-from .verify import ReceiverDecomposition, _proven, own_pair_dets
-
-
-def _abs2(z: np.ndarray) -> np.ndarray:
-    """|z|^2 of every entry."""
-    return z.real ** 2 + z.imag ** 2
+from .verify import ReceiverDecomposition, _abs2, _proven, own_pair_dets
 
 
 def _zf_filter(decomp: ReceiverDecomposition) -> np.ndarray:

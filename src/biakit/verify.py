@@ -23,15 +23,15 @@ Row r of A_j is read in receiver j's mode at channel use r, so for a stack
 of draws coeffs (T, K, K, M) one gather
 coeffs[:, j, src[j, c], tilde[r, j]] * vectors[col[j, c], r] yields the
 combined blocks of any receivers j in every draw (`ReceiverLayout.blocks`).
-Runs take their draws in `exactrank.chunks` of at
-most `exactrank.BATCH_ELEMENTS` block entries (at least one draw a chunk),
-the one sizing rule of every batched kernel, and float runs gather each
-chunk of draws a chunk of receivers at a time by the same rule, so every
-gathered, Gram, factor or SVD stack holds at most BATCH_ELEMENTS entries
-or one block, and memory stays flat in the draw count and in K; chunking
-changes no output. `decompose_receiver`,
-`verify_decodability` and `verify_decodability_exact` are one-draw views
-of the same kernels.
+Runs take their draws in `exactrank.chunks` (at least one draw a chunk),
+the one sizing rule of every batched kernel: exact runs at K m^2 block
+entries a draw, float runs at 2 K^2 channel coefficients a draw, the work
+of their decision. A float run gathers what it still needs a receiver at
+a time, in chunks of at most `exactrank.BATCH_ELEMENTS` entries or one
+block, so every gathered, Gram, factor or SVD stack stays that small and
+memory stays flat in the draw count and in K; chunking changes no output.
+`decompose_receiver`, `verify_decodability` and `verify_decodability_exact`
+are one-draw views of the same kernels.
 
 Every verdict is read off A_j by one rule: a receiver whose A_j has
 rank m reports the expected ranks without further work, and only the
@@ -48,37 +48,83 @@ stack of draws: a receiver in `Scheme.certified_receivers` (the
 pattern's certificate) whose D_j factors are all nonzero has a
 nonsingular A_j. The consumers that decide read the proof: exact
 verification, the simulator's exclusion rule and its one-draw decoder
-(`decompose_receiver`'s `proven`). Float verification measures instead.
-The two modes:
+(`decompose_receiver`'s `proven`). Float verification reads a float
+bound off the same factorisation: G_j^-1, exact and proven by the exact
+product G_j X = I, with the draw's own D_j. The two modes:
 
-- float: `square_ranks` over Gaussian draws, fast and statistical, the
-  package's numerical check of the certificate, which reads no proof. Its
-  ranks are those of `stack_ranks`, one batched SVD cut at
-  max(shape) * eps * sigma_max (`rank_of` is its one-matrix view, used
-  for the blocks of a short A_j), but a stack whose every A has full rank
-  by the margin below takes no SVD. The rule agrees with ranking every
+- float: Gaussian draws, fast, the package's numerical check of the
+  certificate. Its ranks are those of `stack_ranks`, one batched SVD cut
+  at max(shape) * eps * sigma_max (`rank_of` is its one-matrix view, used
+  for the blocks of a short A_j). The rule agrees with ranking every
   block: a column subset D of A has sigma_min(D) >= sigma_min(A) and
   sigma_max(D) <= sigma_max(A), so whenever the cut lies below
-  sigma_min(A) it lies below sigma_min(D) too, and an A_j the margin
-  proves is one the cut clears.
+  sigma_min(A) it lies below sigma_min(D) too. Like exact mode it decides,
+  then gathers. `float_bound` reads the scheme once a run: the exact
+  inverse of every certified G_j that the singleton peel empties
+  (`scheme.generator_inverses`; every built G_j has one, with
+  ||G_j^-1||_F^2 = nnz(G_j)), the support counts that give ||A_j||_F
+  from the coefficients, and the sources of the aligned columns. Each
+  chunk, `draw_bounds` reads the draws' D_j, O(K^2) a draw and no block.
+
+  The bound. A_j P = G_j D_j for a column permutation P, exactly in float
+  too: every entry of the gathered block is one coefficient or 0. So
+  sigma_min(A_j) >= sigma_min(G_j) sigma_min(D_j) (Golub & Van Loan,
+  Matrix Computations) with sigma_min(G_j) = 1 / ||G_j^-1||_2 >=
+  1 / ||G_j^-1||_F. D_j is block diagonal, so sigma_min(D_j) is the least
+  of |h_ja(2)| over its aligned columns (a the lower owner of a pair
+  without j) and of sigma_min(B_o) over its own-pair blocks B_o, and
+  sigma_min(B_o) = |det_o| / sigma_max(B_o) >= |det_o| / ||B_o||_F. And
+  sigma_max(A_j) <= F = ||A_j||_F, with F^2 the sum over transmitters i
+  and modes of the entries of A_j that carry h_ji(mode), times
+  |h_ji(mode)|^2. Receiver j is proven in a draw when, in float,
+  sigma_min(D_j)^2 / ||G_j^-1||_F^2 > RATIO^2 F^2 (RATIO = tau = 2^-30, a
+  fixed constant), with no square root taken.
+
+  Rounding. Let u = 2^-53, and let every coefficient of receiver j be 0 or
+  of a modulus in [2^-100, 2^100] (else the receiver is gathered), so no
+  product or sum leaves the normal range but by an absolute 2^-1074, far
+  below u times any term it joins. Each |h|^2 is within 3u. A complex
+  product is within sqrt(2) gamma_2 |x||y| (Higham, Accuracy and
+  Stability of Numerical Algorithms, 3.6), so the computed det_o is
+  within 4u (|h_jj(1)||h_jo(2)| + |h_jo(1)||h_jj(2)|) <= 2u ||B_o||_F^2 of
+  det_o, and with ||B_o||_F^2 (5u), the squares and the division the
+  computed |det_o|^2 / ||B_o||_F^2 is at most (1 + 10u) (|det_o| / ||B_o||_F
+  + 2u ||B_o||_F)^2. G_j has no zero column, so both halves of every own
+  pair's vector are nonempty and each entry of B_o appears in A_j:
+  ||B_o||_F <= F. F^2 sums at most 2 K^2 terms, within about 2 K^2 u,
+  ||G_j^-1||_F^2 is an exact integer below 2^52 (`exactrank.is_inverse`),
+  and the product and quotient of the test add 2u. So a test that passes
+  gives sigma_min(D_j) / ||G_j^-1||_F >= (1 - 2 K^2 u - 20u) tau F - 2u F
+  >= (1 - 1e-3) tau F for every K below 10^6, since 2u < 1e-6 tau: hence
+  sigma_min(A_j) > (1 - 1e-3) tau F >= 9.3e-10 sigma_max(A_j). LAPACK's
+  singular values are off by a few m u sigma_max at most, so the SVD cut
+  m * eps * sigma_max (about 2.6e-13 sigma_max at m = 1175) cannot reach
+  sigma_min: the SVD would find rank m, and the report is
+  `expected_ranks` with no block. The test is strict, so an all-zero draw
+  (F = 0) never passes, and a receiver with no proven inverse (an
+  uncertified G_j, or a certified one the peel leaves a core of: the
+  pair-product families) has a bound of 0 and passes in no draw.
+
+  Only the (draw, receiver) pairs the bound leaves are gathered, a
+  receiver at a time, and ranked: an uncertified receiver's by
+  `stack_ranks` alone (its A_j is singular in every draw, so no margin
+  can prove it), a certified one's by `square_ranks`, which skips the SVD
+  of a stack whose every A the Cholesky margin proves full.
 
   The margin (Rump, "Verification of positive definiteness", BIT 2006).
-  Let F = ||A||_F of an m x m block and u = 2^-53. Form G = fl(A^H A),
+  Let F = ||A||_F of an m x m block. Form G = fl(A^H A),
   subtract MARGIN * F^2 (MARGIN = tau^2 = 2^-30, F^2 the trace of G) from
   its diagonal and factor the result by Cholesky. If the factor exists,
   A^H A minus tau^2 F^2 I differs from R^H R, a positive semidefinite
   matrix, by the rounding of the Gram, the shift and the factorisation
-  (Higham, Accuracy and Stability of Numerical Algorithms, 10.1:
-  |dH| <= gamma_(m+1) |R^H||R|, and ||R||_F^2 is about F^2), at most about
-  4(m+2) u F^2 in the 2-norm, which is under 1e-3 tau^2 F^2 for m <= 2095
-  (build_scheme stops at m = 1175). So sigma_min(A) > (1 - 1e-3) tau F
-  >= 3e-5 sigma_max(A). LAPACK's singular values are off by a few m u
-  sigma_max at most, so the cut m * eps * sigma_max (about 2.6e-13
-  sigma_max at m = 1175) cannot reach sigma_min: the SVD would find rank
-  m, and the report is `expected_ranks` with no SVD. A stack whose
-  factorisation fails, or whose F^2 is not finite or not well clear of
-  underflow, goes to `stack_ranks` whole. A draw with a non-finite
-  coefficient raises ValueError before anything is gathered.
+  (Higham, 10.1: |dH| <= gamma_(m+1) |R^H||R|, and ||R||_F^2 is about
+  F^2), at most about 4(m+2) u F^2 in the 2-norm, which is under 1e-3
+  tau^2 F^2 for m <= 2095 (build_scheme stops at m = 1175). So
+  sigma_min(A) > (1 - 1e-3) tau F >= 3e-5 sigma_max(A), which the SVD
+  cut cannot reach either. A stack whose factorisation fails, or whose
+  F^2 is not finite or not well clear of underflow, goes to `stack_ranks`
+  whole. A draw with a non-finite coefficient raises ValueError before
+  anything is bounded or gathered.
 - exact: certification grade, over Gaussian-integer draws (one seeded
   stream per draw), with one exact rule and no prime. It decides, then
   gathers: each chunk draws its coefficients and `_proven` decides every
@@ -104,7 +150,7 @@ import numpy as np
 from .channel import EXACT_STREAM, CHANNEL_STREAM, ChannelSet, draw_channel_stack, stream_seed
 from .exactrank import chunks, gaussian_rank
 from .formats import is_int, render_csv, render_json
-from .scheme import Scheme, SchemeConfig, make_config
+from .scheme import Scheme, SchemeConfig, generator_inverses, make_config
 
 
 def stack_ranks(stack: np.ndarray) -> np.ndarray:
@@ -260,33 +306,123 @@ def _receiver_checks(blocks, rank_combined, rank, first_draw: int) -> list[Recei
     return out
 
 
-def _float_checks(layout: ReceiverLayout, coeffs: np.ndarray, first_draw: int) -> list[ReceiverCheck]:
-    """Float checks of a chunk of draws, gathered a chunk of receivers at a
-    time (`exactrank.chunks`): `square_ranks` of every stack of combined
-    blocks, keeping only the short blocks for their sub-block ranks."""
+# tau: the bound must clear tau ||A_j||_F (module docstring), a fixed constant
+RATIO = 2.0 ** -30
+# the bound's rounding argument covers coefficient moduli of 0 and of
+# [1/_RANGE, _RANGE]; a receiver with another coefficient is gathered
+_RANGE = 2.0 ** 100
+
+
+@dataclass(frozen=True, eq=False)
+class FloatBound:
+    """What the float bound (module docstring) reads off a scheme, once a
+    run: nothing here depends on the channel."""
+
+    inverse2: np.ndarray  # (K,) ||G_j^-1||_F^2, exact; inf where no inverse is proven
+    counts: np.ndarray    # (K, K, 2) [j, i, mode]: entries of A_j that carry h_ji(mode)
+    aligned: np.ndarray   # (K, K) [j, i]: h_ji(2) scales an aligned column of A_j
+
+
+def float_bound(scheme: Scheme) -> FloatBound:
+    """The FloatBound of a scheme: the exact inverse of every certified G_j
+    the singleton peel empties (`scheme.generator_inverses`, proven by
+    G_j X = I), and from the supports and the pattern alone, per receiver,
+    the support counts behind ||A_j||_F and the aligned columns' sources
+    (the pairs' owners as `receiver_layout` picks them)."""
+    pattern = scheme.pattern
+    K, m = pattern.users, pattern.block_len
+    certified = np.flatnonzero(scheme.certified_receivers)
+    index, values, ok = generator_inverses(pattern, certified)
+    squares = np.bincount(index // (m * m), weights=values.astype(float) ** 2,
+                          minlength=certified.size)
+    inverse2 = np.full(K, np.inf)
+    inverse2[certified[ok]] = squares[ok]
+    a, b = np.array(list(itertools.combinations(range(K), 2))).T
+    rx = np.arange(K)[:, None]
+    src = np.where(a == rx, b, a)
+    own = (a == rx) | (b == rx)
+    mode2 = pattern.tilde.T @ pattern.supports  # [j, pair]: support rows where j is in mode 2
+    per_mode = np.stack([pattern.supports.sum(axis=0) - mode2, mode2], axis=-1)
+    counts = np.zeros((K, K, 2))
+    np.add.at(counts, (rx, src), per_mode)  # every pair's column
+    d = np.arange(K)
+    counts[d, d] += (per_mode * own[..., None]).sum(axis=1)  # j's own beams
+    aligned = np.zeros((K, K), dtype=bool)
+    aligned[rx, np.where(own, rx, src)] = True
+    aligned[d, d] = False
+    return FloatBound(inverse2=inverse2, counts=counts, aligned=aligned)
+
+
+def _abs2(z: np.ndarray) -> np.ndarray:
+    """|z|^2 of every entry."""
+    return z.real ** 2 + z.imag ** 2
+
+
+def draw_bounds(bound: FloatBound, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(low2, frob2, plain), (T, K) each, for a stack of draws coeffs
+    (T, K, K, 2) with no block: low2 = sigma_min(D_j)^2 / ||G_j^-1||_F^2, a
+    lower bound on sigma_min(A_j)^2 (0 where G_j has no proven inverse),
+    frob2 = ||A_j||_F^2, and plain, whether every coefficient of receiver j
+    is 0 or of a modulus in [1/_RANGE, _RANGE]. All in float: the module
+    docstring bounds their rounding where plain holds."""
+    K = coeffs.shape[1]
+    d = np.arange(K)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        mag2 = _abs2(coeffs)
+        frob2 = np.einsum("tjim,jim->tj", mag2, bound.counts)
+        # sigma_min of own pair {j, o}'s block B_o is at least |det_o| / ||B_o||_F
+        det2 = _abs2(own_pair_dets(coeffs))
+        link2 = mag2.sum(axis=-1)
+        b2 = link2[:, d, d, None] + link2
+        own2 = np.divide(det2, b2, out=np.zeros_like(det2), where=b2 > 0)
+        own2[:, d, d] = np.inf
+        aligned2 = np.where(bound.aligned, mag2[..., 1], np.inf)
+        low2 = np.minimum(own2.min(axis=2), aligned2.min(axis=2)) / bound.inverse2
+        plain = ((coeffs == 0) | ((mag2 >= _RANGE ** -2) & (mag2 <= _RANGE ** 2))).all(axis=(2, 3))
+    return low2, frob2, plain
+
+
+def _float_checks(scheme: Scheme, bound: FloatBound, coeffs: np.ndarray,
+                  first_draw: int) -> list[ReceiverCheck]:
+    """Float checks of a chunk of draws: decide, then gather. The bound
+    proves a receiver full rank where it clears RATIO ||A_j||_F; only the
+    other (draw, rx) pairs take a block, gathered a receiver at a time in
+    `exactrank.chunks` of blocks, and `square_ranks` ranks a certified
+    receiver's, `stack_ranks` an uncertified one's (always singular, so the
+    margin could never prove it). Only short blocks are kept, for their
+    sub-block ranks."""
     if not np.isfinite(coeffs).all():
         raise ValueError("non-finite entries")
-    T = len(coeffs)
-    K, m = layout.src.shape
-    rank_combined = np.full((T, K), m)
+    m = scheme.config.block_len
+    low2, frob2, plain = draw_bounds(bound, coeffs)
+    proven = plain & (low2 > RATIO ** 2 * frob2)
+    rank_combined = np.full(proven.shape, m)
     blocks = {}
-    for rx in chunks(K, T * m * m):
-        a = layout.blocks(coeffs, slice(rx.start, rx.stop))
-        ranks = square_ranks(a)
-        rank_combined[:, rx.start:rx.stop] = ranks
-        for t, i in np.argwhere(ranks < m).tolist():
-            blocks[t, rx.start + i] = a[t, i]
+    todo = np.flatnonzero(~proven.all(axis=0)).tolist()
+    layout = receiver_layout(scheme) if todo else None
+    for j in todo:
+        rank = square_ranks if scheme.certified_receivers[j] else stack_ranks
+        draws = np.flatnonzero(~proven[:, j])
+        for part in chunks(draws.size, m * m):
+            t = draws[part.start:part.stop]
+            a = layout.blocks(coeffs[t], j)
+            ranks = rank(a)
+            rank_combined[t, j] = ranks
+            for i in np.flatnonzero(ranks < m).tolist():
+                blocks[int(t[i]), j] = a[i]
     return _receiver_checks(blocks, rank_combined, rank_of, first_draw)
 
 
 def verify_decodability(ch: ChannelSet, scheme: Scheme, draw: int = 0) -> list[ReceiverCheck]:
-    """Check the three rank conditions at every receiver for one draw: the
-    combined blocks take no SVD when the Cholesky margin proves them all,
-    else one SVD each, and only a short one has its two blocks ranked.
+    """Check the three rank conditions at every receiver for one draw: a
+    receiver the float bound proves (module docstring) reports full ranks
+    with no block; every other one has its combined block ranked (the
+    Cholesky margin, else one SVD, or the SVD alone when uncertified), and
+    only a short one has its two blocks ranked too.
 
     Failures are reported, never raised; callers decide severity.
     """
-    return _float_checks(receiver_layout(scheme), ch.coeffs[None], draw)
+    return _float_checks(scheme, float_bound(scheme), ch.coeffs[None], draw)
 
 
 def _exact_channel_ints(K: int, rng: np.random.Generator) -> np.ndarray:
@@ -388,25 +524,25 @@ class VerificationReport:
 
 def run_verification(scheme: Scheme, draws: int, seed: int, exact: bool = False) -> VerificationReport:
     """Verify a scheme over independent channel draws (floating or exact),
-    in chunks of draws (see the module docstring: float runs build one
-    layout, exact runs one per chunk that holds a receiver the certificate
-    leaves unproven). Raises ValueError unless draws is an integer >= 1
-    and seed an integer >= 0."""
+    in chunks of draws (see the module docstring: a float run reads its
+    scheme's FloatBound once; either mode builds a layout only in a chunk
+    that holds a (draw, receiver) pair its proof leaves open). Raises
+    ValueError unless draws is an integer >= 1 and seed an integer >= 0."""
     if not is_int(draws) or draws < 1:
         raise ValueError("draws (trials) must be an integer >= 1, got %r" % (draws,))
     if not is_int(seed) or seed < 0:
         raise ValueError("seed must be an integer >= 0, got %r" % (seed,))
     K, m = scheme.config.users, scheme.config.block_len
     checks: list[ReceiverCheck] = []
-    layout = None if exact else receiver_layout(scheme)
-    for chunk in chunks(draws, K * m * m):
+    bound = None if exact else float_bound(scheme)
+    for chunk in chunks(draws, K * m * m if exact else 2 * K * K):
         if exact:
             seeds = [stream_seed(seed, EXACT_STREAM, t) for t in chunk]
             checks.extend(_exact_checks(scheme, seeds, chunk.start))
         else:
             seeds = [stream_seed(seed, CHANNEL_STREAM, t) for t in chunk]
             coeffs = draw_channel_stack(K, seeds)
-            checks.extend(_float_checks(layout, coeffs, chunk.start))
+            checks.extend(_float_checks(scheme, bound, coeffs, chunk.start))
     return VerificationReport(
         users=K, draws=draws, seed=seed, exact=exact, checks=checks)
 

@@ -5,9 +5,9 @@ The oracles below are the one-matrix-at-a-time code: one column_stack per
 block, one SVD and one inverse per (draw, receiver) and a 1-D mean per
 user for TDMA, and the batched inverse of every proven combined block
 that the closed-form simulation replaced. The arithmetic of every block,
-rank and TDMA rate is unchanged by batching, and a block the Cholesky
-margin proves full is one the oracle's SVD calls full, so those and the
-emitted verification bytes must be bit-identical. The simulation's zero-forcing
+rank and TDMA rate is unchanged by batching, and a block the float bound
+or the Cholesky margin proves full is one the oracle's SVD calls full, so
+those and the emitted verification bytes must be bit-identical. The simulation's zero-forcing
 rates are a different float evaluation of the same quantity (the closed
 form of biakit.sim), so they agree within RATE_RTOL; every other output
 byte of a simulation, the exclusions included, is identical.
@@ -40,11 +40,14 @@ from biakit.verify import (
     VerificationReport,
     _exact_channel_ints,
     _proven,
+    draw_bounds,
     expected_ranks,
+    float_bound,
     receiver_layout,
     report_to_csv,
     report_to_json,
     run_verification,
+    verify_decodability,
 )
 
 from conftest import GOLDEN_PAIR_DIMS, matrix_count, product_scheme, user_vectors, widened_schemes
@@ -84,20 +87,28 @@ def oracle_draw(scheme, seed, t, exact):
     return draw_channels(K, 2, seed=stream_seed(seed, CHANNEL_STREAM, t))
 
 
+def oracle_checks(ch, scheme, t, rank=oracle_rank):
+    """The checks of every receiver of one draw, numbered t: one rank of
+    every combined block, and of its two blocks where that one is short."""
+    K, full = scheme.config.users, expected_ranks(scheme.config)
+    checks = []
+    for j in range(K):
+        a = np.hstack(oracle_receiver_blocks(ch, scheme, j))
+        rc = rank(a)
+        ranks = full if rc == full[2] else (rank(a[:, :K - 1]), rank(a[:, K - 1:]), rc)
+        checks.append(ReceiverCheck(t, j + 1, *ranks, passed=ranks == full))
+    return checks
+
+
 def oracle_report(scheme, draws, seed, exact=False):
     """The per-draw, per-receiver verification loop. In exact mode every
     block is ranked by Bareiss elimination (gaussian_rank) alone."""
-    K, full = scheme.config.users, expected_ranks(scheme.config)
     rank = oracle_exact_rank if exact else oracle_rank
     checks = []
     for t in range(draws):
-        ch = oracle_draw(scheme, seed, t, exact)
-        for j in range(K):
-            a = np.hstack(oracle_receiver_blocks(ch, scheme, j))
-            rc = rank(a)
-            ranks = full if rc == full[2] else (rank(a[:, :K - 1]), rank(a[:, K - 1:]), rc)
-            checks.append(ReceiverCheck(t, j + 1, *ranks, passed=ranks == full))
-    return VerificationReport(users=K, draws=draws, seed=seed, exact=exact, checks=checks)
+        checks += oracle_checks(oracle_draw(scheme, seed, t, exact), scheme, t, rank)
+    return VerificationReport(users=scheme.config.users, draws=draws, seed=seed, exact=exact,
+                              checks=checks)
 
 
 def oracle_estimate_dof(scheme, cfg):
@@ -496,10 +507,11 @@ def test_draw_chunks_respect_the_budget(monkeypatch):
 @pytest.mark.parametrize("draws_per_chunk", [1, 3])
 def test_chunking_changes_no_output(draws_per_chunk, fallback_scheme5, monkeypatch):
     """One draw per chunk, and three per chunk over 7 draws (the last one
-    partial), give the same bytes as the default single chunk. Verification
-    chunks hold combined blocks (K m^2 entries a draw), the simulation's
-    hold channel coefficients (2 K^2 a trial); at either budget the
-    simulation's weights take one receiver per chunk."""
+    partial), give the same bytes as the default single chunk. Exact
+    verification sizes its chunks by combined blocks (K m^2 entries a
+    draw); float verification and the simulation by channel coefficients
+    (2 K^2 a draw), the work of the bound and of the rates. At either
+    budget the simulation's weights take one receiver per chunk."""
     for scheme in (bk.build_scheme(4), fallback_scheme5):
         K, m = scheme.config.users, scheme.config.block_len
         cfg = SimConfig(trials=7, seed=8)
@@ -509,20 +521,23 @@ def test_chunking_changes_no_output(draws_per_chunk, fallback_scheme5, monkeypat
         with monkeypatch.context() as patch:
             patch.setattr(biakit.exactrank, "BATCH_ELEMENTS", draws_per_chunk * K * m * m)
             assert len(chunks(7, K * m * m)) == -(-7 // draws_per_chunk)
-            chunked = (report_bytes(run_verification(scheme, 7, 8)),
-                       report_bytes(run_verification(scheme, 7, 8, exact=True)))
+            exact = report_bytes(run_verification(scheme, 7, 8, exact=True))
             patch.setattr(biakit.exactrank, "BATCH_ELEMENTS", draws_per_chunk * 2 * K * K)
             assert len(chunks(7, 2 * K * K)) == -(-7 // draws_per_chunk)
             assert len(chunks(K, m * m)) == K
-            chunked += (result_bytes(estimate_dof(scheme, cfg)),)
+            chunked = (report_bytes(run_verification(scheme, 7, 8)), exact,
+                       result_bytes(estimate_dof(scheme, cfg)))
         assert chunked == default
 
 
 def test_receiver_chunks_change_no_float_output(fallback_scheme5, golden_scheme4, monkeypatch,
                                                 linalg_stacks):
     """Float verification one block a stack, and two, gives the bytes of the
-    default chunks: each short receiver's stack falls back to the SVD alone
-    while the margin proves the others."""
+    default chunks. A built scheme gathers nothing. On the fallback family
+    only the receivers the bound cannot prove are gathered: receivers 1..4,
+    certified with a core and so with no proven inverse, reach the Cholesky
+    margin, which proves them; receiver 5, uncertified, reaches the SVD
+    alone."""
     for scheme in (bk.build_scheme(4), fallback_scheme5, golden_scheme4):
         m = scheme.config.block_len
         default = report_bytes(run_verification(scheme, 5, 2))
@@ -530,31 +545,34 @@ def test_receiver_chunks_change_no_float_output(fallback_scheme5, golden_scheme4
             with monkeypatch.context() as patch:
                 patch.setattr(biakit.exactrank, "BATCH_ELEMENTS", blocks_per_chunk * m * m)
                 assert report_bytes(run_verification(scheme, 5, 2)) == default
-    # fallback5 one block a stack: every block reaches the margin once, and
-    # only receiver 5's, one a draw, go on to the SVD
     for shapes in linalg_stacks.values():
         shapes.clear()
     with monkeypatch.context() as patch:
+        seen = record_gathers(patch)
+        run_verification(bk.build_scheme(4), 5, 2)
+        assert seen == {"layouts": 0, "gathers": []}
+        assert linalg_stacks["cholesky"] == linalg_stacks["svd"] == []
         patch.setattr(biakit.exactrank, "BATCH_ELEMENTS", 14 * 14)
         run_verification(fallback_scheme5, 5, 2)
-    assert linalg_stacks["cholesky"] == [(1, 1, 14, 14)] * 25
+    assert sorted(rx for _, rx in seen["gathers"]) == [[0]] * 5 + [[1]] * 5 + [[2]] * 5 + [[3]] * 5 + [[4]] * 5
+    assert linalg_stacks["cholesky"] == [(1, 14, 14)] * 20
     assert matrix_count(linalg_stacks["svd"], 14, 14) == 5
+    assert all(shape[:1] == (1,) for shape in linalg_stacks["svd"])
 
 
 @pytest.mark.parametrize("K,draws", [(4, 120), (8, 3), (12, 2), (20, 2)])
-def test_no_stack_outgrows_the_chunk_budget(K, draws, linalg_stacks):
+def test_no_stack_outgrows_the_chunk_budget(K, draws, linalg_stacks, monkeypatch):
+    refuse_blocks(monkeypatch)
     scheme = bk.build_scheme(K)
     m = scheme.config.block_len
     run_verification(scheme, draws, 1)
     estimate_dof(scheme, SimConfig(trials=draws, seed=1))
     shapes = linalg_stacks["svd"] + linalg_stacks["solve"] + linalg_stacks["cholesky"]
     assert max(np.prod(shape) for shape in shapes) <= max(BATCH_ELEMENTS, m * m)
-    # verification takes one Cholesky per chunk of receivers of every chunk
-    # of draws, and no SVD, since the margin proves every built block; the
-    # simulation inverts nothing and solves once per chunk of receivers,
-    # whatever the trials
-    per_draw_chunk = [len(chunks(K, len(c) * m * m)) for c in chunks(draws, K * m * m)]
-    assert len(linalg_stacks["cholesky"]) == sum(per_draw_chunk)
+    # the float bound proves every built block, so verification takes no
+    # Cholesky and no SVD; the simulation inverts nothing and solves once
+    # per chunk of receivers, whatever the trials
+    assert linalg_stacks["cholesky"] == []
     assert linalg_stacks["svd"] == []
     assert linalg_stacks["inv"] == []
     assert len(linalg_stacks["solve"]) == len(chunks(K, m * m))
@@ -599,3 +617,107 @@ def test_simulation_builds_no_block(scheme4, fallback_scheme5, monkeypatch):
     monkeypatch.setattr(biakit.verify.ReceiverLayout, "blocks", refuse)
     for scheme in (scheme4, fallback_scheme5):
         estimate_dof(scheme, SimConfig(trials=3, seed=1))
+
+
+def float_gathers(monkeypatch, scheme, draws, seed):
+    """run_verification's float report, and the (draw, rx) pair of every
+    block it gathered, in gather order."""
+    with monkeypatch.context() as patch:
+        seen = record_gathers(patch)
+        report = run_verification(scheme, draws, seed)
+    coeffs = [oracle_draw(scheme, seed, t, False).coeffs for t in range(draws)]
+    return report, [pair for pairs in gathered_pairs(seen, coeffs) for pair in pairs]
+
+
+def test_receivers_with_no_proven_inverse_are_always_gathered(golden_scheme4, fallback_scheme5,
+                                                              monkeypatch):
+    """An uncertified receiver (golden 1 and 3, fallback 5) and a certified
+    one whose G_j keeps a core (fallback 1..4, the certified pair-product
+    schemes at K = 3 and 4) has no inverse: its bound is 0, never a
+    division by a zero norm, so it is gathered in every draw; the golden
+    instance's 2 and 4 and every built receiver are not. Reports match the
+    per-draw loop byte for byte."""
+    cases = [("golden", golden_scheme4), ("fallback5", fallback_scheme5)]
+    cases += certified_pair_product_schemes() + [("4", bk.build_scheme(4))]
+    unproven = {"golden": [0, 2], "fallback5": [0, 1, 2, 3, 4], "4": []}
+    for name, scheme in cases:
+        K = scheme.config.users
+        bound = float_bound(scheme)
+        none = np.flatnonzero(np.isinf(bound.inverse2)).tolist()
+        assert none == unproven.get(name, none), name
+        assert set(none) >= {j for j in range(K) if not scheme.certified_receivers[j]}, name
+        coeffs = np.stack([oracle_draw(scheme, 4, t, False).coeffs for t in range(4)])
+        low2, _, _ = draw_bounds(bound, coeffs)
+        assert (low2[:, none] == 0).all() and (low2 > 0).sum() == 4 * (K - len(none)), name
+        report, gathered = float_gathers(monkeypatch, scheme, 4, 4)
+        assert report_bytes(report) == report_bytes(oracle_report(scheme, 4, 4)), name
+        assert sorted(gathered, key=lambda p: (p[1], p[0])) == [[t, j] for j in none for t in range(4)], name
+
+
+def near_parallel_own_pair(eps):
+    def edit(h):  # receiver 1's pair with 2 (0-indexed): h_12 nearly parallel to h_11
+        h[1, 2] = (0.6 - 0.3j) * h[1, 1] + eps * np.array([1.0, 1j])
+    return edit
+
+
+def tiny_aligned(eps):
+    def edit(h):  # receiver 1 takes pairs {0, 2}, {0, 3}, ... from user 0 in mode 2
+        h[1, 0, 1] = eps
+    return edit
+
+
+def planted(monkeypatch, edit):
+    """Apply edit to every float draw, of run_verification and of the
+    oracle alike."""
+    inner = biakit.verify.draw_channel_stack
+
+    def draw_stack(K, seeds):
+        coeffs = inner(K, seeds)
+        for h in coeffs:
+            edit(h)
+        return coeffs
+
+    def draw(K, M=2, seed=0, _inner=draw_channels):
+        ch = _inner(K, M, seed=seed)
+        edit(ch.coeffs)
+        return ch
+    monkeypatch.setattr(biakit.verify, "draw_channel_stack", draw_stack)
+    monkeypatch.setitem(globals(), "draw_channels", draw)
+
+
+@pytest.mark.parametrize("K", [4, 7])
+@pytest.mark.parametrize("plant", [near_parallel_own_pair, tiny_aligned])
+@pytest.mark.parametrize("eps", [1e-4, 1e-10, 1e-13, 1e-16, 1e-300, 0.0])
+def test_float_bound_on_planted_near_singular_draws(K, plant, eps, monkeypatch):
+    """A near-zero own-pair determinant or aligned coefficient at receiver
+    1: the bound stays below the SVD's sigma_min, clears the ratio at 1e-4
+    and refuses from 1e-10 down (every draw of receiver 1 is gathered, and
+    only those), and the report matches the per-draw loop byte for byte."""
+    scheme = bk.build_scheme(K)
+    planted(monkeypatch, plant(eps))
+    coeffs = np.stack([oracle_draw(scheme, 2, t, False).coeffs for t in range(3)])
+    low2, frob2, plain = draw_bounds(float_bound(scheme), coeffs)
+    sv = np.linalg.svd(receiver_layout(scheme).blocks(coeffs, slice(None)), compute_uv=False)
+    assert (np.sqrt(low2) <= sv[..., -1]).all()
+    report, gathered = float_gathers(monkeypatch, scheme, 3, 2)
+    assert report_bytes(report) == report_bytes(oracle_report(scheme, 3, 2))
+    assert gathered == ([] if eps == 1e-4 else [[0, 1], [1, 1], [2, 1]])
+    # an aligned coefficient of 1e-300 lies outside the range the rounding argument covers
+    assert plain[:, 1].all() == (plant is near_parallel_own_pair or eps != 1e-300)
+
+
+@pytest.mark.parametrize("scale", [2.0 ** -90, 2.0 ** 90, 2.0 ** -120, 2.0 ** 120, 1e-200, 1e200, 0.0])
+def test_float_bound_covers_only_moduli_in_its_range(scale, monkeypatch):
+    """A draw scaled by 2^+-90 is proven as at scale 1; scaled past the
+    bound's range, or to zero (F = 0: the strict test refuses), it is
+    gathered whole and ranked, and every check matches the per-draw SVD
+    oracle on the scaled draw."""
+    scheme = bk.build_scheme(5)
+    ch = draw_channels(5, 2, seed=3)
+    ch = ChannelSet(coeffs=ch.coeffs * scale)
+    with monkeypatch.context() as patch:
+        seen = record_gathers(patch)
+        checks = verify_decodability(ch, scheme, draw=2)
+    assert checks == oracle_checks(ch, scheme, 2)
+    gathered = [j for _, rx in seen["gathers"] for j in rx]
+    assert gathered == ([] if scale in (2.0 ** -90, 2.0 ** 90) else list(range(5)))

@@ -5,7 +5,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 import biakit.exactrank
-from biakit.exactrank import gaussian_rank, integer_rank, nonsingular
+from biakit.exactrank import gaussian_rank, integer_rank, is_inverse, nonsingular, peel_inverses
 
 
 def test_identity_zero_empty():
@@ -217,3 +217,77 @@ def test_nonsingular_rejects_bad_stacks():
     # nonsingular, but cast to integers its real part is not
     with pytest.raises(TypeError, match="integer stack"):
         nonsingular(np.array([[[1 + 1j, 0], [0, 1j]]]))
+
+
+def nonzeros(stack):
+    """(rows, cols), (N, nnz) each and sorted by row, of a stack of 0/1
+    matrices with one nonzero count."""
+    item, rows, cols = np.nonzero(stack)
+    return rows.reshape(len(stack), -1), cols.reshape(len(stack), -1)
+
+
+def dense(index, values, count, n):
+    x = np.zeros(count * n * n, dtype=np.int64)
+    x[index] = values
+    return x.reshape(count, n, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+    st.just(n), st.permutations(range(n)), st.permutations(range(n)),
+    st.lists(st.booleans(), min_size=n * n, max_size=n * n))))
+def test_peel_inverses_of_permuted_unit_triangular_matrices(case):
+    """Any 0/1 unit lower-triangular matrix, rows and columns permuted,
+    peels to nothing and inverts exactly: G X = I in integers."""
+    n, prow, pcol, bits = case
+    lower = np.tril(np.array(bits, dtype=np.int64).reshape(n, n), -1) + np.eye(n, dtype=np.int64)
+    g = lower[np.ix_(prow, pcol)]
+    index, values, ok = peel_inverses(n, *nonzeros(g[None]))
+    assert ok.tolist() == [True]
+    assert (g @ dense(index, values, 1, n)[0] == np.eye(n, dtype=np.int64)).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_peel_inverses_prove_only_true_inverses(rows):
+    """On any 0/1 matrix, ok means G X = I exactly, and ok holds wherever
+    the singleton peel of `nonsingular` empties the matrix."""
+    g = np.array(rows, dtype=np.int64)
+    n = len(g)
+    r, c = np.nonzero(g)
+    index, values, ok = peel_inverses(n, r[None], c[None])
+    if ok[0]:
+        assert (g @ dense(index, values, 1, n)[0] == np.eye(n, dtype=np.int64)).all()
+    singular, live, _ = biakit.exactrank._peel(g[None] != 0)
+    assert ok[0] == (not singular[0] and not live[0].any())
+
+
+def test_is_inverse_rejects_one_wrong_entry():
+    """A flipped, a dropped or an added entry each breaks G X = I, and only
+    for the matrix it is in."""
+    g = np.array([[[1, 0, 0], [1, 1, 0], [0, 1, 1]], [[0, 1, 0], [1, 0, 0], [1, 1, 1]]])
+    rows, cols = nonzeros(g)
+    index, values, ok = peel_inverses(3, rows, cols)
+    assert ok.tolist() == [True, True]
+    x = dense(index, values, 2, 3)
+    assert (np.linalg.inv(g).round() == x).all()
+    first = index < 9
+    flipped = values.copy()
+    flipped[0] = -flipped[0]
+    assert is_inverse(3, rows, cols, index, flipped).tolist() == [False, True]
+    assert is_inverse(3, rows, cols, index[1:], values[1:]).tolist() == [False, True]
+    extra = 9 + np.flatnonzero(x[1].ravel() == 0)[0]
+    assert is_inverse(3, rows, cols, np.append(index, extra), np.append(values, 1)).tolist() == [True, False]
+    assert is_inverse(3, rows, cols, index[first], values[first]).tolist() == [True, False]
+
+
+def test_is_inverse_refuses_entries_past_its_bound():
+    """G with ones on its diagonal and on subdiagonals 1 and 3 has an
+    inverse whose entries grow geometrically with n: it is exact at n = 20
+    but past 2^26 / n at n = 40, where it is refused."""
+    for n, expect in ((20, True), (40, False)):
+        g = np.eye(n, dtype=np.int64) + np.eye(n, k=-1, dtype=np.int64) + np.eye(n, k=-3, dtype=np.int64)
+        index, values, ok = peel_inverses(n, *nonzeros(g[None]))
+        assert ok.tolist() == [expect]
+        assert (np.abs(values).max() > (1 << 26) // n) == (not expect)

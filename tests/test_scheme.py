@@ -23,6 +23,8 @@ from biakit.scheme import (
     certify_receivers,
     check_supports,
     default_pair_dims,
+    generator_inverses,
+    generator_nonzeros,
     generator_stack,
     make_config,
     own_pair_columns,
@@ -727,3 +729,76 @@ def test_pair_products_are_computed_once_per_pattern(monkeypatch):
     calls.clear()
     PatternMatrix(scheme.pattern.tilde)
     assert calls == [(20, 6)]
+
+
+def dense_inverses(pattern, rx):
+    """generator_inverses of receivers rx as dense (len(rx), m, m) arrays,
+    with their ok flags."""
+    m = pattern.block_len
+    index, values, ok = generator_inverses(pattern, np.asarray(rx))
+    x = np.zeros(len(rx) * m * m, dtype=np.int64)
+    x[index] = values
+    return x.reshape(len(rx), m, m), ok
+
+
+@pytest.mark.parametrize("K", [3, 5, 8])
+def test_generator_nonzeros_are_the_generator_stack(K):
+    pattern = bk.build_scheme(K).pattern
+    m = pattern.block_len
+    rows, cols = generator_nonzeros(pattern, np.arange(K))
+    g = np.zeros((K, m, m), dtype=np.int8)
+    g[np.arange(K)[:, None], rows, cols] = 1
+    assert np.array_equal(g, generator_stack(pattern.tilde[None], pattern.supports[None])[0])
+    assert rows.shape[1] == int(pattern.supports.sum())
+
+
+@pytest.mark.parametrize("K", range(3, 21))
+def test_star_generator_inverses_are_exact_and_as_sparse_as_g(K):
+    """Every built G_j has a proven exact inverse with entries in {-1, 0, 1}
+    and ||G_j^-1||_F^2 = nnz(G_j)."""
+    pattern = bk.build_scheme(K).pattern
+    m = pattern.block_len
+    index, values, ok = generator_inverses(pattern, np.arange(K))
+    assert ok.all()
+    assert set(np.abs(values).tolist()) == {1}
+    nnz = int(pattern.supports.sum())
+    assert np.bincount(index // (m * m), minlength=K).tolist() == [nnz] * K
+
+
+@pytest.mark.parametrize("K", [4, 5, 6])
+def test_star_generator_inverses_match_sympy(K):
+    pattern = bk.build_scheme(K).pattern
+    x, ok = dense_inverses(pattern, range(K))
+    assert ok.all()
+    for g, xj in zip(generator_stack(pattern.tilde[None], pattern.supports[None])[0], x):
+        assert sympy.Matrix(g.tolist()).inv() == sympy.Matrix(xj.tolist())
+
+
+def test_generator_inverses_need_a_peel_to_nothing(golden_scheme4, fallback_scheme5):
+    """An uncertified G_j has no inverse (the golden instance's receivers 1
+    and 3, the fallback family's receiver 5), nor does a certified G_j the
+    singleton peel leaves a core of (the pair-product families at K = 3, 4
+    and 5); the golden instance's receivers 2 and 4 peel to nothing."""
+    cases = [(golden_scheme4.pattern, [False, True, False, True]),
+             (fallback_scheme5.pattern, [False] * 5)]
+    cases += [(make_pattern_matrix(make_config(K)), expect)
+              for K, expect in ((3, [False, True, True]), (4, [False] * 4))]
+    for pattern, expect in cases:
+        ok = generator_inverses(pattern, np.arange(pattern.users))[2]
+        assert ok.tolist() == expect
+        singular, live, _ = biakit.exactrank._peel(
+            generator_stack(pattern.tilde[None], pattern.supports[None])[0] != 0)
+        assert ok.tolist() == (~singular & ~live.any(axis=1)).tolist()
+
+
+@settings(max_examples=25, deadline=None)
+@given(widened_schemes())
+def test_generator_inverses_on_widened_supports(scheme):
+    pattern = scheme.pattern
+    K = pattern.users
+    x, ok = dense_inverses(pattern, range(K))
+    gen = generator_stack(pattern.tilde[None], pattern.supports[None])[0].astype(np.int64)
+    for j in range(K):
+        if ok[j]:
+            assert pattern.certified_receivers[j]
+            assert (gen[j] @ x[j] == np.eye(pattern.block_len, dtype=np.int64)).all()

@@ -1,7 +1,10 @@
 """Rank verification, counting identities, exact mode, report formats."""
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,10 +22,14 @@ from biakit.channel import (
     stream_seed,
 )
 from biakit.verify import (
+    RATIO,
     check_counting,
     decompose_receiver,
+    draw_bounds,
     expected_ranks,
+    float_bound,
     rank_of,
+    receiver_layout,
     report_to_csv,
     report_to_json,
     run_verification,
@@ -33,6 +40,7 @@ from biakit.verify import (
 )
 
 from conftest import (
+    ROOT,
     GOLDEN_PAIR_DIMS,
     GOLDEN_VECTORS,
     matrix_count,
@@ -212,17 +220,17 @@ def test_rank_rule_matches_three_svd_oracle_on_failing_receivers(fallback_scheme
 
 
 @pytest.mark.parametrize("K", [4, 8])
-def test_float_verify_ranks_each_certified_receiver_once(K, linalg_stacks):
+def test_float_verify_ranks_each_certified_receiver_once(K, linalg_stacks, monkeypatch):
+    """The float bound proves every built receiver in every draw, once, from
+    G_j^-1 and the draw's D_j: no combined block is gathered, and no
+    Cholesky, SVD or inverse runs."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a combined block was built")
+    monkeypatch.setattr(biakit.verify.ReceiverLayout, "blocks", refuse)
     scheme = bk.build_scheme(K)
     report = run_verification(scheme, draws=3, seed=1)
-    assert report.all_passed
-    m = scheme.config.block_len
-    # every combined block reaches the Cholesky margin once, (draw, receiver)
-    # by (draw, receiver); the margin proves them all, so none reaches the SVD
-    assert all(shape[-2:] == (m, m) for shape in linalg_stacks["cholesky"])
-    assert matrix_count(linalg_stacks["cholesky"], m, m) == 3 * K
-    assert linalg_stacks["svd"] == []
-    assert linalg_stacks["inv"] == []
+    assert report.all_passed and len(report.checks) == 3 * K
+    assert linalg_stacks == {"svd": [], "cholesky": [], "inv": [], "solve": []}
 
 
 def planted(rng, m, ratio, scale=1.0):
@@ -305,7 +313,11 @@ def test_float_verify_ranks_sub_blocks_only_at_short_receivers(fallback_scheme5,
     report = run_verification(fallback_scheme5, draws=3, seed=1)
     assert report.failing_receivers() == (5,)
     shapes = linalg_stacks["svd"]
-    assert matrix_count(shapes, 14, 14) == 3 * 5
+    # receivers 1..4 keep a core, so the bound leaves them to the Cholesky
+    # margin, which proves them; receiver 5 is uncertified and goes to the
+    # SVD alone, once per draw
+    assert matrix_count(linalg_stacks["cholesky"], 14, 14) == 3 * 4
+    assert matrix_count(shapes, 14, 14) == 3
     # receiver 5's desired and interference blocks, once per draw
     assert matrix_count(shapes, 14, 4) == matrix_count(shapes, 14, 10) == 3
     assert all(shape[-2:] in {(14, 14), (14, 4), (14, 10)} for shape in shapes)
@@ -434,3 +446,47 @@ def test_report_serialization(scheme3):
     assert lines[0] == "draw,rx,rank_desired,rank_interference,rank_combined,pass"
     assert len(lines) == 13
     assert lines[1] == "0,1,2,3,5,1"
+
+
+def assert_bound_below_sigma_min(scheme, coeffs):
+    """On every (draw, receiver): the float bound is at most the SVD's
+    sigma_min of the gathered A_j, ||A_j||_F matches the block's, and the
+    bound is 0 where G_j has no proven inverse. Returns the bound over
+    ||A_j||_F."""
+    bound = float_bound(scheme)
+    low2, frob2, plain = draw_bounds(bound, coeffs)
+    a = receiver_layout(scheme).blocks(coeffs, slice(None))
+    sv = np.linalg.svd(a, compute_uv=False)
+    assert plain.all()
+    assert (np.sqrt(low2) <= sv[..., -1]).all()
+    np.testing.assert_allclose(frob2, np.sum(np.abs(a) ** 2, axis=(2, 3)), rtol=1e-12)
+    assert (low2[:, np.isinf(bound.inverse2)] == 0).all()
+    return np.sqrt(low2 / frob2)
+
+
+@pytest.mark.parametrize("K", range(3, 13))
+def test_float_bound_never_exceeds_sigma_min_on_built_schemes(K):
+    """Every built receiver has an inverse, and its bound stays under the
+    SVD's sigma_min while clearing RATIO ||A_j||_F in every draw."""
+    scheme = bk.build_scheme(K)
+    coeffs = np.stack([draw_channels(K, 2, seed=stream_seed(7, 0, t)).coeffs for t in range(8)])
+    assert (assert_bound_below_sigma_min(scheme, coeffs) > RATIO).all()
+
+
+@settings(max_examples=25, deadline=None)
+@given(widened_schemes(), st.integers(0, 2 ** 32 - 1))
+def test_float_bound_never_exceeds_sigma_min_on_widened_supports(scheme, seed):
+    K = scheme.config.users
+    coeffs = np.stack([draw_channels(K, 2, seed=stream_seed(seed, 0, t)).coeffs for t in range(3)])
+    assert_bound_below_sigma_min(scheme, coeffs)
+
+
+def test_float_verify_leaves_scipy_unimported():
+    """`import biakit` and a float verify import numpy alone of the
+    scientific stack: no scipy, which is not a dependency."""
+    code = ("import sys, biakit; "
+            "assert biakit.run_verification(biakit.build_scheme(5), 3, 0).all_passed; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), cwd=ROOT)
+    assert out.stdout.strip() == "[]"
