@@ -1,34 +1,37 @@
 """Exact matrix rank and nonsingularity over the integers and the Gaussian
 integers.
 
-Three kernels, all exact:
+A stack of N n x n 0/1 matrices is given by its nonzeros: counts (N,),
+how many matrix i has (0 for an all-zero matrix), and rows, cols, their
+positions, matrix after matrix and by row within each. Counts may differ
+from matrix to matrix. One singleton peel (`_peel`, Duff, Erisman & Reid's
+permutation to triangular form) works on such stacks, and serves two
+kernels:
 
-- `nonsingular` decides, for a stack of square integer matrices, which
-  are nonsingular over Q, by one rule in two steps. First it peels
-  singletons, batched over the stack: a row with exactly one nonzero a_rc
-  is removed with its column (Laplace expansion, det = +-a_rc *
-  det(minor)), then the same for columns, until nothing is left to
-  remove. A zero row or column, or two singleton rows (columns) in one
-  column (row), proves the matrix singular; a matrix peeled to nothing is
-  nonsingular. Second, `integer_rank` decides each distinct core the peel
-  leaves, once per call: equal cores share one verdict. So both verdicts
-  are proofs.
-- `integer_rank` is fraction-free (Bareiss) elimination on Python ints,
-  with no floating tolerance and no external computer-algebra dependency.
-  `gaussian_rank` has no elimination of its own: it realifies a matrix
-  B + iC over Z[i] into [[B, -C], [C, B]] over Z, whose rank over Q is
-  twice the rank of B + iC over Q(i). These serve tall and wide matrices,
-  the cores of `nonsingular`, and ranks below full.
-- `peel_inverses` inverts, exactly and sparsely, a stack of 0/1 matrices
-  that the same peel empties: the peel's order makes each unit lower
-  triangular, so substitution along it gives an integer inverse, which
-  `is_inverse` proves by the exact product G X = I. Float verification
-  reads its bound on sigma_min off these inverses (biakit.verify).
+- `nonsingular` decides which matrices are nonsingular over Q. The peel
+  removes a row with exactly one live nonzero together with that
+  nonzero's column (Laplace expansion, det = +-det(minor)), then the same
+  for columns, until nothing is left to remove. A live row or column with
+  no live nonzero then proves its matrix singular (this covers two
+  singletons in one line: the second is left a zero line); a matrix
+  peeled to nothing is nonsingular. `integer_rank` decides each distinct
+  core the peel leaves, once per call: equal cores share one verdict. So
+  both verdicts are proofs.
+- `peel_inverses` inverts exactly and sparsely the matrices the peel
+  empties: the peel's order makes each unit lower triangular, so
+  substitution along it gives an integer inverse, which `is_inverse`
+  proves by the exact product G X = I. Float verification reads its bound
+  on sigma_min off these inverses (biakit.verify).
 
-`nonsingular` takes its stack in `chunks`, each through the peel in turn.
-`verify --exact` reads each Gaussian-integer block's nonsingularity off its
-factorisation A_j = G_j D_j (see biakit.verify) and ranks every other
-block with `gaussian_rank`.
+`integer_rank` is fraction-free (Bareiss) elimination on Python ints, with
+no floating tolerance and no external computer-algebra dependency.
+`gaussian_rank` has no elimination of its own: it realifies a matrix
+B + iC over Z[i] into [[B, -C], [C, B]] over Z, whose rank over Q is twice
+the rank of B + iC over Q(i). These serve tall and wide matrices, the
+cores of `nonsingular`, and ranks below full. `verify --exact` reads each
+Gaussian-integer block's nonsingularity off its factorisation
+A_j = G_j D_j (see biakit.verify) and ranks every other block with
+`gaussian_rank`.
 """
 from __future__ import annotations
 
@@ -36,9 +39,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# Every batched loop (peel, certificate, verification and simulation)
-# takes its items in chunks of at most this many entries (at least one
-# item per chunk), which bounds the temporaries of every step.
+# Every batched loop (certificate, verification and simulation) takes its
+# items in chunks of at most this many entries (at least one item per
+# chunk), which bounds the temporaries of every step.
 BATCH_ELEMENTS = 1 << 14
 
 
@@ -49,70 +52,71 @@ def chunks(count: int, per_item: int) -> list[range]:
     return [range(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
-def _peel(nz: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Singleton peel of a stack of nonzero patterns, (N, n, n) booleans.
+def _lines(n: int, counts: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every nonzero's row and column as a line of the whole stack: row r
+    of matrix i is row line i n + r, and likewise for columns."""
+    base = np.repeat(np.arange(len(counts)) * n, counts)
+    return rows + base, cols + base
 
-    Removes every live row with exactly one live nonzero, together with
-    that nonzero's column, then does the same for columns, and repeats
-    until nothing is removed. Each removal is a Laplace expansion,
-    det = +-a_rc * det(minor) with a_rc != 0, so it keeps the determinant
-    zero or nonzero. Returns (singular, rows, cols). singular[i] proves
-    matrix i singular: a live row or column of it had no live nonzero, or
-    two singleton rows (columns) met in one column (row), which leaves a
-    zero line once the first is expanded. Otherwise rows[i] and cols[i]
-    mark the same number of rows and columns: the square core whose
-    determinant is zero iff the matrix's is (empty: nonsingular).
+
+def _peel(n: int, counts: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+    """Singleton peel of a stack of 0/1 matrices given by their nonzeros
+    (module docstring). Each pass removes every live row with exactly one
+    live nonzero, with that nonzero's column (of two singletons in one
+    column only the first), then the same for columns, until a pass
+    removes nothing. Returns (live_r, live_c, passes): the rows and columns
+    left, (N, n) each and equally many per matrix, spanning the core (none:
+    nonsingular), and every pass as (row pass?, pivot rows, pivot columns)
+    in lines of the whole stack (`_lines`).
     """
-    count, n, _ = nz.shape
-    rows = np.ones((count, n), dtype=bool)
-    cols = np.ones((count, n), dtype=bool)
-    singular = np.zeros(count, dtype=bool)
+    gr, gc = _lines(n, counts, rows, cols)
+    size = len(counts) * n
+    live_r = np.ones(size, dtype=bool)
+    live_c = np.ones(size, dtype=bool)
+    passes = []
     removed = True
     while removed:
         removed = False
-        for a, lines, across in ((nz, rows, cols), (nz.transpose(0, 2, 1), cols, rows)):
-            hits = a & across[:, None, :]
-            degree = hits.sum(axis=2)
-            singular |= (lines & (degree == 0)).any(axis=1)
-            b, r = np.nonzero(lines & (degree == 1))
-            if b.size:
-                c = hits[b, r].argmax(axis=1)
-                # fewer distinct columns than singleton rows: two met in one
-                met = np.zeros((count, n), dtype=bool)
-                met[b, c] = True
-                singular |= np.bincount(b, minlength=count) > met.sum(axis=1)
-                lines[b, r] = False
-                across[b, c] = False
+        for by_row, lines, across, a, b in ((True, live_r, live_c, gr, gc),
+                                            (False, live_c, live_r, gc, gr)):
+            live = live_r[gr] & live_c[gc]
+            single = live & (np.bincount(a[live], minlength=size)[a] == 1)
+            hit, first = np.unique(b[single], return_index=True)
+            line = a[single][first]
+            if line.size:
+                lines[line] = False
+                across[hit] = False
+                passes.append((by_row, line, hit) if by_row else (by_row, hit, line))
                 removed = True
-            lines[singular] = False
-            across[singular] = False
-    return singular, rows, cols
+    return live_r.reshape(-1, n), live_c.reshape(-1, n), passes
 
 
-def nonsingular(stack) -> np.ndarray:
-    """Whether each square integer matrix of an (N, n, n) stack is
-    nonsingular over Q, exactly (see the module docstring for the rule)."""
-    stack = np.asarray(stack)
-    if not np.issubdtype(stack.dtype, np.integer):
-        raise TypeError("expected an integer stack")
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-        raise ValueError("expected a stack of square matrices")
-    count, n, _ = stack.shape
-    out = np.zeros(count, dtype=bool)
-    # one verdict per distinct core: the stack has one dtype, so a core's
-    # bytes fix its size as well as its entries
-    verdicts: dict[bytes, bool] = {}
-    for chunk in chunks(count, n * n):
-        part = stack[chunk.start:chunk.stop]
-        singular, rows, cols = _peel(part != 0)
-        size = rows.sum(axis=1)
-        out[chunk.start:chunk.stop] = ~singular & (size == 0)
-        for i in np.flatnonzero(~singular & (size > 0)):
-            core = part[i][rows[i]][:, cols[i]]
-            key = core.tobytes()
-            if key not in verdicts:
-                verdicts[key] = integer_rank(core.tolist()) == size[i]
-            out[chunk.start + i] = verdicts[key]
+def nonsingular(n: int, counts: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Whether each 0/1 matrix of a stack given by its nonzeros (module
+    docstring) is nonsingular over Q, exactly: the singleton peel, then a
+    live row or column with no live nonzero proves its matrix singular,
+    then `integer_rank` decides each distinct core left, once per call."""
+    live_r, live_c, _ = _peel(n, counts, rows, cols)
+    gr, gc = _lines(n, counts, rows, cols)
+    live = live_r.ravel()[gr] & live_c.ravel()[gc]
+    singular = np.zeros(len(counts), dtype=bool)
+    for lines, g in ((live_r, gr), (live_c, gc)):  # a live line with no live nonzero
+        degree = np.bincount(g[live], minlength=lines.size).reshape(lines.shape)
+        singular |= (lines & (degree == 0)).any(axis=1)
+    out = ~singular & ~live_r.any(axis=1)
+    ptr = np.concatenate([[0], np.cumsum(counts)])
+    at_r, at_c = np.cumsum(live_r, axis=1) - 1, np.cumsum(live_c, axis=1) - 1
+    verdicts: dict[bytes, bool] = {}  # a core's bytes fix its size as well as its entries
+    for i in np.flatnonzero(~singular & ~out):
+        r, c = rows[ptr[i]:ptr[i + 1]], cols[ptr[i]:ptr[i + 1]]
+        keep = live_r[i, r] & live_c[i, c]
+        size = int(live_r[i].sum())
+        core = np.zeros((size, size), dtype=np.int8)
+        core[at_r[i, r[keep]], at_c[i, c[keep]]] = 1
+        key = core.tobytes()
+        if key not in verdicts:
+            verdicts[key] = integer_rank(core.tolist()) == size
+        out[i] = verdicts[key]
     return out
 
 
@@ -135,17 +139,15 @@ def _summed(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return keys[starts][nonzero], sums[nonzero]
 
 
-def peel_inverses(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact inverses of a stack of n x n 0/1 matrices G, matrix i given by
-    its nonzeros (rows[i], cols[i]), (N, nnz) each, sorted by row.
+def peel_inverses(n: int, counts: np.ndarray, rows: np.ndarray,
+                  cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact inverses of a stack of 0/1 matrices G given by their nonzeros
+    (module docstring).
 
-    The singleton peel of `nonsingular`, run on the nonzeros alone, keeping
-    its pivots: each pass removes every live row with one live nonzero,
-    then every live column with one (of two singletons meeting in one line
-    only the first). Rows in the order the row passes removed them, then
-    the column passes' rows in reverse, and the pivots' columns in the same
-    order, make G unit lower triangular: a row removed by a row pass meets
-    no column still live then but its pivot's, and a column removed by a
+    Rows in the order `_peel`'s row passes removed them, then the column
+    passes' rows in reverse, and the pivots' columns in the same order,
+    make G unit lower triangular: a row removed by a row pass meets no
+    column still live then but its pivot's, and a column removed by a
     column pass no row still live then but its pivot's. So substitution,
     one pass at a time, gives X = G^-1 in integers: for the pivot (r, c) of
     row r, X[c] = e_r minus the rows X[c'] of the other nonzeros (r, c') of
@@ -155,33 +157,14 @@ def peel_inverses(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarra
     Returns (index, values, ok): X's nonzero entries as flat indices into
     (N, n, n) and their int64 values, and ok (N,). X is proven by the exact
     product G X = I (`is_inverse`), not by the peel. ok[i] is False, and
-    matrix i's entries are meaningless, where the peel leaves a core or a
-    zero line, or an entry outgrows `is_inverse`'s bound.
+    matrix i's entries are meaningless, where the peel leaves a live line,
+    or an entry outgrows `is_inverse`'s bound.
     """
-    count, _ = rows.shape
-    size = count * n
-    base = (np.arange(count) * n)[:, None]
-    gr, gc = (rows + base).ravel(), (cols + base).ravel()
-    live_r = np.ones(size, dtype=bool)
-    live_c = np.ones(size, dtype=bool)
-    passes = []  # (row pass?, pivot rows, pivot columns)
-    removed = True
-    while removed:
-        removed = False
-        for by_row, lines, across, a, b in ((True, live_r, live_c, gr, gc),
-                                            (False, live_c, live_r, gc, gr)):
-            live = live_r[gr] & live_c[gc]
-            single = live & (np.bincount(a[live], minlength=size)[a] == 1)
-            # first singleton of each crossing line; a second one is left a zero line
-            hit, first = np.unique(b[single], return_index=True)
-            line = a[single][first]
-            if line.size:
-                lines[line] = False
-                across[hit] = False
-                passes.append((by_row, line, hit) if by_row else (by_row, hit, line))
-                removed = True
-    emptied = ~live_r.reshape(count, n).any(axis=1)
+    live_r, _, passes = _peel(n, counts, rows, cols)
+    emptied = ~live_r.any(axis=1)
+    gr, gc = _lines(n, counts, rows, cols)
     order = [p for p in passes if p[0]] + [p for p in reversed(passes) if not p[0]]
+    size = len(counts) * n
     row_ptr = np.concatenate([[0], np.cumsum(np.bincount(gr, minlength=size))])
     # X row by row (global column of G): where its entries start, how many
     x_start = np.zeros(size, dtype=np.int64)
@@ -203,20 +186,20 @@ def peel_inverses(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarra
         x_col = np.concatenate([x_col, keys % n])
         x_val = np.concatenate([x_val, vals])
     index = x_row * n + x_col
-    ok = emptied & is_inverse(n, rows, cols, index, x_val)
+    ok = emptied & is_inverse(n, counts, rows, cols, index, x_val)
     return index, x_val, ok
 
 
-def is_inverse(n: int, rows: np.ndarray, cols: np.ndarray, index: np.ndarray,
-               values: np.ndarray) -> np.ndarray:
-    """Whether G X = I exactly, for a stack of N n x n 0/1 matrices G given
-    by their nonzeros (rows, cols), (N, nnz) each, and integer matrices X
-    given by the flat indices of their nonzero entries into (N, n, n), no
-    index twice, and the entries' values. A matrix with an entry beyond
-    2^26 / n in magnitude is refused unchecked: below that bound every sum
-    of the product stays under 2^26 in magnitude and the sum of squares of
-    X's entries under 2^52, so int64, and float64, hold them exactly."""
-    count = rows.shape[0]
+def is_inverse(n: int, counts: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+               index: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Whether G X = I exactly, for a stack of 0/1 matrices G given by their
+    nonzeros (module docstring) and integer matrices X given by the flat
+    indices of their nonzero entries into (N, n, n), no index twice, and
+    the entries' values. A matrix with an entry beyond 2^26 / n in
+    magnitude is refused unchecked: below that bound every sum of the
+    product stays under 2^26 in magnitude and the sum of squares of X's
+    entries under 2^52, so int64, and float64, hold them exactly."""
+    count = len(counts)
     big = np.zeros(count, dtype=bool)
     big[index[np.abs(values) > (1 << 26) // n] // (n * n)] = True
     # X row by row: rows of big matrices hold nothing, so no sum can wrap
@@ -225,8 +208,7 @@ def is_inverse(n: int, rows: np.ndarray, cols: np.ndarray, index: np.ndarray,
     order = np.argsort(row[small], kind="stable")
     row, col, val = row[small][order], (index % n)[small][order], values[small][order]
     ptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=count * n))])
-    base = (np.arange(count) * n)[:, None]
-    gr, gc = (rows + base).ravel(), (cols + base).ravel()
+    gr, gc = _lines(n, counts, rows, cols)
     k, e = _ranges(ptr[gc], ptr[gc + 1] - ptr[gc])
     keys, sums = _summed(gr[k] * n + col[e], val[e])
     # the product's entries: exactly 1 at every diagonal position, nothing else

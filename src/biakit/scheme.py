@@ -196,10 +196,11 @@ def certify_receivers(tilde: np.ndarray, supports: np.ndarray | None = None) -> 
     Explicit supports are checked against their pair products first
     (check_supports): the one alignment check, where supports enter.
 
-    The K matrices are built and decided by certify_patterns, so each flag
-    is a proof either way (see `exactrank.nonsingular`): the singleton peel
-    expands G_j exactly, and exact Bareiss elimination decides whatever
-    core is left.
+    The K matrices are built by their nonzeros (generator_nonzeros) and
+    decided by certify_patterns, so each flag is a proof either way (see
+    `exactrank.nonsingular`): the singleton peel on those nonzeros expands
+    G_j exactly, and exact Bareiss elimination decides whatever core is
+    left.
     """
     if supports is not None:
         check_supports(tilde, supports)
@@ -212,19 +213,21 @@ def certify_patterns(tilde: np.ndarray, supports: np.ndarray | None = None) -> n
 
     tilde is (P, m, K); supports is (P, m, C(K,2)), every pair's shared
     vector in lexicographic pair order, or None for the pair products. The
-    supports are not checked here. Patterns go in `exactrank.chunks` of at
-    most `exactrank.BATCH_ELEMENTS` generator entries (at least one
-    pattern), one `nonsingular` call per chunk.
+    supports are not checked here. Every G_j is built by its nonzeros
+    (generator_nonzeros), never densely. Patterns go in `exactrank.chunks`
+    of at most `exactrank.BATCH_ELEMENTS` nonzeros, K times the stack's
+    largest support count a pattern (at least one pattern), one
+    `nonsingular` call per chunk.
     """
     count, m, K = tilde.shape
     if m != (K + 2) * (K - 1) // 2:
         raise ValueError("tilde must have (K+2)(K-1)/2 = %d rows, got %d"
                          % ((K + 2) * (K - 1) // 2, m))
+    v = product_matrix(tilde) if supports is None else supports
     out = np.empty((count, K), dtype=bool)
-    for chunk in chunks(count, K * m * m):
+    for chunk in chunks(count, K * int(np.count_nonzero(v, axis=(1, 2)).max(initial=0))):
         part = slice(chunk.start, chunk.stop)
-        v = product_matrix(tilde[part]) if supports is None else supports[part]
-        out[part] = nonsingular(generator_stack(tilde[part], v).reshape(-1, m, m)).reshape(-1, K)
+        out[part] = nonsingular(m, *generator_nonzeros(tilde[part], v[part])).reshape(-1, K)
     return out
 
 
@@ -240,44 +243,38 @@ def own_pair_columns(K: int) -> tuple[np.ndarray, np.ndarray]:
     return low, high
 
 
-def generator_stack(tilde: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """G_j of every receiver j of every pattern, (P, K, m, m) in int8 (0/1
-    entries; int8 keeps the stack small), columns as own_pair_columns."""
-    K = tilde.shape[2]
-    low, _ = own_pair_columns(K)
-    own = np.zeros((K, v.shape[-1]), dtype=np.int8)
-    own[np.arange(K)[:, None], low] = 1
-    t = tilde.transpose(0, 2, 1)[..., None].astype(np.int8)  # (P, K, m, 1)
-    v = v.astype(np.int8)
-    return np.concatenate([v[:, None] * (1 - own[:, None, :] * t),
-                           v[:, :, low].transpose(0, 2, 1, 3) * t], axis=-1)
-
-
-def generator_nonzeros(pattern: PatternMatrix, rx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, cols), (len(rx), nnz) each, sorted by row: the nonzeros of G_j
-    of every receiver j of rx, columns as generator_stack's, read off
-    pattern.supports with no dense stack. Every G_j holds each support
-    entry once (an own pair's in its mode-1 or its mode-2 half), so all
-    have nnz = the support's nonzero count."""
-    K = pattern.users
+def generator_nonzeros(tilde: np.ndarray, supports: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """G_j of every receiver j of every pattern of a stack, tilde (P, m, K)
+    and supports (P, m, C(K,2)), by its nonzeros (counts, rows, cols) in
+    `exactrank`'s convention, P K matrices in (pattern, receiver) order,
+    columns as own_pair_columns. Every G_j holds each support entry once
+    (an own pair's in its mode-1 or its mode-2 half), so each of a
+    pattern's K matrices has the support's nonzero count."""
+    P, m, K = tilde.shape
     low, high = own_pair_columns(K)
     half = np.full((K, low.shape[0] * (K - 1) // 2), -1)  # [j, pair]: j's mode-2 column
     half[np.arange(K)[:, None], low] = high
-    r, p = np.nonzero(pattern.supports)
-    j = np.asarray(rx)[:, None]
-    mode2 = (half[j, p] >= 0) & (pattern.tilde[r, j] == 1)
-    return np.broadcast_to(r, mode2.shape), np.where(mode2, half[j, p], p)
+    owner, r, pair = np.nonzero(supports)
+    nnz = np.bincount(owner, minlength=P)
+    counts = np.repeat(nnz, K)
+    item = np.repeat(np.arange(P * K), counts)
+    p, j = item // K, item % K
+    # matrix (p, j) takes pattern p's support entries, in order
+    at = (np.cumsum(nnz) - nnz)[p] + np.arange(item.size) - (np.cumsum(counts) - counts)[item]
+    r, pair = r[at], pair[at]
+    mode2 = (half[j, pair] >= 0) & (tilde[p, r, j] == 1)
+    return counts, r, np.where(mode2, half[j, pair], pair)
 
 
-def generator_inverses(pattern: PatternMatrix, rx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(index, values, ok): the exact inverse of G_j of every receiver j of
-    rx, its nonzero entries as flat indices into (len(rx), m, m) and their
-    int64 values, proven wherever ok (`exactrank.peel_inverses`: singleton
-    peel order, substitution, then the exact product G_j X = I as the
-    proof). ok is False for a G_j the peel does not empty: a singular one,
-    or a certified one that leaves a core."""
-    rows, cols = generator_nonzeros(pattern, rx)
-    return peel_inverses(pattern.block_len, rows, cols)
+def generator_inverses(pattern: PatternMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(index, values, ok): the exact inverse of G_j of every receiver j,
+    its nonzero entries as flat indices into (K, m, m) and their int64
+    values, proven wherever ok (`exactrank.peel_inverses`: singleton peel
+    order, substitution, then the exact product G_j X = I as the proof).
+    ok is False for a G_j the peel does not empty: a singular one, or a
+    certified one that leaves a core."""
+    nonzeros = generator_nonzeros(pattern.tilde[None], pattern.supports[None])
+    return peel_inverses(pattern.block_len, *nonzeros)
 
 
 def pattern_from_rows(config: SchemeConfig, tilde, rows_by_pair: dict) -> PatternMatrix:
@@ -376,7 +373,9 @@ def check_pair_dims(K: int, dims: dict[tuple[int, int], tuple[int, int]]) -> Non
 # ---------------------------------------------------------------------------
 # whole schemes
 
-# largest one-pattern generator stack (K m^2 entries, K = 48) build_scheme takes
+# largest K m^2 build_scheme takes (K = 48): the entries of one draw's K
+# combined m x m blocks, which `verify --exact` gathers in a draw whose
+# proof leaves every receiver open
 MAX_GENERATOR_ENTRIES = 1 << 26
 
 
@@ -416,14 +415,14 @@ class Scheme:
 
 
 def _sized_config(users: int) -> SchemeConfig:
-    """make_config(users), refused with ValueError when its one-pattern
-    generator stack, K m^2 entries, exceeds MAX_GENERATOR_ENTRIES (K >= 49):
-    checked before anything is built."""
+    """make_config(users), refused with ValueError when K m^2, the entries
+    of one draw's K combined blocks, exceeds MAX_GENERATOR_ENTRIES
+    (K >= 49): checked before anything is built."""
     config = make_config(users)
     entries = users * config.block_len ** 2
     if entries > MAX_GENERATOR_ENTRIES:
-        raise ValueError("users K=%d is too large: its generator stack needs K*m^2 = %d "
-                         "entries, more than 2^26 (K <= 48)" % (users, entries))
+        raise ValueError("users K=%d is too large: one draw's K combined blocks hold "
+                         "K*m^2 = %d entries, more than 2^26 (K <= 48)" % (users, entries))
     return config
 
 
@@ -432,9 +431,9 @@ def build_scheme(
     pair_dims: dict[tuple[int, int], tuple[int, int]] | None = None,
 ) -> Scheme:
     """The K-user scheme of star_pattern_matrix, which certifies every
-    receiver for every K >= 3 whose one-pattern generator stack, K m^2
-    entries, fits MAX_GENERATOR_ENTRIES (K <= 48); a larger K raises
-    ValueError before anything is built."""
+    receiver for every K >= 3 whose K m^2, the entries of one draw's K
+    combined blocks, fits MAX_GENERATOR_ENTRIES (K <= 48); a larger K
+    raises ValueError before anything is built."""
     return Scheme(star_pattern_matrix(_sized_config(users)), pair_dims)
 
 
@@ -466,8 +465,8 @@ def scheme_from_json(text: str) -> Scheme:
     list of K entries, or ValueError names the 1-indexed row. K, users,
     dims, rows and every "tilde" entry must be JSON integers: a float, a
     string or a boolean raises ValueError too, naming the pair or the
-    1-indexed row and column. A K whose generator stack build_scheme would
-    refuse is refused here too, before anything is built.
+    1-indexed row and column. A K that build_scheme would refuse is refused
+    here too, before anything is built.
     """
     doc = json.loads(text)
     if not isinstance(doc, dict):

@@ -58,7 +58,7 @@ from .dof import achieved
 from .errors import UnverifiableDrawError
 from .exactrank import chunks
 from .formats import is_int, render_csv, render_json
-from .scheme import Scheme, generator_stack, own_pair_columns
+from .scheme import Scheme, generator_nonzeros, own_pair_columns
 from .verify import ReceiverDecomposition, _abs2, _proven, own_pair_dets
 
 
@@ -108,25 +108,29 @@ def zf_weights(scheme: Scheme) -> np.ndarray:
     diagonal over the two modes (as in star_pattern_matrix). l and u are
     then rows of different blocks, with disjoint supports.
 
-    G_j is the generator matrix the certificate decides
-    (scheme.generator_stack), its own-pair columns located by
-    scheme.own_pair_columns. The 2(K-1) rows come from one batched float
-    solve of G_j^T per `exactrank.chunks` chunk of receivers, at most
-    `exactrank.BATCH_ELEMENTS` generator entries each.
+    G_j is the generator matrix the certificate decides, its nonzeros
+    (scheme.generator_nonzeros) scattered into a float matrix, its
+    own-pair columns located by scheme.own_pair_columns. The 2(K-1) rows
+    come from one batched float solve of G_j^T per `exactrank.chunks`
+    chunk of receivers, at most `exactrank.BATCH_ELEMENTS` entries of G_j
+    each.
     """
     K, m = scheme.config.users, scheme.config.block_len
     low, high = own_pair_columns(K)
     rx = np.flatnonzero(scheme.certified_receivers)
-    gen = generator_stack(scheme.pattern.tilde[None], scheme.pattern.supports[None])[0]
+    _, r, c = generator_nonzeros(scheme.pattern.tilde[None], scheme.pattern.supports[None])
+    r, c = r.reshape(K, -1), c.reshape(K, -1)  # one pattern: K equal counts
     halves = np.arange(K - 1)
     weights = np.zeros((K, K - 1, 3))  # [j, n]: j's pair with its n-th partner
     for chunk in chunks(rx.size, m * m):
         j = rx[chunk.start:chunk.stop]
         n = np.arange(j.size)[:, None]
+        gen_t = np.zeros((j.size, m, m))  # G_j^T
+        gen_t[n, c[j], r[j]] = 1.0
         picks = np.zeros((j.size, m, 2 * (K - 1)))
         picks[n, low[j], halves] = 1.0
         picks[n, high[j], K - 1 + halves] = 1.0
-        rows = np.linalg.solve(gen[j].transpose(0, 2, 1).astype(float), picks)
+        rows = np.linalg.solve(gen_t, picks)
         lo, up = rows[..., :K - 1], rows[..., K - 1:]
         weights[j] = np.stack(
             [np.sum(lo * lo, axis=1), np.sum(up * up, axis=1), np.sum(lo * up, axis=1)],

@@ -54,11 +54,12 @@ product G_j X = I, with the draw's own D_j. The two modes:
 
 - float: Gaussian draws, fast, the package's numerical check of the
   certificate. Its ranks are those of `stack_ranks`, one batched SVD cut
-  at max(shape) * eps * sigma_max (`rank_of` is its one-matrix view, used
-  for the blocks of a short A_j). The rule agrees with ranking every
-  block: a column subset D of A has sigma_min(D) >= sigma_min(A) and
-  sigma_max(D) <= sigma_max(A), so whenever the cut lies below
-  sigma_min(A) it lies below sigma_min(D) too. Like exact mode it decides,
+  at max(shape) * eps * sigma_max (`rank_of` is its one-matrix view; the
+  two blocks of every short A_j are ranked in stacks too). The rule
+  agrees with ranking every block: a column subset D of A has
+  sigma_min(D) >= sigma_min(A) and sigma_max(D) <= sigma_max(A), so
+  whenever the cut lies below sigma_min(A) it lies below sigma_min(D)
+  too. Like exact mode it decides,
   then gathers. `float_bound` reads the scheme once a run: the exact
   inverse of every certified G_j that the singleton peel empties
   (`scheme.generator_inverses`; every built G_j has one, with
@@ -282,27 +283,30 @@ class ReceiverCheck:
     passed: bool
 
 
-def _receiver_checks(blocks, rank_combined, rank, first_draw: int) -> list[ReceiverCheck]:
+def _receiver_checks(blocks, rank_combined, ranks, first_draw: int) -> list[ReceiverCheck]:
     """The one rank rule, over the square combined blocks of a chunk of draws.
 
     rank_combined (T, K) holds the rank of every combined block; blocks, a
     dict keyed by (t, j), holds A_j of draw t where that rank is short. A
-    full one proves the expected ranks; otherwise `rank` ranks the desired
-    and interference column blocks. Draw t is numbered first_draw + t.
+    full one proves the expected ranks; otherwise `ranks` ranks the desired
+    and the interference column blocks, each stacked over the short A_j in
+    `exactrank.chunks` of blocks. Draw t is numbered first_draw + t.
     """
-    rows = np.asarray(rank_combined).tolist()
-    K = len(rows[0])
+    rank_combined = np.asarray(rank_combined)
+    K = rank_combined.shape[1]
     full = expected_ranks(make_config(K))
     m = full[2]
+    short = list(map(tuple, np.argwhere(rank_combined < m).tolist()))
+    sub = {}
+    for part in chunks(len(short), m * m):
+        keys = short[part.start:part.stop]
+        a = np.stack([blocks[key] for key in keys])
+        sub.update(zip(keys, zip(ranks(a[..., :K - 1]).tolist(), ranks(a[..., K - 1:]).tolist())))
     out = []
-    for t, row in enumerate(rows):
+    for t, row in enumerate(rank_combined.tolist()):
         for j, rc in enumerate(row):
-            if rc == m:
-                ranks = full
-            else:
-                a = blocks[t, j]
-                ranks = (rank(a[:, :K - 1]), rank(a[:, K - 1:]), rc)
-            out.append(ReceiverCheck(first_draw + t, j + 1, *ranks, passed=ranks == full))
+            checked = full if rc == m else sub[t, j] + (rc,)
+            out.append(ReceiverCheck(first_draw + t, j + 1, *checked, passed=checked == full))
     return out
 
 
@@ -331,12 +335,9 @@ def float_bound(scheme: Scheme) -> FloatBound:
     (the pairs' owners as `receiver_layout` picks them)."""
     pattern = scheme.pattern
     K, m = pattern.users, pattern.block_len
-    certified = np.flatnonzero(scheme.certified_receivers)
-    index, values, ok = generator_inverses(pattern, certified)
-    squares = np.bincount(index // (m * m), weights=values.astype(float) ** 2,
-                          minlength=certified.size)
-    inverse2 = np.full(K, np.inf)
-    inverse2[certified[ok]] = squares[ok]
+    index, values, ok = generator_inverses(pattern)
+    squares = np.bincount(index // (m * m), weights=values.astype(float) ** 2, minlength=K)
+    inverse2 = np.where(ok, squares, np.inf)
     a, b = np.array(list(itertools.combinations(range(K), 2))).T
     rx = np.arange(K)[:, None]
     src = np.where(a == rx, b, a)
@@ -410,7 +411,7 @@ def _float_checks(scheme: Scheme, bound: FloatBound, coeffs: np.ndarray,
             rank_combined[t, j] = ranks
             for i in np.flatnonzero(ranks < m).tolist():
                 blocks[int(t[i]), j] = a[i]
-    return _receiver_checks(blocks, rank_combined, rank_of, first_draw)
+    return _receiver_checks(blocks, rank_combined, stack_ranks, first_draw)
 
 
 def verify_decodability(ch: ChannelSet, scheme: Scheme, draw: int = 0) -> list[ReceiverCheck]:
@@ -436,9 +437,11 @@ def _exact_channel_ints(K: int, rng: np.random.Generator) -> np.ndarray:
         coeffs[dead] = rng.integers(-999, 1000, size=(int(dead.sum()), 2))
 
 
-def _exact_rank(block: np.ndarray) -> int:
-    """gaussian_rank of a complex block with exact Gaussian-integer entries."""
-    return gaussian_rank(np.stack([block.real, block.imag], axis=-1).astype(np.int64).tolist())
+def _exact_ranks(stack: np.ndarray) -> np.ndarray:
+    """gaussian_rank of every complex block of a stack with exact
+    Gaussian-integer entries, one block at a time."""
+    parts = np.stack([stack.real, stack.imag], axis=-1).astype(np.int64)
+    return np.array([gaussian_rank(block.tolist()) for block in parts], dtype=np.int64)
 
 
 def own_pair_dets(coeffs: np.ndarray) -> np.ndarray:
@@ -477,10 +480,10 @@ def _exact_checks(scheme: Scheme, seeds, first_draw: int) -> list[ReceiverCheck]
     todo = [(t, np.flatnonzero(~row).tolist()) for t, row in enumerate(proven) if not row.all()]
     layout = receiver_layout(scheme) if todo else None
     for t, rx in todo:
-        for j, a in zip(rx, layout.blocks(coeffs[t, None], rx)[0]):
-            blocks[t, j] = a
-            rank_combined[t, j] = _exact_rank(a)
-    return _receiver_checks(blocks, rank_combined, _exact_rank, first_draw)
+        a = layout.blocks(coeffs[t, None], rx)[0]
+        rank_combined[t, rx] = _exact_ranks(a)
+        blocks.update(((t, j), b) for j, b in zip(rx, a))
+    return _receiver_checks(blocks, rank_combined, _exact_ranks, first_draw)
 
 
 def verify_decodability_exact(scheme: Scheme, seed=0, draw: int = 0) -> list[ReceiverCheck]:

@@ -46,31 +46,46 @@ def test_stacked_scan_matches_per_candidate_certificates(K):
     assert scan_module().scan(K) == (len(results), full, best)
 
 
+def largest_support(K):
+    """The largest pair-product nonzero count of any scan candidate."""
+    vocab = np.array(row_vocabulary(K))
+    return max(sum(int(pair_product(tilde, a, b).sum()) for a, b in itertools.combinations(range(K), 2))
+               for tilde in (np.delete(vocab, omit, axis=0)
+                             for omit in itertools.combinations(range(len(vocab)), 2)))
+
+
+def counting_nonsingular(monkeypatch):
+    """The (matrices, nonzeros) of every certificate call."""
+    sizes = []
+
+    def counted(n, counts, rows, cols):
+        sizes.append((len(counts), rows.size))
+        return nonsingular(n, counts, rows, cols)
+    monkeypatch.setattr(biakit.scheme, "nonsingular", counted)
+    return sizes
+
+
 @pytest.mark.parametrize("K", range(3, 7))
 def test_scan_certifies_a_chunk_of_candidates_per_call(monkeypatch, K):
-    shapes = []
-
-    def counted(stack):
-        shapes.append(stack.shape)
-        return nonsingular(stack)
-    monkeypatch.setattr(biakit.scheme, "nonsingular", counted)
+    """Chunks hold at most BATCH_ELEMENTS nonzeros at K times the largest
+    support count a candidate, or one candidate."""
+    sizes = counting_nonsingular(monkeypatch)
     candidates = scan_module().scan(K)[0]
-    m = make_config(K).block_len
-    per_chunk = BATCH_ELEMENTS // (K * m * m)
-    assert len(shapes) == math.ceil(candidates / per_chunk)
-    assert sum(shape[0] for shape in shapes) == candidates * K
-    assert max(math.prod(shape) for shape in shapes) <= BATCH_ELEMENTS
+    per_chunk = max(1, BATCH_ELEMENTS // (K * largest_support(K)))
+    assert [matrices for matrices, _ in sizes] == [
+        K * min(per_chunk, candidates - lo) for lo in range(0, candidates, per_chunk)]
+    assert all(nnz <= BATCH_ELEMENTS or matrices == K for matrices, nnz in sizes)
 
 
-@pytest.mark.parametrize("K", range(3, 7))
+@pytest.mark.parametrize("K", range(3, 8))
 def test_scan_runs_bareiss_at_most_once_per_certificate_call(monkeypatch, K):
     """The peel decides every G_j of every candidate, or leaves one 3 x 3
     core (det -1); equal cores share one verdict within a call."""
     per_call, ranked = [], []
 
-    def counted(stack):
+    def counted(*nonzeros):
         before = len(ranked)
-        out = nonsingular(stack)
+        out = nonsingular(*nonzeros)
         per_call.append(len(ranked) - before)
         return out
 
@@ -87,19 +102,13 @@ def test_scan_runs_bareiss_at_most_once_per_certificate_call(monkeypatch, K):
 @pytest.mark.parametrize("K", [3, 4])
 def test_pair_product_search_is_the_stacked_scan(monkeypatch, K):
     """make_pattern_matrix certifies every candidate in the scan's stacked
-    calls (one chunk at K = 3, two at K = 4), then the returned pattern
+    calls (one chunk at K = 3 and at K = 4), then the returned pattern
     certifies itself once."""
-    shapes = []
-
-    def counted(stack):
-        shapes.append(stack.shape)
-        return nonsingular(stack)
-    monkeypatch.setattr(biakit.scheme, "nonsingular", counted)
+    sizes = counting_nonsingular(monkeypatch)
     make_pattern_matrix(make_config(K))
-    m = make_config(K).block_len
     candidates = math.comb(len(row_vocabulary(K)), 2)
-    expect = [len(chunk) * K for chunk in chunks(candidates, K * m * m)] + [K]
-    assert [shape[0] for shape in shapes] == expect
+    expect = [len(chunk) * K for chunk in chunks(candidates, K * largest_support(K))] + [K]
+    assert [matrices for matrices, _ in sizes] == expect == [candidates * K, K]
 
 
 def test_script_exports_the_designspace_scan():

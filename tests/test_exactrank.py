@@ -69,26 +69,38 @@ def test_gaussian_rank_detects_complex_dependence():
     assert gaussian_rank(rows) == 1
 
 
+def nonzeros(stack):
+    """(counts, rows, cols) of a dense stack of 0/1 matrices: the nonzeros
+    of every matrix, matrix after matrix and by row within each."""
+    item, rows, cols = np.nonzero(stack)
+    return np.bincount(item, minlength=len(stack)), rows, cols
+
+
+def decided(stack):
+    """nonsingular of a dense stack of 0/1 matrices, by its nonzeros."""
+    stack = np.asarray(stack)
+    return nonsingular(stack.shape[-1], *nonzeros(stack)).tolist()
+
+
+def det_nonzero(stack):
+    return [sympy.Matrix(a.tolist()).det() != 0 for a in stack]
+
+
 @st.composite
 def square_stacks(draw):
-    """Stacks of n x n integer matrices, 0/1 or small signed, about half of
-    them singular by construction: one column an integer combination of
-    the others (for 0/1 matrices a copy of another column, or zero)."""
+    """Stacks of n x n 0/1 matrices, nonzero counts differing from matrix to
+    matrix, about half of them singular by construction: one column a copy
+    of another column, or zero."""
     n = draw(st.integers(1, 6))
-    binary = draw(st.booleans())
-    lo, hi = (0, 1) if binary else (-9, 9)
     mats = []
     for _ in range(draw(st.integers(1, 4))):
-        a = np.array(draw(st.lists(st.integers(lo, hi), min_size=n * n, max_size=n * n)),
+        a = np.array(draw(st.lists(st.integers(0, 1), min_size=n * n, max_size=n * n)),
                      dtype=np.int64).reshape(n, n)
         if draw(st.booleans()):
             c = draw(st.integers(0, n - 1))
-            if binary:
-                coef = [0] * (n - 1)
-                if n > 1:
-                    coef[draw(st.integers(0, n - 2))] = draw(st.integers(0, 1))
-            else:
-                coef = draw(st.lists(st.integers(-2, 2), min_size=n - 1, max_size=n - 1))
+            coef = [0] * (n - 1)
+            if n > 1:
+                coef[draw(st.integers(0, n - 2))] = draw(st.integers(0, 1))
             a[:, c] = np.delete(a, c, axis=1) @ np.array(coef, dtype=np.int64)
         mats.append(a)
     return np.stack(mats)
@@ -97,19 +109,19 @@ def square_stacks(draw):
 @settings(max_examples=200, deadline=None)
 @given(square_stacks())
 def test_nonsingular_matches_oracle(stack):
-    assert list(nonsingular(stack)) == [sympy.Matrix(a.tolist()).det() != 0 for a in stack]
+    assert decided(stack) == det_nonzero(stack)
 
 
 @st.composite
 def peelable_stacks(draw):
-    """Stacks of sparse, signed n x n matrices that the singleton peel acts
-    on: a lower-triangular block over a dense core of random size,
+    """Stacks of sparse n x n 0/1 matrices that the singleton peel acts on:
+    a lower-triangular block over a dense core of random size,
     [[T, 0], [X, core]], with rows and columns permuted. Some get a zero
     row or column, or two singleton rows (columns) in one column (row).
     Core sizes differ across the stack. Some matrices are permuted copies
     of earlier ones, so equal cores repeat within one call."""
     n = draw(st.integers(1, 7))
-    entries = st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3]), min_size=n * n, max_size=n * n)
+    entries = st.lists(st.sampled_from([0, 0, 1]), min_size=n * n, max_size=n * n)
     mats = []
     for _ in range(draw(st.integers(1, 5))):
         if mats and draw(st.booleans()):
@@ -129,7 +141,7 @@ def peelable_stacks(draw):
         elif edit in ("rows", "columns") and i != j:
             b = a if edit == "rows" else a.T  # a view: edits land in a
             b[[i, j]] = 0
-            b[i, c], b[j, c] = draw(st.sampled_from([1, -2])), draw(st.sampled_from([-1, 3]))
+            b[i, c] = b[j, c] = 1
         a = a[draw(st.permutations(range(n)))][:, draw(st.permutations(range(n)))]
         mats.append(a)
     return np.stack(mats)
@@ -138,7 +150,40 @@ def peelable_stacks(draw):
 @settings(max_examples=300, deadline=None)
 @given(peelable_stacks())
 def test_peeled_nonsingular_matches_oracle(stack):
-    assert list(nonsingular(stack)) == [sympy.Matrix(a.tolist()).det() != 0 for a in stack]
+    assert decided(stack) == det_nonzero(stack)
+
+
+def test_one_call_holds_matrices_of_different_nonzero_counts():
+    """The identity (4 nonzeros), a full unit triangle (10), a 3 x 3 core
+    behind one unit row (7), two equal columns (11) and a matrix with two
+    singleton rows in one column (4), in one call."""
+    eye = np.eye(4, dtype=np.int64)
+    core = eye.copy()
+    core[:3, :3] = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
+    twins = np.tril(np.ones((4, 4), dtype=np.int64))
+    twins[:, 1] = twins[:, 0]
+    met = eye.copy()
+    met[1] = [1, 0, 0, 0]
+    stack = np.stack([eye, np.tril(np.ones((4, 4), dtype=np.int64)), core, twins, met])
+    assert nonzeros(stack)[0].tolist() == [4, 10, 7, 11, 4]
+    assert decided(stack) == det_nonzero(stack) == [True, True, True, False, False]
+    index, values, ok = peel_inverses(4, *nonzeros(stack))
+    assert ok.tolist() == [True, True, False, False, False]
+    x = dense(index, values, 5, 4)
+    assert all((stack[i] @ x[i] == eye).all() for i in (0, 1))
+
+
+def test_all_zero_matrices_are_singular():
+    """A matrix with no nonzeros has count 0, also first, between others
+    and last; it is singular and has no inverse."""
+    eye = np.eye(3, dtype=np.int64)
+    zero = np.zeros((3, 3), dtype=np.int64)
+    stack = np.stack([zero, eye, zero, eye, zero, zero])
+    assert nonzeros(stack)[0].tolist() == [0, 3, 0, 3, 0, 0]
+    assert decided(stack) == [False, True, False, True, False, False]
+    assert peel_inverses(3, *nonzeros(stack))[2].tolist() == [False, True, False, True, False, False]
+    assert decided(np.zeros((2, 3, 3), dtype=np.int64)) == [False, False]
+    assert peel_inverses(3, *nonzeros(np.zeros((2, 3, 3))))[2].tolist() == [False, False]
 
 
 def _counting_integer_rank(monkeypatch):
@@ -155,24 +200,25 @@ def test_peel_decides_without_elimination_and_pads_the_cores(monkeypatch):
     calls = _counting_integer_rank(monkeypatch)
     rng = np.random.default_rng(1)
     perm = rng.permutation(6)
-    triangular = np.tril(rng.integers(1, 4, size=(6, 6)))[perm][:, perm[::-1]]
+    lower = np.tril(rng.integers(0, 2, size=(6, 6)), -1) + np.eye(6, dtype=np.int64)
+    triangular = lower[perm][:, perm[::-1]]
     rows = np.eye(6, dtype=np.int64)
-    rows[4] = 2 * rows[3]          # two singleton rows in column 3
+    rows[4] = rows[3]               # two singleton rows in column 3
     columns = rows.T.copy()         # two singleton columns in row 3
     zero_row = np.ones((6, 6), dtype=np.int64)
     zero_row[2] = 0
-    assert list(nonsingular(np.stack([triangular, rows, columns, zero_row, zero_row.T]))) \
+    assert decided([triangular, rows, columns, zero_row, zero_row.T]) \
         == [True, False, False, False, False]
     assert calls == []
     # a 2 x 2 and a 3 x 3 core behind unit rows each go to Bareiss once,
     # unpadded
     core2 = np.eye(6, dtype=np.int64)[[0, 1, 3, 2, 5, 4]]
-    core2[:2, :2] = [[1, 2], [3, 4]]
+    core2[:2, :2] = [[1, 1], [1, 1]]
     core3 = np.eye(6, dtype=np.int64)
-    core3[:3, :3] = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
+    core3[:3, :3] = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
     core3[5, 0] = 1                # row 5 is no singleton, but column 5 is
-    assert list(nonsingular(np.stack([core2, core3]))) == [True, False]
-    assert calls == [[[1, 2], [3, 4]], [[1, 2, 3], [4, 5, 6], [7, 8, 9]]]
+    assert decided([core2, core3]) == [False, True]
+    assert calls == [[[1, 1], [1, 1]], [[1, 1, 0], [0, 1, 1], [1, 0, 1]]]
 
 
 def test_singular_binary_matrices_are_proven_without_elimination_over_q(monkeypatch):
@@ -180,50 +226,33 @@ def test_singular_binary_matrices_are_proven_without_elimination_over_q(monkeypa
     a = np.triu(np.ones((30, 30), dtype=np.int64))
     singular = a.copy()
     singular[:, 7] = singular[:, 3]
-    assert list(nonsingular(np.stack([a, singular, np.zeros_like(a)]))) == [True, False, False]
+    assert decided([a, singular, np.zeros_like(a)]) == [True, False, False]
     assert calls == []
 
 
-def test_past_the_prime_table_falls_back_to_integer_rank(monkeypatch):
-    calls = _counting_integer_rank(monkeypatch)
+def test_past_the_prime_table_falls_back_to_integer_rank():
+    """integer_rank is exact at any entry size: on 8 x 8 matrices with
+    entries up to 2^58, two of them with a column an integer combination
+    of others, it agrees with sympy."""
     rng = np.random.default_rng(0)
     stack = rng.integers(-2 ** 58, 2 ** 58, size=(3, 8, 8))
     stack[1][:, 0] = stack[1][:, 1] - stack[1][:, 2]
     stack[2][:, 5] = 3 * stack[2][:, 4]
-    assert list(nonsingular(stack)) == [integer_rank(a.tolist()) == 8 for a in stack]
-    assert list(nonsingular(stack)) == [True, False, False]
-    # the peel leaves three distinct dense cores, exact at any entry size:
-    # one Bareiss call each, in each of the two calls
-    assert len(calls) == 6
+    ranks = [integer_rank(a.tolist()) for a in stack]
+    assert ranks == [sympy.Matrix(a.tolist()).rank() for a in stack] == [8, 7, 7]
 
 
 @pytest.mark.parametrize("core, expect", [
-    ([[2147483630, 1], [1, 1]], True),  # det = 2147483629, a prime
-    ([[2, 4], [1, 2]], False),
+    ([[1, 1, 0], [0, 1, 1], [1, 0, 1]], True),  # det = 2
+    ([[1, 1], [1, 1]], False),
 ], ids=["det-is-the-prime", "singular"])
 def test_cores_the_prime_does_not_prove_go_to_integer_rank(monkeypatch, core, expect):
     calls = _counting_integer_rank(monkeypatch)
     assert (sympy.Matrix(core).det() != 0) == expect
-    assert list(nonsingular(np.array([core], dtype=np.int64))) == [expect]
-    # the peel leaves the dense core whole: one Bareiss call decides it
+    assert decided([core]) == [expect]
+    # no line of the core is a singleton, so the peel leaves it whole: one
+    # Bareiss call decides it
     assert calls == [core]
-
-
-def test_nonsingular_rejects_bad_stacks():
-    with pytest.raises(ValueError):
-        nonsingular(np.zeros((2, 3, 4), dtype=np.int64))
-    with pytest.raises(TypeError):
-        nonsingular(np.zeros((1, 2, 2)))
-    # nonsingular, but cast to integers its real part is not
-    with pytest.raises(TypeError, match="integer stack"):
-        nonsingular(np.array([[[1 + 1j, 0], [0, 1j]]]))
-
-
-def nonzeros(stack):
-    """(rows, cols), (N, nnz) each and sorted by row, of a stack of 0/1
-    matrices with one nonzero count."""
-    item, rows, cols = np.nonzero(stack)
-    return rows.reshape(len(stack), -1), cols.reshape(len(stack), -1)
 
 
 def dense(index, values, count, n):
@@ -252,34 +281,44 @@ def test_peel_inverses_of_permuted_unit_triangular_matrices(case):
     st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=n, max_size=n)))
 def test_peel_inverses_prove_only_true_inverses(rows):
     """On any 0/1 matrix, ok means G X = I exactly, and ok holds wherever
-    the singleton peel of `nonsingular` empties the matrix."""
+    removing one singleton line at a time (a row or column with exactly one
+    nonzero, with that nonzero's column or row) empties the matrix."""
     g = np.array(rows, dtype=np.int64)
     n = len(g)
-    r, c = np.nonzero(g)
-    index, values, ok = peel_inverses(n, r[None], c[None])
+    index, values, ok = peel_inverses(n, *nonzeros(g[None]))
     if ok[0]:
         assert (g @ dense(index, values, 1, n)[0] == np.eye(n, dtype=np.int64)).all()
-    singular, live, _ = biakit.exactrank._peel(g[None] != 0)
-    assert ok[0] == (not singular[0] and not live[0].any())
+    live_r, live_c = np.ones(n, dtype=bool), np.ones(n, dtype=bool)
+    while live_r.any():
+        live = g * live_r[:, None] * live_c
+        r = np.flatnonzero(live_r & (live.sum(axis=1) == 1))
+        c = np.flatnonzero(live_c & (live.sum(axis=0) == 1))
+        if r.size:
+            live_c[np.flatnonzero(live[r[0]])[0]] = live_r[r[0]] = False
+        elif c.size:
+            live_r[np.flatnonzero(live[:, c[0]])[0]] = live_c[c[0]] = False
+        else:
+            break
+    assert ok[0] == (not live_r.any())
 
 
 def test_is_inverse_rejects_one_wrong_entry():
     """A flipped, a dropped or an added entry each breaks G X = I, and only
     for the matrix it is in."""
     g = np.array([[[1, 0, 0], [1, 1, 0], [0, 1, 1]], [[0, 1, 0], [1, 0, 0], [1, 1, 1]]])
-    rows, cols = nonzeros(g)
-    index, values, ok = peel_inverses(3, rows, cols)
+    nz = nonzeros(g)
+    index, values, ok = peel_inverses(3, *nz)
     assert ok.tolist() == [True, True]
     x = dense(index, values, 2, 3)
     assert (np.linalg.inv(g).round() == x).all()
     first = index < 9
     flipped = values.copy()
     flipped[0] = -flipped[0]
-    assert is_inverse(3, rows, cols, index, flipped).tolist() == [False, True]
-    assert is_inverse(3, rows, cols, index[1:], values[1:]).tolist() == [False, True]
+    assert is_inverse(3, *nz, index, flipped).tolist() == [False, True]
+    assert is_inverse(3, *nz, index[1:], values[1:]).tolist() == [False, True]
     extra = 9 + np.flatnonzero(x[1].ravel() == 0)[0]
-    assert is_inverse(3, rows, cols, np.append(index, extra), np.append(values, 1)).tolist() == [True, False]
-    assert is_inverse(3, rows, cols, index[first], values[first]).tolist() == [True, False]
+    assert is_inverse(3, *nz, np.append(index, extra), np.append(values, 1)).tolist() == [True, False]
+    assert is_inverse(3, *nz, index[first], values[first]).tolist() == [True, False]
 
 
 def test_is_inverse_refuses_entries_past_its_bound():

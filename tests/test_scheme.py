@@ -2,6 +2,7 @@
 import itertools
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from biakit.scheme import (
     default_pair_dims,
     generator_inverses,
     generator_nonzeros,
-    generator_stack,
     make_config,
     own_pair_columns,
     pair_dims_from_json,
@@ -457,6 +457,19 @@ def test_build_scheme_refuses_oversized_generator_stacks(monkeypatch):
     assert size[0] <= MAX_GENERATOR_ENTRIES < size[1]
 
 
+def test_build_scheme_48_allocates_no_dense_generator_stack():
+    """The certificate reads G_j by its nonzeros: building the largest scheme
+    peaks under 40 MiB of traced allocations, where a dense K m^2 int8 stack
+    of its G_j alone would take 63 MiB."""
+    tracemalloc.start()
+    try:
+        bk.build_scheme(48)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2 ** 20
+
+
 def test_scheme_from_json_refuses_oversized_generator_stacks(monkeypatch):
     """A document's K meets build_scheme's bound before anything is built."""
     def unreached(*args):
@@ -494,6 +507,32 @@ def _integer_rank_certificate(tilde, supports):
     return tuple(integer_rank(g.tolist()) == m for g in _generator_matrices(tilde, supports))
 
 
+def _generator_layout(tilde, supports):
+    """_generator_matrices, columns moved to own_pair_columns' order: pair
+    c's vector or mode-1 half at column c, the mode-2 half of j's pair
+    with its n-th partner at column C(K,2) + n."""
+    K = tilde.shape[1]
+    pairs = list(itertools.combinations(range(K), 2))
+    out = []
+    for j, g in enumerate(_generator_matrices(tilde, supports)):
+        own = [c for c, pair in enumerate(pairs) if j in pair]
+        dest = [d for c in range(len(pairs))
+                for d in ((c, len(pairs) + own.index(c)) if c in own else (c,))]
+        layout = np.empty_like(g)
+        layout[:, dest] = g
+        out.append(layout)
+    return np.stack(out)
+
+
+def scattered_generators(tilde, supports):
+    """generator_nonzeros of a stack as dense (P K, m, m) 0/1 matrices."""
+    counts, rows, cols = generator_nonzeros(tilde, supports)
+    m = tilde.shape[1]
+    g = np.zeros((len(counts), m, m), dtype=np.int64)
+    g[np.repeat(np.arange(len(counts)), counts), rows, cols] = 1
+    return g
+
+
 @pytest.mark.parametrize("K", [3, 4, 6])
 def test_own_pair_columns_locate_the_halves_of_every_generator_matrix(K):
     """G_j holds pair c's vector at column c, except that column low[j, n]
@@ -501,7 +540,7 @@ def test_own_pair_columns_locate_the_halves_of_every_generator_matrix(K):
     high[j, n] the mode-2 half."""
     pattern = bk.build_scheme(K).pattern
     low, high = own_pair_columns(K)
-    gen = generator_stack(pattern.tilde[None], pattern.supports[None])[0]
+    gen = scattered_generators(pattern.tilde[None], pattern.supports[None])
     pairs = list(itertools.combinations(range(K), 2))
     for j in range(K):
         t = pattern.tilde[:, j]
@@ -731,25 +770,28 @@ def test_pair_products_are_computed_once_per_pattern(monkeypatch):
     assert calls == [(20, 6)]
 
 
-def dense_inverses(pattern, rx):
-    """generator_inverses of receivers rx as dense (len(rx), m, m) arrays,
-    with their ok flags."""
+def dense_inverses(pattern):
+    """generator_inverses as dense (K, m, m) arrays, with their ok flags."""
     m = pattern.block_len
-    index, values, ok = generator_inverses(pattern, np.asarray(rx))
-    x = np.zeros(len(rx) * m * m, dtype=np.int64)
+    index, values, ok = generator_inverses(pattern)
+    x = np.zeros(pattern.users * m * m, dtype=np.int64)
     x[index] = values
-    return x.reshape(len(rx), m, m), ok
+    return x.reshape(pattern.users, m, m), ok
 
 
 @pytest.mark.parametrize("K", [3, 5, 8])
-def test_generator_nonzeros_are_the_generator_stack(K):
+def test_generator_nonzeros_are_the_generator_matrices(K):
+    """In one call on the star supports and on the pair products of the
+    same rows, whose nonzero counts differ, every G_j is the one built
+    column by column, counted once per support entry."""
     pattern = bk.build_scheme(K).pattern
-    m = pattern.block_len
-    rows, cols = generator_nonzeros(pattern, np.arange(K))
-    g = np.zeros((K, m, m), dtype=np.int8)
-    g[np.arange(K)[:, None], rows, cols] = 1
-    assert np.array_equal(g, generator_stack(pattern.tilde[None], pattern.supports[None])[0])
-    assert rows.shape[1] == int(pattern.supports.sum())
+    tilde = np.stack([pattern.tilde] * 2)
+    supports = np.stack([pattern.supports, product_matrix(pattern.tilde)])
+    counts = generator_nonzeros(tilde, supports)[0]
+    assert counts.tolist() == [int(pattern.supports.sum())] * K + [int(supports[1].sum())] * K
+    assert counts[0] != counts[K]
+    expect = np.concatenate([_generator_layout(t, v) for t, v in zip(tilde, supports)])
+    assert np.array_equal(scattered_generators(tilde, supports), expect)
 
 
 @pytest.mark.parametrize("K", range(3, 21))
@@ -758,7 +800,7 @@ def test_star_generator_inverses_are_exact_and_as_sparse_as_g(K):
     and ||G_j^-1||_F^2 = nnz(G_j)."""
     pattern = bk.build_scheme(K).pattern
     m = pattern.block_len
-    index, values, ok = generator_inverses(pattern, np.arange(K))
+    index, values, ok = generator_inverses(pattern)
     assert ok.all()
     assert set(np.abs(values).tolist()) == {1}
     nnz = int(pattern.supports.sum())
@@ -768,9 +810,9 @@ def test_star_generator_inverses_are_exact_and_as_sparse_as_g(K):
 @pytest.mark.parametrize("K", [4, 5, 6])
 def test_star_generator_inverses_match_sympy(K):
     pattern = bk.build_scheme(K).pattern
-    x, ok = dense_inverses(pattern, range(K))
+    x, ok = dense_inverses(pattern)
     assert ok.all()
-    for g, xj in zip(generator_stack(pattern.tilde[None], pattern.supports[None])[0], x):
+    for g, xj in zip(_generator_layout(pattern.tilde, pattern.supports), x):
         assert sympy.Matrix(g.tolist()).inv() == sympy.Matrix(xj.tolist())
 
 
@@ -784,11 +826,12 @@ def test_generator_inverses_need_a_peel_to_nothing(golden_scheme4, fallback_sche
     cases += [(make_pattern_matrix(make_config(K)), expect)
               for K, expect in ((3, [False, True, True]), (4, [False] * 4))]
     for pattern, expect in cases:
-        ok = generator_inverses(pattern, np.arange(pattern.users))[2]
+        x, ok = dense_inverses(pattern)
         assert ok.tolist() == expect
-        singular, live, _ = biakit.exactrank._peel(
-            generator_stack(pattern.tilde[None], pattern.supports[None])[0] != 0)
-        assert ok.tolist() == (~singular & ~live.any(axis=1)).tolist()
+        m = pattern.block_len
+        for g, xj in zip(_generator_layout(pattern.tilde, pattern.supports)[ok], x[ok]):
+            assert (g @ xj == np.eye(m, dtype=np.int64)).all()
+        assert np.array(pattern.certified_receivers)[ok].all()
 
 
 @settings(max_examples=25, deadline=None)
@@ -796,8 +839,8 @@ def test_generator_inverses_need_a_peel_to_nothing(golden_scheme4, fallback_sche
 def test_generator_inverses_on_widened_supports(scheme):
     pattern = scheme.pattern
     K = pattern.users
-    x, ok = dense_inverses(pattern, range(K))
-    gen = generator_stack(pattern.tilde[None], pattern.supports[None])[0].astype(np.int64)
+    x, ok = dense_inverses(pattern)
+    gen = _generator_layout(pattern.tilde, pattern.supports)
     for j in range(K):
         if ok[j]:
             assert pattern.certified_receivers[j]
