@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formats import is_int, render_json
+from .formats import Records, is_int, render_json
 from .scheme import PatternMatrix, Scheme
 
 CHANNEL_STREAM = 0
@@ -129,19 +129,11 @@ def receive(
 
 
 def channels_to_json(ch: ChannelSet) -> str:
-    """Dump a draw for exact replay: one record per coefficient, 1-indexed."""
-    K, _, M = ch.coeffs.shape
-    records = []
-    for k in range(K):
-        for i in range(K):
-            for mode in range(M):
-                records.append({
-                    "rx": k + 1,
-                    "tx": i + 1,
-                    "mode": mode + 1,
-                    "re": float(ch.coeffs[k, i, mode].real),
-                    "im": float(ch.coeffs[k, i, mode].imag),
-                })
+    """Dump a draw for exact replay: one record per coefficient, 1-indexed,
+    in (rx, tx, mode) order."""
+    rx, tx, mode = (index.reshape(-1) + 1 for index in np.indices(ch.coeffs.shape))
+    flat = np.asarray(ch.coeffs, dtype=complex).reshape(-1)
+    records = Records(("rx", "tx", "mode", "re", "im"), (rx, tx, mode, flat.real, flat.imag))
     seed = ch.seed
     if isinstance(seed, np.random.SeedSequence):
         seed = {"entropy": seed.entropy, "spawn_key": list(seed.spawn_key)}

@@ -6,6 +6,13 @@ carries numerators and denominators as integer columns), so emitted files
 are byte-stable across runs and platforms. The JSON renderer is local and
 tiny rather than a json.JSONEncoder subclass because the stdlib encoder
 hard-wires float.__repr__ and cannot be forced onto a fixed format.
+
+Record lists render columnar. A CSV table and a JSON `Records` value are
+equal-length columns, and every row is one %-template applied to one
+tuple of cells: a float column takes "%.17g" after one finiteness check
+of the whole column, and every other column its values' text (in JSON,
+"%d" for ints and the JSON text of bools). No per-record dict and no
+per-cell call stands between the columns and the bytes.
 """
 from __future__ import annotations
 
@@ -32,6 +39,39 @@ def format_float(x: float) -> str:
 
 def format_rational(x: Fraction) -> str:
     return "%d/%d" % (x.numerator, x.denominator)
+
+
+def _column(column) -> list:
+    return column.tolist() if isinstance(column, np.ndarray) else list(column)
+
+
+class Records:
+    """A list of records held as equal-length columns, one per name.
+
+    render_json renders it exactly as the list of dicts it stands for,
+    [{names[0]: columns[0][i], names[1]: columns[1][i], ...} for every i],
+    a numpy column standing for its tolist(). Names must be distinct, as a
+    dict's keys are.
+    """
+
+    __slots__ = ("names", "columns")
+
+    def __init__(self, names, columns):
+        self.names = tuple(names)
+        self.columns = [_column(c) for c in columns]
+        if len(self.columns) != len(self.names):
+            raise ValueError("%d record names for %d columns" % (len(self.names), len(self.columns)))
+        if len(set(self.names)) != len(self.names):
+            raise ValueError("record names must be distinct: %r" % (self.names,))
+        if len({len(c) for c in self.columns}) > 1:
+            raise ValueError("record columns must have equal lengths")
+
+    def __len__(self) -> int:
+        return len(self.columns[0]) if self.columns else 0
+
+    def dicts(self) -> list[dict]:
+        """The list of dicts these records stand for."""
+        return [dict(zip(self.names, row)) for row in zip(*self.columns)]
 
 
 def render_json(obj) -> str:
@@ -65,6 +105,8 @@ def _emit(obj, out: list[str], pad: str) -> None:
                 out.append(head + scalar(v))
             sep = ",\n" + inner
         out.append("\n" + pad + "}")
+    elif isinstance(obj, Records):
+        _emit_records(obj, out, pad)
     elif isinstance(obj, (list, tuple)):
         seq = list(obj)
         if not seq:
@@ -83,6 +125,44 @@ def _emit(obj, out: list[str], pad: str) -> None:
         out.append("\n" + pad + "]")
     else:
         out.append(_scalar(obj))
+
+
+_BOOLS = ("false", "true")
+
+
+def _record_field(column: list):
+    """(spec, cells) of one record column: "%d" and the values of an int
+    column, "%s" and the JSON text of a bool column, "%.17g" and the values
+    of a float column once all are finite; None for any other column."""
+    kinds = set(map(type, column))
+    if kinds == {int}:
+        return "%d", column
+    if kinds == {bool}:
+        return "%s", [_BOOLS[v] for v in column]
+    if kinds == {float} and all(map(math.isfinite, column)):
+        return _FLOAT, column
+    return None
+
+
+def _emit_records(records: Records, out: list[str], pad: str) -> None:
+    """Append records, nested at indent pad, by one template a record.
+    Records with a column `_record_field` refuses, or a name that is not a
+    string, are emitted as the list of dicts they stand for, which also
+    raises whatever that list raises."""
+    if not len(records):
+        out.append("[]")
+        return
+    fields = [_record_field(c) if isinstance(name, str) else None
+              for name, c in zip(records.names, records.columns)]
+    if None in fields:
+        _emit(records.dicts(), out, pad)
+        return
+    inner, deeper = pad + "  ", pad + "    "
+    record = "{\n" + deeper + (",\n" + deeper).join(
+        _encode_str(name).replace("%", "%%") + ": " + spec
+        for name, (spec, _) in zip(records.names, fields)) + "\n" + inner + "}"
+    rows = zip(*(cells for _, cells in fields))
+    out += ["[\n" + inner, (",\n" + inner).join(map(record.__mod__, rows)), "\n" + pad + "]"]
 
 
 def _scalar(obj) -> str:
@@ -115,24 +195,19 @@ _SCALARS = {
 
 def render_csv(header: list[str], columns: list) -> str:
     """Deterministic CSV text from equal-length columns (lists or numpy
-    arrays), one per header name, each rendered once: a column of floats
-    through the fixed float renderer, any other column through str."""
-    cells = [_column_cells(column) for column in columns]
-    lines = [",".join(header)] + [",".join(row) for row in zip(*cells, strict=True)]
+    arrays), one per header name, every row by one %-template. A column
+    whose first value is a float takes "%.17g", once the whole column is
+    checked finite (else ValueError names its first non-finite value); any
+    other column takes "%s", its values' str."""
+    values = [_column(c) for c in columns]
+    specs = []
+    for column in values:
+        if column and isinstance(column[0], float):
+            if not all(map(math.isfinite, column)):
+                format_float(next(x for x in column if not math.isfinite(x)))  # raises
+            specs.append(_FLOAT)
+        else:
+            specs.append("%s")
+    row = ",".join(specs)
+    lines = [",".join(header)] + list(map(row.__mod__, zip(*values, strict=True)))
     return "\n".join(lines) + "\n"
-
-
-def _column_cells(column) -> list[str]:
-    """One homogeneous column as text; its first value decides the kind. A
-    float column is checked finite at once, and each distinct value (by bit
-    pattern, so 0.0 and -0.0 stay apart) is formatted once."""
-    values = column.tolist() if isinstance(column, np.ndarray) else list(column)
-    if not (values and isinstance(values[0], float)):
-        return list(map(str, values))
-    x = np.asarray(values, dtype=np.float64)
-    finite = np.isfinite(x)
-    if not finite.all():
-        format_float(values[int(np.argmin(finite))])  # raises, naming the first
-    bits, where = np.unique(x.view(np.int64), return_inverse=True)
-    text = list(map(_FLOAT.__mod__, bits.view(np.float64).tolist()))
-    return [text[i] for i in where.tolist()]

@@ -161,22 +161,30 @@ def check_supports(tilde: np.ndarray, supports: np.ndarray) -> None:
     """Raise ValueError unless supports is an (m, C(K,2)) 0/1 matrix whose
     every column lies inside its pair product: the condition that puts
     every third receiver in mode 2 on the pair's shared vector. The first
-    bad entry, pair by pair, is named by its pair and row."""
+    bad entry, pair by pair, is named by its pair and row.
+
+    Only the nonzero entries are read. tilde is 0/1 (PatternMatrix checks
+    it), so row r lies inside the product of pair {a, b} iff every other
+    column of the row is 1: its sum less tilde[r, a] and tilde[r, b] is K - 2.
+    """
     m, K = tilde.shape
     v = np.asarray(supports)
     if v.shape != (m, K * (K - 1) // 2):
         raise ValueError("supports must be a %d x %d matrix, one column per pair, got shape %s"
                          % (m, K * (K - 1) // 2, v.shape))
-    malformed = (v != 0) & (v != 1)
-    bad = np.flatnonzero((malformed | (v > product_matrix(tilde))).T)
+    c, r = np.nonzero(v.T)  # pair by pair, then row by row
+    a, b = np.triu_indices(K, 1)
+    t = np.asarray(tilde, dtype=np.int64)
+    malformed = v[r, c] != 1
+    bad = np.flatnonzero(malformed | (t.sum(axis=1)[r] - t[r, a[c]] - t[r, b[c]] != K - 2))
     if bad.size:
-        c, r = divmod(int(bad[0]), m)
-        a, b = next(itertools.islice(itertools.combinations(range(K), 2), c, None))
-        if malformed[r, c]:
+        first = bad[0]
+        pair, row = int(c[first]), int(r[first])
+        if malformed[first]:
             raise ValueError("support of pair {%d,%d} must be 0/1, got %s at row %d"
-                             % (a + 1, b + 1, v[r, c], r + 1))
+                             % (a[pair] + 1, b[pair] + 1, v[row, pair], row + 1))
         raise ValueError("support of pair {%d,%d} leaves the pair product at row %d"
-                         % (a + 1, b + 1, r + 1))
+                         % (a[pair] + 1, b[pair] + 1, row + 1))
 
 
 def certify_receivers(tilde: np.ndarray, supports: np.ndarray | None = None) -> tuple[bool, ...]:

@@ -31,7 +31,10 @@ a time, in chunks of at most `exactrank.BATCH_ELEMENTS` entries or one
 block, so every gathered, Gram, factor or SVD stack stays that small and
 memory stays flat in the draw count and in K; chunking changes no output.
 `decompose_receiver`, `verify_decodability` and `verify_decodability_exact`
-are one-draw views of the same kernels.
+are one-draw views of the same kernels. A run's ranks stay one
+(draws * K, 3) int64 array in (draw, rx) order from the kernels to the
+emitted bytes (`VerificationReport.ranks`); only the one-draw views and
+`VerificationReport.checks` turn its rows into ReceiverCheck objects.
 
 Every verdict is read off A_j by one rule: a receiver whose A_j has
 rank m reports the expected ranks without further work, and only the
@@ -150,7 +153,7 @@ import numpy as np
 
 from .channel import EXACT_STREAM, CHANNEL_STREAM, ChannelSet, draw_channel_stack, stream_seed
 from .exactrank import chunks, gaussian_rank
-from .formats import is_int, render_csv, render_json
+from .formats import Records, is_int, render_csv, render_json
 from .scheme import Scheme, SchemeConfig, generator_inverses, make_config
 
 
@@ -283,31 +286,37 @@ class ReceiverCheck:
     passed: bool
 
 
-def _receiver_checks(blocks, rank_combined, ranks, first_draw: int) -> list[ReceiverCheck]:
+def _receiver_checks(blocks, rank_combined, ranks) -> np.ndarray:
     """The one rank rule, over the square combined blocks of a chunk of draws.
 
     rank_combined (T, K) holds the rank of every combined block; blocks, a
     dict keyed by (t, j), holds A_j of draw t where that rank is short. A
     full one proves the expected ranks; otherwise `ranks` ranks the desired
     and the interference column blocks, each stacked over the short A_j in
-    `exactrank.chunks` of blocks. Draw t is numbered first_draw + t.
+    `exactrank.chunks` of blocks. Returns the (T * K, 3) int64 array of
+    (rank_desired, rank_interference, rank_combined), in (draw, rx) order.
     """
     rank_combined = np.asarray(rank_combined)
     K = rank_combined.shape[1]
     full = expected_ranks(make_config(K))
-    m = full[2]
-    short = list(map(tuple, np.argwhere(rank_combined < m).tolist()))
-    sub = {}
-    for part in chunks(len(short), m * m):
-        keys = short[part.start:part.stop]
-        a = np.stack([blocks[key] for key in keys])
-        sub.update(zip(keys, zip(ranks(a[..., :K - 1]).tolist(), ranks(a[..., K - 1:]).tolist())))
-    out = []
-    for t, row in enumerate(rank_combined.tolist()):
-        for j, rc in enumerate(row):
-            checked = full if rc == m else sub[t, j] + (rc,)
-            out.append(ReceiverCheck(first_draw + t, j + 1, *checked, passed=checked == full))
-    return out
+    out = np.empty(rank_combined.shape + (3,), dtype=np.int64)
+    out[...] = full
+    out[..., 2] = rank_combined
+    short = np.argwhere(rank_combined < full[2])
+    for part in chunks(len(short), full[2] ** 2):
+        t, j = short[part].T
+        a = np.stack([blocks[key] for key in zip(t.tolist(), j.tolist())])
+        out[t, j, 0] = ranks(a[..., :K - 1])
+        out[t, j, 1] = ranks(a[..., K - 1:])
+    return out.reshape(-1, 3)
+
+
+def _as_checks(ranks: np.ndarray, K: int, first_draw: int) -> list[ReceiverCheck]:
+    """One ReceiverCheck a row of a (draws * K, 3) ranks array in (draw, rx)
+    order, its first draw numbered first_draw."""
+    full = expected_ranks(make_config(K))
+    return [ReceiverCheck(first_draw + i // K, i % K + 1, *row, passed=tuple(row) == full)
+            for i, row in enumerate(ranks.tolist())]
 
 
 # tau: the bound must clear tau ||A_j||_F (module docstring), a fixed constant
@@ -383,15 +392,14 @@ def draw_bounds(bound: FloatBound, coeffs: np.ndarray) -> tuple[np.ndarray, np.n
     return low2, frob2, plain
 
 
-def _float_checks(scheme: Scheme, bound: FloatBound, coeffs: np.ndarray,
-                  first_draw: int) -> list[ReceiverCheck]:
-    """Float checks of a chunk of draws: decide, then gather. The bound
-    proves a receiver full rank where it clears RATIO ||A_j||_F; only the
-    other (draw, rx) pairs take a block, gathered a receiver at a time in
-    `exactrank.chunks` of blocks, and `square_ranks` ranks a certified
-    receiver's, `stack_ranks` an uncertified one's (always singular, so the
-    margin could never prove it). Only short blocks are kept, for their
-    sub-block ranks."""
+def _float_checks(scheme: Scheme, bound: FloatBound, coeffs: np.ndarray) -> np.ndarray:
+    """The ranks (`_receiver_checks`) of a chunk of float draws: decide,
+    then gather. The bound proves a receiver full rank where it clears
+    RATIO ||A_j||_F; only the other (draw, rx) pairs take a block, gathered
+    a receiver at a time in `exactrank.chunks` of blocks, and
+    `square_ranks` ranks a certified receiver's, `stack_ranks` an
+    uncertified one's (always singular, so the margin could never prove
+    it). Only short blocks are kept, for their sub-block ranks."""
     if not np.isfinite(coeffs).all():
         raise ValueError("non-finite entries")
     m = scheme.config.block_len
@@ -411,7 +419,7 @@ def _float_checks(scheme: Scheme, bound: FloatBound, coeffs: np.ndarray,
             rank_combined[t, j] = ranks
             for i in np.flatnonzero(ranks < m).tolist():
                 blocks[int(t[i]), j] = a[i]
-    return _receiver_checks(blocks, rank_combined, stack_ranks, first_draw)
+    return _receiver_checks(blocks, rank_combined, stack_ranks)
 
 
 def verify_decodability(ch: ChannelSet, scheme: Scheme, draw: int = 0) -> list[ReceiverCheck]:
@@ -423,7 +431,8 @@ def verify_decodability(ch: ChannelSet, scheme: Scheme, draw: int = 0) -> list[R
 
     Failures are reported, never raised; callers decide severity.
     """
-    return _float_checks(scheme, float_bound(scheme), ch.coeffs[None], draw)
+    ranks = _float_checks(scheme, float_bound(scheme), ch.coeffs[None])
+    return _as_checks(ranks, scheme.config.users, draw)
 
 
 def _exact_channel_ints(K: int, rng: np.random.Generator) -> np.ndarray:
@@ -465,12 +474,12 @@ def _proven(certified: tuple[bool, ...], coeffs: np.ndarray) -> np.ndarray:
     return np.array(certified, dtype=bool) & nonzero.all(axis=2)
 
 
-def _exact_checks(scheme: Scheme, seeds, first_draw: int) -> list[ReceiverCheck]:
-    """Exact checks of a chunk of draws, one Gaussian-integer draw per seed
-    (an int or a SeedSequence): decide, then gather. A receiver `_proven`
-    proves has rank m and needs no block; only the other (draw, rx) pairs
-    take one, gathered a draw at a time on a layout built only when such a
-    pair exists, and Bareiss ranks them."""
+def _exact_checks(scheme: Scheme, seeds) -> np.ndarray:
+    """The ranks (`_receiver_checks`) of a chunk of exact draws, one
+    Gaussian-integer draw per seed (an int or a SeedSequence): decide, then
+    gather. A receiver `_proven` proves has rank m and needs no block; only
+    the other (draw, rx) pairs take one, gathered a draw at a time on a
+    layout built only when such a pair exists, and Bareiss ranks them."""
     K = scheme.config.users
     h = np.stack([_exact_channel_ints(K, np.random.default_rng(s)) for s in seeds])
     coeffs = h[..., 0] + 1j * h[..., 1]  # (T, K, K, 2) [draw, rx, tx, mode]
@@ -483,7 +492,7 @@ def _exact_checks(scheme: Scheme, seeds, first_draw: int) -> list[ReceiverCheck]
         a = layout.blocks(coeffs[t, None], rx)[0]
         rank_combined[t, rx] = _exact_ranks(a)
         blocks.update(((t, j), b) for j, b in zip(rx, a))
-    return _receiver_checks(blocks, rank_combined, _exact_ranks, first_draw)
+    return _receiver_checks(blocks, rank_combined, _exact_ranks)
 
 
 def verify_decodability_exact(scheme: Scheme, seed=0, draw: int = 0) -> list[ReceiverCheck]:
@@ -500,29 +509,41 @@ def verify_decodability_exact(scheme: Scheme, seed=0, draw: int = 0) -> list[Rec
     floating point and converts back to integers without loss. Such a block is ranked by `gaussian_rank`, and
     so are its desired and interference blocks when that rank is short.
     """
-    return _exact_checks(scheme, [seed], draw)
+    return _as_checks(_exact_checks(scheme, [seed]), scheme.config.users, draw)
 
 
 @dataclass(eq=False)
 class VerificationReport:
-    """Aggregate of rank checks over many draws."""
+    """Aggregate of rank checks over many draws: ranks is the
+    (draws * users, 3) int64 array of (rank_desired, rank_interference,
+    rank_combined) of every (draw, receiver) pair, in (draw, rx) order."""
 
     users: int
     draws: int
     seed: int
     exact: bool
-    checks: list[ReceiverCheck]
+    ranks: np.ndarray
+
+    @property
+    def passed(self) -> np.ndarray:
+        """Whether each row of ranks is the expected one, (draws * users,)."""
+        return (self.ranks == expected_ranks(make_config(self.users))).all(axis=1)
 
     @property
     def failures(self) -> int:
-        return sum(1 for c in self.checks if not c.passed)
+        return int(np.count_nonzero(~self.passed))
 
     @property
     def all_passed(self) -> bool:
         return self.failures == 0
 
     def failing_receivers(self) -> tuple[int, ...]:
-        return tuple(sorted({c.rx for c in self.checks if not c.passed}))
+        return tuple(np.unique(np.flatnonzero(~self.passed) % self.users + 1).tolist())
+
+    @property
+    def checks(self) -> list[ReceiverCheck]:
+        """The rows of ranks as ReceiverCheck objects, a view no run builds."""
+        return _as_checks(self.ranks, self.users, 0)
 
 
 def run_verification(scheme: Scheme, draws: int, seed: int, exact: bool = False) -> VerificationReport:
@@ -536,18 +557,27 @@ def run_verification(scheme: Scheme, draws: int, seed: int, exact: bool = False)
     if not is_int(seed) or seed < 0:
         raise ValueError("seed must be an integer >= 0, got %r" % (seed,))
     K, m = scheme.config.users, scheme.config.block_len
-    checks: list[ReceiverCheck] = []
+    parts = []
     bound = None if exact else float_bound(scheme)
     for chunk in chunks(draws, K * m * m if exact else 2 * K * K):
         if exact:
             seeds = [stream_seed(seed, EXACT_STREAM, t) for t in chunk]
-            checks.extend(_exact_checks(scheme, seeds, chunk.start))
+            parts.append(_exact_checks(scheme, seeds))
         else:
             seeds = [stream_seed(seed, CHANNEL_STREAM, t) for t in chunk]
             coeffs = draw_channel_stack(K, seeds)
-            checks.extend(_float_checks(scheme, bound, coeffs, chunk.start))
+            parts.append(_float_checks(scheme, bound, coeffs))
     return VerificationReport(
-        users=K, draws=draws, seed=seed, exact=exact, checks=checks)
+        users=K, draws=draws, seed=seed, exact=exact, ranks=np.concatenate(parts))
+
+
+_CHECK_FIELDS = ("draw", "rx", "rank_desired", "rank_interference", "rank_combined", "pass")
+
+
+def _check_columns(report: VerificationReport) -> list:
+    """The columns of _CHECK_FIELDS but the last, one row a check."""
+    row = np.arange(len(report.ranks))
+    return [row // report.users, row % report.users + 1, *report.ranks.T]
 
 
 def report_to_json(report: VerificationReport) -> str:
@@ -557,26 +587,12 @@ def report_to_json(report: VerificationReport) -> str:
         "seed": report.seed,
         "exact": report.exact,
         "failures": report.failures,
-        "checks": [
-            {
-                "draw": c.draw,
-                "rx": c.rx,
-                "rank_desired": c.rank_desired,
-                "rank_interference": c.rank_interference,
-                "rank_combined": c.rank_combined,
-                "pass": c.passed,
-            }
-            for c in report.checks
-        ],
+        "checks": Records(_CHECK_FIELDS, _check_columns(report) + [report.passed]),
     })
 
 
 def report_to_csv(report: VerificationReport) -> str:
-    rows = [(c.draw, c.rx, c.rank_desired, c.rank_interference, c.rank_combined, int(c.passed))
-            for c in report.checks]
-    return render_csv(
-        ["draw", "rx", "rank_desired", "rank_interference", "rank_combined", "pass"],
-        list(zip(*rows)))
+    return render_csv(list(_CHECK_FIELDS), _check_columns(report) + [report.passed.astype(np.int64)])
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,14 @@ form of biakit.sim), so they agree within RATE_RTOL; every other output
 byte of a simulation, the exclusions included, is identical.
 """
 import itertools
+import json
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
 import biakit as bk
+import biakit.cli
 import biakit.exactrank
 import biakit.sim
 import biakit.verify
@@ -26,6 +28,7 @@ from biakit.channel import CHANNEL_STREAM, EXACT_STREAM, ChannelSet, draw_channe
 from biakit.designspace import scan
 from biakit.errors import UnverifiableDrawError
 from biakit.exactrank import BATCH_ELEMENTS, chunks, gaussian_rank
+from biakit.formats import render_csv, render_json
 from biakit.scheme import PatternMatrix, default_pair_dims
 from biakit.sim import (
     SimConfig,
@@ -87,28 +90,35 @@ def oracle_draw(scheme, seed, t, exact):
     return draw_channels(K, 2, seed=stream_seed(seed, CHANNEL_STREAM, t))
 
 
-def oracle_checks(ch, scheme, t, rank=oracle_rank):
-    """The checks of every receiver of one draw, numbered t: one rank of
-    every combined block, and of its two blocks where that one is short."""
+def oracle_ranks(ch, scheme, rank=oracle_rank):
+    """The (rank_desired, rank_interference, rank_combined) of every
+    receiver of one draw: one rank of every combined block, and of its two
+    blocks where that one is short."""
     K, full = scheme.config.users, expected_ranks(scheme.config)
-    checks = []
+    out = []
     for j in range(K):
         a = np.hstack(oracle_receiver_blocks(ch, scheme, j))
         rc = rank(a)
-        ranks = full if rc == full[2] else (rank(a[:, :K - 1]), rank(a[:, K - 1:]), rc)
-        checks.append(ReceiverCheck(t, j + 1, *ranks, passed=ranks == full))
-    return checks
+        out.append(full if rc == full[2] else (rank(a[:, :K - 1]), rank(a[:, K - 1:]), rc))
+    return out
+
+
+def oracle_checks(ch, scheme, t, rank=oracle_rank):
+    """The checks of every receiver of one draw, numbered t."""
+    full = expected_ranks(scheme.config)
+    return [ReceiverCheck(t, j + 1, *ranks, passed=ranks == full)
+            for j, ranks in enumerate(oracle_ranks(ch, scheme, rank))]
 
 
 def oracle_report(scheme, draws, seed, exact=False):
     """The per-draw, per-receiver verification loop. In exact mode every
     block is ranked by Bareiss elimination (gaussian_rank) alone."""
     rank = oracle_exact_rank if exact else oracle_rank
-    checks = []
+    ranks = []
     for t in range(draws):
-        checks += oracle_checks(oracle_draw(scheme, seed, t, exact), scheme, t, rank)
+        ranks += oracle_ranks(oracle_draw(scheme, seed, t, exact), scheme, rank)
     return VerificationReport(users=scheme.config.users, draws=draws, seed=seed, exact=exact,
-                              checks=checks)
+                              ranks=np.array(ranks, dtype=np.int64))
 
 
 def oracle_estimate_dof(scheme, cfg):
@@ -433,6 +443,80 @@ def test_exact_reports_match_per_draw_loop_on_hand_built_beams(K):
     expect = oracle_report(scheme, 3, 3, exact=True)
     assert report_bytes(run_verification(scheme, 3, 3, exact=True)) == report_bytes(expect)
     assert expect.failing_receivers() == tuple(range(1, K + 1))
+
+
+def object_report_bytes(report):
+    """report_to_json and report_to_csv rendered from objects: one dict and
+    one row a ReceiverCheck of report.checks."""
+    checks = report.checks
+    doc = render_json({
+        "K": report.users,
+        "draws": report.draws,
+        "seed": report.seed,
+        "exact": report.exact,
+        "failures": sum(1 for c in checks if not c.passed),
+        "checks": [{"draw": c.draw, "rx": c.rx, "rank_desired": c.rank_desired,
+                    "rank_interference": c.rank_interference,
+                    "rank_combined": c.rank_combined, "pass": c.passed} for c in checks],
+    })
+    rows = [(c.draw, c.rx, c.rank_desired, c.rank_interference, c.rank_combined, int(c.passed))
+            for c in checks]
+    table = render_csv(["draw", "rx", "rank_desired", "rank_interference", "rank_combined", "pass"],
+                       list(zip(*rows)))
+    return doc, table
+
+
+def test_columnar_reports_match_the_object_renderer(golden_scheme4, fallback_scheme5):
+    """The reports' columnar bytes equal those of one dict or row a check:
+    every built scheme at K = 3..12 in float and exact mode, the golden
+    instance (short receivers 1 and 3), the pair-product family at K = 5
+    and Bareiss-ranked uncertified receivers in exact mode."""
+    cases = [(str(K), bk.build_scheme(K)) for K in range(3, 13)]
+    cases += [("golden4", golden_scheme4), ("fallback5", fallback_scheme5)]
+    for name, scheme in cases:
+        for exact, draws in ((False, 7), (True, 2)):
+            report = run_verification(scheme, draws, 5, exact=exact)
+            assert report_bytes(report) == object_report_bytes(report), (name, exact)
+    short = run_verification(golden_scheme4, 4, 5, exact=True)
+    assert short.failing_receivers() == (1, 3) and short.failures == 8
+    assert {c.rank_combined for c in short.checks if not c.passed} == {8}
+
+
+def test_the_run_path_builds_no_receiver_check(golden_scheme4, monkeypatch):
+    """run_verification and both emitters hold the ranks as one array from
+    the kernels to the bytes: no ReceiverCheck is built at K = 8 over 32
+    draws, in float or exact mode, nor for the golden instance's short
+    receivers. The checks view still builds one a (draw, receiver)."""
+    built = []
+    init = ReceiverCheck.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(ReceiverCheck, "__init__", counted)
+    reports = [run_verification(bk.build_scheme(8), 32, 3),
+               run_verification(bk.build_scheme(8), 2, 3, exact=True),
+               run_verification(golden_scheme4, 32, 3)]
+    for report in reports:
+        report_bytes(report)
+    assert built == []
+    assert len(reports[0].checks) == 256 and len(built) == 256
+
+
+def test_cli_exits_two_on_the_golden_instance(golden_scheme4, monkeypatch, capsys):
+    """verify exits 2 when a check fails, in float and exact mode and either
+    format: the golden instance fails at receivers 1 and 3 in every draw."""
+    monkeypatch.setattr(biakit.cli, "build_scheme", lambda users, pair_dims=None: golden_scheme4)
+    for extra in ([], ["--exact"], ["--format", "csv"]):
+        assert biakit.cli.main(["verify", "--users", "4", "--trials", "3", *extra]) == 2, extra
+        out = capsys.readouterr().out
+        if "--format" not in extra:
+            doc = json.loads(out)
+            assert doc["failures"] == 6
+            assert {c["rx"] for c in doc["checks"] if not c["pass"]} == {1, 3}
+        else:
+            assert [line.split(",")[1] for line in out.splitlines()[1:] if line.endswith(",0")] == \
+                ["1", "3"] * 3
 
 
 def test_simulation_matches_per_trial_loop(fallback_scheme5):

@@ -30,7 +30,7 @@ from hypothesis import given, strategies as st
 
 import biakit as bk
 import biakit.cli
-from biakit.formats import format_float, format_rational, render_csv, render_json
+from biakit.formats import Records, format_float, format_rational, render_csv, render_json
 from biakit.sim import SimConfig, SimResult, estimate_dof, result_to_long_csv, result_to_summary_csv
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -194,3 +194,62 @@ def test_render_json_refuses_what_the_stringio_renderer_refused(bad, error):
     for render in (render_json, oracle_render_json):
         with pytest.raises((TypeError, ValueError), match=error):
             render(bad)
+
+
+bool_cells = st.booleans()
+float_cells = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                        st.sampled_from([0.0, -0.0, 1e300, -1e300, 5e-324]))
+
+
+@st.composite
+def records(draw):
+    """(names, columns): up to five records of up to four named columns,
+    each of ints, bools, floats (those two sometimes as numpy arrays) or
+    any JSON scalars, with names that need escaping."""
+    n = draw(st.integers(0, 5))
+    names = draw(st.lists(st.text(alphabet=st.sampled_from('ab"\\%\n\u00e9\U0001f600'), max_size=4),
+                          unique=True, max_size=4))
+    columns = []
+    for _ in names:
+        cells = draw(st.sampled_from([st.integers(), bool_cells, float_cells, json_scalars]))
+        column = draw(st.lists(cells, min_size=n, max_size=n))
+        if cells in (bool_cells, float_cells) and draw(st.booleans()):
+            column = np.array(column)
+        columns.append(column)
+    return names, columns
+
+
+@given(records(), st.integers(0, 2))
+def test_records_render_as_their_list_of_dicts(case, depth):
+    """A Records value renders exactly as the list of dicts it stands for,
+    at any indent; a numpy column stands for its tolist()."""
+    names, columns = case
+    dicts = [dict(zip(names, row)) for row in zip(*(
+        c.tolist() if isinstance(c, np.ndarray) else c for c in columns))]
+    wrap, expect = Records(names, columns), dicts
+    for _ in range(depth):
+        wrap, expect = {"x": wrap, "n": 1}, {"x": expect, "n": 1}
+    assert render_json(wrap) == oracle_render_json(expect)
+    assert render_json([Records(names, columns)]) == oracle_render_json([dicts])
+
+
+@pytest.mark.parametrize("names,columns,error", [
+    (["a", "b"], [[1.0, float("nan")], [float("inf"), 2.0]], r"non-finite value in output: inf"),
+    (["a", "b"], [[1, 2], [0.5, np.int64(3)]], r"unsupported JSON value: np.int64\(3\)"),
+    ([7], [[1]], r"non-string JSON key: 7"),
+])
+def test_records_refuse_what_their_list_of_dicts_refuses(names, columns, error):
+    """The first value a record list refuses, in record order, is the one named."""
+    dicts = [dict(zip(names, row)) for row in zip(*columns)]
+    for render, value in ((render_json, Records(names, columns)), (oracle_render_json, dicts)):
+        with pytest.raises((TypeError, ValueError), match=error):
+            render({"k": value})
+
+
+def test_records_need_distinct_names_and_equal_columns():
+    with pytest.raises(ValueError, match="distinct"):
+        Records(["a", "a"], [[1], [2]])
+    with pytest.raises(ValueError, match="equal lengths"):
+        Records(["a", "b"], [[1], [2, 3]])
+    with pytest.raises(ValueError, match="2 record names for 1 columns"):
+        Records(["a", "b"], [[1]])

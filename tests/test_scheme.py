@@ -741,11 +741,13 @@ def test_pair_map_relabels_widened_vectors_without_changing_supports(scheme6):
 
 
 def test_pair_products_are_computed_once_per_pattern(monkeypatch):
-    """A pattern's supports are checked against product_matrix once, where
-    they enter (PatternMatrix -> certify_receivers -> check_supports); no
-    run checks them again. The star family gives every pair's rows, so
-    pattern_from_rows needs none; a document that leaves a pair's rows out
-    takes one more. Default supports are the pair products themselves,
+    """A pattern's pair products are computed only where they are a
+    support, at most once: explicit supports are checked where they enter
+    (PatternMatrix -> certify_receivers -> check_supports) from the
+    pattern's rows alone, with no pair product, and no run checks them
+    again. The star family gives every pair's rows, so building it takes
+    none; a document that leaves a pair's rows out takes one, for that
+    pair's support. Default supports are the pair products themselves,
     computed once and not checked."""
     calls = []
 
@@ -754,7 +756,7 @@ def test_pair_products_are_computed_once_per_pattern(monkeypatch):
         return _inner(tilde)
     monkeypatch.setattr(biakit.scheme, "product_matrix", counted)
     scheme = bk.build_scheme(6)
-    assert calls == [(20, 6)]
+    assert calls == []
     products = product_scheme(scheme)
     calls.clear()
     run_verification(scheme, 2, 0)
@@ -764,7 +766,7 @@ def test_pair_products_are_computed_once_per_pattern(monkeypatch):
     doc = json.loads(scheme_to_json(scheme))
     del doc["pairs"][0]["rows"]
     scheme_from_json(json.dumps(doc))
-    assert calls == [(20, 6), (20, 6)]
+    assert calls == [(20, 6)]
     calls.clear()
     PatternMatrix(scheme.pattern.tilde)
     assert calls == [(20, 6)]
