@@ -5,10 +5,16 @@ circularly-symmetric complex Gaussians, constant over the m channel uses of a
 block. Receiver k's antenna follows its pattern column, so the link from
 transmitter i acts as the diagonal matrix diag(h[k][i][modes[r][k]], r=1..m).
 
-Seeding: every entry point takes either a plain int seed or a
-numpy.random.SeedSequence. Layers that need several independent streams from
-one master seed derive them with spawn keys (stream id, trial): 0 = channel
-draws, 1 = noise, 2 = symbols, 3 = exact-mode integer channels.
+Seeding: every one-draw entry point takes anything numpy.random.default_rng
+does: a plain int seed, a numpy.random.SeedSequence, or a Generator, whose
+stream it continues. Layers that need several independent streams from one
+master seed derive one stream per id with the spawn key (stream id,): 0 =
+channel draws, 1 = noise, 2 = symbols, 3 = exact-mode integer channels. A
+run makes one Generator per (seed, stream) and takes its trials from it in
+turn, so trial t is the t-th draw of its stream, whatever the chunk size,
+and a run is a prefix of a longer run with the same seed. Replaying trial t
+means replaying the t draws before it: `draw_channel_stack` of the stream's
+Generator, or t + 1 successive `draw_channels` on it.
 """
 from __future__ import annotations
 
@@ -27,9 +33,10 @@ SYMBOL_STREAM = 2
 EXACT_STREAM = 3
 
 
-def stream_seed(master: int, stream: int, trial: int) -> np.random.SeedSequence:
-    """Named independent substream of a master seed."""
-    return np.random.SeedSequence(entropy=master, spawn_key=(stream, trial))
+def stream_seed(master: int, stream: int) -> np.random.SeedSequence:
+    """Named independent stream of a master seed: a run's Generator for that
+    stream is np.random.default_rng of it."""
+    return np.random.SeedSequence(entropy=master, spawn_key=(stream,))
 
 
 @dataclass(eq=False)
@@ -48,16 +55,13 @@ def draw_channels(K: int, M: int = 2, seed=0) -> ChannelSet:
     return ChannelSet(coeffs=coeffs, seed=seed)
 
 
-def draw_channel_stack(K: int, seeds) -> np.ndarray:
-    """Coefficients of one two-mode draw_channels draw per seed, stacked
-    (T, K, K, 2): one normal draw of both parts per seed, into one array.
-    A draw of shape (2, K, K, 2) takes the real parts, then the imaginary
-    parts, from the stream exactly as draw_channels' two draws do, and the
-    arithmetic is the same, so the stack is byte-identical to theirs."""
-    seeds = list(seeds)
-    z = np.empty((len(seeds), 2, K, K, 2))
-    for n, s in enumerate(seeds):
-        np.random.default_rng(s).standard_normal(out=z[n])
+def draw_channel_stack(K: int, rng: np.random.Generator, T: int) -> np.ndarray:
+    """The next T two-mode draws of a stream, stacked (T, K, K, 2), by one
+    normal draw of shape (T, 2, K, K, 2). Normal draws are sequential, and
+    each trial takes its real parts, then its imaginary parts, exactly as
+    draw_channels' two draws do, with the same arithmetic: the stack is
+    byte-identical to T successive draw_channels(K, 2, seed=rng)."""
+    z = rng.standard_normal((T, 2, K, K, 2))
     coeffs = z[:, 0] + 1j * z[:, 1]
     coeffs /= np.sqrt(2.0)
     return coeffs
@@ -130,13 +134,19 @@ def receive(
 
 def channels_to_json(ch: ChannelSet) -> str:
     """Dump a draw for exact replay: one record per coefficient, 1-indexed,
-    in (rx, tx, mode) order."""
+    in (rx, tx, mode) order. The seed is written when it names the draw: an
+    int, a SeedSequence as its entropy and spawn key, or such a record read
+    from a replay file; any other seed (a Generator: the draw of a run's
+    stream, which depends on the draws before it) is written null, as a
+    file loaded without a seed has."""
     rx, tx, mode = (index.reshape(-1) + 1 for index in np.indices(ch.coeffs.shape))
     flat = np.asarray(ch.coeffs, dtype=complex).reshape(-1)
     records = Records(("rx", "tx", "mode", "re", "im"), (rx, tx, mode, flat.real, flat.imag))
     seed = ch.seed
     if isinstance(seed, np.random.SeedSequence):
         seed = {"entropy": seed.entropy, "spawn_key": list(seed.spawn_key)}
+    elif not (is_int(seed) or isinstance(seed, dict)):
+        seed = None
     return render_json({"seed": seed, "coeffs": records})
 
 

@@ -384,7 +384,7 @@ def check_pair_dims(K: int, dims: dict[tuple[int, int], tuple[int, int]]) -> Non
 # largest K m^2 build_scheme takes (K = 48): the entries of one draw's K
 # combined m x m blocks, which `verify --exact` gathers in a draw whose
 # proof leaves every receiver open
-MAX_GENERATOR_ENTRIES = 1 << 26
+MAX_BLOCK_ENTRIES = 1 << 26
 
 
 @dataclass(eq=False)
@@ -424,11 +424,11 @@ class Scheme:
 
 def _sized_config(users: int) -> SchemeConfig:
     """make_config(users), refused with ValueError when K m^2, the entries
-    of one draw's K combined blocks, exceeds MAX_GENERATOR_ENTRIES
+    of one draw's K combined blocks, exceeds MAX_BLOCK_ENTRIES
     (K >= 49): checked before anything is built."""
     config = make_config(users)
     entries = users * config.block_len ** 2
-    if entries > MAX_GENERATOR_ENTRIES:
+    if entries > MAX_BLOCK_ENTRIES:
         raise ValueError("users K=%d is too large: one draw's K combined blocks hold "
                          "K*m^2 = %d entries, more than 2^26 (K <= 48)" % (users, entries))
     return config
@@ -440,7 +440,7 @@ def build_scheme(
 ) -> Scheme:
     """The K-user scheme of star_pattern_matrix, which certifies every
     receiver for every K >= 3 whose K m^2, the entries of one draw's K
-    combined blocks, fits MAX_GENERATOR_ENTRIES (K <= 48); a larger K
+    combined blocks, fits MAX_BLOCK_ENTRIES (K <= 48); a larger K
     raises ValueError before anything is built."""
     return Scheme(star_pattern_matrix(_sized_config(users)), pair_dims)
 

@@ -32,17 +32,22 @@ G_j^{-1} of the pair's mode-1 and mode-2 halves. Its squared norm is
 N = (a |h_jo(2)|^2 + b |h_jo(1)|^2) / |det_o|^2 with the channel-free
 weights a = ||l_o||^2 and b = ||u_o||^2 (`zf_weights`, once per run, one
 batched solve per chunk of receivers); the cross term <l_o, u_o> is 0
-for every aligned scheme. Per chunk of trials (`exactrank.chunks`, at
-most `exactrank.BATCH_ELEMENTS` channel coefficients) the run takes one
-seeded draw per trial, `verify._proven`, the K(K-1) own-pair
-determinants, one weighted sum and the TDMA rate of every power. Rates
-agree with the one-draw views `noise_enhancement` and `receiver_rate`,
-which keep A_j^{-1}, within 1e-10 relative: the two are different float
-evaluations of one quantity. `zf_decode`, `noise_enhancement` and
-`receiver_rate` raise on an excluded receiver
-(`ReceiverDecomposition.proven` is False). `SimResult` stores the rates;
-its means and both fitted slopes are derived from them, and its CSV
-emitters render each column once.
+for every aligned scheme. The run's trials are the successive draws of
+one channel stream (`channel.stream_seed(seed, CHANNEL_STREAM)`, the
+stream float verification reads, so both see trial t's coefficients).
+Per chunk of trials (`exactrank.chunks`, at most
+`exactrank.BATCH_ELEMENTS` channel coefficients) the run takes the next
+draws of that stream in one `draw_channel_stack`, `verify._proven`, the
+K(K-1) own-pair determinants, one weighted sum and the TDMA rate of every
+power. The chunk size changes no output, and a run is a prefix of a
+longer one with the same seed. Rates agree with the one-draw views
+`noise_enhancement` and `receiver_rate`, which keep A_j^{-1}, within
+1e-10 relative: the two are different float evaluations of one quantity.
+`zf_decode`, `noise_enhancement` and `receiver_rate` raise on an excluded
+receiver (`ReceiverDecomposition.proven` is False). `SimResult` stores the
+rates; its means and both fitted slopes are derived from them, and its
+CSV emitters render each column once (the long CSV each SNR point's text
+once).
 SNR points must be finite and give a finite, positive power 10^(dB/10).
 """
 from __future__ import annotations
@@ -57,7 +62,7 @@ from .channel import CHANNEL_STREAM, ChannelSet, draw_channel_stack, stream_seed
 from .dof import achieved
 from .errors import UnverifiableDrawError
 from .exactrank import chunks
-from .formats import is_int, render_csv, render_json
+from .formats import format_float, is_int, render_csv, render_json
 from .scheme import Scheme, generator_nonzeros, own_pair_columns
 from .verify import ReceiverDecomposition, _abs2, _proven, own_pair_dets
 
@@ -240,8 +245,9 @@ class SimResult:
 
 
 def estimate_dof(scheme: Scheme, cfg: SimConfig) -> SimResult:
-    """Sweep SNR points over shared per-trial channel draws and fit the
-    sum-rate slope against log2(linear SNR).
+    """Sweep SNR points over shared channel draws, trial t the t-th draw of
+    the seed's channel stream, and fit the sum-rate slope against log2
+    (linear SNR).
 
     The weights of every own pair (`zf_weights`) serve the run; each chunk
     of trials takes the exclusion rule (`verify._proven`), the own-pair
@@ -260,9 +266,9 @@ def estimate_dof(scheme: Scheme, cfg: SimConfig) -> SimResult:
     rates = np.zeros((len(powers), cfg.trials, K))
     tdma = np.zeros((len(powers), cfg.trials))
     excluded = 0
+    rng = np.random.default_rng(stream_seed(cfg.seed, CHANNEL_STREAM))
     for chunk in chunks(cfg.trials, K * K * 2):
-        seeds = [stream_seed(cfg.seed, CHANNEL_STREAM, t) for t in chunk]
-        coeffs = draw_channel_stack(K, seeds)
+        coeffs = draw_channel_stack(K, rng, len(chunk))
         ok = _proven(certified, coeffs)
         excluded += len(powers) * int(np.count_nonzero(~ok))
         # h_jo and det_o of every proven receiver's dimensions, (N, K-1, 2) and (N, K-1)
@@ -285,9 +291,11 @@ def estimate_dof(scheme: Scheme, cfg: SimConfig) -> SimResult:
 
 def result_to_long_csv(result: SimResult) -> str:
     P, T, K = result.rates.shape
+    # each SNR point's text once, not once a row; render_csv checks the rates
+    snr = [format_float(x) for x in result.snr_points_db]
     return render_csv(["K", "snr_db", "trial", "rx", "rate"], [
         np.full(P * T * K, K),
-        np.repeat(np.array(result.snr_points_db), T * K),
+        [text for text in snr for _ in range(T * K)],
         np.tile(np.repeat(np.arange(T), K), P),
         np.tile(np.arange(1, K + 1), P * T),
         result.rates.reshape(-1)])

@@ -23,13 +23,18 @@ Row r of A_j is read in receiver j's mode at channel use r, so for a stack
 of draws coeffs (T, K, K, M) one gather
 coeffs[:, j, src[j, c], tilde[r, j]] * vectors[col[j, c], r] yields the
 combined blocks of any receivers j in every draw (`ReceiverLayout.blocks`).
-Runs take their draws in `exactrank.chunks` (at least one draw a chunk),
-the one sizing rule of every batched kernel: exact runs at K m^2 block
-entries a draw, float runs at 2 K^2 channel coefficients a draw, the work
-of their decision. A float run gathers what it still needs a receiver at
-a time, in chunks of at most `exactrank.BATCH_ELEMENTS` entries or one
-block, so every gathered, Gram, factor or SVD stack stays that small and
-memory stays flat in the draw count and in K; chunking changes no output.
+A run makes one Generator per (seed, stream) (`channel.stream_seed`):
+draw t is the t-th draw of the seed's channel stream in float mode, the
+stream the simulator reads too, and of its exact stream in exact mode, so a
+run is a prefix of a longer one with the same seed. Runs take their draws
+in `exactrank.chunks` (at least one draw a chunk), each chunk the next
+draws of the stream, by the one sizing rule of every batched kernel: exact
+runs at K m^2 block entries a draw, float runs at 2 K^2 channel
+coefficients a draw, the work of their decision. A float run gathers what
+it still needs a receiver at a time, in chunks of at most
+`exactrank.BATCH_ELEMENTS` entries or one block, so every gathered, Gram,
+factor or SVD stack stays that small and memory stays flat in the draw
+count and in K; chunking changes no output.
 `decompose_receiver`, `verify_decodability` and `verify_decodability_exact`
 are one-draw views of the same kernels. A run's ranks stay one
 (draws * K, 3) int64 array in (draw, rx) order from the kernels to the
@@ -129,10 +134,11 @@ product G_j X = I, with the draw's own D_j. The two modes:
   F^2 is not finite or not well clear of underflow, goes to `stack_ranks`
   whole. A draw with a non-finite coefficient raises ValueError before
   anything is bounded or gathered.
-- exact: certification grade, over Gaussian-integer draws (one seeded
-  stream per draw), with one exact rule and no prime. It decides, then
-  gathers: each chunk draws its coefficients and `_proven` decides every
-  certified receiver from them alone (every factor is a product of
+- exact: certification grade, over Gaussian-integer draws (one
+  `_exact_channel_ints` draw after another from the run's exact stream),
+  with one exact rule and no prime. It decides, then gathers: each chunk
+  draws its coefficients and `_proven` decides every certified receiver
+  from them alone (every factor is a product of
   integers of magnitude at most 999, exact in complex float64), with no
   layout and no block. Only the other (draw, receiver) pairs (an
   uncertified G_j or a zero factor) take a block, gathered a draw at a
@@ -474,14 +480,14 @@ def _proven(certified: tuple[bool, ...], coeffs: np.ndarray) -> np.ndarray:
     return np.array(certified, dtype=bool) & nonzero.all(axis=2)
 
 
-def _exact_checks(scheme: Scheme, seeds) -> np.ndarray:
-    """The ranks (`_receiver_checks`) of a chunk of exact draws, one
-    Gaussian-integer draw per seed (an int or a SeedSequence): decide, then
+def _exact_checks(scheme: Scheme, rng: np.random.Generator, draws: int) -> np.ndarray:
+    """The ranks (`_receiver_checks`) of a chunk of exact draws, the next
+    `draws` Gaussian-integer draws of rng, one after another: decide, then
     gather. A receiver `_proven` proves has rank m and needs no block; only
     the other (draw, rx) pairs take one, gathered a draw at a time on a
     layout built only when such a pair exists, and Bareiss ranks them."""
     K = scheme.config.users
-    h = np.stack([_exact_channel_ints(K, np.random.default_rng(s)) for s in seeds])
+    h = np.stack([_exact_channel_ints(K, rng) for _ in range(draws)])
     coeffs = h[..., 0] + 1j * h[..., 1]  # (T, K, K, 2) [draw, rx, tx, mode]
     proven = _proven(scheme.certified_receivers, coeffs)
     rank_combined = np.full(proven.shape, scheme.config.block_len)
@@ -509,7 +515,8 @@ def verify_decodability_exact(scheme: Scheme, seed=0, draw: int = 0) -> list[Rec
     floating point and converts back to integers without loss. Such a block is ranked by `gaussian_rank`, and
     so are its desired and interference blocks when that rank is short.
     """
-    return _as_checks(_exact_checks(scheme, [seed]), scheme.config.users, draw)
+    ranks = _exact_checks(scheme, np.random.default_rng(seed), 1)
+    return _as_checks(ranks, scheme.config.users, draw)
 
 
 @dataclass(eq=False)
@@ -548,7 +555,8 @@ class VerificationReport:
 
 def run_verification(scheme: Scheme, draws: int, seed: int, exact: bool = False) -> VerificationReport:
     """Verify a scheme over independent channel draws (floating or exact),
-    in chunks of draws (see the module docstring: a float run reads its
+    the successive draws of the seed's channel or exact stream, in chunks
+    of draws (see the module docstring: a float run reads its
     scheme's FloatBound once; either mode builds a layout only in a chunk
     that holds a (draw, receiver) pair its proof leaves open). Raises
     ValueError unless draws is an integer >= 1 and seed an integer >= 0."""
@@ -559,13 +567,12 @@ def run_verification(scheme: Scheme, draws: int, seed: int, exact: bool = False)
     K, m = scheme.config.users, scheme.config.block_len
     parts = []
     bound = None if exact else float_bound(scheme)
+    rng = np.random.default_rng(stream_seed(seed, EXACT_STREAM if exact else CHANNEL_STREAM))
     for chunk in chunks(draws, K * m * m if exact else 2 * K * K):
         if exact:
-            seeds = [stream_seed(seed, EXACT_STREAM, t) for t in chunk]
-            parts.append(_exact_checks(scheme, seeds))
+            parts.append(_exact_checks(scheme, rng, len(chunk)))
         else:
-            seeds = [stream_seed(seed, CHANNEL_STREAM, t) for t in chunk]
-            coeffs = draw_channel_stack(K, seeds)
+            coeffs = draw_channel_stack(K, rng, len(chunk))
             parts.append(_float_checks(scheme, bound, coeffs))
     return VerificationReport(
         users=K, draws=draws, seed=seed, exact=exact, ranks=np.concatenate(parts))

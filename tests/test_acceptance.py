@@ -96,9 +96,11 @@ def test_criterion_5_noiseless_decodability():
     worst = 0.0
     for K in (3, 4, 5):
         scheme = bk.build_scheme(K)
+        channels = np.random.default_rng(stream_seed(0, CHANNEL_STREAM))
+        symbols = np.random.default_rng(stream_seed(0, SYMBOL_STREAM))
         for t in range(100):
-            ch = bk.draw_channels(K, 2, seed=stream_seed(0, CHANNEL_STREAM, t))
-            sym = bk.draw_symbols(K, power=1.0, seed=stream_seed(0, SYMBOL_STREAM, t))
+            ch = bk.draw_channels(K, 2, seed=channels)
+            sym = bk.draw_symbols(K, power=1.0, seed=symbols)
             for j in range(K):
                 y = bk.receive(ch, scheme, sym, j)
                 dec = decompose_receiver(ch, scheme, j)

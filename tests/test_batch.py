@@ -15,6 +15,7 @@ byte of a simulation, the exclusions included, is identical.
 import itertools
 import json
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -82,12 +83,15 @@ def oracle_exact_rank(a):
     return gaussian_rank(np.stack([a.real, a.imag], axis=-1).astype(np.int64).tolist())
 
 
-def oracle_draw(scheme, seed, t, exact):
+def oracle_draws(scheme, seed, draws, exact):
+    """The first draws draws of the seed's channel (float) or exact stream,
+    one one-draw call after another on one Generator."""
     K = scheme.config.users
+    rng = np.random.default_rng(stream_seed(seed, EXACT_STREAM if exact else CHANNEL_STREAM))
     if exact:
-        h = _exact_channel_ints(K, np.random.default_rng(stream_seed(seed, EXACT_STREAM, t)))
-        return ChannelSet(coeffs=h[..., 0] + 1j * h[..., 1])
-    return draw_channels(K, 2, seed=stream_seed(seed, CHANNEL_STREAM, t))
+        return [ChannelSet(coeffs=h[..., 0] + 1j * h[..., 1])
+                for h in (_exact_channel_ints(K, rng) for _ in range(draws))]
+    return [draw_channels(K, 2, seed=rng) for _ in range(draws)]
 
 
 def oracle_ranks(ch, scheme, rank=oracle_rank):
@@ -115,8 +119,8 @@ def oracle_report(scheme, draws, seed, exact=False):
     block is ranked by Bareiss elimination (gaussian_rank) alone."""
     rank = oracle_exact_rank if exact else oracle_rank
     ranks = []
-    for t in range(draws):
-        ranks += oracle_ranks(oracle_draw(scheme, seed, t, exact), scheme, rank)
+    for ch in oracle_draws(scheme, seed, draws, exact):
+        ranks += oracle_ranks(ch, scheme, rank)
     return VerificationReport(users=scheme.config.users, draws=draws, seed=seed, exact=exact,
                               ranks=np.array(ranks, dtype=np.int64))
 
@@ -128,8 +132,7 @@ def oracle_estimate_dof(scheme, cfg):
     rates = np.zeros((len(powers), cfg.trials, K))
     tdma = np.zeros((len(powers), cfg.trials))
     excluded = 0
-    for t in range(cfg.trials):
-        ch = oracle_draw(scheme, cfg.seed, t, exact=False)
+    for t, ch in enumerate(oracle_draws(scheme, cfg.seed, cfg.trials, exact=False)):
         for j in range(K):
             a = np.hstack(oracle_receiver_blocks(ch, scheme, j))
             m = a.shape[0]
@@ -160,8 +163,9 @@ def inv_estimate_dof(scheme, cfg):
     rates = np.zeros((len(powers), cfg.trials, K))
     tdma = np.zeros((len(powers), cfg.trials))
     excluded = 0
+    draws = oracle_draws(scheme, cfg.seed, cfg.trials, exact=False)
     for chunk in chunks(cfg.trials, K * m * m):
-        coeffs = np.stack([oracle_draw(scheme, cfg.seed, t, exact=False).coeffs for t in chunk])
+        coeffs = np.stack([draws[t].coeffs for t in chunk])
         ok = _proven(scheme.certified_receivers, coeffs)
         excluded += len(powers) * int(np.count_nonzero(~ok))
         w = np.linalg.inv(layout.blocks(coeffs, slice(None))[ok])[:, :K - 1]
@@ -239,7 +243,7 @@ def test_layout_blocks_match_column_stack_blocks(fallback_scheme5):
         K = scheme.config.users
         layout = receiver_layout(scheme)
         for exact in (False, True):
-            draws = [oracle_draw(scheme, 3, t, exact) for t in range(3)]
+            draws = oracle_draws(scheme, 3, 3, exact)
             blocks = layout.blocks(np.stack([ch.coeffs for ch in draws]), slice(None))
             for t, ch in enumerate(draws):
                 for j in range(K):
@@ -378,7 +382,7 @@ def test_selected_blocks_match_the_full_stack(fallback_scheme5):
     for _, scheme in schemes(fallback_scheme5):
         K = scheme.config.users
         layout = receiver_layout(scheme)
-        coeffs = np.stack([oracle_draw(scheme, 3, t, True).coeffs for t in range(3)])
+        coeffs = np.stack([ch.coeffs for ch in oracle_draws(scheme, 3, 3, True)])
         full = layout.blocks(coeffs, slice(None))
         assert full.shape == (3, K) + full.shape[2:]
         assert_bits(layout.blocks(coeffs, K - 1), full[:, K - 1])
@@ -400,7 +404,7 @@ def test_exact_reports_gather_only_unproven_blocks(golden_scheme4, fallback_sche
     cases += certified_pair_product_schemes()
     for name, scheme in cases:
         expect = oracle_report(scheme, 3, 6, exact=True)
-        draws = [oracle_draw(scheme, 6, t, True).coeffs for t in range(3)]
+        draws = [ch.coeffs for ch in oracle_draws(scheme, 6, 3, True)]
         with monkeypatch.context() as patch:
             seen = record_gathers(patch)
             got = run_verification(scheme, 3, 6, exact=True)
@@ -424,7 +428,7 @@ def test_exact_runs_over_chunks_build_one_layout(edit, monkeypatch):
     monkeypatch.setitem(globals(), "_exact_channel_ints", edited_draws(edit, at={2, 4}))
     expect = oracle_report(scheme, 6, 3, exact=True)
     monkeypatch.setitem(globals(), "_exact_channel_ints", edited_draws(edit, at={2, 4}))
-    draws = [oracle_draw(scheme, 3, t, True).coeffs for t in range(6)]
+    draws = [ch.coeffs for ch in oracle_draws(scheme, 3, 6, True)]
     monkeypatch.setattr(biakit.verify, "_exact_channel_ints", edited_draws(edit, at={2, 4}))
     seen = record_gathers(monkeypatch)
     got = run_verification(scheme, 6, 3, exact=True)
@@ -535,8 +539,8 @@ def test_simulation_excludes_zero_factors(edit, monkeypatch):
     scheme = bk.build_scheme(4)
     inner = biakit.sim.draw_channel_stack
 
-    def draw_stack(K, seeds):
-        coeffs = inner(K, seeds)
+    def draw_stack(K, rng, T):
+        coeffs = inner(K, rng, T)
         for h in coeffs:
             edit(h)
         return coeffs
@@ -612,6 +616,67 @@ def test_chunking_changes_no_output(draws_per_chunk, fallback_scheme5, monkeypat
             chunked = (report_bytes(run_verification(scheme, 7, 8)), exact,
                        result_bytes(estimate_dof(scheme, cfg)))
         assert chunked == default
+
+
+def stream_outputs(scheme, exact_scheme, trials, patch, draws_per_chunk=None):
+    """Float ranks and simulated rates of scheme, and exact ranks of
+    exact_scheme, over trials draws at seed 6; with draws_per_chunk, each
+    run's chunks hold that many draws."""
+    def chunked(entries_per_draw):
+        if draws_per_chunk:
+            patch.setattr(biakit.exactrank, "BATCH_ELEMENTS", draws_per_chunk * entries_per_draw)
+
+    chunked(2 * scheme.config.users ** 2)
+    result = estimate_dof(scheme, SimConfig(trials=trials, seed=6))
+    ranks = run_verification(scheme, trials, 6).ranks
+    chunked(exact_scheme.config.users * exact_scheme.config.block_len ** 2)
+    exact = run_verification(exact_scheme, trials, 6, exact=True).ranks
+    return ranks, exact, result.rates, result.tdma_rates
+
+
+@pytest.mark.parametrize("K", [3, 8])
+def test_a_run_is_a_prefix_of_a_longer_run(K, fallback_scheme5, monkeypatch):
+    """Draw t is the t-th draw of its stream: at 5 draws, float verification,
+    exact verification (of the fallback family, whose receiver 5 goes to
+    Bareiss) and the simulation give the first rows of their 40-draw runs,
+    byte for byte, and chunks of one draw or three change neither run."""
+    scheme = bk.build_scheme(K)
+    runs = {}
+    for draws_per_chunk in (None, 1, 3):
+        with monkeypatch.context() as patch:
+            for trials in (5, 40):
+                runs[draws_per_chunk, trials] = stream_outputs(
+                    scheme, fallback_scheme5, trials, patch, draws_per_chunk)
+    for draws_per_chunk in (1, 3):
+        for trials in (5, 40):
+            for got, expect in zip(runs[draws_per_chunk, trials], runs[None, trials]):
+                assert_bits(got, expect)
+    short, long = runs[None, 5], runs[None, 40]
+    assert_bits(short[0], long[0][:5 * K])
+    assert_bits(short[1], long[1][:5 * 5])
+    assert_bits(short[2], long[2][:, :5])
+    assert_bits(short[3], long[3][:, :5])
+    assert long[1].shape == (40 * 5, 3)
+
+
+def test_verify_and_simulate_read_one_stream(monkeypatch):
+    """Float verification and the simulation read the same coefficients for
+    trial t, over several chunks: the t-th draw_channels draw of the seed's
+    channel stream."""
+    scheme = bk.build_scheme(4)
+    seen = {biakit.verify: [], biakit.sim: []}
+    for module, stacks in seen.items():
+        def record(K, rng, T, _inner=module.draw_channel_stack, _stacks=stacks):
+            _stacks.append(_inner(K, rng, T))
+            return _stacks[-1]
+        monkeypatch.setattr(module, "draw_channel_stack", record)
+    monkeypatch.setattr(biakit.exactrank, "BATCH_ELEMENTS", 3 * 2 * 4 * 4)
+    run_verification(scheme, 7, 9)
+    estimate_dof(scheme, SimConfig(trials=7, seed=9))
+    expect = np.stack([ch.coeffs for ch in oracle_draws(scheme, 9, 7, False)])
+    for stacks in seen.values():
+        assert [len(coeffs) for coeffs in stacks] == [3, 3, 1]
+        assert_bits(np.concatenate(stacks), expect)
 
 
 def test_receiver_chunks_change_no_float_output(fallback_scheme5, golden_scheme4, monkeypatch,
@@ -709,7 +774,7 @@ def float_gathers(monkeypatch, scheme, draws, seed):
     with monkeypatch.context() as patch:
         seen = record_gathers(patch)
         report = run_verification(scheme, draws, seed)
-    coeffs = [oracle_draw(scheme, seed, t, False).coeffs for t in range(draws)]
+    coeffs = [ch.coeffs for ch in oracle_draws(scheme, seed, draws, False)]
     return report, [pair for pairs in gathered_pairs(seen, coeffs) for pair in pairs]
 
 
@@ -730,7 +795,7 @@ def test_receivers_with_no_proven_inverse_are_always_gathered(golden_scheme4, fa
         none = np.flatnonzero(np.isinf(bound.inverse2)).tolist()
         assert none == unproven.get(name, none), name
         assert set(none) >= {j for j in range(K) if not scheme.certified_receivers[j]}, name
-        coeffs = np.stack([oracle_draw(scheme, 4, t, False).coeffs for t in range(4)])
+        coeffs = np.stack([ch.coeffs for ch in oracle_draws(scheme, 4, 4, False)])
         low2, _, _ = draw_bounds(bound, coeffs)
         assert (low2[:, none] == 0).all() and (low2 > 0).sum() == 4 * (K - len(none)), name
         report, gathered = float_gathers(monkeypatch, scheme, 4, 4)
@@ -755,8 +820,8 @@ def planted(monkeypatch, edit):
     oracle alike."""
     inner = biakit.verify.draw_channel_stack
 
-    def draw_stack(K, seeds):
-        coeffs = inner(K, seeds)
+    def draw_stack(K, rng, T):
+        coeffs = inner(K, rng, T)
         for h in coeffs:
             edit(h)
         return coeffs
@@ -769,20 +834,35 @@ def planted(monkeypatch, edit):
     monkeypatch.setitem(globals(), "draw_channels", draw)
 
 
+def sigma_min(blocks, low):
+    """sigma_min of every block of a (..., m, m) stack, for comparison with a
+    lower bound low: the double SVD's, or a 30-digit SVD's (mpmath) where
+    the double one lies below its absolute accuracy m eps sigma_max and low
+    is positive. Planted draws from 1e-16 down reach that noise floor,
+    where LAPACK's value can sit on either side of the true one."""
+    sv = np.linalg.svd(blocks, compute_uv=False)
+    out = sv[..., -1].copy()
+    noise = sv[..., -1] <= blocks.shape[-1] * np.finfo(float).eps * sv[..., 0]
+    with mpmath.workdps(30):
+        for i in zip(*np.nonzero(noise & (low > 0))):
+            out[i] = float(min(mpmath.svd_c(mpmath.matrix(blocks[i].tolist()), compute_uv=False)))
+    return out
+
+
 @pytest.mark.parametrize("K", [4, 7])
 @pytest.mark.parametrize("plant", [near_parallel_own_pair, tiny_aligned])
 @pytest.mark.parametrize("eps", [1e-4, 1e-10, 1e-13, 1e-16, 1e-300, 0.0])
 def test_float_bound_on_planted_near_singular_draws(K, plant, eps, monkeypatch):
     """A near-zero own-pair determinant or aligned coefficient at receiver
-    1: the bound stays below the SVD's sigma_min, clears the ratio at 1e-4
+    1: the bound stays below sigma_min (`sigma_min`), clears the ratio at 1e-4
     and refuses from 1e-10 down (every draw of receiver 1 is gathered, and
     only those), and the report matches the per-draw loop byte for byte."""
     scheme = bk.build_scheme(K)
     planted(monkeypatch, plant(eps))
-    coeffs = np.stack([oracle_draw(scheme, 2, t, False).coeffs for t in range(3)])
+    coeffs = np.stack([ch.coeffs for ch in oracle_draws(scheme, 2, 3, False)])
     low2, frob2, plain = draw_bounds(float_bound(scheme), coeffs)
-    sv = np.linalg.svd(receiver_layout(scheme).blocks(coeffs, slice(None)), compute_uv=False)
-    assert (np.sqrt(low2) <= sv[..., -1]).all()
+    low = np.sqrt(low2)
+    assert (low <= sigma_min(receiver_layout(scheme).blocks(coeffs, slice(None)), low)).all()
     report, gathered = float_gathers(monkeypatch, scheme, 3, 2)
     assert report_bytes(report) == report_bytes(oracle_report(scheme, 3, 2))
     assert gathered == ([] if eps == 1e-4 else [[0, 1], [1, 1], [2, 1]])

@@ -11,8 +11,10 @@ from biakit.channel import (
     CHANNEL_STREAM,
     EXACT_STREAM,
     NOISE_STREAM,
+    SYMBOL_STREAM,
     channels_from_json,
     channels_to_json,
+    draw_channel_stack,
     draw_channels,
     draw_symbols,
     effective_channel,
@@ -34,14 +36,38 @@ def test_draws_deterministic_and_seed_sensitive():
     assert a.coeffs.shape == (3, 3, 2)
 
 
+def stream_draws(seed, stream, T, K=4):
+    """The first T draws of one stream, one draw_channels call after another."""
+    rng = np.random.default_rng(stream_seed(seed, stream))
+    return np.stack([draw_channels(K, 2, seed=rng).coeffs for _ in range(T)])
+
+
 def test_stream_seeds_are_independent():
-    base = draw_channels(4, 2, seed=stream_seed(0, CHANNEL_STREAM, 0))
-    other_trial = draw_channels(4, 2, seed=stream_seed(0, CHANNEL_STREAM, 1))
-    other_stream = draw_channels(4, 2, seed=stream_seed(0, NOISE_STREAM, 0))
-    replay = draw_channels(4, 2, seed=stream_seed(0, CHANNEL_STREAM, 0))
-    assert not np.array_equal(base.coeffs, other_trial.coeffs)
-    assert not np.array_equal(base.coeffs, other_stream.coeffs)
-    assert np.array_equal(base.coeffs, replay.coeffs)
+    """The four streams of one seed, and one stream of two seeds, give
+    different draws; a stream replays exactly, and its successive draws
+    differ from one another."""
+    streams = (CHANNEL_STREAM, NOISE_STREAM, SYMBOL_STREAM, EXACT_STREAM)
+    assert sorted(streams) == [0, 1, 2, 3]
+    draws = [stream_draws(0, stream, 2) for stream in streams] + [stream_draws(1, CHANNEL_STREAM, 2)]
+    for a, b in itertools.combinations(draws, 2):
+        assert not np.isin(a, b).any()
+    assert not np.isin(draws[0][0], draws[0][1]).any()
+    assert np.array_equal(stream_draws(0, CHANNEL_STREAM, 2), draws[0])
+    assert stream_seed(3, EXACT_STREAM).spawn_key == (EXACT_STREAM,)
+
+
+@pytest.mark.parametrize("K", [3, 8])
+@pytest.mark.parametrize("T", [1, 5])
+def test_channel_stack_equals_successive_draws(K, T):
+    """T successive draw_channels on one Generator give exactly the
+    coefficients of one draw_channel_stack on a fresh copy of it, and leave
+    the Generator where the stack leaves it."""
+    one, stack = (np.random.default_rng(stream_seed(9, CHANNEL_STREAM)) for _ in range(2))
+    draws = np.stack([draw_channels(K, 2, seed=one).coeffs for _ in range(T)])
+    got = draw_channel_stack(K, stack, T)
+    assert got.shape == (T, K, K, 2)
+    assert got.tobytes() == draws.tobytes()
+    assert one.bit_generator.state == stack.bit_generator.state
 
 
 def test_coefficient_statistics():
@@ -162,9 +188,23 @@ def test_channel_json_roundtrip():
 
 
 def test_channel_json_records_spawned_seeds():
-    ch = draw_channels(3, 2, seed=stream_seed(5, CHANNEL_STREAM, 2))
+    ch = draw_channels(3, 2, seed=stream_seed(5, EXACT_STREAM))
     doc = json.loads(channels_to_json(ch))
-    assert doc["seed"] == {"entropy": 5, "spawn_key": [CHANNEL_STREAM, 2]}
+    assert doc["seed"] == {"entropy": 5, "spawn_key": [EXACT_STREAM]}
+
+
+def test_channel_json_replays_a_stream_draw():
+    """A draw taken from a run's stream has a Generator for its seed, which
+    names no draw: its file says "seed": null, as a file loaded without a
+    seed does, and replays the coefficients exactly."""
+    rng = np.random.default_rng(1)
+    draw_channels(3, 2, seed=rng)
+    ch = draw_channels(3, 2, seed=rng)
+    text = channels_to_json(ch)
+    assert json.loads(text)["seed"] is None
+    back = channels_from_json(text)
+    assert back.seed is None and back.coeffs.tobytes() == ch.coeffs.tobytes()
+    assert channels_to_json(back) == text
 
 
 @pytest.mark.parametrize("corrupt, message", [
@@ -223,8 +263,7 @@ def test_channel_json_takes_integral_parts():
 seeds = st.one_of(
     st.integers(0, 2 ** 64),
     st.builds(stream_seed, st.integers(0, 2 ** 32),
-              st.sampled_from([CHANNEL_STREAM, NOISE_STREAM, EXACT_STREAM]),
-              st.integers(0, 10 ** 6)))
+              st.sampled_from([CHANNEL_STREAM, NOISE_STREAM, SYMBOL_STREAM, EXACT_STREAM])))
 
 
 @settings(max_examples=60, deadline=None)

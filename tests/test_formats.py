@@ -6,8 +6,16 @@ one replaced, through the command line:
 - verify_4_trials6_seed3.csv: verify --users 4 --trials 6 --seed 3 --format csv
 - verify_exact_5_trials2_seed3.csv: verify --users 5 --exact --trials 2 --seed 3 --format csv
 - bound_9.csv, bound_25.csv: bound --users 9 / 25 (K = 25 has numerators past int64)
+
+The simulation CSVs were rewritten by the columnar renderer when every
+run came to draw its trials from one channel stream, which moved every
+rate, by the command
+
 - simulate_3_trials4_seed15_{rates,summary}.csv:
   simulate --users 3 --trials 4 --seed 15 --snr 30 --snr 40
+
+and their rates are checked against the one-draw `receiver_rate` on that
+stream's draws.
 
 The JSON files were written by the StringIO renderer that the list-based
 `render_json` replaced (kept below as `oracle_render_json`):
@@ -30,8 +38,17 @@ from hypothesis import given, strategies as st
 
 import biakit as bk
 import biakit.cli
+from biakit.channel import CHANNEL_STREAM, draw_channels, stream_seed
 from biakit.formats import Records, format_float, format_rational, render_csv, render_json
-from biakit.sim import SimConfig, SimResult, estimate_dof, result_to_long_csv, result_to_summary_csv
+from biakit.sim import (
+    SimConfig,
+    SimResult,
+    estimate_dof,
+    receiver_rate,
+    result_to_long_csv,
+    result_to_summary_csv,
+)
+from biakit.verify import decompose_receiver
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -87,6 +104,21 @@ def test_simulation_keeps_the_golden_rows_and_rates():
         return [line.rsplit(",", 1)[0] for line in text.splitlines()]
     assert cut(result_to_long_csv(got)) == cut(result_to_long_csv(expect))
     assert cut(result_to_summary_csv(got)) == cut(result_to_summary_csv(expect))
+
+
+def test_golden_rates_are_the_one_draw_rates_of_the_stream():
+    """Every golden rate is receiver_rate's, within 1e-10, on the first four
+    draws of seed 15's channel stream, one draw_channels after another."""
+    expect = golden_simulation()
+    scheme = bk.build_scheme(3)
+    rng = np.random.default_rng(stream_seed(15, CHANNEL_STREAM))
+    for t in range(4):
+        ch = draw_channels(3, 2, seed=rng)
+        for j in range(3):
+            dec = decompose_receiver(ch, scheme, j)
+            for p, db in enumerate(expect.snr_points_db):
+                np.testing.assert_allclose(expect.rates[p, t, j],
+                                           receiver_rate(dec, 10.0 ** (db / 10.0)), rtol=1e-10, atol=0)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])

@@ -22,5 +22,5 @@ def test_readme_quickstart_runs_and_prints_its_comments():
     assert "# (True, True, True, True)" in code and "(True, True, True, True)" in lines
     assert "# 0" in code and "0" in lines
     slope, target = map(float, lines[-1].split())
-    assert "# ~1.329 vs 1.333..." in code
-    assert round(slope, 3) == 1.329 and target == 4 / 3
+    assert "# ~1.330 vs 1.333..." in code
+    assert round(slope, 3) == 1.330 and target == 4 / 3

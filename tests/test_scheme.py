@@ -19,7 +19,7 @@ from biakit.designspace import make_pattern_matrix, row_vocabulary
 from biakit.exactrank import integer_rank
 from biakit.scheme import (
     PatternMatrix,
-    MAX_GENERATOR_ENTRIES,
+    MAX_BLOCK_ENTRIES,
     certify_product_rank,
     certify_receivers,
     check_supports,
@@ -445,16 +445,16 @@ def test_build_scheme_certifies_every_receiver(monkeypatch, K):
         assert certify_product_rank(scheme.pattern.tilde)
 
 
-def test_build_scheme_refuses_oversized_generator_stacks(monkeypatch):
+def test_build_scheme_refuses_oversized_blocks(monkeypatch):
     def unreached(config):
         raise AssertionError("star_pattern_matrix built K=%d" % config.users)
     monkeypatch.setattr(biakit.scheme, "star_pattern_matrix", unreached)
     for K in (49, 100000):
         with pytest.raises(ValueError, match="users K=%d is too large" % K):
             bk.build_scheme(K)
-    # K = 48 is the largest K whose one-pattern stack fits
+    # K = 48 is the largest K whose one draw of K combined blocks fits
     size = [K * make_config(K).block_len ** 2 for K in (48, 49)]
-    assert size[0] <= MAX_GENERATOR_ENTRIES < size[1]
+    assert size[0] <= MAX_BLOCK_ENTRIES < size[1]
 
 
 def test_build_scheme_48_allocates_no_dense_generator_stack():
@@ -470,7 +470,7 @@ def test_build_scheme_48_allocates_no_dense_generator_stack():
     assert peak < 40 * 2 ** 20
 
 
-def test_scheme_from_json_refuses_oversized_generator_stacks(monkeypatch):
+def test_scheme_from_json_refuses_oversized_blocks(monkeypatch):
     """A document's K meets build_scheme's bound before anything is built."""
     def unreached(*args):
         raise AssertionError("a pattern was built")

@@ -40,9 +40,11 @@ from conftest import matrix_count, widened_schemes
 @pytest.mark.parametrize("K", [3, 4])
 def test_noiseless_roundtrip(K):
     scheme = bk.build_scheme(K)
+    channels = np.random.default_rng(stream_seed(0, CHANNEL_STREAM))
+    symbols = np.random.default_rng(stream_seed(0, SYMBOL_STREAM))
     for t in range(5):
-        ch = draw_channels(K, 2, seed=stream_seed(0, CHANNEL_STREAM, t))
-        sym = draw_symbols(K, power=1.0, seed=stream_seed(0, SYMBOL_STREAM, t))
+        ch = draw_channels(K, 2, seed=channels)
+        sym = draw_symbols(K, power=1.0, seed=symbols)
         for j in range(K):
             y = receive(ch, scheme, sym, j)
             dec = decompose_receiver(ch, scheme, j)
@@ -77,12 +79,13 @@ def test_normalized_error_halves_when_power_doubles(scheme4):
     med = {}
     for factor in (1.0, 2.0):
         errs = []
+        channels, symbols, noise = (np.random.default_rng(stream_seed(5, stream))
+                                    for stream in (CHANNEL_STREAM, SYMBOL_STREAM, NOISE_STREAM))
         for t in range(200):
-            ch = draw_channels(4, 2, seed=stream_seed(5, CHANNEL_STREAM, t))
-            sym = draw_symbols(4, power=p0 * factor, seed=stream_seed(5, SYMBOL_STREAM, t))
+            ch = draw_channels(4, 2, seed=channels)
+            sym = draw_symbols(4, power=p0 * factor, seed=symbols)
             j = t % 4
-            y = receive(ch, scheme4, sym, j,
-                        noise_on=True, seed=stream_seed(5, NOISE_STREAM, t))
+            y = receive(ch, scheme4, sym, j, noise_on=True, seed=noise)
             dec = decompose_receiver(ch, scheme4, j)
             est = zf_decode(dec, y)
             errs.append(np.mean(np.abs(est - sym.values[j]) ** 2) / (p0 * factor))
@@ -106,8 +109,9 @@ def test_estimate_dof_ranks_and_inverts_once_per_receiver(scheme4, linalg_stacks
     # exclusion, so no SVD ranks anything
     assert linalg_stacks["svd"] == [] and linalg_stacks["inv"] == []
     assert matrix_count(linalg_stacks["solve"], 9, 9) == 4
+    rng = np.random.default_rng(stream_seed(cfg.seed, CHANNEL_STREAM))
     for t in range(cfg.trials):
-        ch = draw_channels(4, 2, seed=stream_seed(cfg.seed, CHANNEL_STREAM, t))
+        ch = draw_channels(4, 2, seed=rng)
         for j in range(4):
             dec = decompose_receiver(ch, scheme4, j)
             for p, db in enumerate(cfg.snr_points_db):
@@ -207,8 +211,9 @@ def projected_noise_enhancement(decomp):
 
 def assert_noise_enhancement_matches_projection(scheme, receivers, draws=5):
     K = scheme.config.users
+    rng = np.random.default_rng(stream_seed(3, CHANNEL_STREAM))
     for t in range(draws):
-        ch = draw_channels(K, 2, seed=stream_seed(3, CHANNEL_STREAM, t))
+        ch = draw_channels(K, 2, seed=rng)
         for j in receivers:
             dec = decompose_receiver(ch, scheme, j)
             np.testing.assert_allclose(noise_enhancement(dec), projected_noise_enhancement(dec),
@@ -241,8 +246,9 @@ def test_alignment_beats_tdma_at_high_snr(scheme4):
     bia = 0.0
     tdma = 0.0
     trials = 50
+    rng = np.random.default_rng(stream_seed(8, CHANNEL_STREAM))
     for t in range(trials):
-        ch = draw_channels(4, 2, seed=stream_seed(8, CHANNEL_STREAM, t))
+        ch = draw_channels(4, 2, seed=rng)
         bia += sum(receiver_rate(decompose_receiver(ch, scheme4, j), power) for j in range(4))
         tdma += tdma_sum_rate(scheme4, ch, power)
     assert bia / trials > tdma / trials

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 import biakit as bk
 import biakit.verify
 from biakit.channel import (
+    CHANNEL_STREAM,
     ChannelSet,
+    draw_channel_stack,
     draw_channels,
     draw_symbols,
     effective_channel,
@@ -126,8 +128,9 @@ def test_golden_receiver1_alignment_directions(golden_scheme4):
 @pytest.mark.parametrize("K,ranks", [(3, (2, 3, 5)), (4, (3, 6, 9))])
 def test_verified_ranks(K, ranks):
     scheme = bk.build_scheme(K)
+    rng = np.random.default_rng(stream_seed(0, CHANNEL_STREAM))
     for t in range(30):
-        ch = draw_channels(K, 2, seed=stream_seed(0, 0, t))
+        ch = draw_channels(K, 2, seed=rng)
         for c in verify_decodability(ch, scheme, draw=t):
             assert c.passed
             assert (c.rank_desired, c.rank_interference, c.rank_combined) == ranks
@@ -154,8 +157,9 @@ def test_combined_matrix_conditioning(scheme4):
     above 1e-6 of the largest in at least 99% of draws (observed: all)."""
     ok = 0
     draws = 300
+    rng = np.random.default_rng(stream_seed(1, CHANNEL_STREAM))
     for t in range(draws):
-        ch = draw_channels(4, 2, seed=stream_seed(1, 0, t))
+        ch = draw_channels(4, 2, seed=rng)
         for j in range(4):
             dec = decompose_receiver(ch, scheme4, j)
             sv = np.linalg.svd(np.hstack([dec.desired, dec.interference_basis]),
@@ -194,8 +198,9 @@ def assert_rank_rule(scheme, draws=4):
     interference and combined blocks, each taken by its own SVD."""
     K = scheme.config.users
     out = []
+    rng = np.random.default_rng(stream_seed(4, CHANNEL_STREAM))
     for t in range(draws):
-        ch = draw_channels(K, 2, seed=stream_seed(4, 0, t))
+        ch = draw_channels(K, 2, seed=rng)
         checks = verify_decodability(ch, scheme, draw=t)
         for j, check in enumerate(checks):
             dec = decompose_receiver(ch, scheme, j)
@@ -469,7 +474,7 @@ def test_float_bound_never_exceeds_sigma_min_on_built_schemes(K):
     """Every built receiver has an inverse, and its bound stays under the
     SVD's sigma_min while clearing RATIO ||A_j||_F in every draw."""
     scheme = bk.build_scheme(K)
-    coeffs = np.stack([draw_channels(K, 2, seed=stream_seed(7, 0, t)).coeffs for t in range(8)])
+    coeffs = draw_channel_stack(K, np.random.default_rng(stream_seed(7, CHANNEL_STREAM)), 8)
     assert (assert_bound_below_sigma_min(scheme, coeffs) > RATIO).all()
 
 
@@ -477,7 +482,7 @@ def test_float_bound_never_exceeds_sigma_min_on_built_schemes(K):
 @given(widened_schemes(), st.integers(0, 2 ** 32 - 1))
 def test_float_bound_never_exceeds_sigma_min_on_widened_supports(scheme, seed):
     K = scheme.config.users
-    coeffs = np.stack([draw_channels(K, 2, seed=stream_seed(seed, 0, t)).coeffs for t in range(3)])
+    coeffs = draw_channel_stack(K, np.random.default_rng(stream_seed(seed, CHANNEL_STREAM)), 3)
     assert_bound_below_sigma_min(scheme, coeffs)
 
 
