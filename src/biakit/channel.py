@@ -135,17 +135,16 @@ def receive(
 def channels_to_json(ch: ChannelSet) -> str:
     """Dump a draw for exact replay: one record per coefficient, 1-indexed,
     in (rx, tx, mode) order. The seed is written when it names the draw: an
-    int, a SeedSequence as its entropy and spawn key, or such a record read
-    from a replay file; any other seed (a Generator: the draw of a run's
-    stream, which depends on the draws before it) is written null, as a
-    file loaded without a seed has."""
+    int, or a SeedSequence as its entropy and spawn key; any other seed (a
+    Generator: the draw of a run's stream, which depends on the draws
+    before it) is written null, as a file loaded without a seed has."""
     rx, tx, mode = (index.reshape(-1) + 1 for index in np.indices(ch.coeffs.shape))
     flat = np.asarray(ch.coeffs, dtype=complex).reshape(-1)
     records = Records(("rx", "tx", "mode", "re", "im"), (rx, tx, mode, flat.real, flat.imag))
     seed = ch.seed
     if isinstance(seed, np.random.SeedSequence):
         seed = {"entropy": seed.entropy, "spawn_key": list(seed.spawn_key)}
-    elif not (is_int(seed) or isinstance(seed, dict)):
+    elif not is_int(seed):
         seed = None
     return render_json({"seed": seed, "coeffs": records})
 
@@ -155,7 +154,8 @@ def channels_from_json(text: str) -> ChannelSet:
     one record for every (rx, tx, mode) in 1..K x 1..K x 1..M, with K and M
     the largest indices present. rx, tx and mode must be integers and re
     and im finite numbers. Otherwise ValueError names the offending record,
-    by its 1-indexed position or by its indices."""
+    by its 1-indexed position or by its indices. A "seed" record is read
+    back as the seed it names (`_seed`)."""
     doc = json.loads(text)
     if not isinstance(doc, dict) or not isinstance(doc.get("coeffs"), list):
         raise ValueError('channel file must be a JSON object with a "coeffs" list')
@@ -183,7 +183,23 @@ def channels_from_json(text: str) -> ChannelSet:
     coeffs = np.zeros((K, K, M), dtype=complex)
     for (rx, tx, mode), value in zip(keys, values):
         coeffs[rx - 1, tx - 1, mode - 1] = value
-    return ChannelSet(coeffs=coeffs, seed=doc.get("seed"))
+    return ChannelSet(coeffs=coeffs, seed=_seed(doc.get("seed")))
+
+
+def _seed(record):
+    """The seed a replay file names: null, an int >= 0, or a SeedSequence
+    from its {"entropy": int or [ints], "spawn_key": [ints]} record, all
+    ints >= 0, so the draw replays from it. Otherwise ValueError names it."""
+    if record is None or (is_int(record) and record >= 0):
+        return record
+    if isinstance(record, dict) and set(record) == {"entropy", "spawn_key"}:
+        entropy, key = record["entropy"], record["spawn_key"]
+        parts = entropy if isinstance(entropy, list) else [entropy]
+        if isinstance(key, list) and all(is_int(k) and k >= 0 for k in parts + key):
+            return np.random.SeedSequence(entropy, spawn_key=key)
+    raise ValueError('channel file seed must be null, an integer >= 0 or a record '
+                     '{"entropy": ..., "spawn_key": [...]} of integers >= 0, got %s'
+                     % json.dumps(record))
 
 
 def _record(n: int, r) -> tuple[tuple[int, int, int], complex]:

@@ -381,9 +381,10 @@ def check_pair_dims(K: int, dims: dict[tuple[int, int], tuple[int, int]]) -> Non
 # ---------------------------------------------------------------------------
 # whole schemes
 
-# largest K m^2 build_scheme takes (K = 48): the entries of one draw's K
-# combined m x m blocks, which `verify --exact` gathers in a draw whose
-# proof leaves every receiver open
+# largest K m^2 build_scheme takes (K = 48), the entries of one draw's K
+# combined m x m blocks: a bound on the scheme sizes the package is tested
+# at, since no run holds those blocks at once (verify gathers a block or
+# exactrank.BATCH_ELEMENTS entries at a time)
 MAX_BLOCK_ENTRIES = 1 << 26
 
 
@@ -423,14 +424,13 @@ class Scheme:
 
 
 def _sized_config(users: int) -> SchemeConfig:
-    """make_config(users), refused with ValueError when K m^2, the entries
-    of one draw's K combined blocks, exceeds MAX_BLOCK_ENTRIES
-    (K >= 49): checked before anything is built."""
+    """make_config(users), refused with ValueError when K m^2 exceeds
+    MAX_BLOCK_ENTRIES (K >= 49): checked before anything is built."""
     config = make_config(users)
     entries = users * config.block_len ** 2
     if entries > MAX_BLOCK_ENTRIES:
-        raise ValueError("users K=%d is too large: one draw's K combined blocks hold "
-                         "K*m^2 = %d entries, more than 2^26 (K <= 48)" % (users, entries))
+        raise ValueError("users K=%d is too large: K*m^2 = %d is more than 2^26 (K <= 48)"
+                         % (users, entries))
     return config
 
 
@@ -439,9 +439,8 @@ def build_scheme(
     pair_dims: dict[tuple[int, int], tuple[int, int]] | None = None,
 ) -> Scheme:
     """The K-user scheme of star_pattern_matrix, which certifies every
-    receiver for every K >= 3 whose K m^2, the entries of one draw's K
-    combined blocks, fits MAX_BLOCK_ENTRIES (K <= 48); a larger K
-    raises ValueError before anything is built."""
+    receiver for every K >= 3 whose K m^2 fits MAX_BLOCK_ENTRIES
+    (K <= 48); a larger K raises ValueError before anything is built."""
     return Scheme(star_pattern_matrix(_sized_config(users)), pair_dims)
 
 

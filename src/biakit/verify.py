@@ -24,27 +24,24 @@ of draws coeffs (T, K, K, M) one gather
 coeffs[:, j, src[j, c], tilde[r, j]] * vectors[col[j, c], r] yields the
 combined blocks of any receivers j in every draw (`ReceiverLayout.blocks`).
 A run makes one Generator per (seed, stream) (`channel.stream_seed`):
-draw t is the t-th draw of the seed's channel stream in float mode, the
-stream the simulator reads too, and of its exact stream in exact mode, so a
-run is a prefix of a longer one with the same seed. Runs take their draws
-in `exactrank.chunks` (at least one draw a chunk), each chunk the next
-draws of the stream, by the one sizing rule of every batched kernel: exact
-runs at K m^2 block entries a draw, float runs at 2 K^2 channel
-coefficients a draw, the work of their decision. A float run gathers what
-it still needs a receiver at a time, in chunks of at most
-`exactrank.BATCH_ELEMENTS` entries or one block, so every gathered, Gram,
-factor or SVD stack stays that small and memory stays flat in the draw
-count and in K; chunking changes no output.
-`decompose_receiver`, `verify_decodability` and `verify_decodability_exact`
-are one-draw views of the same kernels. A run's ranks stay one
-(draws * K, 3) int64 array in (draw, rx) order from the kernels to the
-emitted bytes (`VerificationReport.ranks`); only the one-draw views and
-`VerificationReport.checks` turn its rows into ReceiverCheck objects.
-
-Every verdict is read off A_j by one rule: a receiver whose A_j has
-rank m reports the expected ranks without further work, and only the
-others are ranked block by block. Full rank of A_j gives full column rank
-to the desired and interference blocks, which are column subsets of it.
+draw t is the t-th draw of the seed's channel stream in float mode (the
+simulator's stream too) and of its exact stream in exact mode, so a run is
+a prefix of a longer one with the same seed. Runs take their draws in
+`exactrank.chunks` of 2 K^2 channel coefficients a draw, the one sizing
+rule of every batched kernel. Both modes decide, then gather
+(`_gather_ranks`): each chunk's proof (below) settles what it can from the
+coefficients alone, and only the (draw, rx) pairs it leaves open are
+gathered, a receiver at a time, at most `exactrank.BATCH_ELEMENTS` entries
+or one block a stack, on a layout built only in a chunk that needs one. So
+memory stays flat in the draw count and in K, and chunking changes no
+output. A gathered A_j of rank m reports the expected ranks (full rank of
+A_j gives full column rank to its desired and interference blocks, column
+subsets of it); only a short one has its two blocks ranked. A run's ranks
+stay one (draws * K, 3) int64 array in (draw, rx) order from the kernels to
+the emitted bytes (`VerificationReport.ranks`); `decompose_receiver`,
+`verify_decodability` and `verify_decodability_exact` are one-draw views of
+the same kernels, and only they and `VerificationReport.checks` build
+ReceiverCheck objects.
 
 Up to column order A_j = G_j D_j (scheme.certify_receivers): G_j is
 receiver j's 0/1 generator matrix and D_j is block diagonal, one aligned
@@ -67,8 +64,7 @@ product G_j X = I, with the draw's own D_j. The two modes:
   agrees with ranking every block: a column subset D of A has
   sigma_min(D) >= sigma_min(A) and sigma_max(D) <= sigma_max(A), so
   whenever the cut lies below sigma_min(A) it lies below sigma_min(D)
-  too. Like exact mode it decides,
-  then gathers. `float_bound` reads the scheme once a run: the exact
+  too. Its proof: `float_bound` reads the scheme once a run, the exact
   inverse of every certified G_j that the singleton peel empties
   (`scheme.generator_inverses`; every built G_j has one, with
   ||G_j^-1||_F^2 = nnz(G_j)), the support counts that give ||A_j||_F
@@ -114,8 +110,7 @@ product G_j X = I, with the draw's own D_j. The two modes:
   uncertified G_j, or a certified one the peel leaves a core of: the
   pair-product families) has a bound of 0 and passes in no draw.
 
-  Only the (draw, receiver) pairs the bound leaves are gathered, a
-  receiver at a time, and ranked: an uncertified receiver's by
+  The pairs the bound leaves are ranked: an uncertified receiver's by
   `stack_ranks` alone (its A_j is singular in every draw, so no margin
   can prove it), a certified one's by `square_ranks`, which skips the SVD
   of a stack whose every A the Cholesky margin proves full.
@@ -136,16 +131,12 @@ product G_j X = I, with the draw's own D_j. The two modes:
   anything is bounded or gathered.
 - exact: certification grade, over Gaussian-integer draws (one
   `_exact_channel_ints` draw after another from the run's exact stream),
-  with one exact rule and no prime. It decides, then gathers: each chunk
-  draws its coefficients and `_proven` decides every certified receiver
-  from them alone (every factor is a product of
-  integers of magnitude at most 999, exact in complex float64), with no
-  layout and no block. Only the other (draw, receiver) pairs (an
-  uncertified G_j or a zero factor) take a block, gathered a draw at a
-  time by `ReceiverLayout.blocks` on a layout built only in a chunk that
-  holds such a pair, and `exactrank.gaussian_rank` ranks it, realifying
-  each Z[i] matrix onto the fraction-free integer kernel. A scheme whose
-  every receiver is certified is verified with no layout at all.
+  with one exact rule and no prime. Its proof is `_proven` (every factor
+  is a product of integers of magnitude at most 999, exact in complex
+  float64). The pairs it leaves (an uncertified G_j or a zero factor) are
+  ranked by `exactrank.gaussian_rank`, realifying each Z[i] matrix onto
+  the fraction-free integer kernel. A scheme whose every receiver is
+  certified is verified with no layout at all.
 
 The channel-free certificate that powers construction lives in
 scheme.certify_receivers.
@@ -292,31 +283,6 @@ class ReceiverCheck:
     passed: bool
 
 
-def _receiver_checks(blocks, rank_combined, ranks) -> np.ndarray:
-    """The one rank rule, over the square combined blocks of a chunk of draws.
-
-    rank_combined (T, K) holds the rank of every combined block; blocks, a
-    dict keyed by (t, j), holds A_j of draw t where that rank is short. A
-    full one proves the expected ranks; otherwise `ranks` ranks the desired
-    and the interference column blocks, each stacked over the short A_j in
-    `exactrank.chunks` of blocks. Returns the (T * K, 3) int64 array of
-    (rank_desired, rank_interference, rank_combined), in (draw, rx) order.
-    """
-    rank_combined = np.asarray(rank_combined)
-    K = rank_combined.shape[1]
-    full = expected_ranks(make_config(K))
-    out = np.empty(rank_combined.shape + (3,), dtype=np.int64)
-    out[...] = full
-    out[..., 2] = rank_combined
-    short = np.argwhere(rank_combined < full[2])
-    for part in chunks(len(short), full[2] ** 2):
-        t, j = short[part].T
-        a = np.stack([blocks[key] for key in zip(t.tolist(), j.tolist())])
-        out[t, j, 0] = ranks(a[..., :K - 1])
-        out[t, j, 1] = ranks(a[..., K - 1:])
-    return out.reshape(-1, 3)
-
-
 def _as_checks(ranks: np.ndarray, K: int, first_draw: int) -> list[ReceiverCheck]:
     """One ReceiverCheck a row of a (draws * K, 3) ranks array in (draw, rx)
     order, its first draw numbered first_draw."""
@@ -398,34 +364,14 @@ def draw_bounds(bound: FloatBound, coeffs: np.ndarray) -> tuple[np.ndarray, np.n
     return low2, frob2, plain
 
 
-def _float_checks(scheme: Scheme, bound: FloatBound, coeffs: np.ndarray) -> np.ndarray:
-    """The ranks (`_receiver_checks`) of a chunk of float draws: decide,
-    then gather. The bound proves a receiver full rank where it clears
-    RATIO ||A_j||_F; only the other (draw, rx) pairs take a block, gathered
-    a receiver at a time in `exactrank.chunks` of blocks, and
-    `square_ranks` ranks a certified receiver's, `stack_ranks` an
-    uncertified one's (always singular, so the margin could never prove
-    it). Only short blocks are kept, for their sub-block ranks."""
+def _float_proven(bound: FloatBound, coeffs: np.ndarray) -> np.ndarray:
+    """Which combined blocks of a stack of float draws coeffs (T, K, K, 2)
+    the float bound proves full rank, (T, K): where it clears
+    RATIO ||A_j||_F. Raises ValueError on a non-finite coefficient."""
     if not np.isfinite(coeffs).all():
         raise ValueError("non-finite entries")
-    m = scheme.config.block_len
     low2, frob2, plain = draw_bounds(bound, coeffs)
-    proven = plain & (low2 > RATIO ** 2 * frob2)
-    rank_combined = np.full(proven.shape, m)
-    blocks = {}
-    todo = np.flatnonzero(~proven.all(axis=0)).tolist()
-    layout = receiver_layout(scheme) if todo else None
-    for j in todo:
-        rank = square_ranks if scheme.certified_receivers[j] else stack_ranks
-        draws = np.flatnonzero(~proven[:, j])
-        for part in chunks(draws.size, m * m):
-            t = draws[part.start:part.stop]
-            a = layout.blocks(coeffs[t], j)
-            ranks = rank(a)
-            rank_combined[t, j] = ranks
-            for i in np.flatnonzero(ranks < m).tolist():
-                blocks[int(t[i]), j] = a[i]
-    return _receiver_checks(blocks, rank_combined, stack_ranks)
+    return plain & (low2 > RATIO ** 2 * frob2)
 
 
 def verify_decodability(ch: ChannelSet, scheme: Scheme, draw: int = 0) -> list[ReceiverCheck]:
@@ -437,7 +383,8 @@ def verify_decodability(ch: ChannelSet, scheme: Scheme, draw: int = 0) -> list[R
 
     Failures are reported, never raised; callers decide severity.
     """
-    ranks = _float_checks(scheme, float_bound(scheme), ch.coeffs[None])
+    coeffs = ch.coeffs[None]
+    ranks = _gather_ranks(scheme, coeffs, _float_proven(float_bound(scheme), coeffs), False)
     return _as_checks(ranks, scheme.config.users, draw)
 
 
@@ -450,6 +397,13 @@ def _exact_channel_ints(K: int, rng: np.random.Generator) -> np.ndarray:
         if not dead.any():
             return coeffs
         coeffs[dead] = rng.integers(-999, 1000, size=(int(dead.sum()), 2))
+
+
+def _exact_draws(K: int, rng: np.random.Generator, draws: int) -> np.ndarray:
+    """The next `draws` `_exact_channel_ints` draws of rng, one after
+    another, as complex coefficients (T, K, K, 2) [draw, rx, tx, mode]."""
+    h = np.stack([_exact_channel_ints(K, rng) for _ in range(draws)])
+    return h[..., 0] + 1j * h[..., 1]
 
 
 def _exact_ranks(stack: np.ndarray) -> np.ndarray:
@@ -480,42 +434,43 @@ def _proven(certified: tuple[bool, ...], coeffs: np.ndarray) -> np.ndarray:
     return np.array(certified, dtype=bool) & nonzero.all(axis=2)
 
 
-def _exact_checks(scheme: Scheme, rng: np.random.Generator, draws: int) -> np.ndarray:
-    """The ranks (`_receiver_checks`) of a chunk of exact draws, the next
-    `draws` Gaussian-integer draws of rng, one after another: decide, then
-    gather. A receiver `_proven` proves has rank m and needs no block; only
-    the other (draw, rx) pairs take one, gathered a draw at a time on a
-    layout built only when such a pair exists, and Bareiss ranks them."""
-    K = scheme.config.users
-    h = np.stack([_exact_channel_ints(K, rng) for _ in range(draws)])
-    coeffs = h[..., 0] + 1j * h[..., 1]  # (T, K, K, 2) [draw, rx, tx, mode]
-    proven = _proven(scheme.certified_receivers, coeffs)
-    rank_combined = np.full(proven.shape, scheme.config.block_len)
-    blocks = {}
-    todo = [(t, np.flatnonzero(~row).tolist()) for t, row in enumerate(proven) if not row.all()]
+def _gather_ranks(scheme: Scheme, coeffs: np.ndarray, proven: np.ndarray, exact: bool) -> np.ndarray:
+    """The (T * K, 3) int64 ranks (rank_desired, rank_interference,
+    rank_combined), in (draw, rx) order, of a chunk of draws coeffs
+    (T, K, K, 2) whose proof (`_proven` or `_float_proven`) settled the
+    combined blocks in proven (T, K): decide, then gather (module
+    docstring). Bareiss ranks every exact block; in float `square_ranks`
+    ranks a certified receiver's, `stack_ranks` an uncertified one's
+    (always singular, so the margin could never prove it) and the two
+    blocks of every short A_j."""
+    K, m = scheme.config.users, scheme.config.block_len
+    out = np.empty(proven.shape + (3,), dtype=np.int64)
+    out[...] = expected_ranks(scheme.config)
+    todo = np.flatnonzero(~proven.all(axis=0)).tolist()
     layout = receiver_layout(scheme) if todo else None
-    for t, rx in todo:
-        a = layout.blocks(coeffs[t, None], rx)[0]
-        rank_combined[t, rx] = _exact_ranks(a)
-        blocks.update(((t, j), b) for j, b in zip(rx, a))
-    return _receiver_checks(blocks, rank_combined, _exact_ranks)
+    sub = _exact_ranks if exact else stack_ranks
+    for j in todo:
+        rank = square_ranks if scheme.certified_receivers[j] and not exact else sub
+        draws = np.flatnonzero(~proven[:, j])
+        for part in chunks(draws.size, m * m):
+            t = draws[part.start:part.stop]
+            a = layout.blocks(coeffs[t], j)
+            ranks = rank(a)
+            out[t, j, 2] = ranks
+            a, t = a[ranks < m], t[ranks < m]
+            out[t, j, 0] = sub(a[..., :K - 1])
+            out[t, j, 1] = sub(a[..., K - 1:])
+    return out.reshape(-1, 3)
 
 
 def verify_decodability_exact(scheme: Scheme, seed=0, draw: int = 0) -> list[ReceiverCheck]:
-    """Same three conditions with exact arithmetic: channels are random
-    Gaussian integers and every rank is proven, so there is no floating
-    tolerance anywhere.
-
-    One rule, with no prime: a certified receiver whose D_j factors
-    (aligned mode-2 coefficients, own-pair determinants) are all nonzero
-    has rank m, since det A_j = +-det G_j times their product; it takes no
-    block. Every other block comes from the same layout as the float path.
-    The draw's parts are integers of magnitude at most 999 and the
-    beamforming vectors are 0/1, so every block entry is exact in complex
-    floating point and converts back to integers without loss. Such a block is ranked by `gaussian_rank`, and
-    so are its desired and interference blocks when that rank is short.
-    """
-    ranks = _exact_checks(scheme, np.random.default_rng(seed), 1)
+    """Same three conditions with exact arithmetic over one Gaussian-integer
+    draw of default_rng(seed): `_proven` settles a certified receiver whose D_j
+    factors are all nonzero, and `gaussian_rank` ranks every other block
+    (its parts are integers below 1000, exact in complex float64), so no
+    floating tolerance takes part anywhere."""
+    coeffs = _exact_draws(scheme.config.users, np.random.default_rng(seed), 1)
+    ranks = _gather_ranks(scheme, coeffs, _proven(scheme.certified_receivers, coeffs), True)
     return _as_checks(ranks, scheme.config.users, draw)
 
 
@@ -554,26 +509,25 @@ class VerificationReport:
 
 
 def run_verification(scheme: Scheme, draws: int, seed: int, exact: bool = False) -> VerificationReport:
-    """Verify a scheme over independent channel draws (floating or exact),
-    the successive draws of the seed's channel or exact stream, in chunks
-    of draws (see the module docstring: a float run reads its
-    scheme's FloatBound once; either mode builds a layout only in a chunk
-    that holds a (draw, receiver) pair its proof leaves open). Raises
+    """Verify a scheme over the successive draws of the seed's channel
+    (float) or exact stream, a chunk at a time (module docstring). Raises
     ValueError unless draws is an integer >= 1 and seed an integer >= 0."""
     if not is_int(draws) or draws < 1:
         raise ValueError("draws (trials) must be an integer >= 1, got %r" % (draws,))
     if not is_int(seed) or seed < 0:
         raise ValueError("seed must be an integer >= 0, got %r" % (seed,))
-    K, m = scheme.config.users, scheme.config.block_len
+    K = scheme.config.users
     parts = []
     bound = None if exact else float_bound(scheme)
     rng = np.random.default_rng(stream_seed(seed, EXACT_STREAM if exact else CHANNEL_STREAM))
-    for chunk in chunks(draws, K * m * m if exact else 2 * K * K):
+    for chunk in chunks(draws, 2 * K * K):
         if exact:
-            parts.append(_exact_checks(scheme, rng, len(chunk)))
+            coeffs = _exact_draws(K, rng, len(chunk))
+            proven = _proven(scheme.certified_receivers, coeffs)
         else:
             coeffs = draw_channel_stack(K, rng, len(chunk))
-            parts.append(_float_checks(scheme, bound, coeffs))
+            proven = _float_proven(bound, coeffs)
+        parts.append(_gather_ranks(scheme, coeffs, proven, exact))
     return VerificationReport(
         users=K, draws=draws, seed=seed, exact=exact, ranks=np.concatenate(parts))
 

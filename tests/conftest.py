@@ -3,8 +3,9 @@ the golden 4-user instance, a recorder of the matrix stacks that reach
 numpy's SVD, Cholesky, inverse and solve, a loader for the checkout's scripts, the
 column-by-column loop oracle of the pair products (scheme.product_matrix),
 each user's beamforming vectors read off the pair map, the pair products
-on a built scheme's pattern as a scheme of their own, and a strategy for
-schemes on random sub-supports of the pair products.
+on a built scheme's pattern as a scheme of their own, a strategy for
+schemes on random sub-supports of the pair products, and a sigma_min
+oracle that stays exact below LAPACK's noise floor.
 
 The golden instance is a fixed, externally specified switching assignment
 and pair labeling used as a reproduction target by the acceptance gate.
@@ -18,6 +19,7 @@ import math
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -196,3 +198,18 @@ def linalg_stacks(monkeypatch) -> dict[str, list[tuple[int, ...]]]:
 def matrix_count(shapes, rows: int, cols: int) -> int:
     """How many rows x cols matrices a list of stack shapes holds."""
     return sum(math.prod(shape[:-2]) for shape in shapes if shape[-2:] == (rows, cols))
+
+
+def sigma_min(blocks, low):
+    """sigma_min of every block of a (..., m, m) stack, for comparison with a
+    lower bound low: the double SVD's, or a 30-digit SVD's (mpmath) where
+    the double one lies below its absolute accuracy m eps sigma_max and low
+    is positive. Planted draws from 1e-16 down reach that noise floor,
+    where LAPACK's value can sit on either side of the true one."""
+    sv = np.linalg.svd(blocks, compute_uv=False)
+    out = sv[..., -1].copy()
+    noise = sv[..., -1] <= blocks.shape[-1] * np.finfo(float).eps * sv[..., 0]
+    with mpmath.workdps(30):
+        for i in zip(*np.nonzero(noise & (low > 0))):
+            out[i] = float(min(mpmath.svd_c(mpmath.matrix(blocks[i].tolist()), compute_uv=False)))
+    return out

@@ -15,7 +15,6 @@ byte of a simulation, the exclusions included, is identical.
 import itertools
 import json
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -54,7 +53,14 @@ from biakit.verify import (
     verify_decodability,
 )
 
-from conftest import GOLDEN_PAIR_DIMS, matrix_count, product_scheme, user_vectors, widened_schemes
+from conftest import (
+    GOLDEN_PAIR_DIMS,
+    matrix_count,
+    product_scheme,
+    sigma_min,
+    user_vectors,
+    widened_schemes,
+)
 
 # closed-form zero-forcing rates against A_j^{-1}: measured within 6.4e-16
 # relative at K = 3..20
@@ -397,7 +403,7 @@ def test_exact_reports_gather_only_unproven_blocks(golden_scheme4, fallback_sche
     and the pair products on the star pattern match the all-Bareiss oracle
     byte for byte. A run builds its layout once (one chunk) if some
     receiver is unproven, else never, and gathers exactly the unproven
-    (draw, rx) blocks, a draw at a time."""
+    (draw, rx) blocks, each once, a receiver at a time."""
     built = bk.build_scheme(5)
     cases = [("golden", golden_scheme4), ("fallback5", fallback_scheme5),
              ("hand-built5", product_scheme(built))]
@@ -409,10 +415,10 @@ def test_exact_reports_gather_only_unproven_blocks(golden_scheme4, fallback_sche
             seen = record_gathers(patch)
             got = run_verification(scheme, 3, 6, exact=True)
         assert report_bytes(got) == report_bytes(expect), name
-        unproven = [[[t, j] for j, ok in enumerate(scheme.certified_receivers) if not ok]
-                    for t in range(3)]
-        assert seen["layouts"] == (1 if unproven[0] else 0), name
-        assert gathered_pairs(seen, draws) == (unproven if unproven[0] else []), name
+        unproven = [[[t, j] for t in range(3)]
+                    for j, ok in enumerate(scheme.certified_receivers) if not ok]
+        assert seen["layouts"] == (1 if unproven else 0), name
+        assert gathered_pairs(seen, draws) == unproven, name
     assert golden_scheme4.certified_receivers == (False, True, False, True)
 
 
@@ -423,8 +429,8 @@ def test_exact_runs_over_chunks_build_one_layout(edit, monkeypatch):
     layout is built in the chunks of draws 2 and 4 alone, each gathers its
     own unproven block, and the report matches the oracle."""
     scheme = bk.build_scheme(4)
-    K, m = scheme.config.users, scheme.config.block_len
-    monkeypatch.setattr(biakit.exactrank, "BATCH_ELEMENTS", K * m * m)
+    K = scheme.config.users
+    monkeypatch.setattr(biakit.exactrank, "BATCH_ELEMENTS", 2 * K * K)
     monkeypatch.setitem(globals(), "_exact_channel_ints", edited_draws(edit, at={2, 4}))
     expect = oracle_report(scheme, 6, 3, exact=True)
     monkeypatch.setitem(globals(), "_exact_channel_ints", edited_draws(edit, at={2, 4}))
@@ -595,11 +601,10 @@ def test_draw_chunks_respect_the_budget(monkeypatch):
 @pytest.mark.parametrize("draws_per_chunk", [1, 3])
 def test_chunking_changes_no_output(draws_per_chunk, fallback_scheme5, monkeypatch):
     """One draw per chunk, and three per chunk over 7 draws (the last one
-    partial), give the same bytes as the default single chunk. Exact
-    verification sizes its chunks by combined blocks (K m^2 entries a
-    draw); float verification and the simulation by channel coefficients
-    (2 K^2 a draw), the work of the bound and of the rates. At either
-    budget the simulation's weights take one receiver per chunk."""
+    partial), give the same bytes as the default single chunk. Float and
+    exact verification and the simulation size their chunks by channel
+    coefficients (2 K^2 a draw), the work of the proof and of the rates.
+    At that budget the simulation's weights take one receiver per chunk."""
     for scheme in (bk.build_scheme(4), fallback_scheme5):
         K, m = scheme.config.users, scheme.config.block_len
         cfg = SimConfig(trials=7, seed=8)
@@ -607,13 +612,11 @@ def test_chunking_changes_no_output(draws_per_chunk, fallback_scheme5, monkeypat
                    report_bytes(run_verification(scheme, 7, 8, exact=True)),
                    result_bytes(estimate_dof(scheme, cfg)))
         with monkeypatch.context() as patch:
-            patch.setattr(biakit.exactrank, "BATCH_ELEMENTS", draws_per_chunk * K * m * m)
-            assert len(chunks(7, K * m * m)) == -(-7 // draws_per_chunk)
-            exact = report_bytes(run_verification(scheme, 7, 8, exact=True))
             patch.setattr(biakit.exactrank, "BATCH_ELEMENTS", draws_per_chunk * 2 * K * K)
             assert len(chunks(7, 2 * K * K)) == -(-7 // draws_per_chunk)
             assert len(chunks(K, m * m)) == K
-            chunked = (report_bytes(run_verification(scheme, 7, 8)), exact,
+            chunked = (report_bytes(run_verification(scheme, 7, 8)),
+                       report_bytes(run_verification(scheme, 7, 8, exact=True)),
                        result_bytes(estimate_dof(scheme, cfg)))
         assert chunked == default
 
@@ -629,7 +632,7 @@ def stream_outputs(scheme, exact_scheme, trials, patch, draws_per_chunk=None):
     chunked(2 * scheme.config.users ** 2)
     result = estimate_dof(scheme, SimConfig(trials=trials, seed=6))
     ranks = run_verification(scheme, trials, 6).ranks
-    chunked(exact_scheme.config.users * exact_scheme.config.block_len ** 2)
+    chunked(2 * exact_scheme.config.users ** 2)
     exact = run_verification(exact_scheme, trials, 6, exact=True).ranks
     return ranks, exact, result.rates, result.tdma_rates
 
@@ -726,6 +729,20 @@ def test_no_stack_outgrows_the_chunk_budget(K, draws, linalg_stacks, monkeypatch
     assert linalg_stacks["inv"] == []
     assert len(linalg_stacks["solve"]) == len(chunks(K, m * m))
     assert all(shape[-2:] == (m, m) for shape in linalg_stacks["solve"])
+
+
+@pytest.mark.parametrize("K", [4, 6])
+def test_no_exact_gather_outgrows_one_block(K, monkeypatch):
+    """Exact verification of the full pair products on the star pattern,
+    where every receiver goes to Bareiss, at a budget of one block: every
+    gather holds at most one block, and the report is unchanged."""
+    scheme = product_scheme(bk.build_scheme(K))
+    m = scheme.config.block_len
+    default = report_bytes(run_verification(scheme, 3, 1, exact=True))
+    seen = record_gathers(monkeypatch)
+    monkeypatch.setattr(biakit.exactrank, "BATCH_ELEMENTS", m * m)
+    assert report_bytes(run_verification(scheme, 3, 1, exact=True)) == default
+    assert [len(coeffs) * len(rx) for coeffs, rx in seen["gathers"]] == [1] * (3 * K)
 
 
 def certified_pair_product_schemes():
@@ -832,21 +849,6 @@ def planted(monkeypatch, edit):
         return ch
     monkeypatch.setattr(biakit.verify, "draw_channel_stack", draw_stack)
     monkeypatch.setitem(globals(), "draw_channels", draw)
-
-
-def sigma_min(blocks, low):
-    """sigma_min of every block of a (..., m, m) stack, for comparison with a
-    lower bound low: the double SVD's, or a 30-digit SVD's (mpmath) where
-    the double one lies below its absolute accuracy m eps sigma_max and low
-    is positive. Planted draws from 1e-16 down reach that noise floor,
-    where LAPACK's value can sit on either side of the true one."""
-    sv = np.linalg.svd(blocks, compute_uv=False)
-    out = sv[..., -1].copy()
-    noise = sv[..., -1] <= blocks.shape[-1] * np.finfo(float).eps * sv[..., 0]
-    with mpmath.workdps(30):
-        for i in zip(*np.nonzero(noise & (low > 0))):
-            out[i] = float(min(mpmath.svd_c(mpmath.matrix(blocks[i].tolist()), compute_uv=False)))
-    return out
 
 
 @pytest.mark.parametrize("K", [4, 7])

@@ -1,6 +1,7 @@
 """Channel draws, effective diagonals, transmit/receive, replay format."""
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -191,6 +192,31 @@ def test_channel_json_records_spawned_seeds():
     ch = draw_channels(3, 2, seed=stream_seed(5, EXACT_STREAM))
     doc = json.loads(channels_to_json(ch))
     assert doc["seed"] == {"entropy": 5, "spawn_key": [EXACT_STREAM]}
+
+
+def test_channel_json_seed_records_replay_their_draw():
+    """A loaded seed record is the SeedSequence it names: drawing from it
+    gives the dumped coefficients again, and both dump to the same bytes."""
+    for seed in (stream_seed(5, CHANNEL_STREAM), np.random.SeedSequence([4, 2], spawn_key=(1, 3))):
+        ch = draw_channels(3, 2, seed=seed)
+        text = channels_to_json(ch)
+        back = channels_from_json(text)
+        assert isinstance(back.seed, np.random.SeedSequence)
+        again = draw_channels(3, seed=back.seed)
+        assert again.coeffs.tobytes() == ch.coeffs.tobytes()
+        assert channels_to_json(back) == channels_to_json(again) == text
+
+
+@pytest.mark.parametrize("seed", [
+    {"entropy": 5}, {"entropy": 5, "spawn_key": [0], "pool": 4}, {"entropy": -1, "spawn_key": [0]},
+    {"entropy": "5", "spawn_key": [0]}, {"entropy": 5, "spawn_key": 0},
+    {"entropy": 5, "spawn_key": [0.5]}, {"entropy": [5, True], "spawn_key": []},
+    "abc", 1.5, True, -3, [5]])
+def test_channel_json_names_malformed_seeds(seed):
+    doc = json.loads(channels_to_json(draw_channels(3, 2, seed=21)))
+    doc["seed"] = seed
+    with pytest.raises(ValueError, match="channel file seed .* got %s$" % re.escape(json.dumps(seed))):
+        channels_from_json(json.dumps(doc))
 
 
 def test_channel_json_replays_a_stream_draw():

@@ -47,6 +47,7 @@ from conftest import (
     GOLDEN_VECTORS,
     matrix_count,
     product_scheme,
+    sigma_min,
     user_vectors,
     widened_schemes,
 )
@@ -454,16 +455,15 @@ def test_report_serialization(scheme3):
 
 
 def assert_bound_below_sigma_min(scheme, coeffs):
-    """On every (draw, receiver): the float bound is at most the SVD's
-    sigma_min of the gathered A_j, ||A_j||_F matches the block's, and the
-    bound is 0 where G_j has no proven inverse. Returns the bound over
-    ||A_j||_F."""
+    """On every (draw, receiver): the float bound is at most sigma_min of
+    the gathered A_j (the `sigma_min` oracle), ||A_j||_F matches the
+    block's, and the bound is 0 where G_j has no proven inverse. Returns
+    the bound over ||A_j||_F."""
     bound = float_bound(scheme)
     low2, frob2, plain = draw_bounds(bound, coeffs)
     a = receiver_layout(scheme).blocks(coeffs, slice(None))
-    sv = np.linalg.svd(a, compute_uv=False)
     assert plain.all()
-    assert (np.sqrt(low2) <= sv[..., -1]).all()
+    assert (np.sqrt(low2) <= sigma_min(a, np.sqrt(low2))).all()
     np.testing.assert_allclose(frob2, np.sum(np.abs(a) ** 2, axis=(2, 3)), rtol=1e-12)
     assert (low2[:, np.isinf(bound.inverse2)] == 0).all()
     return np.sqrt(low2 / frob2)
