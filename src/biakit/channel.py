@@ -32,6 +32,10 @@ NOISE_STREAM = 1
 SYMBOL_STREAM = 2
 EXACT_STREAM = 3
 
+# numpy's default SeedSequence pool size (a constant: reading it would import
+# numpy.random at import time), and the largest a replay file may ask for
+_POOL_SIZE, _MAX_POOL_SIZE = 4, 1 << 20
+
 
 def stream_seed(master: int, stream: int) -> np.random.SeedSequence:
     """Named independent stream of a master seed: a run's Generator for that
@@ -135,7 +139,8 @@ def receive(
 def channels_to_json(ch: ChannelSet) -> str:
     """Dump a draw for exact replay: one record per coefficient, 1-indexed,
     in (rx, tx, mode) order. The seed is written when it names the draw: an
-    int, or a SeedSequence as its entropy and spawn key; any other seed (a
+    int, or a SeedSequence as its entropy and spawn key, and its pool size
+    where that is not numpy's default; any other seed (a
     Generator: the draw of a run's stream, which depends on the draws
     before it) is written null, as a file loaded without a seed has."""
     rx, tx, mode = (index.reshape(-1) + 1 for index in np.indices(ch.coeffs.shape))
@@ -143,7 +148,10 @@ def channels_to_json(ch: ChannelSet) -> str:
     records = Records(("rx", "tx", "mode", "re", "im"), (rx, tx, mode, flat.real, flat.imag))
     seed = ch.seed
     if isinstance(seed, np.random.SeedSequence):
-        seed = {"entropy": seed.entropy, "spawn_key": list(seed.spawn_key)}
+        record = {"entropy": seed.entropy, "spawn_key": list(seed.spawn_key)}
+        if seed.pool_size != _POOL_SIZE:
+            record["pool_size"] = seed.pool_size
+        seed = record
     elif not is_int(seed):
         seed = None
     return render_json({"seed": seed, "coeffs": records})
@@ -189,17 +197,21 @@ def channels_from_json(text: str) -> ChannelSet:
 def _seed(record):
     """The seed a replay file names: null, an int >= 0, or a SeedSequence
     from its {"entropy": int or [ints], "spawn_key": [ints]} record, all
-    ints >= 0, so the draw replays from it. Otherwise ValueError names it."""
+    ints >= 0, with an optional "pool_size" from numpy's default 4 to
+    2^20, so the draw replays from it. Otherwise ValueError names it."""
     if record is None or (is_int(record) and record >= 0):
         return record
-    if isinstance(record, dict) and set(record) == {"entropy", "spawn_key"}:
+    if isinstance(record, dict) and {"entropy", "spawn_key"} <= set(record) <= {
+            "entropy", "spawn_key", "pool_size"}:
         entropy, key = record["entropy"], record["spawn_key"]
+        pool = record.get("pool_size", _POOL_SIZE)
         parts = entropy if isinstance(entropy, list) else [entropy]
-        if isinstance(key, list) and all(is_int(k) and k >= 0 for k in parts + key):
-            return np.random.SeedSequence(entropy, spawn_key=key)
+        if (isinstance(key, list) and all(is_int(k) and k >= 0 for k in parts + key)
+                and is_int(pool) and _POOL_SIZE <= pool <= _MAX_POOL_SIZE):
+            return np.random.SeedSequence(entropy, spawn_key=key, pool_size=pool)
     raise ValueError('channel file seed must be null, an integer >= 0 or a record '
-                     '{"entropy": ..., "spawn_key": [...]} of integers >= 0, got %s'
-                     % json.dumps(record))
+                     '{"entropy": ..., "spawn_key": [...]} of integers >= 0 with an '
+                     'optional "pool_size" in 4..2^20, got %s' % json.dumps(record))
 
 
 def _record(n: int, r) -> tuple[tuple[int, int, int], complex]:

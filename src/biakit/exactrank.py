@@ -17,21 +17,21 @@ kernels:
   peeled to nothing is nonsingular. `integer_rank` decides each distinct
   core the peel leaves, once per call: equal cores share one verdict. So
   both verdicts are proofs.
-- `peel_inverses` inverts exactly and sparsely the matrices the peel
-  empties: the peel's order makes each unit lower triangular, so
-  substitution along it gives an integer inverse, which `is_inverse`
-  proves by the exact product G X = I. Float verification reads its bound
-  on sigma_min off these inverses (biakit.verify).
+- `peel_inverses` inverts every nonsingular matrix exactly and sparsely:
+  in the peel's order G is block lower triangular, unit pivots around the
+  core C, whose adjugate (C adj C = d I, d = +-det C; d = 1 with no core)
+  fraction-free Gauss-Jordan elimination on `integer_rank`'s loop gives.
+  Substitution then yields an integer X = d G^-1, which `is_inverse`
+  proves by the exact product X G = d I. Float verification's bound on
+  sigma_min and the simulator's weights read these (biakit.verify, .sim).
 
 `integer_rank` is fraction-free (Bareiss) elimination on Python ints, with
 no floating tolerance and no external computer-algebra dependency.
 `gaussian_rank` has no elimination of its own: it realifies a matrix
 B + iC over Z[i] into [[B, -C], [C, B]] over Z, whose rank over Q is twice
 the rank of B + iC over Q(i). These serve tall and wide matrices, the
-cores of `nonsingular`, and ranks below full. `verify --exact` reads each
-Gaussian-integer block's nonsingularity off its factorisation
-A_j = G_j D_j (see biakit.verify) and ranks every other block with
-`gaussian_rank`.
+cores of `nonsingular`, and ranks below full (`verify --exact`'s blocks
+its factorisation A_j = G_j D_j does not prove, see biakit.verify).
 """
 from __future__ import annotations
 
@@ -59,23 +59,22 @@ def _lines(n: int, counts: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> tu
     return rows + base, cols + base
 
 
-def _peel(n: int, counts: np.ndarray, rows: np.ndarray, cols: np.ndarray):
-    """Singleton peel of a stack of 0/1 matrices given by their nonzeros
-    (module docstring). Each pass removes every live row with exactly one
-    live nonzero, with that nonzero's column (of two singletons in one
-    column only the first), then the same for columns, until a pass
-    removes nothing. Returns (live_r, live_c, passes): the rows and columns
-    left, (N, n) each and equally many per matrix, spanning the core (none:
-    nonsingular), and every pass as (row pass?, pivot rows, pivot columns)
-    in lines of the whole stack (`_lines`).
+def _peel(n: int, counts: np.ndarray, gr: np.ndarray, gc: np.ndarray):
+    """Singleton peel of a stack of 0/1 matrices given by their nonzeros'
+    lines (`_lines`; module docstring). Each pass removes every live row
+    with exactly one live nonzero, with that nonzero's column (of two
+    singletons in one column only the first), then the same for columns,
+    until a pass removes nothing or nothing is left. Returns (live_r,
+    live_c, passes): the rows and columns left, (N, n) each and equally
+    many per matrix, spanning the core (none: nonsingular), and every pass
+    as (row pass?, pivot rows, pivot columns) in lines of the whole stack.
     """
-    gr, gc = _lines(n, counts, rows, cols)
     size = len(counts) * n
     live_r = np.ones(size, dtype=bool)
     live_c = np.ones(size, dtype=bool)
     passes = []
     removed = True
-    while removed:
+    while removed and live_r.any():
         removed = False
         for by_row, lines, across, a, b in ((True, live_r, live_c, gr, gc),
                                             (False, live_c, live_r, gc, gr)):
@@ -91,13 +90,13 @@ def _peel(n: int, counts: np.ndarray, rows: np.ndarray, cols: np.ndarray):
     return live_r.reshape(-1, n), live_c.reshape(-1, n), passes
 
 
-def nonsingular(n: int, counts: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Whether each 0/1 matrix of a stack given by its nonzeros (module
-    docstring) is nonsingular over Q, exactly: the singleton peel, then a
-    live row or column with no live nonzero proves its matrix singular,
-    then `integer_rank` decides each distinct core left, once per call."""
-    live_r, live_c, _ = _peel(n, counts, rows, cols)
-    gr, gc = _lines(n, counts, rows, cols)
+def _cores(n, counts, rows, cols, gr, gc, live_r, live_c, decide) -> tuple[np.ndarray, dict]:
+    """(out, verdicts) of a peeled stack (`_peel`): whether each matrix is
+    nonsingular, and by matrix the truthy decide(core) of each nonsingular
+    core. A live line with no live nonzero proves a matrix singular, and
+    decide, truthy for a nonsingular core, runs once per distinct core."""
+    if not live_r.any():  # every matrix peeled to nothing
+        return np.ones(len(counts), dtype=bool), {}
     live = live_r.ravel()[gr] & live_c.ravel()[gc]
     singular = np.zeros(len(counts), dtype=bool)
     for lines, g in ((live_r, gr), (live_c, gc)):  # a live line with no live nonzero
@@ -106,7 +105,8 @@ def nonsingular(n: int, counts: np.ndarray, rows: np.ndarray, cols: np.ndarray) 
     out = ~singular & ~live_r.any(axis=1)
     ptr = np.concatenate([[0], np.cumsum(counts)])
     at_r, at_c = np.cumsum(live_r, axis=1) - 1, np.cumsum(live_c, axis=1) - 1
-    verdicts: dict[bytes, bool] = {}  # a core's bytes fix its size as well as its entries
+    verdicts: dict[bytes, object] = {}  # a core's bytes fix its size as well as its entries
+    found = {}
     for i in np.flatnonzero(~singular & ~out):
         r, c = rows[ptr[i]:ptr[i + 1]], cols[ptr[i]:ptr[i + 1]]
         keep = live_r[i, r] & live_c[i, c]
@@ -115,124 +115,179 @@ def nonsingular(n: int, counts: np.ndarray, rows: np.ndarray, cols: np.ndarray) 
         core[at_r[i, r[keep]], at_c[i, c[keep]]] = 1
         key = core.tobytes()
         if key not in verdicts:
-            verdicts[key] = integer_rank(core.tolist()) == size
-        out[i] = verdicts[key]
-    return out
+            verdicts[key] = decide(core.tolist())
+        if verdicts[key]:
+            out[i] = True
+            found[int(i)] = verdicts[key]
+    return out, found
+
+
+def nonsingular(n: int, counts: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Whether each 0/1 matrix of a stack given by its nonzeros (module
+    docstring) is nonsingular over Q, exactly: the singleton peel, then a
+    live row or column with no live nonzero proves its matrix singular,
+    then `integer_rank` decides each distinct core left, once per call."""
+    gr, gc = _lines(n, counts, rows, cols)
+    live_r, live_c, _ = _peel(n, counts, gr, gc)
+    return _cores(n, counts, rows, cols, gr, gc, live_r, live_c,
+                  lambda core: integer_rank(core) == len(core))[0]
 
 
 def _ranges(starts: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(owner, at): the concatenated index ranges starts[k] .. starts[k] +
     lens[k] - 1, each index with the k it came from."""
-    owner = np.repeat(np.arange(lens.size), lens)
-    return owner, np.arange(owner.size) - np.repeat(np.cumsum(lens) - lens - starts, lens)
+    owner = np.arange(lens.size).repeat(lens)
+    return owner, np.arange(owner.size) - (lens.cumsum() - lens - starts).repeat(lens)
 
 
 def _summed(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The nonzero sums of values over equal keys, by increasing key."""
-    order = np.argsort(keys, kind="stable")
+    order = keys.argsort(kind="stable")
     keys, values = keys[order], values[order]
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    if not starts.size:
+    if not keys.size:
         return keys, values
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
     sums = np.add.reduceat(values, starts)
     nonzero = sums != 0
     return keys[starts][nonzero], sums[nonzero]
 
 
+def _adjugate(core: list[list[int]], limit: int):
+    """(d, adj) with core adj = d I, by `_bareiss` on [core | I]; None for
+    a singular core, or where an entry of adj exceeds limit in magnitude."""
+    s = len(core)
+    a = [row + [int(r == c) for c in range(s)] for r, row in enumerate(core)]
+    rank, d = _bareiss(a, s, jordan=True)
+    x = [row[s:] for row in a]
+    return (d, x) if rank == s and max(abs(v) for row in x for v in row) <= limit else None
+
+
 def peel_inverses(n: int, counts: np.ndarray, rows: np.ndarray,
-                  cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact inverses of a stack of 0/1 matrices G given by their nonzeros
-    (module docstring).
+                  cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Exact scaled inverses X = d G^-1 of a stack of 0/1 matrices G given
+    by their nonzeros (module docstring).
 
-    Rows in the order `_peel`'s row passes removed them, then the column
-    passes' rows in reverse, and the pivots' columns in the same order,
-    make G unit lower triangular: a row removed by a row pass meets no
-    column still live then but its pivot's, and a column removed by a
-    column pass no row still live then but its pivot's. So substitution,
-    one pass at a time, gives X = G^-1 in integers: for the pivot (r, c) of
-    row r, X[c] = e_r minus the rows X[c'] of the other nonzeros (r, c') of
-    that row, all of them earlier. X stays sparse: each pass gathers the
-    entries of those rows and sums them by position.
+    In `_peel`'s order (row-pass pivots, the core C, column-pass pivots in
+    reverse) G is block lower triangular with unit pivots: a row-pass row
+    meets no column live then but its pivot's, a column-pass column no row
+    live then but its pivot's, and a core row no column-pass column. Each
+    distinct core is inverted once per call (`_adjugate`: C adj C = d I;
+    d = 1 with no core). Substitution then gives X in integers, a step at
+    a time: X[c] = d e_r minus the rows X[c'] of the other nonzeros
+    (r, c') of pivot (r, c)'s row, all earlier, and the core's rows are
+    adj C times such right sides of the core rows, over d. Each step
+    gathers sparse rows and sums them by position.
 
-    Returns (index, values, ok): X's nonzero entries as flat indices into
-    (N, n, n) and their int64 values, and ok (N,). X is proven by the exact
-    product G X = I (`is_inverse`), not by the peel. ok[i] is False, and
-    matrix i's entries are meaningless, where the peel leaves a live line,
-    or an entry outgrows `is_inverse`'s bound.
+    Returns (index, values, scale, ok): X's nonzero entries as flat indices
+    into (N, n, n), their int64 values, d (N,) and ok (N,), where ok proves
+    X by the exact product X G = d I (`is_inverse`). Where ok is False (G
+    singular, or an entry past `is_inverse`'s bound) X is meaningless.
     """
-    live_r, _, passes = _peel(n, counts, rows, cols)
-    emptied = ~live_r.any(axis=1)
+    count = len(counts)
     gr, gc = _lines(n, counts, rows, cols)
-    order = [p for p in passes if p[0]] + [p for p in reversed(passes) if not p[0]]
-    size = len(counts) * n
-    row_ptr = np.concatenate([[0], np.cumsum(np.bincount(gr, minlength=size))])
+    live_r, live_c, passes = _peel(n, counts, gr, gc)
+    limit = (1 << 26) // n
+    ok, cores = _cores(n, counts, rows, cols, gr, gc, live_r, live_c,
+                       lambda core: _adjugate(core, limit))
+    scale = np.ones(count, dtype=np.int64)
+    for i, (d, _) in cores.items():
+        scale[i] = d
+    row_ptr = np.searchsorted(gr, np.arange(count * n + 1))  # G's nonzeros lie by row
     # X row by row (global column of G): where its entries start, how many
-    x_start = np.zeros(size, dtype=np.int64)
-    x_len = np.zeros(size, dtype=np.int64)
-    x_row, x_col, x_val = (np.zeros(0, dtype=np.int64) for _ in range(3))
-    for _, r, c in order:
-        keep = emptied[r // n]
-        r, c = r[keep], c[keep]
+    x_start, x_len = np.zeros((2, count * n), dtype=np.int64)
+    x_row, x_col, x_val = np.zeros((3, 0), dtype=np.int64)
+
+    def right_sides(r):
+        """d e_r minus the rows of X so far of the nonzeros of each row r
+        (a row not made yet, as a pivot's own, holds nothing): (keys,
+        values), keys k n + column for the k-th row, by increasing key."""
+        if not x_row.size:  # no row of X yet, so nothing to gather
+            return np.arange(r.size) * n + r % n, scale[r // n]
         owner, at = _ranges(row_ptr[r], row_ptr[r + 1] - row_ptr[r])
-        other = gc[at] != c[owner]
-        src, owner = gc[at[other]], owner[other]
-        k, e = _ranges(x_start[src], x_len[src])
-        keys, vals = _summed(np.concatenate([np.arange(r.size) * n + r % n, owner[k] * n + x_col[e]]),
-                             np.concatenate([np.ones(r.size, dtype=np.int64), -x_val[e]]))
+        k, e = _ranges(x_start[gc[at]], x_len[gc[at]])
+        return _summed(np.concatenate([np.arange(r.size) * n + r % n, owner[k] * n + x_col[e]]),
+                       np.concatenate([scale[r // n], -x_val[e]]))
+
+    def store(c, keys, values):
+        """Append X's rows c, the k-th from the entries of key k n + column."""
+        nonlocal x_row, x_col, x_val
         pivot = keys // n
-        x_start[c] = x_row.size + np.searchsorted(pivot, np.arange(r.size))
-        x_len[c] = np.bincount(pivot, minlength=r.size)
+        x_start[c] = x_row.size + np.searchsorted(pivot, np.arange(c.size))
+        x_len[c] = np.bincount(pivot, minlength=c.size)
         x_row = np.concatenate([x_row, c[pivot]])
         x_col = np.concatenate([x_col, keys % n])
-        x_val = np.concatenate([x_val, vals])
+        x_val = np.concatenate([x_val, values])
+
+    # a singular matrix's rows are meaningless, and harmless
+    for _, r, c in [p for p in passes if p[0]]:
+        store(c, *right_sides(r))
+    if cores:  # X's core rows: adj C times the core rows' right sides, over d
+        cored = np.isin(np.arange(count), list(cores))[:, None]
+        core_r, core_c = (np.flatnonzero(live & cored) for live in (live_r, live_c))
+        keys, values = right_sides(core_r)
+        y = np.zeros((core_r.size, n), dtype=np.int64)
+        y[keys // n, keys % n] = values
+        at = 0
+        for d, adj in cores.values():
+            y[at:at + len(adj)] = np.array(adj, dtype=np.int64) @ y[at:at + len(adj)] // d
+            at += len(adj)
+        k, col = np.nonzero(y)
+        store(core_c, k * n + col, y[k, col])
+    for _, r, c in [p for p in reversed(passes) if not p[0]]:
+        store(c, *right_sides(r))
     index = x_row * n + x_col
-    ok = emptied & is_inverse(n, counts, rows, cols, index, x_val)
-    return index, x_val, ok
+    ok &= is_inverse(n, counts, rows, cols, index, x_val, scale)
+    return index, x_val, scale, ok
 
 
 def is_inverse(n: int, counts: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-               index: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Whether G X = I exactly, for a stack of 0/1 matrices G given by their
-    nonzeros (module docstring) and integer matrices X given by the flat
-    indices of their nonzero entries into (N, n, n), no index twice, and
-    the entries' values. A matrix with an entry beyond 2^26 / n in
-    magnitude is refused unchecked: below that bound every sum of the
-    product stays under 2^26 in magnitude and the sum of squares of X's
-    entries under 2^52, so int64, and float64, hold them exactly."""
+               index: np.ndarray, values: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Whether X G = d I exactly, d = scale[i] nonzero (so X = d G^-1), for
+    a stack of 0/1 matrices G given by their nonzeros (module docstring)
+    and integer matrices X given by the flat indices of their nonzero
+    entries into (N, n, n), no index twice, and the entries' values. A
+    matrix with an entry beyond 2^26 / n in magnitude is refused
+    unchecked: below that every sum of the product stays under 2^26 in
+    magnitude and the sum of squares of X's entries under 2^52, so int64,
+    and float64, hold them exactly."""
     count = len(counts)
-    big = np.zeros(count, dtype=bool)
-    big[index[np.abs(values) > (1 << 26) // n] // (n * n)] = True
-    # X row by row: rows of big matrices hold nothing, so no sum can wrap
-    row = index // n
-    small = ~big[row // n]
-    order = np.argsort(row[small], kind="stable")
-    row, col, val = row[small][order], (index % n)[small][order], values[small][order]
-    ptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=count * n))])
-    gr, gc = _lines(n, counts, rows, cols)
-    k, e = _ranges(ptr[gc], ptr[gc + 1] - ptr[gc])
-    keys, sums = _summed(gr[k] * n + col[e], val[e])
-    # the product's entries: exactly 1 at every diagonal position, nothing else
-    diagonal = (keys % n == (keys // n) % n) & (sums == 1)
+    bad = np.zeros(count, dtype=bool)
+    bad[index[np.abs(values) > (1 << 26) // n] // (n * n)] = True
+    # entry (c, r) of X times row r of G, whose nonzeros lie together; an
+    # entry of a refused matrix takes none, so no sum can wrap
+    line = index // n  # c as a line of the whole stack
+    r = line - line % n + index % n
+    ptr = np.searchsorted(_lines(n, counts, rows, cols)[0], np.arange(count * n + 1))
+    k, e = _ranges(ptr[r], np.where(bad[line // n], 0, ptr[r + 1] - ptr[r]))
+    keys, sums = _summed(line[k] * n + cols[e], values[k])
+    # the product's entries: exactly d at every diagonal position, nothing
+    # else (zero sums are dropped, so d = 0 never passes)
     item = keys // (n * n)
-    wrong = np.zeros(count, dtype=bool)
-    wrong[item[~diagonal]] = True
-    return ~big & ~wrong & (np.bincount(item[diagonal], minlength=count) == n)
+    diagonal = (keys % (n * n) % (n + 1) == 0) & (sums == scale[item])
+    bad[item[~diagonal]] = True
+    return ~bad & (np.bincount(item[diagonal], minlength=count) == n)
 
 
 def integer_rank(rows: Iterable[Sequence[int]]) -> int:
-    """Rank over Q of a matrix with integer entries.
-
-    Bareiss elimination: every intermediate entry stays an exact integer
-    (each 2x2 cross-multiplication is divisible by the previous pivot).
-    Below the pivot row every column left of the pivot column is already
-    zero, so each step updates only the columns to its right.
-    """
+    """Rank over Q of a matrix with integer entries (`_bareiss`)."""
     a = [[int(x) for x in row] for row in rows]
-    nr = len(a)
-    nc = len(a[0]) if nr else 0
+    nc = len(a[0]) if a else 0
     for row in a:
         if len(row) != nc:
             raise ValueError("ragged matrix")
+    return _bareiss(a, nc)[0]
+
+
+def _bareiss(a: list[list[int]], nc: int, jordan: bool = False) -> tuple[int, int]:
+    """Fraction-free (Bareiss) elimination of the integer rows a, in place,
+    pivoting on their first nc columns: (rank, last pivot). Every entry
+    stays an exact integer (each 2x2 cross-multiplication is divisible by
+    the previous pivot). Below the pivot row every column left of the
+    pivot column is already zero, so each step updates only the columns to
+    its right. With jordan each step updates the rows above the pivot too
+    (Gauss-Jordan), still exactly: on [C | I], C nonsingular, the right
+    block ends as adj with C adj = d I, d = +-det C the last pivot."""
+    nr = len(a)
     rank = 0
     prev = 1
     for c in range(nc):
@@ -244,13 +299,13 @@ def integer_rank(rows: Iterable[Sequence[int]]) -> int:
         a[rank], a[piv] = a[piv], a[rank]
         pv = a[rank][c]
         right = a[rank][c + 1:]
-        for r in range(rank + 1, nr):
+        for r in [r for r in range(nr) if r != rank] if jordan else range(rank + 1, nr):
             row = a[r]
             f = row[c]
             row[c + 1:] = [(x * pv - f * y) // prev for x, y in zip(row[c + 1:], right)]
         prev = pv
         rank += 1
-    return rank
+    return rank, prev
 
 
 def gaussian_rank(rows: Sequence[Sequence[tuple[int, int]]]) -> int:

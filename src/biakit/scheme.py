@@ -274,13 +274,12 @@ def generator_nonzeros(tilde: np.ndarray, supports: np.ndarray) -> tuple[np.ndar
     return counts, r, np.where(mode2, half[j, pair], pair)
 
 
-def generator_inverses(pattern: PatternMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(index, values, ok): the exact inverse of G_j of every receiver j,
-    its nonzero entries as flat indices into (K, m, m) and their int64
-    values, proven wherever ok (`exactrank.peel_inverses`: singleton peel
-    order, substitution, then the exact product G_j X = I as the proof).
-    ok is False for a G_j the peel does not empty: a singular one, or a
-    certified one that leaves a core."""
+def generator_inverses(pattern: PatternMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """`exactrank.peel_inverses` of every receiver's G_j: (index, values,
+    scale, ok), X = d G_j^-1 exact in integers as flat indices into
+    (K, m, m) and values, d (K,), and ok, the proof X G_j = d I, which
+    holds exactly where the certificate does unless an entry outgrows
+    `exactrank.is_inverse`'s bound."""
     nonzeros = generator_nonzeros(pattern.tilde[None], pattern.supports[None])
     return peel_inverses(pattern.block_len, *nonzeros)
 

@@ -30,24 +30,19 @@ A_j^{-1} = P D_j^{-1} G_j^{-1}, and the desired rows touch only the own
 (h_jo(2) l_o - h_jo(1) u_o) / det_o, with l_o and u_o the rows of
 G_j^{-1} of the pair's mode-1 and mode-2 halves. Its squared norm is
 N = (a |h_jo(2)|^2 + b |h_jo(1)|^2) / |det_o|^2 with the channel-free
-weights a = ||l_o||^2 and b = ||u_o||^2 (`zf_weights`, once per run, one
-batched solve per chunk of receivers); the cross term <l_o, u_o> is 0
-for every aligned scheme. The run's trials are the successive draws of
-one channel stream (`channel.stream_seed(seed, CHANNEL_STREAM)`, the
-stream float verification reads, so both see trial t's coefficients).
-Per chunk of trials (`exactrank.chunks`, at most
-`exactrank.BATCH_ELEMENTS` channel coefficients) the run takes the next
-draws of that stream in one `draw_channel_stack`, `verify._proven`, the
-K(K-1) own-pair determinants, one weighted sum and the TDMA rate of every
-power. The chunk size changes no output, and a run is a prefix of a
-longer one with the same seed. Rates agree with the one-draw views
-`noise_enhancement` and `receiver_rate`, which keep A_j^{-1}, within
-1e-10 relative: the two are different float evaluations of one quantity.
-`zf_decode`, `noise_enhancement` and `receiver_rate` raise on an excluded
-receiver (`ReceiverDecomposition.proven` is False). `SimResult` stores the
-rates; its means and both fitted slopes are derived from them, and its
-CSV emitters render each column once (the long CSV each SNR point's text
-once).
+weights a = ||l_o||^2 and b = ||u_o||^2 (`zf_weights`, once per run, read
+exactly off the proven integer inverse X = d G_j^-1; no float solve); the
+cross term <l_o, u_o> is 0 for every aligned scheme. Only the one-draw
+views take float linear algebra (`_zf_filter`'s inverse). Trial t is the
+t-th draw of the seed's channel stream, the one float verification reads.
+Per chunk of trials (`exactrank.chunks`) the run takes the next draws in
+one `draw_channel_stack`, `verify._proven`, the own-pair determinants, one
+weighted sum and the TDMA rate of every power; the chunk size changes no
+output, and a run is a prefix of a longer one with the same seed. Rates
+agree with the one-draw views `noise_enhancement` and `receiver_rate`,
+which keep A_j^{-1} (and, as `zf_decode`, raise on an excluded receiver),
+within 1e-10 relative. `SimResult` stores the rates; its means and fitted
+slopes are derived from them, each once per emit.
 SNR points must be finite and give a finite, positive power 10^(dB/10).
 """
 from __future__ import annotations
@@ -63,7 +58,7 @@ from .dof import achieved
 from .errors import UnverifiableDrawError
 from .exactrank import chunks
 from .formats import format_float, is_int, render_csv, render_json
-from .scheme import Scheme, generator_nonzeros, own_pair_columns
+from .scheme import Scheme, generator_inverses, own_pair_columns
 from .verify import ReceiverDecomposition, _abs2, _proven, own_pair_dets
 
 
@@ -102,46 +97,24 @@ def receiver_rate(decomp: ReceiverDecomposition, power: float) -> float:
 
 
 def zf_weights(scheme: Scheme) -> np.ndarray:
-    """(a, b, c) = (||l||^2, ||u||^2, <l, u>) of every certified receiver j
-    and own pair {j, o}, (K, K, 3) indexed [j, o], from the rows l and u of
-    G_j^{-1} that belong to the pair's mode-1 and mode-2 halves; zero at
-    o = j and for an uncertified receiver, whose G_j has no inverse.
-
-    c is 0 for every aligned scheme: a pair without j shares a vector
-    inside its pair product, where t_j = 1, so the uses where j is in mode
-    1 meet only the mode-1 halves of j's own pairs and G_j is block
-    diagonal over the two modes (as in star_pattern_matrix). l and u are
-    then rows of different blocks, with disjoint supports.
-
-    G_j is the generator matrix the certificate decides, its nonzeros
-    (scheme.generator_nonzeros) scattered into a float matrix, its
-    own-pair columns located by scheme.own_pair_columns. The 2(K-1) rows
-    come from one batched float solve of G_j^T per `exactrank.chunks`
-    chunk of receivers, at most `exactrank.BATCH_ELEMENTS` entries of G_j
-    each.
-    """
+    """(a, b) = (||l||^2, ||u||^2), (K, K, 2) indexed [j, o]: the squared
+    norms of the rows l and u of G_j^-1 of own pair {j, o}'s mode-1 and
+    mode-2 halves (scheme.own_pair_columns), exact sums of squares of the
+    rows of X = d G_j^-1 (`scheme.generator_inverses`) over d^2; zero at
+    o = j and where G_j has no proven inverse (an uncertified receiver).
+    No cross term <l, u> is needed: a pair without j lies inside its pair
+    product, where t_j = 1, so G_j is block diagonal over j's two modes
+    (as in star_pattern_matrix) and l and u have disjoint supports."""
     K, m = scheme.config.users, scheme.config.block_len
+    index, values, scale, ok = generator_inverses(scheme.pattern)
+    # ||row c of X||^2 of every receiver j, (K, m)
+    squares = np.bincount(index // m, weights=values.astype(float) ** 2, minlength=K * m).reshape(K, m)
     low, high = own_pair_columns(K)
-    rx = np.flatnonzero(scheme.certified_receivers)
-    _, r, c = generator_nonzeros(scheme.pattern.tilde[None], scheme.pattern.supports[None])
-    r, c = r.reshape(K, -1), c.reshape(K, -1)  # one pattern: K equal counts
-    halves = np.arange(K - 1)
-    weights = np.zeros((K, K - 1, 3))  # [j, n]: j's pair with its n-th partner
-    for chunk in chunks(rx.size, m * m):
-        j = rx[chunk.start:chunk.stop]
-        n = np.arange(j.size)[:, None]
-        gen_t = np.zeros((j.size, m, m))  # G_j^T
-        gen_t[n, c[j], r[j]] = 1.0
-        picks = np.zeros((j.size, m, 2 * (K - 1)))
-        picks[n, low[j], halves] = 1.0
-        picks[n, high[j], K - 1 + halves] = 1.0
-        rows = np.linalg.solve(gen_t, picks)
-        lo, up = rows[..., :K - 1], rows[..., K - 1:]
-        weights[j] = np.stack(
-            [np.sum(lo * lo, axis=1), np.sum(up * up, axis=1), np.sum(lo * up, axis=1)],
-            axis=-1)
-    out = np.zeros((K, K, 3))
-    out[~np.eye(K, dtype=bool)] = weights.reshape(-1, 3)  # partners o != j, increasing
+    rx = np.arange(K)[:, None]
+    weights = np.stack([squares[rx, low], squares[rx, high]], axis=-1) / scale[:, None, None] ** 2.0
+    weights[~ok] = 0.0
+    out = np.zeros((K, K, 2))
+    out[~np.eye(K, dtype=bool)] = weights.reshape(-1, 2)  # partners o != j, increasing
     return out
 
 
@@ -241,7 +214,11 @@ class SimResult:
 
     @property
     def slope_deviation(self) -> float:
-        return abs(self.fitted_slope - self.target_dof) / self.target_dof
+        return _deviation(self.fitted_slope, self.target_dof)
+
+
+def _deviation(slope: float, target: float) -> float:
+    return abs(slope - target) / target  # the slope's relative miss
 
 
 def estimate_dof(scheme: Scheme, cfg: SimConfig) -> SimResult:
@@ -259,8 +236,8 @@ def estimate_dof(scheme: Scheme, cfg: SimConfig) -> SimResult:
     K, m = scheme.config.users, scheme.config.block_len
     partner = _partners(scheme)
     rx = np.arange(K)[:, None]
-    # (K, K-1) each, in dimension order; c = 0 (see zf_weights), so no cross term
-    a, b, _ = np.moveaxis(zf_weights(scheme)[rx, partner], -1, 0)
+    # (K, K-1) each, in dimension order
+    a, b = np.moveaxis(zf_weights(scheme)[rx, partner], -1, 0)
     certified = scheme.certified_receivers
     powers = [10.0 ** (db / 10.0) for db in cfg.snr_points_db]
     rates = np.zeros((len(powers), cfg.trials, K))
@@ -308,17 +285,20 @@ def result_to_summary_csv(result: SimResult) -> str:
 
 
 def result_to_json(result: SimResult) -> str:
+    """The run's summary: every derived value computed once, from rates."""
+    sums, tdma = result.mean_sum_rates, result.mean_tdma_rates
+    slope, target = result._slope(sums), result.target_dof
     return render_json({
         "K": result.users,
         "snr_points_db": list(result.snr_points_db),
         "trials": result.trials,
         "seed": result.seed,
-        "mean_sum_rate": [float(x) for x in result.mean_sum_rates],
-        "mean_tdma_rate": [float(x) for x in result.mean_tdma_rates],
-        "fitted_slope": result.fitted_slope,
-        "tdma_slope": result.tdma_slope,
-        "target_dof": result.target_dof,
-        "slope_deviation": result.slope_deviation,
+        "mean_sum_rate": [float(x) for x in sums],
+        "mean_tdma_rate": [float(x) for x in tdma],
+        "fitted_slope": slope,
+        "tdma_slope": result._slope(tdma),
+        "target_dof": target,
+        "slope_deviation": _deviation(slope, target),
         "excluded": result.excluded,
     })
 

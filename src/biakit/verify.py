@@ -12,36 +12,31 @@ A_j = [desired | interference basis], m = (K-1) + K(K-1)/2. Decodability
 of the draw means rank_desired = K-1, rank_interference = K(K-1)/2 and
 rank_combined = m (desired space disjoint from interference).
 
-`receiver_layout` is the one place that turns a scheme into these columns;
-float and exact verification use it (the simulator needs no block, see
-biakit.sim). Every scheme's supports are aligned, so the block it builds
-is always the span of the signal `channel.receive` forms. It is never
-built in build_scheme, costs O(K m) and records, for every receiver j and
-column c of A_j, the transmitter src[j, c] and the pair col[j, c] whose
-shared vector fills it, beside one (C(K,2), m) copy of the shared vectors.
-Row r of A_j is read in receiver j's mode at channel use r, so for a stack
-of draws coeffs (T, K, K, M) one gather
-coeffs[:, j, src[j, c], tilde[r, j]] * vectors[col[j, c], r] yields the
-combined blocks of any receivers j in every draw (`ReceiverLayout.blocks`).
-A run makes one Generator per (seed, stream) (`channel.stream_seed`):
-draw t is the t-th draw of the seed's channel stream in float mode (the
-simulator's stream too) and of its exact stream in exact mode, so a run is
-a prefix of a longer one with the same seed. Runs take their draws in
-`exactrank.chunks` of 2 K^2 channel coefficients a draw, the one sizing
-rule of every batched kernel. Both modes decide, then gather
-(`_gather_ranks`): each chunk's proof (below) settles what it can from the
-coefficients alone, and only the (draw, rx) pairs it leaves open are
-gathered, a receiver at a time, at most `exactrank.BATCH_ELEMENTS` entries
-or one block a stack, on a layout built only in a chunk that needs one. So
-memory stays flat in the draw count and in K, and chunking changes no
-output. A gathered A_j of rank m reports the expected ranks (full rank of
-A_j gives full column rank to its desired and interference blocks, column
-subsets of it); only a short one has its two blocks ranked. A run's ranks
-stay one (draws * K, 3) int64 array in (draw, rx) order from the kernels to
-the emitted bytes (`VerificationReport.ranks`); `decompose_receiver`,
-`verify_decodability` and `verify_decodability_exact` are one-draw views of
-the same kernels, and only they and `VerificationReport.checks` build
-ReceiverCheck objects.
+`receiver_layout` is the one place that turns a scheme into these columns
+(the simulator needs no block, see biakit.sim); every scheme's supports
+are aligned, so its block spans the signal `channel.receive` forms. It
+costs O(K m): for every receiver j and column c of A_j the transmitter
+src[j, c] and the pair col[j, c] whose shared vector fills it, beside one
+(C(K,2), m) copy of the shared vectors. Row r of A_j is read in receiver
+j's mode at use r, so one gather coeffs[:, j, src[j, c], tilde[r, j]] *
+vectors[col[j, c], r] yields the combined blocks of any receivers j in
+every draw of a stack (`ReceiverLayout.blocks`). Draw t of a run is the
+t-th draw of the seed's channel stream (float, the simulator's stream
+too) or exact stream (`channel.stream_seed`), so a run is a prefix of a
+longer one. Runs take their draws in `exactrank.chunks` of 2 K^2 channel
+coefficients a draw. Both modes decide, then gather (`_gather_ranks`):
+each chunk's proof (below) settles what it can from the coefficients
+alone, and only the (draw, rx) pairs it leaves open are gathered, a
+receiver at a time, at most `exactrank.BATCH_ELEMENTS` entries or one
+block a stack, on a layout built only when needed. So memory stays flat
+in the draw count and in K, and chunking changes no output. A gathered
+A_j of rank m reports the expected ranks (its desired and interference
+blocks are column subsets of it); only a short one has its two blocks
+ranked. A run's ranks stay one (draws * K, 3) int64 array in (draw, rx)
+order from the kernels to the bytes (`VerificationReport.ranks`);
+`decompose_receiver`, `verify_decodability` and
+`verify_decodability_exact` are one-draw views of the same kernels, and
+only they and `VerificationReport.checks` build ReceiverCheck objects.
 
 Up to column order A_j = G_j D_j (scheme.certify_receivers): G_j is
 receiver j's 0/1 generator matrix and D_j is block diagonal, one aligned
@@ -51,23 +46,20 @@ times the product of those coefficients and of the own-pair determinants
 det_o = h_jj(1)h_jo(2) - h_jo(1)h_jj(2). `_proven` reads this proof off a
 stack of draws: a receiver in `Scheme.certified_receivers` (the
 pattern's certificate) whose D_j factors are all nonzero has a
-nonsingular A_j. The consumers that decide read the proof: exact
-verification, the simulator's exclusion rule and its one-draw decoder
-(`decompose_receiver`'s `proven`). Float verification reads a float
-bound off the same factorisation: G_j^-1, exact and proven by the exact
-product G_j X = I, with the draw's own D_j. The two modes:
+nonsingular A_j. Exact verification, the simulator's exclusion rule and
+its one-draw decoder (`decompose_receiver`'s `proven`) decide by it.
+Float verification reads a float bound off the same factorisation. The
+two modes:
 
 - float: Gaussian draws, fast, the package's numerical check of the
   certificate. Its ranks are those of `stack_ranks`, one batched SVD cut
-  at max(shape) * eps * sigma_max (`rank_of` is its one-matrix view; the
-  two blocks of every short A_j are ranked in stacks too). The rule
-  agrees with ranking every block: a column subset D of A has
-  sigma_min(D) >= sigma_min(A) and sigma_max(D) <= sigma_max(A), so
-  whenever the cut lies below sigma_min(A) it lies below sigma_min(D)
-  too. Its proof: `float_bound` reads the scheme once a run, the exact
-  inverse of every certified G_j that the singleton peel empties
-  (`scheme.generator_inverses`; every built G_j has one, with
-  ||G_j^-1||_F^2 = nnz(G_j)), the support counts that give ||A_j||_F
+  at max(shape) * eps * sigma_max (`rank_of` is its one-matrix view). The
+  rule agrees with ranking every block: a column subset D of A has
+  sigma_min(D) >= sigma_min(A) and sigma_max(D) <= sigma_max(A). Its
+  proof: `float_bound` reads the scheme once a run, the exact
+  inverse X = d G_j^-1 of every certified G_j (`scheme.generator_inverses`;
+  ||G_j^-1||_F^2 = ||X||_F^2 / d^2, and d = 1 with ||G_j^-1||_F^2 =
+  nnz(G_j) for every built G_j), the support counts that give ||A_j||_F
   from the coefficients, and the sources of the aligned columns. Each
   chunk, `draw_bounds` reads the draws' D_j, O(K^2) a draw and no block.
 
@@ -97,9 +89,10 @@ product G_j X = I, with the draw's own D_j. The two modes:
   + 2u ||B_o||_F)^2. G_j has no zero column, so both halves of every own
   pair's vector are nonempty and each entry of B_o appears in A_j:
   ||B_o||_F <= F. F^2 sums at most 2 K^2 terms, within about 2 K^2 u,
-  ||G_j^-1||_F^2 is an exact integer below 2^52 (`exactrank.is_inverse`),
-  and the product and quotient of the test add 2u. So a test that passes
-  gives sigma_min(D_j) / ||G_j^-1||_F >= (1 - 2 K^2 u - 20u) tau F - 2u F
+  ||G_j^-1||_F^2 = ||X||_F^2 / d^2 is one division of two exact integers
+  below 2^52 (`exactrank.is_inverse`), within u, and the product and
+  quotient of the test add 2u. So a test that passes gives
+  sigma_min(D_j) / ||G_j^-1||_F >= (1 - 2 K^2 u - 21u) tau F - 2u F
   >= (1 - 1e-3) tau F for every K below 10^6, since 2u < 1e-6 tau: hence
   sigma_min(A_j) > (1 - 1e-3) tau F >= 9.3e-10 sigma_max(A_j). LAPACK's
   singular values are off by a few m u sigma_max at most, so the SVD cut
@@ -107,28 +100,12 @@ product G_j X = I, with the draw's own D_j. The two modes:
   sigma_min: the SVD would find rank m, and the report is
   `expected_ranks` with no block. The test is strict, so an all-zero draw
   (F = 0) never passes, and a receiver with no proven inverse (an
-  uncertified G_j, or a certified one the peel leaves a core of: the
-  pair-product families) has a bound of 0 and passes in no draw.
+  uncertified G_j) has a bound of 0 and passes in no draw.
 
-  The pairs the bound leaves are ranked: an uncertified receiver's by
-  `stack_ranks` alone (its A_j is singular in every draw, so no margin
-  can prove it), a certified one's by `square_ranks`, which skips the SVD
-  of a stack whose every A the Cholesky margin proves full.
-
-  The margin (Rump, "Verification of positive definiteness", BIT 2006).
-  Let F = ||A||_F of an m x m block. Form G = fl(A^H A),
-  subtract MARGIN * F^2 (MARGIN = tau^2 = 2^-30, F^2 the trace of G) from
-  its diagonal and factor the result by Cholesky. If the factor exists,
-  A^H A minus tau^2 F^2 I differs from R^H R, a positive semidefinite
-  matrix, by the rounding of the Gram, the shift and the factorisation
-  (Higham, 10.1: |dH| <= gamma_(m+1) |R^H||R|, and ||R||_F^2 is about
-  F^2), at most about 4(m+2) u F^2 in the 2-norm, which is under 1e-3
-  tau^2 F^2 for m <= 2095 (build_scheme stops at m = 1175). So
-  sigma_min(A) > (1 - 1e-3) tau F >= 3e-5 sigma_max(A), which the SVD
-  cut cannot reach either. A stack whose factorisation fails, or whose
-  F^2 is not finite or not well clear of underflow, goes to `stack_ranks`
-  whole. A draw with a non-finite coefficient raises ValueError before
-  anything is bounded or gathered.
+  The pairs the bound leaves, an uncertified receiver's (its A_j is
+  singular in every draw) and a near-singular draw's, are ranked by
+  `stack_ranks`. A draw with a non-finite coefficient raises ValueError
+  before anything is bounded or gathered.
 - exact: certification grade, over Gaussian-integer draws (one
   `_exact_channel_ints` draw after another from the run's exact stream),
   with one exact rule and no prime. Its proof is `_proven` (every factor
@@ -171,30 +148,6 @@ def stack_ranks(stack: np.ndarray) -> np.ndarray:
 def rank_of(matrix: np.ndarray) -> int:
     """Numeric rank of one matrix: `stack_ranks` of a one-matrix stack."""
     return int(stack_ranks(np.asarray(matrix)[None])[0])
-
-
-# tau^2 of the full-rank margin (module docstring), a fixed constant
-MARGIN = 2.0 ** -30
-# below this ||A||_F^2 the Gram's underflow could eat the margin
-_TINY = 2.0 ** -900
-
-
-def square_ranks(stack: np.ndarray) -> np.ndarray:
-    """`stack_ranks` of a (..., m, m) stack, with no SVD when the Cholesky
-    margin (module docstring) proves every matrix A of it nonsingular: the
-    factor of A^H A less MARGIN * ||A||_F^2 on its diagonal exists."""
-    with np.errstate(over="ignore", invalid="ignore"):  # huge entries: fall back
-        g = np.matmul(stack.conj().swapaxes(-1, -2), stack)
-        f2 = np.trace(g, axis1=-2, axis2=-1).real
-    if np.all((f2 > _TINY) & (f2 < np.inf)):
-        d = np.arange(g.shape[-1])
-        g[..., d, d] -= MARGIN * f2[..., None]
-        try:
-            np.linalg.cholesky(g)
-            return np.full(stack.shape[:-2], stack.shape[-1])
-        except np.linalg.LinAlgError:
-            pass
-    return stack_ranks(stack)
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,22 +256,22 @@ class FloatBound:
     """What the float bound (module docstring) reads off a scheme, once a
     run: nothing here depends on the channel."""
 
-    inverse2: np.ndarray  # (K,) ||G_j^-1||_F^2, exact; inf where no inverse is proven
+    inverse2: np.ndarray  # (K,) ||G_j^-1||_F^2 = ||X||_F^2 / d^2; inf where no inverse is proven
     counts: np.ndarray    # (K, K, 2) [j, i, mode]: entries of A_j that carry h_ji(mode)
     aligned: np.ndarray   # (K, K) [j, i]: h_ji(2) scales an aligned column of A_j
 
 
 def float_bound(scheme: Scheme) -> FloatBound:
-    """The FloatBound of a scheme: the exact inverse of every certified G_j
-    the singleton peel empties (`scheme.generator_inverses`, proven by
-    G_j X = I), and from the supports and the pattern alone, per receiver,
+    """The FloatBound of a scheme: the exact inverse X = d G_j^-1 of every
+    certified G_j (`scheme.generator_inverses`, proven by X G_j = d I),
+    and from the supports and the pattern alone, per receiver,
     the support counts behind ||A_j||_F and the aligned columns' sources
     (the pairs' owners as `receiver_layout` picks them)."""
     pattern = scheme.pattern
     K, m = pattern.users, pattern.block_len
-    index, values, ok = generator_inverses(pattern)
+    index, values, scale, ok = generator_inverses(pattern)
     squares = np.bincount(index // (m * m), weights=values.astype(float) ** 2, minlength=K)
-    inverse2 = np.where(ok, squares, np.inf)
+    inverse2 = np.where(ok, squares / scale ** 2.0, np.inf)
     a, b = np.array(list(itertools.combinations(range(K), 2))).T
     rx = np.arange(K)[:, None]
     src = np.where(a == rx, b, a)
@@ -377,9 +330,8 @@ def _float_proven(bound: FloatBound, coeffs: np.ndarray) -> np.ndarray:
 def verify_decodability(ch: ChannelSet, scheme: Scheme, draw: int = 0) -> list[ReceiverCheck]:
     """Check the three rank conditions at every receiver for one draw: a
     receiver the float bound proves (module docstring) reports full ranks
-    with no block; every other one has its combined block ranked (the
-    Cholesky margin, else one SVD, or the SVD alone when uncertified), and
-    only a short one has its two blocks ranked too.
+    with no block; every other one has its combined block ranked by one
+    SVD, and only a short one has its two blocks ranked too.
 
     Failures are reported, never raised; callers decide severity.
     """
@@ -439,18 +391,16 @@ def _gather_ranks(scheme: Scheme, coeffs: np.ndarray, proven: np.ndarray, exact:
     rank_combined), in (draw, rx) order, of a chunk of draws coeffs
     (T, K, K, 2) whose proof (`_proven` or `_float_proven`) settled the
     combined blocks in proven (T, K): decide, then gather (module
-    docstring). Bareiss ranks every exact block; in float `square_ranks`
-    ranks a certified receiver's, `stack_ranks` an uncertified one's
-    (always singular, so the margin could never prove it) and the two
-    blocks of every short A_j."""
+    docstring). Bareiss ranks every exact block and `stack_ranks` every
+    float one, the combined block first and the two blocks of a short A_j
+    after it."""
     K, m = scheme.config.users, scheme.config.block_len
     out = np.empty(proven.shape + (3,), dtype=np.int64)
     out[...] = expected_ranks(scheme.config)
     todo = np.flatnonzero(~proven.all(axis=0)).tolist()
     layout = receiver_layout(scheme) if todo else None
-    sub = _exact_ranks if exact else stack_ranks
+    rank = _exact_ranks if exact else stack_ranks
     for j in todo:
-        rank = square_ranks if scheme.certified_receivers[j] and not exact else sub
         draws = np.flatnonzero(~proven[:, j])
         for part in chunks(draws.size, m * m):
             t = draws[part.start:part.stop]
@@ -458,8 +408,8 @@ def _gather_ranks(scheme: Scheme, coeffs: np.ndarray, proven: np.ndarray, exact:
             ranks = rank(a)
             out[t, j, 2] = ranks
             a, t = a[ranks < m], t[ranks < m]
-            out[t, j, 0] = sub(a[..., :K - 1])
-            out[t, j, 1] = sub(a[..., K - 1:])
+            out[t, j, 0] = rank(a[..., :K - 1])
+            out[t, j, 1] = rank(a[..., K - 1:])
     return out.reshape(-1, 3)
 
 

@@ -25,11 +25,11 @@ import biakit.exactrank
 import biakit.sim
 import biakit.verify
 from biakit.channel import CHANNEL_STREAM, EXACT_STREAM, ChannelSet, draw_channels, stream_seed
-from biakit.designspace import scan
+from biakit.designspace import make_pattern_matrix, scan
 from biakit.errors import UnverifiableDrawError
-from biakit.exactrank import BATCH_ELEMENTS, chunks, gaussian_rank
+from biakit.exactrank import chunks, gaussian_rank
 from biakit.formats import render_csv, render_json
-from biakit.scheme import PatternMatrix, default_pair_dims
+from biakit.scheme import PatternMatrix, default_pair_dims, make_config
 from biakit.sim import (
     SimConfig,
     SimResult,
@@ -61,6 +61,9 @@ from conftest import (
     user_vectors,
     widened_schemes,
 )
+
+# what linalg_stacks holds when no numpy linear algebra ran
+NO_LINALG = {"svd": [], "cholesky": [], "inv": [], "solve": []}
 
 # closed-form zero-forcing rates against A_j^{-1}: measured within 6.4e-16
 # relative at K = 3..20
@@ -686,10 +689,9 @@ def test_receiver_chunks_change_no_float_output(fallback_scheme5, golden_scheme4
                                                 linalg_stacks):
     """Float verification one block a stack, and two, gives the bytes of the
     default chunks. A built scheme gathers nothing. On the fallback family
-    only the receivers the bound cannot prove are gathered: receivers 1..4,
-    certified with a core and so with no proven inverse, reach the Cholesky
-    margin, which proves them; receiver 5, uncertified, reaches the SVD
-    alone."""
+    only the receiver the bound cannot prove is gathered: receivers 1..4,
+    certified with a core, have an exact inverse and are proven; receiver
+    5, uncertified, reaches the SVD alone, and nothing takes a Cholesky."""
     for scheme in (bk.build_scheme(4), fallback_scheme5, golden_scheme4):
         m = scheme.config.block_len
         default = report_bytes(run_verification(scheme, 5, 2))
@@ -706,8 +708,8 @@ def test_receiver_chunks_change_no_float_output(fallback_scheme5, golden_scheme4
         assert linalg_stacks["cholesky"] == linalg_stacks["svd"] == []
         patch.setattr(biakit.exactrank, "BATCH_ELEMENTS", 14 * 14)
         run_verification(fallback_scheme5, 5, 2)
-    assert sorted(rx for _, rx in seen["gathers"]) == [[0]] * 5 + [[1]] * 5 + [[2]] * 5 + [[3]] * 5 + [[4]] * 5
-    assert linalg_stacks["cholesky"] == [(1, 14, 14)] * 20
+    assert [rx for _, rx in seen["gathers"]] == [[4]] * 5
+    assert linalg_stacks["cholesky"] == []
     assert matrix_count(linalg_stacks["svd"], 14, 14) == 5
     assert all(shape[:1] == (1,) for shape in linalg_stacks["svd"])
 
@@ -716,19 +718,13 @@ def test_receiver_chunks_change_no_float_output(fallback_scheme5, golden_scheme4
 def test_no_stack_outgrows_the_chunk_budget(K, draws, linalg_stacks, monkeypatch):
     refuse_blocks(monkeypatch)
     scheme = bk.build_scheme(K)
-    m = scheme.config.block_len
     run_verification(scheme, draws, 1)
     estimate_dof(scheme, SimConfig(trials=draws, seed=1))
-    shapes = linalg_stacks["svd"] + linalg_stacks["solve"] + linalg_stacks["cholesky"]
-    assert max(np.prod(shape) for shape in shapes) <= max(BATCH_ELEMENTS, m * m)
     # the float bound proves every built block, so verification takes no
-    # Cholesky and no SVD; the simulation inverts nothing and solves once
-    # per chunk of receivers, whatever the trials
-    assert linalg_stacks["cholesky"] == []
-    assert linalg_stacks["svd"] == []
-    assert linalg_stacks["inv"] == []
-    assert len(linalg_stacks["solve"]) == len(chunks(K, m * m))
-    assert all(shape[-2:] == (m, m) for shape in linalg_stacks["solve"])
+    # Cholesky and no SVD, and builds no block (refuse_blocks); the
+    # simulation inverts nothing and solves nothing, whatever the trials:
+    # no stack reaches numpy's linear algebra at all
+    assert linalg_stacks == NO_LINALG
 
 
 @pytest.mark.parametrize("K", [4, 6])
@@ -797,27 +793,68 @@ def float_gathers(monkeypatch, scheme, draws, seed):
 
 def test_receivers_with_no_proven_inverse_are_always_gathered(golden_scheme4, fallback_scheme5,
                                                               monkeypatch):
-    """An uncertified receiver (golden 1 and 3, fallback 5) and a certified
-    one whose G_j keeps a core (fallback 1..4, the certified pair-product
-    schemes at K = 3 and 4) has no inverse: its bound is 0, never a
-    division by a zero norm, so it is gathered in every draw; the golden
-    instance's 2 and 4 and every built receiver are not. Reports match the
-    per-draw loop byte for byte."""
+    """An uncertified receiver (golden 1 and 3, fallback 5) has no inverse:
+    its bound is 0, never a division by a zero norm, so it is gathered in
+    every draw. Every certified one has, also where its G_j keeps a core
+    (fallback 1..4, the certified pair-product schemes at K = 3 and 4), and
+    none of these is gathered. Reports match the per-draw loop byte for
+    byte."""
     cases = [("golden", golden_scheme4), ("fallback5", fallback_scheme5)]
     cases += certified_pair_product_schemes() + [("4", bk.build_scheme(4))]
-    unproven = {"golden": [0, 2], "fallback5": [0, 1, 2, 3, 4], "4": []}
+    unproven = {"golden": [0, 2], "fallback5": [4]}
     for name, scheme in cases:
         K = scheme.config.users
         bound = float_bound(scheme)
         none = np.flatnonzero(np.isinf(bound.inverse2)).tolist()
-        assert none == unproven.get(name, none), name
-        assert set(none) >= {j for j in range(K) if not scheme.certified_receivers[j]}, name
+        assert none == unproven.get(name, []), name
+        assert none == [j for j in range(K) if not scheme.certified_receivers[j]], name
         coeffs = np.stack([ch.coeffs for ch in oracle_draws(scheme, 4, 4, False)])
         low2, _, _ = draw_bounds(bound, coeffs)
         assert (low2[:, none] == 0).all() and (low2 > 0).sum() == 4 * (K - len(none)), name
         report, gathered = float_gathers(monkeypatch, scheme, 4, 4)
         assert report_bytes(report) == report_bytes(oracle_report(scheme, 4, 4)), name
         assert sorted(gathered, key=lambda p: (p[1], p[0])) == [[t, j] for j in none for t in range(4)], name
+
+
+def test_float_reports_match_the_svd_oracle_on_pair_product_families(golden_scheme4):
+    """Float reports equal the all-SVD per-draw loop byte for byte on the
+    pair-product family at K = 4..6, whose certified receivers keep a core,
+    and on the golden instance, whose uncertified ones are ranked."""
+    cases = [make_pattern_matrix(make_config(K)) for K in (4, 5, 6)]
+    for scheme in [bk.Scheme(pattern) for pattern in cases] + [golden_scheme4]:
+        report = run_verification(scheme, 6, 7)
+        assert report_bytes(report) == report_bytes(oracle_report(scheme, 6, 7))
+
+
+def test_float_verification_gathers_no_certified_pair_product_receiver(monkeypatch):
+    """Every certified receiver of the pair-product family at K = 4..6 has
+    an exact inverse, so on Gaussian draws the bound proves it and only the
+    uncertified ones (receivers 5 and up) are gathered."""
+    for K in (4, 5, 6):
+        scheme = bk.Scheme(make_pattern_matrix(make_config(K)))
+        with monkeypatch.context() as patch:
+            seen = record_gathers(patch)
+            run_verification(scheme, 20, 3)
+        gathered = sorted({j for _, rx in seen["gathers"] for j in rx})
+        assert gathered == list(range(4, K))
+        assert [scheme.certified_receivers[j] for j in gathered] == [False] * (K - 4)
+
+
+def test_simulation_takes_no_float_linear_algebra(fallback_scheme5, golden_scheme4, linalg_stacks):
+    """estimate_dof reaches no np.linalg routine on the star family at
+    K = 3..12, the fallback family and the golden instance."""
+    cases = [bk.build_scheme(K) for K in range(3, 13)] + [fallback_scheme5, golden_scheme4]
+    for scheme in cases:
+        estimate_dof(scheme, SimConfig(trials=3, seed=4))
+    assert linalg_stacks == NO_LINALG
+
+
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(widened_schemes())
+def test_simulation_takes_no_float_linear_algebra_on_widened_supports(linalg_stacks, scheme):
+    estimate_dof(scheme, SimConfig(trials=2, seed=4))
+    assert linalg_stacks == NO_LINALG
 
 
 def near_parallel_own_pair(eps):

@@ -207,11 +207,34 @@ def test_channel_json_seed_records_replay_their_draw():
         assert channels_to_json(back) == channels_to_json(again) == text
 
 
+def test_channel_json_seed_records_keep_their_pool_size():
+    """A SeedSequence with a pool of 8 words writes its pool size, and the
+    loaded seed redraws the dumped coefficients bit for bit; the default
+    pool of 4 is not written, so default records keep their bytes."""
+    seed = np.random.SeedSequence(5, pool_size=8)
+    ch = draw_channels(3, 2, seed=seed)
+    text = channels_to_json(ch)
+    assert json.loads(text)["seed"] == {"entropy": 5, "spawn_key": [], "pool_size": 8}
+    back = channels_from_json(text)
+    assert back.seed.pool_size == 8
+    again = draw_channels(3, seed=back.seed)
+    assert again.coeffs.tobytes() == ch.coeffs.tobytes()
+    assert channels_to_json(again) == text
+    assert draw_channels(3, seed=np.random.SeedSequence(5)).coeffs.tobytes() != ch.coeffs.tobytes()
+    default = channels_to_json(draw_channels(3, 2, seed=np.random.SeedSequence(5)))
+    assert np.random.SeedSequence(5).pool_size == 4
+    assert json.loads(default)["seed"] == {"entropy": 5, "spawn_key": []}
+
+
 @pytest.mark.parametrize("seed", [
     {"entropy": 5}, {"entropy": 5, "spawn_key": [0], "pool": 4}, {"entropy": -1, "spawn_key": [0]},
     {"entropy": "5", "spawn_key": [0]}, {"entropy": 5, "spawn_key": 0},
     {"entropy": 5, "spawn_key": [0.5]}, {"entropy": [5, True], "spawn_key": []},
-    "abc", 1.5, True, -3, [5]])
+    "abc", 1.5, True, -3, [5],
+    {"entropy": 5, "spawn_key": [0], "pool_size": 3},
+    {"entropy": 5, "spawn_key": [0], "pool_size": 2 ** 20 + 1},
+    {"entropy": 5, "spawn_key": [0], "pool_size": 8.0},
+    {"entropy": 5, "spawn_key": [0], "pool_size": True}])
 def test_channel_json_names_malformed_seeds(seed):
     doc = json.loads(channels_to_json(draw_channels(3, 2, seed=21)))
     doc["seed"] = seed

@@ -167,10 +167,11 @@ def test_one_call_holds_matrices_of_different_nonzero_counts():
     stack = np.stack([eye, np.tril(np.ones((4, 4), dtype=np.int64)), core, twins, met])
     assert nonzeros(stack)[0].tolist() == [4, 10, 7, 11, 4]
     assert decided(stack) == det_nonzero(stack) == [True, True, True, False, False]
-    index, values, ok = peel_inverses(4, *nonzeros(stack))
-    assert ok.tolist() == [True, True, False, False, False]
+    index, values, scale, ok = peel_inverses(4, *nonzeros(stack))
+    assert ok.tolist() == [True, True, True, False, False]
+    assert scale[:3].tolist() in ([1, 1, 2], [1, 1, -2])
     x = dense(index, values, 5, 4)
-    assert all((stack[i] @ x[i] == eye).all() for i in (0, 1))
+    assert all((stack[i] @ x[i] == scale[i] * eye).all() for i in (0, 1, 2))
 
 
 def test_all_zero_matrices_are_singular():
@@ -181,9 +182,9 @@ def test_all_zero_matrices_are_singular():
     stack = np.stack([zero, eye, zero, eye, zero, zero])
     assert nonzeros(stack)[0].tolist() == [0, 3, 0, 3, 0, 0]
     assert decided(stack) == [False, True, False, True, False, False]
-    assert peel_inverses(3, *nonzeros(stack))[2].tolist() == [False, True, False, True, False, False]
+    assert peel_inverses(3, *nonzeros(stack))[3].tolist() == [False, True, False, True, False, False]
     assert decided(np.zeros((2, 3, 3), dtype=np.int64)) == [False, False]
-    assert peel_inverses(3, *nonzeros(np.zeros((2, 3, 3))))[2].tolist() == [False, False]
+    assert peel_inverses(3, *nonzeros(np.zeros((2, 3, 3))))[3].tolist() == [False, False]
 
 
 def _counting_integer_rank(monkeypatch):
@@ -271,8 +272,8 @@ def test_peel_inverses_of_permuted_unit_triangular_matrices(case):
     n, prow, pcol, bits = case
     lower = np.tril(np.array(bits, dtype=np.int64).reshape(n, n), -1) + np.eye(n, dtype=np.int64)
     g = lower[np.ix_(prow, pcol)]
-    index, values, ok = peel_inverses(n, *nonzeros(g[None]))
-    assert ok.tolist() == [True]
+    index, values, scale, ok = peel_inverses(n, *nonzeros(g[None]))
+    assert ok.tolist() == [True] and scale.tolist() == [1]
     assert (g @ dense(index, values, 1, n)[0] == np.eye(n, dtype=np.int64)).all()
 
 
@@ -280,14 +281,21 @@ def test_peel_inverses_of_permuted_unit_triangular_matrices(case):
 @given(st.integers(1, 6).flatmap(lambda n: st.lists(
     st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=n, max_size=n)))
 def test_peel_inverses_prove_only_true_inverses(rows):
-    """On any 0/1 matrix, ok means G X = I exactly, and ok holds wherever
-    removing one singleton line at a time (a row or column with exactly one
-    nonzero, with that nonzero's column or row) empties the matrix."""
+    """On any 0/1 matrix, ok holds exactly where G is nonsingular (sympy),
+    and then G X = d I exactly, with X = d G^-1 (sympy) and d = +-det G;
+    d = 1 wherever removing one singleton line at a time (a row or column
+    with exactly one nonzero, with that nonzero's column or row) empties
+    the matrix."""
     g = np.array(rows, dtype=np.int64)
     n = len(g)
-    index, values, ok = peel_inverses(n, *nonzeros(g[None]))
+    index, values, scale, ok = peel_inverses(n, *nonzeros(g[None]))
+    x = dense(index, values, 1, n)[0]
+    det = sympy.Matrix(rows).det()
+    assert ok[0] == (det != 0)
     if ok[0]:
-        assert (g @ dense(index, values, 1, n)[0] == np.eye(n, dtype=np.int64)).all()
+        assert abs(scale[0]) == abs(det)
+        assert (g @ x == scale[0] * np.eye(n, dtype=np.int64)).all()
+        assert sympy.Matrix(x.tolist()) == int(scale[0]) * sympy.Matrix(rows).inv()
     live_r, live_c = np.ones(n, dtype=bool), np.ones(n, dtype=bool)
     while live_r.any():
         live = g * live_r[:, None] * live_c
@@ -299,7 +307,43 @@ def test_peel_inverses_prove_only_true_inverses(rows):
             live_r[np.flatnonzero(live[:, c[0]])[0]] = live_c[c[0]] = False
         else:
             break
-    assert ok[0] == (not live_r.any())
+    if not live_r.any():
+        assert ok[0] and scale[0] == 1
+
+
+def test_a_core_of_determinant_two_is_inverted_at_scale_two(monkeypatch):
+    """The 3 x 3 core [[1,1,0],[0,1,1],[1,0,1]] (det 2), which the peel
+    leaves whole, behind unit rows and columns: G X = 2 I is proven (up to
+    the sign of d), each distinct core is eliminated once per call, and a
+    wrong X or a wrong d is refused."""
+    calls = []
+    adjugate = biakit.exactrank._adjugate
+
+    def counted(core, limit):
+        calls.append(core)
+        return adjugate(core, limit)
+    monkeypatch.setattr(biakit.exactrank, "_adjugate", counted)
+    core = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
+    g = np.eye(6, dtype=np.int64)
+    g[:3, :3] = core
+    g[4, 0] = g[5, 2] = g[1, 3] = 1  # unit columns 4 and 5 below it, unit row 3 beside it
+    stack = np.stack([g, g[np.ix_([0, 1, 2, 5, 3, 4], [0, 1, 2, 4, 5, 3])]])
+    nz = nonzeros(stack)
+    index, values, scale, ok = peel_inverses(6, *nz)
+    assert ok.tolist() == [True, True]
+    assert set(np.abs(scale).tolist()) == {2}
+    assert calls == [core]
+    x = dense(index, values, 2, 6)
+    for gi, xi, d in zip(stack, x, scale):
+        assert (gi @ xi == d * np.eye(6, dtype=np.int64)).all()
+        assert sympy.Matrix(xi.tolist()) == int(d) * sympy.Matrix(gi.tolist()).inv()
+    assert is_inverse(6, *nz, index, values, -scale).tolist() == [False, False]
+    assert is_inverse(6, *nz, index, values, np.ones(2, dtype=np.int64)).tolist() == [False, False]
+    halved = values.copy()
+    halved[index < 36] //= 2  # X / 2 is no integer inverse
+    assert is_inverse(6, *nz, index, halved, scale // [2, 1]).tolist() == [False, True]
+    # d = 0 proves nothing, although G 0 = 0 I
+    assert is_inverse(6, *nz, index[:0], values[:0], np.zeros(2, dtype=np.int64)).tolist() == [False, False]
 
 
 def test_is_inverse_rejects_one_wrong_entry():
@@ -307,18 +351,18 @@ def test_is_inverse_rejects_one_wrong_entry():
     for the matrix it is in."""
     g = np.array([[[1, 0, 0], [1, 1, 0], [0, 1, 1]], [[0, 1, 0], [1, 0, 0], [1, 1, 1]]])
     nz = nonzeros(g)
-    index, values, ok = peel_inverses(3, *nz)
-    assert ok.tolist() == [True, True]
+    index, values, scale, ok = peel_inverses(3, *nz)
+    assert ok.tolist() == [True, True] and scale.tolist() == [1, 1]
     x = dense(index, values, 2, 3)
     assert (np.linalg.inv(g).round() == x).all()
     first = index < 9
     flipped = values.copy()
     flipped[0] = -flipped[0]
-    assert is_inverse(3, *nz, index, flipped).tolist() == [False, True]
-    assert is_inverse(3, *nz, index[1:], values[1:]).tolist() == [False, True]
+    assert is_inverse(3, *nz, index, flipped, scale).tolist() == [False, True]
+    assert is_inverse(3, *nz, index[1:], values[1:], scale).tolist() == [False, True]
     extra = 9 + np.flatnonzero(x[1].ravel() == 0)[0]
-    assert is_inverse(3, *nz, np.append(index, extra), np.append(values, 1)).tolist() == [True, False]
-    assert is_inverse(3, *nz, index[first], values[first]).tolist() == [True, False]
+    assert is_inverse(3, *nz, np.append(index, extra), np.append(values, 1), scale).tolist() == [True, False]
+    assert is_inverse(3, *nz, index[first], values[first], scale).tolist() == [True, False]
 
 
 def test_is_inverse_refuses_entries_past_its_bound():
@@ -327,6 +371,6 @@ def test_is_inverse_refuses_entries_past_its_bound():
     but past 2^26 / n at n = 40, where it is refused."""
     for n, expect in ((20, True), (40, False)):
         g = np.eye(n, dtype=np.int64) + np.eye(n, k=-1, dtype=np.int64) + np.eye(n, k=-3, dtype=np.int64)
-        index, values, ok = peel_inverses(n, *nonzeros(g[None]))
+        index, values, scale, ok = peel_inverses(n, *nonzeros(g[None]))
         assert ok.tolist() == [expect]
         assert (np.abs(values).max() > (1 << 26) // n) == (not expect)

@@ -773,12 +773,13 @@ def test_pair_products_are_computed_once_per_pattern(monkeypatch):
 
 
 def dense_inverses(pattern):
-    """generator_inverses as dense (K, m, m) arrays, with their ok flags."""
+    """generator_inverses as dense (K, m, m) arrays X, with their scales d
+    and ok flags."""
     m = pattern.block_len
-    index, values, ok = generator_inverses(pattern)
+    index, values, scale, ok = generator_inverses(pattern)
     x = np.zeros(pattern.users * m * m, dtype=np.int64)
     x[index] = values
-    return x.reshape(pattern.users, m, m), ok
+    return x.reshape(pattern.users, m, m), scale, ok
 
 
 @pytest.mark.parametrize("K", [3, 5, 8])
@@ -798,12 +799,12 @@ def test_generator_nonzeros_are_the_generator_matrices(K):
 
 @pytest.mark.parametrize("K", range(3, 21))
 def test_star_generator_inverses_are_exact_and_as_sparse_as_g(K):
-    """Every built G_j has a proven exact inverse with entries in {-1, 0, 1}
-    and ||G_j^-1||_F^2 = nnz(G_j)."""
+    """Every built G_j has a proven exact inverse (d = 1) with entries in
+    {-1, 0, 1} and ||G_j^-1||_F^2 = nnz(G_j)."""
     pattern = bk.build_scheme(K).pattern
     m = pattern.block_len
-    index, values, ok = generator_inverses(pattern)
-    assert ok.all()
+    index, values, scale, ok = generator_inverses(pattern)
+    assert ok.all() and (scale == 1).all()
     assert set(np.abs(values).tolist()) == {1}
     nnz = int(pattern.supports.sum())
     assert np.bincount(index // (m * m), minlength=K).tolist() == [nnz] * K
@@ -812,38 +813,65 @@ def test_star_generator_inverses_are_exact_and_as_sparse_as_g(K):
 @pytest.mark.parametrize("K", [4, 5, 6])
 def test_star_generator_inverses_match_sympy(K):
     pattern = bk.build_scheme(K).pattern
-    x, ok = dense_inverses(pattern)
-    assert ok.all()
+    x, scale, ok = dense_inverses(pattern)
+    assert ok.all() and (scale == 1).all()
     for g, xj in zip(_generator_layout(pattern.tilde, pattern.supports), x):
         assert sympy.Matrix(g.tolist()).inv() == sympy.Matrix(xj.tolist())
 
 
-def test_generator_inverses_need_a_peel_to_nothing(golden_scheme4, fallback_scheme5):
+def assert_inverses_where_certified(pattern):
+    """ok is the certificate, and every proven X is d G_j^-1: G_j X = d I
+    exactly."""
+    x, scale, ok = dense_inverses(pattern)
+    assert ok.tolist() == list(pattern.certified_receivers)
+    m = pattern.block_len
+    for g, xj, d in zip(_generator_layout(pattern.tilde, pattern.supports)[ok], x[ok], scale[ok]):
+        assert (g @ xj == d * np.eye(m, dtype=np.int64)).all()
+    return x, scale, ok
+
+
+def test_generator_inverses_exist_exactly_at_certified_receivers(golden_scheme4):
     """An uncertified G_j has no inverse (the golden instance's receivers 1
-    and 3, the fallback family's receiver 5), nor does a certified G_j the
-    singleton peel leaves a core of (the pair-product families at K = 3, 4
-    and 5); the golden instance's receivers 2 and 4 peel to nothing."""
-    cases = [(golden_scheme4.pattern, [False, True, False, True]),
-             (fallback_scheme5.pattern, [False] * 5)]
-    cases += [(make_pattern_matrix(make_config(K)), expect)
-              for K, expect in ((3, [False, True, True]), (4, [False] * 4))]
-    for pattern, expect in cases:
-        x, ok = dense_inverses(pattern)
-        assert ok.tolist() == expect
-        m = pattern.block_len
-        for g, xj in zip(_generator_layout(pattern.tilde, pattern.supports)[ok], x[ok]):
-            assert (g @ xj == np.eye(m, dtype=np.int64)).all()
-        assert np.array(pattern.certified_receivers)[ok].all()
+    and 3, the pair-product family's receiver 5 and up from K = 5); every
+    certified one has, also where the singleton peel leaves a core (the
+    pair-product families at K = 3..6, whose one core is
+    [[1,1,1],[1,1,0],[1,0,1]], det -1): there d = +-1 and X equals d G_j^-1
+    by sympy."""
+    assert_inverses_where_certified(golden_scheme4.pattern)
+    for K in (3, 4, 5, 6):
+        pattern = make_pattern_matrix(make_config(K))
+        x, scale, ok = assert_inverses_where_certified(pattern)
+        assert ok.tolist() == [True] * min(K, 4) + [False] * (K - 4)
+        assert set(np.abs(scale[ok]).tolist()) == {1}
+        gen = _generator_layout(pattern.tilde, pattern.supports)
+        for j in np.flatnonzero(ok):
+            assert sympy.Matrix(x[j].tolist()) == int(scale[j]) * sympy.Matrix(gen[j].tolist()).inv()
+
+
+def test_generator_inverses_exist_wherever_the_scan_certifies():
+    """Over every vocabulary-minus-two pattern of the design-space scan at
+    K = 3..6, one peel_inverses call per K proves an inverse exactly at
+    the receivers certify_patterns certifies."""
+    for K in range(3, 7):
+        vocab = row_vocabulary(K)
+        keep = [[r for r in range(len(vocab)) if r not in omit]
+                for omit in itertools.combinations(range(len(vocab)), 2)]
+        tilde = np.array(vocab, dtype=np.int8)[keep]
+        ok = biakit.exactrank.peel_inverses(
+            make_config(K).block_len, *generator_nonzeros(tilde, product_matrix(tilde)))[3]
+        assert ok.reshape(-1, K).tolist() == biakit.scheme.certify_patterns(tilde).tolist()
+
+
+def test_generator_inverses_exist_at_every_built_receiver():
+    """Every G_j of build_scheme(K), K = 3..48, is certified and has a
+    proven inverse."""
+    for K in range(3, 49):
+        pattern = bk.build_scheme(K).pattern
+        ok = generator_inverses(pattern)[3]
+        assert ok.all() and ok.tolist() == list(pattern.certified_receivers), K
 
 
 @settings(max_examples=25, deadline=None)
 @given(widened_schemes())
 def test_generator_inverses_on_widened_supports(scheme):
-    pattern = scheme.pattern
-    K = pattern.users
-    x, ok = dense_inverses(pattern)
-    gen = _generator_layout(pattern.tilde, pattern.supports)
-    for j in range(K):
-        if ok[j]:
-            assert pattern.certified_receivers[j]
-            assert (gen[j] @ x[j] == np.eye(pattern.block_len, dtype=np.int64)).all()
+    assert_inverses_where_certified(scheme.pattern)

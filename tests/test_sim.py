@@ -16,11 +16,20 @@ from biakit.channel import (
     receive,
     stream_seed,
 )
-from biakit.designspace import scan
+from biakit.designspace import make_pattern_matrix, scan
 from biakit.errors import UnverifiableDrawError
-from biakit.scheme import PatternMatrix
+from biakit.exactrank import chunks
+from biakit.scheme import (
+    PatternMatrix,
+    default_pair_dims,
+    generator_inverses,
+    generator_nonzeros,
+    make_config,
+    own_pair_columns,
+)
 from biakit.sim import (
     SimConfig,
+    SimResult,
     estimate_dof,
     noise_enhancement,
     plot_script,
@@ -34,7 +43,7 @@ from biakit.sim import (
 )
 from biakit.verify import decompose_receiver
 
-from conftest import matrix_count, widened_schemes
+from conftest import widened_schemes
 
 
 @pytest.mark.parametrize("K", [3, 4])
@@ -104,11 +113,10 @@ def test_receiver_rate_grows_with_power(scheme4):
 def test_estimate_dof_ranks_and_inverts_once_per_receiver(scheme4, linalg_stacks):
     cfg = SimConfig(trials=3, seed=2)
     result = estimate_dof(scheme4, cfg)
-    # one solve of G_j per receiver for the whole run, not per trial or SNR
-    # point; no combined block is inverted, and the certificate decides
-    # exclusion, so no SVD ranks anything
-    assert linalg_stacks["svd"] == [] and linalg_stacks["inv"] == []
-    assert matrix_count(linalg_stacks["solve"], 9, 9) == 4
+    # one exact inverse of G_j per receiver for the whole run, not per trial
+    # or SNR point, and no float solve; no combined block is inverted, and
+    # the certificate decides exclusion, so no SVD ranks anything
+    assert linalg_stacks == {"svd": [], "cholesky": [], "inv": [], "solve": []}
     rng = np.random.default_rng(stream_seed(cfg.seed, CHANNEL_STREAM))
     for t in range(cfg.trials):
         ch = draw_channels(4, 2, seed=rng)
@@ -122,8 +130,8 @@ def test_estimate_dof_ranks_and_inverts_once_per_receiver(scheme4, linalg_stacks
 
 @pytest.mark.parametrize("K", [4, 8, 12, 20])
 def test_estimate_dof_linear_algebra_does_not_grow_with_trials(K, linalg_stacks):
-    """No SVD and no inverse at any trial count; the solves of the weights
-    are the same for one trial as for five."""
+    """No float linear algebra at any trial count: the weights come from
+    the exact inverses, the same for one trial as for five."""
     scheme = bk.build_scheme(K)
     calls = []
     for trials in (1, 5):
@@ -131,30 +139,85 @@ def test_estimate_dof_linear_algebra_does_not_grow_with_trials(K, linalg_stacks)
         calls.append({name: list(shapes) for name, shapes in linalg_stacks.items()})
         for shapes in linalg_stacks.values():
             shapes.clear()
-    assert calls[0] == calls[1]
-    assert calls[0]["svd"] == [] and calls[0]["inv"] == []
-    m = scheme.config.block_len
-    assert matrix_count(calls[0]["solve"], m, m) == K
+    assert calls[0] == calls[1] == {"svd": [], "cholesky": [], "inv": [], "solve": []}
+
+
+def solved_weights(scheme):
+    """The weights' float oracle: (a, b, c) = (||l||^2, ||u||^2, <l, u>),
+    (K, K, 3), from one batched float solve of G_j^T per chunk of
+    certified receivers, G_j scattered dense from its nonzeros."""
+    K, m = scheme.config.users, scheme.config.block_len
+    low, high = own_pair_columns(K)
+    rx = np.flatnonzero(scheme.certified_receivers)
+    _, r, c = generator_nonzeros(scheme.pattern.tilde[None], scheme.pattern.supports[None])
+    r, c = r.reshape(K, -1), c.reshape(K, -1)  # one pattern: K equal counts
+    halves = np.arange(K - 1)
+    weights = np.zeros((K, K - 1, 3))  # [j, n]: j's pair with its n-th partner
+    for chunk in chunks(rx.size, m * m):
+        j = rx[chunk.start:chunk.stop]
+        n = np.arange(j.size)[:, None]
+        gen_t = np.zeros((j.size, m, m))  # G_j^T
+        gen_t[n, c[j], r[j]] = 1.0
+        picks = np.zeros((j.size, m, 2 * (K - 1)))
+        picks[n, low[j], halves] = 1.0
+        picks[n, high[j], K - 1 + halves] = 1.0
+        rows = np.linalg.solve(gen_t, picks)
+        lo, up = rows[..., :K - 1], rows[..., K - 1:]
+        weights[j] = np.stack(
+            [np.sum(lo * lo, axis=1), np.sum(up * up, axis=1), np.sum(lo * up, axis=1)],
+            axis=-1)
+    out = np.zeros((K, K, 3))
+    out[~np.eye(K, dtype=bool)] = weights.reshape(-1, 3)  # partners o != j, increasing
+    return out
+
+
+def assert_weights_match_the_solve(scheme, rtol):
+    """The exact weights against the float solve's (a, b), whose c is 0."""
+    w, solved = zf_weights(scheme), solved_weights(scheme)
+    np.testing.assert_allclose(solved[..., 2], 0, rtol=0, atol=1e-12)
+    if rtol == 0:
+        assert np.array_equal(w, solved[..., :2])
+    else:
+        np.testing.assert_allclose(w, solved[..., :2], rtol=rtol, atol=0)
+
+
+@pytest.mark.parametrize("K", [*range(3, 31), 48])
+def test_exact_weights_equal_the_solve_bit_for_bit_on_built_schemes(K):
+    assert_weights_match_the_solve(bk.build_scheme(K), rtol=0)
+
+
+def test_exact_weights_match_the_solve_on_pair_products_and_pair_maps():
+    """At rtol 1e-10 (the solve rounds) on every fully certified scan(3)
+    and scan(4) pattern, the pair-product family at K = 5 and 6 and
+    reversed pair maps."""
+    cases = [bk.Scheme(PatternMatrix(np.array(rows, dtype=np.int64)))
+             for K in (3, 4) for rows in scan(K)[1]]
+    cases += [bk.Scheme(make_pattern_matrix(make_config(K))) for K in (5, 6)]
+    for K in (4, 5, 6):
+        dims = {pair: (K - 2 - di, K - 2 - dj) for pair, (di, dj) in default_pair_dims(K).items()}
+        cases.append(bk.build_scheme(K, dims))
+    for scheme in cases:
+        assert_weights_match_the_solve(scheme, rtol=1e-10)
 
 
 @pytest.mark.parametrize("K", range(3, 13))
 def test_star_family_weights(K):
-    """(a, b, c) = (K-1, 1, 0) when o is the hub (user 1) and j is not, and
-    (1, K-1, 0) for every other own pair."""
+    """(a, b) = (K-1, 1) when o is the hub (user 1) and j is not, and
+    (1, K-1) for every other own pair, exactly."""
     w = zf_weights(bk.build_scheme(K))
     for j in range(K):
         for o in range(K):
-            expect = (0, 0, 0) if o == j else (K - 1, 1, 0) if o == 0 else (1, K - 1, 0)
-            np.testing.assert_allclose(w[j, o], expect, rtol=0, atol=1e-12)
+            expect = (0, 0) if o == j else (K - 1, 1) if o == 0 else (1, K - 1)
+            assert w[j, o].tolist() == list(expect)
 
 
 @pytest.mark.parametrize("K,pairs,partner_weights", [
-    (3, 1, ((1, 2, 0), (2, 2, 0))),
-    (4, 2, ((1, 4, 0), (3, 3, 0))),
+    (3, 1, ((1, 2), (2, 2))),
+    (4, 2, ((1, 4), (3, 3))),
 ])
 def test_pair_product_family_weights(K, pairs, partner_weights):
     """On every fully certified pair-product scheme the weights are
-    symmetric in j and o and take two values: the second on `pairs`
+    symmetric in j and o and take two values exactly: the second on `pairs`
     disjoint pairs (one at K = 3, a perfect matching at K = 4), the first
     on every other pair."""
     schemes = scan(K)[1]
@@ -162,11 +225,11 @@ def test_pair_product_family_weights(K, pairs, partner_weights):
     for rows in schemes:
         pattern = PatternMatrix(np.array(rows, dtype=np.int64))
         w = zf_weights(bk.Scheme(pattern))
-        np.testing.assert_allclose(w, w.transpose(1, 0, 2), rtol=0, atol=1e-12)
+        assert np.array_equal(w, w.transpose(1, 0, 2))
         special = set()
         for j in range(K):
             for o in range(j + 1, K):
-                match = [np.allclose(w[j, o], v, rtol=0, atol=1e-12) for v in partner_weights]
+                match = [w[j, o].tolist() == list(v) for v in partner_weights]
                 assert any(match), (j, o, w[j, o])
                 if match[1]:
                     special.add((j, o))
@@ -177,26 +240,37 @@ def test_pair_product_family_weights(K, pairs, partner_weights):
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(widened_schemes())
 def test_weights_have_no_cross_term(scheme):
-    """c = <l, u> is 0 at every certified receiver of an aligned scheme: G_j
-    is block diagonal over j's two modes, so l and u never overlap. The
-    other weights are positive exactly at the certified receivers."""
+    """At every certified receiver of an aligned scheme the rows l and u of
+    X = d G_j^-1 have disjoint supports: G_j is block diagonal over j's two
+    modes, so <l, u> = 0 and the weights need no third term. The weights
+    are positive exactly at the certified receivers, and match the float
+    solve's."""
+    K, m = scheme.config.users, scheme.config.block_len
+    index, values, _, ok = generator_inverses(scheme.pattern)
+    low, high = own_pair_columns(K)
+    support = np.zeros(K * m * m, dtype=bool)
+    support[index] = True
+    support = support.reshape(K, m, m)
+    for j in np.flatnonzero(ok):
+        assert not (support[j, low[j]] & support[j, high[j]]).any()
     w = zf_weights(scheme)
-    np.testing.assert_allclose(w[..., 2], 0, rtol=0, atol=1e-12)
-    off = ~np.eye(scheme.config.users, dtype=bool)
+    off = ~np.eye(K, dtype=bool)
     certified = np.array(scheme.certified_receivers)
-    assert np.all((w[..., :2] > 0)[off] == np.repeat(certified, scheme.config.users - 1)[:, None])
+    assert np.all((w > 0)[off] == np.repeat(certified, K - 1)[:, None])
+    assert_weights_match_the_solve(scheme, rtol=1e-10)
 
 
 @pytest.mark.parametrize("name", [*map(str, range(3, 11)), "fallback5"])
 def test_zero_forcing_takes_no_svd(name, fallback_scheme5, linalg_stacks):
     """The certificate decides every exclusion: no SVD in the simulation or
-    in the one-draw decomposition, certified or not."""
+    in the one-draw decomposition, certified or not, and the exact inverses
+    give the weights: no solve either."""
     scheme = fallback_scheme5 if name == "fallback5" else bk.build_scheme(int(name))
     K = scheme.config.users
     result = estimate_dof(scheme, SimConfig(trials=2, seed=1))
     ch = draw_channels(K, 2, seed=3)
     decomps = [decompose_receiver(ch, scheme, j) for j in range(K)]
-    assert linalg_stacks["svd"] == []
+    assert linalg_stacks == {"svd": [], "cholesky": [], "inv": [], "solve": []}
     assert [d.proven for d in decomps] == list(scheme.certified_receivers)
     assert result.excluded == 3 * 2 * scheme.certified_receivers.count(False)
 
@@ -341,6 +415,22 @@ def test_result_emitters(scheme3):
     assert len(doc["mean_sum_rate"]) == 2
     assert doc["excluded"] == 0
     assert doc["fitted_slope"] == pytest.approx(result.fitted_slope)
+
+
+def test_json_emit_derives_each_value_once(scheme3, monkeypatch):
+    """result_to_json fits two slopes (sum rate and TDMA) and reads the
+    mean sum rates once, and renders what the properties give."""
+    result = estimate_dof(scheme3, SimConfig(trials=4, seed=15))
+    doc = json.loads(result_to_json(result))
+    assert (doc["fitted_slope"], doc["tdma_slope"], doc["slope_deviation"]) == (
+        result.fitted_slope, result.tdma_slope, result.slope_deviation)
+    fits, means = [], []
+    polyfit, mean_sum_rates = np.polyfit, SimResult.mean_sum_rates.fget
+    monkeypatch.setattr(np, "polyfit", lambda *a, **k: fits.append(1) or polyfit(*a, **k))
+    monkeypatch.setattr(SimResult, "mean_sum_rates",
+                        property(lambda self: means.append(1) or mean_sum_rates(self)))
+    assert json.loads(result_to_json(result)) == doc
+    assert (len(fits), len(means)) == (2, 1)
 
 
 def test_plot_script_is_selfcontained(tmp_path):
