@@ -98,14 +98,15 @@ def draw_symbols(K: int, power: float = 1.0, seed=0) -> SymbolBlock:
 
 def transmit(scheme: Scheme, sym: SymbolBlock, i: int) -> np.ndarray:
     """User i's block signal: symbols riding their binary beamforming vectors."""
-    return _signal(scheme.pattern.supports, scheme.dimension_columns()[i], sym.values[i])
+    return _signals(scheme, sym.values)[i]
 
 
-def _signal(supports: np.ndarray, columns: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """sum_d values[d] * supports[:, columns[d]], added in dimension order."""
-    x = np.zeros(supports.shape[0], dtype=complex)
-    for value, c in zip(values, columns):
-        x += value * supports[:, c]
+def _signals(scheme: Scheme, values: np.ndarray) -> np.ndarray:
+    """(K, m): user i's sum_d values[i, d] * its dimension-d vector, added in order of d."""
+    _, col = scheme.receiver_columns()
+    x = np.zeros((scheme.pattern.users, scheme.pattern.block_len), dtype=complex)
+    for d in range(values.shape[1]):
+        x += values[:, d, None] * scheme.pattern.supports[:, col[:, d]].T
     return x
 
 
@@ -122,10 +123,10 @@ def receive(
     pair map is read once for all K transmitters."""
     pattern = scheme.pattern
     m = pattern.block_len
-    columns = scheme.dimension_columns()
+    x = _signals(scheme, sym.values)
     y = np.zeros(m, dtype=complex)
     for i in range(pattern.users):
-        y += effective_channel(ch, pattern, k, i) * _signal(pattern.supports, columns[i], sym.values[i])
+        y += effective_channel(ch, pattern, k, i) * x[i]
     if noise_on:
         rng = np.random.default_rng(seed)
         y += (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / np.sqrt(2.0)

@@ -245,9 +245,11 @@ def own_pair_columns(K: int) -> tuple[np.ndarray, np.ndarray]:
     half of j's pair with each partner o != j, partners in increasing
     order. G_j holds every pair's column first, lexicographically, own
     pairs halved to v*(1-t_j) in place; then v*t_j of each own pair."""
-    pairs = list(itertools.combinations(range(K), 2))
-    low = np.array([[c for c, pair in enumerate(pairs) if j in pair] for j in range(K)])
-    high = np.broadcast_to(len(pairs) + np.arange(K - 1), (K, K - 1))
+    j, n = np.arange(K)[:, None], np.arange(K - 1)
+    o = n + (n >= j)  # j's partners, increasing
+    a, b = np.minimum(j, o), np.maximum(j, o)
+    low = a * (2 * K - a - 1) // 2 + b - a - 1  # lexicographic index of pair (a, b)
+    high = np.broadcast_to(K * (K - 1) // 2 + n, (K, K - 1))
     return low, high
 
 
@@ -411,15 +413,20 @@ class Scheme:
     def certified_receivers(self) -> tuple[bool, ...]:
         return self.pattern.certified_receivers
 
-    def dimension_columns(self) -> np.ndarray:
-        """(K, K-1): the column of pattern.supports that user i sends as
-        dimension d."""
+    def receiver_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """(src, col), (K, m) each: column c of receiver j's combined block
+        A_j carries pair col[j, c]'s shared vector from transmitter
+        src[j, c]. First j's own dimensions in order (src = j), then every
+        pair, lexicographically, its owners' two copies merged into one
+        column from the lower owner, or from the other when j is in the pair."""
         K = self.pattern.users
-        pairs = list(itertools.combinations(range(K), 2))
-        dims = [self.pair_dims[pair] for pair in pairs]
-        cols = np.empty((K, K - 1), dtype=np.intp)
-        cols[np.array(pairs), np.array(dims)] = np.arange(len(pairs))[:, None]
-        return cols
+        pairs = sorted(self.pair_dims)  # every pair once (check_pair_dims): lexicographic
+        (a, b), dims = np.array(pairs).T, np.array([self.pair_dims[pair] for pair in pairs])
+        own = np.empty((K, K - 1), dtype=np.intp)
+        own[a, dims[:, 0]] = own[b, dims[:, 1]] = np.arange(a.size)
+        rx = np.arange(K)[:, None]
+        src = np.hstack([np.repeat(rx, K - 1, axis=1), np.where(a == rx, b, a)])
+        return src, np.hstack([own, np.broadcast_to(np.arange(a.size), (K, a.size))])
 
 
 def _sized_config(users: int) -> SchemeConfig:

@@ -47,7 +47,6 @@ SNR points must be finite and give a finite, positive power 10^(dB/10).
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -116,15 +115,6 @@ def zf_weights(scheme: Scheme) -> np.ndarray:
     out = np.zeros((K, K, 2))
     out[~np.eye(K, dtype=bool)] = weights.reshape(-1, 2)  # partners o != j, increasing
     return out
-
-
-def _partners(scheme: Scheme) -> np.ndarray:
-    """(K, K-1): the partner o of receiver j's dimension d, whose pair
-    {j, o} sends it."""
-    columns = scheme.dimension_columns()
-    K = columns.shape[0]
-    pairs = np.array(list(itertools.combinations(range(K), 2)))[columns]  # (K, K-1, 2)
-    return np.where(pairs[..., 0] == np.arange(K)[:, None], pairs[..., 1], pairs[..., 0])
 
 
 def _tdma_rates(coeffs: np.ndarray, tilde: np.ndarray, powers) -> np.ndarray:
@@ -226,16 +216,18 @@ def estimate_dof(scheme: Scheme, cfg: SimConfig) -> SimResult:
     the seed's channel stream, and fit the sum-rate slope against log2
     (linear SNR).
 
-    The weights of every own pair (`zf_weights`) serve the run; each chunk
-    of trials takes the exclusion rule (`verify._proven`), the own-pair
-    determinants and one weighted sum for the noise enhancements, and the
-    TDMA baseline of every power at once. No combined block is built.
+    The weights of every own pair (`zf_weights`), read through
+    `Scheme.receiver_columns`, serve the run; each chunk of trials takes
+    the exclusion rule (`verify._proven`), the own-pair determinants and
+    one weighted sum for the noise enhancements, and the TDMA baseline of
+    every power at once. No combined block is built.
     """
     if len(cfg.snr_points_db) < 2:
         raise ValueError("need at least 2 SNR points to fit a slope")
     K, m = scheme.config.users, scheme.config.block_len
-    partner = _partners(scheme)
+    src, col = scheme.receiver_columns()
     rx = np.arange(K)[:, None]
+    partner = src[rx, K - 1 + col[:, :K - 1]]  # dimension d's partner sends its pair's merged column
     # (K, K-1) each, in dimension order
     a, b = np.moveaxis(zf_weights(scheme)[rx, partner], -1, 0)
     certified = scheme.certified_receivers

@@ -12,31 +12,31 @@ A_j = [desired | interference basis], m = (K-1) + K(K-1)/2. Decodability
 of the draw means rank_desired = K-1, rank_interference = K(K-1)/2 and
 rank_combined = m (desired space disjoint from interference).
 
-`receiver_layout` is the one place that turns a scheme into these columns
-(the simulator needs no block, see biakit.sim); every scheme's supports
-are aligned, so its block spans the signal `channel.receive` forms. It
-costs O(K m): for every receiver j and column c of A_j the transmitter
-src[j, c] and the pair col[j, c] whose shared vector fills it, beside one
-(C(K,2), m) copy of the shared vectors. Row r of A_j is read in receiver
-j's mode at use r, so one gather coeffs[:, j, src[j, c], tilde[r, j]] *
-vectors[col[j, c], r] yields the combined blocks of any receivers j in
-every draw of a stack (`ReceiverLayout.blocks`). Draw t of a run is the
-t-th draw of the seed's channel stream (float, the simulator's stream
-too) or exact stream (`channel.stream_seed`), so a run is a prefix of a
-longer one. Runs take their draws in `exactrank.chunks` of 2 K^2 channel
-coefficients a draw. Both modes decide, then gather (`_gather_ranks`):
-each chunk's proof (below) settles what it can from the coefficients
-alone, and only the (draw, rx) pairs it leaves open are gathered, a
-receiver at a time, at most `exactrank.BATCH_ELEMENTS` entries or one
-block a stack, on a layout built only when needed. So memory stays flat
-in the draw count and in K, and chunking changes no output. A gathered
-A_j of rank m reports the expected ranks (its desired and interference
-blocks are column subsets of it); only a short one has its two blocks
-ranked. A run's ranks stay one (draws * K, 3) int64 array in (draw, rx)
-order from the kernels to the bytes (`VerificationReport.ranks`);
-`decompose_receiver`, `verify_decodability` and
-`verify_decodability_exact` are one-draw views of the same kernels, and
-only they and `VerificationReport.checks` build ReceiverCheck objects.
+`Scheme.receiver_columns` is the one place that decides these columns:
+for every receiver j and column c of A_j the transmitter src[j, c] and
+the pair col[j, c] whose shared vector fills it. The layout, the float
+bound, the simulator (no block, see biakit.sim) and `channel` read it;
+supports are aligned, so the block spans the signal `channel.receive`
+forms. Row r of A_j is read in receiver j's mode at use r, so one gather
+coeffs[:, j, src[j, c], tilde[r, j]] * vectors[col[j, c], r] yields the
+combined blocks of any receivers j in every draw of a stack
+(`ReceiverLayout.blocks`). Draw t of a run is the t-th draw of the seed's
+channel stream (float, the simulator's stream too) or exact stream
+(`channel.stream_seed`), so a run is a prefix of a longer one. Runs take
+their draws in `exactrank.chunks` of 2 K^2 channel coefficients a draw.
+Both modes decide, then gather (`_gather_ranks`): each chunk's proof
+(below) settles what it can from the coefficients alone, and only the
+(draw, rx) pairs it leaves open are gathered, a receiver at a time, at
+most `exactrank.BATCH_ELEMENTS` entries or one block a stack, on a layout
+built only when needed. So memory stays flat in the draw count and in K,
+and chunking changes no output. A gathered A_j of rank m reports the
+expected ranks (its desired and interference blocks are column subsets of
+it); only a short one has its two blocks ranked. A run's ranks stay one
+(draws * K, 3) int64 array in (draw, rx) order from the kernels to the
+bytes (`VerificationReport.ranks`); `decompose_receiver`,
+`verify_decodability` and `verify_decodability_exact` are one-draw views
+of the same kernels, and only they and `VerificationReport.checks` build
+ReceiverCheck objects.
 
 Up to column order A_j = G_j D_j (scheme.certify_receivers): G_j is
 receiver j's 0/1 generator matrix and D_j is block diagonal, one aligned
@@ -59,8 +59,9 @@ two modes:
   proof: `float_bound` reads the scheme once a run, the exact
   inverse X = d G_j^-1 of every certified G_j (`scheme.generator_inverses`;
   ||G_j^-1||_F^2 = ||X||_F^2 / d^2, and d = 1 with ||G_j^-1||_F^2 =
-  nnz(G_j) for every built G_j), the support counts that give ||A_j||_F
-  from the coefficients, and the sources of the aligned columns. Each
+  nnz(G_j) for every built G_j), and, off the columns the layout gathers
+  (`Scheme.receiver_columns`), the support counts that give ||A_j||_F
+  from the coefficients and the sources of the aligned columns. Each
   chunk, `draw_bounds` reads the draws' D_j, O(K^2) a draw and no block.
 
   The bound. A_j P = G_j D_j for a column permutation P, exactly in float
@@ -120,7 +121,6 @@ scheme.certify_receivers.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,9 +157,7 @@ class ReceiverLayout:
     Entry (r, c) of A_j is vectors[col[j, c], r], the shared vector of pair
     col[j, c] at channel use r, times the coefficient of the link from
     transmitter src[j, c] to receiver j, in receiver j's mode mode[j, r] at
-    use r. Columns 0..K-2 are j's own beams (src = j); the rest are the
-    pairs in lexicographic order, each from the lower-numbered owner, or
-    from the other owner when j is in the pair.
+    use r. src and col are `Scheme.receiver_columns`.
     """
 
     mode: np.ndarray     # (K, m) 0-indexed mode of receiver j at use r: tilde.T
@@ -179,15 +177,10 @@ class ReceiverLayout:
 
 
 def receiver_layout(scheme: Scheme) -> ReceiverLayout:
-    """The layout of a scheme's K combined blocks (see ReceiverLayout), the
-    one place that merges a pair's two interference columns into one."""
+    """The layout of a scheme's K combined blocks (see ReceiverLayout):
+    `Scheme.receiver_columns`, the modes and the shared vectors."""
     pattern = scheme.pattern
-    K = pattern.users
-    a, b = np.array(list(itertools.combinations(range(K), 2))).T
-    rx = np.arange(K)[:, None]
-    src = np.hstack([np.repeat(rx, K - 1, axis=1), np.where(a == rx, b, a)])
-    # j's own dimensions, then every pair
-    col = np.hstack([scheme.dimension_columns(), np.broadcast_to(np.arange(a.size), (K, a.size))])
+    src, col = scheme.receiver_columns()
     return ReceiverLayout(mode=pattern.tilde.T.copy(), src=src, col=col,
                           vectors=np.ascontiguousarray(pattern.supports.T))
 
@@ -264,27 +257,24 @@ class FloatBound:
 def float_bound(scheme: Scheme) -> FloatBound:
     """The FloatBound of a scheme: the exact inverse X = d G_j^-1 of every
     certified G_j (`scheme.generator_inverses`, proven by X G_j = d I),
-    and from the supports and the pattern alone, per receiver,
-    the support counts behind ||A_j||_F and the aligned columns' sources
-    (the pairs' owners as `receiver_layout` picks them)."""
+    and, off the columns the layout gathers (`Scheme.receiver_columns`),
+    the support counts behind ||A_j||_F and the aligned columns' sources."""
     pattern = scheme.pattern
     K, m = pattern.users, pattern.block_len
     index, values, scale, ok = generator_inverses(pattern)
     squares = np.bincount(index // (m * m), weights=values.astype(float) ** 2, minlength=K)
     inverse2 = np.where(ok, squares / scale ** 2.0, np.inf)
-    a, b = np.array(list(itertools.combinations(range(K), 2))).T
+    src, col = scheme.receiver_columns()
     rx = np.arange(K)[:, None]
-    src = np.where(a == rx, b, a)
-    own = (a == rx) | (b == rx)
-    mode2 = pattern.tilde.T @ pattern.supports  # [j, pair]: support rows where j is in mode 2
+    mode2 = pattern.tilde.T @ pattern.supports.astype(float)  # [j, pair], exact: at most m < 2^53
     per_mode = np.stack([pattern.supports.sum(axis=0) - mode2, mode2], axis=-1)
     counts = np.zeros((K, K, 2))
-    np.add.at(counts, (rx, src), per_mode)  # every pair's column
-    d = np.arange(K)
-    counts[d, d] += (per_mode * own[..., None]).sum(axis=1)  # j's own beams
+    np.add.at(counts, (rx, src), per_mode[rx, col])
+    pair_src = src[:, K - 1:].copy()
+    pair_src[rx, col[:, :K - 1]] = rx  # j's own pairs are not aligned
     aligned = np.zeros((K, K), dtype=bool)
-    aligned[rx, np.where(own, rx, src)] = True
-    aligned[d, d] = False
+    aligned[rx, pair_src] = True
+    np.fill_diagonal(aligned, False)
     return FloatBound(inverse2=inverse2, counts=counts, aligned=aligned)
 
 

@@ -29,7 +29,13 @@ from biakit.designspace import make_pattern_matrix, scan
 from biakit.errors import UnverifiableDrawError
 from biakit.exactrank import chunks, gaussian_rank
 from biakit.formats import render_csv, render_json
-from biakit.scheme import PatternMatrix, default_pair_dims, make_config
+from biakit.scheme import (
+    PatternMatrix,
+    default_pair_dims,
+    generator_nonzeros,
+    make_config,
+    own_pair_columns,
+)
 from biakit.sim import (
     SimConfig,
     SimResult,
@@ -385,6 +391,56 @@ def test_exact_mode_builds_no_block_on_built_schemes(K, monkeypatch):
     for seed in (0, 5):
         report = run_verification(scheme, 3, seed, exact=True)
         assert report.all_passed and len(report.checks) == 3 * K
+
+
+def factored_blocks(scheme, coeffs):
+    """G_j E_j of every receiver in every draw of coeffs (T, K, K, 2), with
+    G_j scattered from generator_nonzeros and E_j, which is D_j up to
+    column order, built from the coefficients and Scheme.receiver_columns:
+    column c of A_j carries h_ji(1) at the mode-1 half of an own pair (low)
+    and h_ji(2) at its mode-2 half (high), and h_ji(2) at its pair's column
+    otherwise (i = src[j, c])."""
+    pattern = scheme.pattern
+    K, m = pattern.users, pattern.block_len
+    counts, rows, cols = generator_nonzeros(pattern.tilde[None], pattern.supports[None])
+    g = np.zeros((K, m, m))
+    g[np.repeat(np.arange(K), counts), rows, cols] = 1
+    src, col = scheme.receiver_columns()
+    low, high = own_pair_columns(K)
+    e = np.zeros(coeffs.shape[:2] + (m, m), dtype=complex)
+    for j in range(K):
+        halves = dict(zip(low[j].tolist(), high[j].tolist()))  # j's own pairs
+        for c, (i, pair) in enumerate(zip(src[j], col[j])):
+            if pair in halves:
+                e[:, j, pair, c], e[:, j, halves[pair], c] = coeffs[:, j, i, 0], coeffs[:, j, i, 1]
+            else:
+                e[:, j, pair, c] = coeffs[:, j, i, 1]
+    return g @ e
+
+
+def assert_factorisation(scheme):
+    """A_j = G_j E_j bit for bit, for float and exact draws, at every receiver."""
+    layout = receiver_layout(scheme)
+    for exact in (False, True):
+        coeffs = np.stack([ch.coeffs for ch in oracle_draws(scheme, 3, 3, exact)])
+        blocks = layout.blocks(coeffs, slice(None))
+        product = factored_blocks(scheme, coeffs)
+        # the sign of a zero entry is the one bit the two evaluations may
+        # differ in: adding 0.0 makes every zero +0
+        assert_bits(blocks + 0.0, product + 0.0)
+
+
+def test_combined_blocks_factor_through_the_generator_matrices(fallback_scheme5, golden_scheme4):
+    cases = [scheme for _, scheme in schemes(fallback_scheme5)] + [golden_scheme4]
+    cases += [bk.Scheme(make_pattern_matrix(make_config(K))) for K in range(3, 7)]
+    for scheme in cases:
+        assert_factorisation(scheme)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(widened_schemes())
+def test_combined_blocks_factor_through_the_generator_matrices_on_widened_supports(scheme):
+    assert_factorisation(scheme)
 
 
 def test_selected_blocks_match_the_full_stack(fallback_scheme5):

@@ -1,6 +1,7 @@
 """End-to-end command-line runs: exit codes, formats, reproducibility."""
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,8 @@ import biakit.cli
 import biakit.dof
 import biakit.scheme
 from biakit.verify import report_to_json, run_verification
+
+from conftest import load
 
 CMD = [sys.executable, "-m", "biakit"]
 
@@ -191,6 +194,15 @@ def test_reruns_are_byte_identical(tmp_path):
         assert res.returncode == 0
     for name in ("sim_rates.csv", "sim_summary.csv", "sim_plot.py"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+def test_output_digest_is_one_repeatable_sha256():
+    script = load("scripts/output_digest.py", "output_digest")
+    cases = script.cases()
+    two = [cases[0], cases[-1]]  # a generate case and a simulate case
+    first = script.digest(two)
+    assert re.fullmatch("[0-9a-f]{64}", first)
+    assert script.digest(two) == first
 
 
 def test_simulate_takes_exponent_notation_snr_values(tmp_path):
