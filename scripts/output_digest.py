@@ -10,8 +10,11 @@ The digest covers `generate` for K = 3..48; float and exact `verify` JSON
 and CSV (6 draws, seeds 0, 3 and 7), the float bound and the zero-forcing
 weights of build_scheme(3..12), of a reversed pair map at K = 4 and 5 and
 of the pair-product family (make_pattern_matrix) at K = 3..6, whose
-uncertified receivers are gathered; and the three `simulate` outputs
-(rates CSV, summary CSV, JSON) for K = 3, 4, 5 and 8 at seeds 0..2.
+uncertified receivers are gathered; the three `simulate` outputs
+(rates CSV, summary CSV, JSON) for K = 3, 4, 5 and 8 at seeds 0..2; and,
+where the pair map meets the symbols, the `transmit` and `receive` blocks
+and the noiseless `zf_decode` of every receiver of the reversed pair maps
+at K = 4 and 5 (draws at seeds 0..2).
 """
 import functools
 import hashlib
@@ -22,11 +25,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np
 
+from biakit.channel import draw_channels, draw_symbols, receive, transmit
 from biakit.designspace import make_pattern_matrix
 from biakit.scheme import Scheme, build_scheme, default_pair_dims, make_config, scheme_to_json
 from biakit.sim import (
-    SimConfig, estimate_dof, result_to_json, result_to_long_csv, result_to_summary_csv, zf_weights)
-from biakit.verify import float_bound, report_to_csv, report_to_json, run_verification
+    SimConfig, estimate_dof, result_to_json, result_to_long_csv, result_to_summary_csv, zf_decode,
+    zf_weights)
+from biakit.verify import decompose_receiver, float_bound, report_to_csv, report_to_json, run_verification
 
 
 def reversed_scheme(K: int) -> Scheme:
@@ -61,6 +66,20 @@ def simulate_outputs(K: int, seed: int) -> list:
     return [result_to_long_csv(result), result_to_summary_csv(result), result_to_json(result)]
 
 
+def signal_outputs(K: int) -> list:
+    """transmit and receive blocks and the noiseless zf_decode of every
+    receiver of reversed_scheme(K), over three channel and symbol draws."""
+    scheme = reversed_scheme(K)
+    out = []
+    for seed in range(3):
+        ch, sym = draw_channels(K, 2, seed=seed), draw_symbols(K, power=1.0, seed=seed + 10)
+        out += [transmit(scheme, sym, i) for i in range(K)]
+        for j in range(K):
+            y = receive(ch, scheme, sym, j)
+            out += [y, zf_decode(decompose_receiver(ch, scheme, j), y)]
+    return out
+
+
 def cases() -> list:
     """(name, outputs) of every case: outputs() returns its texts and arrays."""
     p = functools.partial
@@ -68,8 +87,9 @@ def cases() -> list:
     out += [("scheme %d" % K, p(scheme_outputs, p(build_scheme, K))) for K in range(3, 13)]
     out += [("reversed %d" % K, p(scheme_outputs, p(reversed_scheme, K))) for K in (4, 5)]
     out += [("pair-product %d" % K, p(scheme_outputs, p(pair_product_scheme, K))) for K in range(3, 7)]
-    return out + [("simulate %d %d" % (K, seed), p(simulate_outputs, K, seed))
-                  for K in (3, 4, 5, 8) for seed in range(3)]
+    out += [("simulate %d %d" % (K, seed), p(simulate_outputs, K, seed))
+            for K in (3, 4, 5, 8) for seed in range(3)]
+    return out + [("signals %d" % K, p(signal_outputs, K)) for K in (4, 5)]
 
 
 def _bytes(part) -> bytes:

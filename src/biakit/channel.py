@@ -103,10 +103,10 @@ def transmit(scheme: Scheme, sym: SymbolBlock, i: int) -> np.ndarray:
 
 def _signals(scheme: Scheme, values: np.ndarray) -> np.ndarray:
     """(K, m): user i's sum_d values[i, d] * its dimension-d vector, added in order of d."""
-    _, col = scheme.receiver_columns()
+    pairs = scheme.dimension_pairs()
     x = np.zeros((scheme.pattern.users, scheme.pattern.block_len), dtype=complex)
     for d in range(values.shape[1]):
-        x += values[:, d, None] * scheme.pattern.supports[:, col[:, d]].T
+        x += values[:, d, None] * scheme.pattern.supports[:, pairs[:, d]].T
     return x
 
 

@@ -16,7 +16,8 @@ import itertools
 import numpy as np
 
 from .errors import ConstructionFailedError
-from .scheme import PatternMatrix, SchemeConfig, certify_patterns, certify_product_rank, zero_at
+from .scheme import (
+    PatternMatrix, SchemeConfig, certify_patterns, certify_product_rank, product_matrix, zero_at)
 
 
 def row_vocabulary(K: int) -> list[tuple[int, ...]]:
@@ -37,7 +38,8 @@ def scan(K: int) -> tuple[int, list[list[tuple[int, ...]]], int]:
     vocab = row_vocabulary(K)
     keep = [[r for r in range(len(vocab)) if r not in omit]
             for omit in itertools.combinations(range(len(vocab)), 2)]
-    cert = certify_patterns(np.array(vocab, dtype=np.int8)[keep])
+    stack = np.array(vocab, dtype=np.int8)[keep]
+    cert = certify_patterns(stack, product_matrix(stack))
     full = [[vocab[r] for r in rows] for rows, ok in zip(keep, cert) if ok.all()]
     return len(keep), full, int(cert.sum(axis=1).max())
 

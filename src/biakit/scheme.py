@@ -13,11 +13,13 @@ alignment needs only a constant mode there).
 Each shared vector is stored once, as a column of one (m, C(K,2)) 0/1
 support matrix in lexicographic pair order, the order of product_matrix
 and of the certificate: PatternMatrix.supports, checked where it enters
-(check_supports, through certify_receivers; the default pair products
-need no check). A Scheme is a pattern plus its pair map, which says under
-which dimension each owner sends its pair's column; both owners of a pair
-therefore always send one vector, and the pattern's certificate is the
-scheme's.
+(check_supports, through certify_receivers). A Scheme is a pattern plus
+its pair map, which says under which dimension each owner sends its
+pair's column; both owners of a pair therefore always send one vector,
+and the pattern's certificate is the scheme's. The map is only a
+labelling, read where symbols meet columns (Scheme.dimension_pairs);
+every column order, G_j's and the combined block's, is
+receiver_columns(K), a function of K alone.
 
 Receiver j can separate its K-1 desired dimensions from interference iff a
 binary m x m generator matrix G_j is nonsingular over the rationals (see
@@ -32,6 +34,7 @@ for every K.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -91,8 +94,8 @@ class PatternMatrix:
     (lexicographic, as in product_matrix) shares; each column must lie
     inside its pair product, and the default is product_matrix(tilde).
     certified_receivers[j] is the exact decodability certificate of
-    receiver j (certify_receivers, which checks explicit supports),
-    computed at construction and never taken from the caller.
+    receiver j (certify_receivers, which checks the supports), computed
+    at construction and never taken from the caller.
     """
 
     tilde: np.ndarray
@@ -105,12 +108,9 @@ class PatternMatrix:
             r, c = bad[0]
             raise ValueError("tilde entries must be 0 or 1, got %s at row %d, column %d"
                              % (self.tilde[r, c], r + 1, c + 1))
-        if self.supports is None:  # the pair products themselves: nothing to check
+        if self.supports is None:
             self.supports = product_matrix(self.tilde)
-            self.certified_receivers = tuple(
-                bool(x) for x in certify_patterns(self.tilde[None], self.supports[None])[0])
-        else:
-            self.certified_receivers = certify_receivers(self.tilde, self.supports)
+        self.certified_receivers = certify_receivers(self.tilde, self.supports)
 
     @property
     def modes(self) -> np.ndarray:
@@ -194,14 +194,15 @@ def certify_receivers(tilde: np.ndarray, supports: np.ndarray | None = None) -> 
     draw iff the binary m x m matrix G_j has rank m over the rationals. G_j
     holds the shared vector v_ab of every pair without j, and the two mode
     halves v_jo*(1-t_j), v_jo*t_j of every pair {j, o} (t_j: j's pattern
-    column). Up to column order the received combined block is G_j D_j,
-    with D_j block diagonal: one mode-2 coefficient per aligned pair (j is
-    in mode 2 on every v_ab) and the 2x2 block [[h_jj(1), h_jo(1)],
-    [h_jj(2), h_jo(2)]] per own pair, invertible for almost every draw.
+    column), in the columns of receiver_columns(K). The received combined
+    block is A_j = G_j D_j column for column: D_j holds one mode-2
+    coefficient per aligned pair (j is in mode 2 on every v_ab) and, per
+    own pair, h_jj and h_jo in both modes on the pair's two columns, a 2x2
+    block invertible for almost every draw.
 
     supports defaults to the pair products; there v_jo*t_j = w_o (the
     exclude-one product), so G_j spans the same space as [U | w_o, o != j].
-    Explicit supports are checked against their pair products first
+    The supports are checked against their pair products first
     (check_supports): the one alignment check, where supports enter.
 
     The K matrices are built by their nonzeros (generator_nonzeros) and
@@ -210,60 +211,63 @@ def certify_receivers(tilde: np.ndarray, supports: np.ndarray | None = None) -> 
     G_j exactly, and exact Bareiss elimination decides whatever core is
     left.
     """
-    if supports is not None:
-        check_supports(tilde, supports)
-        supports = np.asarray(supports)[None]
-    return tuple(bool(x) for x in certify_patterns(tilde[None], supports)[0])
+    supports = product_matrix(tilde) if supports is None else np.asarray(supports)
+    check_supports(tilde, supports)
+    return tuple(bool(x) for x in certify_patterns(tilde[None], supports[None])[0])
 
 
-def certify_patterns(tilde: np.ndarray, supports: np.ndarray | None = None) -> np.ndarray:
+def certify_patterns(tilde: np.ndarray, supports: np.ndarray) -> np.ndarray:
     """certify_receivers for a stack of P patterns: (P, K) flags.
 
     tilde is (P, m, K); supports is (P, m, C(K,2)), every pair's shared
-    vector in lexicographic pair order, or None for the pair products. The
-    supports are not checked here. Every G_j is built by its nonzeros
-    (generator_nonzeros), never densely. Patterns go in `exactrank.chunks`
-    of at most `exactrank.BATCH_ELEMENTS` nonzeros, K times the stack's
-    largest support count a pattern (at least one pattern), one
-    `nonsingular` call per chunk.
+    vector in lexicographic pair order, not checked here. Every G_j is
+    built by its nonzeros (generator_nonzeros), never densely. Patterns
+    go in `exactrank.chunks` of at most `exactrank.BATCH_ELEMENTS`
+    nonzeros, K times the stack's largest support count a pattern (at
+    least one pattern), one `nonsingular` call per chunk.
     """
     count, m, K = tilde.shape
     if m != (K + 2) * (K - 1) // 2:
         raise ValueError("tilde must have (K+2)(K-1)/2 = %d rows, got %d"
                          % ((K + 2) * (K - 1) // 2, m))
-    v = product_matrix(tilde) if supports is None else supports
     out = np.empty((count, K), dtype=bool)
-    for chunk in chunks(count, K * int(np.count_nonzero(v, axis=(1, 2)).max(initial=0))):
+    for chunk in chunks(count, K * int(np.count_nonzero(supports, axis=(1, 2)).max(initial=0))):
         part = slice(chunk.start, chunk.stop)
-        out[part] = nonsingular(m, *generator_nonzeros(tilde[part], v[part])).reshape(-1, K)
+        out[part] = nonsingular(m, *generator_nonzeros(tilde[part], supports[part])).reshape(-1, K)
     return out
 
 
-def own_pair_columns(K: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where receiver j's own pairs sit among the columns of G_j: (low,
-    high), (K, K-1) each, the column of the mode-1 half and of the mode-2
-    half of j's pair with each partner o != j, partners in increasing
-    order. G_j holds every pair's column first, lexicographically, own
-    pairs halved to v*(1-t_j) in place; then v*t_j of each own pair."""
+@functools.lru_cache(maxsize=64)
+def receiver_columns(K: int) -> tuple[np.ndarray, np.ndarray]:
+    """(src, col), (K, m) each, read-only and computed once per K: the one
+    column map of receiver j's combined block A_j and generator matrix G_j.
+    Column c of A_j carries pair col[j, c]'s vector from transmitter
+    src[j, c]: columns 0..K-2 are j's own pairs, partners increasing
+    (src = j), column K-1+p is pair p (lexicographic), from its lower owner
+    or, when j is in it, the other. G_j holds an own pair's mode-2 half in
+    its own column, its mode-1 half in column K-1+p, so A_j = G_j D_j."""
     j, n = np.arange(K)[:, None], np.arange(K - 1)
     o = n + (n >= j)  # j's partners, increasing
     a, b = np.minimum(j, o), np.maximum(j, o)
-    low = a * (2 * K - a - 1) // 2 + b - a - 1  # lexicographic index of pair (a, b)
-    high = np.broadcast_to(K * (K - 1) // 2 + n, (K, K - 1))
-    return low, high
+    own = a * (2 * K - a - 1) // 2 + b - a - 1  # lexicographic index of pair (a, b)
+    low, high = a[o > j], b[o > j]  # row by row: every pair once, lexicographic
+    src = np.hstack([np.repeat(j, K - 1, axis=1), np.where(low == j, high, low)])
+    col = np.hstack([own, np.broadcast_to(np.arange(low.size), (K, low.size))])
+    src.flags.writeable = col.flags.writeable = False  # one copy, shared by every caller
+    return src, col
 
 
 def generator_nonzeros(tilde: np.ndarray, supports: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """G_j of every receiver j of every pattern of a stack, tilde (P, m, K)
     and supports (P, m, C(K,2)), by its nonzeros (counts, rows, cols) in
     `exactrank`'s convention, P K matrices in (pattern, receiver) order,
-    columns as own_pair_columns. Every G_j holds each support entry once
-    (an own pair's in its mode-1 or its mode-2 half), so each of a
+    columns as receiver_columns(K). Every G_j holds each support entry
+    once (an own pair's in its mode-1 or its mode-2 half), so each of a
     pattern's K matrices has the support's nonzero count."""
     P, m, K = tilde.shape
-    low, high = own_pair_columns(K)
-    half = np.full((K, low.shape[0] * (K - 1) // 2), -1)  # [j, pair]: j's mode-2 column
-    half[np.arange(K)[:, None], low] = high
+    col = receiver_columns(K)[1]
+    own = np.full((K, col.shape[1] - K + 1), -1)  # [j, pair]: j's own column of the pair
+    own[np.arange(K)[:, None], col[:, :K - 1]] = np.arange(K - 1)
     owner, r, pair = np.nonzero(supports)
     nnz = np.bincount(owner, minlength=P)
     counts = np.repeat(nnz, K)
@@ -272,8 +276,8 @@ def generator_nonzeros(tilde: np.ndarray, supports: np.ndarray) -> tuple[np.ndar
     # matrix (p, j) takes pattern p's support entries, in order
     at = (np.cumsum(nnz) - nnz)[p] + np.arange(item.size) - (np.cumsum(counts) - counts)[item]
     r, pair = r[at], pair[at]
-    mode2 = (half[j, pair] >= 0) & (tilde[p, r, j] == 1)
-    return counts, r, np.where(mode2, half[j, pair], pair)
+    mode2 = (own[j, pair] >= 0) & (tilde[p, r, j] == 1)
+    return counts, r, np.where(mode2, own[j, pair], K - 1 + pair)
 
 
 def generator_inverses(pattern: PatternMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -413,20 +417,13 @@ class Scheme:
     def certified_receivers(self) -> tuple[bool, ...]:
         return self.pattern.certified_receivers
 
-    def receiver_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """(src, col), (K, m) each: column c of receiver j's combined block
-        A_j carries pair col[j, c]'s shared vector from transmitter
-        src[j, c]. First j's own dimensions in order (src = j), then every
-        pair, lexicographically, its owners' two copies merged into one
-        column from the lower owner, or from the other when j is in the pair."""
-        K = self.pattern.users
-        pairs = sorted(self.pair_dims)  # every pair once (check_pair_dims): lexicographic
-        (a, b), dims = np.array(pairs).T, np.array([self.pair_dims[pair] for pair in pairs])
-        own = np.empty((K, K - 1), dtype=np.intp)
-        own[a, dims[:, 0]] = own[b, dims[:, 1]] = np.arange(a.size)
-        rx = np.arange(K)[:, None]
-        src = np.hstack([np.repeat(rx, K - 1, axis=1), np.where(a == rx, b, a)])
-        return src, np.hstack([own, np.broadcast_to(np.arange(a.size), (K, a.size))])
+    def dimension_pairs(self) -> np.ndarray:
+        """(K, K-1): [i, d] is the pair (lexicographic) whose vector user i
+        sends under dimension d: the pair map, read where symbols meet columns."""
+        out = np.empty((self.pattern.users, self.pattern.users - 1), dtype=np.intp)
+        for p, ((a, b), (da, db)) in enumerate(sorted(self.pair_dims.items())):  # lexicographic
+            out[a, da] = out[b, db] = p
+        return out
 
 
 def _sized_config(users: int) -> SchemeConfig:

@@ -10,8 +10,8 @@ enhancement [(H^H H)^{-1}]_dd of the projection form of the same filter.
 Per-user rate is (1/m) sum_d log2(1 + SINR_d), so the sum rate's slope
 against log2(P) reads directly as sum DoF.
 
-Exclusion is decided by proof, never by a numeric rank. Up to column
-order A_j = G_j D_j, so det A_j = +-det G_j times D_j's factors (see
+Exclusion is decided by proof, never by a numeric rank. Column for
+column A_j = G_j D_j, so det A_j = +-det G_j times D_j's factors (see
 verify). A (trial, receiver) pair is excluded, contributing zero rate and
 counted in `excluded`, when the receiver is uncertified or when a factor
 of that draw is exactly 0: an own-pair determinant
@@ -25,8 +25,8 @@ channel draws.
 
 The same factorisation puts the noise enhancement in closed form, so
 `estimate_dof` builds no block and takes no inverse per trial.
-A_j^{-1} = P D_j^{-1} G_j^{-1}, and the desired rows touch only the own
-2x2 blocks of D_j, so the row of the dimension of own pair {j, o} is
+A_j^{-1} = D_j^{-1} G_j^{-1}, and the desired rows touch only the own
+2x2 blocks of D_j, so the row of own pair {j, o}'s column is
 (h_jo(2) l_o - h_jo(1) u_o) / det_o, with l_o and u_o the rows of
 G_j^{-1} of the pair's mode-1 and mode-2 halves. Its squared norm is
 N = (a |h_jo(2)|^2 + b |h_jo(1)|^2) / |det_o|^2 with the channel-free
@@ -57,7 +57,7 @@ from .dof import achieved
 from .errors import UnverifiableDrawError
 from .exactrank import chunks
 from .formats import format_float, is_int, render_csv, render_json
-from .scheme import Scheme, generator_inverses, own_pair_columns
+from .scheme import Scheme, generator_inverses, receiver_columns
 from .verify import ReceiverDecomposition, _abs2, _proven, own_pair_dets
 
 
@@ -98,7 +98,7 @@ def receiver_rate(decomp: ReceiverDecomposition, power: float) -> float:
 def zf_weights(scheme: Scheme) -> np.ndarray:
     """(a, b) = (||l||^2, ||u||^2), (K, K, 2) indexed [j, o]: the squared
     norms of the rows l and u of G_j^-1 of own pair {j, o}'s mode-1 and
-    mode-2 halves (scheme.own_pair_columns), exact sums of squares of the
+    mode-2 halves (`scheme.receiver_columns`), exact sums of squares of the
     rows of X = d G_j^-1 (`scheme.generator_inverses`) over d^2; zero at
     o = j and where G_j has no proven inverse (an uncertified receiver).
     No cross term <l, u> is needed: a pair without j lies inside its pair
@@ -108,9 +108,9 @@ def zf_weights(scheme: Scheme) -> np.ndarray:
     index, values, scale, ok = generator_inverses(scheme.pattern)
     # ||row c of X||^2 of every receiver j, (K, m)
     squares = np.bincount(index // m, weights=values.astype(float) ** 2, minlength=K * m).reshape(K, m)
-    low, high = own_pair_columns(K)
-    rx = np.arange(K)[:, None]
-    weights = np.stack([squares[rx, low], squares[rx, high]], axis=-1) / scale[:, None, None] ** 2.0
+    own = receiver_columns(K)[1][:, :K - 1]  # [j, n]: the pair of j and its n-th partner
+    low, high = np.take_along_axis(squares, K - 1 + own, axis=1), squares[:, :K - 1]
+    weights = np.stack([low, high], axis=-1) / scale[:, None, None] ** 2.0
     weights[~ok] = 0.0
     out = np.zeros((K, K, 2))
     out[~np.eye(K, dtype=bool)] = weights.reshape(-1, 2)  # partners o != j, increasing
@@ -216,19 +216,18 @@ def estimate_dof(scheme: Scheme, cfg: SimConfig) -> SimResult:
     the seed's channel stream, and fit the sum-rate slope against log2
     (linear SNR).
 
-    The weights of every own pair (`zf_weights`), read through
-    `Scheme.receiver_columns`, serve the run; each chunk of trials takes
-    the exclusion rule (`verify._proven`), the own-pair determinants and
-    one weighted sum for the noise enhancements, and the TDMA baseline of
-    every power at once. No combined block is built.
+    The weights of every own pair (`zf_weights`), partners in increasing
+    order (`scheme.receiver_columns`), serve the run; each chunk of trials
+    takes the exclusion rule (`verify._proven`), the own-pair determinants
+    and one weighted sum for the noise enhancements, and the TDMA baseline
+    of every power at once. No combined block is built.
     """
     if len(cfg.snr_points_db) < 2:
         raise ValueError("need at least 2 SNR points to fit a slope")
     K, m = scheme.config.users, scheme.config.block_len
-    src, col = scheme.receiver_columns()
+    src, col = receiver_columns(K)
     rx = np.arange(K)[:, None]
-    partner = src[rx, K - 1 + col[:, :K - 1]]  # dimension d's partner sends its pair's merged column
-    # (K, K-1) each, in dimension order
+    partner = src[rx, K - 1 + col[:, :K - 1]]  # j's partners, increasing; a, b: (K, K-1) each
     a, b = np.moveaxis(zf_weights(scheme)[rx, partner], -1, 0)
     certified = scheme.certified_receivers
     powers = [10.0 ** (db / 10.0) for db in cfg.snr_points_db]
@@ -240,7 +239,7 @@ def estimate_dof(scheme: Scheme, cfg: SimConfig) -> SimResult:
         coeffs = draw_channel_stack(K, rng, len(chunk))
         ok = _proven(certified, coeffs)
         excluded += len(powers) * int(np.count_nonzero(~ok))
-        # h_jo and det_o of every proven receiver's dimensions, (N, K-1, 2) and (N, K-1)
+        # h_jo and det_o of every proven receiver's own pairs, (N, K-1, 2) and (N, K-1)
         h = coeffs[:, rx, partner][ok]
         det = own_pair_dets(coeffs)[:, rx, partner][ok]
         j = np.nonzero(ok)[1]

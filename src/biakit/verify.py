@@ -12,11 +12,11 @@ A_j = [desired | interference basis], m = (K-1) + K(K-1)/2. Decodability
 of the draw means rank_desired = K-1, rank_interference = K(K-1)/2 and
 rank_combined = m (desired space disjoint from interference).
 
-`Scheme.receiver_columns` is the one place that decides these columns:
-for every receiver j and column c of A_j the transmitter src[j, c] and
-the pair col[j, c] whose shared vector fills it. The layout, the float
-bound, the simulator (no block, see biakit.sim) and `channel` read it;
-supports are aligned, so the block spans the signal `channel.receive`
+`scheme.receiver_columns(K)` decides these columns: the transmitter
+src[j, c] and the pair col[j, c] whose vector fills column c of A_j. The
+layout, the float bound and the simulator (no block, see biakit.sim)
+read it; the pair map only labels symbols (`Scheme.dimension_pairs`).
+Supports are aligned, so the block spans the signal `channel.receive`
 forms. Row r of A_j is read in receiver j's mode at use r, so one gather
 coeffs[:, j, src[j, c], tilde[r, j]] * vectors[col[j, c], r] yields the
 combined blocks of any receivers j in every draw of a stack
@@ -33,23 +33,23 @@ and chunking changes no output. A gathered A_j of rank m reports the
 expected ranks (its desired and interference blocks are column subsets of
 it); only a short one has its two blocks ranked. A run's ranks stay one
 (draws * K, 3) int64 array in (draw, rx) order from the kernels to the
-bytes (`VerificationReport.ranks`); `decompose_receiver`,
-`verify_decodability` and `verify_decodability_exact` are one-draw views
-of the same kernels, and only they and `VerificationReport.checks` build
-ReceiverCheck objects.
+bytes (`VerificationReport.ranks`); `verify_decodability` and
+`verify_decodability_exact` are one-draw views of the same kernels, and
+only they and `VerificationReport.checks` build ReceiverCheck objects
+(`decompose_receiver` builds a one-draw ReceiverDecomposition).
 
-Up to column order A_j = G_j D_j (scheme.certify_receivers): G_j is
-receiver j's 0/1 generator matrix and D_j is block diagonal, one aligned
-mode-2 coefficient per pair without j and the 2x2 block [[h_jj(1),
-h_jo(1)], [h_jj(2), h_jo(2)]] per own pair {j, o}. So det A_j = +-det G_j
-times the product of those coefficients and of the own-pair determinants
-det_o = h_jj(1)h_jo(2) - h_jo(1)h_jj(2). `_proven` reads this proof off a
-stack of draws: a receiver in `Scheme.certified_receivers` (the
-pattern's certificate) whose D_j factors are all nonzero has a
-nonsingular A_j. Exact verification, the simulator's exclusion rule and
-its one-draw decoder (`decompose_receiver`'s `proven`) decide by it.
-Float verification reads a float bound off the same factorisation. The
-two modes:
+A_j = G_j D_j column for column (scheme.certify_receivers): G_j is
+receiver j's 0/1 generator matrix and D_j holds one aligned mode-2
+coefficient per pair without j and the 2x2 block [[h_jj(2), h_jo(2)],
+[h_jj(1), h_jo(1)]] on own pair {j, o}'s two columns. So det A_j =
++-det G_j times the product of those coefficients and of the own-pair
+determinants det_o = h_jj(1)h_jo(2) - h_jo(1)h_jj(2). `_proven` reads
+this proof off a stack of draws: a receiver in
+`Scheme.certified_receivers` (the pattern's certificate) whose D_j
+factors are all nonzero has a nonsingular A_j. Exact verification, the
+simulator's exclusion rule and its one-draw decoder
+(`decompose_receiver`'s `proven`) decide by it. Float verification
+reads a float bound off the same factorisation. The two modes:
 
 - float: Gaussian draws, fast, the package's numerical check of the
   certificate. Its ranks are those of `stack_ranks`, one batched SVD cut
@@ -60,15 +60,15 @@ two modes:
   inverse X = d G_j^-1 of every certified G_j (`scheme.generator_inverses`;
   ||G_j^-1||_F^2 = ||X||_F^2 / d^2, and d = 1 with ||G_j^-1||_F^2 =
   nnz(G_j) for every built G_j), and, off the columns the layout gathers
-  (`Scheme.receiver_columns`), the support counts that give ||A_j||_F
+  (`scheme.receiver_columns`), the support counts that give ||A_j||_F
   from the coefficients and the sources of the aligned columns. Each
   chunk, `draw_bounds` reads the draws' D_j, O(K^2) a draw and no block.
 
-  The bound. A_j P = G_j D_j for a column permutation P, exactly in float
-  too: every entry of the gathered block is one coefficient or 0. So
-  sigma_min(A_j) >= sigma_min(G_j) sigma_min(D_j) (Golub & Van Loan,
-  Matrix Computations) with sigma_min(G_j) = 1 / ||G_j^-1||_2 >=
-  1 / ||G_j^-1||_F. D_j is block diagonal, so sigma_min(D_j) is the least
+  The bound. A_j = G_j D_j, exactly in float too: every entry of the
+  gathered block is one coefficient or 0. So sigma_min(A_j) >=
+  sigma_min(G_j) sigma_min(D_j) (Golub & Van Loan, Matrix Computations)
+  with sigma_min(G_j) = 1 / ||G_j^-1||_2 >= 1 / ||G_j^-1||_F. D_j is block
+  diagonal up to a symmetric permutation, so sigma_min(D_j) is the least
   of |h_ja(2)| over its aligned columns (a the lower owner of a pair
   without j) and of sigma_min(B_o) over its own-pair blocks B_o, and
   sigma_min(B_o) = |det_o| / sigma_max(B_o) >= |det_o| / ||B_o||_F. And
@@ -128,7 +128,7 @@ import numpy as np
 from .channel import EXACT_STREAM, CHANNEL_STREAM, ChannelSet, draw_channel_stack, stream_seed
 from .exactrank import chunks, gaussian_rank
 from .formats import Records, is_int, render_csv, render_json
-from .scheme import Scheme, SchemeConfig, generator_inverses, make_config
+from .scheme import Scheme, SchemeConfig, generator_inverses, make_config, receiver_columns
 
 
 def stack_ranks(stack: np.ndarray) -> np.ndarray:
@@ -157,7 +157,7 @@ class ReceiverLayout:
     Entry (r, c) of A_j is vectors[col[j, c], r], the shared vector of pair
     col[j, c] at channel use r, times the coefficient of the link from
     transmitter src[j, c] to receiver j, in receiver j's mode mode[j, r] at
-    use r. src and col are `Scheme.receiver_columns`.
+    use r. src and col are `scheme.receiver_columns`.
     """
 
     mode: np.ndarray     # (K, m) 0-indexed mode of receiver j at use r: tilde.T
@@ -178,11 +178,10 @@ class ReceiverLayout:
 
 def receiver_layout(scheme: Scheme) -> ReceiverLayout:
     """The layout of a scheme's K combined blocks (see ReceiverLayout):
-    `Scheme.receiver_columns`, the modes and the shared vectors."""
+    `scheme.receiver_columns`, the modes and the shared vectors."""
     pattern = scheme.pattern
-    src, col = scheme.receiver_columns()
-    return ReceiverLayout(mode=pattern.tilde.T.copy(), src=src, col=col,
-                          vectors=np.ascontiguousarray(pattern.supports.T))
+    return ReceiverLayout(pattern.tilde.T.copy(), *receiver_columns(pattern.users),
+                          np.ascontiguousarray(pattern.supports.T))
 
 
 @dataclass(eq=False)
@@ -202,15 +201,16 @@ class ReceiverDecomposition:
 
 
 def decompose_receiver(ch: ChannelSet, scheme: Scheme, j: int) -> ReceiverDecomposition:
-    """Receiver j's desired block (m x (K-1)) and merged interference basis
-    (m x K(K-1)/2) for one channel draw, the two column blocks of A_j from
-    the scheme's layout, and whether the certificate times D_j proves A_j
-    nonsingular for this draw (no numeric rank is taken)."""
-    a = receiver_layout(scheme).blocks(ch.coeffs[None], j)[0]
-    d = scheme.pattern.users - 1
+    """Receiver j's desired block (m x (K-1)), in j's dimension order, and
+    merged interference basis (m x K(K-1)/2) for one channel draw, columns
+    of A_j from the scheme's layout, and whether the certificate times D_j
+    proves A_j nonsingular for this draw (no numeric rank is taken)."""
+    layout, d = receiver_layout(scheme), scheme.pattern.users - 1
+    a = layout.blocks(ch.coeffs[None], j)[0]
+    dims = np.searchsorted(layout.col[j, :d], scheme.dimension_pairs()[j])  # own pairs ascend
     proven = bool(_proven(scheme.certified_receivers, ch.coeffs[None])[0, j])
     return ReceiverDecomposition(
-        rx=j, desired=a[:, :d], interference_basis=a[:, d:], proven=proven)
+        rx=j, desired=a[:, dims], interference_basis=a[:, d:], proven=proven)
 
 
 def expected_ranks(config: SchemeConfig) -> tuple[int, int, int]:
@@ -257,17 +257,19 @@ class FloatBound:
 def float_bound(scheme: Scheme) -> FloatBound:
     """The FloatBound of a scheme: the exact inverse X = d G_j^-1 of every
     certified G_j (`scheme.generator_inverses`, proven by X G_j = d I),
-    and, off the columns the layout gathers (`Scheme.receiver_columns`),
+    and, off the columns the layout gathers (`scheme.receiver_columns`),
     the support counts behind ||A_j||_F and the aligned columns' sources."""
     pattern = scheme.pattern
     K, m = pattern.users, pattern.block_len
     index, values, scale, ok = generator_inverses(pattern)
     squares = np.bincount(index // (m * m), weights=values.astype(float) ** 2, minlength=K)
     inverse2 = np.where(ok, squares / scale ** 2.0, np.inf)
-    src, col = scheme.receiver_columns()
+    src, col = receiver_columns(K)
     rx = np.arange(K)[:, None]
-    mode2 = pattern.tilde.T @ pattern.supports.astype(float)  # [j, pair], exact: at most m < 2^53
-    per_mode = np.stack([pattern.supports.sum(axis=0) - mode2, mode2], axis=-1)
+    r, pair = np.nonzero(pattern.supports)
+    j, entry = np.nonzero(pattern.tilde.T[:, r])  # receiver j in mode 2 on a support entry
+    mode2 = np.bincount(j * m + pair[entry], minlength=K * m).reshape(K, m)  # [j, pair], pair < m
+    per_mode = np.stack([np.bincount(pair, minlength=m) - mode2, mode2], axis=-1)
     counts = np.zeros((K, K, 2))
     np.add.at(counts, (rx, src), per_mode[rx, col])
     pair_src = src[:, K - 1:].copy()

@@ -34,7 +34,7 @@ from biakit.scheme import (
     default_pair_dims,
     generator_nonzeros,
     make_config,
-    own_pair_columns,
+    receiver_columns,
 )
 from biakit.sim import (
     SimConfig,
@@ -246,24 +246,31 @@ def schemes(fallback_scheme5):
     return cases + [("fallback5", fallback_scheme5)]
 
 
-def test_relabelled_maps_move_columns():
+def test_relabelled_maps_move_dimension_pairs_not_columns():
+    """A pair map relabels which symbol rides which vector and nothing
+    else: the relabelled schemes' layouts equal the default ones."""
     for K in (4, 5):
-        a = receiver_layout(relabelled_scheme(K))
-        b = receiver_layout(bk.build_scheme(K))
-        assert not np.array_equal(a.col, b.col)
+        a, b = relabelled_scheme(K), bk.build_scheme(K)
+        assert not np.array_equal(a.dimension_pairs(), b.dimension_pairs())
+        for name in ("mode", "src", "col", "vectors"):
+            assert np.array_equal(getattr(receiver_layout(a), name), getattr(receiver_layout(b), name))
 
 
 def test_layout_blocks_match_column_stack_blocks(fallback_scheme5):
+    """The layout holds j's own pairs in increasing order, whatever the pair
+    map; decompose_receiver's desired block is in j's dimension order."""
     for _, scheme in schemes(fallback_scheme5):
         K = scheme.config.users
         layout = receiver_layout(scheme)
+        pairs = list(itertools.combinations(range(K), 2))
         for exact in (False, True):
             draws = oracle_draws(scheme, 3, 3, exact)
             blocks = layout.blocks(np.stack([ch.coeffs for ch in draws]), slice(None))
             for t, ch in enumerate(draws):
                 for j in range(K):
                     desired, basis = oracle_receiver_blocks(ch, scheme, j)
-                    assert_bits(blocks[t, j], np.hstack([desired, basis]))
+                    dims = [scheme.pair_dims[pair][pair.index(j)] for pair in pairs if j in pair]
+                    assert_bits(blocks[t, j], np.hstack([desired[:, dims], basis]))
                     got = bk.decompose_receiver(ch, scheme, j)
                     assert_bits(got.desired, desired)
                     assert_bits(got.interference_basis, basis)
@@ -394,32 +401,32 @@ def test_exact_mode_builds_no_block_on_built_schemes(K, monkeypatch):
 
 
 def factored_blocks(scheme, coeffs):
-    """G_j E_j of every receiver in every draw of coeffs (T, K, K, 2), with
-    G_j scattered from generator_nonzeros and E_j, which is D_j up to
-    column order, built from the coefficients and Scheme.receiver_columns:
-    column c of A_j carries h_ji(1) at the mode-1 half of an own pair (low)
-    and h_ji(2) at its mode-2 half (high), and h_ji(2) at its pair's column
-    otherwise (i = src[j, c])."""
+    """G_j D_j of every receiver in every draw of coeffs (T, K, K, 2), with
+    G_j scattered from generator_nonzeros and D_j built from the
+    coefficients and receiver_columns(K), in the same columns, no
+    permutation: column c of A_j (transmitter i = src[j, c], pair
+    p = col[j, c]) puts h_ji(2) at row K-1+p, or, when p is j's own pair
+    in own column n, h_ji(1) at row K-1+p (the mode-1 half) and h_ji(2) at
+    row n (the mode-2 half)."""
     pattern = scheme.pattern
     K, m = pattern.users, pattern.block_len
     counts, rows, cols = generator_nonzeros(pattern.tilde[None], pattern.supports[None])
     g = np.zeros((K, m, m))
     g[np.repeat(np.arange(K), counts), rows, cols] = 1
-    src, col = scheme.receiver_columns()
-    low, high = own_pair_columns(K)
-    e = np.zeros(coeffs.shape[:2] + (m, m), dtype=complex)
+    src, col = receiver_columns(K)
+    d = np.zeros(coeffs.shape[:2] + (m, m), dtype=complex)
     for j in range(K):
-        halves = dict(zip(low[j].tolist(), high[j].tolist()))  # j's own pairs
+        own = col[j, :K - 1].tolist()
         for c, (i, pair) in enumerate(zip(src[j], col[j])):
-            if pair in halves:
-                e[:, j, pair, c], e[:, j, halves[pair], c] = coeffs[:, j, i, 0], coeffs[:, j, i, 1]
+            if pair in own:
+                d[:, j, K - 1 + pair, c], d[:, j, own.index(pair), c] = coeffs[:, j, i, 0], coeffs[:, j, i, 1]
             else:
-                e[:, j, pair, c] = coeffs[:, j, i, 1]
-    return g @ e
+                d[:, j, K - 1 + pair, c] = coeffs[:, j, i, 1]
+    return g @ d
 
 
 def assert_factorisation(scheme):
-    """A_j = G_j E_j bit for bit, for float and exact draws, at every receiver."""
+    """A_j = G_j D_j bit for bit, for float and exact draws, at every receiver."""
     layout = receiver_layout(scheme)
     for exact in (False, True):
         coeffs = np.stack([ch.coeffs for ch in oracle_draws(scheme, 3, 3, exact)])

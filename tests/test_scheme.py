@@ -27,9 +27,9 @@ from biakit.scheme import (
     generator_inverses,
     generator_nonzeros,
     make_config,
-    own_pair_columns,
     pair_dims_from_json,
     product_matrix,
+    receiver_columns,
     scheme_from_json,
     scheme_to_json,
     star_pattern_matrix,
@@ -490,38 +490,25 @@ def _pair_product_certificate(tilde):
 
 
 def _generator_matrices(tilde, supports):
-    """Every receiver's G_j (see certify_receivers), built column by column."""
+    """Every receiver's G_j (see certify_receivers), (K, m, m), built column
+    by column: the mode-2 half v*t_j of j's pair with each partner,
+    partners in increasing order, then every pair's vector,
+    lexicographically, an own pair's halved to its mode-1 half v*(1-t_j)."""
+    K = tilde.shape[1]
+    pairs = list(itertools.combinations(range(K), 2))
     out = []
-    for j in range(tilde.shape[1]):
+    for j in range(K):
         t = tilde[:, j]
-        cols = []
-        for (a, b), v in zip(itertools.combinations(range(tilde.shape[1]), 2), supports.T):
-            cols += [v * (1 - t), v * t] if j in (a, b) else [v]
-        out.append(np.column_stack(cols))
-    return out
+        own = [supports[:, pairs.index(tuple(sorted((j, o))))] * t for o in range(K) if o != j]
+        rest = [v * (1 - t) if j in pair else v for pair, v in zip(pairs, supports.T)]
+        out.append(np.column_stack(own + rest))
+    return np.stack(out)
 
 
 def _integer_rank_certificate(tilde, supports):
     """certify_receivers by exact Bareiss elimination of every G_j."""
     m = tilde.shape[0]
     return tuple(integer_rank(g.tolist()) == m for g in _generator_matrices(tilde, supports))
-
-
-def _generator_layout(tilde, supports):
-    """_generator_matrices, columns moved to own_pair_columns' order: pair
-    c's vector or mode-1 half at column c, the mode-2 half of j's pair
-    with its n-th partner at column C(K,2) + n."""
-    K = tilde.shape[1]
-    pairs = list(itertools.combinations(range(K), 2))
-    out = []
-    for j, g in enumerate(_generator_matrices(tilde, supports)):
-        own = [c for c, pair in enumerate(pairs) if j in pair]
-        dest = [d for c in range(len(pairs))
-                for d in ((c, len(pairs) + own.index(c)) if c in own else (c,))]
-        layout = np.empty_like(g)
-        layout[:, dest] = g
-        out.append(layout)
-    return np.stack(out)
 
 
 def scattered_generators(tilde, supports):
@@ -534,23 +521,27 @@ def scattered_generators(tilde, supports):
 
 
 @pytest.mark.parametrize("K", [3, 4, 6])
-def test_own_pair_columns_locate_the_halves_of_every_generator_matrix(K):
-    """G_j holds pair c's vector at column c, except that column low[j, n]
-    holds the mode-1 half of j's pair with its n-th partner and column
-    high[j, n] the mode-2 half."""
+def test_receiver_columns_locate_the_halves_of_every_generator_matrix(K):
+    """receiver_columns(K) puts j's pair with its n-th partner in column n
+    (sent by j) and pair p in column K-1+p (sent by its lower owner, or by
+    the other owner when j is in it); G_j holds an own pair's mode-2 half
+    in its own column and its mode-1 half in column K-1+p, and every other
+    pair's vector in column K-1+p."""
     pattern = bk.build_scheme(K).pattern
-    low, high = own_pair_columns(K)
+    src, col = receiver_columns(K)
     gen = scattered_generators(pattern.tilde[None], pattern.supports[None])
     pairs = list(itertools.combinations(range(K), 2))
     for j in range(K):
         t = pattern.tilde[:, j]
         for n, o in enumerate(o for o in range(K) if o != j):
-            v = pattern.supports[:, pairs.index(tuple(sorted((j, o))))]
-            assert np.array_equal(gen[j][:, low[j, n]], v * (1 - t))
-            assert np.array_equal(gen[j][:, high[j, n]], v * t)
-        for c, pair in enumerate(pairs):
-            if j not in pair:
-                assert np.array_equal(gen[j][:, c], pattern.supports[:, c])
+            c = pairs.index(tuple(sorted((j, o))))
+            assert (src[j, n], col[j, n]) == (j, c)
+            assert np.array_equal(gen[j][:, n], pattern.supports[:, c] * t)
+            assert np.array_equal(gen[j][:, K - 1 + c], pattern.supports[:, c] * (1 - t))
+        for c, (a, b) in enumerate(pairs):
+            assert (src[j, K - 1 + c], col[j, K - 1 + c]) == (b if a == j else a, c)
+            if j not in (a, b):
+                assert np.array_equal(gen[j][:, K - 1 + c], pattern.supports[:, c])
 
 
 @pytest.mark.parametrize("K", range(3, 8))
@@ -793,7 +784,7 @@ def test_generator_nonzeros_are_the_generator_matrices(K):
     counts = generator_nonzeros(tilde, supports)[0]
     assert counts.tolist() == [int(pattern.supports.sum())] * K + [int(supports[1].sum())] * K
     assert counts[0] != counts[K]
-    expect = np.concatenate([_generator_layout(t, v) for t, v in zip(tilde, supports)])
+    expect = np.concatenate([_generator_matrices(t, v) for t, v in zip(tilde, supports)])
     assert np.array_equal(scattered_generators(tilde, supports), expect)
 
 
@@ -815,7 +806,7 @@ def test_star_generator_inverses_match_sympy(K):
     pattern = bk.build_scheme(K).pattern
     x, scale, ok = dense_inverses(pattern)
     assert ok.all() and (scale == 1).all()
-    for g, xj in zip(_generator_layout(pattern.tilde, pattern.supports), x):
+    for g, xj in zip(_generator_matrices(pattern.tilde, pattern.supports), x):
         assert sympy.Matrix(g.tolist()).inv() == sympy.Matrix(xj.tolist())
 
 
@@ -825,7 +816,7 @@ def assert_inverses_where_certified(pattern):
     x, scale, ok = dense_inverses(pattern)
     assert ok.tolist() == list(pattern.certified_receivers)
     m = pattern.block_len
-    for g, xj, d in zip(_generator_layout(pattern.tilde, pattern.supports)[ok], x[ok], scale[ok]):
+    for g, xj, d in zip(_generator_matrices(pattern.tilde, pattern.supports)[ok], x[ok], scale[ok]):
         assert (g @ xj == d * np.eye(m, dtype=np.int64)).all()
     return x, scale, ok
 
@@ -835,7 +826,7 @@ def test_generator_inverses_exist_exactly_at_certified_receivers(golden_scheme4)
     and 3, the pair-product family's receiver 5 and up from K = 5); every
     certified one has, also where the singleton peel leaves a core (the
     pair-product families at K = 3..6, whose one core is
-    [[1,1,1],[1,1,0],[1,0,1]], det -1): there d = +-1 and X equals d G_j^-1
+    [[1,1,1],[1,0,1],[0,1,1]], det -1): there d = +-1 and X equals d G_j^-1
     by sympy."""
     assert_inverses_where_certified(golden_scheme4.pattern)
     for K in (3, 4, 5, 6):
@@ -843,7 +834,7 @@ def test_generator_inverses_exist_exactly_at_certified_receivers(golden_scheme4)
         x, scale, ok = assert_inverses_where_certified(pattern)
         assert ok.tolist() == [True] * min(K, 4) + [False] * (K - 4)
         assert set(np.abs(scale[ok]).tolist()) == {1}
-        gen = _generator_layout(pattern.tilde, pattern.supports)
+        gen = _generator_matrices(pattern.tilde, pattern.supports)
         for j in np.flatnonzero(ok):
             assert sympy.Matrix(x[j].tolist()) == int(scale[j]) * sympy.Matrix(gen[j].tolist()).inv()
 
@@ -859,7 +850,8 @@ def test_generator_inverses_exist_wherever_the_scan_certifies():
         tilde = np.array(vocab, dtype=np.int8)[keep]
         ok = biakit.exactrank.peel_inverses(
             make_config(K).block_len, *generator_nonzeros(tilde, product_matrix(tilde)))[3]
-        assert ok.reshape(-1, K).tolist() == biakit.scheme.certify_patterns(tilde).tolist()
+        assert ok.reshape(-1, K).tolist() == biakit.scheme.certify_patterns(
+            tilde, product_matrix(tilde)).tolist()
 
 
 def test_generator_inverses_exist_at_every_built_receiver():

@@ -25,7 +25,7 @@ from biakit.scheme import (
     generator_inverses,
     generator_nonzeros,
     make_config,
-    own_pair_columns,
+    receiver_columns,
 )
 from biakit.sim import (
     SimConfig,
@@ -41,7 +41,7 @@ from biakit.sim import (
     zf_decode,
     zf_weights,
 )
-from biakit.verify import decompose_receiver
+from biakit.verify import decompose_receiver, float_bound, report_to_json, run_verification
 
 from conftest import widened_schemes
 
@@ -60,6 +60,37 @@ def test_noiseless_roundtrip(K):
             est = zf_decode(dec, y)
             err = np.linalg.norm(est - sym.values[j]) / np.linalg.norm(sym.values[j])
             assert err < 1e-9
+
+
+def reversed_pair_map(K):
+    """Every user's dimensions of default_pair_dims(K) in reverse order."""
+    return {pair: (K - 2 - di, K - 2 - dj) for pair, (di, dj) in default_pair_dims(K).items()}
+
+
+@pytest.mark.parametrize("K", [4, 5, 8])
+def test_outputs_do_not_depend_on_the_pair_map(K):
+    """A pair map only says which symbol rides which vector: the
+    certificate, the float bound, the weights, the float and exact
+    verification reports and the simulated rates are byte for byte the
+    default map's, and a noiseless decode under the reversed map still
+    returns receiver j's symbols in its dimension order."""
+    default, relabelled = bk.build_scheme(K), bk.build_scheme(K, reversed_pair_map(K))
+    assert not np.array_equal(relabelled.dimension_pairs(), default.dimension_pairs())
+    assert relabelled.certified_receivers == default.certified_receivers
+    bounds = float_bound(default), float_bound(relabelled)
+    for name in ("inverse2", "counts", "aligned"):
+        assert getattr(bounds[0], name).tobytes() == getattr(bounds[1], name).tobytes()
+    assert zf_weights(relabelled).tobytes() == zf_weights(default).tobytes()
+    for exact in (False, True):
+        reports = [report_to_json(run_verification(s, 6, 3, exact)) for s in (default, relabelled)]
+        assert reports[0] == reports[1]
+    cfg = SimConfig(trials=20, seed=1)
+    assert estimate_dof(relabelled, cfg).rates.tobytes() == estimate_dof(default, cfg).rates.tobytes()
+    ch, sym = draw_channels(K, 2, seed=5), draw_symbols(K, power=1.0, seed=6)
+    for j in range(K):
+        est = zf_decode(decompose_receiver(ch, relabelled, j), receive(ch, relabelled, sym, j))
+        err = np.linalg.norm(est - sym.values[j]) / np.linalg.norm(sym.values[j])
+        assert err < 1e-9
 
 
 def test_zero_symbols_decode_to_zero(scheme3):
@@ -142,12 +173,19 @@ def test_estimate_dof_linear_algebra_does_not_grow_with_trials(K, linalg_stacks)
     assert calls[0] == calls[1] == {"svd": [], "cholesky": [], "inv": [], "solve": []}
 
 
+def half_columns(K):
+    """(low, high), (K, K-1) each: the columns of G_j that hold the mode-1
+    and the mode-2 half of j's pair with its n-th partner (receiver_columns)."""
+    col = receiver_columns(K)[1]
+    return K - 1 + col[:, :K - 1], np.broadcast_to(np.arange(K - 1), (K, K - 1))
+
+
 def solved_weights(scheme):
     """The weights' float oracle: (a, b, c) = (||l||^2, ||u||^2, <l, u>),
     (K, K, 3), from one batched float solve of G_j^T per chunk of
     certified receivers, G_j scattered dense from its nonzeros."""
     K, m = scheme.config.users, scheme.config.block_len
-    low, high = own_pair_columns(K)
+    low, high = half_columns(K)
     rx = np.flatnonzero(scheme.certified_receivers)
     _, r, c = generator_nonzeros(scheme.pattern.tilde[None], scheme.pattern.supports[None])
     r, c = r.reshape(K, -1), c.reshape(K, -1)  # one pattern: K equal counts
@@ -247,7 +285,7 @@ def test_weights_have_no_cross_term(scheme):
     solve's."""
     K, m = scheme.config.users, scheme.config.block_len
     index, values, _, ok = generator_inverses(scheme.pattern)
-    low, high = own_pair_columns(K)
+    low, high = half_columns(K)
     support = np.zeros(K * m * m, dtype=bool)
     support[index] = True
     support = support.reshape(K, m, m)
