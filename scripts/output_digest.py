@@ -7,10 +7,12 @@ it, so a copy of another checkout digests that checkout's code:
     python scripts/output_digest.py
 
 The digest covers `generate` for K = 3..48; float and exact `verify` JSON
-and CSV (6 draws, seeds 0, 3 and 7), the float bound and the zero-forcing
-weights of build_scheme(3..12), of a reversed pair map at K = 4 and 5 and
-of the pair-product family (make_pattern_matrix) at K = 3..6, whose
-uncertified receivers are gathered; the three `simulate` outputs
+and CSV (6 draws, seeds 0, 3 and 7), the float bound, the zero-forcing
+weights, `certified_receivers` and the four arrays of `generator_inverses`
+(index, values, scale, ok) of build_scheme(3..12), of a reversed pair map
+at K = 4 and 5 and of the pair-product family (make_pattern_matrix) at
+K = 3..6, whose uncertified receivers are gathered and whose certified
+G_j leave a 3 x 3 core; the three `simulate` outputs
 (rates CSV, summary CSV, JSON) for K = 3, 4, 5 and 8 at seeds 0..2; and,
 where the pair map meets the symbols, the `transmit` and `receive` blocks
 and the noiseless `zf_decode` of every receiver of the reversed pair maps
@@ -27,7 +29,8 @@ import numpy as np
 
 from biakit.channel import draw_channels, draw_symbols, receive, transmit
 from biakit.designspace import make_pattern_matrix
-from biakit.scheme import Scheme, build_scheme, default_pair_dims, make_config, scheme_to_json
+from biakit.scheme import (
+    Scheme, build_scheme, default_pair_dims, generator_inverses, make_config, scheme_to_json)
 from biakit.sim import (
     SimConfig, estimate_dof, result_to_json, result_to_long_csv, result_to_summary_csv, zf_decode,
     zf_weights)
@@ -50,7 +53,8 @@ def generate_outputs(K: int) -> list:
 
 
 def scheme_outputs(make) -> list:
-    """Verify reports, float bound and zero-forcing weights of make()."""
+    """Verify reports, float bound, zero-forcing weights, certificate and
+    exact generator inverses of make()."""
     scheme = make()
     out = []
     for exact in (False, True):
@@ -58,7 +62,8 @@ def scheme_outputs(make) -> list:
             report = run_verification(scheme, 6, seed, exact)
             out += [report_to_json(report), report_to_csv(report)]
     bound = float_bound(scheme)
-    return out + [bound.inverse2, bound.counts, bound.aligned, zf_weights(scheme)]
+    out += [bound.inverse2, bound.counts, bound.aligned, zf_weights(scheme)]
+    return out + [np.array(scheme.certified_receivers), *generator_inverses(scheme.pattern)]
 
 
 def simulate_outputs(K: int, seed: int) -> list:

@@ -5,10 +5,12 @@ A stack of N n x n 0/1 matrices is given by its nonzeros: counts (N,),
 how many matrix i has (0 for an all-zero matrix), and rows, cols, their
 positions, matrix after matrix and by row within each. Counts may differ
 from matrix to matrix. One singleton peel (`_peel`, Duff, Erisman & Reid's
-permutation to triangular form) works on such stacks, and serves two
-kernels:
+permutation to triangular form) works on such stacks; `peel` keeps it with
+the nonzeros (`Peeled`), and two kernels continue it, so a caller that
+needs both verdicts and inverses peels once:
 
-- `nonsingular` decides which matrices are nonsingular over Q. The peel
+- `peeled_nonsingular` (`nonsingular` peels first) decides which
+  matrices are nonsingular over Q. The peel
   removes a row with exactly one live nonzero together with that
   nonzero's column (Laplace expansion, det = +-det(minor)), then the same
   for columns, until nothing is left to remove. A live row or column with
@@ -17,13 +19,15 @@ kernels:
   peeled to nothing is nonsingular. `integer_rank` decides each distinct
   core the peel leaves, once per call: equal cores share one verdict. So
   both verdicts are proofs.
-- `peel_inverses` inverts every nonsingular matrix exactly and sparsely:
+- `peeled_inverses` (`peel_inverses` peels first) inverts every
+  nonsingular matrix exactly and sparsely:
   in the peel's order G is block lower triangular, unit pivots around the
   core C, whose adjugate (C adj C = d I, d = +-det C; d = 1 with no core)
   fraction-free Gauss-Jordan elimination on `integer_rank`'s loop gives.
   Substitution then yields an integer X = d G^-1, which `is_inverse`
   proves by the exact product X G = d I. Float verification's bound on
-  sigma_min and the simulator's weights read these (biakit.verify, .sim).
+  sigma_min and the simulator's weights read these (biakit.verify, .sim),
+  continuing the peel the scheme's certificate ran (scheme.PatternMatrix).
 
 `integer_rank` is fraction-free (Bareiss) elimination on Python ints, with
 no floating tolerance and no external computer-algebra dependency.
@@ -35,6 +39,7 @@ its factorisation A_j = G_j D_j does not prove, see biakit.verify).
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -90,16 +95,38 @@ def _peel(n: int, counts: np.ndarray, gr: np.ndarray, gc: np.ndarray):
     return live_r.reshape(-1, n), live_c.reshape(-1, n), passes
 
 
-def _cores(n, counts, rows, cols, gr, gc, live_r, live_c, decide) -> tuple[np.ndarray, dict]:
-    """(out, verdicts) of a peeled stack (`_peel`): whether each matrix is
+@dataclass(frozen=True, eq=False)
+class Peeled:
+    """A stack of 0/1 matrices given by their nonzeros (module docstring)
+    and its one singleton peel (`_peel`), which both kernels continue:
+    `peeled_nonsingular` and `peeled_inverses`."""
+
+    n: int
+    counts: np.ndarray
+    gr: np.ndarray       # every nonzero's row and column as a line of the
+    gc: np.ndarray       # whole stack (`_lines`): row r of matrix i is i n + r
+    live_r: np.ndarray   # (N, n) rows and columns the peel left: the cores
+    live_c: np.ndarray
+    passes: list         # (row pass?, pivot rows, pivot columns), in lines
+
+
+def peel(n: int, counts: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> Peeled:
+    """The singleton peel of a stack of 0/1 matrices given by their nonzeros."""
+    gr, gc = _lines(n, counts, rows, cols)
+    return Peeled(n, counts, gr, gc, *_peel(n, counts, gr, gc))
+
+
+def _cores(p: Peeled, decide) -> tuple[np.ndarray, dict]:
+    """(out, verdicts) of a peeled stack: whether each matrix is
     nonsingular, and by matrix the truthy decide(core) of each nonsingular
     core. A live line with no live nonzero proves a matrix singular, and
     decide, truthy for a nonsingular core, runs once per distinct core."""
+    counts, live_r, live_c = p.counts, p.live_r, p.live_c
     if not live_r.any():  # every matrix peeled to nothing
         return np.ones(len(counts), dtype=bool), {}
-    live = live_r.ravel()[gr] & live_c.ravel()[gc]
+    live = live_r.ravel()[p.gr] & live_c.ravel()[p.gc]
     singular = np.zeros(len(counts), dtype=bool)
-    for lines, g in ((live_r, gr), (live_c, gc)):  # a live line with no live nonzero
+    for lines, g in ((live_r, p.gr), (live_c, p.gc)):  # a live line with no live nonzero
         degree = np.bincount(g[live], minlength=lines.size).reshape(lines.shape)
         singular |= (lines & (degree == 0)).any(axis=1)
     out = ~singular & ~live_r.any(axis=1)
@@ -108,7 +135,7 @@ def _cores(n, counts, rows, cols, gr, gc, live_r, live_c, decide) -> tuple[np.nd
     verdicts: dict[bytes, object] = {}  # a core's bytes fix its size as well as its entries
     found = {}
     for i in np.flatnonzero(~singular & ~out):
-        r, c = rows[ptr[i]:ptr[i + 1]], cols[ptr[i]:ptr[i + 1]]
+        r, c = (g[ptr[i]:ptr[i + 1]] - i * p.n for g in (p.gr, p.gc))
         keep = live_r[i, r] & live_c[i, c]
         size = int(live_r[i].sum())
         core = np.zeros((size, size), dtype=np.int8)
@@ -124,13 +151,16 @@ def _cores(n, counts, rows, cols, gr, gc, live_r, live_c, decide) -> tuple[np.nd
 
 def nonsingular(n: int, counts: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Whether each 0/1 matrix of a stack given by its nonzeros (module
-    docstring) is nonsingular over Q, exactly: the singleton peel, then a
-    live row or column with no live nonzero proves its matrix singular,
-    then `integer_rank` decides each distinct core left, once per call."""
-    gr, gc = _lines(n, counts, rows, cols)
-    live_r, live_c, _ = _peel(n, counts, gr, gc)
-    return _cores(n, counts, rows, cols, gr, gc, live_r, live_c,
-                  lambda core: integer_rank(core) == len(core))[0]
+    docstring) is nonsingular over Q, exactly: `peeled_nonsingular` of its
+    singleton peel."""
+    return peeled_nonsingular(peel(n, counts, rows, cols))
+
+
+def peeled_nonsingular(p: Peeled) -> np.ndarray:
+    """`nonsingular` of a peeled stack: a live row or column with no live
+    nonzero proves its matrix singular, then `integer_rank` decides each
+    distinct core left, once per call."""
+    return _cores(p, lambda core: integer_rank(core) == len(core))[0]
 
 
 def _ranges(starts: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -165,7 +195,13 @@ def _adjugate(core: list[list[int]], limit: int):
 def peel_inverses(n: int, counts: np.ndarray, rows: np.ndarray,
                   cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Exact scaled inverses X = d G^-1 of a stack of 0/1 matrices G given
-    by their nonzeros (module docstring).
+    by their nonzeros (module docstring): `peeled_inverses` of its
+    singleton peel."""
+    return peeled_inverses(peel(n, counts, rows, cols))
+
+
+def peeled_inverses(p: Peeled) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """`peel_inverses` of a peeled stack, continuing its peel.
 
     In `_peel`'s order (row-pass pivots, the core C, column-pass pivots in
     reverse) G is block lower triangular with unit pivots: a row-pass row
@@ -183,12 +219,10 @@ def peel_inverses(n: int, counts: np.ndarray, rows: np.ndarray,
     X by the exact product X G = d I (`is_inverse`). Where ok is False (G
     singular, or an entry past `is_inverse`'s bound) X is meaningless.
     """
+    n, counts, gr, gc, live_r, live_c = p.n, p.counts, p.gr, p.gc, p.live_r, p.live_c
     count = len(counts)
-    gr, gc = _lines(n, counts, rows, cols)
-    live_r, live_c, passes = _peel(n, counts, gr, gc)
     limit = (1 << 26) // n
-    ok, cores = _cores(n, counts, rows, cols, gr, gc, live_r, live_c,
-                       lambda core: _adjugate(core, limit))
+    ok, cores = _cores(p, lambda core: _adjugate(core, limit))
     scale = np.ones(count, dtype=np.int64)
     for i, (d, _) in cores.items():
         scale[i] = d
@@ -219,7 +253,7 @@ def peel_inverses(n: int, counts: np.ndarray, rows: np.ndarray,
         x_val = np.concatenate([x_val, values])
 
     # a singular matrix's rows are meaningless, and harmless
-    for _, r, c in [p for p in passes if p[0]]:
+    for _, r, c in [step for step in p.passes if step[0]]:
         store(c, *right_sides(r))
     if cores:  # X's core rows: adj C times the core rows' right sides, over d
         cored = np.isin(np.arange(count), list(cores))[:, None]
@@ -233,10 +267,10 @@ def peel_inverses(n: int, counts: np.ndarray, rows: np.ndarray,
             at += len(adj)
         k, col = np.nonzero(y)
         store(core_c, k * n + col, y[k, col])
-    for _, r, c in [p for p in reversed(passes) if not p[0]]:
+    for _, r, c in [step for step in reversed(p.passes) if not step[0]]:
         store(c, *right_sides(r))
     index = x_row * n + x_col
-    ok &= is_inverse(n, counts, rows, cols, index, x_val, scale)
+    ok &= _is_inverse(n, counts, gc, row_ptr, index, x_val, scale)
     return index, x_val, scale, ok
 
 
@@ -250,6 +284,15 @@ def is_inverse(n: int, counts: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     unchecked: below that every sum of the product stays under 2^26 in
     magnitude and the sum of squares of X's entries under 2^52, so int64,
     and float64, hold them exactly."""
+    gr, gc = _lines(n, counts, rows, cols)
+    return _is_inverse(n, counts, gc, np.searchsorted(gr, np.arange(len(counts) * n + 1)),
+                       index, values, scale)
+
+
+def _is_inverse(n: int, counts: np.ndarray, gc: np.ndarray, ptr: np.ndarray,
+                index: np.ndarray, values: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """`is_inverse` on G's nonzeros' column lines gc (`_lines`), row r of
+    matrix i starting at nonzero ptr[i n + r]."""
     count = len(counts)
     bad = np.zeros(count, dtype=bool)
     bad[index[np.abs(values) > (1 << 26) // n] // (n * n)] = True
@@ -257,9 +300,8 @@ def is_inverse(n: int, counts: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     # entry of a refused matrix takes none, so no sum can wrap
     line = index // n  # c as a line of the whole stack
     r = line - line % n + index % n
-    ptr = np.searchsorted(_lines(n, counts, rows, cols)[0], np.arange(count * n + 1))
     k, e = _ranges(ptr[r], np.where(bad[line // n], 0, ptr[r + 1] - ptr[r]))
-    keys, sums = _summed(line[k] * n + cols[e], values[k])
+    keys, sums = _summed(line[k] * n + gc[e] % n, values[k])
     # the product's entries: exactly d at every diagonal position, nothing
     # else (zero sums are dropped, so d = 0 never passes)
     item = keys // (n * n)

@@ -24,7 +24,10 @@ receiver_columns(K), a function of K alone.
 Receiver j can separate its K-1 desired dimensions from interference iff a
 binary m x m generator matrix G_j is nonsingular over the rationals (see
 certify_receivers), an exact channel-free condition this module certifies
-during construction. When every shared vector is the full pair product,
+during construction. The pattern keeps that certificate's one singleton
+peel of every G_j (PatternMatrix.generators), and the exact inverses that
+float verification and the simulator read continue it
+(generator_inverses). When every shared vector is the full pair product,
 fully certified matrices exist only for K = 3 and K = 4 and four certified
 receivers is the ceiling beyond (README "Known limitations"; that
 reference family and its exhaustive scan live in biakit.designspace).
@@ -42,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateSchemeError
-from .exactrank import chunks, integer_rank, nonsingular, peel_inverses
+from .exactrank import Peeled, chunks, integer_rank, nonsingular, peel, peeled_inverses, peeled_nonsingular
 from .formats import is_int, render_json
 
 
@@ -95,12 +98,16 @@ class PatternMatrix:
     inside its pair product, and the default is product_matrix(tilde).
     certified_receivers[j] is the exact decodability certificate of
     receiver j (certify_receivers, which checks the supports), computed
-    at construction and never taken from the caller.
+    at construction and never taken from the caller. generators keeps
+    the K generator matrices G_j by their nonzeros with the one singleton
+    peel that proved the certificate, so generator_inverses continues it
+    and no G_j is built or peeled twice.
     """
 
     tilde: np.ndarray
     supports: np.ndarray | None = None  # None: product_matrix(tilde)
     certified_receivers: tuple[bool, ...] = field(init=False)
+    generators: Peeled = field(init=False, repr=False)
 
     def __post_init__(self):
         bad = np.argwhere((self.tilde != 0) & (self.tilde != 1))
@@ -110,7 +117,9 @@ class PatternMatrix:
                              % (self.tilde[r, c], r + 1, c + 1))
         if self.supports is None:
             self.supports = product_matrix(self.tilde)
-        self.certified_receivers = certify_receivers(self.tilde, self.supports)
+        certificate = certify_receivers(self.tilde, self.supports)
+        self.certified_receivers = tuple(certificate)
+        self.generators = certificate.generators
 
     @property
     def modes(self) -> np.ndarray:
@@ -128,6 +137,12 @@ class PatternMatrix:
 def zero_at(K: int, *users: int) -> tuple[int, ...]:
     """The length-K binary row that is 0 exactly at the given users."""
     return tuple(0 if c in users else 1 for c in range(K))
+
+
+def pair_users(K: int) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b): the users of every pair a < b, in lexicographic pair order
+    (np.triu_indices(K, 1), at a fraction of its cost)."""
+    return np.nonzero(np.arange(K)[:, None] < np.arange(K))
 
 
 def product_matrix(tilde: np.ndarray) -> np.ndarray:
@@ -173,7 +188,7 @@ def check_supports(tilde: np.ndarray, supports: np.ndarray) -> None:
         raise ValueError("supports must be a %d x %d matrix, one column per pair, got shape %s"
                          % (m, K * (K - 1) // 2, v.shape))
     c, r = np.nonzero(v.T)  # pair by pair, then row by row
-    a, b = np.triu_indices(K, 1)
+    a, b = pair_users(K)
     t = np.asarray(tilde, dtype=np.int64)
     malformed = v[r, c] != 1
     bad = np.flatnonzero(malformed | (t.sum(axis=1)[r] - t[r, a[c]] - t[r, b[c]] != K - 2))
@@ -187,7 +202,15 @@ def check_supports(tilde: np.ndarray, supports: np.ndarray) -> None:
                          % (a[pair] + 1, b[pair] + 1, row + 1))
 
 
-def certify_receivers(tilde: np.ndarray, supports: np.ndarray | None = None) -> tuple[bool, ...]:
+class Certificate(tuple):
+    """certify_receivers' flags, one per receiver, carrying generators: the
+    `exactrank.Peeled` singleton peel of the K matrices G_j that proved
+    them, which generator_inverses continues."""
+
+    generators: Peeled
+
+
+def certify_receivers(tilde: np.ndarray, supports: np.ndarray | None = None) -> Certificate:
     """Channel-free decodability certificate, one flag per receiver.
 
     Receiver j separates desired from interference for almost every channel
@@ -205,15 +228,27 @@ def certify_receivers(tilde: np.ndarray, supports: np.ndarray | None = None) -> 
     The supports are checked against their pair products first
     (check_supports): the one alignment check, where supports enter.
 
-    The K matrices are built by their nonzeros (generator_nonzeros) and
-    decided by certify_patterns, so each flag is a proof either way (see
-    `exactrank.nonsingular`): the singleton peel on those nonzeros expands
-    G_j exactly, and exact Bareiss elimination decides whatever core is
-    left.
+    The K matrices are built once by their nonzeros (generator_nonzeros)
+    and singleton-peeled once (`exactrank.peel`), so each flag is a proof
+    either way (`exactrank.peeled_nonsingular`): the peel expands G_j
+    exactly, and exact Bareiss elimination decides whatever core is left.
+    The flags come as a Certificate, a tuple that keeps that peel.
     """
     supports = product_matrix(tilde) if supports is None else np.asarray(supports)
     check_supports(tilde, supports)
-    return tuple(bool(x) for x in certify_patterns(tilde[None], supports[None])[0])
+    m, K = tilde.shape
+    _check_block_len(m, K)
+    generators = peel(m, *generator_nonzeros(tilde[None], supports[None]))
+    certificate = Certificate(peeled_nonsingular(generators).tolist())
+    certificate.generators = generators
+    return certificate
+
+
+def _check_block_len(m: int, K: int) -> None:
+    """Raise ValueError unless a K-user pattern has m = (K+2)(K-1)/2 rows."""
+    if m != (K + 2) * (K - 1) // 2:
+        raise ValueError("tilde must have (K+2)(K-1)/2 = %d rows, got %d"
+                         % ((K + 2) * (K - 1) // 2, m))
 
 
 def certify_patterns(tilde: np.ndarray, supports: np.ndarray) -> np.ndarray:
@@ -224,12 +259,11 @@ def certify_patterns(tilde: np.ndarray, supports: np.ndarray) -> np.ndarray:
     built by its nonzeros (generator_nonzeros), never densely. Patterns
     go in `exactrank.chunks` of at most `exactrank.BATCH_ELEMENTS`
     nonzeros, K times the stack's largest support count a pattern (at
-    least one pattern), one `nonsingular` call per chunk.
+    least one pattern), one `nonsingular` call per chunk; no peel is kept
+    and no inverse is taken.
     """
     count, m, K = tilde.shape
-    if m != (K + 2) * (K - 1) // 2:
-        raise ValueError("tilde must have (K+2)(K-1)/2 = %d rows, got %d"
-                         % ((K + 2) * (K - 1) // 2, m))
+    _check_block_len(m, K)
     out = np.empty((count, K), dtype=bool)
     for chunk in chunks(count, K * int(np.count_nonzero(supports, axis=(1, 2)).max(initial=0))):
         part = slice(chunk.start, chunk.stop)
@@ -281,13 +315,15 @@ def generator_nonzeros(tilde: np.ndarray, supports: np.ndarray) -> tuple[np.ndar
 
 
 def generator_inverses(pattern: PatternMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """`exactrank.peel_inverses` of every receiver's G_j: (index, values,
+    """`exactrank.peeled_inverses` of every receiver's G_j: (index, values,
     scale, ok), X = d G_j^-1 exact in integers as flat indices into
     (K, m, m) and values, d (K,), and ok, the proof X G_j = d I, which
     holds exactly where the certificate does unless an entry outgrows
-    `exactrank.is_inverse`'s bound."""
-    nonzeros = generator_nonzeros(pattern.tilde[None], pattern.supports[None])
-    return peel_inverses(pattern.block_len, *nonzeros)
+    `exactrank.is_inverse`'s bound. It continues the peel the certificate
+    ran (PatternMatrix.generators): G_j's nonzeros are not rebuilt and not
+    peeled again; only the cores' adjugates, the substitution and the
+    proof run here, each call."""
+    return peeled_inverses(pattern.generators)
 
 
 def pattern_from_rows(config: SchemeConfig, tilde, rows_by_pair: dict) -> PatternMatrix:
@@ -314,7 +350,7 @@ def pattern_from_rows(config: SchemeConfig, tilde, rows_by_pair: dict) -> Patter
                              % (a + 1, b + 1, m))
         supports[rows, column[(a, b)]] = 1
     left = [c for pair, c in column.items() if pair not in rows_by_pair]
-    if left:  # the star family gives every pair's rows and needs no product here
+    if left:  # a document that gives every pair's rows needs no product here
         supports[:, left] = product_matrix(tilde)[:, left]
     return PatternMatrix(tilde, supports)
 
@@ -343,15 +379,24 @@ def star_pattern_matrix(config: SchemeConfig) -> PatternMatrix:
     peel proves it with no elimination. Its order also inverts every G_j
     exactly (generator_inverses): G_j^-1 has entries +-1, as many as G_j
     has ones (checked for K = 3..20).
+
+    tilde and supports are written straight as arrays, their columns in
+    lexicographic pair order; PatternMatrix still checks them (0/1,
+    check_supports) and computes the certificate.
     """
-    K = config.users
-    rim = list(itertools.combinations(range(1, K), 2))
-    tilde = ([zero_at(K, 0)] * (K - 1) + [zero_at(K, o) for o in range(1, K)]
-             + [zero_at(K, a, b) for a, b in rim])
-    r = {o: K - 2 + o for o in range(1, K)}  # row index of r_o
-    rows = {(0, o): (o - 1, r[o]) for o in range(1, K)}
-    rows.update({(a, b): (2 * K - 2 + n, r[a], r[b]) for n, (a, b) in enumerate(rim)})
-    return pattern_from_rows(config, tilde, rows)
+    K, m = config.users, config.block_len
+    hub = np.arange(1, K)  # hub pair (0, o) is column o - 1
+    a, b = (users[K - 1:] for users in pair_users(K))  # the rim pairs, columns K-1..
+    rim, z = np.arange(K - 1, a.size + K - 1), np.arange(2 * K - 2, m)  # column and row z_ab
+    r = K - 2 + hub  # row of r_o
+    tilde = np.ones((m, K), dtype=np.int64)
+    tilde[:K - 1, 0] = 0
+    tilde[r, hub] = 0
+    tilde[z, a] = tilde[z, b] = 0
+    supports = np.zeros((m, rim.size + K - 1), dtype=np.int64)
+    supports[hub - 1, hub - 1] = supports[r, hub - 1] = 1  # v_0o = {r_0^(o), r_o}
+    supports[z, rim] = supports[r[a - 1], rim] = supports[r[b - 1], rim] = 1  # v_ab = {z_ab, r_a, r_b}
+    return PatternMatrix(tilde, supports)
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,10 @@ A_j^{-1} = D_j^{-1} G_j^{-1}, and the desired rows touch only the own
 G_j^{-1} of the pair's mode-1 and mode-2 halves. Its squared norm is
 N = (a |h_jo(2)|^2 + b |h_jo(1)|^2) / |det_o|^2 with the channel-free
 weights a = ||l_o||^2 and b = ||u_o||^2 (`zf_weights`, once per run, read
-exactly off the proven integer inverse X = d G_j^-1; no float solve); the
-cross term <l_o, u_o> is 0 for every aligned scheme. Only the one-draw
+exactly off the proven integer inverse X = d G_j^-1, which
+`scheme.generator_inverses` takes by continuing the singleton peel of the
+pattern's certificate: no float solve, and no G_j built or peeled twice);
+the cross term <l_o, u_o> is 0 for every aligned scheme. Only the one-draw
 views take float linear algebra (`_zf_filter`'s inverse). Trial t is the
 t-th draw of the seed's channel stream, the one float verification reads.
 Per chunk of trials (`exactrank.chunks`) the run takes the next draws in

@@ -36,7 +36,8 @@ it); only a short one has its two blocks ranked. A run's ranks stay one
 bytes (`VerificationReport.ranks`); `verify_decodability` and
 `verify_decodability_exact` are one-draw views of the same kernels, and
 only they and `VerificationReport.checks` build ReceiverCheck objects
-(`decompose_receiver` builds a one-draw ReceiverDecomposition).
+(`decompose_receiver` builds a one-draw ReceiverDecomposition from
+receiver j's columns alone).
 
 A_j = G_j D_j column for column (scheme.certify_receivers): G_j is
 receiver j's 0/1 generator matrix and D_j holds one aligned mode-2
@@ -57,11 +58,13 @@ reads a float bound off the same factorisation. The two modes:
   rule agrees with ranking every block: a column subset D of A has
   sigma_min(D) >= sigma_min(A) and sigma_max(D) <= sigma_max(A). Its
   proof: `float_bound` reads the scheme once a run, the exact
-  inverse X = d G_j^-1 of every certified G_j (`scheme.generator_inverses`;
-  ||G_j^-1||_F^2 = ||X||_F^2 / d^2, and d = 1 with ||G_j^-1||_F^2 =
-  nnz(G_j) for every built G_j), and, off the columns the layout gathers
-  (`scheme.receiver_columns`), the support counts that give ||A_j||_F
-  from the coefficients and the sources of the aligned columns. Each
+  inverse X = d G_j^-1 of every certified G_j (`scheme.generator_inverses`,
+  which continues the singleton peel the pattern's certificate ran, so no
+  G_j is rebuilt or peeled again; ||G_j^-1||_F^2 = ||X||_F^2 / d^2, and
+  d = 1 with ||G_j^-1||_F^2 = nnz(G_j) for every built G_j), and, off the
+  columns the layout gathers (`scheme.receiver_columns`), the support
+  counts that give ||A_j||_F from the coefficients and the sources of the
+  aligned columns. Each
   chunk, `draw_bounds` reads the draws' D_j, O(K^2) a draw and no block.
 
   The bound. A_j = G_j D_j, exactly in float too: every entry of the
@@ -203,12 +206,19 @@ class ReceiverDecomposition:
 def decompose_receiver(ch: ChannelSet, scheme: Scheme, j: int) -> ReceiverDecomposition:
     """Receiver j's desired block (m x (K-1)), in j's dimension order, and
     merged interference basis (m x K(K-1)/2) for one channel draw, columns
-    of A_j from the scheme's layout, and whether the certificate times D_j
-    proves A_j nonsingular for this draw (no numeric rank is taken)."""
-    layout, d = receiver_layout(scheme), scheme.pattern.users - 1
-    a = layout.blocks(ch.coeffs[None], j)[0]
-    dims = np.searchsorted(layout.col[j, :d], scheme.dimension_pairs()[j])  # own pairs ascend
-    proven = bool(_proven(scheme.certified_receivers, ch.coeffs[None])[0, j])
+    of A_j from `scheme.receiver_columns`, and whether the certificate
+    times D_j proves A_j nonsingular for this draw (no numeric rank is
+    taken). Only receiver j's columns are gathered (`ReceiverLayout.blocks`'
+    gather) and only its factors read (`_proven`)."""
+    pattern, d = scheme.pattern, scheme.pattern.users - 1
+    src, col = (a[j] for a in receiver_columns(pattern.users))
+    h = ch.coeffs[j]  # [tx, mode]
+    a = h[src, pattern.tilde[:, j, None]] * pattern.supports[:, col]
+    dims = np.searchsorted(col[:d], scheme.dimension_pairs()[j])  # own pairs ascend
+    # D_j's factors: j's own-pair determinants and every h_ji(2), i != j
+    nonzero = (h[j, 0] * h[:, 1] - h[:, 0] * h[j, 1] != 0) & (h[:, 1] != 0)
+    nonzero[j] = True
+    proven = bool(scheme.certified_receivers[j] and nonzero.all())
     return ReceiverDecomposition(
         rx=j, desired=a[:, dims], interference_basis=a[:, d:], proven=proven)
 

@@ -22,6 +22,7 @@ from hypothesis import HealthCheck, given, settings
 import biakit as bk
 import biakit.cli
 import biakit.exactrank
+import biakit.scheme
 import biakit.sim
 import biakit.verify
 from biakit.channel import CHANNEL_STREAM, EXACT_STREAM, ChannelSet, draw_channels, stream_seed
@@ -302,19 +303,48 @@ def test_exact_reports_match_per_draw_loop(fallback_scheme5):
     assert expect.failing_receivers() == (5,)
 
 
-@pytest.mark.parametrize("K", range(3, 11))
-def test_exact_mode_runs_no_elimination_on_built_schemes(K, monkeypatch):
-    """Every built receiver is certified, so the factorisation proves every
-    combined block: no Bareiss elimination, of a certificate or a rank."""
+def counting(monkeypatch, targets) -> list[str]:
+    """The names of every call of the (module, name) targets, in order."""
     calls = []
-    for module, name in [(biakit.exactrank, "integer_rank"), (biakit.verify, "gaussian_rank")]:
+    for module, name in targets:
         def counted(*args, _inner=getattr(module, name), _name=name):
             calls.append(_name)
             return _inner(*args)
         monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("K", range(3, 11))
+def test_exact_mode_runs_no_elimination_on_built_schemes(K, monkeypatch):
+    """Every built receiver is certified, so the factorisation proves every
+    combined block: no Bareiss elimination, of a certificate or a rank."""
+    calls = counting(monkeypatch, [(biakit.exactrank, "integer_rank"), (biakit.verify, "gaussian_rank")])
     scheme = bk.build_scheme(K)
     assert run_verification(scheme, 2, 0, exact=True).all_passed
     assert calls == []
+
+
+@pytest.mark.parametrize("argv, inverted", [
+    (["verify", "--users", "8", "--trials", "4"], True),
+    (["simulate", "--users", "4", "--trials", "4"], True),
+    (["verify", "--users", "7", "--exact", "--trials", "2"], False),
+    (["generate", "--users", "6"], False),
+], ids=["verify", "simulate", "verify-exact", "generate"])
+def test_each_run_builds_and_peels_its_generators_once(argv, inverted, monkeypatch, tmp_path, capsys):
+    """A run builds G_j's nonzeros and peels them once, for the certificate;
+    float verification and simulation invert them by continuing that peel
+    (one substitution and one proof X G_j = d I), and exact verification
+    and generate take no inverse at all."""
+    calls = counting(monkeypatch, [
+        (biakit.scheme, "generator_nonzeros"), (biakit.exactrank, "_peel"),
+        (biakit.scheme, "peeled_inverses"), (biakit.exactrank, "peeled_inverses"),
+        (biakit.exactrank, "_is_inverse")])
+    if argv[0] == "simulate":
+        argv = argv + ["--out", str(tmp_path / "run")]
+    assert biakit.cli.main(argv) == 0
+    capsys.readouterr()
+    expect = ["generator_nonzeros", "_peel"] + ["peeled_inverses", "_is_inverse"] * inverted
+    assert calls == expect
 
 
 def edited_draws(edit, at=None):

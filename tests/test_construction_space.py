@@ -54,14 +54,17 @@ def largest_support(K):
                              for omit in itertools.combinations(range(len(vocab)), 2)))
 
 
-def counting_nonsingular(monkeypatch):
-    """The (matrices, nonzeros) of every certificate call."""
+def counting_peels(monkeypatch):
+    """The (matrices, nonzeros) of every singleton peel: one per stacked
+    certificate call (`nonsingular`) and one per pattern's certificate
+    (`certify_receivers`, whose peel the pattern keeps)."""
     sizes = []
+    peel = biakit.exactrank._peel
 
-    def counted(n, counts, rows, cols):
-        sizes.append((len(counts), rows.size))
-        return nonsingular(n, counts, rows, cols)
-    monkeypatch.setattr(biakit.scheme, "nonsingular", counted)
+    def counted(n, counts, gr, gc):
+        sizes.append((len(counts), gr.size))
+        return peel(n, counts, gr, gc)
+    monkeypatch.setattr(biakit.exactrank, "_peel", counted)
     return sizes
 
 
@@ -69,7 +72,7 @@ def counting_nonsingular(monkeypatch):
 def test_scan_certifies_a_chunk_of_candidates_per_call(monkeypatch, K):
     """Chunks hold at most BATCH_ELEMENTS nonzeros at K times the largest
     support count a candidate, or one candidate."""
-    sizes = counting_nonsingular(monkeypatch)
+    sizes = counting_peels(monkeypatch)
     candidates = scan_module().scan(K)[0]
     per_chunk = max(1, BATCH_ELEMENTS // (K * largest_support(K)))
     assert [matrices for matrices, _ in sizes] == [
@@ -104,7 +107,7 @@ def test_pair_product_search_is_the_stacked_scan(monkeypatch, K):
     """make_pattern_matrix certifies every candidate in the scan's stacked
     calls (one chunk at K = 3 and at K = 4), then the returned pattern
     certifies itself once."""
-    sizes = counting_nonsingular(monkeypatch)
+    sizes = counting_peels(monkeypatch)
     make_pattern_matrix(make_config(K))
     candidates = math.comb(len(row_vocabulary(K)), 2)
     expect = [len(chunk) * K for chunk in chunks(candidates, K * largest_support(K))] + [K]

@@ -1,4 +1,5 @@
 """Scheme construction: sizes, pattern matrices, beamformer assignment, JSON."""
+import functools
 import itertools
 import json
 import re
@@ -867,3 +868,34 @@ def test_generator_inverses_exist_at_every_built_receiver():
 @given(widened_schemes())
 def test_generator_inverses_on_widened_supports(scheme):
     assert_inverses_where_certified(scheme.pattern)
+
+
+def assert_inverses_continue_the_peel(pattern):
+    """generator_inverses, which continues the certificate's peel, equals
+    a fresh peel_inverses of freshly built nonzeros, array for array."""
+    fresh = biakit.exactrank.peel_inverses(
+        pattern.block_len, *generator_nonzeros(pattern.tilde[None], pattern.supports[None]))
+    kept = generator_inverses(pattern)
+    assert len(kept) == len(fresh) == 4
+    for a, b in zip(kept, fresh):
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("make", [
+    *(functools.partial(lambda K: bk.build_scheme(K).pattern, K) for K in range(3, 13)),
+    *(functools.partial(lambda K: make_pattern_matrix(make_config(K)), K) for K in range(3, 7)),
+], ids=["star-%d" % K for K in range(3, 13)] + ["pair-product-%d" % K for K in range(3, 7)])
+def test_kept_peel_inverts_as_a_fresh_peel(make):
+    """The star family (no core) and the pair-product family, whose
+    certified G_j leave a 3 x 3 core."""
+    assert_inverses_continue_the_peel(make())
+
+
+def test_kept_peel_inverts_the_golden_instance_as_a_fresh_peel(golden_scheme4):
+    assert_inverses_continue_the_peel(golden_scheme4.pattern)
+
+
+@settings(max_examples=15, deadline=None)
+@given(widened_schemes())
+def test_kept_peel_inverts_widened_supports_as_a_fresh_peel(scheme):
+    assert_inverses_continue_the_peel(scheme.pattern)
