@@ -97,16 +97,14 @@ def draw_symbols(K: int, power: float = 1.0, seed=0) -> SymbolBlock:
 
 
 def transmit(scheme: Scheme, sym: SymbolBlock, i: int) -> np.ndarray:
-    """User i's block signal: symbols riding their binary beamforming
-    vectors. Only user i's signal is formed."""
-    return _signals(scheme, sym.values, [i])[0]
+    """User i's block signal: symbols riding their binary beamforming vectors."""
+    return _signals(scheme, sym.values)[i]
 
 
-def _signals(scheme: Scheme, values: np.ndarray, users=slice(None)) -> np.ndarray:
-    """(n, m): user i's sum_d values[i, d] * its dimension-d vector, added
-    in order of d, for the users any numpy index picks (default all K)."""
-    pairs, values = scheme.dimension_pairs()[users], values[users]
-    x = np.zeros((len(pairs), scheme.pattern.block_len), dtype=complex)
+def _signals(scheme: Scheme, values: np.ndarray) -> np.ndarray:
+    """(K, m): user i's sum_d values[i, d] * its dimension-d vector, added in order of d."""
+    pairs = scheme.dimension_pairs()
+    x = np.zeros((scheme.pattern.users, scheme.pattern.block_len), dtype=complex)
     for d in range(values.shape[1]):
         x += values[:, d, None] * scheme.pattern.supports[:, pairs[:, d]].T
     return x

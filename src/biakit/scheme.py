@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateSchemeError
-from .exactrank import Peeled, chunks, integer_rank, nonsingular, peel, peeled_inverses, peeled_nonsingular
+from .exactrank import Peeled, chunks, integer_rank, peel, peeled_inverses, peeled_nonsingular
 from .formats import is_int, render_json
 
 
@@ -228,46 +228,48 @@ def certify_receivers(tilde: np.ndarray, supports: np.ndarray | None = None) -> 
     The supports are checked against their pair products first
     (check_supports): the one alignment check, where supports enter.
 
-    The K matrices are built once by their nonzeros (generator_nonzeros)
-    and singleton-peeled once (`exactrank.peel`), so each flag is a proof
-    either way (`exactrank.peeled_nonsingular`): the peel expands G_j
-    exactly, and exact Bareiss elimination decides whatever core is left.
-    The flags come as a Certificate, a tuple that keeps that peel.
+    The K matrices are built once by their nonzeros and singleton-peeled
+    once (_certify_stack), so each flag is a proof either way
+    (`exactrank.peeled_nonsingular`): the peel expands G_j exactly, and
+    exact Bareiss elimination decides whatever core is left. The flags
+    come as a Certificate, a tuple that keeps that peel.
     """
     supports = product_matrix(tilde) if supports is None else np.asarray(supports)
     check_supports(tilde, supports)
-    m, K = tilde.shape
-    _check_block_len(m, K)
-    generators = peel(m, *generator_nonzeros(tilde[None], supports[None]))
-    certificate = Certificate(peeled_nonsingular(generators).tolist())
+    flags, generators = _certify_stack(tilde[None], supports[None])
+    certificate = Certificate(flags[0].tolist())
     certificate.generators = generators
     return certificate
 
 
-def _check_block_len(m: int, K: int) -> None:
-    """Raise ValueError unless a K-user pattern has m = (K+2)(K-1)/2 rows."""
+def _certify_stack(tilde: np.ndarray, supports: np.ndarray) -> tuple[np.ndarray, Peeled]:
+    """((P, K) flags, peel) of a stack of P patterns, tilde (P, m, K) and
+    supports (P, m, C(K,2)): every G_j built by its nonzeros
+    (generator_nonzeros), never densely, peeled once (`exactrank.peel`)
+    and decided on that peel (`exactrank.peeled_nonsingular`)."""
+    m, K = tilde.shape[1:]
     if m != (K + 2) * (K - 1) // 2:
         raise ValueError("tilde must have (K+2)(K-1)/2 = %d rows, got %d"
                          % ((K + 2) * (K - 1) // 2, m))
+    generators = peel(m, *generator_nonzeros(tilde, supports))
+    return peeled_nonsingular(generators).reshape(-1, K), generators
 
 
 def certify_patterns(tilde: np.ndarray, supports: np.ndarray) -> np.ndarray:
     """certify_receivers for a stack of P patterns: (P, K) flags.
 
     tilde is (P, m, K); supports is (P, m, C(K,2)), every pair's shared
-    vector in lexicographic pair order, not checked here. Every G_j is
-    built by its nonzeros (generator_nonzeros), never densely. Patterns
-    go in `exactrank.chunks` of at most `exactrank.BATCH_ELEMENTS`
-    nonzeros, K times the stack's largest support count a pattern (at
-    least one pattern), one `nonsingular` call per chunk; no peel is kept
-    and no inverse is taken.
+    vector in lexicographic pair order, not checked here. Patterns go in
+    `exactrank.chunks` of at most `exactrank.BATCH_ELEMENTS` nonzeros, K
+    times the stack's largest support count a pattern (at least one
+    pattern), one _certify_stack call, one peel, per chunk; no peel is
+    kept and no inverse is taken.
     """
-    count, m, K = tilde.shape
-    _check_block_len(m, K)
+    count, _, K = tilde.shape
     out = np.empty((count, K), dtype=bool)
     for chunk in chunks(count, K * int(np.count_nonzero(supports, axis=(1, 2)).max(initial=0))):
         part = slice(chunk.start, chunk.stop)
-        out[part] = nonsingular(m, *generator_nonzeros(tilde[part], supports[part])).reshape(-1, K)
+        out[part] = _certify_stack(tilde[part], supports[part])[0]
     return out
 
 

@@ -36,8 +36,7 @@ it); only a short one has its two blocks ranked. A run's ranks stay one
 bytes (`VerificationReport.ranks`); `verify_decodability` and
 `verify_decodability_exact` are one-draw views of the same kernels, and
 only they and `VerificationReport.checks` build ReceiverCheck objects
-(`decompose_receiver` builds a one-draw ReceiverDecomposition from
-receiver j's columns alone).
+(`decompose_receiver` builds a one-draw ReceiverDecomposition).
 
 A_j = G_j D_j column for column (scheme.certify_receivers): G_j is
 receiver j's 0/1 generator matrix and D_j holds one aligned mode-2
@@ -157,16 +156,17 @@ def rank_of(matrix: np.ndarray) -> int:
 class ReceiverLayout:
     """Where every entry of every receiver's combined block comes from.
 
-    Entry (r, c) of A_j is vectors[col[j, c], r], the shared vector of pair
+    Entry (r, c) of A_j is vectors[r, col[j, c]], the shared vector of pair
     col[j, c] at channel use r, times the coefficient of the link from
-    transmitter src[j, c] to receiver j, in receiver j's mode mode[j, r] at
-    use r. src and col are `scheme.receiver_columns`.
+    transmitter src[j, c] to receiver j, in receiver j's mode mode[r, j] at
+    use r. src and col are `scheme.receiver_columns`; mode and vectors are
+    the pattern's own arrays, not copies.
     """
 
-    mode: np.ndarray     # (K, m) 0-indexed mode of receiver j at use r: tilde.T
+    mode: np.ndarray     # (m, K) 0-indexed mode of receiver j at use r: tilde
     src: np.ndarray      # (K, m) transmitter of column c of A_j
     col: np.ndarray      # (K, m) pair whose shared vector fills column c of A_j
-    vectors: np.ndarray  # (C(K,2), m) 0/1 shared vector of every pair: supports.T
+    vectors: np.ndarray  # (m, C(K,2)) 0/1 shared vector of every pair: supports
 
     def blocks(self, coeffs: np.ndarray, rx) -> np.ndarray:
         """The combined blocks of receivers rx in every draw of a stack
@@ -176,15 +176,15 @@ class ReceiverLayout:
         K, m = self.src.shape
         j = np.arange(K)[rx, None, None]
         r, c = np.ogrid[:m, :m]
-        return coeffs[:, j, self.src[j, c], self.mode[j, r]] * self.vectors[self.col[j, c], r]
+        return coeffs[:, j, self.src[j, c], self.mode[r, j]] * self.vectors[r, self.col[j, c]]
 
 
 def receiver_layout(scheme: Scheme) -> ReceiverLayout:
     """The layout of a scheme's K combined blocks (see ReceiverLayout):
-    `scheme.receiver_columns`, the modes and the shared vectors."""
+    `scheme.receiver_columns`, the modes and the shared vectors. Nothing
+    is copied, so a one-receiver caller pays for no other receiver."""
     pattern = scheme.pattern
-    return ReceiverLayout(pattern.tilde.T.copy(), *receiver_columns(pattern.users),
-                          np.ascontiguousarray(pattern.supports.T))
+    return ReceiverLayout(pattern.tilde, *receiver_columns(pattern.users), pattern.supports)
 
 
 @dataclass(eq=False)
@@ -206,19 +206,12 @@ class ReceiverDecomposition:
 def decompose_receiver(ch: ChannelSet, scheme: Scheme, j: int) -> ReceiverDecomposition:
     """Receiver j's desired block (m x (K-1)), in j's dimension order, and
     merged interference basis (m x K(K-1)/2) for one channel draw, columns
-    of A_j from `scheme.receiver_columns`, and whether the certificate
-    times D_j proves A_j nonsingular for this draw (no numeric rank is
-    taken). Only receiver j's columns are gathered (`ReceiverLayout.blocks`'
-    gather) and only its factors read (`_proven`)."""
-    pattern, d = scheme.pattern, scheme.pattern.users - 1
-    src, col = (a[j] for a in receiver_columns(pattern.users))
-    h = ch.coeffs[j]  # [tx, mode]
-    a = h[src, pattern.tilde[:, j, None]] * pattern.supports[:, col]
-    dims = np.searchsorted(col[:d], scheme.dimension_pairs()[j])  # own pairs ascend
-    # D_j's factors: j's own-pair determinants and every h_ji(2), i != j
-    nonzero = (h[j, 0] * h[:, 1] - h[:, 0] * h[j, 1] != 0) & (h[:, 1] != 0)
-    nonzero[j] = True
-    proven = bool(scheme.certified_receivers[j] and nonzero.all())
+    of A_j from the scheme's layout, and whether the certificate times D_j
+    proves A_j nonsingular for this draw (no numeric rank is taken)."""
+    layout, d = receiver_layout(scheme), scheme.pattern.users - 1
+    a = layout.blocks(ch.coeffs[None], j)[0]
+    dims = np.searchsorted(layout.col[j, :d], scheme.dimension_pairs()[j])  # own pairs ascend
+    proven = bool(_proven(scheme.certified_receivers, ch.coeffs[None])[0, j])
     return ReceiverDecomposition(
         rx=j, desired=a[:, dims], interference_basis=a[:, d:], proven=proven)
 

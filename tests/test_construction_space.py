@@ -20,7 +20,7 @@ import biakit.designspace
 import biakit.exactrank
 import biakit.scheme
 from biakit.designspace import make_pattern_matrix, row_vocabulary
-from biakit.exactrank import BATCH_ELEMENTS, chunks, integer_rank, nonsingular
+from biakit.exactrank import BATCH_ELEMENTS, chunks, integer_rank, peeled_nonsingular
 from biakit.scheme import PatternMatrix, certify_product_rank, certify_receivers, make_config
 
 from conftest import ROOT, exclude_one_product, pair_product, scan_module
@@ -55,9 +55,9 @@ def largest_support(K):
 
 
 def counting_peels(monkeypatch):
-    """The (matrices, nonzeros) of every singleton peel: one per stacked
-    certificate call (`nonsingular`) and one per pattern's certificate
-    (`certify_receivers`, whose peel the pattern keeps)."""
+    """The (matrices, nonzeros) of every singleton peel: one per chunk of
+    a stacked certificate (`certify_patterns`) and one per pattern's
+    certificate (`certify_receivers`, whose peel the pattern keeps)."""
     sizes = []
     peel = biakit.exactrank._peel
 
@@ -86,16 +86,16 @@ def test_scan_runs_bareiss_at_most_once_per_certificate_call(monkeypatch, K):
     core (det -1); equal cores share one verdict within a call."""
     per_call, ranked = [], []
 
-    def counted(*nonzeros):
+    def counted(generators):
         before = len(ranked)
-        out = nonsingular(*nonzeros)
+        out = peeled_nonsingular(generators)
         per_call.append(len(ranked) - before)
         return out
 
     def counted_rank(rows):
         ranked.append(rows)
         return integer_rank(rows)
-    monkeypatch.setattr(biakit.scheme, "nonsingular", counted)
+    monkeypatch.setattr(biakit.scheme, "peeled_nonsingular", counted)
     monkeypatch.setattr(biakit.exactrank, "integer_rank", counted_rank)
     scan_module().scan(K)
     assert per_call and max(per_call) <= 1
