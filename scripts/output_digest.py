@@ -16,10 +16,14 @@ G_j leave a 3 x 3 core; the three `simulate` outputs
 (rates CSV, summary CSV, JSON) for K = 3, 4, 5 and 8 at seeds 0..2; and,
 where the pair map meets the symbols, the `transmit` and `receive` blocks
 and the noiseless `zf_decode` of every receiver of the reversed pair maps
-at K = 4 and 5 (draws at seeds 0..2).
+at K = 4 and 5 (draws at seeds 0..2); for the design-space scan at
+K = 3..7, the `certify_patterns` flags of every candidate (the vocabulary
+minus two rows, built here from its definition) and `repr(scan(K))`; and
+`make_pattern_matrix` at K = 3..6 (its rows, supports and certificate).
 """
 import functools
 import hashlib
+import itertools
 import sys
 from pathlib import Path
 
@@ -28,9 +32,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np
 
 from biakit.channel import draw_channels, draw_symbols, receive, transmit
-from biakit.designspace import make_pattern_matrix
+from biakit.designspace import make_pattern_matrix, row_vocabulary, scan
 from biakit.scheme import (
-    Scheme, build_scheme, default_pair_dims, generator_inverses, make_config, scheme_to_json)
+    Scheme, build_scheme, certify_patterns, default_pair_dims, generator_inverses, make_config,
+    product_matrix, scheme_to_json)
 from biakit.sim import (
     SimConfig, estimate_dof, result_to_json, result_to_long_csv, result_to_summary_csv, zf_decode,
     zf_weights)
@@ -85,6 +90,20 @@ def signal_outputs(K: int) -> list:
     return out
 
 
+def scan_outputs(K: int) -> list:
+    """The certificate flags of every scan candidate, stacked from the
+    scan's definition, and the scan's result."""
+    vocab = row_vocabulary(K)
+    stack = np.array([[vocab[r] for r in range(len(vocab)) if r not in omit]
+                      for omit in itertools.combinations(range(len(vocab)), 2)])
+    return [certify_patterns(stack, product_matrix(stack)), repr(scan(K))]
+
+
+def pattern_outputs(K: int) -> list:
+    pattern = make_pattern_matrix(make_config(K))
+    return [pattern.tilde, pattern.supports, np.array(pattern.certified_receivers)]
+
+
 def cases() -> list:
     """(name, outputs) of every case: outputs() returns its texts and arrays."""
     p = functools.partial
@@ -94,7 +113,9 @@ def cases() -> list:
     out += [("pair-product %d" % K, p(scheme_outputs, p(pair_product_scheme, K))) for K in range(3, 7)]
     out += [("simulate %d %d" % (K, seed), p(simulate_outputs, K, seed))
             for K in (3, 4, 5, 8) for seed in range(3)]
-    return out + [("signals %d" % K, p(signal_outputs, K)) for K in (4, 5)]
+    out += [("signals %d" % K, p(signal_outputs, K)) for K in (4, 5)]
+    out += [("scan %d" % K, p(scan_outputs, K)) for K in range(3, 8)]
+    return out + [("make_pattern_matrix %d" % K, p(pattern_outputs, K)) for K in range(3, 7)]
 
 
 def _bytes(part) -> bytes:

@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import ConstructionFailedError
 from .scheme import (
-    PatternMatrix, SchemeConfig, certify_patterns, certify_product_rank, product_matrix, zero_at)
+    PatternMatrix, SchemeConfig, certify_patterns, certify_product_rank, pair_users, product_matrix,
+    zero_at)
 
 
 def row_vocabulary(K: int) -> list[tuple[int, ...]]:
@@ -34,13 +35,19 @@ def row_vocabulary(K: int) -> list[tuple[int, ...]]:
 def scan(K: int) -> tuple[int, list[list[tuple[int, ...]]], int]:
     """(candidates, rows of every fully certified one, most receivers any
     one certifies) over the vocabulary minus every two rows, omissions in
-    lexicographic order, by one stacked `scheme.certify_patterns`."""
+    lexicographic order, by one stacked `scheme.certify_patterns`. The
+    candidates are gathered rows of the vocabulary, and so are their
+    supports: `product_matrix` works row by row, so a candidate's pair
+    products are the vocabulary's, at its rows."""
     vocab = row_vocabulary(K)
-    keep = [[r for r in range(len(vocab)) if r not in omit]
-            for omit in itertools.combinations(range(len(vocab)), 2)]
-    stack = np.array(vocab, dtype=np.int8)[keep]
-    cert = certify_patterns(stack, product_matrix(stack))
-    full = [[vocab[r] for r in rows] for rows, ok in zip(keep, cert) if ok.all()]
+    v = len(vocab)
+    a, b = pair_users(v)  # every omitted pair a < b, lexicographic
+    row = np.arange(v)
+    kept = (row != a[:, None]) & (row != b[:, None])
+    keep = np.broadcast_to(row, kept.shape)[kept].reshape(a.size, v - 2)
+    table = np.array(vocab, dtype=np.int8)
+    cert = certify_patterns(table[keep], product_matrix(table)[keep])
+    full = [[vocab[r] for r in rows] for rows in keep[cert.all(axis=1)].tolist()]
     return len(keep), full, int(cert.sum(axis=1).max())
 
 

@@ -18,7 +18,10 @@ needs both verdicts and inverses peels once:
   singletons in one line: the second is left a zero line); a matrix
   peeled to nothing is nonsingular. `integer_rank` decides each distinct
   core the peel leaves, once per call: equal cores share one verdict. So
-  both verdicts are proofs.
+  both verdicts are proofs. The cores are built together (`_cores`): one
+  scatter of the live nonzeros per core size s, each core keyed by
+  (s, its bytes), and each distinct core decided in the order of the
+  first matrix that has it.
 - `peeled_inverses` (`peel_inverses` peels first) inverts every
   nonsingular matrix exactly and sparsely:
   in the peel's order G is block lower triangular, unit pivots around the
@@ -73,6 +76,8 @@ def _peel(n: int, counts: np.ndarray, gr: np.ndarray, gc: np.ndarray):
     live_c, passes): the rows and columns left, (N, n) each and equally
     many per matrix, spanning the core (none: nonsingular), and every pass
     as (row pass?, pivot rows, pivot columns) in lines of the whole stack.
+    The loop drops the nonzeros a half-pass kills from its own gr and gc,
+    so each half-pass reads only the live ones.
     """
     size = len(counts) * n
     live_r = np.ones(size, dtype=bool)
@@ -81,10 +86,9 @@ def _peel(n: int, counts: np.ndarray, gr: np.ndarray, gc: np.ndarray):
     removed = True
     while removed and live_r.any():
         removed = False
-        for by_row, lines, across, a, b in ((True, live_r, live_c, gr, gc),
-                                            (False, live_c, live_r, gc, gr)):
-            live = live_r[gr] & live_c[gc]
-            single = live & (np.bincount(a[live], minlength=size)[a] == 1)
+        for by_row, lines, across in ((True, live_r, live_c), (False, live_c, live_r)):
+            a, b = (gr, gc) if by_row else (gc, gr)
+            single = np.bincount(a, minlength=size)[a] == 1
             hit, first = np.unique(b[single], return_index=True)
             line = a[single][first]
             if line.size:
@@ -92,6 +96,8 @@ def _peel(n: int, counts: np.ndarray, gr: np.ndarray, gc: np.ndarray):
                 across[hit] = False
                 passes.append((by_row, line, hit) if by_row else (by_row, hit, line))
                 removed = True
+                live = live_r[gr] & live_c[gc]
+                gr, gc = gr[live], gc[live]
     return live_r.reshape(-1, n), live_c.reshape(-1, n), passes
 
 
@@ -118,35 +124,61 @@ def peel(n: int, counts: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> Peel
 
 def _cores(p: Peeled, decide) -> tuple[np.ndarray, dict]:
     """(out, verdicts) of a peeled stack: whether each matrix is
-    nonsingular, and by matrix the truthy decide(core) of each nonsingular
-    core. A live line with no live nonzero proves a matrix singular, and
-    decide, truthy for a nonsingular core, runs once per distinct core."""
-    counts, live_r, live_c = p.counts, p.live_r, p.live_c
+    nonsingular, and by matrix, in increasing order, the truthy
+    decide(core) of each nonsingular core. A live line with no live
+    nonzero proves a matrix singular. The cores of every other matrix the
+    peel did not empty are built at once: each live nonzero lands at its
+    core position (the cumsum of the live lines before it) by one scatter
+    per core size into an (count, s s) int8 stack, in `chunks` of s s
+    entries a core, and each core is keyed by (s, its bytes). decide,
+    truthy for a nonsingular core, runs once per distinct core, in order
+    of the first matrix that has it."""
+    n, counts, live_r, live_c = p.n, p.counts, p.live_r, p.live_c
     if not live_r.any():  # every matrix peeled to nothing
         return np.ones(len(counts), dtype=bool), {}
     live = live_r.ravel()[p.gr] & live_c.ravel()[p.gc]
+    r, c = p.gr[live], p.gc[live]
     singular = np.zeros(len(counts), dtype=bool)
-    for lines, g in ((live_r, p.gr), (live_c, p.gc)):  # a live line with no live nonzero
-        degree = np.bincount(g[live], minlength=lines.size).reshape(lines.shape)
+    for lines, g in ((live_r, r), (live_c, c)):  # a live line with no live nonzero
+        degree = np.bincount(g, minlength=lines.size).reshape(lines.shape)
         singular |= (lines & (degree == 0)).any(axis=1)
-    out = ~singular & ~live_r.any(axis=1)
-    ptr = np.concatenate([[0], np.cumsum(counts)])
-    at_r, at_c = np.cumsum(live_r, axis=1) - 1, np.cumsum(live_c, axis=1) - 1
-    verdicts: dict[bytes, object] = {}  # a core's bytes fix its size as well as its entries
-    found = {}
-    for i in np.flatnonzero(~singular & ~out):
-        r, c = (g[ptr[i]:ptr[i + 1]] - i * p.n for g in (p.gr, p.gc))
-        keep = live_r[i, r] & live_c[i, c]
-        size = int(live_r[i].sum())
-        core = np.zeros((size, size), dtype=np.int8)
-        core[at_r[i, r[keep]], at_c[i, c[keep]]] = 1
-        key = core.tobytes()
-        if key not in verdicts:
-            verdicts[key] = decide(core.tolist())
-        if verdicts[key]:
-            out[i] = True
-            found[int(i)] = verdicts[key]
-    return out, found
+    size = live_r.sum(axis=1)
+    out = ~singular & (size == 0)
+    cored = ~singular & (size > 0)
+    # every cored matrix's live nonzeros, matrix by matrix, at their core positions
+    keep = cored[r // n]
+    r, c = r[keep], c[keep]
+    item = r // n
+    at_r = (np.cumsum(live_r, axis=1) - 1).ravel()[r]
+    at_c = (np.cumsum(live_c, axis=1) - 1).ravel()[c]
+    ids: dict[tuple[int, bytes], int] = {}  # (s, bytes) of each distinct core
+    first = []                               # the first matrix that has it
+    code = np.full(len(counts), -1)          # each cored matrix's distinct core
+    for s in np.flatnonzero(np.bincount(size[cored])).tolist():  # every core size, increasing
+        members = np.flatnonzero(cored & (size == s))
+        slot = np.zeros(len(counts), dtype=np.int64)
+        slot[members] = np.arange(members.size)
+        mine = size[item] == s
+        at, pos = slot[item[mine]], at_r[mine] * s + at_c[mine]
+        for chunk in chunks(members.size, s * s):
+            lo, hi = np.searchsorted(at, (chunk.start, chunk.stop))
+            stack = np.zeros((len(chunk), s * s), dtype=np.int8)
+            stack[at[lo:hi] - chunk.start, pos[lo:hi]] = 1
+            distinct, where, which = np.unique(stack.view((np.void, s * s)).ravel(),
+                                               return_index=True, return_inverse=True)
+            keys = [(s, core.tobytes()) for core in distinct]
+            for key, k in zip(keys, where.tolist()):
+                if key not in ids:
+                    ids[key] = len(first)
+                    first.append(members[chunk.start + k])
+            code[members[chunk.start:chunk.stop]] = np.array([ids[key] for key in keys])[which]
+    verdict = [None] * len(ids)
+    for (s, entries), k in sorted(ids.items(), key=lambda item: first[item[1]]):
+        verdict[k] = decide(np.frombuffer(entries, dtype=np.int8).reshape(s, s).tolist())
+    nonsingular_core = np.array([bool(v) for v in verdict] + [False])  # code -1: no core
+    proven = np.flatnonzero(cored & nonsingular_core[code])
+    out[proven] = True
+    return out, {i: verdict[code[i]] for i in proven.tolist()}
 
 
 def nonsingular(n: int, counts: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

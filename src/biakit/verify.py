@@ -273,8 +273,9 @@ def float_bound(scheme: Scheme) -> FloatBound:
     j, entry = np.nonzero(pattern.tilde.T[:, r])  # receiver j in mode 2 on a support entry
     mode2 = np.bincount(j * m + pair[entry], minlength=K * m).reshape(K, m)  # [j, pair], pair < m
     per_mode = np.stack([np.bincount(pair, minlength=m) - mode2, mode2], axis=-1)
-    counts = np.zeros((K, K, 2))
-    np.add.at(counts, (rx, src), per_mode[rx, col])
+    at = (rx * K + src)[..., None] * 2 + np.arange(2)  # [j, c, mode] -> flat [j, i, mode]
+    counts = np.bincount(at.ravel(), weights=per_mode[rx, col].ravel(),
+                         minlength=K * K * 2).reshape(K, K, 2)
     pair_src = src[:, K - 1:].copy()
     pair_src[rx, col[:, :K - 1]] = rx  # j's own pairs are not aligned
     aligned = np.zeros((K, K), dtype=bool)

@@ -199,7 +199,7 @@ def test_reruns_are_byte_identical(tmp_path):
 def test_output_digest_is_one_repeatable_sha256():
     script = load("scripts/output_digest.py", "output_digest")
     cases = script.cases()
-    two = [cases[0], cases[-1]]  # a generate case and a simulate case
+    two = [cases[0], cases[-1]]  # the first case and the last
     first = script.digest(two)
     assert re.fullmatch("[0-9a-f]{64}", first)
     assert script.digest(two) == first

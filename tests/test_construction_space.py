@@ -21,9 +21,10 @@ import biakit.exactrank
 import biakit.scheme
 from biakit.designspace import make_pattern_matrix, row_vocabulary
 from biakit.exactrank import BATCH_ELEMENTS, chunks, integer_rank, peeled_nonsingular
-from biakit.scheme import PatternMatrix, certify_product_rank, certify_receivers, make_config
+from biakit.scheme import (
+    PatternMatrix, certify_patterns, certify_product_rank, certify_receivers, make_config, product_matrix)
 
-from conftest import ROOT, exclude_one_product, pair_product, scan_module
+from conftest import ROOT, exclude_one_product, load, pair_product, scan_module
 
 
 def scan_omissions(K):
@@ -100,6 +101,30 @@ def test_scan_runs_bareiss_at_most_once_per_certificate_call(monkeypatch, K):
     scan_module().scan(K)
     assert per_call and max(per_call) <= 1
     assert all(rows == [[1, 1, 1], [1, 0, 1], [0, 1, 1]] for rows in ranked)
+
+
+@pytest.mark.parametrize("K", range(3, 8))
+def test_scan_gathers_its_candidates_and_supports_from_the_vocabulary(monkeypatch, K):
+    """The scan's stack is the vocabulary minus every two rows, omissions
+    in lexicographic order; its supports, gathered from the vocabulary's
+    pair products, are the stack's own; its result is README's table (the
+    benchmark's SCAN_TABLE), and four receivers at most at K = 7."""
+    seen = []
+
+    def recorded(tilde, supports):
+        seen.append((tilde, supports))
+        return certify_patterns(tilde, supports)
+    monkeypatch.setattr(biakit.designspace, "certify_patterns", recorded)
+    result = biakit.designspace.scan(K)
+    vocab = row_vocabulary(K)
+    v = len(vocab)
+    [(stack, supports)] = seen
+    assert np.array_equal(stack, [[vocab[r] for r in range(v) if r not in omit]
+                                  for omit in itertools.combinations(range(v), 2)])
+    assert np.array_equal(supports, product_matrix(stack))
+    table = load("perfbench/workloads.py", "perfbench_workloads").SCAN_TABLE
+    candidates, full, best = result
+    assert (candidates, len(full), best) == table.get(K, (math.comb(v, 2), 0, 4))
 
 
 @pytest.mark.parametrize("K", [3, 4])

@@ -1,11 +1,15 @@
 """Exact rank routines cross-checked against a computer-algebra oracle."""
+from unittest import mock
+
 import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
 import biakit.exactrank
-from biakit.exactrank import gaussian_rank, integer_rank, is_inverse, nonsingular, peel_inverses
+from biakit.exactrank import (
+    gaussian_rank, integer_rank, is_inverse, nonsingular, peel, peel_inverses, peeled_inverses,
+    peeled_nonsingular)
 
 
 def test_identity_zero_empty():
@@ -220,6 +224,104 @@ def test_peel_decides_without_elimination_and_pads_the_cores(monkeypatch):
     core3[5, 0] = 1                # row 5 is no singleton, but column 5 is
     assert decided([core2, core3]) == [False, True]
     assert calls == [[[1, 1], [1, 1]], [[1, 1, 0], [0, 1, 1], [1, 0, 1]]]
+    # first seen, first decided, across core sizes: the 3 x 3 core before
+    # the 2 x 2
+    assert decided([core3, core2]) == [True, False]
+    assert calls[2:] == [[[1, 1, 0], [0, 1, 1], [1, 0, 1]], [[1, 1], [1, 1]]]
+
+
+def cores_one_by_one(p, decide):
+    """`exactrank._cores` one matrix at a time, the oracle of its batched
+    cores: each cored matrix's core is sliced from its own nonzeros and
+    keyed by its bytes, and decide runs on the first matrix of each key."""
+    counts, live_r, live_c = p.counts, p.live_r, p.live_c
+    if not live_r.any():  # every matrix peeled to nothing
+        return np.ones(len(counts), dtype=bool), {}
+    live = live_r.ravel()[p.gr] & live_c.ravel()[p.gc]
+    singular = np.zeros(len(counts), dtype=bool)
+    for lines, g in ((live_r, p.gr), (live_c, p.gc)):  # a live line with no live nonzero
+        degree = np.bincount(g[live], minlength=lines.size).reshape(lines.shape)
+        singular |= (lines & (degree == 0)).any(axis=1)
+    out = ~singular & ~live_r.any(axis=1)
+    ptr = np.concatenate([[0], np.cumsum(counts)])
+    at_r, at_c = np.cumsum(live_r, axis=1) - 1, np.cumsum(live_c, axis=1) - 1
+    verdicts = {}  # a core's bytes fix its size as well as its entries
+    found = {}
+    for i in np.flatnonzero(~singular & ~out):
+        r, c = (g[ptr[i]:ptr[i + 1]] - i * p.n for g in (p.gr, p.gc))
+        keep = live_r[i, r] & live_c[i, c]
+        size = int(live_r[i].sum())
+        core = np.zeros((size, size), dtype=np.int8)
+        core[at_r[i, r[keep]], at_c[i, c[keep]]] = 1
+        key = core.tobytes()
+        if key not in verdicts:
+            verdicts[key] = decide(core.tolist())
+        if verdicts[key]:
+            out[i] = True
+            found[int(i)] = verdicts[key]
+    return out, found
+
+
+def recording(calls, fn):
+    """fn, appending its first argument to calls on every call."""
+    def recorded(first, *rest):
+        calls.append(first)
+        return fn(first, *rest)
+    return recorded
+
+
+@st.composite
+def cored_stacks(draw):
+    """Stacks of n x n 0/1 matrices [[T, 0], [X, C]], rows and columns
+    permuted, T unit lower triangular, so the peel removes T and leaves
+    the s x s core C, 0 <= s <= n, whole unless C has a singleton line: C
+    is all ones (singular from s = 2), all ones off the diagonal
+    (nonsingular from s = 3) or random. A core can be the whole matrix,
+    sizes mix within a stack, and permuted copies repeat cores."""
+    n = draw(st.integers(1, 7))
+
+    def bits(shape):
+        return np.array(draw(st.lists(st.integers(0, 1), min_size=int(np.prod(shape)),
+                                      max_size=int(np.prod(shape)))), dtype=np.int64).reshape(shape)
+    mats = []
+    for _ in range(draw(st.integers(1, 6))):
+        if mats and draw(st.booleans()):
+            a = draw(st.sampled_from(mats))
+        else:
+            s = draw(st.integers(0, n))
+            t = n - s
+            a = np.zeros((n, n), dtype=np.int64)
+            a[:t, :t] = np.tril(bits((t, t)), -1) + np.eye(t, dtype=np.int64)
+            a[t:, :t] = bits((s, t))
+            kind = draw(st.sampled_from(["ones", "ones off the diagonal", "random"]))
+            ones = np.ones((s, s), dtype=np.int64)
+            a[t:, t:] = {"ones": ones, "ones off the diagonal": ones - np.eye(s, dtype=np.int64),
+                         "random": bits((s, s))}[kind]
+        mats.append(a[draw(st.permutations(range(n)))][:, draw(st.permutations(range(n)))])
+    return np.stack(mats)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cored_stacks())
+def test_batched_cores_match_the_one_by_one_oracle(stack):
+    """The batched cores give the oracle's verdicts (and sympy's), the
+    same inverses, dtype and shape included, and the same Bareiss calls in
+    the same order, on one peel."""
+    n = stack.shape[-1]
+    p = peel(n, *nonzeros(stack))
+    adjugate = biakit.exactrank._adjugate
+    runs = []
+    for cores in (biakit.exactrank._cores, cores_one_by_one):
+        ranked, inverted = [], []
+        with mock.patch.object(biakit.exactrank, "_cores", cores), \
+                mock.patch.object(biakit.exactrank, "integer_rank", recording(ranked, integer_rank)), \
+                mock.patch.object(biakit.exactrank, "_adjugate", recording(inverted, adjugate)):
+            runs.append((peeled_nonsingular(p), peeled_inverses(p), ranked, inverted))
+    (flags, inverses, ranked, inverted), (want, want_inverses, want_ranked, want_inverted) = runs
+    assert flags.dtype == want.dtype and flags.tolist() == want.tolist() == det_nonzero(stack)
+    for got, expect in zip(inverses, want_inverses):
+        assert got.dtype == expect.dtype and got.shape == expect.shape and (got == expect).all()
+    assert ranked == want_ranked and inverted == want_inverted
 
 
 def test_singular_binary_matrices_are_proven_without_elimination_over_q(monkeypatch):
