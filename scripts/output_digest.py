@@ -18,7 +18,7 @@ where the pair map meets the symbols, the `transmit` and `receive` blocks
 and the noiseless `zf_decode` of every receiver of the reversed pair maps
 at K = 4 and 5 (draws at seeds 0..2); for the design-space scan at
 K = 3..7, the `certify_patterns` flags of every candidate (the vocabulary
-minus two rows, built here from its definition) and `repr(scan(K))`; and
+minus two rows, masked here from its definition) and `repr(scan(K))`; and
 `make_pattern_matrix` at K = 3..6 (its rows, supports and certificate).
 """
 import functools
@@ -91,12 +91,12 @@ def signal_outputs(K: int) -> list:
 
 
 def scan_outputs(K: int) -> list:
-    """The certificate flags of every scan candidate, stacked from the
-    scan's definition, and the scan's result."""
-    vocab = row_vocabulary(K)
-    stack = np.array([[vocab[r] for r in range(len(vocab)) if r not in omit]
-                      for omit in itertools.combinations(range(len(vocab)), 2)])
-    return [certify_patterns(stack, product_matrix(stack)), repr(scan(K))]
+    """The certificate flags of every scan candidate, the vocabulary less
+    two rows, masked from the scan's definition, and the scan's result."""
+    vocab = np.array(row_vocabulary(K))
+    keep = np.array([[r not in omit for r in range(len(vocab))]
+                     for omit in itertools.combinations(range(len(vocab)), 2)])
+    return [certify_patterns(vocab, product_matrix(vocab), keep), repr(scan(K))]
 
 
 def pattern_outputs(K: int) -> list:

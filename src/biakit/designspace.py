@@ -36,18 +36,18 @@ def scan(K: int) -> tuple[int, list[list[tuple[int, ...]]], int]:
     """(candidates, rows of every fully certified one, most receivers any
     one certifies) over the vocabulary minus every two rows, omissions in
     lexicographic order, by one stacked `scheme.certify_patterns`. The
-    candidates are gathered rows of the vocabulary, and so are their
-    supports: `product_matrix` works row by row, so a candidate's pair
-    products are the vocabulary's, at its rows."""
+    candidates are row subsets of the vocabulary, and so are their
+    generator matrices: `product_matrix` works row by row, so a
+    candidate's pair products are the vocabulary's at its rows, and
+    `certify_patterns` takes the vocabulary, its pair products and the
+    mask of the rows each candidate keeps."""
     vocab = row_vocabulary(K)
-    v = len(vocab)
-    a, b = pair_users(v)  # every omitted pair a < b, lexicographic
-    row = np.arange(v)
-    kept = (row != a[:, None]) & (row != b[:, None])
-    keep = np.broadcast_to(row, kept.shape)[kept].reshape(a.size, v - 2)
+    a, b = pair_users(len(vocab))  # every omitted pair a < b, lexicographic
+    row = np.arange(len(vocab))
+    keep = (row != a[:, None]) & (row != b[:, None])
     table = np.array(vocab, dtype=np.int8)
-    cert = certify_patterns(table[keep], product_matrix(table)[keep])
-    full = [[vocab[r] for r in rows] for rows in keep[cert.all(axis=1)].tolist()]
+    cert = certify_patterns(table, product_matrix(table), keep)
+    full = [[vocab[r] for r in row[kept]] for kept in keep[cert.all(axis=1)]]
     return len(keep), full, int(cert.sum(axis=1).max())
 
 

@@ -24,7 +24,12 @@ receiver_columns(K), a function of K alone.
 Receiver j can separate its K-1 desired dimensions from interference iff a
 binary m x m generator matrix G_j is nonsingular over the rationals (see
 certify_receivers), an exact channel-free condition this module certifies
-during construction. The pattern keeps that certificate's one singleton
+during construction. G_j is built by its nonzeros, never densely, from
+one column table per pattern: the column each support entry takes in
+each receiver's G_j (generator_nonzeros). A stack of patterns that are
+row subsets of one base, such as the design-space scan's, is certified
+from the base's table and a mask of the rows each keeps
+(certify_patterns). The pattern keeps that certificate's one singleton
 peel of every G_j (PatternMatrix.generators), and the exact inverses that
 float verification and the simulator read continue it
 (generator_inverses). When every shared vector is the full pair product,
@@ -236,40 +241,48 @@ def certify_receivers(tilde: np.ndarray, supports: np.ndarray | None = None) -> 
     """
     supports = product_matrix(tilde) if supports is None else np.asarray(supports)
     check_supports(tilde, supports)
-    flags, generators = _certify_stack(tilde[None], supports[None])
+    flags, generators = _certify_stack(tilde, supports)
     certificate = Certificate(flags[0].tolist())
     certificate.generators = generators
     return certificate
 
 
-def _certify_stack(tilde: np.ndarray, supports: np.ndarray) -> tuple[np.ndarray, Peeled]:
-    """((P, K) flags, peel) of a stack of P patterns, tilde (P, m, K) and
-    supports (P, m, C(K,2)): every G_j built by its nonzeros
-    (generator_nonzeros), never densely, peeled once (`exactrank.peel`)
-    and decided on that peel (`exactrank.peeled_nonsingular`)."""
-    m, K = tilde.shape[1:]
-    if m != (K + 2) * (K - 1) // 2:
-        raise ValueError("tilde must have (K+2)(K-1)/2 = %d rows, got %d"
-                         % ((K + 2) * (K - 1) // 2, m))
-    generators = peel(m, *generator_nonzeros(tilde, supports))
+def _certify_stack(tilde: np.ndarray, supports: np.ndarray,
+                   keep: np.ndarray | None = None) -> tuple[np.ndarray, Peeled]:
+    """((P, K) flags, peel) of the patterns generator_nonzeros(tilde,
+    supports, keep) builds, one without keep: every G_j built by its
+    nonzeros, never densely, peeled once (`exactrank.peel`) and decided on
+    that peel (`exactrank.peeled_nonsingular`). Raises ValueError unless
+    each pattern has m = (K+2)(K-1)/2 rows, the one block-length check of
+    both certificate front ends."""
+    K = tilde.shape[1]
+    m = (K + 2) * (K - 1) // 2
+    rows = np.atleast_1d(len(tilde) if keep is None else np.count_nonzero(keep, axis=1))
+    if (rows != m).any():
+        raise ValueError("tilde must have (K+2)(K-1)/2 = %d rows, got %d" % (m, rows[rows != m][0]))
+    generators = peel(m, *generator_nonzeros(tilde, supports, keep))
     return peeled_nonsingular(generators).reshape(-1, K), generators
 
 
-def certify_patterns(tilde: np.ndarray, supports: np.ndarray) -> np.ndarray:
-    """certify_receivers for a stack of P patterns: (P, K) flags.
+def certify_patterns(tilde: np.ndarray, supports: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """certify_receivers for a stack of P patterns, each a row subset of
+    one base pattern: (P, K) flags.
 
-    tilde is (P, m, K); supports is (P, m, C(K,2)), every pair's shared
-    vector in lexicographic pair order, not checked here. Patterns go in
-    `exactrank.chunks` of at most `exactrank.BATCH_ELEMENTS` nonzeros, K
-    times the stack's largest support count a pattern (at least one
-    pattern), one _certify_stack call, one peel, per chunk; no peel is
-    kept and no inverse is taken.
+    tilde (v, K) and supports (v, C(K,2)) are the base rows and every
+    pair's shared vector on them, in lexicographic pair order, not
+    checked here; keep is the (P, v) boolean mask of the rows each pattern
+    takes, in order, and must keep m = (K+2)(K-1)/2 rows of each (or
+    ValueError). Patterns go in `exactrank.chunks` of at most
+    `exactrank.BATCH_ELEMENTS` nonzeros, K times the stack's largest
+    support count a pattern (at least one pattern), one _certify_stack
+    call, one peel, per chunk; no peel is kept and no inverse is taken.
     """
-    count, _, K = tilde.shape
+    keep = np.asarray(keep, dtype=bool)
+    count, K = keep.shape[0], tilde.shape[1]
+    sizes = keep @ np.count_nonzero(supports, axis=1)  # each pattern's support count
     out = np.empty((count, K), dtype=bool)
-    for chunk in chunks(count, K * int(np.count_nonzero(supports, axis=(1, 2)).max(initial=0))):
-        part = slice(chunk.start, chunk.stop)
-        out[part] = _certify_stack(tilde[part], supports[part])[0]
+    for chunk in chunks(count, K * int(sizes.max(initial=0))):
+        out[chunk.start:chunk.stop] = _certify_stack(tilde, supports, keep[chunk.start:chunk.stop])[0]
     return out
 
 
@@ -293,27 +306,43 @@ def receiver_columns(K: int) -> tuple[np.ndarray, np.ndarray]:
     return src, col
 
 
-def generator_nonzeros(tilde: np.ndarray, supports: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """G_j of every receiver j of every pattern of a stack, tilde (P, m, K)
-    and supports (P, m, C(K,2)), by its nonzeros (counts, rows, cols) in
-    `exactrank`'s convention, P K matrices in (pattern, receiver) order,
-    columns as receiver_columns(K). Every G_j holds each support entry
-    once (an own pair's in its mode-1 or its mode-2 half), so each of a
-    pattern's K matrices has the support's nonzero count."""
-    P, m, K = tilde.shape
+def generator_nonzeros(tilde: np.ndarray, supports: np.ndarray,
+                       keep: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """G_j of every receiver j by its nonzeros (counts, rows, cols) in
+    `exactrank`'s convention, columns as receiver_columns(K).
+
+    tilde (v, K) and supports (v, C(K,2)) are a base pattern. Without
+    keep the base is the one pattern built: K matrices. With keep, a
+    (P, v) boolean mask, pattern p is the base rows keep[p] selects,
+    renumbered in order, with the base supports at those rows (as
+    product_matrix works row by row, the pair products of a row subset
+    are the base's at its rows): P K matrices in (pattern, receiver)
+    order.
+
+    Every G_j holds each support entry once (an own pair's in its mode-1
+    or its mode-2 half), so each of a pattern's K matrices has the
+    support's nonzero count, and the column an entry takes in G_j
+    depends on the base entry and j alone. The column table, one row per
+    receiver and one column per base support entry (row, pair), row by
+    row, is computed once per call; a pattern's K matrices are its
+    columns at the pattern's entries, by a broadcast for one pattern and
+    by one (P, K, nnz) compress for a masked stack.
+    """
+    K = tilde.shape[1]
     col = receiver_columns(K)[1]
     own = np.full((K, col.shape[1] - K + 1), -1)  # [j, pair]: j's own column of the pair
     own[np.arange(K)[:, None], col[:, :K - 1]] = np.arange(K - 1)
-    owner, r, pair = np.nonzero(supports)
-    nnz = np.bincount(owner, minlength=P)
-    counts = np.repeat(nnz, K)
-    item = np.repeat(np.arange(P * K), counts)
-    p, j = item // K, item % K
-    # matrix (p, j) takes pattern p's support entries, in order
-    at = (np.cumsum(nnz) - nnz)[p] + np.arange(item.size) - (np.cumsum(counts) - counts)[item]
-    r, pair = r[at], pair[at]
-    mode2 = (own[j, pair] >= 0) & (tilde[p, r, j] == 1)
-    return counts, r, np.where(mode2, own[j, pair], K - 1 + pair)
+    r, pair = np.nonzero(supports)
+    at = own[:, pair]
+    table = np.where((at >= 0) & (tilde[r].T == 1), at, K - 1 + pair)  # (K, nnz): mode 2 in the own column
+    if keep is None:
+        return np.full(K, r.size), np.tile(r, K), table.ravel()
+    kept = keep[:, r]  # (P, nnz): the pattern keeps the entry's row
+    shape = (keep.shape[0], K, r.size)
+    take = np.broadcast_to(kept[:, None], shape)
+    rows = (np.cumsum(keep, axis=1) - 1)[:, r]  # the entry's row in its pattern
+    return (np.repeat(np.count_nonzero(kept, axis=1), K),
+            np.broadcast_to(rows[:, None], shape)[take], np.broadcast_to(table, shape)[take])
 
 
 def generator_inverses(pattern: PatternMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

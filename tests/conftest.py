@@ -1,6 +1,7 @@
 """Shared fixtures: constructed schemes, the pair-product 5-user family and
 the golden 4-user instance, a recorder of the matrix stacks that reach
-numpy's SVD, Cholesky, inverse and solve, a loader for the checkout's scripts, the
+numpy's SVD, Cholesky, inverse and solve, a loader for the checkout's scripts,
+the design-space scan's candidates as row masks of the vocabulary, the
 column-by-column loop oracle of the pair products (scheme.product_matrix),
 each user's beamforming vectors read off the pair map, the pair products
 on a built scheme's pattern as a scheme of their own, a strategy for
@@ -51,6 +52,17 @@ def load(relative: str, name: str):
 
 def scan_module():
     return load("scripts/certify_design_space.py", "certify_design_space")
+
+
+def scan_masks(K: int) -> tuple[np.ndarray, np.ndarray]:
+    """(vocabulary, keep): the (m+2, K) row vocabulary as int8, the scan's
+    base, and the (C(m+2, 2), m+2) boolean masks of its candidates, the
+    vocabulary minus every two rows, omissions in lexicographic order,
+    written from that definition."""
+    vocab = np.array(row_vocabulary(K), dtype=np.int8)
+    keep = np.array([[r not in omit for r in range(len(vocab))]
+                     for omit in itertools.combinations(range(len(vocab)), 2)])
+    return vocab, keep
 
 
 def _product_except(tilde: np.ndarray, *users: int) -> np.ndarray:

@@ -24,7 +24,7 @@ from biakit.exactrank import BATCH_ELEMENTS, chunks, integer_rank, peeled_nonsin
 from biakit.scheme import (
     PatternMatrix, certify_patterns, certify_product_rank, certify_receivers, make_config, product_matrix)
 
-from conftest import ROOT, exclude_one_product, load, pair_product, scan_module
+from conftest import ROOT, exclude_one_product, load, pair_product, scan_masks, scan_module
 
 
 def scan_omissions(K):
@@ -105,26 +105,60 @@ def test_scan_runs_bareiss_at_most_once_per_certificate_call(monkeypatch, K):
 
 @pytest.mark.parametrize("K", range(3, 8))
 def test_scan_gathers_its_candidates_and_supports_from_the_vocabulary(monkeypatch, K):
-    """The scan's stack is the vocabulary minus every two rows, omissions
-    in lexicographic order; its supports, gathered from the vocabulary's
-    pair products, are the stack's own; its result is README's table (the
-    benchmark's SCAN_TABLE), and four receivers at most at K = 7."""
+    """The scan's one certify_patterns call takes the vocabulary as its
+    base, the vocabulary's pair products as its supports, and masks that
+    drop every two rows, omissions in lexicographic order; its result is
+    README's table (the benchmark's SCAN_TABLE), and four receivers at
+    most at K = 7."""
     seen = []
 
-    def recorded(tilde, supports):
-        seen.append((tilde, supports))
-        return certify_patterns(tilde, supports)
+    def recorded(tilde, supports, keep):
+        seen.append((tilde, supports, keep))
+        return certify_patterns(tilde, supports, keep)
     monkeypatch.setattr(biakit.designspace, "certify_patterns", recorded)
     result = biakit.designspace.scan(K)
-    vocab = row_vocabulary(K)
-    v = len(vocab)
-    [(stack, supports)] = seen
-    assert np.array_equal(stack, [[vocab[r] for r in range(v) if r not in omit]
-                                  for omit in itertools.combinations(range(v), 2)])
-    assert np.array_equal(supports, product_matrix(stack))
+    vocab, masks = scan_masks(K)
+    [(base, supports, keep)] = seen
+    assert np.array_equal(base, vocab)
+    assert np.array_equal(supports, product_matrix(vocab))
+    assert keep.dtype == bool and np.array_equal(keep, masks)
     table = load("perfbench/workloads.py", "perfbench_workloads").SCAN_TABLE
     candidates, full, best = result
-    assert (candidates, len(full), best) == table.get(K, (math.comb(v, 2), 0, 4))
+    assert (candidates, len(full), best) == table.get(K, (math.comb(len(vocab), 2), 0, 4))
+
+
+@pytest.mark.parametrize("K", range(3, 8))
+def test_scan_builds_no_candidate_stack(monkeypatch, K):
+    """No pattern or support that product_matrix or generator_nonzeros
+    sees during scan(K) has a leading candidate axis: both see the
+    vocabulary, (m+2, K), and its pair products, and the candidates reach
+    G_j's builder only as the (chunk, m+2) masks of the rows they keep.
+    A single pattern's certificate takes no mask."""
+    seen = {"product_matrix": [], "generator_nonzeros": []}
+
+    def recorder(module, name):
+        inner = getattr(module, name)
+
+        def recorded(*args):
+            seen[name].append(args)
+            return inner(*args)
+        monkeypatch.setattr(module, name, recorded)
+    recorder(biakit.designspace, "product_matrix")
+    recorder(biakit.scheme, "generator_nonzeros")
+    candidates = biakit.designspace.scan(K)[0]
+    vocab = scan_masks(K)[0]
+    [(tilde,)] = seen["product_matrix"]
+    assert np.array_equal(tilde, vocab)
+    assert seen["generator_nonzeros"]
+    for tilde, supports, keep in seen["generator_nonzeros"]:
+        assert np.array_equal(tilde, vocab)
+        assert np.array_equal(supports, product_matrix(vocab))
+        assert keep.dtype == bool and keep.shape[1:] == (len(vocab),)
+    assert sum(len(keep) for *_, keep in seen["generator_nonzeros"]) == candidates
+    seen["generator_nonzeros"].clear()
+    PatternMatrix(vocab[2:].astype(np.int64))
+    [(tilde, supports, keep)] = seen["generator_nonzeros"]
+    assert tilde.shape == (len(vocab) - 2, K) and keep is None
 
 
 @pytest.mark.parametrize("K", [3, 4])

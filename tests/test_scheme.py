@@ -21,6 +21,7 @@ from biakit.exactrank import integer_rank
 from biakit.scheme import (
     PatternMatrix,
     MAX_BLOCK_ENTRIES,
+    certify_patterns,
     certify_product_rank,
     certify_receivers,
     check_supports,
@@ -43,6 +44,7 @@ from conftest import (
     golden_tilde,
     pair_product,
     product_scheme,
+    scan_masks,
     user_vectors,
     widened_schemes,
 )
@@ -512,10 +514,12 @@ def _integer_rank_certificate(tilde, supports):
     return tuple(integer_rank(g.tolist()) == m for g in _generator_matrices(tilde, supports))
 
 
-def scattered_generators(tilde, supports):
-    """generator_nonzeros of a stack as dense (P K, m, m) 0/1 matrices."""
-    counts, rows, cols = generator_nonzeros(tilde, supports)
-    m = tilde.shape[1]
+def scattered_generators(tilde, supports, keep=None):
+    """generator_nonzeros(tilde, supports, keep) as dense (n, m, m) 0/1
+    matrices."""
+    counts, rows, cols = generator_nonzeros(tilde, supports, keep)
+    K = tilde.shape[1]
+    m = (K + 2) * (K - 1) // 2
     g = np.zeros((len(counts), m, m), dtype=np.int64)
     g[np.repeat(np.arange(len(counts)), counts), rows, cols] = 1
     return g
@@ -530,7 +534,7 @@ def test_receiver_columns_locate_the_halves_of_every_generator_matrix(K):
     pair's vector in column K-1+p."""
     pattern = bk.build_scheme(K).pattern
     src, col = receiver_columns(K)
-    gen = scattered_generators(pattern.tilde[None], pattern.supports[None])
+    gen = scattered_generators(pattern.tilde, pattern.supports)
     pairs = list(itertools.combinations(range(K), 2))
     for j in range(K):
         t = pattern.tilde[:, j]
@@ -776,17 +780,109 @@ def dense_inverses(pattern):
 
 @pytest.mark.parametrize("K", [3, 5, 8])
 def test_generator_nonzeros_are_the_generator_matrices(K):
-    """In one call on the star supports and on the pair products of the
-    same rows, whose nonzero counts differ, every G_j is the one built
-    column by column, counted once per support entry."""
+    """Every G_j is the one built column by column, counted once per
+    support entry: of one pattern, and in one masked call whose base holds
+    the star rows twice, with the star supports and with the pair
+    products, and whose two masks take one copy each, so the two
+    patterns' nonzero counts differ."""
     pattern = bk.build_scheme(K).pattern
-    tilde = np.stack([pattern.tilde] * 2)
-    supports = np.stack([pattern.supports, product_matrix(pattern.tilde)])
-    counts = generator_nonzeros(tilde, supports)[0]
-    assert counts.tolist() == [int(pattern.supports.sum())] * K + [int(supports[1].sum())] * K
+    m = pattern.block_len
+    products = product_matrix(pattern.tilde)
+    assert np.array_equal(scattered_generators(pattern.tilde, pattern.supports),
+                          _generator_matrices(pattern.tilde, pattern.supports))
+    tilde = np.vstack([pattern.tilde] * 2)
+    supports = np.vstack([pattern.supports, products])
+    keep = np.repeat(np.eye(2, dtype=bool), m, axis=1)
+    counts = generator_nonzeros(tilde, supports, keep)[0]
+    assert counts.tolist() == [int(pattern.supports.sum())] * K + [int(products.sum())] * K
     assert counts[0] != counts[K]
-    expect = np.concatenate([_generator_matrices(t, v) for t, v in zip(tilde, supports)])
-    assert np.array_equal(scattered_generators(tilde, supports), expect)
+    expect = np.concatenate([_generator_matrices(pattern.tilde, v) for v in (pattern.supports, products)])
+    assert np.array_equal(scattered_generators(tilde, supports, keep), expect)
+
+
+def stacked_generator_nonzeros(tilde, supports):
+    """The oracle: G_j of every receiver j of every pattern of a dense
+    stack, tilde (P, m, K) and supports (P, m, C(K,2)), by its nonzeros
+    (counts, rows, cols), P K matrices in (pattern, receiver) order. It
+    repeats every pattern's support entries once per receiver and works
+    out each entry's column again in every matrix."""
+    P, m, K = tilde.shape
+    col = receiver_columns(K)[1]
+    own = np.full((K, col.shape[1] - K + 1), -1)  # [j, pair]: j's own column of the pair
+    own[np.arange(K)[:, None], col[:, :K - 1]] = np.arange(K - 1)
+    owner, r, pair = np.nonzero(supports)
+    nnz = np.bincount(owner, minlength=P)
+    counts = np.repeat(nnz, K)
+    item = np.repeat(np.arange(P * K), counts)
+    p, j = item // K, item % K
+    # matrix (p, j) takes pattern p's support entries, in order
+    at = (np.cumsum(nnz) - nnz)[p] + np.arange(item.size) - (np.cumsum(counts) - counts)[item]
+    r, pair = r[at], pair[at]
+    mode2 = (own[j, pair] >= 0) & (tilde[p, r, j] == 1)
+    return counts, r, np.where(mode2, own[j, pair], K - 1 + pair)
+
+
+def assert_same_arrays(got, expect):
+    assert len(got) == len(expect)
+    for a, b in zip(got, expect):
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("K", range(3, 8))
+def test_generator_nonzeros_match_the_stacked_oracle_on_every_scan_stack(K):
+    """The scan's masked call gives the oracle's arrays on the gathered
+    stack, dtype, shape and values, where candidates' counts differ."""
+    vocab, keep = scan_masks(K)
+    stack = np.stack([vocab[kept] for kept in keep])
+    got = generator_nonzeros(vocab, product_matrix(vocab), keep)
+    assert len(set(got[0].tolist())) > 1
+    assert_same_arrays(got, stacked_generator_nonzeros(stack, product_matrix(stack)))
+
+
+@pytest.mark.parametrize("K", range(3, 15))
+def test_generator_nonzeros_match_the_stacked_oracle_on_built_schemes(K):
+    pattern = bk.build_scheme(K).pattern
+    assert_same_arrays(generator_nonzeros(pattern.tilde, pattern.supports),
+                       stacked_generator_nonzeros(pattern.tilde[None], pattern.supports[None]))
+
+
+@st.composite
+def masked_bases(draw):
+    """(tilde, keep): a base of v >= m rows, each a vocabulary row or a
+    random 0/1 row, and masks that keep m of its rows each."""
+    K = draw(st.integers(3, 5))
+    m = make_config(K).block_len
+    row = st.one_of(st.sampled_from(row_vocabulary(K)), st.tuples(*[st.integers(0, 1)] * K))
+    tilde = np.array(draw(st.lists(row, min_size=m, max_size=m + 3)), dtype=np.int64)
+    keep = np.zeros((draw(st.integers(1, 6)), len(tilde)), dtype=bool)
+    for kept in keep:
+        kept[sorted(draw(st.sets(st.integers(0, len(tilde) - 1), min_size=m, max_size=m)))] = True
+    return tilde, keep
+
+
+@settings(max_examples=60, deadline=None)
+@given(masked_bases())
+def test_masked_certificate_is_every_candidates_own(base):
+    """certify_patterns over a base with pair-product supports equals
+    certify_receivers of each candidate built on its own, and the masked
+    nonzeros equal the oracle's on the gathered stack."""
+    tilde, keep = base
+    supports = product_matrix(tilde)
+    stack = np.stack([tilde[kept] for kept in keep])
+    assert certify_patterns(tilde, supports, keep).tolist() == [
+        list(certify_receivers(candidate)) for candidate in stack]
+    assert_same_arrays(generator_nonzeros(tilde, supports, keep),
+                       stacked_generator_nonzeros(stack, product_matrix(stack)))
+
+
+@pytest.mark.parametrize("rows", [8, 10, 11])
+def test_masked_certificate_rejects_a_mask_of_the_wrong_length(rows):
+    """A mask must keep m = (K+2)(K-1)/2 rows (9 at K = 4): a last
+    candidate that keeps 8, 10 or all 11 vocabulary rows is refused."""
+    vocab, keep = scan_masks(4)
+    keep[-1] = np.arange(len(vocab)) < rows
+    with pytest.raises(ValueError, match="must have .* = 9 rows, got %d" % rows):
+        certify_patterns(vocab, product_matrix(vocab), keep)
 
 
 @pytest.mark.parametrize("K", range(3, 21))
@@ -845,14 +941,11 @@ def test_generator_inverses_exist_wherever_the_scan_certifies():
     K = 3..6, one peel_inverses call per K proves an inverse exactly at
     the receivers certify_patterns certifies."""
     for K in range(3, 7):
-        vocab = row_vocabulary(K)
-        keep = [[r for r in range(len(vocab)) if r not in omit]
-                for omit in itertools.combinations(range(len(vocab)), 2)]
-        tilde = np.array(vocab, dtype=np.int8)[keep]
+        vocab, keep = scan_masks(K)
+        supports = product_matrix(vocab)
         ok = biakit.exactrank.peel_inverses(
-            make_config(K).block_len, *generator_nonzeros(tilde, product_matrix(tilde)))[3]
-        assert ok.reshape(-1, K).tolist() == biakit.scheme.certify_patterns(
-            tilde, product_matrix(tilde)).tolist()
+            make_config(K).block_len, *generator_nonzeros(vocab, supports, keep))[3]
+        assert ok.reshape(-1, K).tolist() == certify_patterns(vocab, supports, keep).tolist()
 
 
 def test_generator_inverses_exist_at_every_built_receiver():
@@ -874,7 +967,7 @@ def assert_inverses_continue_the_peel(pattern):
     """generator_inverses, which continues the certificate's peel, equals
     a fresh peel_inverses of freshly built nonzeros, array for array."""
     fresh = biakit.exactrank.peel_inverses(
-        pattern.block_len, *generator_nonzeros(pattern.tilde[None], pattern.supports[None]))
+        pattern.block_len, *generator_nonzeros(pattern.tilde, pattern.supports))
     kept = generator_inverses(pattern)
     assert len(kept) == len(fresh) == 4
     for a, b in zip(kept, fresh):
