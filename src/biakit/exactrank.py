@@ -6,12 +6,11 @@ how many matrix i has (0 for an all-zero matrix), and rows, cols, their
 positions, matrix after matrix and by row within each. Counts may differ
 from matrix to matrix. One singleton peel (`_peel`, Duff, Erisman & Reid's
 permutation to triangular form) works on such stacks; `peel` keeps it with
-the nonzeros (`Peeled`), and two kernels continue it, so a caller that
-needs both verdicts and inverses peels once:
+the nonzeros (`Peeled`), and two kernels continue it, each its one entry
+point, so a caller that needs both verdicts and inverses peels once:
 
-- `peeled_nonsingular` (`nonsingular` peels first) decides which
-  matrices are nonsingular over Q. The peel
-  removes a row with exactly one live nonzero together with that
+- `peeled_nonsingular` decides which matrices are nonsingular over Q.
+  The peel removes a row with exactly one live nonzero together with that
   nonzero's column (Laplace expansion, det = +-det(minor)), then the same
   for columns, until nothing is left to remove. A live row or column with
   no live nonzero then proves its matrix singular (this covers two
@@ -22,22 +21,22 @@ needs both verdicts and inverses peels once:
   scatter of the live nonzeros per core size s, each core keyed by
   (s, its bytes), and each distinct core decided in the order of the
   first matrix that has it.
-- `peeled_inverses` (`peel_inverses` peels first) inverts every
-  nonsingular matrix exactly and sparsely:
-  in the peel's order G is block lower triangular, unit pivots around the
-  core C, whose adjugate (C adj C = d I, d = +-det C; d = 1 with no core)
-  fraction-free Gauss-Jordan elimination on `integer_rank`'s loop gives.
-  Substitution then yields an integer X = d G^-1, which `is_inverse`
-  proves by the exact product X G = d I. Float verification's bound on
-  sigma_min and the simulator's weights read these (biakit.verify, .sim),
-  continuing the peel the scheme's certificate ran (scheme.PatternMatrix).
+- `peeled_inverses` inverts every nonsingular matrix exactly and
+  sparsely: in the peel's order G is block lower triangular, unit pivots
+  around the core C, whose adjugate (C adj C = d I, d = +-det C; d = 1
+  with no core) fraction-free Gauss-Jordan elimination on
+  `integer_rank`'s loop gives. Substitution then yields an integer
+  X = d G^-1, which `is_inverse` proves on the same Peeled by the exact
+  product X G = d I. Float verification's bound on sigma_min and the
+  simulator's weights read these (biakit.verify, .sim), continuing the
+  peel the scheme's certificate ran (scheme.PatternMatrix).
 
 `integer_rank` is fraction-free (Bareiss) elimination on Python ints, with
 no floating tolerance and no external computer-algebra dependency.
 `gaussian_rank` has no elimination of its own: it realifies a matrix
 B + iC over Z[i] into [[B, -C], [C, B]] over Z, whose rank over Q is twice
 the rank of B + iC over Q(i). These serve tall and wide matrices, the
-cores of `nonsingular`, and ranks below full (`verify --exact`'s blocks
+cores of `peeled_nonsingular`, and ranks below full (`verify --exact`'s blocks
 its factorisation A_j = G_j D_j does not prove, see biakit.verify).
 """
 from __future__ import annotations
@@ -60,16 +59,9 @@ def chunks(count: int, per_item: int) -> list[range]:
     return [range(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
-def _lines(n: int, counts: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every nonzero's row and column as a line of the whole stack: row r
-    of matrix i is row line i n + r, and likewise for columns."""
-    base = np.repeat(np.arange(len(counts)) * n, counts)
-    return rows + base, cols + base
-
-
 def _peel(n: int, counts: np.ndarray, gr: np.ndarray, gc: np.ndarray):
     """Singleton peel of a stack of 0/1 matrices given by their nonzeros'
-    lines (`_lines`; module docstring). Each pass removes every live row
+    lines (`peel`; module docstring). Each pass removes every live row
     with exactly one live nonzero, with that nonzero's column (of two
     singletons in one column only the first), then the same for columns,
     until a pass removes nothing or nothing is left. Returns (live_r,
@@ -110,15 +102,18 @@ class Peeled:
     n: int
     counts: np.ndarray
     gr: np.ndarray       # every nonzero's row and column as a line of the
-    gc: np.ndarray       # whole stack (`_lines`): row r of matrix i is i n + r
+    gc: np.ndarray       # whole stack: row r of matrix i is line i n + r
     live_r: np.ndarray   # (N, n) rows and columns the peel left: the cores
     live_c: np.ndarray
     passes: list         # (row pass?, pivot rows, pivot columns), in lines
 
 
 def peel(n: int, counts: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> Peeled:
-    """The singleton peel of a stack of 0/1 matrices given by their nonzeros."""
-    gr, gc = _lines(n, counts, rows, cols)
+    """The singleton peel of a stack of 0/1 matrices given by their
+    nonzeros, each taken as a row and a column line of the whole stack."""
+    base = np.repeat(np.arange(len(counts)) * n, counts)
+    gr, gc = rows + base, cols + base
+    del base  # freed before the peel, whose peak it would raise
     return Peeled(n, counts, gr, gc, *_peel(n, counts, gr, gc))
 
 
@@ -181,17 +176,11 @@ def _cores(p: Peeled, decide) -> tuple[np.ndarray, dict]:
     return out, {i: verdict[code[i]] for i in proven.tolist()}
 
 
-def nonsingular(n: int, counts: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Whether each 0/1 matrix of a stack given by its nonzeros (module
-    docstring) is nonsingular over Q, exactly: `peeled_nonsingular` of its
-    singleton peel."""
-    return peeled_nonsingular(peel(n, counts, rows, cols))
-
-
 def peeled_nonsingular(p: Peeled) -> np.ndarray:
-    """`nonsingular` of a peeled stack: a live row or column with no live
-    nonzero proves its matrix singular, then `integer_rank` decides each
-    distinct core left, once per call."""
+    """Whether each matrix of a peeled stack is nonsingular over Q,
+    exactly: a live row or column with no live nonzero proves its matrix
+    singular, then `integer_rank` decides each distinct core left, once
+    per call."""
     return _cores(p, lambda core: integer_rank(core) == len(core))[0]
 
 
@@ -224,16 +213,9 @@ def _adjugate(core: list[list[int]], limit: int):
     return (d, x) if rank == s and max(abs(v) for row in x for v in row) <= limit else None
 
 
-def peel_inverses(n: int, counts: np.ndarray, rows: np.ndarray,
-                  cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Exact scaled inverses X = d G^-1 of a stack of 0/1 matrices G given
-    by their nonzeros (module docstring): `peeled_inverses` of its
-    singleton peel."""
-    return peeled_inverses(peel(n, counts, rows, cols))
-
-
 def peeled_inverses(p: Peeled) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """`peel_inverses` of a peeled stack, continuing its peel.
+    """Exact scaled inverses X = d G^-1 of a peeled stack of 0/1 matrices
+    G, continuing its peel.
 
     In `_peel`'s order (row-pass pivots, the core C, column-pass pivots in
     reverse) G is block lower triangular with unit pivots: a row-pass row
@@ -302,30 +284,21 @@ def peeled_inverses(p: Peeled) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     for _, r, c in [step for step in reversed(p.passes) if not step[0]]:
         store(c, *right_sides(r))
     index = x_row * n + x_col
-    ok &= _is_inverse(n, counts, gc, row_ptr, index, x_val, scale)
+    ok &= is_inverse(p, index, x_val, scale)
     return index, x_val, scale, ok
 
 
-def is_inverse(n: int, counts: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-               index: np.ndarray, values: np.ndarray, scale: np.ndarray) -> np.ndarray:
+def is_inverse(p: Peeled, index: np.ndarray, values: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """Whether X G = d I exactly, d = scale[i] nonzero (so X = d G^-1), for
-    a stack of 0/1 matrices G given by their nonzeros (module docstring)
-    and integer matrices X given by the flat indices of their nonzero
-    entries into (N, n, n), no index twice, and the entries' values. A
-    matrix with an entry beyond 2^26 / n in magnitude is refused
+    the 0/1 matrices G of a peeled stack (read off its nonzeros' lines,
+    not its peel) and integer matrices X given by the flat indices of
+    their nonzero entries into (N, n, n), no index twice, and the entries'
+    values. A matrix with an entry beyond 2^26 / n in magnitude is refused
     unchecked: below that every sum of the product stays under 2^26 in
     magnitude and the sum of squares of X's entries under 2^52, so int64,
     and float64, hold them exactly."""
-    gr, gc = _lines(n, counts, rows, cols)
-    return _is_inverse(n, counts, gc, np.searchsorted(gr, np.arange(len(counts) * n + 1)),
-                       index, values, scale)
-
-
-def _is_inverse(n: int, counts: np.ndarray, gc: np.ndarray, ptr: np.ndarray,
-                index: np.ndarray, values: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """`is_inverse` on G's nonzeros' column lines gc (`_lines`), row r of
-    matrix i starting at nonzero ptr[i n + r]."""
-    count = len(counts)
+    n, count = p.n, len(p.counts)
+    ptr = np.searchsorted(p.gr, np.arange(count * n + 1))  # row r of matrix i: from ptr[i n + r]
     bad = np.zeros(count, dtype=bool)
     bad[index[np.abs(values) > (1 << 26) // n] // (n * n)] = True
     # entry (c, r) of X times row r of G, whose nonzeros lie together; an
@@ -333,7 +306,7 @@ def _is_inverse(n: int, counts: np.ndarray, gc: np.ndarray, ptr: np.ndarray,
     line = index // n  # c as a line of the whole stack
     r = line - line % n + index % n
     k, e = _ranges(ptr[r], np.where(bad[line // n], 0, ptr[r + 1] - ptr[r]))
-    keys, sums = _summed(line[k] * n + gc[e] % n, values[k])
+    keys, sums = _summed(line[k] * n + p.gc[e] % n, values[k])
     # the product's entries: exactly d at every diagonal position, nothing
     # else (zero sums are dropped, so d = 0 never passes)
     item = keys // (n * n)

@@ -348,12 +348,12 @@ def generator_nonzeros(tilde: np.ndarray, supports: np.ndarray,
 def generator_inverses(pattern: PatternMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """`exactrank.peeled_inverses` of every receiver's G_j: (index, values,
     scale, ok), X = d G_j^-1 exact in integers as flat indices into
-    (K, m, m) and values, d (K,), and ok, the proof X G_j = d I, which
-    holds exactly where the certificate does unless an entry outgrows
-    `exactrank.is_inverse`'s bound. It continues the peel the certificate
-    ran (PatternMatrix.generators): G_j's nonzeros are not rebuilt and not
-    peeled again; only the cores' adjugates, the substitution and the
-    proof run here, each call."""
+    (K, m, m) and values, d (K,), and ok, the proof X G_j = d I
+    (`exactrank.is_inverse`, on the same peel), which holds exactly where
+    the certificate does unless an entry outgrows that proof's bound. It
+    continues the peel the certificate ran (PatternMatrix.generators):
+    G_j's nonzeros are not rebuilt and not peeled again; only the cores'
+    adjugates, the substitution and the proof run here, each call."""
     return peeled_inverses(pattern.generators)
 
 
@@ -551,8 +551,10 @@ def scheme_from_json(text: str) -> Scheme:
     list of K entries, or ValueError names the 1-indexed row. K, users,
     dims, rows and every "tilde" entry must be JSON integers: a float, a
     string or a boolean raises ValueError too, naming the pair or the
-    1-indexed row and column. A K that build_scheme would refuse is refused
-    here too, before anything is built.
+    1-indexed row and column. An "m", which may be left out, must be the
+    JSON integer (K+2)(K-1)/2, or ValueError names it. A K that
+    build_scheme would refuse is refused here too, before anything is
+    built.
     """
     doc = json.loads(text)
     if not isinstance(doc, dict):
@@ -563,6 +565,9 @@ def scheme_from_json(text: str) -> Scheme:
     if not is_int(doc["K"]):
         raise ValueError('"K" must be an integer, got %s' % json.dumps(doc["K"]))
     config = _sized_config(doc["K"])
+    if "m" in doc and not (is_int(doc["m"]) and doc["m"] == config.block_len):
+        raise ValueError('"m" must be the integer %d for K=%d, got %s'
+                         % (config.block_len, config.users, json.dumps(doc["m"])))
     dims, rows_by_pair = {}, {}
     for (i, j), pair_dims, entry in _pair_entries(doc["pairs"]):
         if not 0 <= i < j < config.users:

@@ -14,24 +14,25 @@ rank_combined = m (desired space disjoint from interference).
 
 `scheme.receiver_columns(K)` decides these columns: the transmitter
 src[j, c] and the pair col[j, c] whose vector fills column c of A_j. The
-layout, the float bound and the simulator (no block, see biakit.sim)
+gather, the float bound and the simulator (no block, see biakit.sim)
 read it; the pair map only labels symbols (`Scheme.dimension_pairs`).
 Supports are aligned, so the block spans the signal `channel.receive`
 forms. Row r of A_j is read in receiver j's mode at use r, so one gather
-coeffs[:, j, src[j, c], tilde[r, j]] * vectors[col[j, c], r] yields the
+coeffs[:, j, src[j, c], tilde[r, j]] * supports[r, col[j, c]] yields the
 combined blocks of any receivers j in every draw of a stack
-(`ReceiverLayout.blocks`). Draw t of a run is the t-th draw of the seed's
-channel stream (float, the simulator's stream too) or exact stream
-(`channel.stream_seed`), so a run is a prefix of a longer one. Runs take
-their draws in `exactrank.chunks` of 2 K^2 channel coefficients a draw.
-Both modes decide, then gather (`_gather_ranks`): each chunk's proof
-(below) settles what it can from the coefficients alone, and only the
-(draw, rx) pairs it leaves open are gathered, a receiver at a time, at
-most `exactrank.BATCH_ELEMENTS` entries or one block a stack, on a layout
-built only when needed. So memory stays flat in the draw count and in K,
-and chunking changes no output. A gathered A_j of rank m reports the
-expected ranks (its desired and interference blocks are column subsets of
-it); only a short one has its two blocks ranked. A run's ranks stay one
+(`combined_blocks`, which takes the pattern, not the scheme). Draw t of
+a run is the t-th draw of the seed's channel stream (float, the
+simulator's stream too) or exact stream (`channel.stream_seed`), so a
+run is a prefix of a longer one. Runs take their draws in
+`exactrank.chunks` of 2 K^2 channel coefficients a draw. Both modes
+decide, then gather (`_gather_ranks`): each chunk's proof (below)
+settles what it can from the coefficients alone, and only the (draw, rx)
+pairs it leaves open are gathered, a receiver at a time, at most
+`exactrank.BATCH_ELEMENTS` entries or one block a stack. So memory stays
+flat in the draw count and in K, and chunking changes no output. A
+gathered A_j of rank m reports the expected ranks (its desired and
+interference blocks are column subsets of it); only a short one has its
+two blocks ranked. A run's ranks stay one
 (draws * K, 3) int64 array in (draw, rx) order from the kernels to the
 bytes (`VerificationReport.ranks`); `verify_decodability` and
 `verify_decodability_exact` are one-draw views of the same kernels, and
@@ -60,11 +61,11 @@ reads a float bound off the same factorisation. The two modes:
   inverse X = d G_j^-1 of every certified G_j (`scheme.generator_inverses`,
   which continues the singleton peel the pattern's certificate ran, so no
   G_j is rebuilt or peeled again; ||G_j^-1||_F^2 = ||X||_F^2 / d^2, and
-  d = 1 with ||G_j^-1||_F^2 = nnz(G_j) for every built G_j), and, off the
-  columns the layout gathers (`scheme.receiver_columns`), the support
-  counts that give ||A_j||_F from the coefficients and the sources of the
-  aligned columns. Each
-  chunk, `draw_bounds` reads the draws' D_j, O(K^2) a draw and no block.
+  d = 1 with ||G_j^-1||_F^2 = nnz(G_j) for every built G_j), and, off
+  the columns `combined_blocks` gathers (`scheme.receiver_columns`), the
+  support counts that give ||A_j||_F from the coefficients and the
+  sources of the aligned columns. Each chunk, `draw_bounds` reads the
+  draws' D_j, O(K^2) a draw and no block.
 
   The bound. A_j = G_j D_j, exactly in float too: every entry of the
   gathered block is one coefficient or 0. So sigma_min(A_j) >=
@@ -116,7 +117,7 @@ reads a float bound off the same factorisation. The two modes:
   float64). The pairs it leaves (an uncertified G_j or a zero factor) are
   ranked by `exactrank.gaussian_rank`, realifying each Z[i] matrix onto
   the fraction-free integer kernel. A scheme whose every receiver is
-  certified is verified with no layout at all.
+  certified is verified with no block gathered at all.
 
 The channel-free certificate that powers construction lives in
 scheme.certify_receivers.
@@ -130,7 +131,8 @@ import numpy as np
 from .channel import EXACT_STREAM, CHANNEL_STREAM, ChannelSet, draw_channel_stack, stream_seed
 from .exactrank import chunks, gaussian_rank
 from .formats import Records, is_int, render_csv, render_json
-from .scheme import Scheme, SchemeConfig, generator_inverses, make_config, receiver_columns
+from .scheme import (
+    PatternMatrix, Scheme, SchemeConfig, generator_inverses, make_config, receiver_columns)
 
 
 def stack_ranks(stack: np.ndarray) -> np.ndarray:
@@ -152,39 +154,20 @@ def rank_of(matrix: np.ndarray) -> int:
     return int(stack_ranks(np.asarray(matrix)[None])[0])
 
 
-@dataclass(frozen=True, eq=False)
-class ReceiverLayout:
-    """Where every entry of every receiver's combined block comes from.
-
-    Entry (r, c) of A_j is vectors[r, col[j, c]], the shared vector of pair
-    col[j, c] at channel use r, times the coefficient of the link from
-    transmitter src[j, c] to receiver j, in receiver j's mode mode[r, j] at
-    use r. src and col are `scheme.receiver_columns`; mode and vectors are
-    the pattern's own arrays, not copies.
-    """
-
-    mode: np.ndarray     # (m, K) 0-indexed mode of receiver j at use r: tilde
-    src: np.ndarray      # (K, m) transmitter of column c of A_j
-    col: np.ndarray      # (K, m) pair whose shared vector fills column c of A_j
-    vectors: np.ndarray  # (m, C(K,2)) 0/1 shared vector of every pair: supports
-
-    def blocks(self, coeffs: np.ndarray, rx) -> np.ndarray:
-        """The combined blocks of receivers rx in every draw of a stack
-        coeffs (T, K, K, M) [draw, rx, tx, mode], by one gather: rx is any
-        numpy index over receivers (an int, a list, a slice) and the result
-        is (T,) + rx.shape + (m, m)."""
-        K, m = self.src.shape
-        j = np.arange(K)[rx, None, None]
-        r, c = np.ogrid[:m, :m]
-        return coeffs[:, j, self.src[j, c], self.mode[r, j]] * self.vectors[r, self.col[j, c]]
-
-
-def receiver_layout(scheme: Scheme) -> ReceiverLayout:
-    """The layout of a scheme's K combined blocks (see ReceiverLayout):
-    `scheme.receiver_columns`, the modes and the shared vectors. Nothing
-    is copied, so a one-receiver caller pays for no other receiver."""
-    pattern = scheme.pattern
-    return ReceiverLayout(pattern.tilde, *receiver_columns(pattern.users), pattern.supports)
+def combined_blocks(pattern: PatternMatrix, coeffs: np.ndarray, rx) -> np.ndarray:
+    """The combined blocks of receivers rx in every draw of a stack coeffs
+    (T, K, K, M) [draw, rx, tx, mode], by one gather: rx is any numpy index
+    over receivers (an int, a list, a slice) and the result is (T,) +
+    rx.shape + (m, m). Entry (r, c) of A_j is supports[r, col[j, c]], the
+    shared vector of pair col[j, c] at channel use r, times the coefficient
+    of the link from transmitter src[j, c] to receiver j, in receiver j's
+    mode tilde[r, j] at use r; src and col are `scheme.receiver_columns`.
+    The pattern's own arrays are read in place, and no pair map is."""
+    K, m = pattern.users, pattern.block_len
+    src, col = receiver_columns(K)
+    j = np.arange(K)[rx, None, None]
+    r, c = np.ogrid[:m, :m]
+    return coeffs[:, j, src[j, c], pattern.tilde[r, j]] * pattern.supports[r, col[j, c]]
 
 
 @dataclass(eq=False)
@@ -206,11 +189,12 @@ class ReceiverDecomposition:
 def decompose_receiver(ch: ChannelSet, scheme: Scheme, j: int) -> ReceiverDecomposition:
     """Receiver j's desired block (m x (K-1)), in j's dimension order, and
     merged interference basis (m x K(K-1)/2) for one channel draw, columns
-    of A_j from the scheme's layout, and whether the certificate times D_j
+    of A_j from `combined_blocks`, and whether the certificate times D_j
     proves A_j nonsingular for this draw (no numeric rank is taken)."""
-    layout, d = receiver_layout(scheme), scheme.pattern.users - 1
-    a = layout.blocks(ch.coeffs[None], j)[0]
-    dims = np.searchsorted(layout.col[j, :d], scheme.dimension_pairs()[j])  # own pairs ascend
+    K = scheme.pattern.users
+    d = K - 1
+    a = combined_blocks(scheme.pattern, ch.coeffs[None], j)[0]
+    dims = np.searchsorted(receiver_columns(K)[1][j, :d], scheme.dimension_pairs()[j])  # own pairs ascend
     proven = bool(_proven(scheme.certified_receivers, ch.coeffs[None])[0, j])
     return ReceiverDecomposition(
         rx=j, desired=a[:, dims], interference_basis=a[:, d:], proven=proven)
@@ -260,7 +244,7 @@ class FloatBound:
 def float_bound(scheme: Scheme) -> FloatBound:
     """The FloatBound of a scheme: the exact inverse X = d G_j^-1 of every
     certified G_j (`scheme.generator_inverses`, proven by X G_j = d I),
-    and, off the columns the layout gathers (`scheme.receiver_columns`),
+    and, off the columns `combined_blocks` gathers (`scheme.receiver_columns`),
     the support counts behind ||A_j||_F and the aligned columns' sources."""
     pattern = scheme.pattern
     K, m = pattern.users, pattern.block_len
@@ -393,14 +377,12 @@ def _gather_ranks(scheme: Scheme, coeffs: np.ndarray, proven: np.ndarray, exact:
     K, m = scheme.config.users, scheme.config.block_len
     out = np.empty(proven.shape + (3,), dtype=np.int64)
     out[...] = expected_ranks(scheme.config)
-    todo = np.flatnonzero(~proven.all(axis=0)).tolist()
-    layout = receiver_layout(scheme) if todo else None
     rank = _exact_ranks if exact else stack_ranks
-    for j in todo:
+    for j in np.flatnonzero(~proven.all(axis=0)).tolist():
         draws = np.flatnonzero(~proven[:, j])
         for part in chunks(draws.size, m * m):
             t = draws[part.start:part.stop]
-            a = layout.blocks(coeffs[t], j)
+            a = combined_blocks(scheme.pattern, coeffs[t], j)
             ranks = rank(a)
             out[t, j, 2] = ranks
             a, t = a[ranks < m], t[ranks < m]

@@ -50,10 +50,10 @@ from biakit.verify import (
     VerificationReport,
     _exact_channel_ints,
     _proven,
+    combined_blocks,
     draw_bounds,
     expected_ranks,
     float_bound,
-    receiver_layout,
     report_to_csv,
     report_to_json,
     run_verification,
@@ -171,10 +171,9 @@ def oracle_estimate_dof(scheme, cfg):
 
 def inv_estimate_dof(scheme, cfg):
     """The batched simulation the closed form replaced: per chunk of trials,
-    every combined block by one layout gather, the exclusion rule and one
+    every combined block by one gather, the exclusion rule and one
     batched inverse of the proven blocks."""
     K, m = scheme.config.users, scheme.config.block_len
-    layout = receiver_layout(scheme)
     powers = [10.0 ** (db / 10.0) for db in cfg.snr_points_db]
     rates = np.zeros((len(powers), cfg.trials, K))
     tdma = np.zeros((len(powers), cfg.trials))
@@ -184,7 +183,7 @@ def inv_estimate_dof(scheme, cfg):
         coeffs = np.stack([draws[t].coeffs for t in chunk])
         ok = _proven(scheme.certified_receivers, coeffs)
         excluded += len(powers) * int(np.count_nonzero(~ok))
-        w = np.linalg.inv(layout.blocks(coeffs, slice(None))[ok])[:, :K - 1]
+        w = np.linalg.inv(combined_blocks(scheme.pattern, coeffs, slice(None))[ok])[:, :K - 1]
         noise = np.sum(w.real ** 2 + w.imag ** 2, axis=-1)
         span = slice(chunk.start, chunk.stop)
         for p, power in enumerate(powers):
@@ -249,24 +248,27 @@ def schemes(fallback_scheme5):
 
 def test_relabelled_maps_move_dimension_pairs_not_columns():
     """A pair map relabels which symbol rides which vector and nothing
-    else: the relabelled schemes' layouts equal the default ones."""
+    else: the relabelled schemes' combined blocks equal the default ones,
+    bit for bit, in float and exact draws."""
     for K in (4, 5):
         a, b = relabelled_scheme(K), bk.build_scheme(K)
         assert not np.array_equal(a.dimension_pairs(), b.dimension_pairs())
-        for name in ("mode", "src", "col", "vectors"):
-            assert np.array_equal(getattr(receiver_layout(a), name), getattr(receiver_layout(b), name))
+        for exact in (False, True):
+            coeffs = np.stack([ch.coeffs for ch in oracle_draws(b, 3, 3, exact)])
+            assert_bits(combined_blocks(a.pattern, coeffs, slice(None)),
+                        combined_blocks(b.pattern, coeffs, slice(None)))
 
 
 def test_layout_blocks_match_column_stack_blocks(fallback_scheme5):
-    """The layout holds j's own pairs in increasing order, whatever the pair
-    map; decompose_receiver's desired block is in j's dimension order."""
+    """The gathered blocks hold j's own pairs in increasing order, whatever
+    the pair map; decompose_receiver's desired block is in j's dimension
+    order."""
     for _, scheme in schemes(fallback_scheme5):
         K = scheme.config.users
-        layout = receiver_layout(scheme)
         pairs = list(itertools.combinations(range(K), 2))
         for exact in (False, True):
             draws = oracle_draws(scheme, 3, 3, exact)
-            blocks = layout.blocks(np.stack([ch.coeffs for ch in draws]), slice(None))
+            blocks = combined_blocks(scheme.pattern, np.stack([ch.coeffs for ch in draws]), slice(None))
             for t, ch in enumerate(draws):
                 for j in range(K):
                     desired, basis = oracle_receiver_blocks(ch, scheme, j)
@@ -338,12 +340,12 @@ def test_each_run_builds_and_peels_its_generators_once(argv, inverted, monkeypat
     calls = counting(monkeypatch, [
         (biakit.scheme, "generator_nonzeros"), (biakit.exactrank, "_peel"),
         (biakit.scheme, "peeled_inverses"), (biakit.exactrank, "peeled_inverses"),
-        (biakit.exactrank, "_is_inverse")])
+        (biakit.exactrank, "is_inverse")])
     if argv[0] == "simulate":
         argv = argv + ["--out", str(tmp_path / "run")]
     assert biakit.cli.main(argv) == 0
     capsys.readouterr()
-    expect = ["generator_nonzeros", "_peel"] + ["peeled_inverses", "_is_inverse"] * inverted
+    expect = ["generator_nonzeros", "_peel"] + ["peeled_inverses", "is_inverse"] * inverted
     assert calls == expect
 
 
@@ -384,28 +386,22 @@ def test_exact_mode_sends_zero_factors_to_bareiss(edit, monkeypatch):
 
 
 def refuse_blocks(monkeypatch):
-    """Make receiver_layout and ReceiverLayout.blocks raise."""
+    """Make combined_blocks raise."""
     def refuse(*args, **kwargs):
         raise AssertionError("a combined block was built")
-    monkeypatch.setattr(biakit.verify, "receiver_layout", refuse)
-    monkeypatch.setattr(biakit.verify.ReceiverLayout, "blocks", refuse)
+    monkeypatch.setattr(biakit.verify, "combined_blocks", refuse)
 
 
 def record_gathers(monkeypatch):
-    """Count receiver_layout calls and record the draws and the receivers
-    of every ReceiverLayout.blocks call while the test runs."""
-    seen = {"layouts": 0, "gathers": []}
-    layout, blocks = biakit.verify.receiver_layout, biakit.verify.ReceiverLayout.blocks
+    """Record the draws and the receivers of every combined_blocks call
+    while the test runs."""
+    seen = {"gathers": []}
+    blocks = biakit.verify.combined_blocks
 
-    def counted(*args):
-        seen["layouts"] += 1
-        return layout(*args)
-
-    def recorded(self, coeffs, rx):
-        seen["gathers"].append((coeffs.copy(), np.arange(len(self.src))[rx].reshape(-1).tolist()))
-        return blocks(self, coeffs, rx)
-    monkeypatch.setattr(biakit.verify, "receiver_layout", counted)
-    monkeypatch.setattr(biakit.verify.ReceiverLayout, "blocks", recorded)
+    def recorded(pattern, coeffs, rx):
+        seen["gathers"].append((coeffs.copy(), np.arange(pattern.users)[rx].reshape(-1).tolist()))
+        return blocks(pattern, coeffs, rx)
+    monkeypatch.setattr(biakit.verify, "combined_blocks", recorded)
     return seen
 
 
@@ -422,7 +418,7 @@ def gathered_pairs(seen, draws):
 @pytest.mark.parametrize("K", range(3, 13))
 def test_exact_mode_builds_no_block_on_built_schemes(K, monkeypatch):
     """Decide, then gather: `_proven` decides every built receiver in every
-    draw, so exact verification builds no layout and gathers no block."""
+    draw, so exact verification gathers no block."""
     refuse_blocks(monkeypatch)
     scheme = bk.build_scheme(K)
     for seed in (0, 5):
@@ -457,10 +453,9 @@ def factored_blocks(scheme, coeffs):
 
 def assert_factorisation(scheme):
     """A_j = G_j D_j bit for bit, for float and exact draws, at every receiver."""
-    layout = receiver_layout(scheme)
     for exact in (False, True):
         coeffs = np.stack([ch.coeffs for ch in oracle_draws(scheme, 3, 3, exact)])
-        blocks = layout.blocks(coeffs, slice(None))
+        blocks = combined_blocks(scheme.pattern, coeffs, slice(None))
         product = factored_blocks(scheme, coeffs)
         # the sign of a zero entry is the one bit the two evaluations may
         # differ in: adding 0.0 makes every zero +0
@@ -482,24 +477,23 @@ def test_combined_blocks_factor_through_the_generator_matrices_on_widened_suppor
 
 def test_selected_blocks_match_the_full_stack(fallback_scheme5):
     for _, scheme in schemes(fallback_scheme5):
-        K = scheme.config.users
-        layout = receiver_layout(scheme)
+        K, pattern = scheme.config.users, scheme.pattern
         coeffs = np.stack([ch.coeffs for ch in oracle_draws(scheme, 3, 3, True)])
-        full = layout.blocks(coeffs, slice(None))
+        full = combined_blocks(pattern, coeffs, slice(None))
         assert full.shape == (3, K) + full.shape[2:]
-        assert_bits(layout.blocks(coeffs, K - 1), full[:, K - 1])
+        assert_bits(combined_blocks(pattern, coeffs, K - 1), full[:, K - 1])
         rx = [2, 0, K - 1, 2]
-        assert_bits(layout.blocks(coeffs, rx), full[:, rx])
-        assert_bits(layout.blocks(coeffs, slice(1, None, 2)), full[:, 1::2])
-        assert layout.blocks(coeffs, []).shape == (3, 0) + full.shape[2:]
+        assert_bits(combined_blocks(pattern, coeffs, rx), full[:, rx])
+        assert_bits(combined_blocks(pattern, coeffs, slice(1, None, 2)), full[:, 1::2])
+        assert combined_blocks(pattern, coeffs, []).shape == (3, 0) + full.shape[2:]
 
 
 def test_exact_reports_gather_only_unproven_blocks(golden_scheme4, fallback_scheme5, monkeypatch):
     """The golden instance, the pair-product families, certified and not,
     and the pair products on the star pattern match the all-Bareiss oracle
-    byte for byte. A run builds its layout once (one chunk) if some
-    receiver is unproven, else never, and gathers exactly the unproven
-    (draw, rx) blocks, each once, a receiver at a time."""
+    byte for byte. A run gathers exactly the unproven (draw, rx) blocks,
+    each once, a receiver at a time, and none where every receiver is
+    proven."""
     built = bk.build_scheme(5)
     cases = [("golden", golden_scheme4), ("fallback5", fallback_scheme5),
              ("hand-built5", product_scheme(built))]
@@ -513,7 +507,6 @@ def test_exact_reports_gather_only_unproven_blocks(golden_scheme4, fallback_sche
         assert report_bytes(got) == report_bytes(expect), name
         unproven = [[[t, j] for t in range(3)]
                     for j, ok in enumerate(scheme.certified_receivers) if not ok]
-        assert seen["layouts"] == (1 if unproven else 0), name
         assert gathered_pairs(seen, draws) == unproven, name
     assert golden_scheme4.certified_receivers == (False, True, False, True)
 
@@ -521,9 +514,9 @@ def test_exact_reports_gather_only_unproven_blocks(golden_scheme4, fallback_sche
 @pytest.mark.parametrize("edit", [tie_own_pair, zero_aligned],
                          ids=["own-pair-determinant", "aligned-coefficient"])
 def test_exact_runs_over_chunks_build_one_layout(edit, monkeypatch):
-    """One draw per chunk, zero factors in draws 2 and 4 of 6 only: a
-    layout is built in the chunks of draws 2 and 4 alone, each gathers its
-    own unproven block, and the report matches the oracle."""
+    """One draw per chunk, zero factors in draws 2 and 4 of 6 only: the
+    chunks of draws 2 and 4 alone gather, each its own unproven block, and
+    the report matches the oracle."""
     scheme = bk.build_scheme(4)
     K = scheme.config.users
     monkeypatch.setattr(biakit.exactrank, "BATCH_ELEMENTS", 2 * K * K)
@@ -535,7 +528,6 @@ def test_exact_runs_over_chunks_build_one_layout(edit, monkeypatch):
     seen = record_gathers(monkeypatch)
     got = run_verification(scheme, 6, 3, exact=True)
     assert report_bytes(got) == report_bytes(expect)
-    assert seen["layouts"] == 2
     assert gathered_pairs(seen, draws) == [[[2, 1]], [[4, 1]]]
     assert [(c.draw, c.rx) for c in got.checks if not c.passed] == [(2, 2), (4, 2)]
 
@@ -797,7 +789,7 @@ def test_receiver_chunks_change_no_float_output(fallback_scheme5, golden_scheme4
     with monkeypatch.context() as patch:
         seen = record_gathers(patch)
         run_verification(bk.build_scheme(4), 5, 2)
-        assert seen == {"layouts": 0, "gathers": []}
+        assert seen == {"gathers": []}
         assert linalg_stacks["cholesky"] == linalg_stacks["svd"] == []
         patch.setattr(biakit.exactrank, "BATCH_ELEMENTS", 14 * 14)
         run_verification(fallback_scheme5, 5, 2)
@@ -865,11 +857,10 @@ def test_closed_form_matches_the_batched_inverse_on_widened_supports(scheme):
 
 
 def test_simulation_builds_no_block(scheme4, fallback_scheme5, monkeypatch):
-    """estimate_dof reads no receiver layout and gathers no combined block."""
+    """estimate_dof gathers no combined block."""
     def refuse(*args, **kwargs):
         raise AssertionError("estimate_dof built a combined block")
-    monkeypatch.setattr(biakit.verify, "receiver_layout", refuse)
-    monkeypatch.setattr(biakit.verify.ReceiverLayout, "blocks", refuse)
+    monkeypatch.setattr(biakit.verify, "combined_blocks", refuse)
     for scheme in (scheme4, fallback_scheme5):
         estimate_dof(scheme, SimConfig(trials=3, seed=1))
 
@@ -994,7 +985,7 @@ def test_float_bound_on_planted_near_singular_draws(K, plant, eps, monkeypatch):
     coeffs = np.stack([ch.coeffs for ch in oracle_draws(scheme, 2, 3, False)])
     low2, frob2, plain = draw_bounds(float_bound(scheme), coeffs)
     low = np.sqrt(low2)
-    assert (low <= sigma_min(receiver_layout(scheme).blocks(coeffs, slice(None)), low)).all()
+    assert (low <= sigma_min(combined_blocks(scheme.pattern, coeffs, slice(None)), low)).all()
     report, gathered = float_gathers(monkeypatch, scheme, 3, 2)
     assert report_bytes(report) == report_bytes(oracle_report(scheme, 3, 2))
     assert gathered == ([] if eps == 1e-4 else [[0, 1], [1, 1], [2, 1]])

@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import biakit.exactrank
 from biakit.exactrank import (
-    gaussian_rank, integer_rank, is_inverse, nonsingular, peel, peel_inverses, peeled_inverses,
-    peeled_nonsingular)
+    gaussian_rank, integer_rank, is_inverse, peel, peeled_inverses, peeled_nonsingular)
 
 
 def test_identity_zero_empty():
@@ -81,9 +80,10 @@ def nonzeros(stack):
 
 
 def decided(stack):
-    """nonsingular of a dense stack of 0/1 matrices, by its nonzeros."""
+    """peeled_nonsingular of a dense stack of 0/1 matrices, peeled by its
+    nonzeros."""
     stack = np.asarray(stack)
-    return nonsingular(stack.shape[-1], *nonzeros(stack)).tolist()
+    return peeled_nonsingular(peel(stack.shape[-1], *nonzeros(stack))).tolist()
 
 
 def det_nonzero(stack):
@@ -171,7 +171,7 @@ def test_one_call_holds_matrices_of_different_nonzero_counts():
     stack = np.stack([eye, np.tril(np.ones((4, 4), dtype=np.int64)), core, twins, met])
     assert nonzeros(stack)[0].tolist() == [4, 10, 7, 11, 4]
     assert decided(stack) == det_nonzero(stack) == [True, True, True, False, False]
-    index, values, scale, ok = peel_inverses(4, *nonzeros(stack))
+    index, values, scale, ok = peeled_inverses(peel(4, *nonzeros(stack)))
     assert ok.tolist() == [True, True, True, False, False]
     assert scale[:3].tolist() in ([1, 1, 2], [1, 1, -2])
     x = dense(index, values, 5, 4)
@@ -186,9 +186,9 @@ def test_all_zero_matrices_are_singular():
     stack = np.stack([zero, eye, zero, eye, zero, zero])
     assert nonzeros(stack)[0].tolist() == [0, 3, 0, 3, 0, 0]
     assert decided(stack) == [False, True, False, True, False, False]
-    assert peel_inverses(3, *nonzeros(stack))[3].tolist() == [False, True, False, True, False, False]
+    assert peeled_inverses(peel(3, *nonzeros(stack)))[3].tolist() == [False, True, False, True, False, False]
     assert decided(np.zeros((2, 3, 3), dtype=np.int64)) == [False, False]
-    assert peel_inverses(3, *nonzeros(np.zeros((2, 3, 3))))[3].tolist() == [False, False]
+    assert peeled_inverses(peel(3, *nonzeros(np.zeros((2, 3, 3)))))[3].tolist() == [False, False]
 
 
 def _counting_integer_rank(monkeypatch):
@@ -333,7 +333,7 @@ def test_singular_binary_matrices_are_proven_without_elimination_over_q(monkeypa
     assert calls == []
 
 
-def test_past_the_prime_table_falls_back_to_integer_rank():
+def test_integer_rank_is_exact_at_any_entry_size():
     """integer_rank is exact at any entry size: on 8 x 8 matrices with
     entries up to 2^58, two of them with a column an integer combination
     of others, it agrees with sympy."""
@@ -348,8 +348,8 @@ def test_past_the_prime_table_falls_back_to_integer_rank():
 @pytest.mark.parametrize("core, expect", [
     ([[1, 1, 0], [0, 1, 1], [1, 0, 1]], True),  # det = 2
     ([[1, 1], [1, 1]], False),
-], ids=["det-is-the-prime", "singular"])
-def test_cores_the_prime_does_not_prove_go_to_integer_rank(monkeypatch, core, expect):
+], ids=["det-two", "singular"])
+def test_cores_the_peel_leaves_whole_go_to_integer_rank(monkeypatch, core, expect):
     calls = _counting_integer_rank(monkeypatch)
     assert (sympy.Matrix(core).det() != 0) == expect
     assert decided([core]) == [expect]
@@ -374,7 +374,7 @@ def test_peel_inverses_of_permuted_unit_triangular_matrices(case):
     n, prow, pcol, bits = case
     lower = np.tril(np.array(bits, dtype=np.int64).reshape(n, n), -1) + np.eye(n, dtype=np.int64)
     g = lower[np.ix_(prow, pcol)]
-    index, values, scale, ok = peel_inverses(n, *nonzeros(g[None]))
+    index, values, scale, ok = peeled_inverses(peel(n, *nonzeros(g[None])))
     assert ok.tolist() == [True] and scale.tolist() == [1]
     assert (g @ dense(index, values, 1, n)[0] == np.eye(n, dtype=np.int64)).all()
 
@@ -390,7 +390,7 @@ def test_peel_inverses_prove_only_true_inverses(rows):
     the matrix."""
     g = np.array(rows, dtype=np.int64)
     n = len(g)
-    index, values, scale, ok = peel_inverses(n, *nonzeros(g[None]))
+    index, values, scale, ok = peeled_inverses(peel(n, *nonzeros(g[None])))
     x = dense(index, values, 1, n)[0]
     det = sympy.Matrix(rows).det()
     assert ok[0] == (det != 0)
@@ -430,8 +430,8 @@ def test_a_core_of_determinant_two_is_inverted_at_scale_two(monkeypatch):
     g[:3, :3] = core
     g[4, 0] = g[5, 2] = g[1, 3] = 1  # unit columns 4 and 5 below it, unit row 3 beside it
     stack = np.stack([g, g[np.ix_([0, 1, 2, 5, 3, 4], [0, 1, 2, 4, 5, 3])]])
-    nz = nonzeros(stack)
-    index, values, scale, ok = peel_inverses(6, *nz)
+    p = peel(6, *nonzeros(stack))
+    index, values, scale, ok = peeled_inverses(p)
     assert ok.tolist() == [True, True]
     assert set(np.abs(scale).tolist()) == {2}
     assert calls == [core]
@@ -439,32 +439,32 @@ def test_a_core_of_determinant_two_is_inverted_at_scale_two(monkeypatch):
     for gi, xi, d in zip(stack, x, scale):
         assert (gi @ xi == d * np.eye(6, dtype=np.int64)).all()
         assert sympy.Matrix(xi.tolist()) == int(d) * sympy.Matrix(gi.tolist()).inv()
-    assert is_inverse(6, *nz, index, values, -scale).tolist() == [False, False]
-    assert is_inverse(6, *nz, index, values, np.ones(2, dtype=np.int64)).tolist() == [False, False]
+    assert is_inverse(p, index, values, -scale).tolist() == [False, False]
+    assert is_inverse(p, index, values, np.ones(2, dtype=np.int64)).tolist() == [False, False]
     halved = values.copy()
     halved[index < 36] //= 2  # X / 2 is no integer inverse
-    assert is_inverse(6, *nz, index, halved, scale // [2, 1]).tolist() == [False, True]
+    assert is_inverse(p, index, halved, scale // [2, 1]).tolist() == [False, True]
     # d = 0 proves nothing, although G 0 = 0 I
-    assert is_inverse(6, *nz, index[:0], values[:0], np.zeros(2, dtype=np.int64)).tolist() == [False, False]
+    assert is_inverse(p, index[:0], values[:0], np.zeros(2, dtype=np.int64)).tolist() == [False, False]
 
 
 def test_is_inverse_rejects_one_wrong_entry():
     """A flipped, a dropped or an added entry each breaks G X = I, and only
     for the matrix it is in."""
     g = np.array([[[1, 0, 0], [1, 1, 0], [0, 1, 1]], [[0, 1, 0], [1, 0, 0], [1, 1, 1]]])
-    nz = nonzeros(g)
-    index, values, scale, ok = peel_inverses(3, *nz)
+    p = peel(3, *nonzeros(g))
+    index, values, scale, ok = peeled_inverses(p)
     assert ok.tolist() == [True, True] and scale.tolist() == [1, 1]
     x = dense(index, values, 2, 3)
     assert (np.linalg.inv(g).round() == x).all()
     first = index < 9
     flipped = values.copy()
     flipped[0] = -flipped[0]
-    assert is_inverse(3, *nz, index, flipped, scale).tolist() == [False, True]
-    assert is_inverse(3, *nz, index[1:], values[1:], scale).tolist() == [False, True]
+    assert is_inverse(p, index, flipped, scale).tolist() == [False, True]
+    assert is_inverse(p, index[1:], values[1:], scale).tolist() == [False, True]
     extra = 9 + np.flatnonzero(x[1].ravel() == 0)[0]
-    assert is_inverse(3, *nz, np.append(index, extra), np.append(values, 1), scale).tolist() == [True, False]
-    assert is_inverse(3, *nz, index[first], values[first], scale).tolist() == [True, False]
+    assert is_inverse(p, np.append(index, extra), np.append(values, 1), scale).tolist() == [True, False]
+    assert is_inverse(p, index[first], values[first], scale).tolist() == [True, False]
 
 
 def test_is_inverse_refuses_entries_past_its_bound():
@@ -473,6 +473,6 @@ def test_is_inverse_refuses_entries_past_its_bound():
     but past 2^26 / n at n = 40, where it is refused."""
     for n, expect in ((20, True), (40, False)):
         g = np.eye(n, dtype=np.int64) + np.eye(n, k=-1, dtype=np.int64) + np.eye(n, k=-3, dtype=np.int64)
-        index, values, scale, ok = peel_inverses(n, *nonzeros(g[None]))
+        index, values, scale, ok = peeled_inverses(peel(n, *nonzeros(g[None])))
         assert ok.tolist() == [expect]
         assert (np.abs(values).max() > (1 << 26) // n) == (not expect)

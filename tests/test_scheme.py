@@ -17,7 +17,7 @@ from biakit.sim import SimConfig, estimate_dof
 from biakit.verify import run_verification
 from biakit.errors import DegenerateSchemeError
 from biakit.designspace import make_pattern_matrix, row_vocabulary
-from biakit.exactrank import integer_rank
+from biakit.exactrank import integer_rank, peel, peeled_inverses
 from biakit.scheme import (
     PatternMatrix,
     MAX_BLOCK_ENTRIES,
@@ -279,6 +279,8 @@ def test_scheme_json_roundtrip(K):
     assert np.array_equal(back.pattern.tilde, scheme.pattern.tilde)
     assert back.pair_dims == scheme.pair_dims
     assert back.certified_receivers == scheme.certified_receivers
+    del doc["m"]  # m is derived from K, so a document may leave it out
+    assert scheme_to_json(scheme_from_json(json.dumps(doc))) == text
 
 
 def test_scheme_from_json_validates(scheme3):
@@ -351,9 +353,16 @@ def _with_tilde_row(r, row):
     (_with_tilde_row(1, [0, 1]), r'"tilde" row 2 must be a list of 3 integers, got \[0, 1\]'),
     (_with_tilde_row(1, 5), '"tilde" row 2 must be a list of 3 integers, got 5'),
     (_with("tilde", "abc"), '"tilde" must be a list of rows, got "abc"'),
+    (_with("m", 99), '"m" must be the integer 5 for K=3, got 99'),
+    (_with("m", 6), '"m" must be the integer 5 for K=3, got 6'),
+    (_with("m", "x"), '"m" must be the integer 5 for K=3, got "x"'),
+    (_with("m", 5.0), '"m" must be the integer 5 for K=3, got 5.0'),
+    (_with("m", True), '"m" must be the integer 5 for K=3, got true'),
+    (_with("m", None), '"m" must be the integer 5 for K=3, got null'),
 ], ids=["missing-K", "missing-pairs", "missing-tilde", "K-not-an-integer", "rows-not-a-list",
         "rows-not-integers", "not-an-object", "K-bool", "K-float", "rows-bool", "rows-float",
-        "tilde-ragged-row", "tilde-row-not-a-list", "tilde-not-a-list"])
+        "tilde-ragged-row", "tilde-row-not-a-list", "tilde-not-a-list", "m-large", "m-off-by-one",
+        "m-string", "m-float", "m-bool", "m-null"])
 def test_scheme_from_json_names_malformed_documents(scheme3, edit, message):
     doc = edit(json.loads(scheme_to_json(scheme3)))
     with pytest.raises(ValueError, match=message):
@@ -938,13 +947,13 @@ def test_generator_inverses_exist_exactly_at_certified_receivers(golden_scheme4)
 
 def test_generator_inverses_exist_wherever_the_scan_certifies():
     """Over every vocabulary-minus-two pattern of the design-space scan at
-    K = 3..6, one peel_inverses call per K proves an inverse exactly at
+    K = 3..6, one peeled_inverses call per K proves an inverse exactly at
     the receivers certify_patterns certifies."""
     for K in range(3, 7):
         vocab, keep = scan_masks(K)
         supports = product_matrix(vocab)
-        ok = biakit.exactrank.peel_inverses(
-            make_config(K).block_len, *generator_nonzeros(vocab, supports, keep))[3]
+        ok = peeled_inverses(peel(
+            make_config(K).block_len, *generator_nonzeros(vocab, supports, keep)))[3]
         assert ok.reshape(-1, K).tolist() == certify_patterns(vocab, supports, keep).tolist()
 
 
@@ -965,9 +974,10 @@ def test_generator_inverses_on_widened_supports(scheme):
 
 def assert_inverses_continue_the_peel(pattern):
     """generator_inverses, which continues the certificate's peel, equals
-    a fresh peel_inverses of freshly built nonzeros, array for array."""
-    fresh = biakit.exactrank.peel_inverses(
-        pattern.block_len, *generator_nonzeros(pattern.tilde, pattern.supports))
+    a fresh peeled_inverses of a fresh peel of freshly built nonzeros,
+    array for array."""
+    fresh = peeled_inverses(peel(
+        pattern.block_len, *generator_nonzeros(pattern.tilde, pattern.supports)))
     kept = generator_inverses(pattern)
     assert len(kept) == len(fresh) == 4
     for a, b in zip(kept, fresh):

@@ -26,12 +26,12 @@ from biakit.channel import (
 from biakit.verify import (
     RATIO,
     check_counting,
+    combined_blocks,
     decompose_receiver,
     draw_bounds,
     expected_ranks,
     float_bound,
     rank_of,
-    receiver_layout,
     report_to_csv,
     report_to_json,
     run_verification,
@@ -230,7 +230,7 @@ def test_float_verify_ranks_each_certified_receiver_once(K, linalg_stacks, monke
     Cholesky, SVD or inverse runs."""
     def refuse(*args, **kwargs):
         raise AssertionError("a combined block was built")
-    monkeypatch.setattr(biakit.verify.ReceiverLayout, "blocks", refuse)
+    monkeypatch.setattr(biakit.verify, "combined_blocks", refuse)
     scheme = bk.build_scheme(K)
     report = run_verification(scheme, draws=3, seed=1)
     assert report.all_passed and len(report.checks) == 3 * K
@@ -312,7 +312,7 @@ def test_scheme_certifies_no_receiver_on_beams_that_are_not_its_patterns(K):
 
 def signal_residual(ch, scheme, j):
     """Relative distance of the block receive() gives receiver j from the
-    column span of the layout's combined block A_j."""
+    column span of the gathered combined block A_j."""
     K = scheme.pattern.users
     y = receive(ch, scheme, draw_symbols(K, seed=ch.seed), j)
     a = decompose_receiver(ch, scheme, j).combined
@@ -332,7 +332,7 @@ def assert_layout_matches_signal_model(scheme, draws=3):
                                   "pair-products-4", "pair-products-5", "pair-products-6"])
 def test_layout_matches_the_signal_model(name, fallback_scheme5):
     """What every transmitter sends, through the channel, lies in the span
-    of the layout's A_j at every receiver: the merged interference columns
+    of the gathered A_j at every receiver: the merged interference columns
     are the signal, not a guess about it."""
     if name == "fallback5":
         scheme = fallback_scheme5
@@ -393,7 +393,7 @@ def assert_bound_below_sigma_min(scheme, coeffs):
     the bound over ||A_j||_F."""
     bound = float_bound(scheme)
     low2, frob2, plain = draw_bounds(bound, coeffs)
-    a = receiver_layout(scheme).blocks(coeffs, slice(None))
+    a = combined_blocks(scheme.pattern, coeffs, slice(None))
     assert plain.all()
     assert (np.sqrt(low2) <= sigma_min(a, np.sqrt(low2))).all()
     np.testing.assert_allclose(frob2, np.sum(np.abs(a) ** 2, axis=(2, 3)), rtol=1e-12)
