@@ -15,6 +15,7 @@ Usage:
     python scripts/certify_design_space.py --max-users 6
 """
 import argparse
+import sys
 
 from biakit.designspace import scan
 from biakit.scheme import make_config
@@ -26,6 +27,9 @@ def main(argv=None) -> int:
     ap.add_argument("--show-matrices", action="store_true",
                     help="print every fully certified matrix")
     args = ap.parse_args(argv)
+    if args.max_users < 3:
+        print("error: --max-users must be at least 3, got %d" % args.max_users, file=sys.stderr)
+        return 1
 
     print("K   m  candidates  fully_certified  best_receivers")
     for K in range(3, args.max_users + 1):

@@ -17,13 +17,13 @@ G_j leave a 3 x 3 core; the three `simulate` outputs
 where the pair map meets the symbols, the `transmit` and `receive` blocks
 and the noiseless `zf_decode` of every receiver of the reversed pair maps
 at K = 4 and 5 (draws at seeds 0..2); for the design-space scan at
-K = 3..7, the `certify_patterns` flags of every candidate (the vocabulary
-minus two rows, masked here from its definition) and `repr(scan(K))`; and
+K = 3..7, the `certify_candidates` flags of every candidate (the
+vocabulary minus two rows, omissions in lexicographic order; bool,
+(candidates, K)) and `repr(scan(K))`; and
 `make_pattern_matrix` at K = 3..6 (its rows, supports and certificate).
 """
 import functools
 import hashlib
-import itertools
 import sys
 from pathlib import Path
 
@@ -32,10 +32,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np
 
 from biakit.channel import draw_channels, draw_symbols, receive, transmit
-from biakit.designspace import make_pattern_matrix, row_vocabulary, scan
+from biakit.designspace import certify_candidates, make_pattern_matrix, scan
 from biakit.scheme import (
-    Scheme, build_scheme, certify_patterns, default_pair_dims, generator_inverses, make_config,
-    product_matrix, scheme_to_json)
+    Scheme, build_scheme, default_pair_dims, generator_inverses, make_config, scheme_to_json)
 from biakit.sim import (
     SimConfig, estimate_dof, result_to_json, result_to_long_csv, result_to_summary_csv, zf_decode,
     zf_weights)
@@ -92,11 +91,8 @@ def signal_outputs(K: int) -> list:
 
 def scan_outputs(K: int) -> list:
     """The certificate flags of every scan candidate, the vocabulary less
-    two rows, masked from the scan's definition, and the scan's result."""
-    vocab = np.array(row_vocabulary(K))
-    keep = np.array([[r not in omit for r in range(len(vocab))]
-                     for omit in itertools.combinations(range(len(vocab)), 2)])
-    return [certify_patterns(vocab, product_matrix(vocab), keep), repr(scan(K))]
+    two rows, and the scan's result."""
+    return [certify_candidates(K), repr(scan(K))]
 
 
 def pattern_outputs(K: int) -> list:

@@ -3,7 +3,8 @@
 Every shared vector here is the full pair product. Rows with fewer than
 K-2 ones zero every pair product and duplicate rows add no rank, so every
 viable pattern is the (m+2)-row vocabulary minus two rows, and `scan`
-certifies them all in one stacked certificate. Fully certified candidates
+certifies them all from one left kernel per receiver of the vocabulary's
+generator matrices (`certify_candidates`). Fully certified candidates
 exist only for K = 3 and 4; from K = 5 on four receivers is the ceiling
 (README "Known limitations"). build_scheme does not use this family (its
 star family certifies every receiver for every K); it is the reference
@@ -16,8 +17,9 @@ import itertools
 import numpy as np
 
 from .errors import ConstructionFailedError
+from .exactrank import chunks, peel, peeled_left_kernels
 from .scheme import (
-    PatternMatrix, SchemeConfig, certify_patterns, certify_product_rank, pair_users, product_matrix,
+    PatternMatrix, SchemeConfig, certify_product_rank, generator_nonzeros, pair_users, product_matrix,
     zero_at)
 
 
@@ -32,23 +34,40 @@ def row_vocabulary(K: int) -> list[tuple[int, ...]]:
             + [zero_at(K, a, b) for a, b in itertools.combinations(range(K), 2)])
 
 
+def certify_candidates(K: int) -> np.ndarray:
+    """(C(m+2, 2), K) flags: certify_receivers of every scan candidate,
+    the vocabulary less two rows {a, b}, omissions in lexicographic order.
+
+    A candidate's G_j is the vocabulary's, (m+2) x m, less rows a and b
+    (`generator_nonzeros`). The K vocabulary matrices, padded by two zero
+    columns, are peeled once, and `exactrank.peeled_left_kernels` proves
+    a basis N_j of each left kernel (or raises ValueError naming receiver
+    j as matrix j). Where N_j has two rows (rank m), the rows less {a, b}
+    are independent iff det N_j[:, {a, b}] != 0: a dependence among them
+    is a nonzero y N_j that vanishes at a and b. More rows prove rank
+    below m: no candidate certifies j. The minors go in `exactrank.chunks`.
+    """
+    vocab = np.array(row_vocabulary(K), dtype=np.int8)
+    v = len(vocab)
+    lines, basis = peeled_left_kernels(peel(v, *generator_nonzeros(vocab, product_matrix(vocab))))
+    rank_m = np.flatnonzero(np.bincount(lines // v, minlength=K) == 2)
+    n0, n1 = basis[np.isin(lines // v, rank_m)].reshape(-1, 2, v).transpose(1, 0, 2)
+    a, b = pair_users(v)  # every omitted pair a < b, lexicographic
+    out = np.zeros((a.size, K), dtype=bool)
+    for chunk in chunks(a.size, K):
+        at = slice(chunk.start, chunk.stop)
+        out[at, rank_m] = (n0[:, a[at]] * n1[:, b[at]] != n0[:, b[at]] * n1[:, a[at]]).T
+    return out
+
+
 def scan(K: int) -> tuple[int, list[list[tuple[int, ...]]], int]:
     """(candidates, rows of every fully certified one, most receivers any
-    one certifies) over the vocabulary minus every two rows, omissions in
-    lexicographic order, by one stacked `scheme.certify_patterns`. The
-    candidates are row subsets of the vocabulary, and so are their
-    generator matrices: `product_matrix` works row by row, so a
-    candidate's pair products are the vocabulary's at its rows, and
-    `certify_patterns` takes the vocabulary, its pair products and the
-    mask of the rows each candidate keeps."""
-    vocab = row_vocabulary(K)
-    a, b = pair_users(len(vocab))  # every omitted pair a < b, lexicographic
-    row = np.arange(len(vocab))
-    keep = (row != a[:, None]) & (row != b[:, None])
-    table = np.array(vocab, dtype=np.int8)
-    cert = certify_patterns(table, product_matrix(table), keep)
-    full = [[vocab[r] for r in row[kept]] for kept in keep[cert.all(axis=1)]]
-    return len(keep), full, int(cert.sum(axis=1).max())
+    one certifies), read off `certify_candidates`."""
+    vocab, flags = row_vocabulary(K), certify_candidates(K)
+    a, b = pair_users(len(vocab))
+    full = [[row for r, row in enumerate(vocab) if r != a[i] and r != b[i]]
+            for i in np.flatnonzero(flags.all(axis=1)).tolist()]
+    return len(flags), full, int(flags.sum(axis=1).max())
 
 
 # first two disjoint weight-(K-2) rows; dropping them certifies 4 receivers,

@@ -6,7 +6,7 @@ how many matrix i has (0 for an all-zero matrix), and rows, cols, their
 positions, matrix after matrix and by row within each. Counts may differ
 from matrix to matrix. One singleton peel (`_peel`, Duff, Erisman & Reid's
 permutation to triangular form) works on such stacks; `peel` keeps it with
-the nonzeros (`Peeled`), and two kernels continue it, each its one entry
+the nonzeros (`Peeled`), and three kernels continue it, each its one entry
 point, so a caller that needs both verdicts and inverses peels once:
 
 - `peeled_nonsingular` decides which matrices are nonsingular over Q.
@@ -30,6 +30,9 @@ point, so a caller that needs both verdicts and inverses peels once:
   product X G = d I. Float verification's bound on sigma_min and the
   simulator's weights read these (biakit.verify, .sim), continuing the
   peel the scheme's certificate ran (scheme.PatternMatrix).
+- `peeled_left_kernels` gives integer bases N of the left kernels where
+  the cores are all zero, by substitution, proven by N G = 0: the
+  design-space scan's 2 x 2 minors read them (biakit.designspace).
 
 `integer_rank` is fraction-free (Bareiss) elimination on Python ints, with
 no floating tolerance and no external computer-algebra dependency.
@@ -41,6 +44,7 @@ its factorisation A_j = G_j D_j does not prove, see biakit.verify).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -96,8 +100,8 @@ def _peel(n: int, counts: np.ndarray, gr: np.ndarray, gc: np.ndarray):
 @dataclass(frozen=True, eq=False)
 class Peeled:
     """A stack of 0/1 matrices given by their nonzeros (module docstring)
-    and its one singleton peel (`_peel`), which both kernels continue:
-    `peeled_nonsingular` and `peeled_inverses`."""
+    and its one singleton peel (`_peel`), which the kernels continue:
+    `peeled_nonsingular`, `peeled_inverses` and `peeled_left_kernels`."""
 
     n: int
     counts: np.ndarray
@@ -106,6 +110,11 @@ class Peeled:
     live_r: np.ndarray   # (N, n) rows and columns the peel left: the cores
     live_c: np.ndarray
     passes: list         # (row pass?, pivot rows, pivot columns), in lines
+
+    @functools.cached_property
+    def row_ptr(self) -> np.ndarray:
+        """row_ptr[i n + r]: where row r of matrix i starts in gr and gc."""
+        return np.searchsorted(self.gr, np.arange(len(self.counts) * self.n + 1))
 
 
 def peel(n: int, counts: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> Peeled:
@@ -240,7 +249,7 @@ def peeled_inverses(p: Peeled) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     scale = np.ones(count, dtype=np.int64)
     for i, (d, _) in cores.items():
         scale[i] = d
-    row_ptr = np.searchsorted(gr, np.arange(count * n + 1))  # G's nonzeros lie by row
+    row_ptr = p.row_ptr
     # X row by row (global column of G): where its entries start, how many
     x_start, x_len = np.zeros((2, count * n), dtype=np.int64)
     x_row, x_col, x_val = np.zeros((3, 0), dtype=np.int64)
@@ -297,8 +306,7 @@ def is_inverse(p: Peeled, index: np.ndarray, values: np.ndarray, scale: np.ndarr
     unchecked: below that every sum of the product stays under 2^26 in
     magnitude and the sum of squares of X's entries under 2^52, so int64,
     and float64, hold them exactly."""
-    n, count = p.n, len(p.counts)
-    ptr = np.searchsorted(p.gr, np.arange(count * n + 1))  # row r of matrix i: from ptr[i n + r]
+    n, count, ptr = p.n, len(p.counts), p.row_ptr
     bad = np.zeros(count, dtype=bool)
     bad[index[np.abs(values) > (1 << 26) // n] // (n * n)] = True
     # entry (c, r) of X times row r of G, whose nonzeros lie together; an
@@ -313,6 +321,49 @@ def is_inverse(p: Peeled, index: np.ndarray, values: np.ndarray, scale: np.ndarr
     diagonal = (keys % (n * n) % (n + 1) == 0) & (sums == scale[item])
     bad[item[~diagonal]] = True
     return ~bad & (np.bincount(item[diagonal], minlength=count) == n)
+
+
+def peeled_left_kernels(p: Peeled) -> tuple[np.ndarray, np.ndarray]:
+    """Integer bases N of the left kernels {y : y G = 0} of a peeled stack
+    of 0/1 matrices G whose cores are all zero, continuing its peel.
+
+    In `_peel`'s order G is block lower triangular (`peeled_inverses`), so
+    each core row of matrix i gives one y: 1 there, 0 on i's other core
+    rows and column-pass rows, and over the row passes in reverse
+    y[r] = -(sum of y over the other rows of pivot column c). The n - s
+    pivots prove rank >= n - s; the identity on the s core rows and the
+    exact N G = 0 (entries at most 2^26 / n, as in `is_inverse`, checked
+    every pass so no sum wraps) prove N a basis. Returns (lines, basis):
+    the core rows as lines of the whole stack, increasing, and
+    (lines.size, n) int64, row k lines[k]'s y. Raises ValueError naming
+    the first matrix whose core keeps a live nonzero (no elimination is
+    run), or whose basis outgrows the bound or fails N G = 0."""
+    n, gr, gc = p.n, p.gr, p.gc
+    live = p.live_r.ravel()[gr] & p.live_c.ravel()[gc]
+    if live.any():
+        raise ValueError("matrix %d: the peel leaves a live nonzero in its core, "
+                         "so its left kernel is not read off the peel" % (gr[live][0] // n))
+    lines, size = np.flatnonzero(p.live_r), p.live_r.sum(axis=1)
+    y = np.zeros((lines.size, n), dtype=np.int64)
+    y[np.arange(lines.size), lines % n] = 1
+    by_col = gc.argsort(kind="stable")  # G's nonzeros by column
+    col_ptr = np.searchsorted(gc[by_col], np.arange(len(p.counts) * n + 1))
+
+    def refuse(k, why):
+        raise ValueError("matrix %d: its left kernel basis %s" % (lines[k] // n, why))
+    for _, r, c in [step for step in reversed(p.passes) if step[0]]:
+        q, k = _ranges((size.cumsum() - size)[r // n], size[r // n])  # each pivot, each y of its matrix
+        t, e = _ranges(col_ptr[c[q]], col_ptr[c[q] + 1] - col_ptr[c[q]])
+        # y[r] is still 0, so this sums c's other rows (in float64: exact under the bound)
+        y[k, r[q] % n] = -np.bincount(t, y[k[t], gr[by_col[e]] % n], q.size).astype(np.int64)
+        big = np.abs(y[k, r[q] % n]) > (1 << 26) // n
+        if big.any():
+            refuse(k[big][0], "has an entry past 2^26 / %d" % n)
+    k, e = _ranges((p.counts.cumsum() - p.counts)[lines // n], p.counts[lines // n])
+    keys = _summed(k * n + gc[e] % n, y[k, gr[e] % n])[0]  # y G's nonzero entries
+    if keys.size:
+        refuse(keys[0] // n, "fails N G = 0")
+    return lines, y
 
 
 def integer_rank(rows: Iterable[Sequence[int]]) -> int:

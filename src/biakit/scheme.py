@@ -26,16 +26,14 @@ binary m x m generator matrix G_j is nonsingular over the rationals (see
 certify_receivers), an exact channel-free condition this module certifies
 during construction. G_j is built by its nonzeros, never densely, from
 one column table per pattern: the column each support entry takes in
-each receiver's G_j (generator_nonzeros). A stack of patterns that are
-row subsets of one base, such as the design-space scan's, is certified
-from the base's table and a mask of the rows each keeps
-(certify_patterns). The pattern keeps that certificate's one singleton
-peel of every G_j (PatternMatrix.generators), and the exact inverses that
-float verification and the simulator read continue it
-(generator_inverses). When every shared vector is the full pair product,
-fully certified matrices exist only for K = 3 and K = 4 and four certified
-receivers is the ceiling beyond (README "Known limitations"; that
-reference family and its exhaustive scan live in biakit.designspace).
+each receiver's G_j (generator_nonzeros). The pattern keeps its
+certificate's one singleton peel of every G_j (PatternMatrix.generators),
+and the exact inverses that float verification and the simulator read
+continue it (generator_inverses). When every shared vector is the full
+pair product, fully certified matrices exist only for K = 3 and K = 4 and
+four certified receivers is the ceiling beyond (README "Known
+limitations"; that reference family and its exhaustive scan live in
+biakit.designspace).
 Narrower supports lift that ceiling: build_scheme returns the closed-form
 star family (star_pattern_matrix), whose every G_j has determinant +-1
 for every K.
@@ -50,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateSchemeError
-from .exactrank import Peeled, chunks, integer_rank, peel, peeled_inverses, peeled_nonsingular
+from .exactrank import Peeled, integer_rank, peel, peeled_inverses, peeled_nonsingular
 from .formats import is_int, render_json
 
 
@@ -233,57 +231,21 @@ def certify_receivers(tilde: np.ndarray, supports: np.ndarray | None = None) -> 
     The supports are checked against their pair products first
     (check_supports): the one alignment check, where supports enter.
 
-    The K matrices are built once by their nonzeros and singleton-peeled
-    once (_certify_stack), so each flag is a proof either way
+    The K matrices are built by their nonzeros and peeled once
+    (`exactrank.peel`), so each flag is a proof either way
     (`exactrank.peeled_nonsingular`): the peel expands G_j exactly, and
-    exact Bareiss elimination decides whatever core is left. The flags
-    come as a Certificate, a tuple that keeps that peel.
-    """
+    Bareiss elimination decides whatever core is left. The flags come as
+    a Certificate, a tuple that keeps that peel. Raises ValueError unless
+    tilde has m = (K+2)(K-1)/2 rows."""
     supports = product_matrix(tilde) if supports is None else np.asarray(supports)
     check_supports(tilde, supports)
-    flags, generators = _certify_stack(tilde, supports)
-    certificate = Certificate(flags[0].tolist())
+    m = (tilde.shape[1] + 2) * (tilde.shape[1] - 1) // 2
+    if len(tilde) != m:
+        raise ValueError("tilde must have (K+2)(K-1)/2 = %d rows, got %d" % (m, len(tilde)))
+    generators = peel(m, *generator_nonzeros(tilde, supports))
+    certificate = Certificate(peeled_nonsingular(generators).tolist())
     certificate.generators = generators
     return certificate
-
-
-def _certify_stack(tilde: np.ndarray, supports: np.ndarray,
-                   keep: np.ndarray | None = None) -> tuple[np.ndarray, Peeled]:
-    """((P, K) flags, peel) of the patterns generator_nonzeros(tilde,
-    supports, keep) builds, one without keep: every G_j built by its
-    nonzeros, never densely, peeled once (`exactrank.peel`) and decided on
-    that peel (`exactrank.peeled_nonsingular`). Raises ValueError unless
-    each pattern has m = (K+2)(K-1)/2 rows, the one block-length check of
-    both certificate front ends."""
-    K = tilde.shape[1]
-    m = (K + 2) * (K - 1) // 2
-    rows = np.atleast_1d(len(tilde) if keep is None else np.count_nonzero(keep, axis=1))
-    if (rows != m).any():
-        raise ValueError("tilde must have (K+2)(K-1)/2 = %d rows, got %d" % (m, rows[rows != m][0]))
-    generators = peel(m, *generator_nonzeros(tilde, supports, keep))
-    return peeled_nonsingular(generators).reshape(-1, K), generators
-
-
-def certify_patterns(tilde: np.ndarray, supports: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """certify_receivers for a stack of P patterns, each a row subset of
-    one base pattern: (P, K) flags.
-
-    tilde (v, K) and supports (v, C(K,2)) are the base rows and every
-    pair's shared vector on them, in lexicographic pair order, not
-    checked here; keep is the (P, v) boolean mask of the rows each pattern
-    takes, in order, and must keep m = (K+2)(K-1)/2 rows of each (or
-    ValueError). Patterns go in `exactrank.chunks` of at most
-    `exactrank.BATCH_ELEMENTS` nonzeros, K times the stack's largest
-    support count a pattern (at least one pattern), one _certify_stack
-    call, one peel, per chunk; no peel is kept and no inverse is taken.
-    """
-    keep = np.asarray(keep, dtype=bool)
-    count, K = keep.shape[0], tilde.shape[1]
-    sizes = keep @ np.count_nonzero(supports, axis=1)  # each pattern's support count
-    out = np.empty((count, K), dtype=bool)
-    for chunk in chunks(count, K * int(sizes.max(initial=0))):
-        out[chunk.start:chunk.stop] = _certify_stack(tilde, supports, keep[chunk.start:chunk.stop])[0]
-    return out
 
 
 @functools.lru_cache(maxsize=64)
@@ -306,28 +268,15 @@ def receiver_columns(K: int) -> tuple[np.ndarray, np.ndarray]:
     return src, col
 
 
-def generator_nonzeros(tilde: np.ndarray, supports: np.ndarray,
-                       keep: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def generator_nonzeros(tilde: np.ndarray, supports: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """G_j of every receiver j by its nonzeros (counts, rows, cols) in
-    `exactrank`'s convention, columns as receiver_columns(K).
-
-    tilde (v, K) and supports (v, C(K,2)) are a base pattern. Without
-    keep the base is the one pattern built: K matrices. With keep, a
-    (P, v) boolean mask, pattern p is the base rows keep[p] selects,
-    renumbered in order, with the base supports at those rows (as
-    product_matrix works row by row, the pair products of a row subset
-    are the base's at its rows): P K matrices in (pattern, receiver)
-    order.
-
-    Every G_j holds each support entry once (an own pair's in its mode-1
-    or its mode-2 half), so each of a pattern's K matrices has the
-    support's nonzero count, and the column an entry takes in G_j
-    depends on the base entry and j alone. The column table, one row per
-    receiver and one column per base support entry (row, pair), row by
-    row, is computed once per call; a pattern's K matrices are its
-    columns at the pattern's entries, by a broadcast for one pattern and
-    by one (P, K, nnz) compress for a masked stack.
-    """
+    `exactrank`'s convention, columns as receiver_columns(K), for tilde
+    (v, K) and supports (v, C(K,2)) of any v rows (the design-space scan
+    passes its vocabulary, v = m + 2). G_j holds each support entry once
+    (an own pair's in one of its mode halves), in a column that depends
+    on the entry's tilde row, its pair and j alone, so a row subset's G_j
+    is this G_j at its rows. One (K, nnz) column table, entries row by
+    row, gives the K matrices."""
     K = tilde.shape[1]
     col = receiver_columns(K)[1]
     own = np.full((K, col.shape[1] - K + 1), -1)  # [j, pair]: j's own column of the pair
@@ -335,14 +284,7 @@ def generator_nonzeros(tilde: np.ndarray, supports: np.ndarray,
     r, pair = np.nonzero(supports)
     at = own[:, pair]
     table = np.where((at >= 0) & (tilde[r].T == 1), at, K - 1 + pair)  # (K, nnz): mode 2 in the own column
-    if keep is None:
-        return np.full(K, r.size), np.tile(r, K), table.ravel()
-    kept = keep[:, r]  # (P, nnz): the pattern keeps the entry's row
-    shape = (keep.shape[0], K, r.size)
-    take = np.broadcast_to(kept[:, None], shape)
-    rows = (np.cumsum(keep, axis=1) - 1)[:, r]  # the entry's row in its pattern
-    return (np.repeat(np.count_nonzero(kept, axis=1), K),
-            np.broadcast_to(rows[:, None], shape)[take], np.broadcast_to(table, shape)[take])
+    return np.full(K, r.size), np.tile(r, K), table.ravel()
 
 
 def generator_inverses(pattern: PatternMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

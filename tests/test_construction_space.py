@@ -19,10 +19,10 @@ import pytest
 import biakit.designspace
 import biakit.exactrank
 import biakit.scheme
-from biakit.designspace import make_pattern_matrix, row_vocabulary
-from biakit.exactrank import BATCH_ELEMENTS, chunks, integer_rank, peeled_nonsingular
+from biakit.designspace import certify_candidates, make_pattern_matrix, row_vocabulary
+from biakit.exactrank import BATCH_ELEMENTS, chunks, peel, peeled_left_kernels
 from biakit.scheme import (
-    PatternMatrix, certify_patterns, certify_product_rank, certify_receivers, make_config, product_matrix)
+    PatternMatrix, certify_product_rank, certify_receivers, generator_nonzeros, make_config, product_matrix)
 
 from conftest import ROOT, exclude_one_product, load, pair_product, scan_masks, scan_module
 
@@ -38,32 +38,57 @@ def scan_omissions(K):
     return vocab, results
 
 
-@pytest.mark.parametrize("K", range(3, 7))
+@pytest.mark.parametrize("K", range(3, 8))
 def test_stacked_scan_matches_per_candidate_certificates(K):
+    """Every flag certify_candidates gives is certify_receivers of its
+    candidate built on its own, and scan reads (candidates, full, best)
+    off those flags."""
     vocab, results = scan_omissions(K)
+    flags = certify_candidates(K)
+    assert flags.dtype == bool
+    assert np.array_equal(flags, np.array([list(cert) for _, cert in results]))
     full = [[vocab[r] for r in range(len(vocab)) if r not in omit]
             for omit, cert in results if all(cert)]
     best = max(sum(cert) for _, cert in results)
     assert scan_module().scan(K) == (len(results), full, best)
 
 
-def largest_support(K):
-    """The largest pair-product nonzero count of any scan candidate."""
-    vocab = np.array(row_vocabulary(K))
-    return max(sum(int(pair_product(tilde, a, b).sum()) for a, b in itertools.combinations(range(K), 2))
-               for tilde in (np.delete(vocab, omit, axis=0)
-                             for omit in itertools.combinations(range(len(vocab)), 2)))
+@pytest.mark.parametrize("K", range(5, 13))
+def test_four_receivers_is_the_ceiling_up_to_12_users(K):
+    """README's table: no candidate certifies every receiver and the best
+    certify four, for K = 5..12."""
+    m = make_config(K).block_len
+    assert scan_module().scan(K) == (math.comb(m + 2, 2), [], 4)
+
+
+@pytest.mark.parametrize("K", range(3, 13))
+def test_vocabulary_left_kernels_are_proven_bases(K):
+    """Every vocabulary G_j, (m+2) x m, peels to two zero rows, so its
+    left kernel is two-dimensional (rank m): N_j G_j = 0 exactly, N_j is
+    the identity on those two rows, and its entries lie in {-1, 0, 1}."""
+    vocab = np.array(row_vocabulary(K), dtype=np.int8)
+    v = len(vocab)
+    counts, rows, cols = generator_nonzeros(vocab, product_matrix(vocab))
+    lines, basis = peeled_left_kernels(peel(v, counts, rows, cols))
+    assert np.bincount(lines // v, minlength=K).tolist() == [2] * K
+    assert set(np.unique(basis).tolist()) <= {-1, 0, 1}
+    g = np.zeros((K, v, v - 2), dtype=np.int64)
+    g[np.repeat(np.arange(K), counts), rows, cols] = 1
+    for j in range(K):
+        n_j = basis[lines // v == j]
+        assert not (n_j @ g[j]).any()
+        assert np.array_equal(n_j[:, lines[lines // v == j] % v], np.eye(2, dtype=np.int64))
 
 
 def counting_peels(monkeypatch):
-    """The (matrices, nonzeros) of every singleton peel: one per chunk of
-    a stacked certificate (`certify_patterns`) and one per pattern's
+    """The (n, matrices, nonzeros) of every singleton peel: one per scan,
+    of the vocabulary's K generator matrices, and one per pattern's
     certificate (`certify_receivers`, whose peel the pattern keeps)."""
     sizes = []
     peel = biakit.exactrank._peel
 
     def counted(n, counts, gr, gc):
-        sizes.append((len(counts), gr.size))
+        sizes.append((n, len(counts), gr.size))
         return peel(n, counts, gr, gc)
     monkeypatch.setattr(biakit.exactrank, "_peel", counted)
     return sizes
@@ -71,57 +96,58 @@ def counting_peels(monkeypatch):
 
 @pytest.mark.parametrize("K", range(3, 7))
 def test_scan_certifies_a_chunk_of_candidates_per_call(monkeypatch, K):
-    """Chunks hold at most BATCH_ELEMENTS nonzeros at K times the largest
-    support count a candidate, or one candidate."""
+    """A scan peels once, the K vocabulary matrices as (m+2) x (m+2), and
+    takes the candidates' minors in `exactrank.chunks` of K entries a
+    candidate: every candidate once, in order, at most BATCH_ELEMENTS
+    entries a chunk."""
     sizes = counting_peels(monkeypatch)
+    seen = []
+
+    def recorded(count, per_item):
+        seen.append((count, per_item))
+        return chunks(count, per_item)
+    monkeypatch.setattr(biakit.designspace, "chunks", recorded)
     candidates = scan_module().scan(K)[0]
-    per_chunk = max(1, BATCH_ELEMENTS // (K * largest_support(K)))
-    assert [matrices for matrices, _ in sizes] == [
-        K * min(per_chunk, candidates - lo) for lo in range(0, candidates, per_chunk)]
-    assert all(nnz <= BATCH_ELEMENTS or matrices == K for matrices, nnz in sizes)
+    vocab = np.array(row_vocabulary(K))
+    assert sizes == [(len(vocab), K, K * int(product_matrix(vocab).sum()))]
+    assert seen == [(candidates, K)]
+    parts = chunks(candidates, K)
+    assert [i for part in parts for i in part] == list(range(candidates))
+    assert all(len(part) * K <= BATCH_ELEMENTS for part in parts)
 
 
 @pytest.mark.parametrize("K", range(3, 8))
 def test_scan_runs_bareiss_at_most_once_per_certificate_call(monkeypatch, K):
-    """The peel decides every G_j of every candidate, or leaves one 3 x 3
-    core (det -1); equal cores share one verdict within a call."""
-    per_call, ranked = [], []
+    """The scan runs no Bareiss elimination at all: the peel leaves every
+    vocabulary G_j two zero rows, whose left kernel it reads off, and no
+    core to decide."""
+    ranked = []
+    bareiss = biakit.exactrank._bareiss
 
-    def counted(generators):
-        before = len(ranked)
-        out = peeled_nonsingular(generators)
-        per_call.append(len(ranked) - before)
-        return out
-
-    def counted_rank(rows):
-        ranked.append(rows)
-        return integer_rank(rows)
-    monkeypatch.setattr(biakit.scheme, "peeled_nonsingular", counted)
-    monkeypatch.setattr(biakit.exactrank, "integer_rank", counted_rank)
+    def counted(*args, **kwargs):
+        ranked.append(args)
+        return bareiss(*args, **kwargs)
+    monkeypatch.setattr(biakit.exactrank, "_bareiss", counted)
     scan_module().scan(K)
-    assert per_call and max(per_call) <= 1
-    assert all(rows == [[1, 1, 1], [1, 0, 1], [0, 1, 1]] for rows in ranked)
+    assert ranked == []
 
 
 @pytest.mark.parametrize("K", range(3, 8))
 def test_scan_gathers_its_candidates_and_supports_from_the_vocabulary(monkeypatch, K):
-    """The scan's one certify_patterns call takes the vocabulary as its
-    base, the vocabulary's pair products as its supports, and masks that
-    drop every two rows, omissions in lexicographic order; its result is
-    README's table (the benchmark's SCAN_TABLE), and four receivers at
-    most at K = 7."""
+    """The scan's one generator_nonzeros call takes the vocabulary and its
+    pair products, unmasked; its result is README's table (the
+    benchmark's SCAN_TABLE), and four receivers at most at K = 7."""
     seen = []
 
-    def recorded(tilde, supports, keep):
-        seen.append((tilde, supports, keep))
-        return certify_patterns(tilde, supports, keep)
-    monkeypatch.setattr(biakit.designspace, "certify_patterns", recorded)
+    def recorded(*args):
+        seen.append(args)
+        return generator_nonzeros(*args)
+    monkeypatch.setattr(biakit.designspace, "generator_nonzeros", recorded)
     result = biakit.designspace.scan(K)
-    vocab, masks = scan_masks(K)
-    [(base, supports, keep)] = seen
+    vocab = scan_masks(K)[0]
+    [(base, supports)] = seen
     assert np.array_equal(base, vocab)
     assert np.array_equal(supports, product_matrix(vocab))
-    assert keep.dtype == bool and np.array_equal(keep, masks)
     table = load("perfbench/workloads.py", "perfbench_workloads").SCAN_TABLE
     candidates, full, best = result
     assert (candidates, len(full), best) == table.get(K, (math.comb(len(vocab), 2), 0, 4))
@@ -130,10 +156,9 @@ def test_scan_gathers_its_candidates_and_supports_from_the_vocabulary(monkeypatc
 @pytest.mark.parametrize("K", range(3, 8))
 def test_scan_builds_no_candidate_stack(monkeypatch, K):
     """No pattern or support that product_matrix or generator_nonzeros
-    sees during scan(K) has a leading candidate axis: both see the
-    vocabulary, (m+2, K), and its pair products, and the candidates reach
-    G_j's builder only as the (chunk, m+2) masks of the rows they keep.
-    A single pattern's certificate takes no mask."""
+    sees during scan(K) has a leading candidate axis: both see only the
+    vocabulary, (m+2, K), and its pair products. A single pattern's
+    certificate sees that pattern."""
     seen = {"product_matrix": [], "generator_nonzeros": []}
 
     def recorder(module, name):
@@ -143,34 +168,30 @@ def test_scan_builds_no_candidate_stack(monkeypatch, K):
             seen[name].append(args)
             return inner(*args)
         monkeypatch.setattr(module, name, recorded)
-    recorder(biakit.designspace, "product_matrix")
-    recorder(biakit.scheme, "generator_nonzeros")
-    candidates = biakit.designspace.scan(K)[0]
+    for module in (biakit.designspace, biakit.scheme):
+        recorder(module, "product_matrix")
+        recorder(module, "generator_nonzeros")
+    biakit.designspace.scan(K)
     vocab = scan_masks(K)[0]
     [(tilde,)] = seen["product_matrix"]
     assert np.array_equal(tilde, vocab)
-    assert seen["generator_nonzeros"]
-    for tilde, supports, keep in seen["generator_nonzeros"]:
-        assert np.array_equal(tilde, vocab)
-        assert np.array_equal(supports, product_matrix(vocab))
-        assert keep.dtype == bool and keep.shape[1:] == (len(vocab),)
-    assert sum(len(keep) for *_, keep in seen["generator_nonzeros"]) == candidates
+    [(tilde, supports)] = seen["generator_nonzeros"]
+    assert np.array_equal(tilde, vocab)
+    assert np.array_equal(supports, product_matrix(vocab))
     seen["generator_nonzeros"].clear()
     PatternMatrix(vocab[2:].astype(np.int64))
-    [(tilde, supports, keep)] = seen["generator_nonzeros"]
-    assert tilde.shape == (len(vocab) - 2, K) and keep is None
+    [(tilde, supports)] = seen["generator_nonzeros"]
+    assert tilde.shape == (len(vocab) - 2, K)
 
 
 @pytest.mark.parametrize("K", [3, 4])
 def test_pair_product_search_is_the_stacked_scan(monkeypatch, K):
-    """make_pattern_matrix certifies every candidate in the scan's stacked
-    calls (one chunk at K = 3 and at K = 4), then the returned pattern
-    certifies itself once."""
+    """make_pattern_matrix peels the K vocabulary matrices once in the
+    scan, then the returned pattern certifies itself once: [K, K]."""
     sizes = counting_peels(monkeypatch)
     make_pattern_matrix(make_config(K))
-    candidates = math.comb(len(row_vocabulary(K)), 2)
-    expect = [len(chunk) * K for chunk in chunks(candidates, K * largest_support(K))] + [K]
-    assert [matrices for matrices, _ in sizes] == expect == [candidates * K, K]
+    m = make_config(K).block_len
+    assert [(n, matrices) for n, matrices, _ in sizes] == [(m + 2, K), (m, K)]
 
 
 def test_script_exports_the_designspace_scan():
@@ -187,6 +208,16 @@ def test_script_prints_the_readme_table(capsys):
     assert header == ["K", "m", "candidates", "fully_certified", "best_receivers"]
     assert [row[1] for row in rows] == ["5", "9"]
     assert [row[:1] + row[2:] for row in rows] == readme
+
+
+@pytest.mark.parametrize("users", [2, 0, -1])
+def test_script_refuses_fewer_than_three_users(capsys, users):
+    """--max-users below 3 names no K to scan: exit 1 with a message on
+    stderr, nothing on stdout."""
+    assert scan_module().main(["--max-users", str(users)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --max-users must be at least 3, got %d\n" % users
 
 
 def test_3user_space_has_exactly_three_full_families():

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 import biakit.exactrank
 from biakit.exactrank import (
-    gaussian_rank, integer_rank, is_inverse, peel, peeled_inverses, peeled_nonsingular)
+    gaussian_rank, integer_rank, is_inverse, peel, peeled_inverses, peeled_left_kernels,
+    peeled_nonsingular)
 
 
 def test_identity_zero_empty():
@@ -476,3 +477,91 @@ def test_is_inverse_refuses_entries_past_its_bound():
         index, values, scale, ok = peeled_inverses(peel(n, *nonzeros(g[None])))
         assert ok.tolist() == [expect]
         assert (np.abs(values).max() > (1 << 26) // n) == (not expect)
+
+
+# 0/1 matrices whose peel leaves an all-zero core: every left kernel is
+# read off the peel
+EMPTY_CORES = {
+    # row passes (r1, c1), then (r0, c0), then (r3, c2): r0's sum reads r2,
+    # r1's reads r0 and r2, so the passes go back in reverse; core rows 2, 4
+    "two passes back": [[1, 1, 0, 0, 0], [0, 1, 0, 0, 0], [1, 1, 0, 0, 0],
+                        [0, 0, 1, 0, 0], [0, 0, 0, 0, 0]],
+    # row pass (r1, c1), column pass (r0, c0): y = 0 on r0, whose other
+    # nonzero lies in a core column; a zero row; a 3-dimensional kernel
+    "three-dimensional": [[1, 0, 1, 0, 0], [0, 1, 0, 0, 0], [0, 1, 0, 0, 0],
+                          [0, 0, 0, 0, 0], [0, 1, 0, 0, 0]],
+    "nonsingular": np.eye(5, dtype=int)[[2, 0, 4, 1, 3]].tolist(),
+    "zero": [[0] * 5] * 5,
+}
+
+
+def row_space(rows):
+    """The reduced row echelon form of the span of rows (sympy)."""
+    return sympy.Matrix(rows).rref()[0] if rows else None
+
+
+def test_left_kernels_match_sympy_on_empty_cores():
+    """On a stack of matrices whose peel leaves an all-zero core, each
+    matrix's basis spans sympy's nullspace of G^T, one vector per core row,
+    the identity on the core rows, and N G = 0 exactly; a nonsingular
+    matrix has none and the zero matrix has the identity."""
+    stack = np.array(list(EMPTY_CORES.values()))
+    lines, basis = peeled_left_kernels(peel(5, *nonzeros(stack)))
+    assert np.array_equal(lines, np.sort(lines)) and basis.dtype == np.int64
+    dims = np.bincount(lines // 5, minlength=len(stack)).tolist()
+    assert dims == [2, 3, 0, 5]
+    for i, g in enumerate(stack):
+        mine = lines // 5 == i
+        n_i = basis[mine]
+        expect = [list(v.T) for v in sympy.Matrix(g.T.tolist()).nullspace()]
+        assert len(expect) == dims[i]
+        assert row_space(n_i.tolist()) == row_space(expect)
+        assert np.array_equal(n_i[:, lines[mine] % 5], np.eye(dims[i], dtype=np.int64))
+        assert not (n_i @ g).any()
+    assert lines[lines // 5 == 1].tolist() == [7, 8, 9]  # core rows 2, 3 and 4
+    assert basis[lines == 7].tolist() == [[0, -1, 1, 0, 0]]
+
+
+def test_left_kernels_refuse_a_core_with_a_live_nonzero():
+    """No elimination is run: a core the peel leaves with a live nonzero
+    is refused, naming its matrix."""
+    core = [[1, 1, 0], [1, 1, 0], [0, 0, 0]]  # no line of rows 0, 1 is a singleton
+    stack = np.array([np.eye(3, dtype=int), core])
+    with pytest.raises(ValueError, match="^matrix 1: the peel leaves a live nonzero in its core"):
+        peeled_left_kernels(peel(3, *nonzeros(stack)))
+
+
+def test_left_kernels_refuse_entries_past_the_bound():
+    """Below a unit lower-triangular L with ones on subdiagonals 1 and 3
+    and a row e_(n-1), padded by a zero column, the kernel vector is
+    -(row n-1 of L^-1) and 1, whose entries grow geometrically with n: it
+    is proven at n = 30 but past 2^26 / (n + 1) at n = 40, and refused."""
+    for n in (30, 40):
+        g = np.zeros((n + 1, n + 1), dtype=np.int64)
+        g[:n, :n] = np.eye(n) + np.eye(n, k=-1) + np.eye(n, k=-3)
+        g[n, n - 1] = 1
+        p = peel(n + 1, *nonzeros(g[None]))
+        if n == 30:
+            lines, basis = peeled_left_kernels(p)
+            assert lines.size == 1 and not (basis @ g).any()
+            assert 1 << 14 < np.abs(basis).max() <= (1 << 26) // (n + 1)
+        else:
+            with pytest.raises(ValueError, match="^matrix 0: .* past 2.26 / 41"):
+                peeled_left_kernels(p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_left_kernels_are_refused_or_exact(rows):
+    """On any 0/1 matrix the kernel is refused (a live core nonzero) or is
+    a basis of sympy's nullspace of G^T."""
+    g = np.array(rows, dtype=np.int64)
+    try:
+        lines, basis = peeled_left_kernels(peel(len(g), *nonzeros(g[None])))
+    except ValueError as e:
+        assert str(e).startswith("matrix 0: the peel leaves a live nonzero")
+        return
+    expect = [list(v.T) for v in sympy.Matrix(rows).T.nullspace()]
+    assert len(lines) == len(expect)
+    assert row_space(basis.tolist()) == row_space(expect)

@@ -16,12 +16,11 @@ import biakit.scheme
 from biakit.sim import SimConfig, estimate_dof
 from biakit.verify import run_verification
 from biakit.errors import DegenerateSchemeError
-from biakit.designspace import make_pattern_matrix, row_vocabulary
+from biakit.designspace import certify_candidates, make_pattern_matrix, row_vocabulary
 from biakit.exactrank import integer_rank, peel, peeled_inverses
 from biakit.scheme import (
     PatternMatrix,
     MAX_BLOCK_ENTRIES,
-    certify_patterns,
     certify_product_rank,
     certify_receivers,
     check_supports,
@@ -523,13 +522,13 @@ def _integer_rank_certificate(tilde, supports):
     return tuple(integer_rank(g.tolist()) == m for g in _generator_matrices(tilde, supports))
 
 
-def scattered_generators(tilde, supports, keep=None):
-    """generator_nonzeros(tilde, supports, keep) as dense (n, m, m) 0/1
-    matrices."""
-    counts, rows, cols = generator_nonzeros(tilde, supports, keep)
+def scattered_generators(tilde, supports):
+    """generator_nonzeros(tilde, supports) as dense (K, v, m) 0/1
+    matrices, v the rows of tilde."""
+    counts, rows, cols = generator_nonzeros(tilde, supports)
     K = tilde.shape[1]
     m = (K + 2) * (K - 1) // 2
-    g = np.zeros((len(counts), m, m), dtype=np.int64)
+    g = np.zeros((len(counts), len(tilde), m), dtype=np.int64)
     g[np.repeat(np.arange(len(counts)), counts), rows, cols] = 1
     return g
 
@@ -790,10 +789,10 @@ def dense_inverses(pattern):
 @pytest.mark.parametrize("K", [3, 5, 8])
 def test_generator_nonzeros_are_the_generator_matrices(K):
     """Every G_j is the one built column by column, counted once per
-    support entry: of one pattern, and in one masked call whose base holds
-    the star rows twice, with the star supports and with the pair
-    products, and whose two masks take one copy each, so the two
-    patterns' nonzero counts differ."""
+    support entry: of one pattern, and of a 2m-row base that holds the
+    star rows twice, with the star supports on the first copy and the
+    pair products on the second, whose rows m.. are the second pattern's
+    G_j: a row subset's G_j is the base's at its rows."""
     pattern = bk.build_scheme(K).pattern
     m = pattern.block_len
     products = product_matrix(pattern.tilde)
@@ -801,12 +800,12 @@ def test_generator_nonzeros_are_the_generator_matrices(K):
                           _generator_matrices(pattern.tilde, pattern.supports))
     tilde = np.vstack([pattern.tilde] * 2)
     supports = np.vstack([pattern.supports, products])
-    keep = np.repeat(np.eye(2, dtype=bool), m, axis=1)
-    counts = generator_nonzeros(tilde, supports, keep)[0]
-    assert counts.tolist() == [int(pattern.supports.sum())] * K + [int(products.sum())] * K
-    assert counts[0] != counts[K]
-    expect = np.concatenate([_generator_matrices(pattern.tilde, v) for v in (pattern.supports, products)])
-    assert np.array_equal(scattered_generators(tilde, supports, keep), expect)
+    counts = generator_nonzeros(tilde, supports)[0]
+    assert counts.tolist() == [int(pattern.supports.sum() + products.sum())] * K
+    g = scattered_generators(tilde, supports)
+    assert np.array_equal(g, _generator_matrices(tilde, supports))
+    assert np.array_equal(g[:, :m], _generator_matrices(pattern.tilde, pattern.supports))
+    assert np.array_equal(g[:, m:], _generator_matrices(pattern.tilde, products))
 
 
 def stacked_generator_nonzeros(tilde, supports):
@@ -837,15 +836,30 @@ def assert_same_arrays(got, expect):
         assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
 
 
+def scan_stack(K):
+    """(vocabulary, stack): the scan's candidates gathered as a dense
+    (candidates, m, K) stack, the vocabulary less every two rows."""
+    vocab, keep = scan_masks(K)
+    return vocab, np.stack([vocab[kept] for kept in keep])
+
+
 @pytest.mark.parametrize("K", range(3, 8))
 def test_generator_nonzeros_match_the_stacked_oracle_on_every_scan_stack(K):
-    """The scan's masked call gives the oracle's arrays on the gathered
-    stack, dtype, shape and values, where candidates' counts differ."""
-    vocab, keep = scan_masks(K)
-    stack = np.stack([vocab[kept] for kept in keep])
-    got = generator_nonzeros(vocab, product_matrix(vocab), keep)
-    assert len(set(got[0].tolist())) > 1
-    assert_same_arrays(got, stacked_generator_nonzeros(stack, product_matrix(stack)))
+    """The scan's one call gives the oracle's arrays on the vocabulary,
+    dtype, shape and values, and the oracle's G_j of every candidate on
+    the gathered stack, where candidates' counts differ, is the
+    vocabulary's G_j less the candidate's two rows."""
+    vocab, stack = scan_stack(K)
+    m = make_config(K).block_len
+    got = generator_nonzeros(vocab, product_matrix(vocab))
+    assert_same_arrays(got, stacked_generator_nonzeros(vocab[None], product_matrix(vocab)[None]))
+    counts, rows, cols = stacked_generator_nonzeros(stack, product_matrix(stack))
+    assert len(set(counts.tolist())) > 1
+    candidates = np.zeros((len(counts), m, m), dtype=np.int64)
+    candidates[np.repeat(np.arange(len(counts)), counts), rows, cols] = 1
+    g = scattered_generators(vocab, product_matrix(vocab))
+    expect = [np.delete(g, omit, axis=1) for omit in itertools.combinations(range(len(vocab)), 2)]
+    assert np.array_equal(candidates, np.concatenate(expect))
 
 
 @pytest.mark.parametrize("K", range(3, 15))
@@ -855,43 +869,13 @@ def test_generator_nonzeros_match_the_stacked_oracle_on_built_schemes(K):
                        stacked_generator_nonzeros(pattern.tilde[None], pattern.supports[None]))
 
 
-@st.composite
-def masked_bases(draw):
-    """(tilde, keep): a base of v >= m rows, each a vocabulary row or a
-    random 0/1 row, and masks that keep m of its rows each."""
-    K = draw(st.integers(3, 5))
-    m = make_config(K).block_len
-    row = st.one_of(st.sampled_from(row_vocabulary(K)), st.tuples(*[st.integers(0, 1)] * K))
-    tilde = np.array(draw(st.lists(row, min_size=m, max_size=m + 3)), dtype=np.int64)
-    keep = np.zeros((draw(st.integers(1, 6)), len(tilde)), dtype=bool)
-    for kept in keep:
-        kept[sorted(draw(st.sets(st.integers(0, len(tilde) - 1), min_size=m, max_size=m)))] = True
-    return tilde, keep
-
-
-@settings(max_examples=60, deadline=None)
-@given(masked_bases())
-def test_masked_certificate_is_every_candidates_own(base):
-    """certify_patterns over a base with pair-product supports equals
-    certify_receivers of each candidate built on its own, and the masked
-    nonzeros equal the oracle's on the gathered stack."""
-    tilde, keep = base
-    supports = product_matrix(tilde)
-    stack = np.stack([tilde[kept] for kept in keep])
-    assert certify_patterns(tilde, supports, keep).tolist() == [
-        list(certify_receivers(candidate)) for candidate in stack]
-    assert_same_arrays(generator_nonzeros(tilde, supports, keep),
-                       stacked_generator_nonzeros(stack, product_matrix(stack)))
-
-
 @pytest.mark.parametrize("rows", [8, 10, 11])
-def test_masked_certificate_rejects_a_mask_of_the_wrong_length(rows):
-    """A mask must keep m = (K+2)(K-1)/2 rows (9 at K = 4): a last
-    candidate that keeps 8, 10 or all 11 vocabulary rows is refused."""
-    vocab, keep = scan_masks(4)
-    keep[-1] = np.arange(len(vocab)) < rows
+def test_certificate_rejects_a_pattern_of_the_wrong_length(rows):
+    """A pattern must have m = (K+2)(K-1)/2 rows (9 at K = 4): the first
+    8, 10 or all 11 vocabulary rows are refused."""
+    vocab = np.array(row_vocabulary(4), dtype=np.int64)
     with pytest.raises(ValueError, match="must have .* = 9 rows, got %d" % rows):
-        certify_patterns(vocab, product_matrix(vocab), keep)
+        certify_receivers(vocab[:rows])
 
 
 @pytest.mark.parametrize("K", range(3, 21))
@@ -947,14 +931,14 @@ def test_generator_inverses_exist_exactly_at_certified_receivers(golden_scheme4)
 
 def test_generator_inverses_exist_wherever_the_scan_certifies():
     """Over every vocabulary-minus-two pattern of the design-space scan at
-    K = 3..6, one peeled_inverses call per K proves an inverse exactly at
-    the receivers certify_patterns certifies."""
+    K = 3..6, one peeled_inverses call per K, on the oracle's G_j of the
+    gathered candidates, proves an inverse exactly at the receivers
+    certify_candidates certifies."""
     for K in range(3, 7):
-        vocab, keep = scan_masks(K)
-        supports = product_matrix(vocab)
+        stack = scan_stack(K)[1]
         ok = peeled_inverses(peel(
-            make_config(K).block_len, *generator_nonzeros(vocab, supports, keep)))[3]
-        assert ok.reshape(-1, K).tolist() == certify_patterns(vocab, supports, keep).tolist()
+            make_config(K).block_len, *stacked_generator_nonzeros(stack, product_matrix(stack))))[3]
+        assert np.array_equal(ok.reshape(-1, K), certify_candidates(K))
 
 
 def test_generator_inverses_exist_at_every_built_receiver():
