@@ -32,7 +32,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np
 
 from biakit.channel import draw_channels, draw_symbols, receive, transmit
-from biakit.designspace import certify_candidates, make_pattern_matrix, scan
+from biakit.designspace import certify_candidates, make_pattern_matrix, scan, vocabulary
 from biakit.scheme import (
     Scheme, build_scheme, default_pair_dims, generator_inverses, make_config, scheme_to_json)
 from biakit.sim import (
@@ -92,7 +92,7 @@ def signal_outputs(K: int) -> list:
 def scan_outputs(K: int) -> list:
     """The certificate flags of every scan candidate, the vocabulary less
     two rows, and the scan's result."""
-    return [certify_candidates(K), repr(scan(K))]
+    return [certify_candidates(*vocabulary(K)), repr(scan(K))]
 
 
 def pattern_outputs(K: int) -> list:

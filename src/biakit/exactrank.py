@@ -17,10 +17,7 @@ point, so a caller that needs both verdicts and inverses peels once:
   singletons in one line: the second is left a zero line); a matrix
   peeled to nothing is nonsingular. `integer_rank` decides each distinct
   core the peel leaves, once per call: equal cores share one verdict. So
-  both verdicts are proofs. The cores are built together (`_cores`): one
-  scatter of the live nonzeros per core size s, each core keyed by
-  (s, its bytes), and each distinct core decided in the order of the
-  first matrix that has it.
+  both verdicts are proofs. The cores are built together (`_cores`).
 - `peeled_inverses` inverts every nonsingular matrix exactly and
   sparsely: in the peel's order G is block lower triangular, unit pivots
   around the core C, whose adjugate (C adj C = d I, d = +-det C; d = 1
@@ -68,25 +65,28 @@ def _peel(n: int, counts: np.ndarray, gr: np.ndarray, gc: np.ndarray):
     lines (`peel`; module docstring). Each pass removes every live row
     with exactly one live nonzero, with that nonzero's column (of two
     singletons in one column only the first), then the same for columns,
-    until a pass removes nothing or nothing is left. Returns (live_r,
-    live_c, passes): the rows and columns left, (N, n) each and equally
-    many per matrix, spanning the core (none: nonsingular), and every pass
-    as (row pass?, pivot rows, pivot columns) in lines of the whole stack.
-    The loop drops the nonzeros a half-pass kills from its own gr and gc,
-    so each half-pass reads only the live ones.
-    """
+    until a pass removes nothing or no live nonzero is left. Returns
+    (live_r, live_c, passes): the rows and columns left, (N, n) each and
+    equally many per matrix, spanning the core (none: nonsingular), and
+    every pass as (row pass?, pivot rows, pivot columns) in lines of the
+    whole stack. The loop drops the nonzeros a half-pass kills from its
+    own gr and gc, so each half-pass reads only the live ones."""
     size = len(counts) * n
     live_r = np.ones(size, dtype=bool)
     live_c = np.ones(size, dtype=bool)
     passes = []
     removed = True
-    while removed and live_r.any():
+    while removed:
         removed = False
         for by_row, lines, across in ((True, live_r, live_c), (False, live_c, live_r)):
             a, b = (gr, gc) if by_row else (gc, gr)
+            if not gr.size:  # nothing live is left to remove
+                break
             single = np.bincount(a, minlength=size)[a] == 1
-            hit, first = np.unique(b[single], return_index=True)
-            line = a[single][first]
+            order = b[single].argsort(kind="stable")  # by the line across, then first come
+            hit, line = b[single][order], a[single][order]
+            first = hit != np.concatenate(([-1], hit[:-1]))
+            hit, line = hit[first], line[first]
             if line.size:
                 lines[line] = False
                 across[hit] = False
@@ -360,7 +360,8 @@ def peeled_left_kernels(p: Peeled) -> tuple[np.ndarray, np.ndarray]:
         if big.any():
             refuse(k[big][0], "has an entry past 2^26 / %d" % n)
     k, e = _ranges((p.counts.cumsum() - p.counts)[lines // n], p.counts[lines // n])
-    keys = _summed(k * n + gc[e] % n, y[k, gr[e] % n])[0]  # y G's nonzero entries
+    # y G, each entry a sum of at most n terms (in float64: exact under the bound)
+    keys = np.flatnonzero(np.bincount(k * n + gc[e] % n, y[k, gr[e] % n], lines.size * n))
     if keys.size:
         refuse(keys[0] // n, "fails N G = 0")
     return lines, y

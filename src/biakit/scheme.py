@@ -33,10 +33,9 @@ continue it (generator_inverses). When every shared vector is the full
 pair product, fully certified matrices exist only for K = 3 and K = 4 and
 four certified receivers is the ceiling beyond (README "Known
 limitations"; that reference family and its exhaustive scan live in
-biakit.designspace).
-Narrower supports lift that ceiling: build_scheme returns the closed-form
-star family (star_pattern_matrix), whose every G_j has determinant +-1
-for every K.
+biakit.designspace). Narrower supports lift that ceiling: build_scheme
+returns the closed-form star family (star_pattern_matrix), whose every
+G_j has determinant +-1 for every K.
 """
 from __future__ import annotations
 
@@ -113,9 +112,9 @@ class PatternMatrix:
     generators: Peeled = field(init=False, repr=False)
 
     def __post_init__(self):
-        bad = np.argwhere((self.tilde != 0) & (self.tilde != 1))
-        if bad.size:
-            r, c = bad[0]
+        bad = (self.tilde != 0) & (self.tilde != 1)
+        if bad.any():
+            r, c = np.argwhere(bad)[0]
             raise ValueError("tilde entries must be 0 or 1, got %s at row %d, column %d"
                              % (self.tilde[r, c], r + 1, c + 1))
         if self.supports is None:
@@ -135,11 +134,6 @@ class PatternMatrix:
     @property
     def users(self) -> int:
         return int(self.tilde.shape[1])
-
-
-def zero_at(K: int, *users: int) -> tuple[int, ...]:
-    """The length-K binary row that is 0 exactly at the given users."""
-    return tuple(0 if c in users else 1 for c in range(K))
 
 
 def pair_users(K: int) -> tuple[np.ndarray, np.ndarray]:
@@ -175,34 +169,35 @@ def certify_product_rank(tilde: np.ndarray) -> bool:
     return integer_rank(u.tolist()) == u.shape[1]
 
 
-def check_supports(tilde: np.ndarray, supports: np.ndarray) -> None:
+def check_supports(tilde: np.ndarray, supports: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Raise ValueError unless supports is an (m, C(K,2)) 0/1 matrix whose
     every column lies inside its pair product: the condition that puts
     every third receiver in mode 2 on the pair's shared vector. The first
-    bad entry, pair by pair, is named by its pair and row.
+    bad entry, pair by pair, is named by its pair and row. Returns the
+    nonzeros (rows, pairs), row by row, which generator_nonzeros takes.
 
     Only the nonzero entries are read. tilde is 0/1 (PatternMatrix checks
     it), so row r lies inside the product of pair {a, b} iff every other
-    column of the row is 1: its sum less tilde[r, a] and tilde[r, b] is K - 2.
-    """
+    column of the row is 1: its sum less tilde[r, a] and tilde[r, b] is K - 2."""
     m, K = tilde.shape
     v = np.asarray(supports)
     if v.shape != (m, K * (K - 1) // 2):
         raise ValueError("supports must be a %d x %d matrix, one column per pair, got shape %s"
                          % (m, K * (K - 1) // 2, v.shape))
-    c, r = np.nonzero(v.T)  # pair by pair, then row by row
+    r, c = divmod(np.flatnonzero(v != 0), v.shape[1])  # np.nonzero(v), at a fraction of its cost
     a, b = pair_users(K)
     t = np.asarray(tilde, dtype=np.int64)
     malformed = v[r, c] != 1
     bad = np.flatnonzero(malformed | (t.sum(axis=1)[r] - t[r, a[c]] - t[r, b[c]] != K - 2))
     if bad.size:
-        first = bad[0]
+        first = bad[np.argmin(c[bad])]  # the least pair, then (row by row) the least row
         pair, row = int(c[first]), int(r[first])
         if malformed[first]:
             raise ValueError("support of pair {%d,%d} must be 0/1, got %s at row %d"
                              % (a[pair] + 1, b[pair] + 1, v[row, pair], row + 1))
         raise ValueError("support of pair {%d,%d} leaves the pair product at row %d"
                          % (a[pair] + 1, b[pair] + 1, row + 1))
+    return r, c
 
 
 class Certificate(tuple):
@@ -229,7 +224,7 @@ def certify_receivers(tilde: np.ndarray, supports: np.ndarray | None = None) -> 
     supports defaults to the pair products; there v_jo*t_j = w_o (the
     exclude-one product), so G_j spans the same space as [U | w_o, o != j].
     The supports are checked against their pair products first
-    (check_supports): the one alignment check, where supports enter.
+    (check_supports): the one alignment check and read, where they enter.
 
     The K matrices are built by their nonzeros and peeled once
     (`exactrank.peel`), so each flag is a proof either way
@@ -237,12 +232,11 @@ def certify_receivers(tilde: np.ndarray, supports: np.ndarray | None = None) -> 
     Bareiss elimination decides whatever core is left. The flags come as
     a Certificate, a tuple that keeps that peel. Raises ValueError unless
     tilde has m = (K+2)(K-1)/2 rows."""
-    supports = product_matrix(tilde) if supports is None else np.asarray(supports)
-    check_supports(tilde, supports)
+    rows, pairs = check_supports(tilde, product_matrix(tilde) if supports is None else supports)
     m = (tilde.shape[1] + 2) * (tilde.shape[1] - 1) // 2
     if len(tilde) != m:
         raise ValueError("tilde must have (K+2)(K-1)/2 = %d rows, got %d" % (m, len(tilde)))
-    generators = peel(m, *generator_nonzeros(tilde, supports))
+    generators = peel(m, *generator_nonzeros(tilde, rows, pairs))
     certificate = Certificate(peeled_nonsingular(generators).tolist())
     certificate.generators = generators
     return certificate
@@ -268,23 +262,22 @@ def receiver_columns(K: int) -> tuple[np.ndarray, np.ndarray]:
     return src, col
 
 
-def generator_nonzeros(tilde: np.ndarray, supports: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def generator_nonzeros(tilde: np.ndarray, rows: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, ...]:
     """G_j of every receiver j by its nonzeros (counts, rows, cols) in
     `exactrank`'s convention, columns as receiver_columns(K), for tilde
-    (v, K) and supports (v, C(K,2)) of any v rows (the design-space scan
-    passes its vocabulary, v = m + 2). G_j holds each support entry once
-    (an own pair's in one of its mode halves), in a column that depends
-    on the entry's tilde row, its pair and j alone, so a row subset's G_j
-    is this G_j at its rows. One (K, nnz) column table, entries row by
-    row, gives the K matrices."""
+    (v, K) of any v rows (the design-space scan passes its vocabulary,
+    v = m + 2) and np.nonzero of the (v, C(K,2)) supports, (rows, pairs).
+    G_j holds each support entry once (an own pair's in one of its mode
+    halves), in a column that depends on the entry's tilde row, its pair
+    and j alone, so a row subset's G_j is this G_j at its rows. One
+    (K, nnz) column table, entries row by row, gives the K matrices."""
     K = tilde.shape[1]
     col = receiver_columns(K)[1]
     own = np.full((K, col.shape[1] - K + 1), -1)  # [j, pair]: j's own column of the pair
     own[np.arange(K)[:, None], col[:, :K - 1]] = np.arange(K - 1)
-    r, pair = np.nonzero(supports)
-    at = own[:, pair]
-    table = np.where((at >= 0) & (tilde[r].T == 1), at, K - 1 + pair)  # (K, nnz): mode 2 in the own column
-    return np.full(K, r.size), np.tile(r, K), table.ravel()
+    at = own[:, pairs]
+    table = np.where((at >= 0) & (tilde[rows].T == 1), at, K - 1 + pairs)  # (K, nnz): mode 2 in the own column
+    return np.full(K, rows.size), rows[None].repeat(K, axis=0).ravel(), table.ravel()
 
 
 def generator_inverses(pattern: PatternMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -363,8 +356,7 @@ def star_pattern_matrix(config: SchemeConfig) -> PatternMatrix:
     rim, z = np.arange(K - 1, a.size + K - 1), np.arange(2 * K - 2, m)  # column and row z_ab
     r = K - 2 + hub  # row of r_o
     tilde = np.ones((m, K), dtype=np.int64)
-    tilde[:K - 1, 0] = 0
-    tilde[r, hub] = 0
+    tilde[:K - 1, 0] = tilde[r, hub] = 0
     tilde[z, a] = tilde[z, b] = 0
     supports = np.zeros((m, rim.size + K - 1), dtype=np.int64)
     supports[hub - 1, hub - 1] = supports[r, hub - 1] = 1  # v_0o = {r_0^(o), r_o}
@@ -377,27 +369,27 @@ def star_pattern_matrix(config: SchemeConfig) -> PatternMatrix:
 
 
 def default_pair_dims(K: int) -> dict[tuple[int, int], tuple[int, int]]:
-    """Lexicographic pair order, first-come dimension indices per user."""
-    nxt = [0] * K
-    dims = {}
-    for i, j in itertools.combinations(range(K), 2):
-        dims[(i, j)] = (nxt[i], nxt[j])
-        nxt[i] += 1
-        nxt[j] += 1
-    return dims
+    """Lexicographic pair order, first-come dimension indices per user: (i, j)
+    is user i's dimension j - 1 and user j's dimension i, since before it
+    user i has its i lower pairs and its j - i - 1 higher ones, and user j
+    its i pairs (a, j), a < i. Valid by construction: no check is needed."""
+    return {(i, j): (j - 1, i) for i, j in itertools.combinations(range(K), 2)}
 
 
 def check_pair_dims(K: int, dims: dict[tuple[int, int], tuple[int, int]]) -> None:
-    """Raise ValueError unless dims covers every unordered pair exactly once
+    """Raise ValueError unless dims holds only ints or numpy integers (a
+    bool or float entry is named), covers every unordered pair exactly once
     and gives each user each dimension index 0..K-2 exactly once."""
+    for pair, d in dims.items():
+        if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in (*pair, *d)):
+            raise ValueError("pair map entry %r: %r must hold integer users and dimensions" % (pair, d))
     if sorted(dims) != list(itertools.combinations(range(K), 2)):
         raise ValueError("pair map must cover every unordered pair exactly once")
     seen = [set() for _ in range(K)]
     for (i, j), (di, dj) in dims.items():
         for user, d in ((i, di), (j, dj)):
             if not 0 <= d < K - 1 or d in seen[user]:
-                raise ValueError(
-                    "pair map must give user %d each dimension exactly once" % (user + 1))
+                raise ValueError("pair map must give user %d each dimension exactly once" % (user + 1))
             seen[user].add(d)
 
 
@@ -415,17 +407,20 @@ MAX_BLOCK_ENTRIES = 1 << 26
 class Scheme:
     """A pattern and its pair map: pair_dims maps each pair (i, j), i < j,
     to the dimensions (d_i, d_j) under which both owners send the pair's
-    one column of pattern.supports. The map defaults to default_pair_dims
-    and is checked once, here (check_pair_dims); relabeling never changes
-    spans, only which symbol rides which vector."""
+    one column of pattern.supports. A caller's map is checked once, here
+    (check_pair_dims); the default (default_pair_dims) is valid by
+    construction. Relabeling changes no span, only which symbol rides
+    which vector."""
 
     pattern: PatternMatrix
     pair_dims: dict[tuple[int, int], tuple[int, int]] | None = None
 
     def __post_init__(self):
-        K = self.pattern.users
-        self.pair_dims = default_pair_dims(K) if self.pair_dims is None else dict(self.pair_dims)
-        check_pair_dims(K, self.pair_dims)
+        if self.pair_dims is None:
+            self.pair_dims = default_pair_dims(self.pattern.users)
+        else:  # checked, then kept as Python ints, as the JSON emitter takes them
+            check_pair_dims(self.pattern.users, self.pair_dims)
+            self.pair_dims = {tuple(map(int, p)): tuple(map(int, d)) for p, d in self.pair_dims.items()}
 
     @property
     def config(self) -> SchemeConfig:

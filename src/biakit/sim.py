@@ -122,20 +122,16 @@ def zf_weights(scheme: Scheme) -> np.ndarray:
 def _tdma_rates(coeffs: np.ndarray, tilde: np.ndarray, powers) -> np.ndarray:
     """TDMA sum rate (P, T) for every power and every draw of a stack
     coeffs (T, K, K, M): the mean of user k's log2(1 + P |h_kk|^2) over the
-    m uses of its own pattern, summed over users in order, over K. Each
-    mean reduces one row of a contiguous (T*K, m) array of own-link gains,
-    so it adds in the same order as a one-user mean."""
+    m uses of its own pattern, summed over users in order, over K. The logs
+    of every power are taken in one broadcast, in place, and each mean
+    reduces one row of a contiguous (P, T*K, m) array, as a one-user mean."""
     T, K, _, _ = coeffs.shape
     own = np.arange(K)[:, None]
     gains = np.ascontiguousarray(np.abs(coeffs[:, own, own, tilde.T]) ** 2).reshape(T * K, -1)
-    out = np.empty((len(powers), T))
-    for p, power in enumerate(powers):
-        per_user = np.log2(1.0 + power * gains).mean(axis=1).reshape(T, K)
-        total = np.zeros(T)
-        for k in range(K):
-            total += per_user[:, k]
-        out[p] = total / K
-    return out
+    logs = np.asarray(powers, dtype=float)[:, None, None] * gains
+    logs += 1.0
+    per_user = np.log2(logs, out=logs).mean(axis=2).reshape(len(powers), T, K)
+    return sum(per_user.transpose(2, 0, 1)) / K  # Python's sum: user after user
 
 
 def tdma_sum_rate(scheme: Scheme, ch: ChannelSet, power: float) -> float:

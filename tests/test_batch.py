@@ -436,7 +436,7 @@ def factored_blocks(scheme, coeffs):
     row n (the mode-2 half)."""
     pattern = scheme.pattern
     K, m = pattern.users, pattern.block_len
-    counts, rows, cols = generator_nonzeros(pattern.tilde, pattern.supports)
+    counts, rows, cols = generator_nonzeros(pattern.tilde, *np.nonzero(pattern.supports))
     g = np.zeros((K, m, m))
     g[np.repeat(np.arange(K), counts), rows, cols] = 1
     src, col = receiver_columns(K)

@@ -205,6 +205,21 @@ def test_output_digest_is_one_repeatable_sha256():
     assert script.digest(two) == first
 
 
+# digest of the integer-only cases of scripts/output_digest.py: every
+# `generate` JSON (K = 3..48), the design-space scan's flags and result
+# (K = 3..7) and make_pattern_matrix (K = 3..6). Float outputs stay with
+# the full digest, run by hand, since their bytes may depend on BLAS.
+CONSTRUCTION_DIGEST = "f662babc486fd288901bb9d2c1b3e7cab371be85d9084217cce125393188821b"
+
+
+def test_construction_bytes_are_pinned():
+    script = load("scripts/output_digest.py", "output_digest")
+    cases = [case for case in script.cases()
+             if case[0].split()[0] in ("generate", "scan", "make_pattern_matrix")]
+    assert len(cases) == 46 + 5 + 4
+    assert script.digest(cases) == CONSTRUCTION_DIGEST
+
+
 def test_simulate_takes_exponent_notation_snr_values(tmp_path):
     # argparse alone reads "-1e1" as an option, not as the value of --snr
     res = run_cli("simulate", "--users", "3", "--trials", "2", "--snr", "-1e1", "--snr", "1e1",

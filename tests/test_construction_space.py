@@ -19,7 +19,7 @@ import pytest
 import biakit.designspace
 import biakit.exactrank
 import biakit.scheme
-from biakit.designspace import certify_candidates, make_pattern_matrix, row_vocabulary
+from biakit.designspace import certify_candidates, make_pattern_matrix, row_vocabulary, vocabulary
 from biakit.exactrank import BATCH_ELEMENTS, chunks, peel, peeled_left_kernels
 from biakit.scheme import (
     PatternMatrix, certify_product_rank, certify_receivers, generator_nonzeros, make_config, product_matrix)
@@ -44,7 +44,7 @@ def test_stacked_scan_matches_per_candidate_certificates(K):
     candidate built on its own, and scan reads (candidates, full, best)
     off those flags."""
     vocab, results = scan_omissions(K)
-    flags = certify_candidates(K)
+    flags = certify_candidates(*vocabulary(K))
     assert flags.dtype == bool
     assert np.array_equal(flags, np.array([list(cert) for _, cert in results]))
     full = [[vocab[r] for r in range(len(vocab)) if r not in omit]
@@ -68,7 +68,7 @@ def test_vocabulary_left_kernels_are_proven_bases(K):
     the identity on those two rows, and its entries lie in {-1, 0, 1}."""
     vocab = np.array(row_vocabulary(K), dtype=np.int8)
     v = len(vocab)
-    counts, rows, cols = generator_nonzeros(vocab, product_matrix(vocab))
+    counts, rows, cols = generator_nonzeros(vocab, *np.nonzero(product_matrix(vocab)))
     lines, basis = peeled_left_kernels(peel(v, counts, rows, cols))
     assert np.bincount(lines // v, minlength=K).tolist() == [2] * K
     assert set(np.unique(basis).tolist()) <= {-1, 0, 1}
@@ -134,9 +134,9 @@ def test_scan_runs_bareiss_at_most_once_per_certificate_call(monkeypatch, K):
 
 @pytest.mark.parametrize("K", range(3, 8))
 def test_scan_gathers_its_candidates_and_supports_from_the_vocabulary(monkeypatch, K):
-    """The scan's one generator_nonzeros call takes the vocabulary and its
-    pair products, unmasked; its result is README's table (the
-    benchmark's SCAN_TABLE), and four receivers at most at K = 7."""
+    """The scan's one generator_nonzeros call takes the vocabulary and the
+    nonzeros of its pair products, unmasked; its result is README's table
+    (the benchmark's SCAN_TABLE), and four receivers at most at K = 7."""
     seen = []
 
     def recorded(*args):
@@ -145,9 +145,9 @@ def test_scan_gathers_its_candidates_and_supports_from_the_vocabulary(monkeypatc
     monkeypatch.setattr(biakit.designspace, "generator_nonzeros", recorded)
     result = biakit.designspace.scan(K)
     vocab = scan_masks(K)[0]
-    [(base, supports)] = seen
+    [(base, rows, pairs)] = seen
     assert np.array_equal(base, vocab)
-    assert np.array_equal(supports, product_matrix(vocab))
+    assert_same_nonzeros((rows, pairs), product_matrix(vocab))
     table = load("perfbench/workloads.py", "perfbench_workloads").SCAN_TABLE
     candidates, full, best = result
     assert (candidates, len(full), best) == table.get(K, (math.comb(len(vocab), 2), 0, 4))
@@ -155,10 +155,12 @@ def test_scan_gathers_its_candidates_and_supports_from_the_vocabulary(monkeypatc
 
 @pytest.mark.parametrize("K", range(3, 8))
 def test_scan_builds_no_candidate_stack(monkeypatch, K):
-    """No pattern or support that product_matrix or generator_nonzeros
-    sees during scan(K) has a leading candidate axis: both see only the
-    vocabulary, (m+2, K), and its pair products. A single pattern's
-    certificate sees that pattern."""
+    """No pattern or support that generator_nonzeros sees during scan(K)
+    has a leading candidate axis: it sees only the vocabulary, (m+2, K),
+    and the nonzeros of its pair products, which the scan writes in
+    closed form (the designspace module does not import product_matrix,
+    and the scan makes no call to it through biakit.scheme). A single
+    pattern's certificate sees that pattern."""
     seen = {"product_matrix": [], "generator_nonzeros": []}
 
     def recorder(module, name):
@@ -169,19 +171,36 @@ def test_scan_builds_no_candidate_stack(monkeypatch, K):
             return inner(*args)
         monkeypatch.setattr(module, name, recorded)
     for module in (biakit.designspace, biakit.scheme):
-        recorder(module, "product_matrix")
         recorder(module, "generator_nonzeros")
+    recorder(biakit.scheme, "product_matrix")
     biakit.designspace.scan(K)
     vocab = scan_masks(K)[0]
-    [(tilde,)] = seen["product_matrix"]
+    assert "product_matrix" not in vars(biakit.designspace) and seen["product_matrix"] == []
+    [(tilde, rows, pairs)] = seen["generator_nonzeros"]
     assert np.array_equal(tilde, vocab)
-    [(tilde, supports)] = seen["generator_nonzeros"]
-    assert np.array_equal(tilde, vocab)
-    assert np.array_equal(supports, product_matrix(vocab))
+    assert_same_nonzeros((rows, pairs), product_matrix(vocab))
     seen["generator_nonzeros"].clear()
     PatternMatrix(vocab[2:].astype(np.int64))
-    [(tilde, supports)] = seen["generator_nonzeros"]
+    [(tilde, rows, pairs)] = seen["generator_nonzeros"]
     assert tilde.shape == (len(vocab) - 2, K)
+
+
+def assert_same_nonzeros(got, supports):
+    """got is np.nonzero(supports), row by row: the same arrays, dtype and
+    values."""
+    for a, b in zip(got, np.nonzero(supports), strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("K", range(3, 13))
+def test_closed_form_vocabulary_is_the_row_vocabulary_and_its_products(K):
+    """vocabulary(K) is row_vocabulary(K) as an int8 array, and its
+    products, the ones row, the user-pair incidence and the identity, are
+    product_matrix of it, dtype included."""
+    vocab, products = vocabulary(K)
+    assert vocab.dtype == np.int8 and np.array_equal(vocab, np.array(row_vocabulary(K)))
+    expect = product_matrix(vocab)
+    assert products.dtype == expect.dtype and np.array_equal(products, expect)
 
 
 @pytest.mark.parametrize("K", [3, 4])

@@ -7,6 +7,8 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 import biakit.exactrank
+from biakit.designspace import vocabulary
+from biakit.scheme import build_scheme, generator_nonzeros
 from biakit.exactrank import (
     gaussian_rank, integer_rank, is_inverse, peel, peeled_inverses, peeled_left_kernels,
     peeled_nonsingular)
@@ -565,3 +567,76 @@ def test_left_kernels_are_refused_or_exact(rows):
     expect = [list(v.T) for v in sympy.Matrix(rows).T.nullspace()]
     assert len(lines) == len(expect)
     assert row_space(basis.tolist()) == row_space(expect)
+
+
+def peel_oracle(n, counts, gr, gc):
+    """The singleton peel as it was written before it stopped at the last
+    live nonzero and deduplicated by np.unique: every pass runs both
+    half-passes until one removes nothing or no line is live."""
+    size = len(counts) * n
+    live_r = np.ones(size, dtype=bool)
+    live_c = np.ones(size, dtype=bool)
+    passes = []
+    removed = True
+    while removed and live_r.any():
+        removed = False
+        for by_row, lines, across in ((True, live_r, live_c), (False, live_c, live_r)):
+            a, b = (gr, gc) if by_row else (gc, gr)
+            single = np.bincount(a, minlength=size)[a] == 1
+            hit, first = np.unique(b[single], return_index=True)
+            line = a[single][first]
+            if line.size:
+                lines[line] = False
+                across[hit] = False
+                passes.append((by_row, line, hit) if by_row else (by_row, hit, line))
+                removed = True
+                live = live_r[gr] & live_c[gc]
+                gr, gc = gr[live], gc[live]
+    return live_r.reshape(-1, n), live_c.reshape(-1, n), passes
+
+
+def assert_peels_as_the_oracle(p):
+    """_peel of a Peeled's nonzeros gives the oracle's (live_r, live_c,
+    passes), array for array, dtype and shape included."""
+    got = biakit.exactrank._peel(p.n, p.counts, p.gr, p.gc)
+    want = peel_oracle(p.n, p.counts, p.gr, p.gc)
+    for a, b in zip(got[:2], want[:2]):
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+    assert len(got[2]) == len(want[2])
+    for step, expect in zip(got[2], want[2]):
+        assert step[0] is expect[0]
+        for a, b in zip(step[1:], expect[1:]):
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
+@st.composite
+def stacks_with_zero_matrices(draw):
+    """A stack of another strategy's, with all-zero matrices put in at
+    random places (first, between and last), or all zero."""
+    stack = draw(st.one_of(square_stacks(), peelable_stacks(), cored_stacks()))
+    mats = list(stack)
+    if draw(st.booleans()):
+        mats = [np.zeros_like(a) for a in mats]
+    for at in draw(st.lists(st.integers(0, len(mats)), max_size=3)):
+        mats.insert(at, np.zeros_like(mats[0]))
+    return np.stack(mats)
+
+
+@settings(max_examples=300, deadline=None)
+@given(stacks_with_zero_matrices())
+def test_peel_passes_match_the_oracle(stack):
+    """Stopping at the last live nonzero and deduplicating by a stable
+    argsort change no pass: singular, nonsingular, cored, peeled-to-nothing
+    and all-zero matrices in one stack."""
+    assert_peels_as_the_oracle(peel(stack.shape[-1], *nonzeros(stack)))
+
+
+def test_peel_passes_match_the_oracle_on_built_schemes_and_the_scan():
+    """Every build_scheme(3..20) certificate's peel and every vocabulary
+    stack the design-space scan peels (K = 3..12, two zero rows and two
+    zero columns left) are the oracle's."""
+    for K in range(3, 21):
+        assert_peels_as_the_oracle(build_scheme(K).pattern.generators)
+    for K in range(3, 13):
+        vocab, products = vocabulary(K)
+        assert_peels_as_the_oracle(peel(len(vocab), *generator_nonzeros(vocab, *np.nonzero(products))))

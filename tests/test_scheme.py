@@ -16,7 +16,7 @@ import biakit.scheme
 from biakit.sim import SimConfig, estimate_dof
 from biakit.verify import run_verification
 from biakit.errors import DegenerateSchemeError
-from biakit.designspace import certify_candidates, make_pattern_matrix, row_vocabulary
+from biakit.designspace import certify_candidates, make_pattern_matrix, row_vocabulary, vocabulary
 from biakit.exactrank import integer_rank, peel, peeled_inverses
 from biakit.scheme import (
     PatternMatrix,
@@ -257,6 +257,81 @@ def test_assign_rejects_bad_maps(scheme4):
     out_of_range[(0, 1)] = (3, 0)
     with pytest.raises(ValueError):
         bk.Scheme(pattern, out_of_range)
+
+
+def first_come_pair_dims(K):
+    """The oracle: lexicographic pair order, each user's next free
+    dimension, by a loop over the pairs."""
+    nxt = [0] * K
+    dims = {}
+    for i, j in itertools.combinations(range(K), 2):
+        dims[(i, j)] = (nxt[i], nxt[j])
+        nxt[i] += 1
+        nxt[j] += 1
+    return dims
+
+
+def test_default_pair_dims_is_the_first_come_loop():
+    """The closed form gives the loop's items in the loop's order, and
+    every default passes check_pair_dims, for K = 3..48."""
+    for K in range(3, 49):
+        dims = default_pair_dims(K)
+        assert list(dims.items()) == list(first_come_pair_dims(K).items()), K
+        biakit.scheme.check_pair_dims(K, dims)
+
+
+def test_only_a_callers_pair_map_is_checked(monkeypatch):
+    """Scheme checks a map it is given, once, and not the default, which
+    is valid by construction."""
+    seen = []
+    check = biakit.scheme.check_pair_dims
+
+    def recorded(K, dims):
+        seen.append(dims)
+        return check(K, dims)
+    monkeypatch.setattr(biakit.scheme, "check_pair_dims", recorded)
+    assert bk.build_scheme(5).pair_dims == default_pair_dims(5)
+    assert seen == []
+    dims = {pair: (2 - di, 2 - dj) for pair, (di, dj) in default_pair_dims(4).items()}
+    assert bk.build_scheme(4, dims).pair_dims == dims
+    assert seen == [dims]
+
+
+@pytest.mark.parametrize("edit,named", [
+    ({(0, 1): (0.0, 0)}, r"\(0, 1\): \(0\.0, 0\)"),
+    ({(0, 1): (0, 1.0)}, r"\(0, 1\): \(0, 1\.0\)"),
+    ({(0, 1): (True, 0)}, r"\(0, 1\): \(True, 0\)"),
+    ({(0, 2): (1, False)}, r"\(0, 2\): \(1, False\)"),
+    ("float key", r"\(0, 1\.0\): \(0, 0\)"),
+    ("bool key", r"\(False, 1\): \(0, 0\)"),
+], ids=["float dim", "float second dim", "bool dim", "bool second dim", "float key", "bool key"])
+def test_pair_maps_must_hold_integers(edit, named):
+    """A float or bool user or dimension is refused with ValueError naming
+    the entry, through build_scheme and Scheme, before anything reads the
+    map (K = 3: pairs (0, 1), (0, 2), (1, 2))."""
+    dims = {(0, 1): (0, 0), (0, 2): (1, 0), (1, 2): (1, 1)}
+    if edit == "float key":
+        dims = {(0, 1.0) if pair == (0, 1) else pair: d for pair, d in dims.items()}
+    elif edit == "bool key":
+        dims = {(False, 1) if pair == (0, 1) else pair: d for pair, d in dims.items()}
+    else:
+        dims.update(edit)
+    pattern = bk.build_scheme(3).pattern
+    for build in (functools.partial(bk.build_scheme, 3), functools.partial(bk.Scheme, pattern)):
+        with pytest.raises(ValueError, match="pair map entry " + named + " must hold integer"):
+            build(dims)
+
+
+def test_pair_maps_take_numpy_integers():
+    """Users and dimensions may be numpy integers: the map is checked, kept
+    as Python ints and read and written as if they were ints."""
+    dims = {(np.int64(i), np.int32(j)): (np.intp(di), np.int8(dj))
+            for (i, j), (di, dj) in default_pair_dims(4).items()}
+    scheme = bk.build_scheme(4, dims)
+    assert all(type(x) is int for pair, d in scheme.pair_dims.items() for x in (*pair, *d))
+    assert list(scheme.pair_dims.items()) == list(default_pair_dims(4).items())
+    assert np.array_equal(scheme.dimension_pairs(), bk.build_scheme(4).dimension_pairs())
+    assert scheme_to_json(scheme) == scheme_to_json(bk.build_scheme(4))
 
 
 def test_custom_pair_map_relabels_without_changing_spans(scheme4):
@@ -523,9 +598,9 @@ def _integer_rank_certificate(tilde, supports):
 
 
 def scattered_generators(tilde, supports):
-    """generator_nonzeros(tilde, supports) as dense (K, v, m) 0/1
-    matrices, v the rows of tilde."""
-    counts, rows, cols = generator_nonzeros(tilde, supports)
+    """generator_nonzeros of tilde and the supports' nonzeros as dense
+    (K, v, m) 0/1 matrices, v the rows of tilde."""
+    counts, rows, cols = generator_nonzeros(tilde, *np.nonzero(supports))
     K = tilde.shape[1]
     m = (K + 2) * (K - 1) // 2
     g = np.zeros((len(counts), len(tilde), m), dtype=np.int64)
@@ -676,6 +751,26 @@ def test_check_supports_names_the_same_pair_and_row_as_a_per_pair_loop(case):
     assert _raised(check_supports, pattern.tilde, supports) == expect
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(3, 6).flatmap(lambda K: st.tuples(
+    st.just(K),
+    st.lists(st.tuples(st.integers(0, K * (K - 1) // 2 - 1), st.integers(0, (K + 2) * (K - 1) // 2 - 1),
+                       st.sampled_from([2, -1, 1])),
+             min_size=2, max_size=5, unique_by=(lambda e: e[0], lambda e: e[1])))))
+def test_check_supports_names_the_first_of_several_bad_entries_pair_by_pair(case):
+    """Several bad entries, each in its own pair and its own row (so the
+    first row by row is often not the first pair by pair): check_supports,
+    which reads the nonzeros row by row, names the per-pair loop's entry."""
+    K, edits = case
+    pattern = bk.build_scheme(K).pattern
+    supports = pattern.supports.copy()
+    for pair, row, value in edits:
+        supports[row, pair] = value
+    expect = _raised(_check_supports_per_pair, pattern.tilde, supports)
+    assert expect is not None or all(value == 1 for _, _, value in edits)
+    assert _raised(check_supports, pattern.tilde, supports) == expect
+
+
 @pytest.mark.parametrize("row,col,value,message", [
     (2, 1, 2, r"pair \{1,3\} must be 0/1, got 2 at row 3"),
     (4, 0, 1, r"pair \{1,2\} leaves the pair product at row 5"),
@@ -800,7 +895,7 @@ def test_generator_nonzeros_are_the_generator_matrices(K):
                           _generator_matrices(pattern.tilde, pattern.supports))
     tilde = np.vstack([pattern.tilde] * 2)
     supports = np.vstack([pattern.supports, products])
-    counts = generator_nonzeros(tilde, supports)[0]
+    counts = generator_nonzeros(tilde, *np.nonzero(supports))[0]
     assert counts.tolist() == [int(pattern.supports.sum() + products.sum())] * K
     g = scattered_generators(tilde, supports)
     assert np.array_equal(g, _generator_matrices(tilde, supports))
@@ -851,7 +946,7 @@ def test_generator_nonzeros_match_the_stacked_oracle_on_every_scan_stack(K):
     vocabulary's G_j less the candidate's two rows."""
     vocab, stack = scan_stack(K)
     m = make_config(K).block_len
-    got = generator_nonzeros(vocab, product_matrix(vocab))
+    got = generator_nonzeros(vocab, *np.nonzero(product_matrix(vocab)))
     assert_same_arrays(got, stacked_generator_nonzeros(vocab[None], product_matrix(vocab)[None]))
     counts, rows, cols = stacked_generator_nonzeros(stack, product_matrix(stack))
     assert len(set(counts.tolist())) > 1
@@ -865,7 +960,7 @@ def test_generator_nonzeros_match_the_stacked_oracle_on_every_scan_stack(K):
 @pytest.mark.parametrize("K", range(3, 15))
 def test_generator_nonzeros_match_the_stacked_oracle_on_built_schemes(K):
     pattern = bk.build_scheme(K).pattern
-    assert_same_arrays(generator_nonzeros(pattern.tilde, pattern.supports),
+    assert_same_arrays(generator_nonzeros(pattern.tilde, *np.nonzero(pattern.supports)),
                        stacked_generator_nonzeros(pattern.tilde[None], pattern.supports[None]))
 
 
@@ -938,7 +1033,7 @@ def test_generator_inverses_exist_wherever_the_scan_certifies():
         stack = scan_stack(K)[1]
         ok = peeled_inverses(peel(
             make_config(K).block_len, *stacked_generator_nonzeros(stack, product_matrix(stack))))[3]
-        assert np.array_equal(ok.reshape(-1, K), certify_candidates(K))
+        assert np.array_equal(ok.reshape(-1, K), certify_candidates(*vocabulary(K)))
 
 
 def test_generator_inverses_exist_at_every_built_receiver():
@@ -961,7 +1056,7 @@ def assert_inverses_continue_the_peel(pattern):
     a fresh peeled_inverses of a fresh peel of freshly built nonzeros,
     array for array."""
     fresh = peeled_inverses(peel(
-        pattern.block_len, *generator_nonzeros(pattern.tilde, pattern.supports)))
+        pattern.block_len, *generator_nonzeros(pattern.tilde, *np.nonzero(pattern.supports))))
     kept = generator_inverses(pattern)
     assert len(kept) == len(fresh) == 4
     for a, b in zip(kept, fresh):

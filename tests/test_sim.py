@@ -187,7 +187,7 @@ def solved_weights(scheme):
     K, m = scheme.config.users, scheme.config.block_len
     low, high = half_columns(K)
     rx = np.flatnonzero(scheme.certified_receivers)
-    _, r, c = generator_nonzeros(scheme.pattern.tilde, scheme.pattern.supports)
+    _, r, c = generator_nonzeros(scheme.pattern.tilde, *np.nonzero(scheme.pattern.supports))
     r, c = r.reshape(K, -1), c.reshape(K, -1)  # one pattern: K equal counts
     halves = np.arange(K - 1)
     weights = np.zeros((K, K - 1, 3))  # [j, n]: j's pair with its n-th partner
