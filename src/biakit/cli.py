@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 1 usage or configuration error, 2 verification ran
 and reported failures.
+
+Each subcommand imports the modules it runs (`verify`, `sim`, `dof`) in its
+own branch, so `generate` loads neither verification nor simulation.
 """
 from __future__ import annotations
 
@@ -10,11 +13,8 @@ import functools
 import sys
 from pathlib import Path
 
-from .dof import sweep, sweep_to_csv, sweep_to_json
 from .errors import BiaError
 from .scheme import build_scheme, pair_dims_from_json, scheme_to_json
-from .sim import SimConfig, estimate_dof, plot_script, result_to_json, result_to_long_csv, result_to_summary_csv
-from .verify import report_to_csv, report_to_json, run_verification
 
 USAGE_EXIT = 1
 VERIFY_FAIL_EXIT = 2
@@ -110,6 +110,7 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "verify":
+            from .verify import report_to_csv, report_to_json, run_verification
             scheme = build_scheme(args.users, _load_pair_dims(args.pair_map))
             report = run_verification(scheme, draws=args.trials, seed=args.seed,
                                       exact=args.exact)
@@ -118,12 +119,15 @@ def main(argv=None) -> int:
             return 0 if report.all_passed else VERIFY_FAIL_EXIT
 
         if args.command == "bound":
+            from .dof import sweep, sweep_to_csv, sweep_to_json
             report = sweep(args.users)
             text = sweep_to_csv(report) if args.format == "csv" else sweep_to_json(report)
             _emit(text, args.out)
             return 0
 
         if args.command == "simulate":
+            from .sim import (SimConfig, estimate_dof, plot_script, result_to_json,
+                              result_to_long_csv, result_to_summary_csv)
             snr = tuple(args.snr) if args.snr else (30.0, 40.0, 50.0)
             scheme = build_scheme(args.users)
             cfg = SimConfig(snr_points_db=snr, trials=args.trials, seed=args.seed)

@@ -17,7 +17,7 @@ per-cell call stands between the columns and the bytes.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+import numbers
 from json.encoder import encode_basestring_ascii as _encode_str
 
 import numpy as np
@@ -37,7 +37,7 @@ def format_float(x: float) -> str:
     return _FLOAT % float(x)
 
 
-def format_rational(x: Fraction) -> str:
+def format_rational(x: numbers.Rational) -> str:
     return "%d/%d" % (x.numerator, x.denominator)
 
 
@@ -170,7 +170,8 @@ def _scalar(obj) -> str:
         return "true" if obj else "false"
     if obj is None:
         return "null"
-    if isinstance(obj, Fraction):
+    # a Fraction, read through its ABC: the fractions module is not loaded here
+    if isinstance(obj, numbers.Rational) and not isinstance(obj, numbers.Integral):
         return _encode_str(format_rational(obj))
     if isinstance(obj, float):
         return format_float(obj)
@@ -189,7 +190,6 @@ _SCALARS = {
     int: str,
     float: format_float,
     str: _encode_str,
-    Fraction: _scalar,
 }
 
 

@@ -427,3 +427,48 @@ def test_float_verify_leaves_scipy_unimported():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), cwd=ROOT)
     assert out.stdout.strip() == "[]"
+
+
+# stdlib modules the build path has no use for: fractions (and the decimal
+# it imports) serve dof alone, cmath serves channel alone
+UNUSED_ON_BUILD = {"fractions", "decimal", "cmath"}
+
+
+def loaded_by(code: str, *argv: str) -> set[str]:
+    """The biakit submodules and UNUSED_ON_BUILD modules in sys.modules when
+    a fresh interpreter that ran code, with argv as its arguments, exits."""
+    report = ("import atexit, sys; atexit.register(lambda: print('modules:', *sorted(sys.modules), "
+              "file=sys.stderr))\n")
+    out = subprocess.run([sys.executable, "-c", report + code, *argv], capture_output=True,
+                         text=True, check=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                         cwd=ROOT)
+    names = out.stderr.rsplit("modules:", 1)[1].split()
+    return {n for n in names if n.startswith("biakit.") or n in UNUSED_ON_BUILD}
+
+
+# what `python -m biakit` runs
+AS_MAIN = "import runpy; runpy.run_module('biakit', run_name='__main__', alter_sys=True)"
+
+
+def test_bare_import_loads_no_submodule():
+    """`import biakit` loads no submodule; one loads when it is first read."""
+    assert loaded_by("import biakit") == set()
+    assert loaded_by("import biakit; biakit.verify.run_verification") >= {"biakit.verify"}
+
+
+def test_build_scheme_loads_only_the_construction():
+    assert loaded_by("import biakit; biakit.build_scheme(5)") == {
+        "biakit.errors", "biakit.exactrank", "biakit.formats", "biakit.scheme"}
+
+
+def test_generate_cli_loads_no_verification_or_simulation():
+    loaded = loaded_by(AS_MAIN, "generate", "--users", "5")
+    assert {"biakit.cli", "biakit.scheme"} <= loaded
+    assert not loaded & {"biakit.verify", "biakit.sim", "biakit.channel", "biakit.dof"}
+    assert not loaded & UNUSED_ON_BUILD
+
+
+def test_verify_cli_loads_no_simulation():
+    loaded = loaded_by(AS_MAIN, "verify", "--users", "5", "--trials", "2")
+    assert {"biakit.cli", "biakit.verify", "biakit.channel"} <= loaded
+    assert not loaded & {"biakit.sim", "biakit.dof", "biakit.designspace"}
