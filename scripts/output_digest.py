@@ -67,7 +67,7 @@ def scheme_outputs(make) -> list:
             out += [report_to_json(report), report_to_csv(report)]
     bound = float_bound(scheme)
     out += [bound.inverse2, bound.counts, bound.aligned, zf_weights(scheme)]
-    return out + [np.array(scheme.certified_receivers), *generator_inverses(scheme.pattern)]
+    return out + [np.array(scheme.certified_receivers), *generator_inverses(scheme.pattern)[:4]]
 
 
 def simulate_outputs(K: int, seed: int) -> list:

@@ -18,15 +18,11 @@ point, so a caller that needs both verdicts and inverses peels once:
   peeled to nothing is nonsingular. `integer_rank` decides each distinct
   core the peel leaves, once per call: equal cores share one verdict. So
   both verdicts are proofs. The cores are built together (`_cores`).
-- `peeled_inverses` inverts every nonsingular matrix exactly and
-  sparsely: in the peel's order G is block lower triangular, unit pivots
-  around the core C, whose adjugate (C adj C = d I, d = +-det C; d = 1
-  with no core) fraction-free Gauss-Jordan elimination on
-  `integer_rank`'s loop gives. Substitution then yields an integer
-  X = d G^-1, which `is_inverse` proves on the same Peeled by the exact
-  product X G = d I. Float verification's bound on sigma_min and the
-  simulator's weights read these (biakit.verify, .sim), continuing the
-  peel the scheme's certificate ran (scheme.PatternMatrix).
+- `peeled_inverses`, one kernel, inverts every nonsingular matrix exactly
+  and sparsely by substitution in the peel's order, proves X = d G^-1 by
+  the exact G X = d I (`is_inverse`; one routine, `_residual`, serves
+  both) and returns X's squared row norms, which float verification's
+  bound and the simulator's weights read (biakit.verify, .sim).
 - `peeled_left_kernels` gives integer bases N of the left kernels where
   the cores are all zero, by substitution, proven by N G = 0: the
   design-space scan's 2 x 2 minors read them (biakit.designspace).
@@ -114,7 +110,7 @@ class Peeled:
     @functools.cached_property
     def row_ptr(self) -> np.ndarray:
         """row_ptr[i n + r]: where row r of matrix i starts in gr and gc."""
-        return np.searchsorted(self.gr, np.arange(len(self.counts) * self.n + 1))
+        return np.concatenate(([0], np.bincount(self.gr, minlength=len(self.counts) * self.n).cumsum()))
 
 
 def peel(n: int, counts: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> Peeled:
@@ -193,23 +189,31 @@ def peeled_nonsingular(p: Peeled) -> np.ndarray:
     return _cores(p, lambda core: integer_rank(core) == len(core))[0]
 
 
-def _ranges(starts: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(owner, at): the concatenated index ranges starts[k] .. starts[k] +
-    lens[k] - 1, each index with the k it came from."""
-    owner = np.arange(lens.size).repeat(lens)
-    return owner, np.arange(owner.size) - (lens.cumsum() - lens - starts).repeat(lens)
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The concatenated index ranges starts[k] .. starts[k] + lens[k] - 1."""
+    return (starts - lens.cumsum() + lens).repeat(lens) + np.arange(lens.sum())
 
 
-def _summed(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The nonzero sums of values over equal keys, by increasing key."""
+def _residual(p: Peeled, r: np.ndarray, at, k: np.ndarray, scale: np.ndarray, x: tuple) -> tuple:
+    """The nonzero entries (k, column lines, values) of d e_r - (G X)[r],
+    by k, then column, for rows r (lines, at least one) whose nonzeros lie
+    at at in G's, the k-th row's marked k, and X by rows (`is_inverse`):
+    row r of G X gathers X's rows at row r's nonzeros, and one stable sort
+    sums the terms of equal keys k size + column line."""
+    start, length, cols, values = x
+    size = p.live_r.size
+    src = p.gc[at]
+    got = length[src]
+    e = _ranges(start[src], got)
+    keys = np.concatenate((np.arange(r.size) * size + r, (k * size).repeat(got) + cols[e]))
     order = keys.argsort(kind="stable")
-    keys, values = keys[order], values[order]
-    if not keys.size:
-        return keys, values
-    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    sums = np.add.reduceat(values, starts)
-    nonzero = sums != 0
-    return keys[starts][nonzero], sums[nonzero]
+    keys = keys[order]
+    last = np.concatenate((keys[1:] != keys[:-1], [True])).nonzero()[0]
+    sums = np.concatenate((-scale[r // p.n], values[e]))[order].cumsum()[last]  # wraps only where a sum would
+    sums[1:] -= sums[:-1].copy()
+    nonzero = sums.nonzero()[0]
+    keys = keys[last[nonzero]]
+    return keys // size, keys % size, -sums[nonzero]
 
 
 def _adjugate(core: list[list[int]], limit: int):
@@ -222,105 +226,98 @@ def _adjugate(core: list[list[int]], limit: int):
     return (d, x) if rank == s and max(abs(v) for row in x for v in row) <= limit else None
 
 
-def peeled_inverses(p: Peeled) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Exact scaled inverses X = d G^-1 of a peeled stack of 0/1 matrices
-    G, continuing its peel.
+def peeled_inverses(p: Peeled) -> tuple[np.ndarray, ...]:
+    """Exact X = d G^-1 of a peeled stack's 0/1 G, its proof and its
+    squared row norms, continuing the peel. In `_peel`'s order (row-pass
+    pivots, the core C, column-pass pivots in reverse) G is block lower
+    triangular with unit pivots, so, each
+    distinct core inverted once (`_adjugate`: C adj C = d I; d = 1 with no
+    core), X[c] = d e_r - (G X)[r] for each pivot (r, c) while row c is not
+    made (`_residual`; it reads only rows of earlier passes, and the first
+    pass writes d e_r), and the core's rows are adj C times the core rows'
+    residuals, over d. X's rows go into one row-pointer layout (`is_inverse`).
 
-    In `_peel`'s order (row-pass pivots, the core C, column-pass pivots in
-    reverse) G is block lower triangular with unit pivots: a row-pass row
-    meets no column live then but its pivot's, a column-pass column no row
-    live then but its pivot's, and a core row no column-pass column. Each
-    distinct core is inverted once per call (`_adjugate`: C adj C = d I;
-    d = 1 with no core). Substitution then gives X in integers, a step at
-    a time: X[c] = d e_r minus the rows X[c'] of the other nonzeros
-    (r, c') of pivot (r, c)'s row, all earlier, and the core's rows are
-    adj C times such right sides of the core rows, over d. Each step
-    gathers sparse rows and sums them by position.
-
-    Returns (index, values, scale, ok): X's nonzero entries as flat indices
-    into (N, n, n), their int64 values, d (N,) and ok (N,), where ok proves
-    X by the exact product X G = d I (`is_inverse`). Where ok is False (G
-    singular, or an entry past `is_inverse`'s bound) X is meaningless.
+    Returns (index, values, scale, ok, norms): X's nonzero entries as flat
+    indices into (N, n, n), by row in the order made, then by column, their
+    int64 values, d (N,), ok (N,), the proof G X = d I (`is_inverse`), and
+    norms (N, n), X's squared row norms, exact where ok holds. Where ok is
+    False (G singular, or an entry past the bound) both are meaningless.
     """
-    n, counts, gr, gc, live_r, live_c = p.n, p.counts, p.gr, p.gc, p.live_r, p.live_c
-    count = len(counts)
-    limit = (1 << 26) // n
+    n, counts, ptr, size, limit = p.n, p.counts, p.row_ptr, p.live_r.size, (1 << 26) // p.n
     ok, cores = _cores(p, lambda core: _adjugate(core, limit))
-    scale = np.ones(count, dtype=np.int64)
-    for i, (d, _) in cores.items():
-        scale[i] = d
-    row_ptr = p.row_ptr
-    # X row by row (global column of G): where its entries start, how many
-    x_start, x_len = np.zeros((2, count * n), dtype=np.int64)
-    x_row, x_col, x_val = np.zeros((3, 0), dtype=np.int64)
+    scale = np.ones(len(counts), dtype=np.int64)
+    scale[list(cores)] = [d for d, _ in cores.values()]
+    start, length = np.zeros((2, size), dtype=np.int64)
+    cols, values = np.empty((2, p.gr.size), dtype=np.int64)  # grown if X outgrows G
+    made, used = [np.zeros(0, dtype=np.int64)], 0  # X's rows in the order made; its entries
 
-    def right_sides(r):
-        """d e_r minus the rows of X so far of the nonzeros of each row r
-        (a row not made yet, as a pivot's own, holds nothing): (keys,
-        values), keys k n + column for the k-th row, by increasing key."""
-        if not x_row.size:  # no row of X yet, so nothing to gather
-            return np.arange(r.size) * n + r % n, scale[r // n]
-        owner, at = _ranges(row_ptr[r], row_ptr[r + 1] - row_ptr[r])
-        k, e = _ranges(x_start[gc[at]], x_len[gc[at]])
-        return _summed(np.concatenate([np.arange(r.size) * n + r % n, owner[k] * n + x_col[e]]),
-                       np.concatenate([scale[r // n], -x_val[e]]))
+    def store(c, at, lens, line, vals):  # X's rows c, the k-th from at[k] of line and vals
+        nonlocal cols, values, used
+        end = used + line.size
+        if end > cols.size:
+            cols, values = np.resize(cols, 2 * end), np.resize(values, 2 * end)
+        start[c], length[c] = at + used, lens
+        cols[used:end], values[used:end] = line, vals
+        made.append(c)
+        used = end
 
-    def store(c, keys, values):
-        """Append X's rows c, the k-th from the entries of key k n + column."""
-        nonlocal x_row, x_col, x_val
-        pivot = keys // n
-        x_start[c] = x_row.size + np.searchsorted(pivot, np.arange(c.size))
-        x_len[c] = np.bincount(pivot, minlength=c.size)
-        x_row = np.concatenate([x_row, c[pivot]])
-        x_col = np.concatenate([x_col, keys % n])
-        x_val = np.concatenate([x_val, values])
+    def residual(r, lens):  # `_residual` of rows r, of lens nonzeros each
+        return _residual(p, r, _ranges(ptr[r], lens), np.arange(r.size).repeat(lens), scale,
+                         (start, length, cols, values))
 
-    # a singular matrix's rows are meaningless, and harmless
-    for _, r, c in [step for step in p.passes if step[0]]:
-        store(c, *right_sides(r))
-    if cores:  # X's core rows: adj C times the core rows' right sides, over d
-        cored = np.isin(np.arange(count), list(cores))[:, None]
-        core_r, core_c = (np.flatnonzero(live & cored) for live in (live_r, live_c))
-        keys, values = right_sides(core_r)
+    def substitute(r, c):  # X's rows c of pivots (r, c), in `chunks`; d e_r while X is empty
+        if not used:
+            return store(c, np.arange(r.size), 1, r, scale[r // n])
+        lens = ptr[r + 1] - ptr[r]
+        for q in chunks(r.size, 1 + int(lens.sum()) * (1 + used // size) // r.size):
+            q = slice(q.start, q.stop)
+            k, line, vals = residual(r[q], lens[q])
+            got = np.bincount(k, minlength=lens[q].size)
+            store(c[q], got.cumsum() - got, got, line, vals)
+
+    for _, r, c in [step for step in p.passes if step[0]]:  # a singular matrix's rows are harmless
+        substitute(r, c)
+    if cores:  # X's core rows: adj C times the core rows' residuals, over d
+        cored = np.isin(np.arange(len(counts)), list(cores))[:, None]
+        core_r, core_c = (np.flatnonzero(live & cored) for live in (p.live_r, p.live_c))
+        k, line, vals = residual(core_r, ptr[core_r + 1] - ptr[core_r])
         y = np.zeros((core_r.size, n), dtype=np.int64)
-        y[keys // n, keys % n] = values
+        y[k, line % n] = vals
         at = 0
         for d, adj in cores.values():
             y[at:at + len(adj)] = np.array(adj, dtype=np.int64) @ y[at:at + len(adj)] // d
             at += len(adj)
+        lens = np.count_nonzero(y, axis=1)
         k, col = np.nonzero(y)
-        store(core_c, k * n + col, y[k, col])
+        store(core_c, lens.cumsum() - lens, lens, core_c[k] - core_c[k] % n + col, y[k, col])
     for _, r, c in [step for step in reversed(p.passes) if not step[0]]:
-        store(c, *right_sides(r))
-    index = x_row * n + x_col
-    ok &= is_inverse(p, index, x_val, scale)
-    return index, x_val, scale, ok
+        substitute(r, c)
+    x = (start, length, cols[:used], values[:used])
+    ok &= is_inverse(p, x, scale)
+    rows = np.concatenate(made)
+    rows = rows.repeat(length[rows])
+    norms = np.bincount(rows, np.square(x[3], dtype=float), size).reshape(-1, n)
+    return (rows - rows // n) * n + x[2], x[3], scale, ok, norms
 
 
-def is_inverse(p: Peeled, index: np.ndarray, values: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Whether X G = d I exactly, d = scale[i] nonzero (so X = d G^-1), for
-    the 0/1 matrices G of a peeled stack (read off its nonzeros' lines,
-    not its peel) and integer matrices X given by the flat indices of
-    their nonzero entries into (N, n, n), no index twice, and the entries'
-    values. A matrix with an entry beyond 2^26 / n in magnitude is refused
-    unchecked: below that every sum of the product stays under 2^26 in
-    magnitude and the sum of squares of X's entries under 2^52, so int64,
-    and float64, hold them exactly."""
-    n, count, ptr = p.n, len(p.counts), p.row_ptr
-    bad = np.zeros(count, dtype=bool)
-    bad[index[np.abs(values) > (1 << 26) // n] // (n * n)] = True
-    # entry (c, r) of X times row r of G, whose nonzeros lie together; an
-    # entry of a refused matrix takes none, so no sum can wrap
-    line = index // n  # c as a line of the whole stack
-    r = line - line % n + index % n
-    k, e = _ranges(ptr[r], np.where(bad[line // n], 0, ptr[r + 1] - ptr[r]))
-    keys, sums = _summed(line[k] * n + p.gc[e] % n, values[k])
-    # the product's entries: exactly d at every diagonal position, nothing
-    # else (zero sums are dropped, so d = 0 never passes)
-    item = keys // (n * n)
-    diagonal = (keys % (n * n) % (n + 1) == 0) & (sums == scale[item])
-    bad[item[~diagonal]] = True
-    return ~bad & (np.bincount(item[diagonal], minlength=count) == n)
+def is_inverse(p: Peeled, x: tuple, scale: np.ndarray) -> np.ndarray:
+    """Whether G X = d I exactly, d = scale[i] nonzero, so X = d G^-1 and
+    X G = d I, for a peeled stack's 0/1 G (its nonzeros, not its peel) and
+    X by rows: x = (start, length, cols, values), row c (a line, as G's)
+    the length[c] entries from start[c] of its column lines cols, no
+    column twice, and values. A matrix with an entry past 2^26 / n is
+    refused: below it every sum of the product stays under 2^26 and X's
+    sum of squares under 2^52, exact in int64 and float64. The residual
+    d I - G X (`_residual`, `chunks` of rows) must vanish; a refused
+    matrix's sums, which may wrap, stay at its own rows."""
+    n, ptr, gr, size = p.n, p.row_ptr, p.gr, p.live_r.size
+    bad = scale == 0
+    bad[x[2][np.abs(x[3]) > (1 << 26) // n] // n] = True
+    for rows in chunks(size, 1 + gr.size * (1 + x[2].size // size) // size):  # about the terms a row
+        lo, a, b = rows.start, ptr[rows.start], ptr[rows.stop]
+        k = _residual(p, np.arange(lo, rows.stop), slice(a, b), gr[a:b] - lo, scale, x)[0]
+        bad[(k + lo) // n] = True
+    return ~bad
 
 
 def peeled_left_kernels(p: Peeled) -> tuple[np.ndarray, np.ndarray]:
@@ -352,14 +349,17 @@ def peeled_left_kernels(p: Peeled) -> tuple[np.ndarray, np.ndarray]:
     def refuse(k, why):
         raise ValueError("matrix %d: its left kernel basis %s" % (lines[k] // n, why))
     for _, r, c in [step for step in reversed(p.passes) if step[0]]:
-        q, k = _ranges((size.cumsum() - size)[r // n], size[r // n])  # each pivot, each y of its matrix
-        t, e = _ranges(col_ptr[c[q]], col_ptr[c[q] + 1] - col_ptr[c[q]])
+        lens = size[r // n]  # each pivot q, each y k of its matrix
+        q, k = np.arange(r.size).repeat(lens), _ranges((size.cumsum() - size)[r // n], lens)
+        lens = col_ptr[c[q] + 1] - col_ptr[c[q]]
+        t, e = np.arange(q.size).repeat(lens), _ranges(col_ptr[c[q]], lens)
         # y[r] is still 0, so this sums c's other rows (in float64: exact under the bound)
         y[k, r[q] % n] = -np.bincount(t, y[k[t], gr[by_col[e]] % n], q.size).astype(np.int64)
         big = np.abs(y[k, r[q] % n]) > (1 << 26) // n
         if big.any():
             refuse(k[big][0], "has an entry past 2^26 / %d" % n)
-    k, e = _ranges((p.counts.cumsum() - p.counts)[lines // n], p.counts[lines // n])
+    lens = p.counts[lines // n]
+    k, e = np.arange(lines.size).repeat(lens), _ranges((p.counts.cumsum() - p.counts)[lines // n], lens)
     # y G, each entry a sum of at most n terms (in float64: exact under the bound)
     keys = np.flatnonzero(np.bincount(k * n + gc[e] % n, y[k, gr[e] % n], lines.size * n))
     if keys.size:

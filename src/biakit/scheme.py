@@ -103,13 +103,16 @@ class PatternMatrix:
     at construction and never taken from the caller. generators keeps
     the K generator matrices G_j by their nonzeros with the one singleton
     peel that proved the certificate, so generator_inverses continues it
-    and no G_j is built or peeled twice.
+    and no G_j is built or peeled twice; nonzeros keeps the supports'
+    nonzeros (rows, pairs) as check_supports read them, row by row, for
+    the float bound's counts (verify.float_bound).
     """
 
     tilde: np.ndarray
     supports: np.ndarray | None = None  # None: product_matrix(tilde)
     certified_receivers: tuple[bool, ...] = field(init=False)
     generators: Peeled = field(init=False, repr=False)
+    nonzeros: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         bad = (self.tilde != 0) & (self.tilde != 1)
@@ -121,7 +124,7 @@ class PatternMatrix:
             self.supports = product_matrix(self.tilde)
         certificate = certify_receivers(self.tilde, self.supports)
         self.certified_receivers = tuple(certificate)
-        self.generators = certificate.generators
+        self.generators, self.nonzeros = certificate.generators, certificate.nonzeros
 
     @property
     def modes(self) -> np.ndarray:
@@ -203,9 +206,11 @@ def check_supports(tilde: np.ndarray, supports: np.ndarray) -> tuple[np.ndarray,
 class Certificate(tuple):
     """certify_receivers' flags, one per receiver, carrying generators: the
     `exactrank.Peeled` singleton peel of the K matrices G_j that proved
-    them, which generator_inverses continues."""
+    them, which generator_inverses continues, and nonzeros: the supports'
+    nonzeros (rows, pairs) that check_supports returned."""
 
     generators: Peeled
+    nonzeros: tuple[np.ndarray, np.ndarray]
 
 
 def certify_receivers(tilde: np.ndarray, supports: np.ndarray | None = None) -> Certificate:
@@ -230,7 +235,8 @@ def certify_receivers(tilde: np.ndarray, supports: np.ndarray | None = None) -> 
     (`exactrank.peel`), so each flag is a proof either way
     (`exactrank.peeled_nonsingular`): the peel expands G_j exactly, and
     Bareiss elimination decides whatever core is left. The flags come as
-    a Certificate, a tuple that keeps that peel. Raises ValueError unless
+    a Certificate, a tuple that keeps that peel and the supports' nonzeros.
+    Raises ValueError unless
     tilde has m = (K+2)(K-1)/2 rows."""
     rows, pairs = check_supports(tilde, product_matrix(tilde) if supports is None else supports)
     m = (tilde.shape[1] + 2) * (tilde.shape[1] - 1) // 2
@@ -238,7 +244,7 @@ def certify_receivers(tilde: np.ndarray, supports: np.ndarray | None = None) -> 
         raise ValueError("tilde must have (K+2)(K-1)/2 = %d rows, got %d" % (m, len(tilde)))
     generators = peel(m, *generator_nonzeros(tilde, rows, pairs))
     certificate = Certificate(peeled_nonsingular(generators).tolist())
-    certificate.generators = generators
+    certificate.generators, certificate.nonzeros = generators, (rows, pairs)
     return certificate
 
 
@@ -280,13 +286,14 @@ def generator_nonzeros(tilde: np.ndarray, rows: np.ndarray, pairs: np.ndarray) -
     return np.full(K, rows.size), rows[None].repeat(K, axis=0).ravel(), table.ravel()
 
 
-def generator_inverses(pattern: PatternMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def generator_inverses(pattern: PatternMatrix) -> tuple[np.ndarray, ...]:
     """`exactrank.peeled_inverses` of every receiver's G_j: (index, values,
-    scale, ok), X = d G_j^-1 exact in integers as flat indices into
-    (K, m, m) and values, d (K,), and ok, the proof X G_j = d I
+    scale, ok, norms), X = d G_j^-1 exact in integers as flat indices into
+    (K, m, m) and values, d (K,), ok, the proof X G_j = d I
     (`exactrank.is_inverse`, on the same peel), which holds exactly where
-    the certificate does unless an entry outgrows that proof's bound. It
-    continues the peel the certificate ran (PatternMatrix.generators):
+    the certificate does unless an entry outgrows that proof's bound, and
+    norms (K, m), the squared norm of every row of X, exact where ok holds.
+    It continues the peel the certificate ran (PatternMatrix.generators):
     G_j's nonzeros are not rebuilt and not peeled again; only the cores'
     adjugates, the substitution and the proof run here, each call."""
     return peeled_inverses(pattern.generators)

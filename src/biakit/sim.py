@@ -31,9 +31,10 @@ A_j^{-1} = D_j^{-1} G_j^{-1}, and the desired rows touch only the own
 G_j^{-1} of the pair's mode-1 and mode-2 halves. Its squared norm is
 N = (a |h_jo(2)|^2 + b |h_jo(1)|^2) / |det_o|^2 with the channel-free
 weights a = ||l_o||^2 and b = ||u_o||^2 (`zf_weights`, once per run, read
-exactly off the proven integer inverse X = d G_j^-1, which
-`scheme.generator_inverses` takes by continuing the singleton peel of the
-pattern's certificate: no float solve, and no G_j built or peeled twice);
+exactly off the squared row norms of the proven integer inverse
+X = d G_j^-1, the one array `scheme.generator_inverses` returns with X,
+continuing the singleton peel of the pattern's certificate: no float
+solve, and no G_j built or peeled twice);
 the cross term <l_o, u_o> is 0 for every aligned scheme. Only the one-draw
 views take float linear algebra (`_zf_filter`'s inverse). Trial t is the
 t-th draw of the seed's channel stream, the one float verification reads.
@@ -106,10 +107,8 @@ def zf_weights(scheme: Scheme) -> np.ndarray:
     No cross term <l, u> is needed: a pair without j lies inside its pair
     product, where t_j = 1, so G_j is block diagonal over j's two modes
     (as in star_pattern_matrix) and l and u have disjoint supports."""
-    K, m = scheme.config.users, scheme.config.block_len
-    index, values, scale, ok = generator_inverses(scheme.pattern)
-    # ||row c of X||^2 of every receiver j, (K, m)
-    squares = np.bincount(index // m, weights=values.astype(float) ** 2, minlength=K * m).reshape(K, m)
+    K = scheme.config.users
+    _, _, scale, ok, squares = generator_inverses(scheme.pattern)  # ||row c of X||^2, (K, m)
     own = receiver_columns(K)[1][:, :K - 1]  # [j, n]: the pair of j and its n-th partner
     low, high = np.take_along_axis(squares, K - 1 + own, axis=1), squares[:, :K - 1]
     weights = np.stack([low, high], axis=-1) / scale[:, None, None] ** 2.0

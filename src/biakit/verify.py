@@ -59,13 +59,15 @@ reads a float bound off the same factorisation. The two modes:
   sigma_min(D) >= sigma_min(A) and sigma_max(D) <= sigma_max(A). Its
   proof: `float_bound` reads the scheme once a run, the exact
   inverse X = d G_j^-1 of every certified G_j (`scheme.generator_inverses`,
-  which continues the singleton peel the pattern's certificate ran, so no
-  G_j is rebuilt or peeled again; ||G_j^-1||_F^2 = ||X||_F^2 / d^2, and
-  d = 1 with ||G_j^-1||_F^2 = nnz(G_j) for every built G_j), and, off
-  the columns `combined_blocks` gathers (`scheme.receiver_columns`), the
-  support counts that give ||A_j||_F from the coefficients and the
-  sources of the aligned columns. Each chunk, `draw_bounds` reads the
-  draws' D_j, O(K^2) a draw and no block.
+  one kernel that continues the singleton peel the pattern's certificate
+  ran, so no G_j is rebuilt or peeled again, proves X and returns the
+  squared norm of every row of X: ||G_j^-1||_F^2 = ||X||_F^2 / d^2 sums
+  that one array, and d = 1 with ||G_j^-1||_F^2 = nnz(G_j) for every
+  built G_j), and, off the supports' nonzeros the certificate read
+  (`PatternMatrix.nonzeros`) and the columns `combined_blocks` gathers
+  (`scheme.receiver_columns`), the support counts that give ||A_j||_F from
+  the coefficients and the sources of the aligned columns. Each chunk,
+  `draw_bounds` reads the draws' D_j, O(K^2) a draw and no block.
 
   The bound. A_j = G_j D_j, exactly in float too: every entry of the
   gathered block is one coefficient or 0. So sigma_min(A_j) >=
@@ -132,7 +134,7 @@ from .channel import EXACT_STREAM, CHANNEL_STREAM, ChannelSet, draw_channel_stac
 from .exactrank import chunks, gaussian_rank
 from .formats import Records, is_int, render_csv, render_json
 from .scheme import (
-    PatternMatrix, Scheme, SchemeConfig, generator_inverses, make_config, receiver_columns)
+    PatternMatrix, Scheme, SchemeConfig, generator_inverses, make_config, pair_users, receiver_columns)
 
 
 def stack_ranks(stack: np.ndarray) -> np.ndarray:
@@ -244,28 +246,35 @@ class FloatBound:
 def float_bound(scheme: Scheme) -> FloatBound:
     """The FloatBound of a scheme: the exact inverse X = d G_j^-1 of every
     certified G_j (`scheme.generator_inverses`, proven by X G_j = d I),
-    and, off the columns `combined_blocks` gathers (`scheme.receiver_columns`),
-    the support counts behind ||A_j||_F and the aligned columns' sources."""
+    whose row norms sum to ||X||_F^2, and, off the supports' nonzeros the
+    certificate read (`PatternMatrix.nonzeros`) and the columns
+    `combined_blocks` gathers (`scheme.receiver_columns`), the support
+    counts behind ||A_j||_F and the aligned columns' sources."""
     pattern = scheme.pattern
     K, m = pattern.users, pattern.block_len
-    index, values, scale, ok = generator_inverses(pattern)
-    squares = np.bincount(index // (m * m), weights=values.astype(float) ** 2, minlength=K)
-    inverse2 = np.where(ok, squares / scale ** 2.0, np.inf)
+    _, _, scale, ok, norms = generator_inverses(pattern)
+    inverse2 = np.where(ok, norms.sum(axis=1) / scale ** 2.0, np.inf)
     src, col = receiver_columns(K)
     rx = np.arange(K)[:, None]
-    supports = pattern.supports
-    r, pair = divmod(np.flatnonzero(supports != 0), supports.shape[1])  # np.nonzero's order, cheaper
-    j, entry = np.nonzero(pattern.tilde.T[:, r])  # receiver j in mode 2 on a support entry
-    mode2 = np.bincount(j * m + pair[entry], minlength=K * m).reshape(K, m)  # [j, pair], pair < m
-    per_mode = np.stack([np.bincount(pair, minlength=m) - mode2, mode2], axis=-1)
-    at = (rx * K + src)[..., None] * 2 + np.arange(2)  # [j, c, mode] -> flat [j, i, mode]
-    counts = np.bincount(at.ravel(), weights=per_mode[rx, col].ravel(),
-                         minlength=K * K * 2).reshape(K, K, 2)
+    r, pair = pattern.nonzeros
+    a, b = pair_users(K)
+    # [j, pair], pair < m: the pair's entries in receiver j's mode 2, all
+    # of them where j is not in the pair (its vector lies inside the pair
+    # product), and read off tilde at its two owners
+    total = np.bincount(pair, minlength=m)
+    mode2 = total + np.zeros((K, 1))
+    for u in (a, b):
+        mode2[u, np.arange(u.size)] = np.bincount(pair, pattern.tilde[r, u[pair]], u.size)
+    at = (rx * K + src).ravel()  # [j, c] -> flat [j, i]: the transmitter of column c of A_j
+    counts = np.empty((K * K, 2))
+    counts[:, 1] = np.bincount(at, mode2[rx, col].ravel(), K * K)
+    counts[:, 0] = np.bincount(at, total[col].ravel(), K * K) - counts[:, 1]
+    counts = counts.reshape(K, K, 2)
     pair_src = src[:, K - 1:].copy()
     pair_src[rx, col[:, :K - 1]] = rx  # j's own pairs are not aligned
     aligned = np.zeros((K, K), dtype=bool)
     aligned[rx, pair_src] = True
-    np.fill_diagonal(aligned, False)
+    aligned[rx[:, 0], rx[:, 0]] = False
     return FloatBound(inverse2=inverse2, counts=counts, aligned=aligned)
 
 

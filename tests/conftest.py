@@ -3,7 +3,8 @@ the golden 4-user instance, a recorder of the matrix stacks that reach
 numpy's SVD, Cholesky, inverse and solve, a loader for the checkout's scripts,
 the design-space scan's candidates as row masks of the vocabulary, the
 column-by-column loop oracle of the pair products (scheme.product_matrix),
-each user's beamforming vectors read off the pair map, the pair products
+the dense generator matrices G_j built column by column, each user's
+beamforming vectors read off the pair map, the pair products
 on a built scheme's pattern as a scheme of their own, a strategy for
 schemes on random sub-supports of the pair products, and a sigma_min
 oracle that stays exact below LAPACK's noise floor.
@@ -111,6 +112,22 @@ GOLDEN_VECTORS = {
     (0, 2): (1, 0, 0, 1, 1, 0, 0, 0, 0),
     (0, 1): (1, 1, 1, 0, 0, 0, 0, 0, 0),
 }
+
+
+def generator_matrices(tilde: np.ndarray, supports: np.ndarray) -> np.ndarray:
+    """Every receiver's G_j (see certify_receivers), (K, m, m), built column
+    by column: the mode-2 half v*t_j of j's pair with each partner,
+    partners in increasing order, then every pair's vector,
+    lexicographically, an own pair's halved to its mode-1 half v*(1-t_j)."""
+    K = tilde.shape[1]
+    pairs = list(itertools.combinations(range(K), 2))
+    out = []
+    for j in range(K):
+        t = tilde[:, j]
+        own = [supports[:, pairs.index(tuple(sorted((j, o))))] * t for o in range(K) if o != j]
+        rest = [v * (1 - t) if j in pair else v for pair, v in zip(pairs, supports.T)]
+        out.append(np.column_stack(own + rest))
+    return np.stack(out)
 
 
 def user_vectors(scheme: bk.Scheme, i: int) -> list[np.ndarray]:

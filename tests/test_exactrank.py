@@ -174,7 +174,7 @@ def test_one_call_holds_matrices_of_different_nonzero_counts():
     stack = np.stack([eye, np.tril(np.ones((4, 4), dtype=np.int64)), core, twins, met])
     assert nonzeros(stack)[0].tolist() == [4, 10, 7, 11, 4]
     assert decided(stack) == det_nonzero(stack) == [True, True, True, False, False]
-    index, values, scale, ok = peeled_inverses(peel(4, *nonzeros(stack)))
+    index, values, scale, ok = peeled_inverses(peel(4, *nonzeros(stack)))[:4]
     assert ok.tolist() == [True, True, True, False, False]
     assert scale[:3].tolist() in ([1, 1, 2], [1, 1, -2])
     x = dense(index, values, 5, 4)
@@ -367,6 +367,18 @@ def dense(index, values, count, n):
     return x.reshape(count, n, n)
 
 
+def by_rows(p, index, values):
+    """X given by flat indices into (N, n, n) and values, by rows as
+    is_inverse takes it: (start, length, cols, values), every row's entries
+    together, by column, and their columns as lines of the whole stack."""
+    n = p.n
+    order = np.argsort(index, kind="stable")
+    index, values = index[order], values[order]
+    rows = index // n
+    length = np.bincount(rows, minlength=len(p.counts) * n)
+    return length.cumsum() - length, length, rows - rows % n + index % n, values
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 9).flatmap(lambda n: st.tuples(
     st.just(n), st.permutations(range(n)), st.permutations(range(n)),
@@ -377,7 +389,7 @@ def test_peel_inverses_of_permuted_unit_triangular_matrices(case):
     n, prow, pcol, bits = case
     lower = np.tril(np.array(bits, dtype=np.int64).reshape(n, n), -1) + np.eye(n, dtype=np.int64)
     g = lower[np.ix_(prow, pcol)]
-    index, values, scale, ok = peeled_inverses(peel(n, *nonzeros(g[None])))
+    index, values, scale, ok = peeled_inverses(peel(n, *nonzeros(g[None])))[:4]
     assert ok.tolist() == [True] and scale.tolist() == [1]
     assert (g @ dense(index, values, 1, n)[0] == np.eye(n, dtype=np.int64)).all()
 
@@ -393,7 +405,7 @@ def test_peel_inverses_prove_only_true_inverses(rows):
     the matrix."""
     g = np.array(rows, dtype=np.int64)
     n = len(g)
-    index, values, scale, ok = peeled_inverses(peel(n, *nonzeros(g[None])))
+    index, values, scale, ok, norms = peeled_inverses(peel(n, *nonzeros(g[None])))
     x = dense(index, values, 1, n)[0]
     det = sympy.Matrix(rows).det()
     assert ok[0] == (det != 0)
@@ -401,6 +413,7 @@ def test_peel_inverses_prove_only_true_inverses(rows):
         assert abs(scale[0]) == abs(det)
         assert (g @ x == scale[0] * np.eye(n, dtype=np.int64)).all()
         assert sympy.Matrix(x.tolist()) == int(scale[0]) * sympy.Matrix(rows).inv()
+        assert norms.tolist() == (x ** 2).sum(axis=1, keepdims=True).T.astype(float).tolist()
     live_r, live_c = np.ones(n, dtype=bool), np.ones(n, dtype=bool)
     while live_r.any():
         live = g * live_r[:, None] * live_c
@@ -434,7 +447,7 @@ def test_a_core_of_determinant_two_is_inverted_at_scale_two(monkeypatch):
     g[4, 0] = g[5, 2] = g[1, 3] = 1  # unit columns 4 and 5 below it, unit row 3 beside it
     stack = np.stack([g, g[np.ix_([0, 1, 2, 5, 3, 4], [0, 1, 2, 4, 5, 3])]])
     p = peel(6, *nonzeros(stack))
-    index, values, scale, ok = peeled_inverses(p)
+    index, values, scale, ok = peeled_inverses(p)[:4]
     assert ok.tolist() == [True, True]
     assert set(np.abs(scale).tolist()) == {2}
     assert calls == [core]
@@ -442,13 +455,13 @@ def test_a_core_of_determinant_two_is_inverted_at_scale_two(monkeypatch):
     for gi, xi, d in zip(stack, x, scale):
         assert (gi @ xi == d * np.eye(6, dtype=np.int64)).all()
         assert sympy.Matrix(xi.tolist()) == int(d) * sympy.Matrix(gi.tolist()).inv()
-    assert is_inverse(p, index, values, -scale).tolist() == [False, False]
-    assert is_inverse(p, index, values, np.ones(2, dtype=np.int64)).tolist() == [False, False]
+    assert is_inverse(p, by_rows(p, index, values), -scale).tolist() == [False, False]
+    assert is_inverse(p, by_rows(p, index, values), np.ones(2, dtype=np.int64)).tolist() == [False, False]
     halved = values.copy()
     halved[index < 36] //= 2  # X / 2 is no integer inverse
-    assert is_inverse(p, index, halved, scale // [2, 1]).tolist() == [False, True]
+    assert is_inverse(p, by_rows(p, index, halved), scale // [2, 1]).tolist() == [False, True]
     # d = 0 proves nothing, although G 0 = 0 I
-    assert is_inverse(p, index[:0], values[:0], np.zeros(2, dtype=np.int64)).tolist() == [False, False]
+    assert is_inverse(p, by_rows(p, index[:0], values[:0]), np.zeros(2, dtype=np.int64)).tolist() == [False, False]
 
 
 def test_is_inverse_rejects_one_wrong_entry():
@@ -456,18 +469,33 @@ def test_is_inverse_rejects_one_wrong_entry():
     for the matrix it is in."""
     g = np.array([[[1, 0, 0], [1, 1, 0], [0, 1, 1]], [[0, 1, 0], [1, 0, 0], [1, 1, 1]]])
     p = peel(3, *nonzeros(g))
-    index, values, scale, ok = peeled_inverses(p)
+    index, values, scale, ok = peeled_inverses(p)[:4]
     assert ok.tolist() == [True, True] and scale.tolist() == [1, 1]
     x = dense(index, values, 2, 3)
     assert (np.linalg.inv(g).round() == x).all()
     first = index < 9
     flipped = values.copy()
     flipped[0] = -flipped[0]
-    assert is_inverse(p, index, flipped, scale).tolist() == [False, True]
-    assert is_inverse(p, index[1:], values[1:], scale).tolist() == [False, True]
+    assert is_inverse(p, by_rows(p, index, flipped), scale).tolist() == [False, True]
+    assert is_inverse(p, by_rows(p, index[1:], values[1:]), scale).tolist() == [False, True]
     extra = 9 + np.flatnonzero(x[1].ravel() == 0)[0]
-    assert is_inverse(p, np.append(index, extra), np.append(values, 1), scale).tolist() == [True, False]
-    assert is_inverse(p, index[first], values[first], scale).tolist() == [True, False]
+    assert is_inverse(p, by_rows(p, np.append(index, extra), np.append(values, 1)), scale).tolist() == [True, False]
+    assert is_inverse(p, by_rows(p, index[first], values[first]), scale).tolist() == [True, False]
+
+
+def test_is_inverse_refuses_another_matrix_inverse_and_a_transpose():
+    """Two different non-symmetric G, each with its proven X: the X of the
+    other matrix of the stack, and X transposed, are refused for both. The
+    proof could pass either only by mixing up matrix, row and column."""
+    g = np.array([[[1, 0, 0], [1, 1, 0], [0, 1, 1]], [[0, 1, 0], [1, 0, 0], [1, 1, 1]]])
+    assert not (g == g.transpose(0, 2, 1)).all(axis=(1, 2)).any()
+    p = peel(3, *nonzeros(g))
+    index, values, scale, ok = peeled_inverses(p)[:4]
+    assert ok.tolist() == [True, True] and is_inverse(p, by_rows(p, index, values), scale).all()
+    other = np.where(index < 9, index + 9, index - 9)
+    assert is_inverse(p, by_rows(p, other, values), scale).tolist() == [False, False]
+    item, c, r = index // 9, index // 3 % 3, index % 3
+    assert is_inverse(p, by_rows(p, item * 9 + r * 3 + c, values), scale).tolist() == [False, False]
 
 
 def test_is_inverse_refuses_entries_past_its_bound():
@@ -476,7 +504,7 @@ def test_is_inverse_refuses_entries_past_its_bound():
     but past 2^26 / n at n = 40, where it is refused."""
     for n, expect in ((20, True), (40, False)):
         g = np.eye(n, dtype=np.int64) + np.eye(n, k=-1, dtype=np.int64) + np.eye(n, k=-3, dtype=np.int64)
-        index, values, scale, ok = peeled_inverses(peel(n, *nonzeros(g[None])))
+        index, values, scale, ok = peeled_inverses(peel(n, *nonzeros(g[None])))[:4]
         assert ok.tolist() == [expect]
         assert (np.abs(values).max() > (1 << 26) // n) == (not expect)
 

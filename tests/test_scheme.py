@@ -16,7 +16,7 @@ import biakit.scheme
 from biakit.sim import SimConfig, estimate_dof
 from biakit.verify import run_verification
 from biakit.errors import DegenerateSchemeError
-from biakit.designspace import certify_candidates, make_pattern_matrix, row_vocabulary, vocabulary
+from biakit.designspace import certify_candidates, make_pattern_matrix, row_vocabulary, scan, vocabulary
 from biakit.exactrank import integer_rank, peel, peeled_inverses
 from biakit.scheme import (
     PatternMatrix,
@@ -40,6 +40,7 @@ from conftest import (
     GOLDEN_PAIR_DIMS,
     GOLDEN_VECTORS,
     exclude_one_product,
+    generator_matrices as _generator_matrices,
     golden_tilde,
     pair_product,
     product_scheme,
@@ -575,22 +576,6 @@ def _pair_product_certificate(tilde):
         for j in range(K))
 
 
-def _generator_matrices(tilde, supports):
-    """Every receiver's G_j (see certify_receivers), (K, m, m), built column
-    by column: the mode-2 half v*t_j of j's pair with each partner,
-    partners in increasing order, then every pair's vector,
-    lexicographically, an own pair's halved to its mode-1 half v*(1-t_j)."""
-    K = tilde.shape[1]
-    pairs = list(itertools.combinations(range(K), 2))
-    out = []
-    for j in range(K):
-        t = tilde[:, j]
-        own = [supports[:, pairs.index(tuple(sorted((j, o))))] * t for o in range(K) if o != j]
-        rest = [v * (1 - t) if j in pair else v for pair, v in zip(pairs, supports.T)]
-        out.append(np.column_stack(own + rest))
-    return np.stack(out)
-
-
 def _integer_rank_certificate(tilde, supports):
     """certify_receivers by exact Bareiss elimination of every G_j."""
     m = tilde.shape[0]
@@ -871,11 +856,27 @@ def test_pair_products_are_computed_once_per_pattern(monkeypatch):
     assert calls == [(20, 6)]
 
 
+def test_construction_takes_no_inverse(monkeypatch):
+    """build_scheme(3..14) and the design-space scan at K = 3..6 run, every
+    built receiver certified, while the inverse kernel and the row pointer
+    it reads raise: construction pays none of the inverse's work."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("construction reached the inverse kernel")
+    scans = [scan(K) for K in range(3, 7)]
+    for owner, name in ((biakit.exactrank, "peeled_inverses"), (biakit.scheme, "peeled_inverses"),
+                        (biakit.exactrank, "is_inverse"), (biakit.exactrank, "_residual")):
+        monkeypatch.setattr(owner, name, refuse)
+    monkeypatch.setattr(biakit.exactrank.Peeled, "row_ptr", property(refuse))
+    for K in range(3, 15):
+        assert all(bk.build_scheme(K).certified_receivers)
+    assert [scan(K) for K in range(3, 7)] == scans
+
+
 def dense_inverses(pattern):
     """generator_inverses as dense (K, m, m) arrays X, with their scales d
     and ok flags."""
     m = pattern.block_len
-    index, values, scale, ok = generator_inverses(pattern)
+    index, values, scale, ok = generator_inverses(pattern)[:4]
     x = np.zeros(pattern.users * m * m, dtype=np.int64)
     x[index] = values
     return x.reshape(pattern.users, m, m), scale, ok
@@ -979,7 +980,7 @@ def test_star_generator_inverses_are_exact_and_as_sparse_as_g(K):
     {-1, 0, 1} and ||G_j^-1||_F^2 = nnz(G_j)."""
     pattern = bk.build_scheme(K).pattern
     m = pattern.block_len
-    index, values, scale, ok = generator_inverses(pattern)
+    index, values, scale, ok = generator_inverses(pattern)[:4]
     assert ok.all() and (scale == 1).all()
     assert set(np.abs(values).tolist()) == {1}
     nnz = int(pattern.supports.sum())
@@ -1058,7 +1059,7 @@ def assert_inverses_continue_the_peel(pattern):
     fresh = peeled_inverses(peel(
         pattern.block_len, *generator_nonzeros(pattern.tilde, *np.nonzero(pattern.supports))))
     kept = generator_inverses(pattern)
-    assert len(kept) == len(fresh) == 4
+    assert len(kept) == len(fresh) == 5
     for a, b in zip(kept, fresh):
         assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
 

@@ -284,7 +284,7 @@ def test_weights_have_no_cross_term(scheme):
     are positive exactly at the certified receivers, and match the float
     solve's."""
     K, m = scheme.config.users, scheme.config.block_len
-    index, values, _, ok = generator_inverses(scheme.pattern)
+    index, values, _, ok = generator_inverses(scheme.pattern)[:4]
     low, high = half_columns(K)
     support = np.zeros(K * m * m, dtype=bool)
     support[index] = True
