@@ -48,9 +48,11 @@ def certify_candidates(vocab: np.ndarray, products: np.ndarray) -> np.ndarray:
 
     A candidate's G_j is the vocabulary's, (m+2) x m, less rows a and b
     (`generator_nonzeros`). The K vocabulary matrices, padded by two zero
-    columns, are peeled once, and `exactrank.peeled_left_kernels` proves
-    a basis N_j of each left kernel (or raises ValueError naming receiver
-    j as matrix j). Where N_j has two rows (rank m), the rows less {a, b}
+    columns, are peeled once, and `exactrank.peeled_left_kernels` reads a
+    basis N_j of each left kernel off the peel, by the inverses'
+    substitution on the transposed peel at d = 0, and proves it by their
+    proof at d = 0, N_j G_j = 0 (or raises ValueError naming receiver j as
+    matrix j). Where N_j has two rows (rank m), the rows less {a, b}
     are independent iff det N_j[:, {a, b}] != 0: a dependence among them
     is a nonzero y N_j that vanishes at a and b. More rows prove rank
     below m: no candidate certifies j. The minors go in `exactrank.chunks`.

@@ -18,14 +18,14 @@ point, so a caller that needs both verdicts and inverses peels once:
   peeled to nothing is nonsingular. `integer_rank` decides each distinct
   core the peel leaves, once per call: equal cores share one verdict. So
   both verdicts are proofs. The cores are built together (`_cores`).
-- `peeled_inverses`, one kernel, inverts every nonsingular matrix exactly
-  and sparsely by substitution in the peel's order, proves X = d G^-1 by
-  the exact G X = d I (`is_inverse`; one routine, `_residual`, serves
-  both) and returns X's squared row norms, which float verification's
-  bound and the simulator's weights read (biakit.verify, .sim).
+- `peeled_inverses` inverts every nonsingular matrix exactly and sparsely
+  and returns X's squared row norms, which float verification's bound and
+  the simulator's weights read (biakit.verify, .sim).
 - `peeled_left_kernels` gives integer bases N of the left kernels where
-  the cores are all zero, by substitution, proven by N G = 0: the
-  design-space scan's 2 x 2 minors read them (biakit.designspace).
+  the cores are all zero, which the design-space scan's 2 x 2 minors read
+  (biakit.designspace). Both run one substitution in the peel's order
+  (`_substitute`), the kernels on the transposed peel, and one proof of
+  G X = d I (`_proof`), N G = 0 being its case d = 0 on the transpose.
 
 `integer_rank` is fraction-free (Bareiss) elimination on Python ints, with
 no floating tolerance and no external computer-algebra dependency.
@@ -196,24 +196,26 @@ def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
 
 def _residual(p: Peeled, r: np.ndarray, at, k: np.ndarray, scale: np.ndarray, x: tuple) -> tuple:
     """The nonzero entries (k, column lines, values) of d e_r - (G X)[r],
-    by k, then column, for rows r (lines, at least one) whose nonzeros lie
-    at at in G's, the k-th row's marked k, and X by rows (`is_inverse`):
-    row r of G X gathers X's rows at row r's nonzeros, and one stable sort
-    sums the terms of equal keys k size + column line."""
+    by k, then column, for rows r (lines) whose nonzeros lie at at in G's,
+    the k-th row's marked k, and X by rows (`is_inverse`): row r of G X
+    gathers X's rows at row r's nonzeros, and one stable sort sums the
+    terms of equal keys k size + column line."""
     start, length, cols, values = x
     size = p.live_r.size
     src = p.gc[at]
     got = length[src]
     e = _ranges(start[src], got)
-    keys = np.concatenate((np.arange(r.size) * size + r, (k * size).repeat(got) + cols[e]))
+    keys, terms = (k * size).repeat(got) + cols[e], values[e]
+    if scale.any():  # d e_r's terms, none where d = 0 throughout
+        keys = np.concatenate((np.arange(r.size) * size + r, keys))
+        terms = np.concatenate((-scale[r // p.n], terms))
     order = keys.argsort(kind="stable")
     keys = keys[order]
-    last = np.concatenate((keys[1:] != keys[:-1], [True])).nonzero()[0]
-    sums = np.concatenate((-scale[r // p.n], values[e]))[order].cumsum()[last]  # wraps only where a sum would
+    last = np.concatenate((keys[1:] != keys[:-1], [keys.size > 0])).nonzero()[0]  # each key's last term
+    sums = terms[order].cumsum()[last]  # wraps only where a sum would
     sums[1:] -= sums[:-1].copy()
     nonzero = sums.nonzero()[0]
-    keys = keys[last[nonzero]]
-    return keys // size, keys % size, -sums[nonzero]
+    return (*np.divmod(keys[last[nonzero]], size), -sums[nonzero])
 
 
 def _adjugate(core: list[list[int]], limit: int):
@@ -226,145 +228,142 @@ def _adjugate(core: list[list[int]], limit: int):
     return (d, x) if rank == s and max(abs(v) for row in x for v in row) <= limit else None
 
 
+def _transposed(p: Peeled) -> Peeled:
+    """The peeled stack of the G^T: the nonzeros by column (a stable sort,
+    so by row within each), the live lines swapped, each pass read across."""
+    order = p.gc.argsort(kind="stable")
+    return Peeled(p.n, p.counts, p.gc[order], p.gr[order], p.live_c, p.live_r,
+                  [(not by_row, c, r) for by_row, r, c in p.passes])
+
+
+def _substitute(p: Peeled, scale: np.ndarray, core) -> tuple[tuple, np.ndarray]:
+    """(x, rows): X with G X = d I outside the core rows, d = scale[i]
+    (nonzero for every matrix or none), by rows (`is_inverse`), and each
+    entry's row. In `_peel`'s order G is block lower triangular with unit
+    pivots: X[c] = d e_r - (G X)[r] (`_residual`, in `chunks`) for each
+    pivot (r, c) of the row passes, core(residual, store) stores the core
+    columns' rows, then the column passes' pivots go in reverse."""
+    n, ptr, size = p.n, p.row_ptr, p.live_r.size
+    degree = ptr[1:] - ptr[:-1]
+    start, length = np.zeros((2, size), dtype=np.int64)
+    cols, values, rows = np.empty((3, p.gr.size), dtype=np.int64)  # grown if X outgrows G
+    used = 0  # X's entries, row after row in the order made
+
+    def store(c, k, line, vals):  # rows c, their entries as `_residual` gives them
+        nonlocal cols, values, rows, used
+        end = used + line.size
+        if end > cols.size:
+            cols, values, rows = (np.resize(a, 2 * end) for a in (cols, values, rows))
+        lens = np.bincount(k, minlength=c.size)
+        start[c], length[c] = lens.cumsum() - lens + used, lens
+        cols[used:end], values[used:end], rows[used:end] = line, vals, c[k]
+        used = end
+
+    def residual(r):  # `_residual` of rows r
+        lens = degree[r]
+        return _residual(p, r, _ranges(ptr[r], lens), np.arange(r.size).repeat(lens), scale,
+                         (start, length, cols, values))
+
+    def substitute(r, c):
+        if not used:  # X is empty: X[c] = d e_r, nothing at d = 0
+            return store(c, np.arange(r.size), r, scale[r // n]) if scale.any() else None
+        for q in chunks(r.size, 1 + int(degree[r].sum()) * (1 + used // size) // r.size):
+            store(c[q.start:q.stop], *residual(r[q.start:q.stop]))
+
+    for _, r, c in [step for step in p.passes if step[0]]:  # a singular matrix's rows are harmless
+        substitute(r, c)
+    core(residual, store)
+    for _, r, c in [step for step in reversed(p.passes) if not step[0]]:
+        substitute(r, c)
+    return (start, length, cols[:used], values[:used]), rows[:used]
+
+
 def peeled_inverses(p: Peeled) -> tuple[np.ndarray, ...]:
-    """Exact X = d G^-1 of a peeled stack's 0/1 G, its proof and its
-    squared row norms, continuing the peel. In `_peel`'s order (row-pass
-    pivots, the core C, column-pass pivots in reverse) G is block lower
-    triangular with unit pivots, so, each
-    distinct core inverted once (`_adjugate`: C adj C = d I; d = 1 with no
-    core), X[c] = d e_r - (G X)[r] for each pivot (r, c) while row c is not
-    made (`_residual`; it reads only rows of earlier passes, and the first
-    pass writes d e_r), and the core's rows are adj C times the core rows'
-    residuals, over d. X's rows go into one row-pointer layout (`is_inverse`).
+    """Exact X = d G^-1 of a peeled stack's 0/1 G by `_substitute`, each
+    distinct core C inverted once (`_adjugate`: C adj C = d I; d = 1 with no
+    core), X's core rows adj C times the core rows' residuals, over d.
 
     Returns (index, values, scale, ok, norms): X's nonzero entries as flat
     indices into (N, n, n), by row in the order made, then by column, their
     int64 values, d (N,), ok (N,), the proof G X = d I (`is_inverse`), and
     norms (N, n), X's squared row norms, exact where ok holds. Where ok is
-    False (G singular, or an entry past the bound) both are meaningless.
-    """
-    n, counts, ptr, size, limit = p.n, p.counts, p.row_ptr, p.live_r.size, (1 << 26) // p.n
+    False (G singular, or an entry past the bound) both are meaningless."""
+    n, counts, size, limit = p.n, p.counts, p.live_r.size, (1 << 26) // p.n
     ok, cores = _cores(p, lambda core: _adjugate(core, limit))
     scale = np.ones(len(counts), dtype=np.int64)
     scale[list(cores)] = [d for d, _ in cores.values()]
-    start, length = np.zeros((2, size), dtype=np.int64)
-    cols, values = np.empty((2, p.gr.size), dtype=np.int64)  # grown if X outgrows G
-    made, used = [np.zeros(0, dtype=np.int64)], 0  # X's rows in the order made; its entries
 
-    def store(c, at, lens, line, vals):  # X's rows c, the k-th from at[k] of line and vals
-        nonlocal cols, values, used
-        end = used + line.size
-        if end > cols.size:
-            cols, values = np.resize(cols, 2 * end), np.resize(values, 2 * end)
-        start[c], length[c] = at + used, lens
-        cols[used:end], values[used:end] = line, vals
-        made.append(c)
-        used = end
+    def core(residual, store):
+        if cores:
+            cored = np.isin(np.arange(len(counts)), list(cores))[:, None]
+            core_r, core_c = (np.flatnonzero(live & cored) for live in (p.live_r, p.live_c))
+            k, line, vals = residual(core_r)
+            y = np.zeros((core_r.size, n), dtype=np.int64)
+            y[k, line % n] = vals
+            at = np.cumsum([0] + [len(adj) for _, adj in cores.values()])
+            for (d, adj), lo, hi in zip(cores.values(), at, at[1:]):
+                y[lo:hi] = np.array(adj, dtype=np.int64) @ y[lo:hi] // d
+            k, col = np.nonzero(y)
+            store(core_c, k, core_c[k] - core_c[k] % n + col, y[k, col])
 
-    def residual(r, lens):  # `_residual` of rows r, of lens nonzeros each
-        return _residual(p, r, _ranges(ptr[r], lens), np.arange(r.size).repeat(lens), scale,
-                         (start, length, cols, values))
-
-    def substitute(r, c):  # X's rows c of pivots (r, c), in `chunks`; d e_r while X is empty
-        if not used:
-            return store(c, np.arange(r.size), 1, r, scale[r // n])
-        lens = ptr[r + 1] - ptr[r]
-        for q in chunks(r.size, 1 + int(lens.sum()) * (1 + used // size) // r.size):
-            q = slice(q.start, q.stop)
-            k, line, vals = residual(r[q], lens[q])
-            got = np.bincount(k, minlength=lens[q].size)
-            store(c[q], got.cumsum() - got, got, line, vals)
-
-    for _, r, c in [step for step in p.passes if step[0]]:  # a singular matrix's rows are harmless
-        substitute(r, c)
-    if cores:  # X's core rows: adj C times the core rows' residuals, over d
-        cored = np.isin(np.arange(len(counts)), list(cores))[:, None]
-        core_r, core_c = (np.flatnonzero(live & cored) for live in (p.live_r, p.live_c))
-        k, line, vals = residual(core_r, ptr[core_r + 1] - ptr[core_r])
-        y = np.zeros((core_r.size, n), dtype=np.int64)
-        y[k, line % n] = vals
-        at = 0
-        for d, adj in cores.values():
-            y[at:at + len(adj)] = np.array(adj, dtype=np.int64) @ y[at:at + len(adj)] // d
-            at += len(adj)
-        lens = np.count_nonzero(y, axis=1)
-        k, col = np.nonzero(y)
-        store(core_c, lens.cumsum() - lens, lens, core_c[k] - core_c[k] % n + col, y[k, col])
-    for _, r, c in [step for step in reversed(p.passes) if not step[0]]:
-        substitute(r, c)
-    x = (start, length, cols[:used], values[:used])
+    x, rows = _substitute(p, scale, core)
     ok &= is_inverse(p, x, scale)
-    rows = np.concatenate(made)
-    rows = rows.repeat(length[rows])
     norms = np.bincount(rows, np.square(x[3], dtype=float), size).reshape(-1, n)
     return (rows - rows // n) * n + x[2], x[3], scale, ok, norms
 
 
-def is_inverse(p: Peeled, x: tuple, scale: np.ndarray) -> np.ndarray:
-    """Whether G X = d I exactly, d = scale[i] nonzero, so X = d G^-1 and
-    X G = d I, for a peeled stack's 0/1 G (its nonzeros, not its peel) and
-    X by rows: x = (start, length, cols, values), row c (a line, as G's)
-    the length[c] entries from start[c] of its column lines cols, no
-    column twice, and values. A matrix with an entry past 2^26 / n is
-    refused: below it every sum of the product stays under 2^26 and X's
-    sum of squares under 2^52, exact in int64 and float64. The residual
-    d I - G X (`_residual`, `chunks` of rows) must vanish; a refused
-    matrix's sums, which may wrap, stay at its own rows."""
+def _proof(p: Peeled, x: tuple, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(big, wrong) by matrix: X has an entry past 2^26 / n, below which
+    every sum of G X stays under 2^26 and X's sum of squares under 2^52
+    (exact in int64 and float64), or d I - G X, d = scale[i], is not zero
+    (`_residual`, in `chunks` of rows; a sum that wraps stays in its row)."""
     n, ptr, gr, size = p.n, p.row_ptr, p.gr, p.live_r.size
-    bad = scale == 0
-    bad[x[2][np.abs(x[3]) > (1 << 26) // n] // n] = True
+    big, wrong = np.zeros((2, len(p.counts)), dtype=bool)
+    big[x[2][np.abs(x[3]) > (1 << 26) // n] // n] = True
     for rows in chunks(size, 1 + gr.size * (1 + x[2].size // size) // size):  # about the terms a row
         lo, a, b = rows.start, ptr[rows.start], ptr[rows.stop]
         k = _residual(p, np.arange(lo, rows.stop), slice(a, b), gr[a:b] - lo, scale, x)[0]
-        bad[(k + lo) // n] = True
-    return ~bad
+        wrong[(k + lo) // n] = True
+    return big, wrong
+
+
+def is_inverse(p: Peeled, x: tuple, scale: np.ndarray) -> np.ndarray:
+    """Whether G X = d I exactly (`_proof`), d = scale[i] nonzero, so
+    X = d G^-1, for a peeled stack's 0/1 G (its nonzeros, not its peel) and
+    X by rows: x = (start, length, cols, values), row c (a line, as G's) the
+    length[c] entries from start[c] of column lines cols, no column twice."""
+    big, wrong = _proof(p, x, scale)
+    return ~(big | wrong | (scale == 0))
 
 
 def peeled_left_kernels(p: Peeled) -> tuple[np.ndarray, np.ndarray]:
-    """Integer bases N of the left kernels {y : y G = 0} of a peeled stack
-    of 0/1 matrices G whose cores are all zero, continuing its peel.
-
-    In `_peel`'s order G is block lower triangular (`peeled_inverses`), so
-    each core row of matrix i gives one y: 1 there, 0 on i's other core
-    rows and column-pass rows, and over the row passes in reverse
-    y[r] = -(sum of y over the other rows of pivot column c). The n - s
-    pivots prove rank >= n - s; the identity on the s core rows and the
-    exact N G = 0 (entries at most 2^26 / n, as in `is_inverse`, checked
-    every pass so no sum wraps) prove N a basis. Returns (lines, basis):
-    the core rows as lines of the whole stack, increasing, and
-    (lines.size, n) int64, row k lines[k]'s y. Raises ValueError naming
-    the first matrix whose core keeps a live nonzero (no elimination is
-    run), or whose basis outgrows the bound or fails N G = 0."""
-    n, gr, gc = p.n, p.gr, p.gc
-    live = p.live_r.ravel()[gr] & p.live_c.ravel()[gc]
+    """(lines, basis): integer bases N of the left kernels {y : y G = 0} of
+    a peeled stack of 0/1 G whose cores are all zero, G^T's right kernels:
+    `_substitute` of the transposed peel at d = 0, with X[l] = e_l on each
+    core row l of G, gives G^T X = 0, core row l's y being column l of X
+    (0 on G's column-pass rows, y[r] = -(sum of y over the other rows of
+    pivot column c) over its row passes in reverse). The n - s pivots prove
+    rank >= n - s; the identity on the s core rows and N G = 0 (`_proof` at
+    d = 0 on G^T), a basis. The bound 2^26 / n is checked once, at the end:
+    a sum can wrap only after an entry past it is stored, which refuses its
+    matrix. lines: the core rows, increasing; basis: (lines.size, n) int64,
+    row k lines[k]'s y. Raises ValueError naming the first matrix whose core
+    keeps a live nonzero (before any substitution), else the first whose
+    basis outgrows the bound or fails N G = 0."""
+    live = p.live_r.ravel()[p.gr] & p.live_c.ravel()[p.gc]
     if live.any():
         raise ValueError("matrix %d: the peel leaves a live nonzero in its core, "
-                         "so its left kernel is not read off the peel" % (gr[live][0] // n))
-    lines, size = np.flatnonzero(p.live_r), p.live_r.sum(axis=1)
-    y = np.zeros((lines.size, n), dtype=np.int64)
-    y[np.arange(lines.size), lines % n] = 1
-    by_col = gc.argsort(kind="stable")  # G's nonzeros by column
-    col_ptr = np.searchsorted(gc[by_col], np.arange(len(p.counts) * n + 1))
-
-    def refuse(k, why):
-        raise ValueError("matrix %d: its left kernel basis %s" % (lines[k] // n, why))
-    for _, r, c in [step for step in reversed(p.passes) if step[0]]:
-        lens = size[r // n]  # each pivot q, each y k of its matrix
-        q, k = np.arange(r.size).repeat(lens), _ranges((size.cumsum() - size)[r // n], lens)
-        lens = col_ptr[c[q] + 1] - col_ptr[c[q]]
-        t, e = np.arange(q.size).repeat(lens), _ranges(col_ptr[c[q]], lens)
-        # y[r] is still 0, so this sums c's other rows (in float64: exact under the bound)
-        y[k, r[q] % n] = -np.bincount(t, y[k[t], gr[by_col[e]] % n], q.size).astype(np.int64)
-        big = np.abs(y[k, r[q] % n]) > (1 << 26) // n
-        if big.any():
-            refuse(k[big][0], "has an entry past 2^26 / %d" % n)
-    lens = p.counts[lines // n]
-    k, e = np.arange(lines.size).repeat(lens), _ranges((p.counts.cumsum() - p.counts)[lines // n], lens)
-    # y G, each entry a sum of at most n terms (in float64: exact under the bound)
-    keys = np.flatnonzero(np.bincount(k * n + gc[e] % n, y[k, gr[e] % n], lines.size * n))
-    if keys.size:
-        refuse(keys[0] // n, "fails N G = 0")
-    return lines, y
+                         "so its left kernel is not read off the peel" % (p.gr[live][0] // p.n))
+    lines, t, scale = np.flatnonzero(p.live_r), _transposed(p), np.zeros(len(p.counts), dtype=np.int64)
+    x, rows = _substitute(t, scale, lambda residual, store: store(lines, np.arange(lines.size), lines, 1))
+    big, wrong = _proof(t, x, scale)
+    bad = np.flatnonzero(big | wrong)
+    if bad.size:
+        raise ValueError("matrix %d: its left kernel basis %s" % (
+            bad[0], "has an entry past 2^26 / %d" % p.n if big[bad[0]] else "fails N G = 0"))
+    basis = np.zeros((lines.size, p.n), dtype=np.int64)
+    basis[np.searchsorted(lines, x[2]), rows % p.n] = x[3]
+    return lines, basis
 
 
 def integer_rank(rows: Iterable[Sequence[int]]) -> int:

@@ -1,4 +1,5 @@
 """Exact rank routines cross-checked against a computer-algebra oracle."""
+import re
 from unittest import mock
 
 import numpy as np
@@ -595,6 +596,127 @@ def test_left_kernels_are_refused_or_exact(rows):
     expect = [list(v.T) for v in sympy.Matrix(rows).T.nullspace()]
     assert len(lines) == len(expect)
     assert row_space(basis.tolist()) == row_space(expect)
+
+
+def left_kernel_or_refusal(n, stack):
+    """peeled_left_kernels of a dense stack, or the message it raises."""
+    try:
+        return peeled_left_kernels(peel(n, *nonzeros(stack)))
+    except ValueError as e:
+        return str(e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, 1), min_size=n * n, max_size=n * n), min_size=1, max_size=4).map(
+        lambda mats: np.array(mats, dtype=np.int64).reshape(-1, n, n))))
+def test_stacked_left_kernels_are_each_matrix_own(stack):
+    """On a stack of 1-4 random 0/1 matrices each matrix's (lines, basis)
+    is its own one-matrix call's, lines shifted by i n, and spans sympy's
+    nullspace of G^T; where the stacked call refuses, it names a matrix
+    that its own call refuses with the same message."""
+    n = stack.shape[-1]
+    alone = [left_kernel_or_refusal(n, g[None]) for g in stack]
+    stacked = left_kernel_or_refusal(n, stack)
+    if isinstance(stacked, str):
+        i = int(stacked.split(":")[0].split()[1])
+        assert alone[i] == stacked.replace("matrix %d:" % i, "matrix 0:", 1)
+        live = [j for j, a in enumerate(alone) if isinstance(a, str) and "live nonzero" in a]
+        assert "live nonzero" not in stacked or i == live[0]
+        return
+    assert not any(isinstance(a, str) for a in alone)
+    lines, basis = stacked
+    for i, (g, (own_lines, own_basis)) in enumerate(zip(stack, alone)):
+        mine = lines // n == i
+        assert np.array_equal(lines[mine], own_lines + i * n)
+        assert np.array_equal(basis[mine], own_basis)
+        expect = [list(v.T) for v in sympy.Matrix(g.T.tolist()).nullspace()]
+        assert len(own_lines) == len(expect)
+        assert row_space(own_basis.tolist()) == row_space(expect)
+
+
+def assert_transposed_peel(p, same_scale=False):
+    """`exactrank._transposed` of a peel is a peel of the G^T: its
+    nonzeros are the transposes', by row, its verdicts are the peel's, and
+    its inverses are the transposes of the peel's X, with ok the same and
+    d up to its sign (Bareiss's pivot order on C^T), exactly where
+    same_scale."""
+    n, count = p.n, len(p.counts)
+    t = biakit.exactrank._transposed(p)
+    g, gt = np.zeros((2, count * n, n), dtype=np.int64)
+    g[p.gr, p.gc % n] = 1
+    gt[t.gr, t.gc % n] = 1
+    assert np.array_equal(gt.reshape(count, n, n), g.reshape(count, n, n).transpose(0, 2, 1))
+    assert np.array_equal(t.gr, np.sort(t.gr)) and np.array_equal(t.row_ptr[-1:], [t.gr.size])
+    assert np.array_equal(peeled_nonsingular(t), peeled_nonsingular(p))
+    index, values, scale, ok = peeled_inverses(p)[:4]
+    t_index, t_values, t_scale, t_ok = peeled_inverses(t)[:4]
+    assert np.array_equal(t_ok, ok) and np.array_equal(np.abs(t_scale), np.abs(scale))
+    if same_scale:
+        assert np.array_equal(t_scale, scale)
+    x, xt = dense(index, values, count, n), dense(t_index, t_values, count, n)
+    for i in np.flatnonzero(ok):
+        assert (xt[i] * scale[i] == x[i].T * t_scale[i]).all()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(square_stacks(), peelable_stacks(), cored_stacks()))
+def test_transposed_peel_is_the_transposes_peel(stack):
+    """Singular, nonsingular and cored matrices, equal cores repeating."""
+    assert_transposed_peel(peel(stack.shape[-1], *nonzeros(stack)))
+
+
+def test_transposed_peel_of_built_schemes_inverts_the_transposes():
+    """Every build_scheme(3..12) certificate's G_j peel to nothing, so the
+    transposed peel's inverses are X^T with d = 1, as the peel's."""
+    for K in range(3, 13):
+        assert_transposed_peel(build_scheme(K).pattern.generators, same_scale=True)
+
+
+def kernel_by_rows(t, lines, basis):
+    """A left kernel basis as X of the transposed peel t, by rows, as
+    is_inverse takes it: column l of X is core row l's y."""
+    n = t.n
+    k, j = np.nonzero(basis)
+    return by_rows(t, lines[k] // n * n * n + j * n + lines[k] % n, basis[k, j])
+
+
+def test_the_proof_at_d_zero_refuses_a_wrong_left_kernel(monkeypatch):
+    """The proof the inverses share, at d = 0 on the transposed peel, is
+    N G = 0: a proven basis passes, and one entry flipped, dropped, added
+    or past 2^26 / n is refused for its own matrix only. Through
+    peeled_left_kernels each refusal keeps its message."""
+    stack = np.array([EMPTY_CORES["two passes back"], EMPTY_CORES["three-dimensional"]])
+    p = peel(5, *nonzeros(stack))
+    t = biakit.exactrank._transposed(p)
+    lines, basis = peeled_left_kernels(p)
+    zero = np.zeros(2, dtype=np.int64)
+
+    def proof(b):
+        return [a.tolist() for a in biakit.exactrank._proof(t, kernel_by_rows(t, lines, b), zero)]
+    assert proof(basis) == [[False, False], [False, False]]
+    at = (lines == 7).argmax(), 1  # y of matrix 1's core row 2 is [0, -1, 1, 0, 0]
+    flipped, dropped, added, big = (basis.copy() for _ in range(4))
+    flipped[at] = 1
+    dropped[at] = 0
+    added[(lines == 4).argmax(), 3] = 1  # matrix 0's row 3 is no zero row
+    big[at] = (1 << 26) // 5 + 1
+    assert proof(flipped) == proof(dropped) == [[False, False], [False, True]]
+    assert proof(added) == [[False, False], [True, False]]
+    assert proof(big) == [[False, True], [False, True]]
+    substitute = biakit.exactrank._substitute
+    for value, why in ((1, "fails N G = 0"), ((1 << 26) // 5 + 1, "has an entry past 2^26 / 5")):
+        def tampered(p, scale, core):
+            x, rows = substitute(p, scale, core)
+            values = x[3].copy()
+            values[np.flatnonzero((rows // 5 == 1) & (rows != x[2]))[0]] = value
+            return (*x[:3], values), rows
+        monkeypatch.setattr(biakit.exactrank, "_substitute", tampered)
+        with pytest.raises(ValueError, match="^%s$" % re.escape("matrix 1: its left kernel basis " + why)):
+            peeled_left_kernels(p)
+    with pytest.raises(ValueError, match="^matrix 1: the peel leaves a live nonzero in its core, "
+                                         "so its left kernel is not read off the peel$"):
+        peeled_left_kernels(peel(3, *nonzeros(np.array([np.eye(3, dtype=int), [[1, 1, 0], [1, 1, 0], [0] * 3]]))))
 
 
 def peel_oracle(n, counts, gr, gc):

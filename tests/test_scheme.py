@@ -856,19 +856,31 @@ def test_pair_products_are_computed_once_per_pattern(monkeypatch):
     assert calls == [(20, 6)]
 
 
+def refuse_inverse(*args, **kwargs):
+    raise AssertionError("construction reached the inverse kernel")
+
+
 def test_construction_takes_no_inverse(monkeypatch):
-    """build_scheme(3..14) and the design-space scan at K = 3..6 run, every
-    built receiver certified, while the inverse kernel and the row pointer
-    it reads raise: construction pays none of the inverse's work."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("construction reached the inverse kernel")
-    scans = [scan(K) for K in range(3, 7)]
+    """build_scheme(3..14) runs, every built receiver certified, while the
+    inverse kernel, its proof, the residual it sums and the row pointer it
+    reads raise: building a scheme pays none of the inverse's work."""
     for owner, name in ((biakit.exactrank, "peeled_inverses"), (biakit.scheme, "peeled_inverses"),
                         (biakit.exactrank, "is_inverse"), (biakit.exactrank, "_residual")):
-        monkeypatch.setattr(owner, name, refuse)
-    monkeypatch.setattr(biakit.exactrank.Peeled, "row_ptr", property(refuse))
+        monkeypatch.setattr(owner, name, refuse_inverse)
+    monkeypatch.setattr(biakit.exactrank.Peeled, "row_ptr", property(refuse_inverse))
     for K in range(3, 15):
         assert all(bk.build_scheme(K).certified_receivers)
+
+
+def test_design_space_scan_takes_no_inverse(monkeypatch):
+    """The design-space scan at K = 3..6 gives the same result while the
+    inverse kernel and its proof raise: its left kernels share the
+    inverse's substitution and residual (on the transposed peel, whose row
+    pointer they read), not the inverse itself."""
+    scans = [scan(K) for K in range(3, 7)]
+    for owner, name in ((biakit.exactrank, "peeled_inverses"), (biakit.scheme, "peeled_inverses"),
+                        (biakit.exactrank, "is_inverse")):
+        monkeypatch.setattr(owner, name, refuse_inverse)
     assert [scan(K) for K in range(3, 7)] == scans
 
 
